@@ -61,9 +61,7 @@ class AntiUnitary:
 
     def conjugate_field(self, h_stack: np.ndarray) -> np.ndarray:
         """J conj(H) J^dagger applied to a stack of matrices."""
-        return np.einsum(
-            "ij,vjk,lk->vil", self.j, np.conj(h_stack), np.conj(self.j)
-        )
+        return self.j @ np.conj(h_stack) @ self.j.conj().T
 
 
 @dataclass(frozen=True)
@@ -260,8 +258,9 @@ def _transport(slab: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     Projects onto the target eigenspace and re-orthonormalizes with the
     polar factor of the small overlap, i.e. discrete parallel transport.
+    Works on one frame or on a stack of frames (last two axes) at once.
     """
-    overlap = slab.conj().T @ u
+    overlap = np.swapaxes(slab.conj(), -1, -2) @ u
     try:
         return slab @ numkit.polar_unitary(overlap)
     except SingularityError as exc:
@@ -316,15 +315,10 @@ def smooth_frame(
 
     if grid.manifold == Manifold.SPHERE:
         seed_vid, chains = transport_chains(domain)
-        seed = slabs[seed_vid]
-        data[loc[seed_vid]] = seed
-        for chain in chains:
-            u = seed
-            for vid in chain[1:]:
-                u = _transport(slabs[vid], u)
-                data[loc[vid]] = u
+        data[loc[seed_vid]] = slabs[seed_vid]
+        u = np.broadcast_to(slabs[seed_vid], (chains.shape[0],) + slabs.shape[1:])
     else:
-        seed_vid, (base, columns) = transport_chains(domain)
+        seed_vid, (base, chains) = transport_chains(domain)
         L = grid.n_lon
         raw = [slabs[seed_vid]]
         for vid in base[1:]:
@@ -332,14 +326,14 @@ def smooth_frame(
         back = _transport(slabs[base[0]], raw[-1])
         holonomy = raw[0].conj().T @ back
         q_h, ph_h = numkit.unitary_gap_log(holonomy)
-        for j, vid in enumerate(base):
-            twist = numkit.unitary_power(q_h, ph_h, -j / L)
-            data[loc[vid]] = raw[j] @ twist
-        for column in columns:
-            u = data[loc[column[0]]]
-            for vid in column[1:]:
-                u = _transport(slabs[vid], u)
-                data[loc[vid]] = u
+        twists = numkit.unitary_power(q_h, ph_h, -np.arange(L) / L)
+        u = np.stack(raw) @ twists
+        data[loc[base]] = u
+    # every meridian (sphere) or column (torus) steps in lock-step, one row
+    # of the domain at a time
+    for row in chains.T[1:]:
+        u = _transport(slabs[row], u)
+        data[loc[row]] = u
 
     max_step, const = _continuity(domain, data)
     frame = Frame(domain=domain, group=group, data=data,

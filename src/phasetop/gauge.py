@@ -349,7 +349,7 @@ def skew_normal_form(u_plus: TransitionLoop, u_minus: TransitionLoop,
                      c: int) -> SkewNormalForm:
     """Congruence of the TRI-line loops to the canonical skew block form.
 
-    The p = 0 target carries the whole twist через alpha_1(q) = (c/2) q; the
+    The p = 0 target carries the whole twist through alpha_1(q) = (c/2) q; the
     p = pi target has all alphas zero.  det-winding bookkeeping
     (wn det W = (wn det V - wn det U)/2 per line, difference zero) is
     returned for verification.

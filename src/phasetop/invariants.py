@@ -159,7 +159,7 @@ def m_field(frame: Frame, t: AntiUnitary, zero_floor: float = 1e-4) -> MField:
     pf = None
     small = None
     if nb % 2 == 0:
-        pf = np.array([numkit.pfaffian(m[v]) for v in range(m.shape[0])])
+        pf = numkit.pfaffian(m)
         small = frame.domain.vertex_ids[np.abs(pf) < zero_floor]
     return MField(domain=frame.domain, values=m, pf=pf,
                   skew_residual=skew, small_pf_vertices=small)
@@ -217,26 +217,25 @@ def km_census(mf: MField, edge_cap: float = np.pi - 0.2,
             f"pf M vanishes at {int(tiny.sum())} domain vertices; zeros are not "
             "isolated points (symmetric stratum)"
         )
-    plq = dom.grid.plaquettes[dom.plaq_ids]
-    loc = dom.local_index
-    entries = []
-    total = 0
-    for pid, corners in zip(dom.plaq_ids, plq):
-        vals = pf[loc[corners]]
-        steps = np.angle(np.roll(vals, -1) / vals)
-        if np.max(np.abs(steps)) >= edge_cap:
+    vals = pf[dom.local_index[dom.grid.plaquettes[dom.plaq_ids]]]  # (P, 4)
+    steps = np.angle(np.roll(vals, -1, axis=1) / vals)
+    on_edge = np.max(np.abs(steps), axis=1) >= edge_cap
+    w = steps.sum(axis=1) / (2.0 * np.pi)
+    wi = np.round(w)
+    fractional = ~(np.abs(w - wi) <= 1e-6)  # a NaN winding is not integral either
+    failed = np.flatnonzero(on_edge | fractional)
+    if failed.size:
+        first = failed[0]  # report the first failure in plaquette order
+        if on_edge[first]:
             raise ResolutionError(
-                f"pf M phase step near pi on plaquette {int(pid)}; a zero lies "
-                "on an edge, refine the grid"
+                f"pf M phase step near pi on plaquette {int(dom.plaq_ids[first])}; "
+                "a zero lies on an edge, refine the grid"
             )
-        w = float(steps.sum()) / (2.0 * np.pi)
-        wi = int(round(w))
-        if abs(w - wi) > 1e-6:
-            raise ResolutionError("plaquette winding is not integral")
-        if wi != 0:
-            entries.append((int(pid), wi))
-            total += wi
-    return ZeroCensus(entries=entries, total=total)
+        raise ResolutionError("plaquette winding is not integral")
+    wi = wi.astype(int)
+    nonzero = np.flatnonzero(wi)
+    entries = [(int(dom.plaq_ids[p]), int(wi[p])) for p in nonzero]
+    return ZeroCensus(entries=entries, total=int(wi.sum()))
 
 
 @dataclass

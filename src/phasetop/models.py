@@ -76,6 +76,9 @@ def _probe_points(manifold: Manifold) -> np.ndarray:
     return np.stack([a.ravel(), b.ravel()], axis=1)
 
 
+_FIELD_BLOCK = 2048  # torus field points per product; bounds the temporaries
+
+
 def random_hermitian_field(manifold: Manifold, n: int, cutoff: int, seed: int):
     """Random low-frequency Hermitian field with sup operator norm ~ 1.
 
@@ -112,17 +115,27 @@ def random_hermitian_field(manifold: Manifold, n: int, cutoff: int, seed: int):
         coefs = [_random_hermitian(rng, n)] + [
             _random_complex(rng, n) for _ in modes[1:]
         ]
+        # e^{i theta} C + e^{-i theta} C^dagger = cos(theta) (C + C^dagger)
+        # + sin(theta) i (C - C^dagger), so the field is one real product
+        # [cos | sin] @ table, the complex table entries read as (re, im)
+        # pairs; the (0, 0) mode contributes C_00 alone
+        c = np.stack(coefs)
+        c_h = c.conj().transpose(0, 2, 1)
+        cos_part = np.concatenate([c[:1], c[1:] + c_h[1:]])
+        sin_part = np.concatenate([np.zeros_like(c[:1]), 1j * (c[1:] - c_h[1:])])
+        table = np.concatenate([cos_part, sin_part]).reshape(2 * len(modes), n * n).view(float)
+        mode_a, mode_b = np.array(modes).T
 
         def raw(pts: np.ndarray) -> np.ndarray:
             pts = np.atleast_2d(pts)
-            q, p = pts[:, 0], pts[:, 1]
-            out = np.zeros((pts.shape[0], n, n), dtype=complex)
-            for (a, b), cmat in zip(modes, coefs):
-                wave = np.exp(1j * (a * q + b * p))
-                out += wave[:, None, None] * cmat[None]
-                if (a, b) != (0, 0):
-                    out += wave.conj()[:, None, None] * cmat.conj().T[None]
-            return out
+            out = np.empty((pts.shape[0], 2 * n * n))
+            for start in range(0, pts.shape[0], _FIELD_BLOCK):
+                block = pts[start:start + _FIELD_BLOCK]
+                theta = (np.multiply.outer(block[:, 0], mode_a)
+                         + np.multiply.outer(block[:, 1], mode_b))
+                np.matmul(np.hstack([np.cos(theta), np.sin(theta)]), table,
+                          out=out[start:start + _FIELD_BLOCK])
+            return out.view(complex).reshape(-1, n, n)
 
     norm = float(np.max(np.linalg.norm(raw(_probe_points(manifold)), 2, axis=(1, 2))))
 

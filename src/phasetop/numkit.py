@@ -64,55 +64,71 @@ def eigh_many(hs: np.ndarray):
 
 
 def polar_unitary(a: np.ndarray) -> np.ndarray:
-    """Unitary factor of the polar decomposition A = U P.
+    """Unitary factor of the polar decomposition A = U P, for a matrix or a
+    stack of them (last two axes).
 
     For a tall matrix this is the closest matrix with orthonormal columns in
-    Frobenius distance.  Near-singular inputs are refused; the caller must
-    jitter or refine instead of silently accepting a garbage direction.
+    Frobenius distance.  Near-singular inputs are refused, anywhere in the
+    stack; the caller must jitter or refine instead of silently accepting a
+    garbage direction.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] < a.shape[1]:
-        raise DomainError("polar_unitary expects a square or tall matrix")
+    if a.ndim < 2 or a.shape[-2] < a.shape[-1]:
+        raise DomainError("polar_unitary expects square or tall matrices")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if s[-1] <= 1e-10:
+    smallest = float(np.min(s[..., -1])) if s.size else np.inf
+    if smallest <= 1e-10:
         raise SingularityError(
-            f"smallest singular value {s[-1]:.3e} <= 1e-10; input is near-singular"
+            f"smallest singular value {smallest:.3e} <= 1e-10; input is near-singular"
         )
     return u @ vh
 
 
-def pfaffian(s: np.ndarray) -> complex:
-    """Pfaffian of an even-dimensional skew-symmetric matrix.
+def pfaffian(s: np.ndarray):
+    """Pfaffian of an even-dimensional skew-symmetric matrix, or of each
+    matrix in a stack (last two axes).
 
     Skew-symmetric (Parlett-Reid style) elimination with partial pivoting,
-    O(n^3).  pf(S)^2 = det(S) is the accuracy contract, checked in tests.
+    O(n^3), run on the whole stack at once; a matrix whose pivot vanishes
+    gets 0.  pf(S)^2 = det(S) is the accuracy contract, checked in tests.
+    A single matrix gives a complex scalar, a stack an array of its shape
+    without the last two axes.
     """
     a = np.array(s, dtype=complex, copy=True)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("pfaffian expects a square matrix")
-    n = a.shape[0]
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DomainError("pfaffian expects square matrices")
+    n = a.shape[-1]
     if n % 2 != 0:
         raise DomainError("pfaffian requires even dimension")
-    if max_abs(a + a.T) > SKEW_TOL:
+    if max_abs(a + np.swapaxes(a, -1, -2)) > SKEW_TOL:
         raise DomainError("matrix is not skew-symmetric within 1e-9")
-    if n == 0:
-        return 1.0 + 0.0j
-
-    pf = 1.0 + 0.0j
+    batch = a.shape[:-2]
+    a = a.reshape((int(np.prod(batch)), n, n))
+    pf = np.ones(a.shape[0], dtype=complex)
+    vanished = np.zeros(a.shape[0], dtype=bool)
     for k in range(0, n - 1, 2):
-        kp = k + 1 + int(np.argmax(np.abs(a[k + 1:, k])))
-        if kp != k + 1:
-            a[[k + 1, kp], k:] = a[[kp, k + 1], k:]
-            a[k:, [k + 1, kp]] = a[k:, [kp, k + 1]]
-            pf = -pf
-        if abs(a[k + 1, k]) < 1e-300:
-            return 0.0 + 0.0j
-        pf *= a[k, k + 1]
+        kp = k + 1 + np.argmax(np.abs(a[:, k + 1:, k]), axis=1)
+        swap = np.flatnonzero(kp != k + 1)
+        if swap.size:
+            p = kp[swap]
+            a[swap, k + 1, k:], a[swap, p, k:] = a[swap, p, k:], a[swap, k + 1, k:]
+            a[swap, k:, k + 1], a[swap, k:, p] = a[swap, k:, p], a[swap, k:, k + 1]
+            pf[swap] = -pf[swap]
+        vanished |= np.abs(a[:, k + 1, k]) < 1e-300
+        pivot = a[:, k, k + 1]
+        pf *= pivot
         if k + 2 < n:
-            tau = a[k, k + 2:] / a[k, k + 1]
-            col = a[k + 2:, k + 1]
-            a[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
-    return complex(pf)
+            # a vanished matrix keeps eliminating with a unit pivot; its
+            # result is discarded below
+            tau = a[:, k, k + 2:] / np.where(vanished, 1.0, pivot)[:, None]
+            col = a[:, k + 2:, k + 1]
+            a[:, k + 2:, k + 2:] += (
+                tau[:, :, None] * col[:, None, :] - col[:, :, None] * tau[:, None, :]
+            )
+    pf[vanished] = 0.0
+    if not batch:
+        return complex(pf[0])
+    return pf.reshape(batch)
 
 
 @dataclass(frozen=True)
@@ -199,6 +215,8 @@ def unitary_gap_log(u: np.ndarray, min_gap: float = 1e-3):
     return q, rebased
 
 
-def unitary_power(q: np.ndarray, phases: np.ndarray, t: float) -> np.ndarray:
-    """u^t from the factors produced by unitary_gap_log."""
-    return (q * np.exp(1j * t * phases)[None, :]) @ q.conj().T
+def unitary_power(q: np.ndarray, phases: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """u^t from the factors produced by unitary_gap_log; an array of exponents
+    gives a stack of powers."""
+    e = np.exp(1j * np.asarray(t, dtype=float)[..., None] * phases)
+    return (q * e[..., None, :]) @ q.conj().T

@@ -83,19 +83,29 @@ class Grid:
     def n_plaquettes(self) -> int:
         return self.plaquettes.shape[0]
 
-    def vid(self, i: int, j: int) -> int:
-        """Vertex id for row i, column j (columns wrap)."""
-        j = j % self.n_lon
-        if self.manifold == Manifold.SPHERE:
-            if i == 0:
-                return 0
-            if i == self.n_lat:
-                return self.n_vertices - 1
-            return 1 + (i - 1) * self.n_lon + j
-        return (i % self.n_lat) * self.n_lon + j
+    def vid(self, i, j):
+        """Vertex id for row i, column j (columns wrap); index arrays give an
+        array of ids."""
+        ids = _vids(self.manifold, self.n_lat, self.n_lon, i, j)
+        return int(ids) if ids.ndim == 0 else ids
 
     def row_vids(self, i: int) -> np.ndarray:
-        return np.array([self.vid(i, j) for j in range(self.n_lon)], dtype=int)
+        return self.vid(i, np.arange(self.n_lon))
+
+
+def _vids(manifold: Manifold, n_lat: int, n_lon: int, i, j) -> np.ndarray:
+    """Vertex ids for broadcastable row and column index arrays.
+
+    Sphere: the poles (rows 0 and n_lat) are single vertices, first and
+    last; the rows in between are numbered row-major from 1.  Torus: both
+    directions wrap, row-major from 0.
+    """
+    i = np.asarray(i)
+    j = np.mod(j, n_lon)
+    if manifold == Manifold.SPHERE:
+        south = 1 + (n_lat - 1) * n_lon
+        return np.where(i == 0, 0, np.where(i == n_lat, south, 1 + (i - 1) * n_lon + j))
+    return np.mod(i, n_lat) * n_lon + j
 
 
 def build_grid(manifold: Manifold, n_lat: int, n_lon: int) -> Grid:
@@ -106,74 +116,29 @@ def build_grid(manifold: Manifold, n_lat: int, n_lon: int) -> Grid:
             raise ConfigError(f"{name} must be even and >= 8, got {n}")
 
     L = n_lon
+    # plaquette (i, j) spans rows i, i+1 and columns j, j+1, row-major
+    i, j = np.meshgrid(np.arange(n_lat), np.arange(L), indexing="ij")
+    i, j = i.ravel(), j.ravel()
+
+    def vid(a, b):
+        return _vids(manifold, n_lat, L, a, b)
+
     if manifold == Manifold.SPHERE:
-        nv = 2 + (n_lat - 1) * L
-        points = np.empty((nv, 2))
-        vlat = np.empty(nv, dtype=int)
-        vlon = np.zeros(nv, dtype=int)
-        points[0] = (0.0, 0.0)
-        vlat[0] = 0
-        for i in range(1, n_lat):
-            for j in range(L):
-                v = 1 + (i - 1) * L + j
-                points[v] = (np.pi * i / n_lat, TWO_PI * j / L)
-                vlat[v], vlon[v] = i, j
-        points[nv - 1] = (np.pi, 0.0)
-        vlat[nv - 1] = n_lat
-
-        def vid(i, j):
-            if i == 0:
-                return 0
-            if i == n_lat:
-                return nv - 1
-            return 1 + (i - 1) * L + (j % L)
-
-        tau_vertex = np.empty(nv, dtype=int)
-        for i in range(n_lat + 1):
-            for j in range(L):
-                tau_vertex[vid(i, j)] = vid(n_lat - i, j + L // 2)
-
-        plaqs, plat, plon = [], [], []
-        for i in range(n_lat):
-            for j in range(L):
-                # coordinate orientation: (i,j) -> (i+1,j) -> (i+1,j+1) -> (i,j+1)
-                plaqs.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)))
-                plat.append(i)
-                plon.append(j)
-        tau_plaq = np.empty(len(plaqs), dtype=int)
-        for i in range(n_lat):
-            for j in range(L):
-                tau_plaq[i * L + j] = (n_lat - 1 - i) * L + (j + L // 2) % L
+        vlat = np.concatenate([[0], np.repeat(np.arange(1, n_lat), L), [n_lat]])
+        vlon = np.concatenate([[0], np.tile(np.arange(L), n_lat - 1), [0]])
+        points = np.stack([np.pi * vlat / n_lat, TWO_PI * vlon / L], axis=1)
+        points[-1, 0] = np.pi  # exact, whatever n_lat
+        tau_vertex = vid(n_lat - vlat, vlon + L // 2)
+        # coordinate orientation: (i,j) -> (i+1,j) -> (i+1,j+1) -> (i,j+1)
+        plaqs = np.stack([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)], axis=1)
+        tau_plaq = (n_lat - 1 - i) * L + (j + L // 2) % L
     else:
-        nv = n_lat * L
-        points = np.empty((nv, 2))
-        vlat = np.empty(nv, dtype=int)
-        vlon = np.empty(nv, dtype=int)
-        for i in range(n_lat):
-            for j in range(L):
-                v = i * L + j
-                points[v] = (TWO_PI * j / L, TWO_PI * i / n_lat)  # (q, p)
-                vlat[v], vlon[v] = i, j
-
-        def vid(i, j):
-            return (i % n_lat) * L + (j % L)
-
-        tau_vertex = np.empty(nv, dtype=int)
-        for i in range(n_lat):
-            for j in range(L):
-                tau_vertex[vid(i, j)] = vid((n_lat - i) % n_lat, j)
-
-        plaqs, plat, plon = [], [], []
-        for i in range(n_lat):
-            for j in range(L):
-                # coordinate orientation dq^dp: (i,j) -> (i,j+1) -> (i+1,j+1) -> (i+1,j)
-                plaqs.append((vid(i, j), vid(i, j + 1), vid(i + 1, j + 1), vid(i + 1, j)))
-                plat.append(i)
-                plon.append(j)
-        tau_plaq = np.empty(len(plaqs), dtype=int)
-        for i in range(n_lat):
-            for j in range(L):
-                tau_plaq[i * L + j] = ((n_lat - 1 - i) % n_lat) * L + j
+        vlat, vlon = i.copy(), j.copy()
+        points = np.stack([TWO_PI * vlon / L, TWO_PI * vlat / n_lat], axis=1)  # (q, p)
+        tau_vertex = vid(n_lat - vlat, vlon)
+        # coordinate orientation dq^dp: (i,j) -> (i,j+1) -> (i+1,j+1) -> (i+1,j)
+        plaqs = np.stack([vid(i, j), vid(i, j + 1), vid(i + 1, j + 1), vid(i + 1, j)], axis=1)
+        tau_plaq = ((n_lat - 1 - i) % n_lat) * L + j
 
     return Grid(
         manifold=manifold,
@@ -182,9 +147,9 @@ def build_grid(manifold: Manifold, n_lat: int, n_lon: int) -> Grid:
         points=points,
         vertex_lat=vlat,
         vertex_lon=vlon,
-        plaquettes=np.asarray(plaqs, dtype=int),
-        plaq_lat=np.asarray(plat, dtype=int),
-        plaq_lon=np.asarray(plon, dtype=int),
+        plaquettes=plaqs,
+        plaq_lat=i,
+        plaq_lon=j,
         tau_vertex=tau_vertex,
         tau_plaq=tau_plaq,
     )
@@ -220,41 +185,27 @@ class FundamentalDomain:
 
 def fundamental_domain(grid: Grid) -> FundamentalDomain:
     half = grid.n_lat // 2
-    L = grid.n_lon
-    rows = range(half + 1)
-
-    vids = []
-    if grid.manifold == Manifold.SPHERE:
-        vids.append(grid.vid(0, 0))
-        for i in range(1, half + 1):
-            vids.extend(grid.vid(i, j) for j in range(L))
+    sphere = grid.manifold == Manifold.SPHERE
+    cols = np.arange(grid.n_lon)
+    # rows up to the boundary row; the sphere's pole row is added apart
+    rows = grid.vid(np.arange(1 if sphere else 0, half + 1)[:, None], cols)
+    along = np.stack([rows, np.roll(rows, -1, axis=1)], axis=-1)
+    up = np.stack([rows[:-1], rows[1:]], axis=-1)
+    # row by row, each vertex's edge along the row, then the one to the next row
+    edges = np.concatenate([np.stack([along[:-1], up], axis=2).reshape(-1, 2), along[-1]])
+    vertex_ids = rows.ravel()
+    if sphere:
+        pole = grid.vid(0, 0)
+        vertex_ids = np.concatenate([[pole], vertex_ids])
+        edges = np.concatenate([np.stack([np.full_like(cols, pole), rows[0]], axis=1), edges])
         boundary = (grid.row_vids(half),)
     else:
-        for i in rows:
-            vids.extend(grid.vid(i, j) for j in range(L))
         boundary = (grid.row_vids(0), grid.row_vids(half))
 
-    vertex_ids = np.asarray(vids, dtype=int)
     local = np.full(grid.n_vertices, -1, dtype=int)
     local[vertex_ids] = np.arange(vertex_ids.size)
 
     plaq_ids = np.where(grid.plaq_lat < half)[0]
-
-    edges = []
-    if grid.manifold == Manifold.SPHERE:
-        for j in range(L):
-            edges.append((grid.vid(0, 0), grid.vid(1, j)))
-        for i in range(1, half + 1):
-            for j in range(L):
-                edges.append((grid.vid(i, j), grid.vid(i, j + 1)))
-                if i < half:
-                    edges.append((grid.vid(i, j), grid.vid(i + 1, j)))
-    else:
-        for i in range(half + 1):
-            for j in range(L):
-                edges.append((grid.vid(i, j), grid.vid(i, j + 1)))
-                if i < half:
-                    edges.append((grid.vid(i, j), grid.vid(i + 1, j)))
 
     return FundamentalDomain(
         grid=grid,
@@ -262,7 +213,7 @@ def fundamental_domain(grid: Grid) -> FundamentalDomain:
         local_index=local,
         plaq_ids=plaq_ids,
         boundary_loops=boundary,
-        edges=np.asarray(edges, dtype=int),
+        edges=edges,
     )
 
 
@@ -274,24 +225,19 @@ def boundary_loop_samples(domain: FundamentalDomain):
 def transport_chains(domain: FundamentalDomain):
     """Vertex chains for frame transport over the domain.
 
-    Sphere: (seed vid = north pole, chains pole -> equator down each meridian).
-    Torus: (seed vid = (q,p) = (0,0), base row chain along q, and one upward
-    chain in p per column).
+    Sphere: (seed vid = north pole, (n_lon, n_lat/2 + 1) array of chains
+    pole -> equator, one row per meridian).  Torus: (seed vid = (q,p) =
+    (0,0), (base row along q, (n_lon, n_lat/2 + 1) array of upward chains
+    in p, one row per column)).
     """
     grid = domain.grid
-    half = grid.n_lat // 2
-    L = grid.n_lon
-    if grid.manifold == Manifold.SPHERE:
-        seed = grid.vid(0, 0)
-        chains = [
-            [grid.vid(i, j) for i in range(half + 1)]  # includes the pole
-            for j in range(L)
-        ]
-        return seed, chains
+    rows = np.arange(grid.n_lat // 2 + 1)
+    cols = np.arange(grid.n_lon)[:, None]
     seed = grid.vid(0, 0)
-    base = [grid.vid(0, j) for j in range(L)]
-    columns = [[grid.vid(i, j) for i in range(half + 1)] for j in range(L)]
-    return seed, (base, columns)
+    chains = grid.vid(rows, cols)
+    if grid.manifold == Manifold.SPHERE:
+        return seed, chains
+    return seed, (grid.row_vids(0), chains)
 
 
 def plaquette_solid_angles(grid: Grid) -> np.ndarray:

@@ -151,3 +151,65 @@ def test_boundary_loop_samples_operation():
     assert np.allclose(torus.grid.points[hi, 1], np.pi)
     for loop in (lo, hi):
         assert np.all(np.diff(torus.grid.points[loop, 0]) > 0)  # increasing q
+
+
+def _grid_by_loops(manifold, n_lat, n_lon):
+    """Grid and domain arrays built one vertex, plaquette and edge at a time."""
+    L, half = n_lon, n_lat // 2
+    sphere = manifold == Manifold.SPHERE
+    cells = [(i, j) for i in range(n_lat) for j in range(L)]
+    if sphere:
+        nv = 2 + (n_lat - 1) * L
+
+        def vid(i, j):
+            if i == 0:
+                return 0
+            if i == n_lat:
+                return nv - 1
+            return 1 + (i - 1) * L + j % L
+
+        points = ([(0.0, 0.0)]
+                  + [(np.pi * i / n_lat, 2 * np.pi * j / L)
+                     for i in range(1, n_lat) for j in range(L)]
+                  + [(np.pi, 0.0)])
+        tau_vertex = np.empty(nv, dtype=int)
+        for i in range(n_lat + 1):
+            for j in range(L):
+                tau_vertex[vid(i, j)] = vid(n_lat - i, j + L // 2)
+        plaquettes = [(vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1))
+                      for i, j in cells]
+        tau_plaq = [(n_lat - 1 - i) * L + (j + L // 2) % L for i, j in cells]
+        edges = [(0, vid(1, j)) for j in range(L)]
+        loops = [[vid(half, j) for j in range(L)]]
+    else:
+        def vid(i, j):
+            return (i % n_lat) * L + j % L
+
+        points = [(2 * np.pi * j / L, 2 * np.pi * i / n_lat) for i, j in cells]
+        tau_vertex = [vid(n_lat - i, j) for i, j in cells]
+        plaquettes = [(vid(i, j), vid(i, j + 1), vid(i + 1, j + 1), vid(i + 1, j))
+                      for i, j in cells]
+        tau_plaq = [((n_lat - 1 - i) % n_lat) * L + j for i, j in cells]
+        edges = []
+        loops = [[vid(0, j) for j in range(L)], [vid(half, j) for j in range(L)]]
+    for i in range(1 if sphere else 0, half + 1):
+        for j in range(L):
+            edges.append((vid(i, j), vid(i, j + 1)))
+            if i < half:
+                edges.append((vid(i, j), vid(i + 1, j)))
+    return {"points": points, "plaquettes": plaquettes, "tau_vertex": tau_vertex,
+            "tau_plaq": tau_plaq, "edges": edges, "loops": loops}
+
+
+@pytest.mark.parametrize("manifold", [Manifold.SPHERE, Manifold.TORUS])
+@pytest.mark.parametrize("n_lat,n_lon", [(8, 8), (8, 16)])
+def test_grid_arrays_match_loop_construction(manifold, n_lat, n_lon):
+    grid = build_grid(manifold, n_lat, n_lon)
+    dom = fundamental_domain(grid)
+    ref = _grid_by_loops(manifold, n_lat, n_lon)
+    for name in ("points", "plaquettes", "tau_vertex", "tau_plaq"):
+        assert np.array_equal(getattr(grid, name), np.asarray(ref[name])), name
+    assert np.array_equal(dom.edges, np.asarray(ref["edges"]))
+    assert len(dom.boundary_loops) == len(ref["loops"])
+    for got, want in zip(dom.boundary_loops, ref["loops"]):
+        assert np.array_equal(got, want)
