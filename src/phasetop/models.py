@@ -76,7 +76,9 @@ def _probe_points(manifold: Manifold) -> np.ndarray:
     return np.stack([a.ravel(), b.ravel()], axis=1)
 
 
-_FIELD_BLOCK = 2048  # torus field points per product; bounds the temporaries
+# multiply-adds per torus field product: small enough that BLAS runs it on the
+# calling thread and its operands stay in cache
+_FIELD_PRODUCT = 1 << 17
 
 
 def random_hermitian_field(manifold: Manifold, n: int, cutoff: int, seed: int):
@@ -125,16 +127,17 @@ def random_hermitian_field(manifold: Manifold, n: int, cutoff: int, seed: int):
         sin_part = np.concatenate([np.zeros_like(c[:1]), 1j * (c[1:] - c_h[1:])])
         table = np.concatenate([cos_part, sin_part]).reshape(2 * len(modes), n * n).view(float)
         mode_a, mode_b = np.array(modes).T
+        block_points = max(1, _FIELD_PRODUCT // table.size)
 
         def raw(pts: np.ndarray) -> np.ndarray:
             pts = np.atleast_2d(pts)
             out = np.empty((pts.shape[0], 2 * n * n))
-            for start in range(0, pts.shape[0], _FIELD_BLOCK):
-                block = pts[start:start + _FIELD_BLOCK]
+            for start in range(0, pts.shape[0], block_points):
+                block = pts[start:start + block_points]
                 theta = (np.multiply.outer(block[:, 0], mode_a)
                          + np.multiply.outer(block[:, 1], mode_b))
                 np.matmul(np.hstack([np.cos(theta), np.sin(theta)]), table,
-                          out=out[start:start + _FIELD_BLOCK])
+                          out=out[start:start + block_points])
             return out.view(complex).reshape(-1, n, n)
 
     norm = float(np.max(np.linalg.norm(raw(_probe_points(manifold)), 2, axis=(1, 2))))

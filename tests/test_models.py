@@ -88,6 +88,33 @@ def test_models_deterministic_under_seed():
     assert not np.array_equal(a, models.random_tri("sphere", 4, seed=43)(pts))
 
 
+def test_torus_field_matches_mode_sum():
+    # the blocked real product against the mode sum it stands for, on more
+    # points than one product block holds
+    n, cutoff, seed = 4, 3, 11
+    rng = np.random.default_rng(seed)
+    modes = [(0, 0)] + [(a, b) for a in range(cutoff + 1)
+                        for b in range(-cutoff, cutoff + 1) if a > 0 or b > 0]
+    coefs = [models._random_hermitian(rng, n)] + [
+        models._random_complex(rng, n) for _ in modes[1:]
+    ]
+
+    def mode_sum(pts):
+        out = np.zeros((pts.shape[0], n, n), dtype=complex)
+        for (a, b), c in zip(modes, coefs):
+            wave = np.exp(1j * (a * pts[:, 0] + b * pts[:, 1]))[:, None, None]
+            out += wave * c
+            if (a, b) != (0, 0):
+                out += wave.conj() * c.conj().T
+        return out
+
+    probe = mode_sum(models._probe_points(Manifold.TORUS))
+    norm = np.max(np.linalg.norm(probe, 2, axis=(1, 2)))
+    pts = np.random.default_rng(0).uniform(0.0, 2 * np.pi, (1000, 2))
+    field = models.random_hermitian_field(Manifold.TORUS, n, cutoff, seed)
+    assert numkit.max_abs(field(pts) - mode_sum(pts) / norm) <= 1e-12
+
+
 def test_build_dispatch_and_validation():
     h = models.build({"variant": "RotorSpin", "j": 0.5, "seed": 7})
     assert h.label == "RotorSpin" and h.n_a == 2
