@@ -31,11 +31,10 @@ from .bands import (
 from .errors import ConfigError, GapError, PhasetopError, ResolutionError
 from .invariants import (
     Tolerances,
-    chern_plaquette,
     chern_winding_sphere,
     chern_winding_torus,
-    m_field,
     verify_group,
+    verify_group_fields,
 )
 from .phasespace import Manifold, build_grid, fundamental_domain
 from .runtime import map_chunks
@@ -118,7 +117,7 @@ def _load_config(path: str) -> dict:
 
 
 def _validate_config(cfg: dict) -> dict:
-    known = {"model", "grid", "tolerances", "seed", "outputs"}
+    known = {"model", "grid", "tolerances", "seed"}
     extra = set(cfg) - known
     if extra:
         raise ConfigError(f"unknown config keys: {sorted(extra)}")
@@ -191,20 +190,21 @@ def _report_skeleton(cfg: dict) -> dict:
     }
 
 
-def _write_dumps(dump_dir: str, grid, reports, curvatures, mfields, h_field) -> None:
+def _write_dumps(dump_dir: str, reports, fields) -> None:
+    """Per-group tables, each on the grid its report names."""
     out = Path(dump_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for rep, curv in zip(reports, curvatures):
-        if curv is None:
-            continue
+    for rep, fld in zip(reports, fields):
+        curv = fld.curvature
+        grid = curv.grid
         lines = ["lat_index,lon_index,flux"]
         for pid in range(grid.n_plaquettes):
             lines.append(
                 f"{grid.plaq_lat[pid]},{grid.plaq_lon[pid]},{float(curv.flux[pid])!r}"
             )
         (out / f"curvature_group{rep.group_id}.csv").write_text("\n".join(lines) + "\n")
-    for rep, mf in zip(reports, mfields):
-        if mf is None or mf.pf is None:
+        mf = fld.m_field
+        if mf is None:
             continue
         lines = ["lat_index,lon_index,abs_pf"]
         for local, vid in enumerate(mf.domain.vertex_ids):
@@ -251,19 +251,9 @@ def cmd_analyze(args) -> int:
     try:
         spectrum = spectrum_on_grid(h_field, grid)
         groups = find_gapped_groups(spectrum, tol.gap_floor)
-        reports, curvs, mfs = [], [], []
-        for i, group in enumerate(groups):
-            rep = verify_group(h_field, group, grid, tol, group_id=i)
-            reports.append(rep)
-            curv, _ = chern_plaquette(spectrum.band_vectors(group), grid,
-                                      link_floor=tol.link_floor, flux_cap=tol.flux_cap)
-            curvs.append(curv)
-            if group.rank % 2 == 0:
-                dom = fundamental_domain(grid)
-                fr = smooth_frame(h_field, group, dom, spectrum=spectrum)
-                mfs.append(m_field(fr, h_field.t, tol.zero_floor))
-            else:
-                mfs.append(None)
+        verified = [verify_group_fields(h_field, group, grid, tol, group_id=i)
+                    for i, group in enumerate(groups)]
+        reports = [rep for rep, _ in verified]
     except PhasetopError as exc:
         report["global"] = {
             "status": "numerical-failure",
@@ -293,7 +283,7 @@ def cmd_analyze(args) -> int:
         report["timing"] = {"analyze_seconds": elapsed}
     _json_dump(report, args.out)
     if args.dump:
-        _write_dumps(args.dump, grid, reports, curvs, mfs, h_field)
+        _write_dumps(args.dump, reports, [fld for _, fld in verified])
     return 0 if report["global"]["status"] == "ok" else 3
 
 

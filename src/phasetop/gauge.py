@@ -184,6 +184,15 @@ def extend_to_disk(gauge: GaugeLoop, domain: FundamentalDomain, *,
     sweeps; in that case the field is re-initialized from the entrywise
     harmonic extension of the boundary loop and re-smoothed.  Failure still
     raises; it is never silently accepted.
+
+    Stall rule: smoothing stops after 25 sweeps in a row that do not lower
+    the best max step so far by 1e-4.  The best step, not the previous one,
+    is the reference because the sweeps oscillate with period 2: away from
+    the pole the latitude-longitude lattice is bipartite (checkerboard), and
+    a Jacobi sweep updates every vertex from its neighbors' old values at
+    once, so it multiplies the checkerboard mode of the field by nearly -1.
+    A stalled blend's max step then alternates up and down, and every other
+    sweep would look like a gain against its predecessor.
     """
     grid = domain.grid
     if grid.manifold != Manifold.SPHERE:
@@ -223,7 +232,7 @@ def extend_to_disk(gauge: GaugeLoop, domain: FundamentalDomain, *,
         sweeps = 0
         step = interior_step(vals)
         stall = 0
-        prev = np.inf
+        best = step
         while step > step_target and sweeps < budget:
             acc = np.zeros_like(vals)
             np.add.at(acc, ea, vals[eb])
@@ -232,8 +241,8 @@ def extend_to_disk(gauge: GaugeLoop, domain: FundamentalDomain, *,
             vals[interior] = _retract_stack(acc[interior], rng)
             sweeps += 1
             step = interior_step(vals)
-            stall = stall + 1 if step > prev - 1e-4 else 0
-            prev = step
+            stall = stall + 1 if step > best - 1e-4 else 0
+            best = min(best, step)
             if stall >= 25:
                 break  # defect pair: no longer improving
         return vals, step, sweeps

@@ -335,8 +335,17 @@ def _km_with_rotations(h_field, group, grid, domain, frame, mf, tol):
     return k, census, rotations, notes
 
 
+@dataclass(frozen=True)
+class GroupFields:
+    """The fields behind one group's report, on the grid the report names."""
+
+    curvature: CurvatureField
+    m_field: MField | None     # unrotated domain; even rank only
+
+
 def _verify_once(h_field: HamiltonianField, group: BandGroup, grid: Grid,
-                 tol: Tolerances, group_id: int, refinements: int) -> InvariantReport:
+                 tol: Tolerances, group_id: int,
+                 refinements: int) -> tuple[InvariantReport, GroupFields]:
     spectrum = spectrum_on_grid(h_field, grid)
     gaps = spectrum.boundary_gaps()
     bounding = []
@@ -405,6 +414,7 @@ def _verify_once(h_field: HamiltonianField, group: BandGroup, grid: Grid,
         refinements=refinements,
     )
 
+    mf = None
     if nb % 2 == 0:
         mf = m_field(frame, h_field.t, tol.zero_floor)
         residuals["m_skew"] = mf.skew_residual
@@ -429,7 +439,7 @@ def _verify_once(h_field: HamiltonianField, group: BandGroup, grid: Grid,
     else:
         report.notes.append("odd rank: Pfaffian and KM index undefined")
 
-    return report
+    return report, GroupFields(curvature=curv, m_field=mf)
 
 
 def verify_group(h_field: HamiltonianField, group: BandGroup, grid: Grid,
@@ -440,10 +450,19 @@ def verify_group(h_field: HamiltonianField, group: BandGroup, grid: Grid,
     A persisting c_plaquette != c_winding is returned with consistent=False
     rather than raised, so callers can surface it in reports.
     """
+    return verify_group_fields(h_field, group, grid, tol, group_id)[0]
+
+
+def verify_group_fields(h_field: HamiltonianField, group: BandGroup, grid: Grid,
+                        tol: Tolerances = Tolerances(),
+                        group_id: int = 0) -> tuple[InvariantReport, GroupFields]:
+    """verify_group, also returning the report's GroupFields, taken from the
+    final (possibly refined) grid."""
     refinements = 0
     while True:
         try:
-            report = _verify_once(h_field, group, grid, tol, group_id, refinements)
+            report, fields = _verify_once(h_field, group, grid, tol, group_id,
+                                          refinements)
         except ResolutionError:
             if refinements >= tol.max_grid_refinements or (
                 grid.n_lon * 2 > tol.max_loop_samples
@@ -460,7 +479,7 @@ def verify_group(h_field: HamiltonianField, group: BandGroup, grid: Grid,
             report.notes.append(
                 "cross-method Chern disagreement persisted after refinement"
             )
-        return report
+        return report, fields
 
 
 def analyze_model(h_field: HamiltonianField, grid: Grid,

@@ -217,11 +217,6 @@ def fundamental_domain(grid: Grid) -> FundamentalDomain:
     )
 
 
-def boundary_loop_samples(domain: FundamentalDomain):
-    """Ordered boundary vertex loops: equator (sphere) or p = 0, pi (torus)."""
-    return domain.boundary_loops
-
-
 def transport_chains(domain: FundamentalDomain):
     """Vertex chains for frame transport over the domain.
 

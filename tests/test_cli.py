@@ -73,6 +73,27 @@ def test_analyze_dumps_tables(tmp_path):
     assert len(census) == 2  # a single indexed zero for this model
 
 
+def test_analyze_dump_covers_refined_grid(tmp_path):
+    # this model's equator winding is under-resolved at 32x64, so its groups
+    # are verified on the refined 64x128 grid; the dumps must cover that grid
+    cfg = write_config(
+        tmp_path, "s140.json",
+        {
+            "model": {"variant": "RandomTRI", "manifold": "sphere", "seed": 140},
+            "grid": {"n_lat": 32, "n_lon": 64},
+            "tolerances": {"gap_floor": 0.05},
+        },
+    )
+    out, dump = tmp_path / "o.json", tmp_path / "dumps"
+    assert run(["analyze", "--config", cfg, "--out", str(out),
+                "--dump", str(dump)]) == 0
+    groups = json.loads(out.read_text())["groups"]
+    assert any(g["refinements"] for g in groups)
+    for g in groups:
+        curv = (dump / f"curvature_group{g['group_id']}.csv").read_text().splitlines()
+        assert len(curv) == 1 + g["grid_n_lat"] * g["grid_n_lon"]
+
+
 def test_broken_control_exits_3_with_record(tmp_path):
     cfg = write_config(
         tmp_path, "broken.json",
@@ -102,6 +123,11 @@ def test_config_errors_exit_2(tmp_path):
     missing = str(tmp_path / "missing.json")
     assert run(["analyze", "--config", missing]) == 2
     assert run(["random-suite", "--count", "0", "--manifold", "sphere"]) == 2
+
+
+def test_unknown_outputs_key_exits_2(tmp_path):
+    cfg = write_config(tmp_path, "outputs.json", {**ROTOR, "outputs": {}})
+    assert run(["analyze", "--config", cfg]) == 2
 
 
 def test_timing_only_on_request(tmp_path):

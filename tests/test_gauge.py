@@ -145,6 +145,26 @@ def test_extension_regauges_to_normal_form():
     assert numkit.max_abs(vloop.samples - v.samples) <= 1e-6
 
 
+def test_extend_stops_stalled_two_cycle():
+    # the radial blend of this rank-2 loop seeds a defect pair: its max step
+    # is best (1.71 rad) at sweep 22 and then alternates up and down each
+    # sweep; the stall rule must see through that two-cycle and fall back to
+    # the harmonic profile (a step-to-step rule ran 139 sweeps here)
+    h = models.kramers_pair_sphere(0.1, seed=0)
+    grid = build_grid(Manifold.SPHERE, 24, 96)
+    spec = bands.spectrum_on_grid(h, grid)
+    group = bands.group_for_range(spec, 0, 1, 0.05)
+    dom = fundamental_domain(grid)
+    frame = bands.smooth_frame(h, group, dom, spectrum=spec)
+    u = bands.transition_loop_sphere(frame, h.t)
+    v = gauge.normal_form_loop(invariants.chern_winding_sphere(u), 2, grid.n_lon)
+    ext = gauge.extend_to_disk(gauge.solve_equator_gauge(u, v), dom)
+    assert ext.sweeps < 100
+    assert ext.max_interior_step <= 0.2
+    vloop = bands.transition_loop_sphere(gauge.regauge_frame(frame, ext), h.t)
+    assert numkit.max_abs(vloop.samples - v.samples) <= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # torus skew congruence normal form
 

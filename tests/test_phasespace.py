@@ -140,13 +140,13 @@ def test_plaquette_solid_angles_sum_to_sphere_area():
     assert np.all(omega > 0)
 
 
-def test_boundary_loop_samples_operation():
+def test_domain_boundary_loops():
     sphere = fundamental_domain(build_grid(Manifold.SPHERE, 8, 16))
-    (eq,) = phasespace.boundary_loop_samples(sphere)
+    (eq,) = sphere.boundary_loops
     assert np.allclose(sphere.grid.points[eq, 0], np.pi / 2)
     assert np.all(np.diff(sphere.grid.points[eq, 1]) > 0)  # increasing phi
     torus = fundamental_domain(build_grid(Manifold.TORUS, 8, 8))
-    lo, hi = phasespace.boundary_loop_samples(torus)
+    lo, hi = torus.boundary_loops
     assert np.allclose(torus.grid.points[lo, 1], 0.0)
     assert np.allclose(torus.grid.points[hi, 1], np.pi)
     for loop in (lo, hi):
