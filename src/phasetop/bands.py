@@ -173,6 +173,17 @@ class Spectrum:
         """Min over vertices of the gap above each band (length N_A - 1)."""
         return np.min(np.diff(self.energies, axis=1), axis=0)
 
+    def bounding_gap(self, first: int, last: int) -> float:
+        """Min gap between bands [first, last] and their neighbours; inf when
+        the range holds every band."""
+        gaps = self.boundary_gaps()
+        bounding = []
+        if first > 0:
+            bounding.append(gaps[first - 1])
+        if last < self.n_a - 1:
+            bounding.append(gaps[last])
+        return float(min(bounding)) if bounding else np.inf
+
 
 def spectrum_on_grid(h_field: HamiltonianField, grid: Grid) -> Spectrum:
     hs = h_field(grid.points)
@@ -201,32 +212,14 @@ def find_gapped_groups(spectrum: Spectrum, gap_floor: float = 1e-6):
     """
     gaps = spectrum.boundary_gaps()
     cuts = [i for i, g in enumerate(gaps) if g > gap_floor]
-    groups = []
-    start = 0
-    for c in cuts:
-        groups.append((start, c))
-        start = c + 1
-    groups.append((start, spectrum.n_a - 1))
-    out = []
-    for a, b in groups:
-        bounding = []
-        if a > 0:
-            bounding.append(gaps[a - 1])
-        if b < spectrum.n_a - 1:
-            bounding.append(gaps[b])
-        out.append(BandGroup(a, b, float(min(bounding)) if bounding else np.inf))
-    return out
+    firsts = [0] + [c + 1 for c in cuts]
+    lasts = cuts + [spectrum.n_a - 1]
+    return [BandGroup(a, b, spectrum.bounding_gap(a, b)) for a, b in zip(firsts, lasts)]
 
 
 def group_for_range(spectrum: Spectrum, first: int, last: int, gap_floor: float) -> BandGroup:
     """BandGroup for an explicit index range, verifying it is gapped."""
-    gaps = spectrum.boundary_gaps()
-    bounding = []
-    if first > 0:
-        bounding.append(gaps[first - 1])
-    if last < spectrum.n_a - 1:
-        bounding.append(gaps[last])
-    min_gap = float(min(bounding)) if bounding else np.inf
+    min_gap = spectrum.bounding_gap(first, last)
     if min_gap <= gap_floor:
         raise GapError(
             f"bands [{first}, {last}] are not gapped: min boundary gap "
@@ -290,13 +283,9 @@ def _continuity(domain: FundamentalDomain, data: np.ndarray):
     return max_step, max_step / h
 
 
-def smooth_frame(
-    h_field: HamiltonianField,
-    group: BandGroup,
-    domain: FundamentalDomain,
-    spectrum: Spectrum | None = None,
-) -> Frame:
-    """Continuous orthonormal frame for a gapped group over the domain.
+def smooth_frame(spectrum: Spectrum, group: BandGroup, domain: FundamentalDomain) -> Frame:
+    """Continuous orthonormal frame for a gapped group over the domain,
+    built from the spectrum on the domain's grid.
 
     Sphere: the eigenframe at the north pole is parallel-transported down
     every meridian; all meridians share the pole value, so the field is
@@ -306,11 +295,9 @@ def smooth_frame(
     transported upward in p.
     """
     grid = domain.grid
-    if spectrum is None:
-        spectrum = spectrum_on_grid(h_field, grid)
     slabs = spectrum.band_vectors(group)
     n_dom = domain.n_vertices
-    data = np.zeros((n_dom, h_field.n_a, group.rank), dtype=complex)
+    data = np.zeros((n_dom, spectrum.n_a, group.rank), dtype=complex)
     loc = domain.local_index
 
     if grid.manifold == Manifold.SPHERE:

@@ -20,24 +20,26 @@ import numpy as np
 
 from . import __version__, gauge, models
 from .bands import (
-    check_tri,
-    find_gapped_groups,
     group_for_range,
     smooth_frame,
     spectrum_on_grid,
     transition_loop_sphere,
     transition_loops_torus,
 )
-from .errors import ConfigError, GapError, PhasetopError, ResolutionError
+from .errors import (
+    ConfigError,
+    GapError,
+    PhasetopError,
+    ResolutionError,
+    TRIViolationError,
+)
 from .invariants import (
     Tolerances,
+    analyze_model,
     chern_winding_sphere,
     chern_winding_torus,
-    verify_group,
-    verify_group_fields,
 )
 from .phasespace import Manifold, build_grid, fundamental_domain
-from .runtime import map_chunks
 
 SCHEMA_VERSION = 1
 
@@ -157,13 +159,29 @@ def _tolerances(cfg: dict) -> Tolerances:
     )
 
 
+def _parse_grid(text: str) -> tuple[int, int]:
+    """The (n_lat, n_lon) of a --grid value LATxLON."""
+    try:
+        lat, lon = text.lower().split("x")
+        return int(lat), int(lon)
+    except ValueError:
+        raise ConfigError(f"--grid expects LATxLON, got {text!r}")
+
+
+def _band_range(text: str, n_a: int) -> tuple[int, int]:
+    """The (first, last) of a --group value FIRST:LAST, 0 <= first <= last < n_a."""
+    try:
+        first, last = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise ConfigError(f"--group expects FIRST:LAST, got {text!r}")
+    if not 0 <= first <= last < n_a:
+        raise ConfigError(f"--group {text} is not a band range within 0..{n_a - 1}")
+    return first, last
+
+
 def _grid_for(cfg: dict, h_field, override: str | None):
     if override:
-        try:
-            lat, lon = override.lower().split("x")
-            n_lat, n_lon = int(lat), int(lon)
-        except ValueError:
-            raise ConfigError(f"--grid expects LATxLON, got {override!r}")
+        n_lat, n_lon = _parse_grid(override)
     else:
         g = cfg.get("grid", {})
         default = _DEFAULT_GRIDS[h_field.manifold]
@@ -180,21 +198,24 @@ def _json_dump(obj: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _report_skeleton(cfg: dict) -> dict:
+def _report_header(config: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "artifact": {"name": "phasetop", "version": __version__},
-        "config": cfg,
-        "groups": [],
-        "global": {},
+        "config": config,
     }
 
 
-def _write_dumps(dump_dir: str, reports, fields) -> None:
+def _failed_global(status: str, tri_residual, error: str) -> dict:
+    return {"status": status, "tri_residual": tri_residual, "chern_sum": None,
+            "sum_rule_ok": None, "error": error}
+
+
+def _write_dumps(dump_dir: str, verified) -> None:
     """Per-group tables, each on the grid its report names."""
     out = Path(dump_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for rep, fld in zip(reports, fields):
+    for rep, fld in verified:
         curv = fld.curvature
         grid = curv.grid
         lines = ["lat_index,lon_index,flux"]
@@ -227,44 +248,31 @@ def cmd_analyze(args) -> int:
     h_field = models.build(cfg["model"])
     grid = _grid_for(cfg, h_field, args.grid)
     tol = _tolerances(cfg)
-    report = _report_skeleton(cfg)
+    report = {**_report_header(cfg), "groups": [], "global": {}}
     report["config"]["grid"] = {"n_lat": grid.n_lat, "n_lon": grid.n_lon}
     started = time.perf_counter()
 
-    tri_residual, ok = check_tri(h_field, grid, tol.tri_tol)
-    if not ok:
-        report["global"] = {
-            "status": "tri-violation",
-            "tri_residual": tri_residual,
-            "chern_sum": None,
-            "sum_rule_ok": None,
-            "error": "field is not time-reversal invariant; invariants skipped",
-        }
+    try:
+        tri_residual, _, results = analyze_model(h_field, grid, tol)
+    except TRIViolationError as exc:
+        report["global"] = _failed_global(
+            "tri-violation", exc.residual,
+            "field is not time-reversal invariant; invariants skipped")
         _json_dump(report, args.out)
         print(
-            f"phasetop: TRI check failed (residual {tri_residual:.3e}); "
+            f"phasetop: TRI check failed (residual {exc.residual:.3e}); "
             "invariants skipped",
             file=sys.stderr,
         )
         return 3
-
-    try:
-        spectrum = spectrum_on_grid(h_field, grid)
-        groups = find_gapped_groups(spectrum, tol.gap_floor)
-        verified = [verify_group_fields(h_field, group, grid, tol, group_id=i)
-                    for i, group in enumerate(groups)]
-        reports = [rep for rep, _ in verified]
-    except PhasetopError as exc:
-        report["global"] = {
-            "status": "numerical-failure",
-            "tri_residual": tri_residual,
-            "chern_sum": None,
-            "sum_rule_ok": None,
-            "error": str(exc),
-        }
+    errors = [res for res in results if isinstance(res, PhasetopError)]
+    if errors:
+        report["global"] = _failed_global("numerical-failure", tri_residual,
+                                          str(errors[0]))
         _json_dump(report, args.out)
-        return _fail(str(exc), 3)
+        return _fail(str(errors[0]), 3)
 
+    reports = [rep for rep, _ in results]
     chern_sum = int(sum(r.c_plaquette for r in reports))
     all_ok = all(
         r.consistent and r.parity_ok and (r.km_relation_ok is not False)
@@ -283,7 +291,7 @@ def cmd_analyze(args) -> int:
         report["timing"] = {"analyze_seconds": elapsed}
     _json_dump(report, args.out)
     if args.dump:
-        _write_dumps(args.dump, reports, [fld for _, fld in verified])
+        _write_dumps(args.dump, results)
     return 0 if report["global"]["status"] == "ok" else 3
 
 
@@ -291,13 +299,7 @@ def cmd_random_suite(args) -> int:
     if args.count < 1:
         raise ConfigError("--count must be >= 1")
     manifold = Manifold(args.manifold)
-    if args.grid:
-        try:
-            n_lat, n_lon = (int(x) for x in args.grid.lower().split("x"))
-        except ValueError:
-            raise ConfigError(f"--grid expects LATxLON, got {args.grid!r}")
-    else:
-        n_lat, n_lon = _DEFAULT_GRIDS[manifold]
+    n_lat, n_lon = _parse_grid(args.grid) if args.grid else _DEFAULT_GRIDS[manifold]
     grid = build_grid(manifold, n_lat, n_lon)
     tol = Tolerances(gap_floor=args.gap_floor)
     started = time.perf_counter()
@@ -316,33 +318,25 @@ def cmd_random_suite(args) -> int:
     violations = []
     max_antisym = 0.0
 
-    def run_model(seed: int):
+    for seed in range(args.seed, args.seed + args.count):
         h_field = models.random_tri(manifold, args.n_a, cutoff=args.cutoff,
                                     seed=seed)
-        tri_residual, ok = check_tri(h_field, grid, tol.tri_tol)
-        if not ok:
-            return seed, None, 0, tri_residual
-        spectrum = spectrum_on_grid(h_field, grid)
-        groups = find_gapped_groups(spectrum, tol.gap_floor)
-        reports, skipped = [], 0
-        for gid, group in enumerate(groups):
-            try:
-                reports.append(verify_group(h_field, group, grid, tol, group_id=gid))
-            except (GapError, ResolutionError):
-                # gap indistinguishable from a closing at finer resolution:
-                # not a reliably gapped group, excluded from theorem tallies
-                skipped += 1
-        return seed, reports, skipped, tri_residual
-
-    results = map_chunks(run_model, range(args.seed, args.seed + args.count))
-    for seed, reports, skipped, tri_residual in results:
-        if reports is None:
+        try:
+            _, _, results = analyze_model(h_field, grid, tol)
+        except TRIViolationError as exc:
             violations.append({"seed": seed, "kind": "tri",
-                               "residual": tri_residual})
+                               "residual": exc.residual})
             continue
         tally["models"] += 1
-        tally["skipped_marginal"] += skipped
-        for rep in reports:
+        for res in results:
+            if isinstance(res, (GapError, ResolutionError)):
+                # gap indistinguishable from a closing at finer resolution:
+                # not a reliably gapped group, excluded from theorem tallies
+                tally["skipped_marginal"] += 1
+                continue
+            if isinstance(res, PhasetopError):
+                raise res
+            rep, _ = res
             tally["groups"] += 1
             tally["parity_ok"] += rep.parity_ok
             tally["consistent"] += rep.consistent
@@ -382,9 +376,7 @@ def cmd_random_suite(args) -> int:
 
     elapsed = time.perf_counter() - started
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "artifact": {"name": "phasetop", "version": __version__},
-        "config": {
+        **_report_header({
             "count": args.count,
             "manifold": manifold.value,
             "n_a": args.n_a,
@@ -392,7 +384,7 @@ def cmd_random_suite(args) -> int:
             "seed": args.seed,
             "grid": {"n_lat": grid.n_lat, "n_lon": grid.n_lon},
             "gap_floor": args.gap_floor,
-        },
+        }),
         "tally": tally,
         "max_symmetry_residual": max_antisym,
         "violations": violations,
@@ -410,20 +402,18 @@ def cmd_deform(args) -> int:
     h0 = models.build(cfg_a["model"])
     h1 = models.build(cfg_b["model"])
     grid = _grid_for(cfg_a, h0, args.grid)
-    first, last = (int(x) for x in args.group.split(":"))
+    first, last = _band_range(args.group, h0.n_a)
     path = models.tri_path(h0, h1, grid, (first, last), steps=args.steps,
                            gap_floor=args.gap_floor)
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "artifact": {"name": "phasetop", "version": __version__},
-        "config": {
+        **_report_header({
             "model_a": cfg_a["model"],
             "model_b": cfg_b["model"],
             "steps": args.steps,
             "group": [first, last],
             "grid": {"n_lat": grid.n_lat, "n_lon": grid.n_lon},
             "gap_floor": args.gap_floor,
-        },
+        }),
         "verdict": path.verdict,
         "chern": path.chern,
         "closing_bracket": list(path.closing_bracket) if path.closing_bracket else None,
@@ -439,23 +429,18 @@ def cmd_gauge_demo(args) -> int:
     cfg = _validate_config(_load_config(args.config))
     h_field = models.build(cfg["model"])
     grid = _grid_for(cfg, h_field, args.grid)
-    tol = _tolerances(cfg)
+    first, last = _band_range(args.group, h_field.n_a)
     spectrum = spectrum_on_grid(h_field, grid)
-    first, last = (int(x) for x in args.group.split(":"))
     group = group_for_range(spectrum, first, last, args.gap_floor)
     dom = fundamental_domain(grid)
-    frame = smooth_frame(h_field, group, dom, spectrum=spectrum)
+    frame = smooth_frame(spectrum, group, dom)
 
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "artifact": {"name": "phasetop", "version": __version__},
-        "config": {
-            "model": cfg["model"],
-            "group": [first, last],
-            "target_c": args.target_c,
-            "grid": {"n_lat": grid.n_lat, "n_lon": grid.n_lon},
-        },
-    }
+    report = _report_header({
+        "model": cfg["model"],
+        "group": [first, last],
+        "target_c": args.target_c,
+        "grid": {"n_lat": grid.n_lat, "n_lon": grid.n_lon},
+    })
 
     if h_field.manifold == Manifold.SPHERE:
         loop = transition_loop_sphere(frame, h_field.t)

@@ -20,6 +20,17 @@ class DomainError(PhasetopError):
     """Input outside an operation's mathematical domain."""
 
 
+class TRIViolationError(DomainError):
+    """A field failed the time-reversal check; carries the residual."""
+
+    def __init__(self, residual: float, tol: float):
+        super().__init__(
+            f"field is not time-reversal invariant: residual {residual:.3e} "
+            f"> {tol:g}"
+        )
+        self.residual = residual
+
+
 class SingularityError(PhasetopError):
     """Near-singular input where an inverse-like factor is required."""
 

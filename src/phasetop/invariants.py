@@ -22,6 +22,7 @@ from .bands import (
     BandGroup,
     Frame,
     HamiltonianField,
+    Spectrum,
     TransitionLoop,
     check_tri,
     find_gapped_groups,
@@ -38,7 +39,9 @@ from .errors import (
     DegenerateConfigurationError,
     DomainError,
     GapError,
+    PhasetopError,
     ResolutionError,
+    TRIViolationError,
 )
 from .numkit import max_abs
 from .phasespace import FundamentalDomain, Grid, Manifold, fundamental_domain, refine_grid
@@ -300,7 +303,7 @@ def _km_with_rotations(h_field, group, grid, domain, frame, mf, tol):
             rotations += 1
             h_rot = rotated_field(h_field, angle)
             spec = spectrum_on_grid(h_rot, grid)
-            frame = smooth_frame(h_rot, group, domain, spectrum=spec)
+            frame = smooth_frame(spec, group, domain)
             mf = m_field(frame, h_rot.t, tol.zero_floor)
         try:
             k_here = km_boundary(mf, tol.zero_floor)
@@ -344,16 +347,11 @@ class GroupFields:
 
 
 def _verify_once(h_field: HamiltonianField, group: BandGroup, grid: Grid,
-                 tol: Tolerances, group_id: int,
-                 refinements: int) -> tuple[InvariantReport, GroupFields]:
-    spectrum = spectrum_on_grid(h_field, grid)
-    gaps = spectrum.boundary_gaps()
-    bounding = []
-    if group.first > 0:
-        bounding.append(gaps[group.first - 1])
-    if group.last < spectrum.n_a - 1:
-        bounding.append(gaps[group.last])
-    min_gap = float(min(bounding)) if bounding else np.inf
+                 tol: Tolerances, group_id: int, refinements: int,
+                 spectrum: Spectrum | None) -> tuple[InvariantReport, GroupFields]:
+    if spectrum is None:
+        spectrum = spectrum_on_grid(h_field, grid)
+    min_gap = spectrum.bounding_gap(group.first, group.last)
     if min_gap <= tol.gap_floor:
         raise GapError(f"group [{group.first}, {group.last}] not gapped on this grid")
 
@@ -365,7 +363,7 @@ def _verify_once(h_field: HamiltonianField, group: BandGroup, grid: Grid,
     evenness_ok = evenness <= evenness_tolerance(curv, tol.evenness_rel)
 
     domain = fundamental_domain(grid)
-    frame = smooth_frame(h_field, group, domain, spectrum=spectrum)
+    frame = smooth_frame(spectrum, group, domain)
     orth, span = frame_residuals(frame, slabs[domain.vertex_ids])
 
     residuals = {
@@ -443,62 +441,67 @@ def _verify_once(h_field: HamiltonianField, group: BandGroup, grid: Grid,
 
 
 def verify_group(h_field: HamiltonianField, group: BandGroup, grid: Grid,
-                 tol: Tolerances = Tolerances(), group_id: int = 0) -> InvariantReport:
+                 tol: Tolerances = Tolerances(), group_id: int = 0,
+                 spectrum: Spectrum | None = None) -> InvariantReport:
     """Run every invariant check for one gapped group, refining the grid once
     on resolution failures or cross-method disagreement before giving up.
 
-    A persisting c_plaquette != c_winding is returned with consistent=False
-    rather than raised, so callers can surface it in reports.
+    spectrum, when given, is h_field's spectrum on grid; the unrefined
+    attempt uses it instead of solving its own.  A persisting
+    c_plaquette != c_winding is returned with consistent=False rather than
+    raised, so callers can surface it in reports.
     """
-    return verify_group_fields(h_field, group, grid, tol, group_id)[0]
+    return verify_group_fields(h_field, group, grid, tol, group_id, spectrum)[0]
 
 
 def verify_group_fields(h_field: HamiltonianField, group: BandGroup, grid: Grid,
-                        tol: Tolerances = Tolerances(),
-                        group_id: int = 0) -> tuple[InvariantReport, GroupFields]:
+                        tol: Tolerances = Tolerances(), group_id: int = 0,
+                        spectrum: Spectrum | None = None,
+                        ) -> tuple[InvariantReport, GroupFields]:
     """verify_group, also returning the report's GroupFields, taken from the
     final (possibly refined) grid."""
     refinements = 0
     while True:
         try:
             report, fields = _verify_once(h_field, group, grid, tol, group_id,
-                                          refinements)
+                                          refinements, spectrum)
         except ResolutionError:
             if refinements >= tol.max_grid_refinements or (
                 grid.n_lon * 2 > tol.max_loop_samples
             ):
                 raise
-            grid = refine_grid(grid)
-            refinements += 1
-            continue
-        if not report.consistent and refinements < tol.max_grid_refinements:
-            grid = refine_grid(grid)
-            refinements += 1
-            continue
-        if not report.consistent:
-            report.notes.append(
-                "cross-method Chern disagreement persisted after refinement"
-            )
-        return report, fields
+        else:
+            if report.consistent or refinements >= tol.max_grid_refinements:
+                if not report.consistent:
+                    report.notes.append(
+                        "cross-method Chern disagreement persisted after refinement"
+                    )
+                return report, fields
+        grid = refine_grid(grid)
+        spectrum = None
+        refinements += 1
 
 
 def analyze_model(h_field: HamiltonianField, grid: Grid,
                   tol: Tolerances = Tolerances()):
-    """Spectra, group discovery, and per-group reports for a whole model.
+    """The per-model pipeline: TRI check, spectrum, gapped groups, and the
+    verification of each group against that one spectrum.
 
-    Returns (tri_residual, groups, reports).  Raises DomainError when the
-    field is not TRI at tri_tol (controls are reported upstream).
+    Returns (tri_residual, groups, results), where results[i] is group i's
+    (InvariantReport, GroupFields) or the PhasetopError that stopped it.
+    Raises TRIViolationError, which carries the residual, when the field is
+    not TRI at tri_tol (controls are reported upstream).
     """
     tri_residual, ok = check_tri(h_field, grid, tol.tri_tol)
     if not ok:
-        raise DomainError(
-            f"field is not time-reversal invariant: residual {tri_residual:.3e} "
-            f"> {tol.tri_tol:g}"
-        )
+        raise TRIViolationError(tri_residual, tol.tri_tol)
     spectrum = spectrum_on_grid(h_field, grid)
     groups = find_gapped_groups(spectrum, tol.gap_floor)
-    reports = [
-        verify_group(h_field, g, grid, tol, group_id=i)
-        for i, g in enumerate(groups)
-    ]
-    return tri_residual, groups, reports
+    results = []
+    for gid, group in enumerate(groups):
+        try:
+            results.append(verify_group_fields(h_field, group, grid, tol, gid,
+                                               spectrum))
+        except PhasetopError as exc:
+            results.append(exc)
+    return tri_residual, groups, results

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bands import AntiUnitary, HamiltonianField, symmetrize_tri, spectrum_on_grid, group_for_range
+from .bands import (AntiUnitary, BandGroup, HamiltonianField, group_for_range,
+                    spectrum_on_grid, symmetrize_tri)
 from .errors import ConfigError, ResolutionError, TrackingError
 from .invariants import chern_plaquette
 from .phasespace import Grid, Manifold, tr_image_batch
@@ -399,16 +400,10 @@ def tri_path(
 
         hs = HamiltonianField(h0.n_a, h0.manifold, h0.t, evaluate)
         spec = spectrum_on_grid(hs, grid)
-        gaps = spec.boundary_gaps()
-        bounding = []
-        if first > 0:
-            bounding.append(gaps[first - 1])
-        if last < spec.n_a - 1:
-            bounding.append(gaps[last])
-        min_gap = float(min(bounding)) if bounding else np.inf
+        min_gap = spec.bounding_gap(first, last)
         if min_gap <= gap_floor:
             return min_gap, None
-        group = group_for_range(spec, first, last, gap_floor)
+        group = BandGroup(first, last, min_gap)
         try:
             _, c = chern_plaquette(spec.band_vectors(group), grid)
         except ResolutionError:

@@ -1,30 +1,11 @@
-"""Worker-count plumbing for grid-parallel maps.
+"""Ordered map over work items.
 
-PHASETOP_THREADS caps the thread pool used for batched per-vertex work.
-The default of 1 keeps everything serial and deterministic-by-construction;
-results do not depend on the worker count.
+`map_chunks` applies a function to each item in turn, on the calling
+thread; the benchmark suites (`perfbench/workloads.py`) run their models
+through it.
 """
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-from .errors import ConfigError
-
-
-def max_workers() -> int:
-    raw = os.environ.get("PHASETOP_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"PHASETOP_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
 
 
 def map_chunks(fn, items):
-    """Apply fn to each item, threaded when PHASETOP_THREADS > 1."""
-    n = max_workers()
-    items = list(items)
-    if n == 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    """Apply fn to each item in order and return the results as a list."""
+    return [fn(x) for x in items]

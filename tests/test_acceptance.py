@@ -26,7 +26,12 @@ def _ok(n, msg):
 
 
 def analyze(h, grid, tol=TOL):
-    return invariants.analyze_model(h, grid, tol)
+    """analyze_model with each group's report; a group that failed fails the test."""
+    tri_residual, groups, results = invariants.analyze_model(h, grid, tol)
+    for res in results:
+        if isinstance(res, Exception):
+            raise res
+    return tri_residual, groups, [rep for rep, _ in results]
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +200,7 @@ def test_criterion_7_gauge_pipeline(tmp_path):
         spec = bands.spectrum_on_grid(h, grid)
         group = bands.group_for_range(spec, first, last, 0.05)
         dom = fundamental_domain(grid)
-        frame = bands.smooth_frame(h, group, dom, spectrum=spec)
+        frame = bands.smooth_frame(spec, group, dom)
         u = bands.transition_loop_sphere(frame, h.t)
         c = invariants.chern_winding_sphere(u)
         v = gauge.normal_form_loop(c, group.rank, grid.n_lon)

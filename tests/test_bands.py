@@ -154,7 +154,7 @@ def test_smooth_frame_rank1_covers_domain():
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 0, 0.5)
     dom = fundamental_domain(grid)
-    frame = bands.smooth_frame(h, group, dom, spectrum=spec)
+    frame = bands.smooth_frame(spec, group, dom)
     orth, span = bands.frame_residuals(frame, spec.band_vectors(group)[dom.vertex_ids])
     assert orth <= 1e-10
     assert span <= 1e-8
@@ -168,7 +168,7 @@ def test_smooth_frame_constant_hamiltonian_is_constant():
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, 0.5)
     dom = fundamental_domain(grid)
-    frame = bands.smooth_frame(h, group, dom, spectrum=spec)
+    frame = bands.smooth_frame(spec, group, dom)
     assert numkit.max_abs(frame.data - frame.data[0][None]) <= 1e-12
     assert frame.max_step <= 1e-12
 
@@ -179,7 +179,7 @@ def test_torus_frame_seam_twist_closes():
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, 0.5)
     dom = fundamental_domain(grid)
-    frame = bands.smooth_frame(h, group, dom, spectrum=spec)
+    frame = bands.smooth_frame(spec, group, dom)
     # transporting the twisted base-row frame across the seam and applying the
     # full-loop twist must reproduce the frame at q = 0 exactly
     slabs = spec.band_vectors(group)
@@ -204,7 +204,7 @@ def test_transition_loop_sphere_antisymmetry_exact():
     grid = build_grid(Manifold.SPHERE, 16, 32)
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 0, 0.5)
-    frame = bands.smooth_frame(h, group, fundamental_domain(grid), spectrum=spec)
+    frame = bands.smooth_frame(spec, group, fundamental_domain(grid))
     loop = bands.transition_loop_sphere(frame, h.t)
     assert loop.unitarity <= 1e-9
     assert loop.symmetry_residual <= 1e-12
@@ -215,7 +215,7 @@ def test_transition_loop_trivial_bundle_even_winding():
     grid = build_grid(Manifold.SPHERE, 8, 16)
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, 0.5)
-    frame = bands.smooth_frame(h, group, fundamental_domain(grid), spectrum=spec)
+    frame = bands.smooth_frame(spec, group, fundamental_domain(grid))
     loop = bands.transition_loop_sphere(frame, h.t)
     w = numkit.winding_number(loop.det_loop())
     assert w % 2 == 0 and w == 0
@@ -227,7 +227,7 @@ def test_transition_loop_rejects_non_spanning_frame():
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 0, 0.5)
     dom = fundamental_domain(grid)
-    frame = bands.smooth_frame(h, group, dom, spectrum=spec)
+    frame = bands.smooth_frame(spec, group, dom)
     broken = bands.Frame(dom, group, np.roll(frame.data, 3, axis=0),
                          frame.max_step, frame.continuity_const)
     with pytest.raises(DomainError):
@@ -239,7 +239,7 @@ def test_transition_loops_torus_skew():
     grid = build_grid(Manifold.TORUS, 16, 64)
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, 0.5)
-    frame = bands.smooth_frame(h, group, fundamental_domain(grid), spectrum=spec)
+    frame = bands.smooth_frame(spec, group, fundamental_domain(grid))
     u_plus, u_minus = bands.transition_loops_torus(frame, h.t)
     for loop in (u_plus, u_minus):
         assert loop.unitarity <= 1e-9

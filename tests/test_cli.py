@@ -3,7 +3,10 @@ import json
 import jsonschema
 import pytest
 
-from phasetop import cli
+from phasetop import cli, invariants, models
+from phasetop.errors import GapError, ResolutionError
+from phasetop.invariants import Tolerances
+from phasetop.phasespace import Manifold, build_grid
 
 
 def write_config(tmp_path, name, payload):
@@ -208,16 +211,42 @@ def test_gauge_demo_torus_skew(tmp_path):
     assert rep["extendability_winding"] == 0
 
 
-def test_thread_env_var_validated_and_harmless(tmp_path, monkeypatch):
+def test_map_chunks_is_an_ordered_map():
     from phasetop import runtime
-    from phasetop.errors import ConfigError
 
-    monkeypatch.setenv("PHASETOP_THREADS", "junk")
-    with pytest.raises(ConfigError):
-        runtime.max_workers()
-    monkeypatch.setenv("PHASETOP_THREADS", "3")
-    assert runtime.max_workers() == 3
     assert runtime.map_chunks(lambda x: x * x, range(5)) == [0, 1, 4, 9, 16]
+
+
+def test_random_suite_tally_matches_analyze_model(tmp_path):
+    out = tmp_path / "suite.json"
+    run(["random-suite", "--manifold", "torus", "--seed", "209", "--count", "2",
+         "--grid", "24x128", "--gap-floor", "0.03", "--out", str(out)])
+    tally = json.loads(out.read_text())["tally"]
+    grid = build_grid(Manifold.TORUS, 24, 128)
+    tol = Tolerances(gap_floor=0.03)
+    results = []
+    for seed in (209, 210):
+        h = models.random_tri("torus", 4, seed=seed)
+        results += invariants.analyze_model(h, grid, tol)[2]
+    reports = [r[0] for r in results if not isinstance(r, Exception)]
+    skipped = [r for r in results if isinstance(r, (GapError, ResolutionError))]
+    assert len(reports) + len(skipped) == len(results)
+    assert tally["models"] == 2
+    assert tally["skipped_marginal"] == len(skipped) == 2
+    assert tally["groups"] == len(reports)
+    assert tally["consistent"] == sum(r.consistent for r in reports)
+    assert tally["km_defined"] == sum(r.k is not None for r in reports)
+
+
+@pytest.mark.parametrize("command", ["deform", "gauge-demo"])
+@pytest.mark.parametrize("group", ["0", "x:1", "1:0", "0:5"])
+def test_bad_group_exits_2(tmp_path, capsys, command, group):
+    cfg = write_config(tmp_path, "rotor.json", ROTOR)  # two bands
+    argv = (["deform", "--config-a", cfg, "--config-b", cfg] if command == "deform"
+            else ["gauge-demo", "--config", cfg])
+    assert run(argv + ["--group", group]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("phasetop: error: --group") and err.count("\n") == 1
 
 
 def test_deform_incompatible_endpoints_exit_3(tmp_path):

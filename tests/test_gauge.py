@@ -12,7 +12,7 @@ def rotor_equator_loop(n_lat=16, n_lon=32, band=(0, 0)):
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, band[0], band[1], 0.5)
     dom = fundamental_domain(grid)
-    frame = bands.smooth_frame(h, group, dom, spectrum=spec)
+    frame = bands.smooth_frame(spec, group, dom)
     return h, grid, dom, frame, bands.transition_loop_sphere(frame, h.t)
 
 
@@ -79,7 +79,7 @@ def test_solve_gauge_rank2_model_loop():
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, 0.05)
     dom = fundamental_domain(grid)
-    frame = bands.smooth_frame(h, group, dom, spectrum=spec)
+    frame = bands.smooth_frame(spec, group, dom)
     u = bands.transition_loop_sphere(frame, h.t)
     c = invariants.chern_winding_sphere(u)
     v = gauge.normal_form_loop(c, 2, grid.n_lon)
@@ -155,7 +155,7 @@ def test_extend_stops_stalled_two_cycle():
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, 0.05)
     dom = fundamental_domain(grid)
-    frame = bands.smooth_frame(h, group, dom, spectrum=spec)
+    frame = bands.smooth_frame(spec, group, dom)
     u = bands.transition_loop_sphere(frame, h.t)
     v = gauge.normal_form_loop(invariants.chern_winding_sphere(u), 2, grid.n_lon)
     ext = gauge.extend_to_disk(gauge.solve_equator_gauge(u, v), dom)
@@ -175,7 +175,7 @@ def torus_line_loops(epsilon=0.0, seed=2, n_lat=16, n_lon=128):
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, 0.05)
     dom = fundamental_domain(grid)
-    frame = bands.smooth_frame(h, group, dom, spectrum=spec)
+    frame = bands.smooth_frame(spec, group, dom)
     u_plus, u_minus = bands.transition_loops_torus(frame, h.t)
     return u_plus, u_minus, invariants.chern_winding_torus(u_plus, u_minus)
 
@@ -258,7 +258,7 @@ def test_skew_normal_form_rank4_random_model():
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.BandGroup(0, 3, np.inf)
     dom = fundamental_domain(grid)
-    frame = bands.smooth_frame(h, group, dom, spectrum=spec)
+    frame = bands.smooth_frame(spec, group, dom)
     u_plus, u_minus = bands.transition_loops_torus(frame, h.t)
     c = invariants.chern_winding_torus(u_plus, u_minus)
     nf = gauge.skew_normal_form(u_plus, u_minus, c)

@@ -6,6 +6,7 @@ from phasetop.errors import (
     DegenerateConfigurationError,
     DomainError,
     ResolutionError,
+    TRIViolationError,
 )
 from phasetop.invariants import Tolerances
 from phasetop.phasespace import (
@@ -24,7 +25,7 @@ def sphere_setup(h, first, last, grid=SPHERE_GRID, gap_floor=0.05):
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, first, last, gap_floor)
     dom = fundamental_domain(grid)
-    frame = bands.smooth_frame(h, group, dom, spectrum=spec)
+    frame = bands.smooth_frame(spec, group, dom)
     return spec, group, dom, frame
 
 
@@ -114,7 +115,7 @@ def test_chern_winding_torus_even_and_cross_method():
     spec = bands.spectrum_on_grid(h, TORUS_GRID)
     group = bands.group_for_range(spec, 0, 1, 0.05)
     dom = fundamental_domain(TORUS_GRID)
-    frame = bands.smooth_frame(h, group, dom, spectrum=spec)
+    frame = bands.smooth_frame(spec, group, dom)
     u_plus, u_minus = bands.transition_loops_torus(frame, h.t)
     c_w = invariants.chern_winding_torus(u_plus, u_minus)
     _, c_p = invariants.chern_plaquette(spec.band_vectors(group), TORUS_GRID)
@@ -206,7 +207,7 @@ def test_km_torus_boundary_and_rank1_rejection():
     spec = bands.spectrum_on_grid(h, TORUS_GRID)
     group = bands.group_for_range(spec, 0, 1, 0.05)
     dom = fundamental_domain(TORUS_GRID)
-    frame = bands.smooth_frame(h, group, dom, spectrum=spec)
+    frame = bands.smooth_frame(spec, group, dom)
     mf = invariants.m_field(frame, h.t)
     k = invariants.km_boundary(mf)
     _, c = invariants.chern_plaquette(spec.band_vectors(group), TORUS_GRID)
@@ -226,7 +227,7 @@ def test_km_census_degenerate_stratum_raises():
     spec = bands.spectrum_on_grid(h, TORUS_GRID)
     group = bands.group_for_range(spec, 0, 1, 0.05)
     dom = fundamental_domain(TORUS_GRID)
-    frame = bands.smooth_frame(h, group, dom, spectrum=spec)
+    frame = bands.smooth_frame(spec, group, dom)
     mf = invariants.m_field(frame, h.t)
     assert invariants.km_boundary(mf) in (-1, 1)  # TRI lines stay unitary
     with pytest.raises(DegenerateConfigurationError):
@@ -293,16 +294,41 @@ def test_verify_group_refines_on_poor_resolution():
 
 def test_analyze_model_rejects_control():
     h = models.tri_broken(models.rotor_spin(0.5), 0.5, seed=1)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as err:
         invariants.analyze_model(h, SPHERE_GRID, TOL)
+    assert isinstance(err.value, TRIViolationError)
+    assert err.value.residual == bands.check_tri(h, SPHERE_GRID)[0]
+
+
+def test_analyze_model_solves_one_spectrum(monkeypatch):
+    # four rank-1 groups with no refinement and no domain rotation: every
+    # group is verified against the discovery spectrum
+    h = models.rotor_spin(1.5)
+    calls = []
+    eigh_many = numkit.eigh_many
+
+    def counted(hs):
+        calls.append(len(hs))
+        return eigh_many(hs)
+
+    monkeypatch.setattr(numkit, "eigh_many", counted)
+    _, groups, results = invariants.analyze_model(h, SPHERE_GRID, TOL)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert len(groups) == 4
+    for group, (rep, _) in zip(groups, results):
+        assert rep.refinements == 0 and rep.domain_rotations == 0
+        fresh = invariants.verify_group(h, group, SPHERE_GRID, TOL,
+                                        group_id=rep.group_id)
+        assert rep.to_dict() == fresh.to_dict()
 
 
 def test_parity_theorem_on_random_sample():
     grid = build_grid(Manifold.SPHERE, 32, 64)
     for seed in range(110, 118):
         h = models.random_tri("sphere", 4, seed=seed)
-        _, groups, reports = invariants.analyze_model(h, grid, TOL)
-        for rep in reports:
+        _, groups, results = invariants.analyze_model(h, grid, TOL)
+        for rep, _ in results:
             assert rep.parity_ok, (seed, rep.rank, rep.c_plaquette)
             assert rep.consistent
 
@@ -325,7 +351,7 @@ def test_trivial_torus_bundle_zero_by_both_routes():
     group = bands.group_for_range(spec, 0, 1, 0.5)
     _, c_p = invariants.chern_plaquette(spec.band_vectors(group), grid)
     dom = fundamental_domain(grid)
-    frame = bands.smooth_frame(h, group, dom, spectrum=spec)
+    frame = bands.smooth_frame(spec, group, dom)
     u_plus, u_minus = bands.transition_loops_torus(frame, h.t)
     assert c_p == 0
     assert invariants.chern_winding_torus(u_plus, u_minus) == 0

@@ -233,9 +233,9 @@ def test_rotor_spin_five_halves_full_ladder():
     # both Chern routes agreeing at every rung
     h = models.rotor_spin(2.5)
     grid = build_grid(Manifold.SPHERE, 32, 96)
-    _, _, reports = invariants.analyze_model(
+    _, _, results = invariants.analyze_model(
         h, grid, invariants.Tolerances(gap_floor=0.5)
     )
-    cs = [r.c_plaquette for r in reports]
+    cs = [r.c_plaquette for r, _ in results]
     assert cs == [5, 3, 1, -1, -3, -5]
-    assert all(r.consistent and r.parity_ok for r in reports)
+    assert all(r.consistent and r.parity_ok for r, _ in results)
