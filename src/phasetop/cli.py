@@ -11,6 +11,7 @@ logged to stderr and only embedded in the report with --timing.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -136,8 +137,7 @@ def _validate_config(cfg: dict) -> dict:
     tol = cfg.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("'tolerances' must be an object")
-    allowed = {"tri_tol", "gap_floor", "zero_floor", "evenness_rel"}
-    bad = set(tol) - allowed
+    bad = set(tol) - {f.name for f in dataclasses.fields(Tolerances)}
     if bad:
         raise ConfigError(f"unknown tolerance keys: {sorted(bad)}")
     for key, val in tol.items():
@@ -150,13 +150,7 @@ def _validate_config(cfg: dict) -> dict:
 
 
 def _tolerances(cfg: dict) -> Tolerances:
-    tol = cfg.get("tolerances", {})
-    return Tolerances(
-        tri_tol=tol.get("tri_tol", 1e-9),
-        gap_floor=tol.get("gap_floor", 1e-6),
-        zero_floor=tol.get("zero_floor", 1e-4),
-        evenness_rel=tol.get("evenness_rel", 1e-6),
-    )
+    return Tolerances(**cfg.get("tolerances", {}))
 
 
 def _parse_grid(text: str) -> tuple[int, int]:

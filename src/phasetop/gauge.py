@@ -37,9 +37,9 @@ def normal_form_loop(c: int, n_b: int, samples: int) -> TransitionLoop:
         raise DomainError("normal form loop needs an even sample count >= 8")
     phi = 2.0 * np.pi * np.arange(samples) / samples
     v = np.zeros((samples, n_b, n_b), dtype=complex)
+    diag = np.arange(n_b)
+    v[:, diag, diag] = np.exp(1j * phi)[:, None]
     v[:, 0, 0] = np.exp(1j * (c - n_b + 1) * phi)
-    for k in range(1, n_b):
-        v[:, k, k] = np.exp(1j * phi)
     anti = float(max_abs(np.roll(v, -samples // 2, axis=0).transpose(0, 2, 1) + v))
     return TransitionLoop("sphere-equator", v, 0.0, anti)
 
@@ -94,9 +94,10 @@ def solve_equator_gauge(u_loop: TransitionLoop, v_loop: TransitionLoop) -> Gauge
     w0 = u[0].conj().T @ v[0]
     ts = np.arange(half + 1) / half
     w[: half + 1] = _geodesic(w0, np.eye(u.shape[1]), ts)
-    for j in range(half + 1, L):
-        psi = j - half
-        w[j] = (v[psi] @ w[psi].conj().T @ u[psi].conj().T).T
+    # w[half + psi] reads only w[psi], 0 < psi < half, all set above
+    w_h = w[1:half].conj().transpose(0, 2, 1)
+    u_h = u[1:half].conj().transpose(0, 2, 1)
+    w[half + 1:] = (v[1:half] @ w_h @ u_h).transpose(0, 2, 1)
 
     rel_pi = (v[0] @ w[0].conj().T @ u[0].conj().T).T
     rel_2pi = (v[half] @ w[half].conj().T @ u[half].conj().T).T
@@ -129,7 +130,6 @@ class DiskExtension:
     values: np.ndarray      # (n_dom, N_B, N_B)
     sweeps: int
     max_interior_step: float
-    boundary_step: float
 
 
 def _retract_stack(stack: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -171,17 +171,20 @@ def _harmonic_profile(w_b: np.ndarray, radii: np.ndarray, cols: np.ndarray,
     return _retract_stack(field, rng)
 
 
-def extend_to_disk(gauge: GaugeLoop, domain: FundamentalDomain, *,
-                   step_target: float = 0.2, max_sweeps: int = 2000,
-                   seed: int = 0) -> DiskExtension:
+EXTENSION_STEP_TARGET = 0.2   # rad, largest admissible interior neighbor step
+EXTENSION_MAX_SWEEPS = 2000
+_EXTENSION_SEED = 0           # seeds the retraction jitter
+
+
+def extend_to_disk(gauge: GaugeLoop, domain: FundamentalDomain) -> DiskExtension:
     """Extend a zero-winding boundary gauge over the northern hemisphere.
 
     Initializes via a radial blend toward the identity with polar retraction
     and runs Jacobi smoothing sweeps (neighbor averages retracted back to the
     unitary group) until the largest interior neighbor step falls below
-    step_target.  A blend whose retraction seeds defect pairs (boundary
-    eigenvalues crossing -1 make it singular at mid-radius) stalls the
-    sweeps; in that case the field is re-initialized from the entrywise
+    EXTENSION_STEP_TARGET.  A blend whose retraction seeds defect pairs
+    (boundary eigenvalues crossing -1 make it singular at mid-radius) stalls
+    the sweeps; in that case the field is re-initialized from the entrywise
     harmonic extension of the boundary loop and re-smoothed.  Failure still
     raises; it is never silently accepted.
 
@@ -209,7 +212,7 @@ def extend_to_disk(gauge: GaugeLoop, domain: FundamentalDomain, *,
     nb = gauge.rank
     half = grid.n_lat // 2
     eye = np.eye(nb)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_EXTENSION_SEED)
     loc = domain.local_index
 
     radii = grid.vertex_lat[domain.vertex_ids] / half
@@ -233,7 +236,7 @@ def extend_to_disk(gauge: GaugeLoop, domain: FundamentalDomain, *,
         step = interior_step(vals)
         stall = 0
         best = step
-        while step > step_target and sweeps < budget:
+        while step > EXTENSION_STEP_TARGET and sweeps < budget:
             acc = np.zeros_like(vals)
             np.add.at(acc, ea, vals[eb])
             np.add.at(acc, eb, vals[ea])
@@ -249,24 +252,21 @@ def extend_to_disk(gauge: GaugeLoop, domain: FundamentalDomain, *,
 
     blend = (1.0 - radii)[:, None, None] * eye[None] + radii[:, None, None] * w_b[cols]
     values = _retract_stack(blend, rng)
-    values, step, sweeps = smooth(values, max_sweeps)
+    values, step, sweeps = smooth(values, EXTENSION_MAX_SWEEPS)
 
-    if step > step_target:
+    if step > EXTENSION_STEP_TARGET:
         values = _harmonic_profile(w_b, radii, cols, rng)
         values[loc[domain.boundary_loops[0]]] = w_b
-        values, step, extra = smooth(values, max_sweeps - sweeps)
+        values, step, extra = smooth(values, EXTENSION_MAX_SWEEPS - sweeps)
         sweeps += extra
 
-    if step > step_target:
+    if step > EXTENSION_STEP_TARGET:
         raise ExtensionError(
-            f"smoothing did not reach step target {step_target} rad "
+            f"smoothing did not reach step target {EXTENSION_STEP_TARGET} rad "
             f"(max step {step:.3f} after {sweeps} sweeps)"
         )
-
-    rel = np.einsum("eji,ejk->eik", w_b.conj(), np.roll(w_b, -1, axis=0))
-    bstep = float(np.max(np.abs(np.angle(np.linalg.eigvals(rel)))))
     return DiskExtension(domain=domain, values=values, sweeps=sweeps,
-                         max_interior_step=step, boundary_step=bstep)
+                         max_interior_step=step)
 
 
 def regauge_frame(frame: Frame, extension: DiskExtension) -> Frame:
@@ -345,12 +345,12 @@ def _block_target(alphas: np.ndarray, nb: int) -> np.ndarray:
     """blockdiag([[0, -e^{i a1}], [e^{i a1}, 0]], rest with alpha = 0)."""
     L = alphas.shape[0]
     v = np.zeros((L, nb, nb), dtype=complex)
+    even = np.arange(2, nb, 2)
+    v[:, even, even + 1] = -1.0
+    v[:, even + 1, even] = 1.0
     phase = np.exp(1j * alphas)
     v[:, 0, 1] = -phase
     v[:, 1, 0] = phase
-    for b in range(1, nb // 2):
-        v[:, 2 * b, 2 * b + 1] = -1.0
-        v[:, 2 * b + 1, 2 * b] = 1.0
     return v
 
 
@@ -378,10 +378,8 @@ def skew_normal_form(u_plus: TransitionLoop, u_minus: TransitionLoop,
         ("minus", u_minus, np.zeros(L)),
     ):
         x = _pair_congruence(loop.samples)
-        d = np.zeros((L, nb, nb), dtype=complex)
-        for j in range(L):
-            d[j] = np.eye(nb)
-            d[j, 0, 0] = np.exp(1j * alphas[j])
+        d = np.broadcast_to(np.eye(nb, dtype=complex), (L, nb, nb)).copy()
+        d[:, 0, 0] = np.exp(1j * alphas)
         w = np.einsum("vij,vjk->vik", x, d)
         target = _block_target(alphas, nb)
         rebuilt = np.einsum("vji,vjk,vkl->vil", w, loop.samples, w)

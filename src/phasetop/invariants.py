@@ -49,19 +49,22 @@ from .phasespace import FundamentalDomain, Grid, Manifold, fundamental_domain, r
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds; the underlying identities are exact integers,
-    floating-point pipelines need these cutoffs."""
+    """The numerical thresholds a config can set; the underlying identities
+    are exact integers, floating-point pipelines need these cutoffs."""
 
     tri_tol: float = 1e-9
     gap_floor: float = 1e-6
     zero_floor: float = 1e-4
     evenness_rel: float = 1e-6
-    link_floor: float = 1e-6
-    flux_cap: float = np.pi - 0.1
-    census_edge_cap: float = np.pi - 0.2
-    max_grid_refinements: int = 1
-    max_domain_rotations: int = 8
-    max_loop_samples: int = 2 ** 14
+
+
+# fixed cutoffs; a config cannot set these
+LINK_FLOOR = 1e-6                 # smallest admissible |det| of a plaquette link
+FLUX_CAP = np.pi - 0.1            # largest admissible |plaquette flux|
+CENSUS_EDGE_CAP = np.pi - 0.2     # pf M phase step that puts a zero on an edge
+PF_HARD_FLOOR = 1e-12             # |pf M| below which the zeros are not isolated
+MAX_GRID_REFINEMENTS = 1          # each refinement doubles both grid directions
+MAX_LOOP_SAMPLES = 2 ** 14        # no refinement past this many boundary samples
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,7 @@ class CurvatureField:
         return int(round(self.total / (2.0 * np.pi)))
 
 
-def chern_plaquette(vectors: np.ndarray, grid: Grid, *, link_floor: float = 1e-6,
-                    flux_cap: float = np.pi - 0.1):
+def chern_plaquette(vectors: np.ndarray, grid: Grid):
     """Gauge-invariant lattice Chern number from per-vertex spanning frames.
 
     vectors is a (V, N_A, N_B) stack of orthonormal columns spanning the band
@@ -96,7 +98,7 @@ def chern_plaquette(vectors: np.ndarray, grid: Grid, *, link_floor: float = 1e-6
         dets = np.linalg.det(ov)
         mags = np.abs(dets)
         # self-links at a repeated pole corner are exactly 1 and harmless
-        if np.any(mags <= link_floor):
+        if np.any(mags <= LINK_FLOOR):
             raise ResolutionError(
                 "vanishing link modulus: band group aliased between adjacent "
                 "vertices; refine the grid or re-check the gap"
@@ -104,7 +106,7 @@ def chern_plaquette(vectors: np.ndarray, grid: Grid, *, link_floor: float = 1e-6
         link_prod *= dets / mags
     flux = -np.angle(link_prod)  # declared flux orientation (see module docstring)
     worst = float(np.max(np.abs(flux)))
-    if worst >= flux_cap:
+    if worst >= FLUX_CAP:
         raise ResolutionError(
             f"plaquette flux {worst:.3f} too close to pi; refine the grid"
         )
@@ -200,8 +202,7 @@ class ZeroCensus:
     total: int
 
 
-def km_census(mf: MField, edge_cap: float = np.pi - 0.2,
-              hard_floor: float = 1e-12) -> ZeroCensus:
+def km_census(mf: MField, edge_cap: float = CENSUS_EDGE_CAP) -> ZeroCensus:
     """Per-plaquette winding of pf M over the domain interior.
 
     The sum of principal-value phase steps telescopes, so the census total
@@ -214,7 +215,7 @@ def km_census(mf: MField, edge_cap: float = np.pi - 0.2,
         raise DomainError("zero census needs even band-group rank")
     dom = mf.domain
     pf = mf.pf
-    tiny = np.abs(pf) < hard_floor
+    tiny = np.abs(pf) < PF_HARD_FLOOR
     if np.any(tiny):
         raise DegenerateConfigurationError(
             f"pf M vanishes at {int(tiny.sum())} domain vertices; zeros are not "
@@ -298,7 +299,7 @@ def _km_with_rotations(h_field, group, grid, domain, frame, mf, tol):
     k = None
     census = None
     census_note = None
-    for attempt, angle in enumerate(_ROTATION_ANGLES[: tol.max_domain_rotations]):
+    for attempt, angle in enumerate(_ROTATION_ANGLES):
         if attempt > 0:
             rotations += 1
             h_rot = rotated_field(h_field, angle)
@@ -319,7 +320,7 @@ def _km_with_rotations(h_field, group, grid, domain, frame, mf, tol):
                 f"({k} vs {k_here}); refine the grid"
             )
         try:
-            census = km_census(mf, tol.census_edge_cap)
+            census = km_census(mf)
             census_note = None
             break
         except DegenerateConfigurationError as exc:
@@ -331,7 +332,7 @@ def _km_with_rotations(h_field, group, grid, domain, frame, mf, tol):
     if k is None:
         raise DegenerateConfigurationError(
             "no admissible fundamental domain found: pf M not bounded away "
-            f"from zero on any of {tol.max_domain_rotations} rotated boundaries"
+            f"from zero on any of {len(_ROTATION_ANGLES)} rotated boundaries"
         )
     if census_note:
         notes.append(census_note)
@@ -356,9 +357,7 @@ def _verify_once(h_field: HamiltonianField, group: BandGroup, grid: Grid,
         raise GapError(f"group [{group.first}, {group.last}] not gapped on this grid")
 
     slabs = spectrum.band_vectors(group)
-    curv, c_plq = chern_plaquette(
-        slabs, grid, link_floor=tol.link_floor, flux_cap=tol.flux_cap
-    )
+    curv, c_plq = chern_plaquette(slabs, grid)
     evenness = curvature_tr_evenness(curv, grid)
     evenness_ok = evenness <= evenness_tolerance(curv, tol.evenness_rel)
 
@@ -466,12 +465,12 @@ def verify_group_fields(h_field: HamiltonianField, group: BandGroup, grid: Grid,
             report, fields = _verify_once(h_field, group, grid, tol, group_id,
                                           refinements, spectrum)
         except ResolutionError:
-            if refinements >= tol.max_grid_refinements or (
-                grid.n_lon * 2 > tol.max_loop_samples
+            if refinements >= MAX_GRID_REFINEMENTS or (
+                grid.n_lon * 2 > MAX_LOOP_SAMPLES
             ):
                 raise
         else:
-            if report.consistent or refinements >= tol.max_grid_refinements:
+            if report.consistent or refinements >= MAX_GRID_REFINEMENTS:
                 if not report.consistent:
                     report.notes.append(
                         "cross-method Chern disagreement persisted after refinement"

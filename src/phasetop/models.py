@@ -149,10 +149,13 @@ def random_hermitian_field(manifold: Manifold, n: int, cutoff: int, seed: int):
     return evaluate
 
 
-def _tri_perturbation(t: AntiUnitary, manifold: Manifold, strength: float,
-                      seed: int, cutoff: int = 2):
+# mode cutoff of the random TRI perturbations added to the structured models
+_PERTURBATION_CUTOFF = 2
+
+
+def _tri_perturbation(t: AntiUnitary, manifold: Manifold, strength: float, seed: int):
     """TRI-symmetrized random field of sup norm <= strength."""
-    raw = random_hermitian_field(manifold, t.dim, cutoff, seed)
+    raw = random_hermitian_field(manifold, t.dim, _PERTURBATION_CUTOFF, seed)
     symmetrized = symmetrize_tri(raw, t, manifold)
 
     def evaluate(pts: np.ndarray) -> np.ndarray:

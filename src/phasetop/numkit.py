@@ -19,6 +19,8 @@ HERMITICITY_TOL = 1e-10
 SKEW_TOL = 1e-9
 MAGNITUDE_FLOOR = 1e-10
 MAX_LOOP_STEP = np.pi / 2
+LEAD_FLOOR = 1e-8        # smallest component that fixes an eigenvector's phase
+BRANCH_CUT_GAP = 1e-3    # narrowest eigenphase gap a log branch cut may use
 
 
 def max_abs(a) -> float:
@@ -26,13 +28,13 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def fix_phases(v: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def fix_phases(v: np.ndarray) -> np.ndarray:
     """Rescale each column so its first significant component is real positive.
 
     Works on stacks of matrices; the last two axes are (component, column).
     """
     v = np.array(v, dtype=complex, copy=True)
-    lead = np.argmax(np.abs(v) > tol, axis=-2)
+    lead = np.argmax(np.abs(v) > LEAD_FLOOR, axis=-2)
     taken = np.take_along_axis(v, lead[..., None, :], axis=-2)[..., 0, :]
     phases = taken / np.abs(taken)
     v *= phases.conj()[..., None, :]
@@ -154,9 +156,6 @@ class PhaseLoop:
             )
         object.__setattr__(self, "samples", z)
 
-    def __len__(self):
-        return self.samples.size
-
 
 def winding_number(loop) -> int:
     """Winding number from principal-value phase increments around the loop.
@@ -181,7 +180,7 @@ def winding_number(loop) -> int:
     return int(w)
 
 
-def unitary_gap_log(u: np.ndarray, min_gap: float = 1e-3):
+def unitary_gap_log(u: np.ndarray):
     """Eigen-decompose a unitary matrix and choose log-branch phases.
 
     The branch cut is placed in the middle of the largest gap of the
@@ -208,7 +207,7 @@ def unitary_gap_log(u: np.ndarray, min_gap: float = 1e-3):
             widest, cut = gaps[i], 0.5 * (order[i] + order[i + 1])
         else:
             widest, cut = wrap, order[-1] + 0.5 * wrap
-        if widest < min_gap:
+        if widest < BRANCH_CUT_GAP:
             raise BranchError("eigenphases leave no usable branch-cut gap")
     # phases live in (cut - 2*pi, cut], all at distance >= gap/2 from the cut
     rebased = cut - np.mod(cut - ph, 2.0 * np.pi)

@@ -155,8 +155,9 @@ def build_grid(manifold: Manifold, n_lat: int, n_lon: int) -> Grid:
     )
 
 
-def refine_grid(grid: Grid, factor: int = 2) -> Grid:
-    return build_grid(grid.manifold, grid.n_lat * factor, grid.n_lon * factor)
+def refine_grid(grid: Grid) -> Grid:
+    """The grid with both directions doubled."""
+    return build_grid(grid.manifold, grid.n_lat * 2, grid.n_lon * 2)
 
 
 @dataclass(frozen=True)
@@ -178,9 +179,6 @@ class FundamentalDomain:
     @property
     def n_vertices(self) -> int:
         return self.vertex_ids.size
-
-    def local(self, vids):
-        return self.local_index[vids]
 
 
 def fundamental_domain(grid: Grid) -> FundamentalDomain:

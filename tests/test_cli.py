@@ -133,6 +133,32 @@ def test_unknown_outputs_key_exits_2(tmp_path):
     assert run(["analyze", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("key,value", [
+    ("tri_tol", 3e-8), ("gap_floor", 0.07), ("zero_floor", 2e-3), ("evenness_rel", 5e-5),
+])
+def test_config_tolerance_reaches_pipeline(tmp_path, monkeypatch, key, value):
+    seen = []
+
+    def spy(h_field, grid, tol):
+        seen.append(tol)
+        return 0.0, [], []
+
+    monkeypatch.setattr(cli, "analyze_model", spy)
+    cfg = write_config(tmp_path, "tol.json", {**ROTOR, "tolerances": {key: value}})
+    assert run(["analyze", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+    assert seen == [Tolerances(**{key: value})]
+    assert getattr(seen[0], key) == value != getattr(Tolerances(), key)
+
+
+@pytest.mark.parametrize("key", ["flux_cap", "max_grid_refinements"])
+def test_fixed_cutoff_in_config_exits_2(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, "tol.json", {**ROTOR, "tolerances": {key: 1}})
+    assert run(["analyze", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("phasetop: error: unknown tolerance keys") and key in err
+    assert err.count("\n") == 1
+
+
 def test_timing_only_on_request(tmp_path):
     cfg = write_config(tmp_path, "rotor.json", ROTOR)
     out = tmp_path / "rep.json"

@@ -16,6 +16,15 @@ def rotor_equator_loop(n_lat=16, n_lon=32, band=(0, 0)):
     return h, grid, dom, frame, bands.transition_loop_sphere(frame, h.t)
 
 
+def kramers_equator_loop(n_lat, n_lon):
+    h = models.kramers_pair_sphere(epsilon=0.1, seed=0)
+    grid = build_grid(Manifold.SPHERE, n_lat, n_lon)
+    spec = bands.spectrum_on_grid(h, grid)
+    group = bands.group_for_range(spec, 0, 1, 0.05)
+    frame = bands.smooth_frame(spec, group, fundamental_domain(grid))
+    return bands.transition_loop_sphere(frame, h.t)
+
+
 # ---------------------------------------------------------------------------
 # normal forms
 
@@ -74,19 +83,46 @@ def test_obstruction_is_half_winding_difference(c_u, c_v, n_b):
 
 
 def test_solve_gauge_rank2_model_loop():
-    h = models.kramers_pair_sphere(epsilon=0.1, seed=0)
-    grid = build_grid(Manifold.SPHERE, 16, 64)
-    spec = bands.spectrum_on_grid(h, grid)
-    group = bands.group_for_range(spec, 0, 1, 0.05)
-    dom = fundamental_domain(grid)
-    frame = bands.smooth_frame(spec, group, dom)
-    u = bands.transition_loop_sphere(frame, h.t)
+    u = kramers_equator_loop(16, 64)
     c = invariants.chern_winding_sphere(u)
-    v = gauge.normal_form_loop(c, 2, grid.n_lon)
+    v = gauge.normal_form_loop(c, 2, 64)
     w = gauge.solve_equator_gauge(u, v)
     assert w.residual_pi <= 1e-8 and w.residual_2pi <= 1e-8
     assert gauge.gauge_relation_residual(u, v, w) <= 1e-8
     assert gauge.winding_obstruction(w) == 0
+
+
+@pytest.mark.parametrize("n_b,c_v", [(1, 1), (1, 3), (2, 2), (2, 4)])
+def test_solve_gauge_second_half_matches_recurrence(n_b, c_v):
+    # the per-sample recurrence W(phi) = (V(psi) W(psi)^-1 U(psi)^-1)^t,
+    # psi = phi - pi, is the reference; the stacked solve must equal it bitwise
+    u = rotor_equator_loop()[4] if n_b == 1 else kramers_equator_loop(16, 32)
+    v = gauge.normal_form_loop(c_v, n_b, u.samples.shape[0])
+    w = gauge.solve_equator_gauge(u, v).samples
+    L = w.shape[0]
+    ref = w.copy()
+    for j in range(L // 2 + 1, L):
+        psi = j - L // 2
+        ref[j] = (v.samples[psi] @ ref[psi].conj().T @ u.samples[psi].conj().T).T
+    assert ref.tobytes() == w.tobytes()
+
+
+def test_normal_form_and_block_target_match_loops():
+    for n_b in (1, 2, 4, 6):
+        phi = 2 * np.pi * np.arange(32) / 32
+        ref = np.zeros((32, n_b, n_b), dtype=complex)
+        ref[:, 0, 0] = np.exp(3j * phi)  # c = n_b + 2
+        for k in range(1, n_b):
+            ref[:, k, k] = np.exp(1j * phi)
+        assert ref.tobytes() == gauge.normal_form_loop(n_b + 2, n_b, 32).samples.tobytes()
+        if n_b % 2:
+            continue
+        alphas = np.linspace(0.0, 3.0, 32)
+        ref = np.zeros((32, n_b, n_b), dtype=complex)
+        ref[:, 0, 1], ref[:, 1, 0] = -np.exp(1j * alphas), np.exp(1j * alphas)
+        for b in range(1, n_b // 2):
+            ref[:, 2 * b, 2 * b + 1], ref[:, 2 * b + 1, 2 * b] = -1.0, 1.0
+        assert ref.tobytes() == gauge._block_target(alphas, n_b).tobytes()
 
 
 # ---------------------------------------------------------------------------
