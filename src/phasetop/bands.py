@@ -63,6 +63,13 @@ class AntiUnitary:
         """J conj(H) J^dagger applied to a stack of matrices."""
         return self.j @ np.conj(h_stack) @ self.j.conj().T
 
+    def tri_residual(self, hs: np.ndarray, grid: Grid) -> float:
+        """Max vertex residual of J conj(H(tau x)) J^dagger - H(x) for the
+        evaluated stack hs = H(grid.points)."""
+        if hs.shape[1] != self.dim:
+            raise DomainError("Hamiltonian and J dimensions differ")
+        return max_abs(self.conjugate_field(hs[grid.tau_vertex]) - hs)
+
 
 @dataclass(frozen=True)
 class HamiltonianField:
@@ -85,11 +92,7 @@ class HamiltonianField:
 
 def check_tri(h_field: HamiltonianField, grid: Grid, tol: float = 1e-9):
     """Max vertex residual of J conj(H(tau x)) J^dagger - H(x), and pass flag."""
-    hs = h_field(grid.points)
-    if hs.shape[1] != h_field.t.dim:
-        raise DomainError("Hamiltonian and J dimensions differ")
-    mapped = h_field.t.conjugate_field(hs[grid.tau_vertex])
-    residual = max_abs(mapped - hs)
+    residual = h_field.t.tri_residual(h_field(grid.points), grid)
     return residual, residual <= tol
 
 
@@ -166,6 +169,12 @@ class Spectrum:
     def n_a(self) -> int:
         return self.energies.shape[1]
 
+    @classmethod
+    def from_stack(cls, hs: np.ndarray, grid: Grid) -> "Spectrum":
+        """Eigendecomposition of the evaluated stack hs = H(grid.points)."""
+        w, v = numkit.eigh_many(hs)
+        return cls(grid=grid, energies=w, vectors=v)
+
     def band_vectors(self, group: "BandGroup") -> np.ndarray:
         return self.vectors[:, :, group.first : group.last + 1]
 
@@ -186,9 +195,7 @@ class Spectrum:
 
 
 def spectrum_on_grid(h_field: HamiltonianField, grid: Grid) -> Spectrum:
-    hs = h_field(grid.points)
-    w, v = numkit.eigh_many(hs)
-    return Spectrum(grid=grid, energies=w, vectors=v)
+    return Spectrum.from_stack(h_field(grid.points), grid)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from .bands import (
     HamiltonianField,
     Spectrum,
     TransitionLoop,
-    check_tri,
     find_gapped_groups,
     frame_residuals,
     kramers_check,
@@ -491,10 +490,11 @@ def analyze_model(h_field: HamiltonianField, grid: Grid,
     Raises TRIViolationError, which carries the residual, when the field is
     not TRI at tri_tol (controls are reported upstream).
     """
-    tri_residual, ok = check_tri(h_field, grid, tol.tri_tol)
-    if not ok:
+    hs = h_field(grid.points)  # one evaluation serves the TRI check and eigh
+    tri_residual = h_field.t.tri_residual(hs, grid)
+    if not tri_residual <= tol.tri_tol:  # a NaN residual fails as well
         raise TRIViolationError(tri_residual, tol.tri_tol)
-    spectrum = spectrum_on_grid(h_field, grid)
+    spectrum = Spectrum.from_stack(hs, grid)
     groups = find_gapped_groups(spectrum, tol.gap_floor)
     results = []
     for gid, group in enumerate(groups):

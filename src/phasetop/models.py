@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bands import (AntiUnitary, BandGroup, HamiltonianField, group_for_range,
-                    spectrum_on_grid, symmetrize_tri)
+                    spectrum_on_grid)
 from .errors import ConfigError, ResolutionError, TrackingError
 from .invariants import chern_plaquette
 from .phasespace import Grid, Manifold, tr_image_batch
@@ -77,9 +77,98 @@ def _probe_points(manifold: Manifold) -> np.ndarray:
     return np.stack([a.ravel(), b.ravel()], axis=1)
 
 
-# multiply-adds per torus field product: small enough that BLAS runs it on the
+# multiply-adds per field product: small enough that BLAS runs it on the
 # calling thread and its operands stay in cache
 _FIELD_PRODUCT = 1 << 17
+
+
+def _coefficient_table(manifold: Manifold, n: int, cutoff: int, seed: int):
+    """Random low-frequency field H(x) = basis(x) @ table, and how tau acts.
+
+    Sphere: the monomials in the direction vector up to total degree
+    `cutoff`.  Torus: the trigonometric modes with |a|, |b| <= cutoff.
+    Returns (basis, table, partner, sign): basis maps (m, 2) points to an
+    (m, R) real array, table is an (R, n, n) stack of Hermitian coefficients,
+    and basis(tau x)[:, r] = sign[r] * basis(x)[:, partner[r]].
+    """
+    rng = np.random.default_rng(seed)
+    if manifold == Manifold.SPHERE:
+        monos = np.array([
+            (a, b, c)
+            for a in range(cutoff + 1)
+            for b in range(cutoff + 1 - a)
+            for c in range(cutoff + 1 - a - b)
+        ])
+        table = np.stack([_random_hermitian(rng, n) for _ in monos])
+
+        def basis(pts: np.ndarray) -> np.ndarray:
+            nvec = directions(pts)
+            powers = np.ones((nvec.shape[0], 3, cutoff + 1))
+            for k in range(1, cutoff + 1):
+                powers[:, :, k] = powers[:, :, k - 1] * nvec
+            return (powers[:, 0, monos[:, 0]] * powers[:, 1, monos[:, 1]]
+                    * powers[:, 2, monos[:, 2]])
+
+        # tau is the antipodal map n -> -n: a degree-d monomial picks up (-1)^d
+        return basis, table, np.arange(len(monos)), (-1.0) ** monos.sum(axis=1)
+
+    modes = [(0, 0)]
+    for a in range(0, cutoff + 1):
+        for b in range(-cutoff, cutoff + 1):
+            if a == 0 and b <= 0:
+                continue
+            modes.append((a, b))
+    c = np.stack([_random_hermitian(rng, n)] + [_random_complex(rng, n) for _ in modes[1:]])
+    # e^{i theta} C + e^{-i theta} C^dagger = cos(theta) (C + C^dagger)
+    # + sin(theta) i (C - C^dagger), so the basis is [cos | sin] of the mode
+    # phases; the (0, 0) mode contributes C_00 alone
+    c_h = c.conj().transpose(0, 2, 1)
+    cos_part = np.concatenate([c[:1], c[1:] + c_h[1:]])
+    sin_part = np.concatenate([np.zeros_like(c[:1]), 1j * (c[1:] - c_h[1:])])
+    mode_a, mode_b = np.array(modes).T
+
+    def basis(pts: np.ndarray) -> np.ndarray:
+        theta = np.multiply.outer(pts[:, 0], mode_a) + np.multiply.outer(pts[:, 1], mode_b)
+        return np.hstack([np.cos(theta), np.sin(theta)])
+
+    # tau maps mode (a, b) to (a, -b); for a = 0 that is the mode itself with
+    # its sine negated
+    index = {mode: i for i, mode in enumerate(modes)}
+    mirror = np.array([index[(a, -b)] if a > 0 else i for i, (a, b) in enumerate(modes)])
+    flip = np.where((mode_a == 0) & (mode_b != 0), -1.0, 1.0)
+    return (basis, np.concatenate([cos_part, sin_part]),
+            np.concatenate([mirror, mirror + len(modes)]),
+            np.concatenate([np.ones(len(modes)), flip]))
+
+
+def _table_field(basis, table: np.ndarray):
+    """The field x -> basis(x) @ table as an (m, n, n) stack.
+
+    The complex table entries are read as (re, im) float pairs, so this is
+    one real product, split into blocks of _FIELD_PRODUCT multiply-adds.
+    """
+    n = table.shape[1]
+    flat = table.reshape(len(table), n * n).view(float)
+    block_points = max(1, _FIELD_PRODUCT // flat.size)
+
+    def evaluate(pts: np.ndarray) -> np.ndarray:
+        b = basis(np.atleast_2d(pts))
+        out = np.empty((b.shape[0], flat.shape[1]))
+        for start in range(0, b.shape[0], block_points):
+            np.matmul(b[start:start + block_points], flat,
+                      out=out[start:start + block_points])
+        return out.view(complex).reshape(-1, n, n)
+
+    return evaluate
+
+
+def _normalized_table(manifold: Manifold, n: int, cutoff: int, seed: int):
+    """_coefficient_table divided by the field's largest spectral norm over
+    the fixed probe set, so spectra spread over an O(1) range for every seed."""
+    basis, table, partner, sign = _coefficient_table(manifold, n, cutoff, seed)
+    probe = _table_field(basis, table)(_probe_points(manifold))
+    norm = float(np.max(np.linalg.norm(probe, 2, axis=(1, 2))))
+    return basis, table / norm, partner, sign
 
 
 def random_hermitian_field(manifold: Manifold, n: int, cutoff: int, seed: int):
@@ -90,63 +179,22 @@ def random_hermitian_field(manifold: Manifold, n: int, cutoff: int, seed: int):
     The field is normalized by its largest spectral norm over a fixed probe
     set, so spectra spread over an O(1) range for every seed.
     """
-    rng = np.random.default_rng(seed)
-    if manifold == Manifold.SPHERE:
-        monos = [
-            (a, b, c)
-            for a in range(cutoff + 1)
-            for b in range(cutoff + 1 - a)
-            for c in range(cutoff + 1 - a - b)
-        ]
-        coefs = np.stack([_random_hermitian(rng, n) for _ in monos])
+    basis, table, _, _ = _normalized_table(manifold, n, cutoff, seed)
+    return _table_field(basis, table)
 
-        def raw(pts: np.ndarray) -> np.ndarray:
-            nvec = directions(np.atleast_2d(pts))
-            vals = np.stack(
-                [nvec[:, 0] ** a * nvec[:, 1] ** b * nvec[:, 2] ** c for (a, b, c) in monos],
-                axis=1,
-            )
-            return np.einsum("vm,mij->vij", vals, coefs)
 
-    else:
-        modes = [(0, 0)]
-        for a in range(0, cutoff + 1):
-            for b in range(-cutoff, cutoff + 1):
-                if a == 0 and b <= 0:
-                    continue
-                modes.append((a, b))
-        coefs = [_random_hermitian(rng, n)] + [
-            _random_complex(rng, n) for _ in modes[1:]
-        ]
-        # e^{i theta} C + e^{-i theta} C^dagger = cos(theta) (C + C^dagger)
-        # + sin(theta) i (C - C^dagger), so the field is one real product
-        # [cos | sin] @ table, the complex table entries read as (re, im)
-        # pairs; the (0, 0) mode contributes C_00 alone
-        c = np.stack(coefs)
-        c_h = c.conj().transpose(0, 2, 1)
-        cos_part = np.concatenate([c[:1], c[1:] + c_h[1:]])
-        sin_part = np.concatenate([np.zeros_like(c[:1]), 1j * (c[1:] - c_h[1:])])
-        table = np.concatenate([cos_part, sin_part]).reshape(2 * len(modes), n * n).view(float)
-        mode_a, mode_b = np.array(modes).T
-        block_points = max(1, _FIELD_PRODUCT // table.size)
+def _random_tri_field(t: AntiUnitary, manifold: Manifold, cutoff: int, seed: int,
+                      scale: float):
+    """scale times the TRI group average of random_hermitian_field.
 
-        def raw(pts: np.ndarray) -> np.ndarray:
-            pts = np.atleast_2d(pts)
-            out = np.empty((pts.shape[0], 2 * n * n))
-            for start in range(0, pts.shape[0], block_points):
-                block = pts[start:start + block_points]
-                theta = (np.multiply.outer(block[:, 0], mode_a)
-                         + np.multiply.outer(block[:, 1], mode_b))
-                np.matmul(np.hstack([np.cos(theta), np.sin(theta)]), table,
-                          out=out[start:start + block_points])
-            return out.view(complex).reshape(-1, n, n)
-
-    norm = float(np.max(np.linalg.norm(raw(_probe_points(manifold)), 2, axis=(1, 2))))
-
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        return raw(pts) / norm
-
-    return evaluate
+    The condition J conj(H(tau x)) J^dagger = H(x) is linear in H, so the
+    average is taken once, on the coefficient table: row r becomes
+    (C_r + sign_r J conj(C_partner(r)) J^dagger) / 2.  The norm is that of
+    the raw field, so this equals symmetrize_tri of it up to rounding.
+    """
+    basis, table, partner, sign = _normalized_table(manifold, t.dim, cutoff, seed)
+    tri = 0.5 * (table + sign[:, None, None] * t.conjugate_field(table[partner]))
+    return _table_field(basis, scale * tri)
 
 
 # mode cutoff of the random TRI perturbations added to the structured models
@@ -155,13 +203,7 @@ _PERTURBATION_CUTOFF = 2
 
 def _tri_perturbation(t: AntiUnitary, manifold: Manifold, strength: float, seed: int):
     """TRI-symmetrized random field of sup norm <= strength."""
-    raw = random_hermitian_field(manifold, t.dim, _PERTURBATION_CUTOFF, seed)
-    symmetrized = symmetrize_tri(raw, t, manifold)
-
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        return strength * symmetrized.evaluate(pts)
-
-    return evaluate
+    return _random_tri_field(t, manifold, _PERTURBATION_CUTOFF, seed, strength)
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +316,9 @@ def random_tri(manifold, n_a: int = 4, cutoff: int = 3, seed: int = 0,
         t = AntiUnitary(
             np.kron(np.array([[0, -1], [1, 0]], dtype=complex), np.eye(n_a // 2))
         )
-    raw = random_hermitian_field(manifold, n_a, cutoff, seed)
-    base = symmetrize_tri(raw, t, manifold)
-
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        return scale * base.evaluate(pts)
-
     return HamiltonianField(
-        n_a=n_a, manifold=manifold, t=t, evaluate=evaluate,
+        n_a=n_a, manifold=manifold, t=t,
+        evaluate=_random_tri_field(t, manifold, cutoff, seed, scale),
         label="RandomTRI",
         params={"manifold": manifold.value, "n_a": n_a, "cutoff": cutoff, "seed": seed},
     )

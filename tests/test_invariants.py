@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -302,8 +304,16 @@ def test_analyze_model_rejects_control():
 
 def test_analyze_model_solves_one_spectrum(monkeypatch):
     # four rank-1 groups with no refinement and no domain rotation: every
-    # group is verified against the discovery spectrum
-    h = models.rotor_spin(1.5)
+    # group is verified against the discovery spectrum, and one evaluation of
+    # H serves the TRI check and that spectrum
+    rotor = models.rotor_spin(1.5)
+    evaluated = []
+
+    def evaluate(pts):
+        evaluated.append(len(pts))
+        return rotor.evaluate(pts)
+
+    h = dataclasses.replace(rotor, evaluate=evaluate)
     calls = []
     eigh_many = numkit.eigh_many
 
@@ -314,6 +324,7 @@ def test_analyze_model_solves_one_spectrum(monkeypatch):
     monkeypatch.setattr(numkit, "eigh_many", counted)
     _, groups, results = invariants.analyze_model(h, SPHERE_GRID, TOL)
     assert len(calls) == 1
+    assert evaluated == [SPHERE_GRID.n_vertices]
     monkeypatch.undo()
     assert len(groups) == 4
     for group, (rep, _) in zip(groups, results):

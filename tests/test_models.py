@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import phasetop
 from phasetop import bands, invariants, models, numkit
 from phasetop.errors import ConfigError, GapError, TrackingError
 from phasetop.phasespace import Manifold, build_grid
@@ -113,6 +120,60 @@ def test_torus_field_matches_mode_sum():
     pts = np.random.default_rng(0).uniform(0.0, 2 * np.pi, (1000, 2))
     field = models.random_hermitian_field(Manifold.TORUS, n, cutoff, seed)
     assert numkit.max_abs(field(pts) - mode_sum(pts) / norm) <= 1e-12
+
+
+def test_sphere_field_matches_monomial_sum():
+    # the blocked real product against the monomial sum it stands for, on more
+    # points than one product block holds, both poles included
+    n, cutoff, seed = 4, 3, 11
+    rng = np.random.default_rng(seed)
+    monos = [(a, b, c) for a in range(cutoff + 1) for b in range(cutoff + 1 - a)
+             for c in range(cutoff + 1 - a - b)]
+    coefs = [models._random_hermitian(rng, n) for _ in monos]
+
+    def monomial_sum(pts):
+        nvec = models.directions(pts)
+        out = np.zeros((pts.shape[0], n, n), dtype=complex)
+        for (a, b, c), coef in zip(monos, coefs):
+            value = nvec[:, 0] ** a * nvec[:, 1] ** b * nvec[:, 2] ** c
+            out += value[:, None, None] * coef
+        return out
+
+    probe = monomial_sum(models._probe_points(Manifold.SPHERE))
+    norm = np.max(np.linalg.norm(probe, 2, axis=(1, 2)))
+    rng = np.random.default_rng(0)
+    pts = np.stack([np.arccos(rng.uniform(-1.0, 1.0, 1000)),
+                    rng.uniform(0.0, 2 * np.pi, 1000)], axis=1)
+    pts[:2] = [[0.0, 0.0], [np.pi, 1.0]]
+    field = models.random_hermitian_field(Manifold.SPHERE, n, cutoff, seed)
+    assert numkit.max_abs(field(pts) - monomial_sum(pts) / norm) <= 1e-12
+
+
+def test_field_products_run_on_calling_thread():
+    # BLAS worker threads would charge the process more CPU time than wall
+    # time; the measurement runs in a fresh interpreter, so threads that other
+    # tests left spinning do not count
+    script = textwrap.dedent("""
+        import os, time
+        from phasetop import models, phasespace
+        fields = [(models.random_tri(m, 4, seed=1), phasespace.build_grid(m, 128, 256))
+                  for m in ("sphere", "torus")]
+        for h, grid in fields:
+            h(grid.points)
+        cpu0, wall0 = os.times(), time.perf_counter()
+        for _ in range(5):
+            for h, grid in fields:
+                h(grid.points)
+        cpu1, wall1 = os.times(), time.perf_counter()
+        print(cpu1.user - cpu0.user + cpu1.system - cpu0.system, wall1 - wall0)
+    """)
+    src = str(Path(phasetop.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    cpu, wall = map(float, run.stdout.split())
+    # 0.05 s covers the 10 ms clock ticks of user and system time
+    assert cpu <= 1.2 * wall + 0.05, f"CPU {cpu:.2f} s in {wall:.2f} s of wall time"
 
 
 def test_build_dispatch_and_validation():

@@ -1,13 +1,16 @@
 """Property tests: stacked kernels against per-matrix and per-plaquette
-references, and gauge invariance of the lattice Chern number."""
+references, gauge invariance of the lattice Chern number, the declared
+orientation, TRI random fields, and deformation brackets."""
+
+import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasetop import bands, invariants, models, numkit
-from phasetop.errors import ResolutionError, SingularityError
+from phasetop.errors import PhasetopError, ResolutionError, SingularityError
 from phasetop.phasespace import Manifold, build_grid, fundamental_domain
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -160,3 +163,92 @@ def test_chern_plaquette_gauge_invariant(seed, case):
     curv_g, c_g = invariants.chern_plaquette(slabs @ gauge, grid)
     assert c_g == c
     assert numkit.max_abs(curv_g.flux - curv.flux) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the declared orientation
+
+
+# perturbed zoo models whose lower pair has c = +-2 and k = +-1
+ORIENTATION_CASES = [
+    (lambda seed: models.kramers_pair_sphere(0.1, seed), build_grid(Manifold.SPHERE, 16, 32)),
+    (lambda seed: models.torus_doubled_chern(1.0, 0.1, seed), build_grid(Manifold.TORUS, 16, 32)),
+    (lambda seed: models.torus_doubled_chern(-1.0, 0.1, seed), build_grid(Manifold.TORUS, 16, 32)),
+]
+
+
+def reversed_orientation(domain):
+    """The domain with every plaquette and boundary loop traversed backwards."""
+    grid = dataclasses.replace(domain.grid, plaquettes=domain.grid.plaquettes[:, ::-1])
+    return dataclasses.replace(
+        domain, grid=grid, boundary_loops=tuple(loop[::-1] for loop in domain.boundary_loops)
+    )
+
+
+def assert_negated(run, original, flipped):
+    """run(flipped) == -run(original), or both fail with the same error type."""
+    try:
+        want = run(original)
+    except PhasetopError as exc:
+        with pytest.raises(type(exc)):
+            run(flipped)
+        return
+    assert run(flipped) == -want
+
+
+@settings(max_examples=6)
+@given(seed=st.integers(0, 10**6), case=st.integers(0, len(ORIENTATION_CASES) - 1))
+def test_orientation_flip_negates_c_and_k(seed, case):
+    build, grid = ORIENTATION_CASES[case]
+    h = build(seed)
+    spec = bands.spectrum_on_grid(h, grid)
+    group = bands.group_for_range(spec, 0, 1, 0.05)
+    domain = fundamental_domain(spec.grid)
+    mf = invariants.m_field(bands.smooth_frame(spec, group, domain), h.t)
+    flipped = reversed_orientation(domain)
+    vectors = spec.band_vectors(group)
+    assert_negated(lambda g: invariants.chern_plaquette(vectors, g)[1],
+                   domain.grid, flipped.grid)
+    flipped_mf = dataclasses.replace(mf, domain=flipped)
+    assert_negated(invariants.km_boundary, mf, flipped_mf)
+    assert_negated(lambda m: invariants.km_census(m).total, mf, flipped_mf)
+
+
+# ---------------------------------------------------------------------------
+# TRI random fields: averaging the coefficients equals averaging the samples
+
+
+@given(seed=SEEDS, manifold=st.sampled_from([Manifold.SPHERE, Manifold.TORUS]),
+       n_a=st.sampled_from([2, 4, 6]), cutoff=st.sampled_from([1, 2, 3]))
+def test_random_tri_averages_coefficients_like_samples(seed, manifold, n_a, cutoff):
+    h = models.random_tri(manifold, n_a, cutoff=cutoff, seed=seed)
+    raw = models.random_hermitian_field(manifold, n_a, cutoff, seed)
+    averaged = bands.symmetrize_tri(raw, h.t, manifold)
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 2 * np.pi, (200, 2))
+    if manifold == Manifold.SPHERE:
+        pts[:, 0] = np.arccos(rng.uniform(-1.0, 1.0, 200))
+        pts[:2, 0] = [0.0, np.pi]  # both poles
+    else:
+        pts[:50, 1] = 0.0  # the TRI lines p = 0 and p = pi
+        pts[50:100, 1] = np.pi
+    assert numkit.max_abs(h(pts) - averaged(pts)) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# deformation paths
+
+
+TRI_PATH_GRID = build_grid(Manifold.TORUS, 16, 32)
+
+
+@settings(max_examples=5)
+@given(m0=st.floats(0.5, 1.5), m1=st.floats(2.5, 3.5), steps=st.integers(5, 11))
+def test_tri_path_brackets_doubled_chern_closing(m0, m1, steps):
+    # H_s is TorusDoubledChern at m = (1 - s) m0 + s m1, whose lower pair
+    # closes its gap at m = 2 only
+    path = models.tri_path(models.torus_doubled_chern(m0), models.torus_doubled_chern(m1),
+                           TRI_PATH_GRID, (0, 1), steps=steps, gap_floor=1e-3)
+    assert path.verdict == "GAP-CLOSES"
+    lo, hi = path.closing_bracket
+    assert lo <= (2.0 - m0) / (m1 - m0) <= hi
