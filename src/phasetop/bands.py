@@ -248,10 +248,6 @@ class Frame:
     def at(self, vid: int) -> np.ndarray:
         return self.data[self.domain.local_index[vid]]
 
-    def boundary_samples(self, which: int = 0) -> np.ndarray:
-        loop = self.domain.boundary_loops[which]
-        return self.data[self.domain.local_index[loop]]
-
 
 def _transport(slab: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Move frame u into the eigenspace spanned by slab's columns.
@@ -339,10 +335,9 @@ def smooth_frame(spectrum: Spectrum, group: BandGroup, domain: FundamentalDomain
 class TransitionLoop:
     """Unitary transition matrices sampled along a boundary loop."""
 
-    kind: str                  # "sphere-equator" or "torus-line"
     samples: np.ndarray        # (L, N_B, N_B)
     unitarity: float
-    symmetry_residual: float   # U(phi+pi)^t + U(phi) (sphere) or U + U^t (torus)
+    symmetry_residual: float   # max |U(tau x)^t + U(x)| over the loop
 
     @property
     def rank(self) -> int:
@@ -358,44 +353,30 @@ def _unitarity(samples: np.ndarray) -> float:
     return float(max_abs(prods - np.eye(nb)))
 
 
-def transition_loop_sphere(frame: Frame, t: AntiUnitary) -> TransitionLoop:
-    """Equator transition matrices U with T u(phi+pi) = u(phi) U(phi)^t.
+def transition_loops(frame: Frame, t: AntiUnitary) -> tuple[TransitionLoop, ...]:
+    """Transition matrices U with T u(tau x) = u(x) U(x)^t, one TransitionLoop
+    per boundary loop of the frame's domain.
 
-    Fermionic TR forces U(phi+pi)^t = -U(phi) exactly at sample level.
+    tau moves each loop's samples by the domain's tau_shift (a half turn of
+    the sphere equator, none on the torus TRI lines), and fermionic TR forces
+    U(tau x)^t = -U(x) exactly at sample level.
     """
-    if frame.domain.grid.manifold != Manifold.SPHERE:
-        raise DomainError("sphere transition loop requires a sphere frame")
-    eq = frame.boundary_samples(0)
-    L = eq.shape[0]
-    shifted = t.apply(np.roll(eq, -L // 2, axis=0))
-    u = np.einsum("vji,vjk->vik", eq.conj(), shifted).transpose(0, 2, 1)
-    unit = _unitarity(u)
-    if unit > 1e-9:
-        raise DomainError(
-            f"transition matrices not unitary ({unit:.2e}); frame does not span "
-            "the band group or the gap failed"
-        )
-    anti = float(max_abs(np.roll(u, -L // 2, axis=0).transpose(0, 2, 1) + u))
-    return TransitionLoop("sphere-equator", u, unit, anti)
-
-
-def transition_loops_torus(frame: Frame, t: AntiUnitary):
-    """Transition loops U+ (p=0) and U- (p=pi); both skew-symmetric unitary."""
-    if frame.domain.grid.manifold != Manifold.TORUS:
-        raise DomainError("torus transition loops require a torus frame")
-    out = []
-    for which in (0, 1):
-        row = frame.boundary_samples(which)
-        m = np.einsum("vji,vjk->vik", row.conj(), t.apply(row))
-        u = m.transpose(0, 2, 1)
+    dom = frame.domain
+    shift = dom.tau_shift
+    loops = []
+    for loop in dom.boundary_loops:
+        u_b = frame.data[dom.local_index[loop]]
+        mirrored = t.apply(np.roll(u_b, -shift, axis=0))
+        u = np.einsum("vji,vjk->vik", u_b.conj(), mirrored).transpose(0, 2, 1)
         unit = _unitarity(u)
         if unit > 1e-9:
             raise DomainError(
-                f"TRI-line transition matrices not unitary ({unit:.2e})"
+                f"transition matrices not unitary ({unit:.2e}); frame does not span "
+                "the band group or the gap failed"
             )
-        skew = float(max_abs(u + u.transpose(0, 2, 1)))
-        out.append(TransitionLoop("torus-line", u, unit, skew))
-    return out[0], out[1]
+        sym = float(max_abs(np.roll(u, -shift, axis=0).transpose(0, 2, 1) + u))
+        loops.append(TransitionLoop(u, unit, sym))
+    return tuple(loops)
 
 
 def kramers_check(spectrum: Spectrum, grid: Grid) -> float:

@@ -20,13 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, gauge, models
-from .bands import (
-    group_for_range,
-    smooth_frame,
-    spectrum_on_grid,
-    transition_loop_sphere,
-    transition_loops_torus,
-)
+from .bands import group_for_range, smooth_frame, spectrum_on_grid, transition_loops
 from .errors import (
     ConfigError,
     GapError,
@@ -34,12 +28,7 @@ from .errors import (
     ResolutionError,
     TRIViolationError,
 )
-from .invariants import (
-    Tolerances,
-    analyze_model,
-    chern_winding_sphere,
-    chern_winding_torus,
-)
+from .invariants import Tolerances, analyze_model, chern_winding
 from .phasespace import Manifold, build_grid, fundamental_domain
 
 SCHEMA_VERSION = 1
@@ -205,6 +194,13 @@ def _failed_global(status: str, tri_residual, error: str) -> dict:
             "sum_rule_ok": None, "error": error}
 
 
+def _write_table(path: Path, header: str, *columns) -> None:
+    """A CSV table with one row per entry of the equal-length columns."""
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    path.write_text("\n".join([header, *(",".join(map(repr, row)) for row in rows)])
+                    + "\n")
+
+
 def _write_dumps(dump_dir: str, verified) -> None:
     """Per-group tables, each on the grid its report names."""
     out = Path(dump_dir)
@@ -212,26 +208,20 @@ def _write_dumps(dump_dir: str, verified) -> None:
     for rep, fld in verified:
         curv = fld.curvature
         grid = curv.grid
-        lines = ["lat_index,lon_index,flux"]
-        for pid in range(grid.n_plaquettes):
-            lines.append(
-                f"{grid.plaq_lat[pid]},{grid.plaq_lon[pid]},{float(curv.flux[pid])!r}"
-            )
-        (out / f"curvature_group{rep.group_id}.csv").write_text("\n".join(lines) + "\n")
+        gid = rep.group_id
+        _write_table(out / f"curvature_group{gid}.csv", "lat_index,lon_index,flux",
+                     grid.plaq_lat, grid.plaq_lon, curv.flux)
         mf = fld.m_field
         if mf is None:
             continue
-        lines = ["lat_index,lon_index,abs_pf"]
-        for local, vid in enumerate(mf.domain.vertex_ids):
-            lines.append(
-                f"{grid.vertex_lat[vid]},{grid.vertex_lon[vid]},"
-                f"{float(abs(mf.pf[local]))!r}"
-            )
-        (out / f"pf_abs_group{rep.group_id}.csv").write_text("\n".join(lines) + "\n")
-        lines = ["plaquette,index"]
-        for pid, widx in rep.census_entries:
-            lines.append(f"{pid},{widx}")
-        (out / f"census_group{rep.group_id}.csv").write_text("\n".join(lines) + "\n")
+        vids = mf.domain.vertex_ids
+        # hypot is the scalar complex modulus; np.abs of a complex array can
+        # differ from it in the last bit
+        _write_table(out / f"pf_abs_group{gid}.csv", "lat_index,lon_index,abs_pf",
+                     grid.vertex_lat[vids], grid.vertex_lon[vids],
+                     np.hypot(mf.pf.real, mf.pf.imag))
+        _write_table(out / f"census_group{gid}.csv", "plaquette,index",
+                     *zip(*rep.census_entries))
 
 
 def cmd_analyze(args) -> int:
@@ -351,12 +341,6 @@ def cmd_random_suite(args) -> int:
                 violations.append({"seed": seed, "group": rep.group_id,
                                    "kind": "curvature-evenness",
                                    "residual": rep.curvature_evenness})
-            if manifold == Manifold.TORUS and (
-                rep.rank % 2 != 0 or rep.c_plaquette % 2 != 0
-            ):
-                violations.append({"seed": seed, "group": rep.group_id,
-                                   "kind": "torus-evenness", "c": rep.c_plaquette,
-                                   "rank": rep.rank})
             if rep.rank % 2 == 0:
                 tally["even_rank_groups"] += 1
                 if rep.k is not None:
@@ -436,9 +420,10 @@ def cmd_gauge_demo(args) -> int:
         "grid": {"n_lat": grid.n_lat, "n_lon": grid.n_lon},
     })
 
+    loops = transition_loops(frame, h_field.t)
+    measured_c = chern_winding(loops)
     if h_field.manifold == Manifold.SPHERE:
-        loop = transition_loop_sphere(frame, h_field.t)
-        measured_c = chern_winding_sphere(loop)
+        (loop,) = loops
         target_c = measured_c if args.target_c is None else args.target_c
         if (target_c - group.rank) % 2 != 0:
             raise ConfigError(
@@ -458,9 +443,7 @@ def cmd_gauge_demo(args) -> int:
         })
         if obstruction == 0:
             ext = gauge.extend_to_disk(w, dom)
-            regauged = transition_loop_sphere(
-                gauge.regauge_frame(frame, ext), h_field.t
-            )
+            (regauged,) = transition_loops(gauge.regauge_frame(frame, ext), h_field.t)
             mismatch = float(np.max(np.abs(regauged.samples - nf.samples)))
             report.update({
                 "extension_success": True,
@@ -476,9 +459,7 @@ def cmd_gauge_demo(args) -> int:
                           "from the measured one",
             })
     else:
-        u_plus, u_minus = transition_loops_torus(frame, h_field.t)
-        measured_c = chern_winding_torus(u_plus, u_minus)
-        nf = gauge.skew_normal_form(u_plus, u_minus, measured_c)
+        nf = gauge.skew_normal_form(*loops, measured_c)
         wd = nf.windings
         report.update({
             "measured_c": measured_c,

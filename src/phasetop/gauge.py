@@ -41,7 +41,7 @@ def normal_form_loop(c: int, n_b: int, samples: int) -> TransitionLoop:
     v[:, diag, diag] = np.exp(1j * phi)[:, None]
     v[:, 0, 0] = np.exp(1j * (c - n_b + 1) * phi)
     anti = float(max_abs(np.roll(v, -samples // 2, axis=0).transpose(0, 2, 1) + v))
-    return TransitionLoop("sphere-equator", v, 0.0, anti)
+    return TransitionLoop(v, 0.0, anti)
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def _geodesic(start: np.ndarray, end: np.ndarray, ts: np.ndarray) -> np.ndarray:
         first = _geodesic(start, start @ way, np.clip(2 * ts, 0, 1))
         second = _geodesic(start @ way, end, np.clip(2 * ts - 1, 0, 1))
         return np.where((ts <= 0.5)[:, None, None], first, second)
-    return np.stack([start @ numkit.unitary_power(q, ph, t) for t in ts])
+    return start @ numkit.unitary_power(q, ph, ts)
 
 
 def solve_equator_gauge(u_loop: TransitionLoop, v_loop: TransitionLoop) -> GaugeLoop:
@@ -336,8 +336,7 @@ def _pair_congruence(u_samples: np.ndarray) -> np.ndarray:
     holonomy = x_cols[0].conj().T @ closed
     if max_abs(holonomy - np.eye(nb)) > 1e-12:
         q_h, ph_h = numkit.unitary_gap_log(holonomy)
-        for j in range(L):
-            x_cols[j] = x_cols[j] @ numkit.unitary_power(q_h, ph_h, -j / L)
+        x_cols = x_cols @ numkit.unitary_power(q_h, ph_h, -np.arange(L) / L)
     return x_cols
 
 

@@ -6,8 +6,13 @@ Orientation convention.  Plaquette corner lists are stored in coordinate
 orientation; Berry fluxes are accumulated traversing each plaquette in the
 reverse (d(phi)^d(theta), dp^dq) order.  With that declared orientation the
 lattice total (1/2pi) sum F_P equals the boundary-winding Chern number
-c = wn det U (sphere) and c = wn det U+ - wn det U- (torus) exactly, so the
-two pipelines can be required to agree integer-for-integer.
+exactly, so the two pipelines can be required to agree integer-for-integer.
+The boundary winding is one oriented sum over the fundamental domain's
+boundary loops, whose induced orientation alternates in sign:
+chern_winding gives c = sum_i (-1)^i wn det U_i over the loops that
+transition_loops builds (wn det U on the sphere equator, wn det U+ -
+wn det U- on the torus lines p = 0, pi), and km_boundary takes the same sum
+of Pfaffian windings.
 """
 
 from __future__ import annotations
@@ -30,8 +35,7 @@ from .bands import (
     rotated_field,
     smooth_frame,
     spectrum_on_grid,
-    transition_loop_sphere,
-    transition_loops_torus,
+    transition_loops,
 )
 from .errors import (
     BoundaryZeroError,
@@ -126,16 +130,15 @@ def evenness_tolerance(curv: CurvatureField, rel: float = 1e-6) -> float:
     return rel * float(np.max(np.abs(curv.flux))) + 1e-9
 
 
-def chern_winding_sphere(loop: TransitionLoop) -> int:
-    """Chern number as the winding of det U around the equator."""
-    return numkit.winding_number(loop.det_loop())
+def _oriented_sum(windings) -> int:
+    """sum_i (-1)^i w_i: the boundary loops' induced orientation alternates."""
+    return sum((-1) ** i * w for i, w in enumerate(windings))
 
 
-def chern_winding_torus(u_plus: TransitionLoop, u_minus: TransitionLoop) -> int:
-    """Chern number as wn det U+ - wn det U-; always even for TRI groups."""
-    return numkit.winding_number(u_plus.det_loop()) - numkit.winding_number(
-        u_minus.det_loop()
-    )
+def chern_winding(loops: tuple[TransitionLoop, ...]) -> int:
+    """Chern number as the oriented boundary sum of det U windings; always
+    even for TRI groups on the torus."""
+    return _oriented_sum(numkit.winding_number(loop.det_loop()) for loop in loops)
 
 
 @dataclass(frozen=True)
@@ -169,8 +172,7 @@ def m_field(frame: Frame, t: AntiUnitary, zero_floor: float = 1e-4) -> MField:
                   skew_residual=skew, small_pf_vertices=small)
 
 
-def _pf_on_loop(mf: MField, which: int, zero_floor: float) -> np.ndarray:
-    loop = mf.domain.boundary_loops[which]
+def _pf_on_loop(mf: MField, loop: np.ndarray, zero_floor: float) -> np.ndarray:
     pf = mf.pf[mf.domain.local_index[loop]]
     lo = float(np.min(np.abs(pf)))
     if lo <= zero_floor:
@@ -182,15 +184,11 @@ def _pf_on_loop(mf: MField, which: int, zero_floor: float) -> np.ndarray:
 
 
 def km_boundary(mf: MField, zero_floor: float = 1e-4) -> int:
-    """Kane-Mele integer from Pfaffian winding along the domain boundary."""
+    """Kane-Mele integer: the oriented boundary sum of pf M windings."""
     if mf.pf is None:
         raise DomainError("Kane-Mele index needs even band-group rank")
-    grid = mf.domain.grid
-    if grid.manifold == Manifold.SPHERE:
-        return numkit.winding_number(_pf_on_loop(mf, 0, zero_floor))
-    w0 = numkit.winding_number(_pf_on_loop(mf, 0, zero_floor))
-    w1 = numkit.winding_number(_pf_on_loop(mf, 1, zero_floor))
-    return w0 - w1
+    return _oriented_sum(numkit.winding_number(_pf_on_loop(mf, loop, zero_floor))
+                         for loop in mf.domain.boundary_loops)
 
 
 @dataclass(frozen=True)
@@ -371,21 +369,14 @@ def _verify_once(h_field: HamiltonianField, group: BandGroup, grid: Grid,
         "frame_continuity_const": frame.continuity_const,
     }
 
+    loops = transition_loops(frame, h_field.t)
+    c_wind = chern_winding(loops)
     sphere = grid.manifold == Manifold.SPHERE
-    if sphere:
-        loop = transition_loop_sphere(frame, h_field.t)
-        c_wind = chern_winding_sphere(loop)
-        residuals["loop_unitarity"] = loop.unitarity
-        residuals["loop_antisymmetry"] = loop.symmetry_residual
-        kram = None
-    else:
-        u_plus, u_minus = transition_loops_torus(frame, h_field.t)
-        c_wind = chern_winding_torus(u_plus, u_minus)
-        residuals["loop_unitarity"] = max(u_plus.unitarity, u_minus.unitarity)
-        residuals["loop_skewness"] = max(
-            u_plus.symmetry_residual, u_minus.symmetry_residual
-        )
-        kram = kramers_check(spectrum, grid)
+    residuals["loop_unitarity"] = max(loop.unitarity for loop in loops)
+    residuals["loop_antisymmetry" if sphere else "loop_skewness"] = max(
+        loop.symmetry_residual for loop in loops
+    )
+    kram = None if sphere else kramers_check(spectrum, grid)
 
     consistent = c_plq == c_wind
     nb = group.rank

@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bands import (AntiUnitary, BandGroup, HamiltonianField, group_for_range,
-                    spectrum_on_grid)
+from .bands import AntiUnitary, BandGroup, HamiltonianField, Spectrum, group_for_range
 from .errors import ConfigError, ResolutionError, TrackingError
 from .invariants import chern_plaquette
 from .phasespace import Grid, Manifold, tr_image_batch
@@ -431,15 +430,18 @@ def tri_path(
     if np.max(np.abs(h0.t.j - h1.t.j)) > 1e-12:
         raise TrackingError("endpoints carry different time-reversal operators")
     first, last = band_range
+    # each endpoint field is evaluated once; every probe mixes the two stacks
+    ends = []
+    for h in (h0, h1):
+        hs = h(grid.points)
+        # GapError when an endpoint is not gapped
+        group_for_range(Spectrum.from_stack(hs, grid), first, last, gap_floor)
+        ends.append(hs)
+    hs0, hs1 = ends
 
     def probe(s: float):
         """(min_gap, c or None) of the tracked range at parameter s."""
-
-        def evaluate(pts, s=s):
-            return (1.0 - s) * h0.evaluate(pts) + s * h1.evaluate(pts)
-
-        hs = HamiltonianField(h0.n_a, h0.manifold, h0.t, evaluate)
-        spec = spectrum_on_grid(hs, grid)
+        spec = Spectrum.from_stack((1.0 - s) * hs0 + s * hs1, grid)
         min_gap = spec.bounding_gap(first, last)
         if min_gap <= gap_floor:
             return min_gap, None
@@ -451,10 +453,6 @@ def tri_path(
             # effectively degenerate at this scale, same as a closing
             return min_gap, None
         return min_gap, c
-
-    for h in (h0, h1):
-        spec = spectrum_on_grid(h, grid)
-        group_for_range(spec, first, last, gap_floor)  # GapError when ungapped
 
     records = []
     bracket = None

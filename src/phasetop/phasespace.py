@@ -167,13 +167,23 @@ class FundamentalDomain:
     Sphere: the closed northern hemisphere (rows 0 .. n_lat/2), boundary the
     equator.  Torus: the closed cylinder 0 <= p <= pi (rows 0 .. n_lat/2),
     boundaries the two TRI lines p = 0 and p = pi.
+
+    Each boundary loop runs along its row in increasing column order.  The
+    orientation the domain induces on its boundary alternates in sign, loop 0
+    first: the equator and the p = 0 line count with +1, the p = pi line with
+    -1, so a boundary integral is sum_i (-1)^i over the stored loops.
+
+    tau maps every boundary loop to itself, sample i to sample
+    i + tau_shift (mod n_lon): a half turn of the equator (n_lon/2) on the
+    sphere, the identity on the torus lines, which tau fixes point by point.
     """
 
     grid: Grid
     vertex_ids: np.ndarray            # domain vertices, fixed order
     local_index: np.ndarray           # grid vid -> local index (-1 outside)
     plaq_ids: np.ndarray              # plaquettes contained in the domain
-    boundary_loops: tuple             # loops of vids, consistent orientation
+    boundary_loops: tuple             # loops of vids, along increasing column
+    tau_shift: int                    # tau on a boundary loop, in samples
     edges: np.ndarray = field(repr=False)  # (E, 2) vids of adjacent domain vertices
 
     @property
@@ -197,8 +207,10 @@ def fundamental_domain(grid: Grid) -> FundamentalDomain:
         vertex_ids = np.concatenate([[pole], vertex_ids])
         edges = np.concatenate([np.stack([np.full_like(cols, pole), rows[0]], axis=1), edges])
         boundary = (grid.row_vids(half),)
+        tau_shift = grid.n_lon // 2
     else:
         boundary = (grid.row_vids(0), grid.row_vids(half))
+        tau_shift = 0
 
     local = np.full(grid.n_vertices, -1, dtype=int)
     local[vertex_ids] = np.arange(vertex_ids.size)
@@ -211,6 +223,7 @@ def fundamental_domain(grid: Grid) -> FundamentalDomain:
         local_index=local,
         plaq_ids=plaq_ids,
         boundary_loops=boundary,
+        tau_shift=tau_shift,
         edges=edges,
     )
 

@@ -201,15 +201,15 @@ def test_criterion_7_gauge_pipeline(tmp_path):
         group = bands.group_for_range(spec, first, last, 0.05)
         dom = fundamental_domain(grid)
         frame = bands.smooth_frame(spec, group, dom)
-        u = bands.transition_loop_sphere(frame, h.t)
-        c = invariants.chern_winding_sphere(u)
+        u = bands.transition_loops(frame, h.t)[0]
+        c = invariants.chern_winding((u,))
         v = gauge.normal_form_loop(c, group.rank, grid.n_lon)
         w = gauge.solve_equator_gauge(u, v)
         assert w.residual_pi <= 1e-8, h.label
         assert w.residual_2pi <= 1e-8, h.label
         assert gauge.winding_obstruction(w) == 0
         ext = gauge.extend_to_disk(w, dom)
-        regauged = bands.transition_loop_sphere(gauge.regauge_frame(frame, ext), h.t)
+        regauged = bands.transition_loops(gauge.regauge_frame(frame, ext), h.t)[0]
         assert numkit.max_abs(regauged.samples - v.samples) <= 1e-6, h.label
         # mismatched class: obstruction +-1 and no extension
         v2 = gauge.normal_form_loop(c + 2, group.rank, grid.n_lon)

@@ -205,7 +205,7 @@ def test_transition_loop_sphere_antisymmetry_exact():
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 0, 0.5)
     frame = bands.smooth_frame(spec, group, fundamental_domain(grid))
-    loop = bands.transition_loop_sphere(frame, h.t)
+    loop = bands.transition_loops(frame, h.t)[0]
     assert loop.unitarity <= 1e-9
     assert loop.symmetry_residual <= 1e-12
 
@@ -216,7 +216,7 @@ def test_transition_loop_trivial_bundle_even_winding():
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, 0.5)
     frame = bands.smooth_frame(spec, group, fundamental_domain(grid))
-    loop = bands.transition_loop_sphere(frame, h.t)
+    loop = bands.transition_loops(frame, h.t)[0]
     w = numkit.winding_number(loop.det_loop())
     assert w % 2 == 0 and w == 0
 
@@ -231,7 +231,7 @@ def test_transition_loop_rejects_non_spanning_frame():
     broken = bands.Frame(dom, group, np.roll(frame.data, 3, axis=0),
                          frame.max_step, frame.continuity_const)
     with pytest.raises(DomainError):
-        bands.transition_loop_sphere(broken, h.t)
+        bands.transition_loops(broken, h.t)[0]
 
 
 def test_transition_loops_torus_skew():
@@ -240,10 +240,55 @@ def test_transition_loops_torus_skew():
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, 0.5)
     frame = bands.smooth_frame(spec, group, fundamental_domain(grid))
-    u_plus, u_minus = bands.transition_loops_torus(frame, h.t)
+    u_plus, u_minus = bands.transition_loops(frame, h.t)
     for loop in (u_plus, u_minus):
         assert loop.unitarity <= 1e-9
         assert loop.symmetry_residual <= 1e-8
+
+
+def _sphere_loop_oracle(frame, t):
+    """The explicit equator formula: T u(phi + pi) = u(phi) U(phi)^t, with the
+    antisymmetry residual max |U(phi + pi)^t + U(phi)|."""
+    dom = frame.domain
+    eq = frame.data[dom.local_index[dom.boundary_loops[0]]]
+    L = eq.shape[0]
+    shifted = t.apply(np.roll(eq, -L // 2, axis=0))
+    u = np.einsum("vji,vjk->vik", eq.conj(), shifted).transpose(0, 2, 1)
+    anti = float(numkit.max_abs(np.roll(u, -L // 2, axis=0).transpose(0, 2, 1) + u))
+    return [(u, anti)]
+
+
+def _torus_loops_oracle(frame, t):
+    """The explicit TRI-line formula: tau fixes p = 0 and p = pi pointwise, so
+    U = (u^dagger T u)^t on each line, with the skewness residual max |U + U^t|."""
+    dom = frame.domain
+    out = []
+    for loop in dom.boundary_loops:
+        row = frame.data[dom.local_index[loop]]
+        u = np.einsum("vji,vjk->vik", row.conj(), t.apply(row)).transpose(0, 2, 1)
+        out.append((u, float(numkit.max_abs(u + u.transpose(0, 2, 1)))))
+    return out
+
+
+@pytest.mark.parametrize("manifold", [Manifold.SPHERE, Manifold.TORUS])
+def test_transition_loops_match_explicit_formulas(manifold):
+    if manifold == Manifold.SPHERE:
+        h = models.kramers_pair_sphere(epsilon=0.1, seed=0)
+        grid, oracle, shift = build_grid(manifold, 16, 64), _sphere_loop_oracle, 32
+    else:
+        h = models.torus_doubled_chern(m=1.0, epsilon=0.1, seed=3)
+        grid, oracle, shift = build_grid(manifold, 16, 64), _torus_loops_oracle, 0
+    spec = bands.spectrum_on_grid(h, grid)
+    group = bands.group_for_range(spec, 0, 1, 0.05)
+    frame = bands.smooth_frame(spec, group, fundamental_domain(grid))
+    assert frame.domain.tau_shift == shift
+    loops = bands.transition_loops(frame, h.t)
+    expected = oracle(frame, h.t)
+    assert len(loops) == len(expected)
+    for loop, (u, sym) in zip(loops, expected):
+        assert np.array_equal(loop.samples, u)
+        assert loop.symmetry_residual == sym
+        assert loop.unitarity <= 1e-9 and sym <= 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import json
 import jsonschema
 import pytest
 
-from phasetop import cli, invariants, models
+import phasetop
+from phasetop import bands, cli, invariants, models
 from phasetop.errors import GapError, ResolutionError
 from phasetop.invariants import Tolerances
 from phasetop.phasespace import Manifold, build_grid
@@ -284,3 +285,29 @@ def test_deform_incompatible_endpoints_exit_3(tmp_path):
     )
     assert run(["deform", "--config-a", cfg_a, "--config-b", cfg_b,
                 "--group", "0:0"]) == 3
+
+
+def test_random_suite_records_torus_parity_failure_once(tmp_path, monkeypatch):
+    # on the torus parity_ok is exactly "c even and rank even", so a group
+    # with odd c is one parity violation, recorded once
+    rep = invariants.InvariantReport(
+        group_id=0, first_band=1, last_band=2, rank=2, min_gap=0.5,
+        c_plaquette=1, c_winding=1, consistent=True, parity_ok=False,
+        evenness_ok=True,
+    )
+    group = bands.BandGroup(0, 1, 0.5)
+    monkeypatch.setattr(cli, "analyze_model",
+                        lambda h, grid, tol: (0.0, [group], [(rep, None)]))
+    out = tmp_path / "suite.json"
+    assert run(["random-suite", "--manifold", "torus", "--count", "1",
+                "--grid", "8x8", "--out", str(out)]) == 3
+    report = json.loads(out.read_text())
+    assert report["violations"] == [
+        {"seed": 0, "group": 0, "kind": "parity", "c": 1, "rank": 2}
+    ]
+    assert report["tally"]["groups"] == 1 and report["tally"]["parity_ok"] == 0
+
+
+def test_public_names_resolve():
+    missing = [name for name in phasetop.__all__ if not hasattr(phasetop, name)]
+    assert missing == []

@@ -13,7 +13,7 @@ def rotor_equator_loop(n_lat=16, n_lon=32, band=(0, 0)):
     group = bands.group_for_range(spec, band[0], band[1], 0.5)
     dom = fundamental_domain(grid)
     frame = bands.smooth_frame(spec, group, dom)
-    return h, grid, dom, frame, bands.transition_loop_sphere(frame, h.t)
+    return h, grid, dom, frame, bands.transition_loops(frame, h.t)[0]
 
 
 def kramers_equator_loop(n_lat, n_lon):
@@ -22,7 +22,7 @@ def kramers_equator_loop(n_lat, n_lon):
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, 0.05)
     frame = bands.smooth_frame(spec, group, fundamental_domain(grid))
-    return bands.transition_loop_sphere(frame, h.t)
+    return bands.transition_loops(frame, h.t)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +63,7 @@ def test_solve_gauge_identity_case():
 
 def test_solve_gauge_against_normal_form():
     h, grid, dom, frame, u = rotor_equator_loop()
-    c = invariants.chern_winding_sphere(u)
+    c = invariants.chern_winding((u,))
     v = gauge.normal_form_loop(c, 1, grid.n_lon)
     w = gauge.solve_equator_gauge(u, v)
     assert w.residual_pi <= 1e-8
@@ -84,7 +84,7 @@ def test_obstruction_is_half_winding_difference(c_u, c_v, n_b):
 
 def test_solve_gauge_rank2_model_loop():
     u = kramers_equator_loop(16, 64)
-    c = invariants.chern_winding_sphere(u)
+    c = invariants.chern_winding((u,))
     v = gauge.normal_form_loop(c, 2, 64)
     w = gauge.solve_equator_gauge(u, v)
     assert w.residual_pi <= 1e-8 and w.residual_2pi <= 1e-8
@@ -105,6 +105,24 @@ def test_solve_gauge_second_half_matches_recurrence(n_b, c_v):
         psi = j - L // 2
         ref[j] = (v.samples[psi] @ ref[psi].conj().T @ u.samples[psi].conj().T).T
     assert ref.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("n_b", [1, 2, 4])
+def test_stacked_unitary_powers_match_per_sample_loops(n_b):
+    # the per-sample loops are the reference for the geodesic samples and for
+    # the holonomy spreading of _pair_congruence; the stacks equal them bitwise
+    rng = np.random.default_rng(n_b)
+    start, end = (np.linalg.qr(rng.standard_normal((n_b, n_b))
+                                + 1j * rng.standard_normal((n_b, n_b)))[0]
+                  for _ in range(2))
+    q, ph = numkit.unitary_gap_log(start.conj().T @ end)
+    ts = np.arange(33) / 32
+    ref = np.stack([start @ numkit.unitary_power(q, ph, t) for t in ts])
+    assert ref.tobytes() == gauge._geodesic(start, end, ts).tobytes()
+    L = 64
+    spread = numkit.unitary_power(q, ph, -np.arange(L) / L)
+    ref = np.stack([numkit.unitary_power(q, ph, -j / L) for j in range(L)])
+    assert ref.tobytes() == spread.tobytes()
 
 
 def test_normal_form_and_block_target_match_loops():
@@ -172,12 +190,12 @@ def test_extend_rejects_nonzero_winding():
 
 def test_extension_regauges_to_normal_form():
     h, grid, dom, frame, u = rotor_equator_loop()
-    c = invariants.chern_winding_sphere(u)
+    c = invariants.chern_winding((u,))
     v = gauge.normal_form_loop(c, 1, grid.n_lon)
     w = gauge.solve_equator_gauge(u, v)
     ext = gauge.extend_to_disk(w, dom)
     regauged = gauge.regauge_frame(frame, ext)
-    vloop = bands.transition_loop_sphere(regauged, h.t)
+    vloop = bands.transition_loops(regauged, h.t)[0]
     assert numkit.max_abs(vloop.samples - v.samples) <= 1e-6
 
 
@@ -192,12 +210,12 @@ def test_extend_stops_stalled_two_cycle():
     group = bands.group_for_range(spec, 0, 1, 0.05)
     dom = fundamental_domain(grid)
     frame = bands.smooth_frame(spec, group, dom)
-    u = bands.transition_loop_sphere(frame, h.t)
-    v = gauge.normal_form_loop(invariants.chern_winding_sphere(u), 2, grid.n_lon)
+    u = bands.transition_loops(frame, h.t)[0]
+    v = gauge.normal_form_loop(invariants.chern_winding((u,)), 2, grid.n_lon)
     ext = gauge.extend_to_disk(gauge.solve_equator_gauge(u, v), dom)
     assert ext.sweeps < 100
     assert ext.max_interior_step <= 0.2
-    vloop = bands.transition_loop_sphere(gauge.regauge_frame(frame, ext), h.t)
+    vloop = bands.transition_loops(gauge.regauge_frame(frame, ext), h.t)[0]
     assert numkit.max_abs(vloop.samples - v.samples) <= 1e-6
 
 
@@ -212,8 +230,8 @@ def torus_line_loops(epsilon=0.0, seed=2, n_lat=16, n_lon=128):
     group = bands.group_for_range(spec, 0, 1, 0.05)
     dom = fundamental_domain(grid)
     frame = bands.smooth_frame(spec, group, dom)
-    u_plus, u_minus = bands.transition_loops_torus(frame, h.t)
-    return u_plus, u_minus, invariants.chern_winding_torus(u_plus, u_minus)
+    u_plus, u_minus = bands.transition_loops(frame, h.t)
+    return u_plus, u_minus, invariants.chern_winding((u_plus, u_minus))
 
 
 def test_skew_normal_form_doubled_model():
@@ -245,7 +263,7 @@ def test_skew_normal_form_block_input_gives_identity():
         block[2 * b, 2 * b + 1] = -1.0
         block[2 * b + 1, 2 * b] = 1.0
     samples = np.broadcast_to(block, (L, nb, nb)).copy()
-    loop = bands.TransitionLoop("torus-line", samples, 0.0, 0.0)
+    loop = bands.TransitionLoop(samples, 0.0, 0.0)
     nf = gauge.skew_normal_form(loop, loop, 0)
     assert numkit.max_abs(nf.w_minus - np.eye(nb)[None]) <= 1e-12
     assert numkit.max_abs(nf.target_minus - samples) <= 1e-12
@@ -277,7 +295,7 @@ def test_skew_normal_form_nontrivial_pairing_holonomy():
         u4 = np.array([0, 0, -np.sin(qq), np.cos(qq)], dtype=complex)
         x = np.column_stack([np.eye(nb, dtype=complex)[:, 0], w, u3, u4])
         samples[j] = x.conj() @ v0 @ x.conj().T
-    loop = bands.TransitionLoop("torus-line", samples, 0.0, 0.0)
+    loop = bands.TransitionLoop(samples, 0.0, 0.0)
     nf = gauge.skew_normal_form(loop, loop, 0)
     assert nf.residual <= 1e-12
     rebuilt = np.einsum("vji,vjk,vkl->vil", nf.w_minus, samples, nf.w_minus)
@@ -295,8 +313,8 @@ def test_skew_normal_form_rank4_random_model():
     group = bands.BandGroup(0, 3, np.inf)
     dom = fundamental_domain(grid)
     frame = bands.smooth_frame(spec, group, dom)
-    u_plus, u_minus = bands.transition_loops_torus(frame, h.t)
-    c = invariants.chern_winding_torus(u_plus, u_minus)
+    u_plus, u_minus = bands.transition_loops(frame, h.t)
+    c = invariants.chern_winding((u_plus, u_minus))
     nf = gauge.skew_normal_form(u_plus, u_minus, c)
     assert nf.residual <= 1e-12
     wd = nf.windings

@@ -99,17 +99,17 @@ def test_curvature_evenness_tri_vs_broken():
 
 def test_chern_winding_normal_form_loops():
     loop = gauge.normal_form_loop(3, 1, 64)
-    assert invariants.chern_winding_sphere(loop) == 3
+    assert invariants.chern_winding((loop,)) == 3
     loop = gauge.normal_form_loop(2, 2, 64)
-    assert invariants.chern_winding_sphere(loop) == 2
+    assert invariants.chern_winding((loop,)) == 2
 
 
 def test_cross_method_equality_rotor():
     h = models.rotor_spin(0.5)
     spec, group, dom, frame = sphere_setup(h, 0, 0)
     _, c_p = invariants.chern_plaquette(spec.band_vectors(group), SPHERE_GRID)
-    loop = bands.transition_loop_sphere(frame, h.t)
-    assert invariants.chern_winding_sphere(loop) == c_p
+    loop = bands.transition_loops(frame, h.t)[0]
+    assert invariants.chern_winding((loop,)) == c_p
 
 
 def test_chern_winding_torus_even_and_cross_method():
@@ -118,8 +118,8 @@ def test_chern_winding_torus_even_and_cross_method():
     group = bands.group_for_range(spec, 0, 1, 0.05)
     dom = fundamental_domain(TORUS_GRID)
     frame = bands.smooth_frame(spec, group, dom)
-    u_plus, u_minus = bands.transition_loops_torus(frame, h.t)
-    c_w = invariants.chern_winding_torus(u_plus, u_minus)
+    u_plus, u_minus = bands.transition_loops(frame, h.t)
+    c_w = invariants.chern_winding((u_plus, u_minus))
     _, c_p = invariants.chern_plaquette(spec.band_vectors(group), TORUS_GRID)
     assert c_w == c_p
     assert c_w % 2 == 0 and abs(c_w) == 2
@@ -184,6 +184,31 @@ def test_km_census_matches_boundary_exactly():
     assert len(signs) == 1
 
 
+def test_boundary_sums_match_explicit_torus_differences():
+    # chern_winding and km_boundary against wn U+ - wn U- and w0 - w1; the
+    # unperturbed model winds on both lines, so the sign of loop 1 matters
+    minus_windings = []
+    for epsilon, seed in ((0.1, 3), (0.0, 0)):
+        h = models.torus_doubled_chern(m=1.0, epsilon=epsilon, seed=seed)
+        spec = bands.spectrum_on_grid(h, TORUS_GRID)
+        group = bands.group_for_range(spec, 0, 1, 0.05)
+        dom = fundamental_domain(TORUS_GRID)
+        frame = bands.smooth_frame(spec, group, dom)
+        u_plus, u_minus = bands.transition_loops(frame, h.t)
+        wn_plus = numkit.winding_number(u_plus.det_loop())
+        wn_minus = numkit.winding_number(u_minus.det_loop())
+        c = invariants.chern_winding((u_plus, u_minus))
+        assert c == wn_plus - wn_minus
+        mf = invariants.m_field(frame, h.t)
+        w0, w1 = (numkit.winding_number(mf.pf[dom.local_index[loop]])
+                  for loop in dom.boundary_loops)
+        k = invariants.km_boundary(mf)
+        assert k == w0 - w1
+        assert abs(c) == 2 and 2 * k == c
+        minus_windings.append((wn_minus, w1))
+    assert any(wn != 0 and w != 0 for wn, w in minus_windings)
+
+
 def test_km_transform_identity_under_tr_shift():
     # exact sample-level law: M(phi+pi) = U(phi) conj(M(phi)) U(phi)^t, hence
     # pf M(phi+pi) = det U(phi) conj(pf M(phi)); the constant prefactor drops
@@ -191,7 +216,7 @@ def test_km_transform_identity_under_tr_shift():
     h = models.kramers_pair_sphere(epsilon=0.1, seed=0)
     spec, group, dom, frame = sphere_setup(h, 0, 1)
     mf = invariants.m_field(frame, h.t)
-    loop = bands.transition_loop_sphere(frame, h.t)
+    loop = bands.transition_loops(frame, h.t)[0]
     eq = dom.boundary_loops[0]
     m_eq = mf.values[dom.local_index[eq]]
     L = eq.size
@@ -363,6 +388,6 @@ def test_trivial_torus_bundle_zero_by_both_routes():
     _, c_p = invariants.chern_plaquette(spec.band_vectors(group), grid)
     dom = fundamental_domain(grid)
     frame = bands.smooth_frame(spec, group, dom)
-    u_plus, u_minus = bands.transition_loops_torus(frame, h.t)
+    u_plus, u_minus = bands.transition_loops(frame, h.t)
     assert c_p == 0
-    assert invariants.chern_winding_torus(u_plus, u_minus) == 0
+    assert invariants.chern_winding((u_plus, u_minus)) == 0

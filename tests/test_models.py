@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -269,6 +270,26 @@ def test_tri_path_kramers_to_trivial_closes():
     assert ok
     path = models.tri_path(h0, h1, SPHERE_GRID, (0, 1), steps=13, gap_floor=1e-3)
     assert path.verdict == "GAP-CLOSES"
+
+
+def test_tri_path_evaluates_each_endpoint_once():
+    # every probe mixes the two endpoint stacks, so one evaluation of each
+    # endpoint on the grid serves the gap checks, the scan and the bisection
+    evaluated = []
+
+    def counted(h, tag):
+        def evaluate(pts):
+            evaluated.append((tag, len(pts)))
+            return h.evaluate(pts)
+
+        return dataclasses.replace(h, evaluate=evaluate)
+
+    h0 = counted(models.random_tri("sphere", 2, cutoff=2, seed=SEED_C_PLUS_ONE), "h0")
+    h1 = counted(models.random_tri("sphere", 2, cutoff=2, seed=SEED_C_MINUS_ONE), "h1")
+    path = models.tri_path(h0, h1, SPHERE_GRID, (0, 0), steps=21, gap_floor=1e-3)
+    assert path.verdict == "GAP-CLOSES" and len(path.samples) >= 21
+    n = SPHERE_GRID.n_vertices
+    assert evaluated == [("h0", n), ("h1", n)]
 
 
 def test_tri_path_rejects_mismatched_operators():

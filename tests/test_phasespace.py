@@ -151,6 +151,12 @@ def test_domain_boundary_loops():
     assert np.allclose(torus.grid.points[hi, 1], np.pi)
     for loop in (lo, hi):
         assert np.all(np.diff(torus.grid.points[loop, 0]) > 0)  # increasing q
+    # tau maps sample i of each loop to sample i + tau_shift: a half turn of
+    # the equator, the identity on the torus TRI lines
+    for dom, shift in ((sphere, 8), (torus, 0)):
+        assert dom.tau_shift == shift
+        for loop in dom.boundary_loops:
+            assert np.array_equal(dom.grid.tau_vertex[loop], np.roll(loop, -shift))
 
 
 def _grid_by_loops(manifold, n_lat, n_lon):
