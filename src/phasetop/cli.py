@@ -447,6 +447,7 @@ def cmd_gauge_demo(args) -> int:
             mismatch = float(np.max(np.abs(regauged.samples - nf.samples)))
             report.update({
                 "extension_success": True,
+                "extension_start": ext.start,
                 "extension_sweeps": ext.sweeps,
                 "extension_max_step": ext.max_interior_step,
                 "regauged_normal_form_mismatch": mismatch,

@@ -220,6 +220,27 @@ def test_gauge_demo_success_and_expected_failure(tmp_path):
     assert rep["expected_failure"] is True
 
 
+def test_gauge_demo_kramers_extends_from_harmonic_start(tmp_path):
+    # criterion 7's rank-2 case: the harmonic profile meets the step target
+    # as it stands, so the report names it and counts no sweeps
+    cfg = write_config(
+        tmp_path, "kp.json",
+        {
+            "model": {"variant": "KramersPairSphere", "epsilon": 0.1, "seed": 0},
+            "grid": {"n_lat": 32, "n_lon": 128},
+            "seed": 0,
+        },
+    )
+    out = tmp_path / "g.json"
+    assert run(["gauge-demo", "--config", cfg, "--group", "0:1",
+                "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["extension_success"] is True
+    assert rep["extension_start"] == "harmonic"
+    assert rep["extension_sweeps"] == 0
+    assert rep["regauged_normal_form_mismatch"] <= 1e-6
+
+
 def test_gauge_demo_torus_skew(tmp_path):
     cfg = write_config(
         tmp_path, "torus.json",

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from phasetop import bands, gauge, invariants, models, numkit
-from phasetop.errors import DomainError
+from phasetop.errors import DomainError, ExtensionError
 from phasetop.phasespace import Manifold, build_grid, fundamental_domain
 
 
@@ -199,13 +201,13 @@ def test_extension_regauges_to_normal_form():
     assert numkit.max_abs(vloop.samples - v.samples) <= 1e-6
 
 
-def test_extend_stops_stalled_two_cycle():
-    # the radial blend of this rank-2 loop seeds a defect pair: its max step
-    # is best (1.71 rad) at sweep 22 and then alternates up and down each
-    # sweep; the stall rule must see through that two-cycle and fall back to
-    # the harmonic profile (a step-to-step rule ran 139 sweeps here)
+@pytest.mark.parametrize("n_lat,n_lon", [(24, 96), (32, 128)])
+def test_extend_kramers_loop_from_harmonic_start(n_lat, n_lon):
+    # criterion 7's rank-2 loop: the radial blend seeds a defect pair and
+    # stalls (after 59 sweeps at 32x128), while the harmonic profile meets the
+    # step target as it stands, so the extension runs no sweeps at all
     h = models.kramers_pair_sphere(0.1, seed=0)
-    grid = build_grid(Manifold.SPHERE, 24, 96)
+    grid = build_grid(Manifold.SPHERE, n_lat, n_lon)
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, 0.05)
     dom = fundamental_domain(grid)
@@ -213,10 +215,64 @@ def test_extend_stops_stalled_two_cycle():
     u = bands.transition_loops(frame, h.t)[0]
     v = gauge.normal_form_loop(invariants.chern_winding((u,)), 2, grid.n_lon)
     ext = gauge.extend_to_disk(gauge.solve_equator_gauge(u, v), dom)
-    assert ext.sweeps < 100
-    assert ext.max_interior_step <= 0.2
+    assert ext.start == "harmonic"
+    assert ext.sweeps == 0
+    assert ext.max_interior_step <= gauge.EXTENSION_STEP_TARGET
     vloop = bands.transition_loops(gauge.regauge_frame(frame, ext), h.t)[0]
     assert numkit.max_abs(vloop.samples - v.samples) <= 1e-6
+
+
+def _start_sweeps(err) -> list:
+    return [int(n) for n in re.findall(r"after (\d+) sweeps", str(err.value))]
+
+
+def test_extend_stops_stalled_two_cycle():
+    # bands 2:3 of RandomTRI sphere seed 108 at 32x64: each start's max step
+    # is best within 8 sweeps (2.46 and 1.67 rad) and then alternates up and
+    # down far above the target; the stall rule must see through that
+    # two-cycle (27 and 33 sweeps here, where a step-to-step rule ran 95 and 88)
+    h = models.random_tri("sphere", 4, cutoff=3, seed=108)
+    grid = build_grid(Manifold.SPHERE, 32, 64)
+    spec = bands.spectrum_on_grid(h, grid)
+    group = bands.group_for_range(spec, 2, 3, 0.05)
+    dom = fundamental_domain(grid)
+    u = bands.transition_loops(bands.smooth_frame(spec, group, dom), h.t)[0]
+    v = gauge.normal_form_loop(invariants.chern_winding((u,)), 2, grid.n_lon)
+    with pytest.raises(ExtensionError) as err:
+        gauge.extend_to_disk(gauge.solve_equator_gauge(u, v), dom)
+    assert "harmonic: max step" in str(err.value)
+    assert "blend: max step" in str(err.value)
+    assert all(25 <= n < 50 for n in _start_sweeps(err))
+
+
+def test_extend_falls_back_to_blend(monkeypatch):
+    # the harmonic field of boundary e^{2.5 i sin(phi)} has a vortex pair near
+    # the pole (its pole value is the loop mean J0(2.5) < 0), so at 32x96 that
+    # start stalls and only the radial blend extends the loop
+    grid = build_grid(Manifold.SPHERE, 32, 96)
+    dom = fundamental_domain(grid)
+    phi = 2 * np.pi * np.arange(grid.n_lon) / grid.n_lon
+    w = gauge.GaugeLoop(samples=np.exp(2.5j * np.sin(phi))[:, None, None],
+                        residual_pi=0.0, residual_2pi=0.0)
+    ext = gauge.extend_to_disk(w, dom)
+    assert ext.start == "blend"
+    assert ext.max_interior_step <= gauge.EXTENSION_STEP_TARGET
+    eq = dom.local_index[dom.boundary_loops[0]]
+    assert numkit.max_abs(ext.values[eq] - w.samples) == 0.0
+
+    # the count covers both starts: the blend alone takes fewer sweeps, and
+    # the harmonic start ran until the stall rule stopped it
+    with monkeypatch.context() as m:
+        m.setattr(gauge, "_harmonic_profile", gauge._blend_profile)
+        blend_sweeps = gauge.extend_to_disk(w, dom).sweeps
+    harmonic_sweeps = ext.sweeps - blend_sweeps
+    assert blend_sweeps > 0 and harmonic_sweeps >= 25
+
+    # one sweep short of the total: the blend gets what the first start left
+    monkeypatch.setattr(gauge, "EXTENSION_MAX_SWEEPS", ext.sweeps - 1)
+    with pytest.raises(ExtensionError) as err:
+        gauge.extend_to_disk(w, dom)
+    assert _start_sweeps(err) == [harmonic_sweeps, blend_sweeps - 1]
 
 
 # ---------------------------------------------------------------------------
