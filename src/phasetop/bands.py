@@ -12,7 +12,7 @@ time reverse of the frame on the opposite domain along the common boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -76,7 +76,8 @@ class HamiltonianField:
     """Hermitian matrix field over a phase space, with its TR metadata.
 
     evaluate maps an (m, 2) array of coordinate pairs to an (m, n_a, n_a)
-    stack of Hermitian matrices.
+    stack of Hermitian matrices.  The field keeps no record of its
+    parameters; the model spec given to models.build is that record.
     """
 
     n_a: int
@@ -84,7 +85,6 @@ class HamiltonianField:
     t: AntiUnitary
     evaluate: Callable[[np.ndarray], np.ndarray]
     label: str = ""
-    params: dict = field(default_factory=dict)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         return self.evaluate(np.atleast_2d(np.asarray(pts, dtype=float)))
@@ -101,7 +101,6 @@ def symmetrize_tri(
     t: AntiUnitary,
     manifold: Manifold,
     label: str = "",
-    params: dict | None = None,
 ) -> HamiltonianField:
     """TRI field from an arbitrary Hermitian field by group averaging:
     H(x) = (B(x) + J conj(B(tau x)) J^dagger) / 2."""
@@ -115,7 +114,7 @@ def symmetrize_tri(
 
     return HamiltonianField(
         n_a=t.dim, manifold=manifold, t=t, evaluate=tri_eval,
-        label=label or "tri-symmetrized", params=dict(params or {}),
+        label=label or "tri-symmetrized",
     )
 
 
@@ -153,7 +152,6 @@ def rotated_field(h_field: HamiltonianField, angle: float) -> HamiltonianField:
     return HamiltonianField(
         n_a=h_field.n_a, manifold=h_field.manifold, t=h_field.t,
         evaluate=new_eval, label=h_field.label,
-        params={**h_field.params, "domain_rotation": angle},
     )
 
 

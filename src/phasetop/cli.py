@@ -529,10 +529,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        return _fail(str(exc), 2)
     except PhasetopError as exc:
-        return _fail(str(exc), 3)
+        return _fail(str(exc), exc.exit_code)
 
 
 if __name__ == "__main__":

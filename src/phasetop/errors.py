@@ -1,6 +1,7 @@
 """Exception types shared across the package.
 
-Exit-code mapping for the CLI: ConfigError -> 2, everything else -> 3.
+The CLI exits with the raised error's exit_code: 2 for ConfigError, 3 for
+every other error.
 """
 
 

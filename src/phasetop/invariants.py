@@ -283,7 +283,7 @@ class InvariantReport:
 _ROTATION_ANGLES = (0.0, 0.37, 0.81, 1.33, 1.91, 2.47, 2.95, 0.59)
 
 
-def _km_with_rotations(h_field, group, grid, domain, frame, mf, tol):
+def _km_with_rotations(h_field, group, grid, domain, mf, tol):
     """Boundary winding and census, reseating the domain away from pf zeros.
 
     Returns (k, census, rotations_used, notes).  The boundary index k is kept
@@ -292,13 +292,11 @@ def _km_with_rotations(h_field, group, grid, domain, frame, mf, tol):
     reported as undefined (with a note) when none works.
     """
     notes = []
-    rotations = 0
     k = None
     census = None
     census_note = None
     for attempt, angle in enumerate(_ROTATION_ANGLES):
         if attempt > 0:
-            rotations += 1
             h_rot = rotated_field(h_field, angle)
             spec = spectrum_on_grid(h_rot, grid)
             frame = smooth_frame(spec, group, domain)
@@ -333,7 +331,7 @@ def _km_with_rotations(h_field, group, grid, domain, frame, mf, tol):
         )
     if census_note:
         notes.append(census_note)
-    return k, census, rotations, notes
+    return k, census, attempt, notes
 
 
 @dataclass(frozen=True)
@@ -407,7 +405,7 @@ def _verify_once(h_field: HamiltonianField, group: BandGroup, grid: Grid,
         residuals["m_skew"] = mf.skew_residual
         try:
             k, census, rotations, notes = _km_with_rotations(
-                h_field, group, grid, domain, frame, mf, tol
+                h_field, group, grid, domain, mf, tol
             )
             report.k = k
             report.domain_rotations = rotations
@@ -449,26 +447,25 @@ def verify_group_fields(h_field: HamiltonianField, group: BandGroup, grid: Grid,
                         ) -> tuple[InvariantReport, GroupFields]:
     """verify_group, also returning the report's GroupFields, taken from the
     final (possibly refined) grid."""
-    refinements = 0
-    while True:
+    for refinements in range(MAX_GRID_REFINEMENTS + 1):
+        # both triggers, a ResolutionError and a cross-method disagreement,
+        # refine only within the refinement count and the loop-sample cap
+        may_refine = (refinements < MAX_GRID_REFINEMENTS
+                      and grid.n_lon * 2 <= MAX_LOOP_SAMPLES)
         try:
             report, fields = _verify_once(h_field, group, grid, tol, group_id,
                                           refinements, spectrum)
         except ResolutionError:
-            if refinements >= MAX_GRID_REFINEMENTS or (
-                grid.n_lon * 2 > MAX_LOOP_SAMPLES
-            ):
+            if not may_refine:
                 raise
         else:
-            if report.consistent or refinements >= MAX_GRID_REFINEMENTS:
+            if report.consistent or not may_refine:
                 if not report.consistent:
-                    report.notes.append(
-                        "cross-method Chern disagreement persisted after refinement"
-                    )
+                    report.notes.append("cross-method Chern disagreement persisted"
+                                        + (" after refinement" if refinements else ""))
                 return report, fields
         grid = refine_grid(grid)
         spectrum = None
-        refinements += 1
 
 
 def analyze_model(h_field: HamiltonianField, grid: Grid,

@@ -2,19 +2,22 @@
 ensembles, TRI-breaking controls, and linear TRI deformation paths.
 
 All evaluators are batched: (m, 2) coordinate arrays in, (m, N, N) Hermitian
-stacks out, and deterministic under a fixed seed.
+stacks out, and deterministic under a fixed seed.  A random field is a table
+of coefficients over a fixed basis; its TR-even part (RandomTRI and the
+perturbations that _perturbed adds to the structured models) and its TR-odd
+part (TRIBrokenControl) are two projections of that table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bands import AntiUnitary, BandGroup, HamiltonianField, Spectrum, group_for_range
 from .errors import ConfigError, ResolutionError, TrackingError
 from .invariants import chern_plaquette
-from .phasespace import Grid, Manifold, tr_image_batch
+from .phasespace import Grid, Manifold
 
 SIGMA = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -33,9 +36,10 @@ def directions(pts: np.ndarray) -> np.ndarray:
 
 def angular_momentum(j: float):
     """Spin-j matrices (Jx, Jy, Jz) in the standard |j, m> basis, m descending."""
+    if not (isinstance(j, (int, float)) and 0 < j < np.inf
+            and abs(2 * j - round(2 * j)) <= 1e-12):
+        raise ConfigError(f"j must be a positive half-integer or integer, got {j!r}")
     dim = int(round(2 * j)) + 1
-    if abs(2 * j - round(2 * j)) > 1e-12 or j <= 0:
-        raise ConfigError(f"j must be a positive half-integer or integer, got {j}")
     m = j - np.arange(dim)
     jz = np.diag(m).astype(complex)
     jp = np.zeros((dim, dim), dtype=complex)
@@ -183,26 +187,46 @@ def random_hermitian_field(manifold: Manifold, n: int, cutoff: int, seed: int):
 
 
 def _random_tri_field(t: AntiUnitary, manifold: Manifold, cutoff: int, seed: int,
-                      scale: float):
-    """scale times the TRI group average of random_hermitian_field.
+                      scale: float, parity: int = 1):
+    """scale times the TR-even (parity 1) or TR-odd (parity -1) part of
+    random_hermitian_field.
 
-    The condition J conj(H(tau x)) J^dagger = H(x) is linear in H, so the
-    average is taken once, on the coefficient table: row r becomes
-    (C_r + sign_r J conj(C_partner(r)) J^dagger) / 2.  The norm is that of
-    the raw field, so this equals symmetrize_tri of it up to rounding.
+    The condition J conj(H(tau x)) J^dagger = H(x) is linear in H, so each
+    part is one projection of the coefficient table: row r becomes
+    (C_r + parity sign_r J conj(C_partner(r)) J^dagger) / 2.  The norm is that
+    of the raw field, so the even part equals symmetrize_tri of it up to
+    rounding.
     """
     basis, table, partner, sign = _normalized_table(manifold, t.dim, cutoff, seed)
-    tri = 0.5 * (table + sign[:, None, None] * t.conjugate_field(table[partner]))
-    return _table_field(basis, scale * tri)
+    part = 0.5 * (table + parity * sign[:, None, None] * t.conjugate_field(table[partner]))
+    return _table_field(basis, scale * part)
 
 
 # mode cutoff of the random TRI perturbations added to the structured models
 _PERTURBATION_CUTOFF = 2
 
 
-def _tri_perturbation(t: AntiUnitary, manifold: Manifold, strength: float, seed: int):
-    """TRI-symmetrized random field of sup norm <= strength."""
-    return _random_tri_field(t, manifold, _PERTURBATION_CUTOFF, seed, strength)
+def _perturbed(evaluate, t: AntiUnitary, manifold: Manifold, label: str,
+               strength: float, seed: int) -> HamiltonianField:
+    """The field evaluate plus, for strength > 0, a TRI random field of sup
+    norm <= strength."""
+    if strength > 0:
+        pert = _random_tri_field(t, manifold, _PERTURBATION_CUTOFF, seed, strength)
+        unperturbed = evaluate
+
+        def evaluate(pts: np.ndarray) -> np.ndarray:
+            return unperturbed(pts) + pert(pts)
+
+    return HamiltonianField(n_a=t.dim, manifold=manifold, t=t, evaluate=evaluate,
+                            label=label)
+
+
+def _spin_texture(mats: np.ndarray):
+    """The sphere field n(x) . (Mx, My, Mz) for a (3, N, N) stack."""
+    def evaluate(pts: np.ndarray) -> np.ndarray:
+        return np.einsum("vk,kij->vij", directions(np.atleast_2d(pts)), mats)
+
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -215,26 +239,8 @@ def rotor_spin(j: float, perturbation_strength: float = 0.0, seed: int = 0) -> H
     Fermionic TR requires half-integer j.  An optional TRI-symmetrized random
     perturbation keeps the band gaps but removes accidental structure.
     """
-    jmats = np.stack(angular_momentum(j))
-    t = spin_time_reversal(j)
-    pert = (
-        _tri_perturbation(t, Manifold.SPHERE, perturbation_strength, seed)
-        if perturbation_strength > 0
-        else None
-    )
-
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        n = directions(np.atleast_2d(pts))
-        h = np.einsum("vk,kij->vij", n, jmats)
-        if pert is not None:
-            h = h + pert(pts)
-        return h
-
-    return HamiltonianField(
-        n_a=t.dim, manifold=Manifold.SPHERE, t=t, evaluate=evaluate,
-        label="RotorSpin",
-        params={"j": j, "perturbation_strength": perturbation_strength, "seed": seed},
-    )
+    return _perturbed(_spin_texture(np.stack(angular_momentum(j))), spin_time_reversal(j),
+                      Manifold.SPHERE, "RotorSpin", perturbation_strength, seed)
 
 
 def kramers_pair_sphere(epsilon: float = 0.1, seed: int = 0) -> HamiltonianField:
@@ -245,23 +251,8 @@ def kramers_pair_sphere(epsilon: float = 0.1, seed: int = 0) -> HamiltonianField
     """
     t = AntiUnitary(np.kron(1j * SIGMA["y"], np.eye(2)))
     base = np.stack([np.kron(SIGMA[k], np.eye(2)) for k in "xyz"])
-    pert = (
-        _tri_perturbation(t, Manifold.SPHERE, epsilon, seed)
-        if epsilon > 0
-        else None
-    )
-
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        n = directions(np.atleast_2d(pts))
-        h = np.einsum("vk,kij->vij", n, base)
-        if pert is not None:
-            h = h + pert(pts)
-        return h
-
-    return HamiltonianField(
-        n_a=4, manifold=Manifold.SPHERE, t=t, evaluate=evaluate,
-        label="KramersPairSphere", params={"epsilon": epsilon, "seed": seed},
-    )
+    return _perturbed(_spin_texture(base), t, Manifold.SPHERE, "KramersPairSphere",
+                      epsilon, seed)
 
 
 def torus_doubled_chern(m: float = 1.0, epsilon: float = 0.0, seed: int = 0) -> HamiltonianField:
@@ -276,37 +267,29 @@ def torus_doubled_chern(m: float = 1.0, epsilon: float = 0.0, seed: int = 0) -> 
         d = np.stack([np.sin(q), np.sin(p), m - np.cos(q) - np.cos(p)], axis=1)
         return np.einsum("vk,kij->vij", d, np.stack([SIGMA["x"], SIGMA["y"], SIGMA["z"]]))
 
-    t = AntiUnitary(np.kron(np.array([[0, -1], [1, 0]], dtype=complex), np.eye(2)))
-    pert = (
-        _tri_perturbation(t, Manifold.TORUS, epsilon, seed)
-        if epsilon > 0
-        else None
-    )
-
     def evaluate(pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
         q, p = pts[:, 0], pts[:, 1]
-        a = block(q, p)
-        b = np.conj(block(q, -p))
         h = np.zeros((pts.shape[0], 4, 4), dtype=complex)
-        h[:, :2, :2] = a
-        h[:, 2:, 2:] = b
-        if pert is not None:
-            h = h + pert(pts)
+        h[:, :2, :2] = block(q, p)
+        h[:, 2:, 2:] = np.conj(block(q, -p))
         return h
 
-    return HamiltonianField(
-        n_a=4, manifold=Manifold.TORUS, t=t, evaluate=evaluate,
-        label="TorusDoubledChern", params={"m": m, "epsilon": epsilon, "seed": seed},
-    )
+    t = AntiUnitary(np.kron(np.array([[0, -1], [1, 0]], dtype=complex), np.eye(2)))
+    return _perturbed(evaluate, t, Manifold.TORUS, "TorusDoubledChern", epsilon, seed)
 
 
 def random_tri(manifold, n_a: int = 4, cutoff: int = 3, seed: int = 0,
                scale: float = 1.0) -> HamiltonianField:
     """TRI-symmetrized random trigonometric-polynomial field."""
-    manifold = Manifold(manifold)
-    if n_a % 2 != 0 or n_a < 2:
-        raise ConfigError(f"N_A must be even and >= 2, got {n_a}")
+    try:
+        manifold = Manifold(manifold)
+    except ValueError:
+        raise ConfigError(f"manifold must be 'sphere' or 'torus', got {manifold!r}") from None
+    if not isinstance(n_a, (int, np.integer)) or n_a % 2 != 0 or n_a < 2:
+        raise ConfigError(f"N_A must be even and >= 2, got {n_a!r}")
+    if not isinstance(cutoff, (int, np.integer)) or cutoff < 0:
+        raise ConfigError(f"cutoff must be an integer >= 0, got {cutoff!r}")
     if manifold == Manifold.SPHERE:
         t = spin_time_reversal(0.5) if n_a == 2 else AntiUnitary(
             np.kron(1j * SIGMA["y"], np.eye(n_a // 2))
@@ -319,36 +302,27 @@ def random_tri(manifold, n_a: int = 4, cutoff: int = 3, seed: int = 0,
         n_a=n_a, manifold=manifold, t=t,
         evaluate=_random_tri_field(t, manifold, cutoff, seed, scale),
         label="RandomTRI",
-        params={"manifold": manifold.value, "n_a": n_a, "cutoff": cutoff, "seed": seed},
     )
 
 
 def tri_broken(base: HamiltonianField, breaking_strength: float, seed: int = 1) -> HamiltonianField:
     """Control model: base plus a TR-odd random term of the given strength.
 
-    The odd part D(x) = (B(x) - J conj(B(tau x)) J^dagger)/2 is exactly
-    TR-odd and normalized to unit sup norm, so the TRI residual of the
+    The odd part D(x) = (B(x) - J conj(B(tau x)) J^dagger)/2 of a random
+    field B is taken on B's coefficient table, so it is exactly TR-odd; it is
+    normalized to unit sup norm on the probe set, so the TRI residual of the
     control is ~ 2 * strength, always above the strength/2 detection bar.
     """
-    raw = random_hermitian_field(base.manifold, base.n_a, 2, seed)
-    t = base.t
-
-    def raw_odd(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        direct = raw(pts)
-        mirrored = raw(tr_image_batch(base.manifold, pts))
-        return 0.5 * (direct - t.conjugate_field(mirrored))
-
-    norm = float(np.max(np.linalg.norm(raw_odd(_probe_points(base.manifold)),
+    odd = _random_tri_field(base.t, base.manifold, 2, seed, 1.0, parity=-1)
+    norm = float(np.max(np.linalg.norm(odd(_probe_points(base.manifold)),
                                        2, axis=(1, 2))))
 
     def evaluate(pts: np.ndarray) -> np.ndarray:
-        return base.evaluate(pts) + (breaking_strength / norm) * raw_odd(pts)
+        return base.evaluate(pts) + (breaking_strength / norm) * odd(pts)
 
     return HamiltonianField(
-        n_a=base.n_a, manifold=base.manifold, t=t, evaluate=evaluate,
+        n_a=base.n_a, manifold=base.manifold, t=base.t, evaluate=evaluate,
         label="TRIBrokenControl",
-        params={"base": base.label, "breaking_strength": breaking_strength, "seed": seed},
     )
 
 
@@ -406,7 +380,7 @@ class TriPath:
     samples: list                  # (s, min_gap, c or None) per sample
     verdict: str                   # "GAPPED-CONSTANT-C" or "GAP-CLOSES"
     closing_bracket: tuple | None  # (s_lo, s_hi) around a detected closing
-    chern: int | None = field(default=None)
+    chern: int | None = None
 
 
 def tri_path(
@@ -422,9 +396,13 @@ def tri_path(
     Convex combinations of TRI fields with the same operator are TRI, so the
     tracked group's Chern number must be constant on gapped stretches.  When
     the Chern number differs between two gapped samples, a closing is certain
-    in between; the interval is bisected until the gap dips below the floor
-    or the bracket is tight, and the verdict is GAP-CLOSES either way.
+    in between.  All `steps` samples are probed first; then only the first
+    event is bracketed: the first ungapped sample, or the first gapped change
+    of c, whose interval is bisected until the gap dips below the floor or
+    the bracket is tight.  The verdict is GAP-CLOSES either way.
     """
+    if not isinstance(steps, (int, np.integer)) or steps < 2:
+        raise ConfigError(f"steps must be an integer >= 2, got {steps!r}")
     if h0.n_a != h1.n_a or h0.manifold != h1.manifold:
         raise TrackingError("endpoints live on different spaces")
     if np.max(np.abs(h0.t.j - h1.t.j)) > 1e-12:
@@ -454,47 +432,31 @@ def tri_path(
             return min_gap, None
         return min_gap, c
 
-    records = []
+    records = [(float(s), *probe(float(s))) for s in np.linspace(0.0, 1.0, steps)]
     bracket = None
-    prev = None
-    for s in np.linspace(0.0, 1.0, steps):
-        min_gap, c = probe(float(s))
-        records.append((float(s), min_gap, c))
-        if c is None and bracket is None:
-            lo = prev[0] if prev else float(s)
-            bracket = (lo, min(float(s) + 1.0 / (steps - 1), 1.0))
-        if (
-            bracket is None
-            and prev is not None
-            and prev[1] is not None
-            and c is not None
-            and c != prev[1]
-        ):
+    for i, (s, _, c) in enumerate(records[:steps]):
+        lo, _, c_lo = records[max(i - 1, 0)]
+        if c is None:
+            bracket = (lo, min(s + 1.0 / (steps - 1), 1.0))
+            break
+        if c != c_lo:
             # invariant forbids a gapped change of c: localize the closing
-            lo, c_lo = prev
-            hi, c_hi = float(s), c
+            hi = s
             while hi - lo > 1e-6:
                 mid = 0.5 * (lo + hi)
                 g_mid, c_mid = probe(mid)
                 records.append((mid, g_mid, c_mid))
                 if c_mid is None:
-                    bracket = (lo, hi)
                     break
                 if c_mid == c_lo:
                     lo = mid
                 else:
-                    hi, c_hi = mid, c_mid
-            if bracket is None:
-                bracket = (lo, hi)
-        prev = (float(s), c)
+                    hi = mid
+            bracket = (lo, hi)
+            break
 
     records.sort(key=lambda r: r[0])
     if bracket is not None:
         return TriPath(records, "GAP-CLOSES", bracket)
-    cherns = {c for (_, _, c) in records if c is not None}
-    if len(cherns) != 1:
-        raise TrackingError(
-            f"gapped path produced multiple Chern values {sorted(cherns)}; "
-            "refine the step count or grid"
-        )
-    return TriPath(records, "GAPPED-CONSTANT-C", None, chern=cherns.pop())
+    # every sample is gapped and no two neighbours differ: c is constant
+    return TriPath(records, "GAPPED-CONSTANT-C", None, chern=records[0][2])

@@ -297,6 +297,32 @@ def test_bad_group_exits_2(tmp_path, capsys, command, group):
     assert err.startswith("phasetop: error: --group") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("steps", ["1", "0", "-1"])
+def test_deform_too_few_steps_exits_2(tmp_path, capsys, steps):
+    cfg = write_config(tmp_path, "rotor.json", ROTOR)
+    assert run(["deform", "--config-a", cfg, "--config-b", cfg, "--steps", steps]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("phasetop: error: steps must be") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", [
+    {"variant": "RandomTRI", "manifold": "sphere", "cutoff": -1},
+    {"variant": "RandomTRI", "manifold": "sphere", "cutoff": 2.5},
+    {"variant": "RandomTRI", "manifold": "plane"},
+    {"variant": "RandomTRI", "manifold": "torus", "n_a": "x"},
+    {"variant": "RotorSpin", "j": "x"},
+    {"variant": "RotorSpin", "j": float("inf")},
+    ["random-suite", "--count", "1", "--manifold", "sphere", "--cutoff", "-1"],
+])
+def test_malformed_model_parameters_exit_2(tmp_path, capsys, case):
+    # analyze builds the model of a config; random-suite builds RandomTRI itself
+    argv = case if isinstance(case, list) else [
+        "analyze", "--config", write_config(tmp_path, "m.json", {"model": case})]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("phasetop: error: ") and err.count("\n") == 1
+
+
 def test_deform_incompatible_endpoints_exit_3(tmp_path):
     cfg_a = write_config(tmp_path, "a.json", ROTOR)
     cfg_b = write_config(

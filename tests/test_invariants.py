@@ -319,6 +319,36 @@ def test_verify_group_refines_on_poor_resolution():
     assert abs(rep.c_plaquette) == 2
 
 
+def test_inconsistent_result_does_not_refine_past_loop_sample_cap(monkeypatch):
+    # a cross-method disagreement refines like a ResolutionError does, and
+    # neither may refine a grid whose loops would pass MAX_LOOP_SAMPLES
+    grid = build_grid(Manifold.SPHERE, 16, 32)
+    calls = []
+
+    def inconsistent(h_field, group, grid, tol, group_id, refinements, spectrum):
+        calls.append((grid.n_lat, grid.n_lon, refinements))
+        rep = invariants.InvariantReport(
+            group_id=group_id, first_band=1, last_band=1, rank=1, min_gap=1.0,
+            c_plaquette=1, c_winding=-1, consistent=False, parity_ok=True,
+            refinements=refinements)
+        return rep, None
+
+    monkeypatch.setattr(invariants, "_verify_once", inconsistent)
+    monkeypatch.setattr(invariants, "MAX_LOOP_SAMPLES", 2 * grid.n_lon - 1)
+    rep = invariants.verify_group(models.rotor_spin(0.5), bands.BandGroup(0, 0, 1.0),
+                                  grid, TOL)
+    assert calls == [(16, 32, 0)]
+    assert not rep.consistent and rep.refinements == 0
+    assert rep.notes == ["cross-method Chern disagreement persisted"]
+    # under the cap the same result is refined once before it is returned
+    calls.clear()
+    monkeypatch.setattr(invariants, "MAX_LOOP_SAMPLES", 2 * grid.n_lon)
+    rep = invariants.verify_group(models.rotor_spin(0.5), bands.BandGroup(0, 0, 1.0),
+                                  grid, TOL)
+    assert calls == [(16, 32, 0), (32, 64, 1)]
+    assert rep.notes == ["cross-method Chern disagreement persisted after refinement"]
+
+
 def test_analyze_model_rejects_control():
     h = models.tri_broken(models.rotor_spin(0.5), 0.5, seed=1)
     with pytest.raises(DomainError) as err:

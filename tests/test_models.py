@@ -10,7 +10,7 @@ import pytest
 
 import phasetop
 from phasetop import bands, invariants, models, numkit
-from phasetop.errors import ConfigError, GapError, TrackingError
+from phasetop.errors import ConfigError, GapError, ResolutionError, TrackingError
 from phasetop.phasespace import Manifold, build_grid
 
 SPHERE_GRID = build_grid(Manifold.SPHERE, 16, 32)
@@ -290,6 +290,69 @@ def test_tri_path_evaluates_each_endpoint_once():
     assert path.verdict == "GAP-CLOSES" and len(path.samples) >= 21
     n = SPHERE_GRID.n_vertices
     assert evaluated == [("h0", n), ("h1", n)]
+
+
+def interleaved_tri_path(h0, h1, grid, band_range, steps, gap_floor):
+    """Reference scan: each sample is checked for an event as soon as it is
+    probed, and the scan goes on after the first event."""
+    first, last = band_range
+    hs0, hs1 = h0(grid.points), h1(grid.points)
+
+    def probe(s):
+        spec = bands.Spectrum.from_stack((1.0 - s) * hs0 + s * hs1, grid)
+        min_gap = spec.bounding_gap(first, last)
+        if min_gap <= gap_floor:
+            return min_gap, None
+        group = bands.BandGroup(first, last, min_gap)
+        try:
+            _, c = invariants.chern_plaquette(spec.band_vectors(group), grid)
+        except ResolutionError:
+            return min_gap, None
+        return min_gap, c
+
+    records, bracket, prev = [], None, None
+    for s in np.linspace(0.0, 1.0, steps):
+        min_gap, c = probe(float(s))
+        records.append((float(s), min_gap, c))
+        if c is None and bracket is None:
+            lo = prev[0] if prev else float(s)
+            bracket = (lo, min(float(s) + 1.0 / (steps - 1), 1.0))
+        if (bracket is None and prev is not None and prev[1] is not None
+                and c is not None and c != prev[1]):
+            lo, c_lo = prev
+            hi = float(s)
+            while hi - lo > 1e-6:
+                mid = 0.5 * (lo + hi)
+                g_mid, c_mid = probe(mid)
+                records.append((mid, g_mid, c_mid))
+                if c_mid is None:
+                    bracket = (lo, hi)
+                    break
+                if c_mid == c_lo:
+                    lo = mid
+                else:
+                    hi = mid
+            if bracket is None:
+                bracket = (lo, hi)
+        prev = (float(s), c)
+    records.sort(key=lambda r: r[0])
+    if bracket is not None:
+        return models.TriPath(records, "GAP-CLOSES", bracket)
+    (chern,) = {c for (_, _, c) in records}
+    return models.TriPath(records, "GAPPED-CONSTANT-C", None, chern=chern)
+
+
+@pytest.mark.parametrize("m1,steps,event", [(3.0, 11, "ungapped sample"),
+                                             (3.3, 10, "gapped change of c")])
+def test_tri_path_matches_interleaved_scan(m1, steps, event):
+    # H_s is TorusDoubledChern at m = 1 + (m1 - 1) s, whose lower pair closes
+    # its gap at m = 2: with m1 = 3 the sample s = 1/2 sits on the closing;
+    # with m1 = 3.3 it falls between two gapped samples of different c
+    h0, h1 = models.torus_doubled_chern(1.0), models.torus_doubled_chern(m1)
+    path = models.tri_path(h0, h1, TORUS_GRID, (0, 1), steps=steps, gap_floor=1e-3)
+    assert path == interleaved_tri_path(h0, h1, TORUS_GRID, (0, 1), steps, 1e-3)
+    assert path.verdict == "GAP-CLOSES"
+    assert (len(path.samples) > steps) == (event == "gapped change of c")
 
 
 def test_tri_path_rejects_mismatched_operators():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from phasetop import bands, invariants, models, numkit
 from phasetop.errors import PhasetopError, ResolutionError, SingularityError
-from phasetop.phasespace import Manifold, build_grid, fundamental_domain
+from phasetop.phasespace import Manifold, build_grid, fundamental_domain, tr_image_batch
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -215,15 +215,20 @@ def test_orientation_flip_negates_c_and_k(seed, case):
 
 
 # ---------------------------------------------------------------------------
-# TRI random fields: averaging the coefficients equals averaging the samples
+# TRI random fields: projecting the coefficients equals projecting the samples
+
+
+def tr_part(raw, t, manifold, parity, pts):
+    """The sample formula (B(x) + parity J conj(B(tau x)) J^dagger) / 2."""
+    return 0.5 * (raw(pts) + parity * t.conjugate_field(raw(tr_image_batch(manifold, pts))))
 
 
 @given(seed=SEEDS, manifold=st.sampled_from([Manifold.SPHERE, Manifold.TORUS]),
-       n_a=st.sampled_from([2, 4, 6]), cutoff=st.sampled_from([1, 2, 3]))
-def test_random_tri_averages_coefficients_like_samples(seed, manifold, n_a, cutoff):
+       n_a=st.sampled_from([2, 4, 6]), cutoff=st.sampled_from([1, 2, 3]),
+       parity=st.sampled_from([1, -1]))
+def test_random_tri_averages_coefficients_like_samples(seed, manifold, n_a, cutoff,
+                                                       parity):
     h = models.random_tri(manifold, n_a, cutoff=cutoff, seed=seed)
-    raw = models.random_hermitian_field(manifold, n_a, cutoff, seed)
-    averaged = bands.symmetrize_tri(raw, h.t, manifold)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 2 * np.pi, (200, 2))
     if manifold == Manifold.SPHERE:
@@ -232,7 +237,18 @@ def test_random_tri_averages_coefficients_like_samples(seed, manifold, n_a, cuto
     else:
         pts[:50, 1] = 0.0  # the TRI lines p = 0 and p = pi
         pts[50:100, 1] = np.pi
-    assert numkit.max_abs(h(pts) - averaged(pts)) <= 1e-13
+    if parity == 1:
+        # RandomTRI is the TR-even part of its raw field
+        raw = models.random_hermitian_field(manifold, n_a, cutoff, seed)
+        got, scale = h(pts), 1.0
+    else:
+        # TRIBrokenControl adds the TR-odd part of a cutoff-2 raw field, at
+        # the breaking strength over its sup norm on the probe set
+        raw = models.random_hermitian_field(manifold, n_a, 2, seed)
+        got = models.tri_broken(h, 0.5, seed)(pts) - h(pts)
+        probe = tr_part(raw, h.t, manifold, -1, models._probe_points(manifold))
+        scale = 0.5 / np.max(np.linalg.norm(probe, 2, axis=(1, 2)))
+    assert numkit.max_abs(got - scale * tr_part(raw, h.t, manifold, parity, pts)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
