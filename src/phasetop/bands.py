@@ -24,6 +24,7 @@ from .phasespace import (
     FundamentalDomain,
     Grid,
     Manifold,
+    directions,
     transport_chains,
     tr_image_batch,
 )
@@ -128,10 +129,7 @@ def rotated_field(h_field: HamiltonianField, angle: float) -> HamiltonianField:
 
         def rotated(pts: np.ndarray) -> np.ndarray:
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            th, ph = pts[:, 0], pts[:, 1]
-            n = np.stack(
-                [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=1
-            )
+            n = directions(pts)
             rn = n.copy()
             rn[:, 0] = c * n[:, 0] + s * n[:, 2]
             rn[:, 2] = -s * n[:, 0] + c * n[:, 2]
@@ -301,17 +299,18 @@ def smooth_frame(spectrum: Spectrum, group: BandGroup, domain: FundamentalDomain
     data = np.zeros((n_dom, spectrum.n_a, group.rank), dtype=complex)
     loc = domain.local_index
 
+    chains = transport_chains(domain)
+    seed_vid = chains[0, 0]
     if grid.manifold == Manifold.SPHERE:
-        seed_vid, chains = transport_chains(domain)
         data[loc[seed_vid]] = slabs[seed_vid]
         u = np.broadcast_to(slabs[seed_vid], (chains.shape[0],) + slabs.shape[1:])
     else:
-        seed_vid, (base, chains) = transport_chains(domain)
+        base = chains[:, 0]
         L = grid.n_lon
         raw = [slabs[seed_vid]]
         for vid in base[1:]:
             raw.append(_transport(slabs[vid], raw[-1]))
-        back = _transport(slabs[base[0]], raw[-1])
+        back = _transport(slabs[seed_vid], raw[-1])
         holonomy = raw[0].conj().T @ back
         q_h, ph_h = numkit.unitary_gap_log(holonomy)
         twists = numkit.unitary_power(q_h, ph_h, -np.arange(L) / L)
@@ -324,9 +323,8 @@ def smooth_frame(spectrum: Spectrum, group: BandGroup, domain: FundamentalDomain
         data[loc[row]] = u
 
     max_step, const = _continuity(domain, data)
-    frame = Frame(domain=domain, group=group, data=data,
-                  max_step=max_step, continuity_const=const)
-    return frame
+    return Frame(domain=domain, group=group, data=data,
+                 max_step=max_step, continuity_const=const)
 
 
 @dataclass(frozen=True)
@@ -336,13 +334,6 @@ class TransitionLoop:
     samples: np.ndarray        # (L, N_B, N_B)
     unitarity: float
     symmetry_residual: float   # max |U(tau x)^t + U(x)| over the loop
-
-    @property
-    def rank(self) -> int:
-        return self.samples.shape[1]
-
-    def det_loop(self) -> numkit.PhaseLoop:
-        return numkit.PhaseLoop(np.linalg.det(self.samples))
 
 
 def _unitarity(samples: np.ndarray) -> float:

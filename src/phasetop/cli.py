@@ -224,6 +224,22 @@ def _write_dumps(dump_dir: str, verified) -> None:
                      *zip(*rep.census_entries))
 
 
+def _theorem_violations(rep) -> list:
+    """One record per theorem check that a verified group's report fails."""
+    checks = (
+        (rep.parity_ok, {"kind": "parity", "c": rep.c_plaquette, "rank": rep.rank}),
+        (rep.consistent, {"kind": "cross-method", "c_plaquette": rep.c_plaquette,
+                          "c_winding": rep.c_winding}),
+        (rep.evenness_ok, {"kind": "curvature-evenness",
+                           "residual": rep.curvature_evenness}),
+        (rep.km_relation_ok is not False, {"kind": "km-relation", "k": rep.k,
+                                           "c": rep.c_plaquette}),
+        (rep.census_ok is not False, {"kind": "census", "k": rep.k,
+                                      "census_total": rep.census_total}),
+    )
+    return [record for ok, record in checks if not ok]
+
+
 def cmd_analyze(args) -> int:
     cfg = _validate_config(_load_config(args.config))
     if args.seed is not None:
@@ -258,10 +274,7 @@ def cmd_analyze(args) -> int:
 
     reports = [rep for rep, _ in results]
     chern_sum = int(sum(r.c_plaquette for r in reports))
-    all_ok = all(
-        r.consistent and r.parity_ok and (r.km_relation_ok is not False)
-        for r in reports
-    )
+    all_ok = not any(_theorem_violations(r) for r in reports)
     report["groups"] = [r.to_dict() for r in reports]
     report["global"] = {
         "status": "ok" if all_ok and chern_sum == 0 else "theorem-violation",
@@ -328,29 +341,13 @@ def cmd_random_suite(args) -> int:
             sym = rep.residuals.get("loop_antisymmetry",
                                     rep.residuals.get("loop_skewness", 0.0))
             max_antisym = max(max_antisym, sym)
-            if not rep.parity_ok:
-                violations.append({"seed": seed, "group": rep.group_id,
-                                   "kind": "parity", "c": rep.c_plaquette,
-                                   "rank": rep.rank})
-            if not rep.consistent:
-                violations.append({"seed": seed, "group": rep.group_id,
-                                   "kind": "cross-method",
-                                   "c_plaquette": rep.c_plaquette,
-                                   "c_winding": rep.c_winding})
-            if not rep.evenness_ok:
-                violations.append({"seed": seed, "group": rep.group_id,
-                                   "kind": "curvature-evenness",
-                                   "residual": rep.curvature_evenness})
+            violations.extend({"seed": seed, "group": rep.group_id, **record}
+                              for record in _theorem_violations(rep))
             if rep.rank % 2 == 0:
                 tally["even_rank_groups"] += 1
                 if rep.k is not None:
                     tally["km_defined"] += 1
                     tally["km_ok"] += bool(rep.km_relation_ok)
-                    if not rep.km_relation_ok:
-                        violations.append({"seed": seed,
-                                           "group": rep.group_id,
-                                           "kind": "km-relation",
-                                           "k": rep.k, "c": rep.c_plaquette})
 
     elapsed = time.perf_counter() - started
     report = {
@@ -406,6 +403,9 @@ def cmd_deform(args) -> int:
 def cmd_gauge_demo(args) -> int:
     cfg = _validate_config(_load_config(args.config))
     h_field = models.build(cfg["model"])
+    sphere = h_field.manifold == Manifold.SPHERE
+    if args.target_c is not None and not sphere:
+        raise ConfigError("--target-c applies to sphere models only")
     grid = _grid_for(cfg, h_field, args.grid)
     first, last = _band_range(args.group, h_field.n_a)
     spectrum = spectrum_on_grid(h_field, grid)
@@ -422,7 +422,7 @@ def cmd_gauge_demo(args) -> int:
 
     loops = transition_loops(frame, h_field.t)
     measured_c = chern_winding(loops)
-    if h_field.manifold == Manifold.SPHERE:
+    if sphere:
         (loop,) = loops
         target_c = measured_c if args.target_c is None else args.target_c
         if (target_c - group.rank) % 2 != 0:

@@ -52,13 +52,6 @@ class GaugeLoop:
     residual_pi: float
     residual_2pi: float
 
-    @property
-    def rank(self) -> int:
-        return self.samples.shape[1]
-
-    def det_loop(self) -> numkit.PhaseLoop:
-        return numkit.PhaseLoop(np.linalg.det(self.samples))
-
 
 _WAYPOINT_SEED = 20260809
 
@@ -110,7 +103,7 @@ def solve_equator_gauge(u_loop: TransitionLoop, v_loop: TransitionLoop) -> Gauge
 
 def winding_obstruction(gauge: GaugeLoop) -> int:
     """wn det W; the boundary gauge extends to the disk iff this vanishes."""
-    return numkit.winding_number(gauge.det_loop())
+    return numkit.det_winding(gauge.samples)
 
 
 def gauge_relation_residual(u_loop, v_loop, gauge: GaugeLoop) -> float:
@@ -381,10 +374,9 @@ def skew_normal_form(u_plus: TransitionLoop, u_minus: TransitionLoop,
     """
     if c % 2 != 0:
         raise DomainError("torus Chern number must be even")
-    nb = u_plus.rank
-    if nb % 2 != 0 or u_minus.rank != nb:
+    L, nb, _ = u_plus.samples.shape
+    if nb % 2 != 0 or u_minus.samples.shape[1] != nb:
         raise DomainError("skew normal form needs matching even ranks")
-    L = u_plus.samples.shape[0]
     q = 2.0 * np.pi * np.arange(L) / L
 
     results = {}
@@ -405,12 +397,12 @@ def skew_normal_form(u_plus: TransitionLoop, u_minus: TransitionLoop,
     target_p, w_p = results["plus"]
     target_m, w_m = results["minus"]
     windings = {
-        "det_v_plus": numkit.winding_number(np.linalg.det(target_p)),
-        "det_v_minus": numkit.winding_number(np.linalg.det(target_m)),
-        "det_u_plus": numkit.winding_number(np.linalg.det(u_plus.samples)),
-        "det_u_minus": numkit.winding_number(np.linalg.det(u_minus.samples)),
-        "det_w_plus": numkit.winding_number(np.linalg.det(w_p)),
-        "det_w_minus": numkit.winding_number(np.linalg.det(w_m)),
+        "det_v_plus": numkit.det_winding(target_p),
+        "det_v_minus": numkit.det_winding(target_m),
+        "det_u_plus": numkit.det_winding(u_plus.samples),
+        "det_u_minus": numkit.det_winding(u_minus.samples),
+        "det_w_plus": numkit.det_winding(w_p),
+        "det_w_minus": numkit.det_winding(w_m),
     }
     return SkewNormalForm(
         target_plus=target_p, target_minus=target_m,

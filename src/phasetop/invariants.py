@@ -31,6 +31,7 @@ from .bands import (
     TransitionLoop,
     find_gapped_groups,
     frame_residuals,
+    group_for_range,
     kramers_check,
     rotated_field,
     smooth_frame,
@@ -41,7 +42,6 @@ from .errors import (
     BoundaryZeroError,
     DegenerateConfigurationError,
     DomainError,
-    GapError,
     PhasetopError,
     ResolutionError,
     TRIViolationError,
@@ -138,7 +138,7 @@ def _oriented_sum(windings) -> int:
 def chern_winding(loops: tuple[TransitionLoop, ...]) -> int:
     """Chern number as the oriented boundary sum of det U windings; always
     even for TRI groups on the torus."""
-    return _oriented_sum(numkit.winding_number(loop.det_loop()) for loop in loops)
+    return _oriented_sum(numkit.det_winding(loop.samples) for loop in loops)
 
 
 @dataclass(frozen=True)
@@ -149,27 +149,16 @@ class MField:
     values: np.ndarray           # (n_dom, N_B, N_B), skew-symmetric
     pf: np.ndarray | None        # (n_dom,) Pfaffians (even rank only)
     skew_residual: float
-    small_pf_vertices: np.ndarray | None  # vids with |pf| below the zero floor
-
-    @property
-    def rank(self) -> int:
-        return self.values.shape[1]
 
 
-def m_field(frame: Frame, t: AntiUnitary, zero_floor: float = 1e-4) -> MField:
+def m_field(frame: Frame, t: AntiUnitary) -> MField:
     """M(x) per domain vertex; skew-symmetry is exact for fermionic TR."""
     m = np.einsum("vji,vjk->vik", frame.data.conj(), t.apply(frame.data))
     skew = float(max_abs(m + m.transpose(0, 2, 1)))
     if skew > 1e-8:
         raise DomainError(f"M field is not skew-symmetric ({skew:.2e})")
-    nb = m.shape[1]
-    pf = None
-    small = None
-    if nb % 2 == 0:
-        pf = numkit.pfaffian(m)
-        small = frame.domain.vertex_ids[np.abs(pf) < zero_floor]
-    return MField(domain=frame.domain, values=m, pf=pf,
-                  skew_residual=skew, small_pf_vertices=small)
+    pf = numkit.pfaffian(m) if m.shape[1] % 2 == 0 else None
+    return MField(domain=frame.domain, values=m, pf=pf, skew_residual=skew)
 
 
 def _pf_on_loop(mf: MField, loop: np.ndarray, zero_floor: float) -> np.ndarray:
@@ -269,15 +258,8 @@ class InvariantReport:
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        for key, val in out.items():
-            if isinstance(val, (np.integer,)):
-                out[key] = int(val)
-            elif isinstance(val, (np.floating,)):
-                out[key] = float(val)
-        out["residuals"] = {k: float(v) for k, v in out["residuals"].items()}
-        out["census_entries"] = [[int(p), int(w)] for p, w in out["census_entries"]]
-        return out
+        """The report as a JSON-ready dict; every value is a Python scalar."""
+        return asdict(self)
 
 
 _ROTATION_ANGLES = (0.0, 0.37, 0.81, 1.33, 1.91, 2.47, 2.95, 0.59)
@@ -300,7 +282,7 @@ def _km_with_rotations(h_field, group, grid, domain, mf, tol):
             h_rot = rotated_field(h_field, angle)
             spec = spectrum_on_grid(h_rot, grid)
             frame = smooth_frame(spec, group, domain)
-            mf = m_field(frame, h_rot.t, tol.zero_floor)
+            mf = m_field(frame, h_rot.t)
         try:
             k_here = km_boundary(mf, tol.zero_floor)
         except BoundaryZeroError:
@@ -347,9 +329,7 @@ def _verify_once(h_field: HamiltonianField, group: BandGroup, grid: Grid,
                  spectrum: Spectrum | None) -> tuple[InvariantReport, GroupFields]:
     if spectrum is None:
         spectrum = spectrum_on_grid(h_field, grid)
-    min_gap = spectrum.bounding_gap(group.first, group.last)
-    if min_gap <= tol.gap_floor:
-        raise GapError(f"group [{group.first}, {group.last}] not gapped on this grid")
+    min_gap = group_for_range(spectrum, group.first, group.last, tol.gap_floor).min_gap
 
     slabs = spectrum.band_vectors(group)
     curv, c_plq = chern_plaquette(slabs, grid)
@@ -401,7 +381,7 @@ def _verify_once(h_field: HamiltonianField, group: BandGroup, grid: Grid,
 
     mf = None
     if nb % 2 == 0:
-        mf = m_field(frame, h_field.t, tol.zero_floor)
+        mf = m_field(frame, h_field.t)
         residuals["m_skew"] = mf.skew_residual
         try:
             k, census, rotations, notes = _km_with_rotations(

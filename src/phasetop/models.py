@@ -10,6 +10,7 @@ part (TRIBrokenControl) are two projections of that table.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,21 +18,13 @@ import numpy as np
 from .bands import AntiUnitary, BandGroup, HamiltonianField, Spectrum, group_for_range
 from .errors import ConfigError, ResolutionError, TrackingError
 from .invariants import chern_plaquette
-from .phasespace import Grid, Manifold
+from .phasespace import Grid, Manifold, directions
 
 SIGMA = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-
-def directions(pts: np.ndarray) -> np.ndarray:
-    """Unit vectors n(theta, phi) for a batch of sphere points."""
-    th, ph = pts[:, 0], pts[:, 1]
-    return np.stack(
-        [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=1
-    )
 
 
 def angular_momentum(j: float):
@@ -59,13 +52,13 @@ def spin_time_reversal(j: float) -> AntiUnitary:
     return AntiUnitary(jmat)
 
 
-def _random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return 0.5 * (g + g.conj().T)
-
-
 def _random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
+    g = _random_complex(rng, n)
+    return 0.5 * (g + g.conj().T)
 
 
 def _probe_points(manifold: Manifold) -> np.ndarray:
@@ -326,11 +319,19 @@ def tri_broken(base: HamiltonianField, breaking_strength: float, seed: int = 1) 
     )
 
 
+def _broken_control(base: dict, breaking_strength: float = 0.5,
+                    seed: int = 1) -> HamiltonianField:
+    if breaking_strength <= 0:
+        raise ConfigError("breaking_strength must be positive")
+    return tri_broken(build(base), breaking_strength, seed)
+
+
 _VARIANTS = {
     "RotorSpin": (rotor_spin, ("j",), {"perturbation_strength": 0.0, "seed": 0}),
     "KramersPairSphere": (kramers_pair_sphere, (), {"epsilon": 0.1, "seed": 0}),
     "TorusDoubledChern": (torus_doubled_chern, (), {"m": 1.0, "epsilon": 0.0, "seed": 0}),
     "RandomTRI": (random_tri, ("manifold",), {"n_a": 4, "cutoff": 3, "seed": 0, "scale": 1.0}),
+    "TRIBrokenControl": (_broken_control, ("base",), {"breaking_strength": 0.5, "seed": 1}),
 }
 
 
@@ -339,21 +340,15 @@ def build(spec: dict) -> HamiltonianField:
 
     The mapping carries a "variant" key plus the variant's parameters, e.g.
     {"variant": "RotorSpin", "j": 0.5, "perturbation_strength": 0.1, "seed": 3}.
+    Each optional parameter must have its default's type, where an integer
+    may stand for a float and a bool stands for neither.
     """
     if not isinstance(spec, dict) or "variant" not in spec:
         raise ConfigError("model spec must be a mapping with a 'variant' key")
     variant = spec["variant"]
-    if variant == "TRIBrokenControl":
-        if "base" not in spec:
-            raise ConfigError("TRIBrokenControl needs a 'base' model spec")
-        strength = spec.get("breaking_strength", 0.5)
-        if not isinstance(strength, (int, float)) or strength <= 0:
-            raise ConfigError("breaking_strength must be positive")
-        return tri_broken(build(spec["base"]), float(strength), int(spec.get("seed", 1)))
     if variant not in _VARIANTS:
         raise ConfigError(
-            f"unknown model variant {variant!r}; expected one of "
-            f"{sorted(_VARIANTS) + ['TRIBrokenControl']}"
+            f"unknown model variant {variant!r}; expected one of {sorted(_VARIANTS)}"
         )
     fn, required, defaults = _VARIANTS[variant]
     kwargs = {}
@@ -362,7 +357,12 @@ def build(spec: dict) -> HamiltonianField:
             raise ConfigError(f"{variant} spec is missing required key {key!r}")
         kwargs[key] = spec[key]
     for key, default in defaults.items():
-        kwargs[key] = spec.get(key, default)
+        value = spec.get(key, default)
+        kind = numbers.Real if isinstance(default, float) else numbers.Integral
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"{variant} parameter {key!r} must be "
+                              f"{type(default).__name__}, got {value!r}")
+        kwargs[key] = value
     extra = set(spec) - {"variant"} - set(required) - set(defaults)
     if extra:
         raise ConfigError(f"unknown keys {sorted(extra)} for variant {variant}")

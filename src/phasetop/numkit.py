@@ -8,8 +8,6 @@ pure function of its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
@@ -42,22 +40,21 @@ def fix_phases(v: np.ndarray) -> np.ndarray:
 
 
 def eigh(h: np.ndarray):
-    """Eigendecomposition of a Hermitian matrix with deterministic ordering.
+    """eigh_many of a single Hermitian matrix: ascending eigenvalues, and
+    eigenvectors in the deterministic gauge of fix_phases."""
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise DomainError("eigh expects a square matrix")
+    w, v = eigh_many(h[None])
+    return w[0], v[0]
+
+
+def eigh_many(hs: np.ndarray):
+    """Eigendecomposition of a stack of Hermitian matrices (m, n, n).
 
     Eigenvalues ascend and each eigenvector's first significant component is
     made real positive, so repeated runs give identical frames.
     """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DomainError("eigh expects a square matrix")
-    if max_abs(h - h.conj().T) > HERMITICITY_TOL:
-        raise DomainError("matrix is not Hermitian within 1e-10")
-    w, v = np.linalg.eigh(h)
-    return w, fix_phases(v)
-
-
-def eigh_many(hs: np.ndarray):
-    """Batched eigh over a stack of Hermitian matrices (m, n, n)."""
     hs = np.asarray(hs, dtype=complex)
     if max_abs(hs - hs.conj().transpose(0, 2, 1)) > HERMITICITY_TOL:
         raise DomainError("batch contains a non-Hermitian matrix")
@@ -133,40 +130,25 @@ def pfaffian(s: np.ndarray):
     return pf.reshape(batch)
 
 
-@dataclass(frozen=True)
-class PhaseLoop:
-    """Samples of a nonvanishing complex function on a closed loop.
+def winding_number(samples) -> int:
+    """Winding number of a closed loop of nonvanishing complex samples, from
+    principal-value phase increments; sample i sits at angle 2*pi*i/L and the
+    loop wraps.
 
-    Sample i sits at angle 2*pi*i/L; the loop wraps.  Magnitudes below the
-    floor are refused at construction; step resolution is enforced when the
-    winding number is taken.
+    Raises DomainError for fewer than 4 samples or a magnitude at or below
+    MAGNITUDE_FLOOR, and ResolutionError when any step reaches pi/2: the loop
+    is declared under-resolved and the caller should double its sampling
+    (capped at 2**14 samples by the refinement contract).
     """
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.samples, dtype=complex).ravel()
-        if z.size < 4:
-            raise DomainError("a phase loop needs at least 4 samples")
-        small = np.abs(z) <= MAGNITUDE_FLOOR
-        if np.any(small):
-            raise DomainError(
-                f"{int(small.sum())} loop samples at or below magnitude floor "
-                f"{MAGNITUDE_FLOOR:g}"
-            )
-        object.__setattr__(self, "samples", z)
-
-
-def winding_number(loop) -> int:
-    """Winding number from principal-value phase increments around the loop.
-
-    Raises ResolutionError when any step reaches pi/2: the loop is declared
-    under-resolved and the caller should double its sampling (capped at 2**14
-    samples by the refinement contract).
-    """
-    if not isinstance(loop, PhaseLoop):
-        loop = PhaseLoop(np.asarray(loop))
-    z = loop.samples
+    z = np.asarray(samples, dtype=complex).ravel()
+    if z.size < 4:
+        raise DomainError("a phase loop needs at least 4 samples")
+    small = np.abs(z) <= MAGNITUDE_FLOOR
+    if np.any(small):
+        raise DomainError(
+            f"{int(small.sum())} loop samples at or below magnitude floor "
+            f"{MAGNITUDE_FLOOR:g}"
+        )
     steps = np.angle(np.roll(z, -1) / z)
     worst = float(np.max(np.abs(steps)))
     if worst >= MAX_LOOP_STEP:
@@ -178,6 +160,11 @@ def winding_number(loop) -> int:
     if abs(total - w) > 1e-6:
         raise ResolutionError(f"winding sum {total!r} is not integral")
     return int(w)
+
+
+def det_winding(samples: np.ndarray) -> int:
+    """Winding number of det over a loop of square matrices (L, n, n)."""
+    return winding_number(np.linalg.det(samples))
 
 
 def unitary_gap_log(u: np.ndarray):

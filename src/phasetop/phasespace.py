@@ -27,19 +27,26 @@ class Manifold(str, Enum):
     TORUS = "torus"
 
 
+def directions(pts: np.ndarray) -> np.ndarray:
+    """Unit vectors n(theta, phi) for a batch of sphere points."""
+    th, ph = pts[:, 0], pts[:, 1]
+    return np.stack(
+        [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=1
+    )
+
+
 def tr_image(manifold: Manifold, point):
     """Time-reversal image of a phase-space point.
 
     The sphere involution is fixed-point free; on the torus the fixed-point
     set is exactly the two lines p = 0 and p = pi.
     """
-    a, b = float(point[0]), float(point[1])
-    if manifold == Manifold.SPHERE:
-        return (np.pi - a, np.mod(b + np.pi, TWO_PI))
-    return (a, np.mod(-b, TWO_PI))
+    a, b = tr_image_batch(manifold, np.array([point], dtype=float))[0]
+    return (float(a), float(b))
 
 
 def tr_image_batch(manifold: Manifold, pts: np.ndarray) -> np.ndarray:
+    """tr_image of each row of an (m, 2) point array."""
     pts = np.asarray(pts, dtype=float)
     out = np.empty_like(pts)
     if manifold == Manifold.SPHERE:
@@ -228,22 +235,13 @@ def fundamental_domain(grid: Grid) -> FundamentalDomain:
     )
 
 
-def transport_chains(domain: FundamentalDomain):
-    """Vertex chains for frame transport over the domain.
-
-    Sphere: (seed vid = north pole, (n_lon, n_lat/2 + 1) array of chains
-    pole -> equator, one row per meridian).  Torus: (seed vid = (q,p) =
-    (0,0), (base row along q, (n_lon, n_lat/2 + 1) array of upward chains
-    in p, one row per column)).
-    """
+def transport_chains(domain: FundamentalDomain) -> np.ndarray:
+    """The (n_lon, n_lat/2 + 1) vertex chains of frame transport, column j
+    from row 0 up to the boundary row: on the sphere each starts at the north
+    pole, on the torus chains[:, 0] is the base row p = 0.  Either way
+    chains[0, 0] is the transport seed."""
     grid = domain.grid
-    rows = np.arange(grid.n_lat // 2 + 1)
-    cols = np.arange(grid.n_lon)[:, None]
-    seed = grid.vid(0, 0)
-    chains = grid.vid(rows, cols)
-    if grid.manifold == Manifold.SPHERE:
-        return seed, chains
-    return seed, (grid.row_vids(0), chains)
+    return grid.vid(np.arange(grid.n_lat // 2 + 1), np.arange(grid.n_lon)[:, None])
 
 
 def plaquette_solid_angles(grid: Grid) -> np.ndarray:

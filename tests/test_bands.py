@@ -217,7 +217,7 @@ def test_transition_loop_trivial_bundle_even_winding():
     group = bands.group_for_range(spec, 0, 1, 0.5)
     frame = bands.smooth_frame(spec, group, fundamental_domain(grid))
     loop = bands.transition_loops(frame, h.t)[0]
-    w = numkit.winding_number(loop.det_loop())
+    w = numkit.det_winding(loop.samples)
     assert w % 2 == 0 and w == 0
 
 

@@ -313,6 +313,13 @@ def test_deform_too_few_steps_exits_2(tmp_path, capsys, steps):
     {"variant": "RotorSpin", "j": "x"},
     {"variant": "RotorSpin", "j": float("inf")},
     ["random-suite", "--count", "1", "--manifold", "sphere", "--cutoff", "-1"],
+    # wrongly typed parameters
+    {"variant": "KramersPairSphere", "epsilon": "x"},
+    {"variant": "TorusDoubledChern", "m": "x"},
+    {"variant": "RotorSpin", "j": 0.5, "perturbation_strength": 0.1, "seed": "x"},
+    {"variant": "TRIBrokenControl", "base": {"variant": "RotorSpin", "j": 0.5},
+     "seed": "x"},
+    {"variant": "KramersPairSphere", "epsilon": True},
 ])
 def test_malformed_model_parameters_exit_2(tmp_path, capsys, case):
     # analyze builds the model of a config; random-suite builds RandomTRI itself
@@ -321,6 +328,47 @@ def test_malformed_model_parameters_exit_2(tmp_path, capsys, case):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("phasetop: error: ") and err.count("\n") == 1
+
+
+def test_gauge_demo_target_c_on_torus_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "torus.json",
+                       {"model": {"variant": "TorusDoubledChern", "m": 1.0},
+                        "grid": {"n_lat": 16, "n_lon": 128}})
+    out = tmp_path / "g.json"
+    assert run(["gauge-demo", "--config", cfg, "--group", "0:1", "--target-c", "4",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("phasetop: error: --target-c")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("failed, kind", [
+    (None, None), ("parity_ok", "parity"), ("consistent", "cross-method"),
+    ("evenness_ok", "curvature-evenness"), ("km_relation_ok", "km-relation"),
+    ("census_ok", "census"),
+])
+def test_analyze_and_random_suite_check_the_same_theorems(tmp_path, monkeypatch,
+                                                          failed, kind):
+    # a rank-2 group that holds every theorem, but for the one named failed
+    rep = invariants.InvariantReport(
+        group_id=0, first_band=1, last_band=2, rank=2, min_gap=0.5, c_plaquette=0,
+        c_winding=0, consistent=True, parity_ok=True, k=0, km_relation_ok=True,
+        census_total=0, census_ok=True, evenness_ok=True,
+    )
+    if failed:
+        setattr(rep, failed, False)
+    group = bands.BandGroup(0, 1, 0.5)
+    monkeypatch.setattr(cli, "analyze_model",
+                        lambda h, grid, tol: (0.0, [group], [(rep, None)]))
+    code = 0 if failed is None else 3
+    out = tmp_path / "out.json"
+    assert run(["analyze", "--config", write_config(tmp_path, "rotor.json", ROTOR),
+                "--out", str(out)]) == code
+    status = json.loads(out.read_text())["global"]["status"]
+    assert status == ("ok" if failed is None else "theorem-violation")
+    assert run(["random-suite", "--manifold", "sphere", "--count", "1",
+                "--grid", "8x8", "--out", str(out)]) == code
+    violations = json.loads(out.read_text())["violations"]
+    assert [v["kind"] for v in violations] == ([kind] if kind else [])
 
 
 def test_deform_incompatible_endpoints_exit_3(tmp_path):

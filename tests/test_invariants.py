@@ -195,8 +195,8 @@ def test_boundary_sums_match_explicit_torus_differences():
         dom = fundamental_domain(TORUS_GRID)
         frame = bands.smooth_frame(spec, group, dom)
         u_plus, u_minus = bands.transition_loops(frame, h.t)
-        wn_plus = numkit.winding_number(u_plus.det_loop())
-        wn_minus = numkit.winding_number(u_minus.det_loop())
+        wn_plus = numkit.det_winding(u_plus.samples)
+        wn_minus = numkit.det_winding(u_minus.samples)
         c = invariants.chern_winding((u_plus, u_minus))
         assert c == wn_plus - wn_minus
         mf = invariants.m_field(frame, h.t)

@@ -194,6 +194,21 @@ def test_build_dispatch_and_validation():
     assert broken.label == "TRIBrokenControl"
 
 
+def test_build_checks_parameter_types():
+    # an int stands for a float parameter; a bool or a string stands for none
+    pts = build_grid(Manifold.TORUS, 8, 8).points
+    as_int = models.build({"variant": "TorusDoubledChern", "m": 1, "epsilon": 0})
+    as_float = models.build({"variant": "TorusDoubledChern", "m": 1.0, "epsilon": 0.0})
+    assert np.array_equal(as_int(pts), as_float(pts))
+    for spec in ({"variant": "KramersPairSphere", "epsilon": True},
+                 {"variant": "KramersPairSphere", "seed": 1.0},
+                 {"variant": "RandomTRI", "manifold": "torus", "scale": "1"},
+                 {"variant": "TRIBrokenControl", "base": {"variant": "RotorSpin",
+                                                          "j": 0.5}, "seed": False}):
+        with pytest.raises(ConfigError, match="must be"):
+            models.build(spec)
+
+
 def test_kramers_pair_known_invariants():
     h = models.kramers_pair_sphere(epsilon=0.0)
     spec = bands.spectrum_on_grid(h, SPHERE_GRID)

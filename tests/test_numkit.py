@@ -179,6 +179,23 @@ def test_winding_under_resolved():
         numkit.winding_number(np.exp(1j * phi))
 
 
+def test_winding_rejects_too_few_samples():
+    # a constant loop winds 0 times, but 3 samples are too few to say so
+    with pytest.raises(DomainError, match="at least 4 samples"):
+        numkit.winding_number(np.ones(3, dtype=complex))
+    assert numkit.winding_number(np.ones(4, dtype=complex)) == 0
+
+
+def test_det_winding_is_winding_of_det():
+    phi = 2 * np.pi * np.arange(64) / 64
+    loops = np.zeros((64, 2, 2), dtype=complex)
+    loops[:, 0, 0] = np.exp(3j * phi)
+    loops[:, 1, 1] = np.exp(-1j * phi)
+    assert numkit.det_winding(loops) == 2
+    with pytest.raises(DomainError):
+        numkit.det_winding(loops[:3])
+
+
 def test_winding_rejects_small_magnitudes():
     z = np.ones(16, dtype=complex)
     z[3] = 1e-12

@@ -128,7 +128,7 @@ def test_km_census_matches_plaquette_loop(seed, manifold, noise, edge_cap):
     pf = np.exp(1j * x @ modes.T) @ complex_normal(rng, 4)
     pf += noise * complex_normal(rng, pf.shape)
     mf = invariants.MField(domain=dom, values=np.zeros((pf.size, 2, 2)), pf=pf,
-                           skew_residual=0.0, small_pf_vertices=None)
+                           skew_residual=0.0)
     try:
         want = census_by_loop(mf, edge_cap)
     except ResolutionError as exc:
