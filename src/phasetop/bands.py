@@ -12,7 +12,7 @@ time reverse of the frame on the opposite domain along the common boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -86,14 +86,21 @@ class HamiltonianField:
     t: AntiUnitary
     evaluate: Callable[[np.ndarray], np.ndarray]
     label: str = ""
+    # arrays only, keyed by grid: H(grid.points) until spectrum_on_grid takes
+    # it, then (energies, vectors) for the field's life; replace() starts anew
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         return self.evaluate(np.atleast_2d(np.asarray(pts, dtype=float)))
 
 
 def check_tri(h_field: HamiltonianField, grid: Grid, tol: float = 1e-9):
-    """Max vertex residual of J conj(H(tau x)) J^dagger - H(x), and pass flag."""
-    residual = h_field.t.tri_residual(h_field(grid.points), grid)
+    """Max vertex residual of J conj(H(tau x)) J^dagger - H(x), and pass flag;
+    the evaluated stack waits in the field's memo for spectrum_on_grid."""
+    key = ("stack", grid.manifold, grid.n_lat, grid.n_lon)
+    if key not in h_field._memo:
+        h_field._memo[key] = h_field(grid.points)
+    residual = h_field.t.tri_residual(h_field._memo[key], grid)
     return residual, residual <= tol
 
 
@@ -191,7 +198,18 @@ class Spectrum:
 
 
 def spectrum_on_grid(h_field: HamiltonianField, grid: Grid) -> Spectrum:
-    return Spectrum.from_stack(h_field(grid.points), grid)
+    """h_field's spectrum on grid, solved once per field and grid: the memo
+    keys it by (manifold, n_lat, n_lon), which names a grid because grids come
+    only from build_grid and refine_grid.  It takes check_tri's stack, if any."""
+    key = (grid.manifold, grid.n_lat, grid.n_lon)
+    memo = h_field._memo
+    hs = memo.pop(("stack",) + key, None)
+    if key not in memo:
+        w, v = numkit.eigh_many(h_field(grid.points) if hs is None else hs)
+        w.flags.writeable = v.flags.writeable = False  # shared by every caller
+        memo[key] = w, v
+    w, v = memo[key]
+    return Spectrum(grid=grid, energies=w, vectors=v)
 
 
 @dataclass(frozen=True)

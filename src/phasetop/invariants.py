@@ -27,8 +27,8 @@ from .bands import (
     BandGroup,
     Frame,
     HamiltonianField,
-    Spectrum,
     TransitionLoop,
+    check_tri,
     find_gapped_groups,
     frame_residuals,
     group_for_range,
@@ -325,10 +325,9 @@ class GroupFields:
 
 
 def _verify_once(h_field: HamiltonianField, group: BandGroup, grid: Grid,
-                 tol: Tolerances, group_id: int, refinements: int,
-                 spectrum: Spectrum | None) -> tuple[InvariantReport, GroupFields]:
-    if spectrum is None:
-        spectrum = spectrum_on_grid(h_field, grid)
+                 tol: Tolerances, group_id: int,
+                 refinements: int) -> tuple[InvariantReport, GroupFields]:
+    spectrum = spectrum_on_grid(h_field, grid)
     min_gap = group_for_range(spectrum, group.first, group.last, tol.gap_floor).min_gap
 
     slabs = spectrum.band_vectors(group)
@@ -408,22 +407,20 @@ def _verify_once(h_field: HamiltonianField, group: BandGroup, grid: Grid,
 
 
 def verify_group(h_field: HamiltonianField, group: BandGroup, grid: Grid,
-                 tol: Tolerances = Tolerances(), group_id: int = 0,
-                 spectrum: Spectrum | None = None) -> InvariantReport:
+                 tol: Tolerances = Tolerances(), group_id: int = 0) -> InvariantReport:
     """Run every invariant check for one gapped group, refining the grid once
     on resolution failures or cross-method disagreement before giving up.
 
-    spectrum, when given, is h_field's spectrum on grid; the unrefined
-    attempt uses it instead of solving its own.  A persisting
+    Each attempt reads h_field's spectrum through spectrum_on_grid, so the
+    groups of one field share its spectrum on each grid.  A persisting
     c_plaquette != c_winding is returned with consistent=False rather than
     raised, so callers can surface it in reports.
     """
-    return verify_group_fields(h_field, group, grid, tol, group_id, spectrum)[0]
+    return verify_group_fields(h_field, group, grid, tol, group_id)[0]
 
 
 def verify_group_fields(h_field: HamiltonianField, group: BandGroup, grid: Grid,
                         tol: Tolerances = Tolerances(), group_id: int = 0,
-                        spectrum: Spectrum | None = None,
                         ) -> tuple[InvariantReport, GroupFields]:
     """verify_group, also returning the report's GroupFields, taken from the
     final (possibly refined) grid."""
@@ -434,7 +431,7 @@ def verify_group_fields(h_field: HamiltonianField, group: BandGroup, grid: Grid,
                       and grid.n_lon * 2 <= MAX_LOOP_SAMPLES)
         try:
             report, fields = _verify_once(h_field, group, grid, tol, group_id,
-                                          refinements, spectrum)
+                                          refinements)
         except ResolutionError:
             if not may_refine:
                 raise
@@ -445,30 +442,26 @@ def verify_group_fields(h_field: HamiltonianField, group: BandGroup, grid: Grid,
                                         + (" after refinement" if refinements else ""))
                 return report, fields
         grid = refine_grid(grid)
-        spectrum = None
 
 
 def analyze_model(h_field: HamiltonianField, grid: Grid,
                   tol: Tolerances = Tolerances()):
     """The per-model pipeline: TRI check, spectrum, gapped groups, and the
-    verification of each group against that one spectrum.
+    verification of each group against the field's one memoized spectrum.
 
     Returns (tri_residual, groups, results), where results[i] is group i's
     (InvariantReport, GroupFields) or the PhasetopError that stopped it.
     Raises TRIViolationError, which carries the residual, when the field is
     not TRI at tri_tol (controls are reported upstream).
     """
-    hs = h_field(grid.points)  # one evaluation serves the TRI check and eigh
-    tri_residual = h_field.t.tri_residual(hs, grid)
-    if not tri_residual <= tol.tri_tol:  # a NaN residual fails as well
+    tri_residual, tri_ok = check_tri(h_field, grid, tol.tri_tol)
+    if not tri_ok:  # a NaN residual fails as well
         raise TRIViolationError(tri_residual, tol.tri_tol)
-    spectrum = Spectrum.from_stack(hs, grid)
-    groups = find_gapped_groups(spectrum, tol.gap_floor)
+    groups = find_gapped_groups(spectrum_on_grid(h_field, grid), tol.gap_floor)
     results = []
     for gid, group in enumerate(groups):
         try:
-            results.append(verify_group_fields(h_field, group, grid, tol, gid,
-                                               spectrum))
+            results.append(verify_group_fields(h_field, group, grid, tol, gid))
         except PhasetopError as exc:
             results.append(exc)
     return tri_residual, groups, results

@@ -232,7 +232,10 @@ def rotor_spin(j: float, perturbation_strength: float = 0.0, seed: int = 0) -> H
     Fermionic TR requires half-integer j.  An optional TRI-symmetrized random
     perturbation keeps the band gaps but removes accidental structure.
     """
-    return _perturbed(_spin_texture(np.stack(angular_momentum(j))), spin_time_reversal(j),
+    spin = np.stack(angular_momentum(j))
+    if isinstance(j, bool) or spin.shape[1] % 2:  # dimension 2j + 1 must be even
+        raise ConfigError(f"RotorSpin needs a half-integer j, got {j!r}")
+    return _perturbed(_spin_texture(spin), spin_time_reversal(j),
                       Manifold.SPHERE, "RotorSpin", perturbation_strength, seed)
 
 

@@ -330,6 +330,16 @@ def test_malformed_model_parameters_exit_2(tmp_path, capsys, case):
     assert err.startswith("phasetop: error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("j", [1, True, "x", 0.75])
+def test_rotor_spin_without_half_integer_j_exits_2(tmp_path, capsys, j):
+    # fermionic time reversal needs half-integer j; anything else is a config
+    # error, not a numerical failure (exit 3)
+    cfg = write_config(tmp_path, "j.json", {"model": {"variant": "RotorSpin", "j": j}})
+    assert run(["analyze", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("phasetop: error: ") and err.count("\n") == 1
+
+
 def test_gauge_demo_target_c_on_torus_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "torus.json",
                        {"model": {"variant": "TorusDoubledChern", "m": 1.0},

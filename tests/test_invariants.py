@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from phasetop import bands, gauge, invariants, models, numkit
 from phasetop.errors import (
     DegenerateConfigurationError,
     DomainError,
+    GapError,
+    PhasetopError,
     ResolutionError,
     TRIViolationError,
 )
@@ -325,7 +329,7 @@ def test_inconsistent_result_does_not_refine_past_loop_sample_cap(monkeypatch):
     grid = build_grid(Manifold.SPHERE, 16, 32)
     calls = []
 
-    def inconsistent(h_field, group, grid, tol, group_id, refinements, spectrum):
+    def inconsistent(h_field, group, grid, tol, group_id, refinements):
         calls.append((grid.n_lat, grid.n_lon, refinements))
         rep = invariants.InvariantReport(
             group_id=group_id, first_band=1, last_band=1, rank=1, min_gap=1.0,
@@ -384,9 +388,92 @@ def test_analyze_model_solves_one_spectrum(monkeypatch):
     assert len(groups) == 4
     for group, (rep, _) in zip(groups, results):
         assert rep.refinements == 0 and rep.domain_rotations == 0
-        fresh = invariants.verify_group(h, group, SPHERE_GRID, TOL,
-                                        group_id=rep.group_id)
+        # a new field has an empty memo, so this solves its spectrum afresh
+        fresh = invariants.verify_group(models.rotor_spin(1.5), group, SPHERE_GRID,
+                                        TOL, group_id=rep.group_id)
         assert rep.to_dict() == fresh.to_dict()
+
+
+def _counted(monkeypatch, h):
+    """A copy of h (empty memo) that logs the points of each evaluation, and
+    the log of numkit.eigh_many stack sizes."""
+    evaluated, solved = [], []
+    eigh_many = numkit.eigh_many
+
+    def counted(hs):
+        solved.append(len(hs))
+        return eigh_many(hs)
+
+    def evaluate(pts):
+        evaluated.append(len(pts))
+        return h.evaluate(pts)
+
+    monkeypatch.setattr(numkit, "eigh_many", counted)
+    return dataclasses.replace(h, evaluate=evaluate), evaluated, solved
+
+
+def _verify_each_group(h, grid, tol):
+    """The public per-model sequence, one verify_group per group; returns
+    each group's report or the error that stopped it."""
+    assert bands.check_tri(h, grid, tol.tri_tol)[1]
+    groups = bands.find_gapped_groups(bands.spectrum_on_grid(h, grid), tol.gap_floor)
+    out = []
+    for gid, group in enumerate(groups):
+        try:
+            out.append(invariants.verify_group(h, group, grid, tol, group_id=gid))
+        except PhasetopError as exc:
+            out.append(exc)
+    return out
+
+
+def test_groups_share_the_discovery_spectrum(monkeypatch):
+    # four rank-1 groups, none refines or rotates: one evaluation of H serves
+    # check_tri and the spectrum, and one eigh serves every verify_group
+    h, evaluated, solved = _counted(monkeypatch, models.rotor_spin(1.5))
+    reports = _verify_each_group(h, SPHERE_GRID, TOL)
+    assert len(reports) == 4
+    assert all(rep.refinements == 0 and rep.domain_rotations == 0 for rep in reports)
+    assert evaluated == [SPHERE_GRID.n_vertices]
+    assert solved == [SPHERE_GRID.n_vertices]
+
+
+def test_groups_that_refine_share_one_refined_spectrum(monkeypatch):
+    # both groups of torus seed 210 refine and then fail the gap floor on the
+    # refined grid; the two refined attempts share one 48x256 spectrum
+    grid = build_grid(Manifold.TORUS, 24, 128)
+    h, evaluated, solved = _counted(monkeypatch,
+                                    models.random_tri("torus", 4, cutoff=3, seed=210))
+    outcomes = _verify_each_group(h, grid, Tolerances(gap_floor=0.03))
+    assert [type(o) for o in outcomes] == [GapError, GapError]
+    assert solved == evaluated == [3072, 12288]
+
+
+def test_memo_spectrum_matches_a_fresh_solve():
+    h = models.random_tri("sphere", 4, cutoff=2, seed=9)
+    assert bands.check_tri(h, SPHERE_GRID)[1]
+    served = [bands.spectrum_on_grid(h, SPHERE_GRID) for _ in range(2)]
+    fresh = dataclasses.replace(h)
+    solved = bands.Spectrum.from_stack(fresh(SPHERE_GRID.points), SPHERE_GRID)
+    for spec in served:
+        assert np.array_equal(spec.energies, solved.energies)
+        assert np.array_equal(spec.vectors, solved.vectors)
+
+
+def test_field_is_freed_at_once_after_domain_rotation():
+    # the rotated fields refer to h; h's memo must not refer to them, or the
+    # cycle would keep h alive until the cyclic collector runs
+    h = models.random_tri("sphere", 4, cutoff=3, seed=107)
+    group = bands.find_gapped_groups(bands.spectrum_on_grid(h, SPHERE_GRID),
+                                     TOL.gap_floor)[1]
+    gc.disable()
+    try:
+        rep = invariants.verify_group(h, group, SPHERE_GRID, TOL, group_id=1)
+        assert rep.domain_rotations > 0
+        ref = weakref.ref(h)
+        del h
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_parity_theorem_on_random_sample():
