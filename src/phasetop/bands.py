@@ -330,9 +330,7 @@ def smooth_frame(spectrum: Spectrum, group: BandGroup, domain: FundamentalDomain
             raw.append(_transport(slabs[vid], raw[-1]))
         back = _transport(slabs[seed_vid], raw[-1])
         holonomy = raw[0].conj().T @ back
-        q_h, ph_h = numkit.unitary_gap_log(holonomy)
-        twists = numkit.unitary_power(q_h, ph_h, -np.arange(L) / L)
-        u = np.stack(raw) @ twists
+        u = np.stack(raw) @ numkit.unitary_powers(holonomy, -np.arange(L) / L)
         data[loc[base]] = u
     # every meridian (sphere) or column (torus) steps in lock-step, one row
     # of the domain at a time

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -108,6 +109,14 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _positive(name: str, val) -> float:
+    """val, if it is a positive finite number and not a bool."""
+    if (isinstance(val, bool) or not isinstance(val, (int, float))
+            or not (math.isfinite(val) and val > 0)):
+        raise ConfigError(f"{name} must be a positive finite number, got {val!r}")
+    return val
+
+
 def _validate_config(cfg: dict) -> dict:
     known = {"model", "grid", "tolerances", "seed"}
     extra = set(cfg) - known
@@ -130,10 +139,9 @@ def _validate_config(cfg: dict) -> dict:
     if bad:
         raise ConfigError(f"unknown tolerance keys: {sorted(bad)}")
     for key, val in tol.items():
-        if not isinstance(val, (int, float)) or val <= 0:
-            raise ConfigError(f"tolerance {key} must be positive")
+        _positive(f"tolerance {key}", val)
     seed = cfg.get("seed", 0)
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError("'seed' must be an integer")
     return cfg
 
@@ -298,7 +306,7 @@ def cmd_random_suite(args) -> int:
     manifold = Manifold(args.manifold)
     n_lat, n_lon = _parse_grid(args.grid) if args.grid else _DEFAULT_GRIDS[manifold]
     grid = build_grid(manifold, n_lat, n_lon)
-    tol = Tolerances(gap_floor=args.gap_floor)
+    tol = Tolerances(gap_floor=_positive("--gap-floor", args.gap_floor))
     started = time.perf_counter()
 
     tally = {
@@ -372,6 +380,7 @@ def cmd_random_suite(args) -> int:
 
 
 def cmd_deform(args) -> int:
+    _positive("--gap-floor", args.gap_floor)
     cfg_a = _validate_config(_load_config(args.config_a))
     cfg_b = _validate_config(_load_config(args.config_b))
     h0 = models.build(cfg_a["model"])
@@ -401,6 +410,7 @@ def cmd_deform(args) -> int:
 
 
 def cmd_gauge_demo(args) -> int:
+    _positive("--gap-floor", args.gap_floor)
     cfg = _validate_config(_load_config(args.config))
     h_field = models.build(cfg["model"])
     sphere = h_field.manifold == Manifold.SPHERE

@@ -53,23 +53,9 @@ class GaugeLoop:
     residual_2pi: float
 
 
-_WAYPOINT_SEED = 20260809
-
-
 def _geodesic(start: np.ndarray, end: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Samples of the unitary-group geodesic from start to end at fractions ts."""
-    step = start.conj().T @ end
-    try:
-        q, ph = numkit.unitary_gap_log(step)
-    except BranchError:
-        # re-route via an intermediate waypoint when no branch cut exists
-        rng = np.random.default_rng(_WAYPOINT_SEED)
-        g = rng.standard_normal(step.shape) + 1j * rng.standard_normal(step.shape)
-        way = np.linalg.qr(g)[0]
-        first = _geodesic(start, start @ way, np.clip(2 * ts, 0, 1))
-        second = _geodesic(start @ way, end, np.clip(2 * ts - 1, 0, 1))
-        return np.where((ts <= 0.5)[:, None, None], first, second)
-    return start @ numkit.unitary_power(q, ph, ts)
+    return start @ numkit.unitary_powers(start.conj().T @ end, ts)
 
 
 def solve_equator_gauge(u_loop: TransitionLoop, v_loop: TransitionLoop) -> GaugeLoop:
@@ -345,8 +331,7 @@ def _pair_congruence(u_samples: np.ndarray) -> np.ndarray:
     closed, _ = build(0, seeds)  # transport once more across the seam
     holonomy = x_cols[0].conj().T @ closed
     if max_abs(holonomy - np.eye(nb)) > 1e-12:
-        q_h, ph_h = numkit.unitary_gap_log(holonomy)
-        x_cols = x_cols @ numkit.unitary_power(q_h, ph_h, -np.arange(L) / L)
+        x_cols = x_cols @ numkit.unitary_powers(holonomy, -np.arange(L) / L)
     return x_cols
 
 

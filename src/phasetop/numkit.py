@@ -2,14 +2,13 @@
 
 Hermitian eigensolver with a reproducible eigenvector gauge, unitary polar
 retraction, Pfaffian by skew-symmetric elimination, loop winding numbers,
-and branch-tracked logarithms of unitary matrices.  Everything here is a
-pure function of its inputs.
+and fractional powers of unitary matrices with a branch-tracked logarithm.
+Everything here is a pure function of its inputs and needs numpy alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BranchError, DomainError, ResolutionError, SingularityError
 
@@ -167,20 +166,26 @@ def det_winding(samples: np.ndarray) -> int:
     return winding_number(np.linalg.det(samples))
 
 
-def unitary_gap_log(u: np.ndarray):
-    """Eigen-decompose a unitary matrix and choose log-branch phases.
+def unitary_powers(u: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """u^t for a unitary matrix u; an array of exponents gives a stack of powers.
 
-    The branch cut is placed in the middle of the largest gap of the
-    eigenphase spectrum on the unit circle, so fractional powers
-    u^t = Q exp(i t phases) Q^dagger vary continuously in t and never jump
-    across an eigenvalue.  Returns (q, phases) with u = q diag(exp(i phases)) q^dagger.
+    u is diagonalized by np.linalg.eig and the eigenvectors are made
+    orthonormal by polar_unitary: for a normal matrix, eigenvectors of
+    distinct eigenvalues are already orthogonal, so this Lowdin step mixes
+    columns only within one eigenspace.  The log branch cut is placed in the
+    middle of the largest gap of the eigenphase spectrum on the unit circle,
+    so u^t = Q exp(i t phases) Q^dagger varies continuously in t and never
+    jumps across an eigenvalue.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DomainError("unitary_gap_log expects a square matrix")
-    t, q = scipy.linalg.schur(u, output="complex")
-    d = np.diagonal(t).copy()
-    if max_abs(t - np.diag(d)) > 1e-8 or max_abs(np.abs(d) - 1.0) > 1e-6:
+        raise DomainError("unitary_powers expects a square matrix")
+    d, q = np.linalg.eig(u)
+    try:
+        q = polar_unitary(q)
+    except SingularityError:  # defective eigenvectors: u is not even normal
+        raise DomainError("matrix is not unitary") from None
+    if max_abs((q * d) @ q.conj().T - u) > 1e-8 or max_abs(np.abs(d) - 1.0) > 1e-6:
         raise DomainError("matrix is not unitary")
     ph = np.angle(d)
     order = np.sort(ph)
@@ -198,11 +203,5 @@ def unitary_gap_log(u: np.ndarray):
             raise BranchError("eigenphases leave no usable branch-cut gap")
     # phases live in (cut - 2*pi, cut], all at distance >= gap/2 from the cut
     rebased = cut - np.mod(cut - ph, 2.0 * np.pi)
-    return q, rebased
-
-
-def unitary_power(q: np.ndarray, phases: np.ndarray, t: float | np.ndarray) -> np.ndarray:
-    """u^t from the factors produced by unitary_gap_log; an array of exponents
-    gives a stack of powers."""
-    e = np.exp(1j * np.asarray(t, dtype=float)[..., None] * phases)
+    e = np.exp(1j * np.asarray(t, dtype=float)[..., None] * rebased)
     return (q * e[..., None, :]) @ q.conj().T

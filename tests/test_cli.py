@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -338,6 +343,71 @@ def test_rotor_spin_without_half_integer_j_exits_2(tmp_path, capsys, j):
     assert run(["analyze", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("phasetop: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", [
+    {"tolerances": {"gap_floor": True}},
+    {"tolerances": {"zero_floor": float("nan")}},
+    {"tolerances": {"gap_floor": float("inf")}},
+    {"tolerances": {"tri_tol": -1e-9}},
+    {"tolerances": {"evenness_rel": "x"}},
+    {"seed": False},
+    ["random-suite", "--count", "1", "--manifold", "torus", "--gap-floor", "nan"],
+    ["random-suite", "--count", "1", "--manifold", "torus", "--gap-floor", "-1"],
+    ["random-suite", "--count", "1", "--manifold", "sphere", "--gap-floor", "inf"],
+    ["deform", "--config-a", "CFG", "--config-b", "CFG", "--gap-floor", "nan"],
+    ["deform", "--config-a", "CFG", "--config-b", "CFG", "--gap-floor", "0"],
+    ["gauge-demo", "--config", "CFG", "--gap-floor=-inf"],
+    ["gauge-demo", "--config", "CFG", "--gap-floor=-0.05"],
+])
+def test_tolerance_gap_floor_and_seed_validation_exits_2(tmp_path, capsys, case):
+    # a tolerance or --gap-floor is a positive finite number, not a bool; a
+    # seed is an integer, not a bool
+    if isinstance(case, dict):
+        argv = ["analyze", "--config", write_config(tmp_path, "c.json", {**ROTOR, **case})]
+    else:
+        cfg = write_config(tmp_path, "c.json", ROTOR)
+        argv = [cfg if arg == "CFG" else arg for arg in case]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("phasetop: error: ") and err.count("\n") == 1
+
+
+def test_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: importing the CLI loads no scipy,
+    # and with every scipy import made to fail the torus suite and both
+    # gauge-demo routes still run
+    src = str(Path(phasetop.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    imported = subprocess.run(
+        [sys.executable, "-c", "import sys, phasetop.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env, check=True)
+    assert imported.stdout.strip() == "[]"
+
+    kramers = write_config(tmp_path, "kp.json", {
+        "model": {"variant": "KramersPairSphere", "epsilon": 0.1, "seed": 0},
+        "grid": {"n_lat": 32, "n_lon": 128}, "seed": 0})
+    torus = write_config(tmp_path, "torus.json", {
+        "model": {"variant": "TorusDoubledChern", "m": 1.0, "epsilon": 0.0, "seed": 2},
+        "grid": {"n_lat": 16, "n_lon": 128}})
+    out = str(tmp_path / "out.json")
+    commands = [
+        ["random-suite", "--count", "1", "--manifold", "torus", "--seed", "209",
+         "--grid", "24x128", "--gap-floor", "0.03", "--out", out],
+        ["gauge-demo", "--config", kramers, "--group", "0:1", "--out", out],
+        ["gauge-demo", "--config", torus, "--group", "0:1", "--out", out],
+    ]
+    script = textwrap.dedent("""
+        import json, sys
+        sys.modules["scipy"] = None  # any scipy import now raises ImportError
+        from phasetop.cli import main
+        print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+    """)
+    blocked = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                             capture_output=True, text=True, env=env, check=True)
+    assert json.loads(blocked.stdout) == [0, 0, 0], blocked.stderr
 
 
 def test_gauge_demo_target_c_on_torus_exits_2(tmp_path, capsys):

@@ -117,13 +117,13 @@ def test_stacked_unitary_powers_match_per_sample_loops(n_b):
     start, end = (np.linalg.qr(rng.standard_normal((n_b, n_b))
                                 + 1j * rng.standard_normal((n_b, n_b)))[0]
                   for _ in range(2))
-    q, ph = numkit.unitary_gap_log(start.conj().T @ end)
+    step = start.conj().T @ end
     ts = np.arange(33) / 32
-    ref = np.stack([start @ numkit.unitary_power(q, ph, t) for t in ts])
+    ref = np.stack([start @ numkit.unitary_powers(step, t) for t in ts])
     assert ref.tobytes() == gauge._geodesic(start, end, ts).tobytes()
     L = 64
-    spread = numkit.unitary_power(q, ph, -np.arange(L) / L)
-    ref = np.stack([numkit.unitary_power(q, ph, -j / L) for j in range(L)])
+    spread = numkit.unitary_powers(step, -np.arange(L) / L)
+    ref = np.stack([numkit.unitary_powers(step, -j / L) for j in range(L)])
     assert ref.tobytes() == spread.tobytes()
 
 

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from phasetop import numkit
@@ -223,21 +226,74 @@ def test_winding_invariant_under_positive_scaling():
 
 
 # ---------------------------------------------------------------------------
-# unitary logarithm branches
+# unitary powers and their log branches
 
 
-def test_unitary_gap_log_roundtrip():
+def test_unitary_powers_roundtrip():
     rng = np.random.default_rng(31)
     u = random_unitary(rng, 4)
-    q, ph = numkit.unitary_gap_log(u)
-    rebuilt = numkit.unitary_power(q, ph, 1.0)
+    rebuilt = numkit.unitary_powers(u, 1.0)
     assert numkit.max_abs(rebuilt - u) <= 1e-10
-    assert numkit.max_abs(numkit.unitary_power(q, ph, 0.0) - np.eye(4)) <= 1e-12
+    assert numkit.max_abs(numkit.unitary_powers(u, 0.0) - np.eye(4)) <= 1e-12
 
 
-def test_unitary_gap_log_avoids_minus_one():
+def test_unitary_powers_avoid_minus_one():
     # principal branch would split at the -1 eigenvalue; the gap branch must not
     u = np.diag([-1.0 + 0j, np.exp(0.3j)])
-    q, ph = numkit.unitary_gap_log(u)
-    half = numkit.unitary_power(q, ph, 0.5)
+    half = numkit.unitary_powers(u, 0.5)
     assert numkit.max_abs(half @ half - u) <= 1e-10
+
+
+def schur_powers(u, ts):
+    """Oracle: u^t from scipy's complex Schur form, with the branch cut in the
+    middle of the widest gap between cyclically neighbouring eigenphases."""
+    tri, q = scipy.linalg.schur(u, output="complex")
+    ph = np.angle(np.diagonal(tri))
+    order = np.sort(ph)
+    gaps = np.diff(np.append(order, order[0] + 2.0 * np.pi))
+    i = int(np.argmax(gaps))
+    cut = order[i] + 0.5 * gaps[i]
+    rebased = cut - np.mod(cut - ph, 2.0 * np.pi)
+    return np.stack([(q * np.exp(1j * t * rebased)) @ q.conj().T for t in ts])
+
+
+POWERS = np.array([-1.0, -0.5, -1.0 / 3.0, 0.0, 0.25, 0.5, 1.0])
+
+
+def conjugated(rng, phases):
+    q = random_unitary(rng, len(phases))
+    return (q * np.exp(1j * np.asarray(phases))) @ q.conj().T
+
+
+@pytest.mark.parametrize("phases", [
+    [0.0, 0.0, 0.0, 0.0],                              # identity
+    [0.4, 0.4, -2.0, -2.0],                            # exact Kramers pairs
+    [1.1, 1.1, 1.1, 1.1, 2.9, 2.9],
+    [np.pi, 0.3],                                      # a -1 eigenvalue
+    [np.pi, np.pi, -0.7, -0.7],
+    [0.4, 0.4 + 1e-9, -2.0, -2.0 + 1e-9],              # pairs split by 1e-9
+    [3.0, 3.0 + 1e-9, -3.1, -3.1 - 1e-9, 0.0, 1e-9],
+])
+def test_unitary_powers_match_schur_oracle_on_degenerate_spectra(phases):
+    u = conjugated(np.random.default_rng(len(phases)), phases)
+    stack = numkit.unitary_powers(u, POWERS)
+    assert stack.shape == (len(POWERS),) + u.shape
+    assert numkit.max_abs(stack - schur_powers(u, POWERS)) <= 1e-12
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+def test_unitary_powers_match_schur_oracle_on_random_unitaries(seed, n):
+    u = random_unitary(np.random.default_rng(seed), n)
+    assert numkit.max_abs(numkit.unitary_powers(u, POWERS)
+                          - schur_powers(u, POWERS)) <= 1e-12
+
+
+@pytest.mark.parametrize("u", [
+    2.0 * np.eye(2),
+    np.array([[1.0, 1.0], [0.0, 1.0]]),  # defective: eigenvectors are parallel
+    np.array([[1.0, 0.5], [0.0, -1.0]]),  # unit eigenvalues, not normal
+])
+def test_unitary_powers_refuse_non_unitary(u):
+    with pytest.raises(DomainError):
+        numkit.unitary_powers(u, 0.5)
