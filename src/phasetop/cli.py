@@ -316,6 +316,7 @@ def cmd_random_suite(args) -> int:
         "even_rank_groups": 0,
         "km_ok": 0,
         "km_defined": 0,
+        "census_defined": 0,
         "evenness_ok": 0,
         "consistent": 0,
         "skipped_marginal": 0,
@@ -356,6 +357,7 @@ def cmd_random_suite(args) -> int:
                 if rep.k is not None:
                     tally["km_defined"] += 1
                     tally["km_ok"] += bool(rep.km_relation_ok)
+                tally["census_defined"] += rep.census_total is not None
 
     elapsed = time.perf_counter() - started
     report = {

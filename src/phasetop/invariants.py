@@ -27,7 +27,9 @@ from .bands import (
     BandGroup,
     Frame,
     HamiltonianField,
+    Spectrum,
     TransitionLoop,
+    _transport,
     check_tri,
     find_gapped_groups,
     frame_residuals,
@@ -44,10 +46,18 @@ from .errors import (
     DomainError,
     PhasetopError,
     ResolutionError,
+    SingularityError,
     TRIViolationError,
 )
 from .numkit import max_abs
-from .phasespace import FundamentalDomain, Grid, Manifold, fundamental_domain, refine_grid
+from .phasespace import (
+    FundamentalDomain,
+    Grid,
+    Manifold,
+    edge_points,
+    fundamental_domain,
+    refine_grid,
+)
 
 
 @dataclass(frozen=True)
@@ -66,6 +76,7 @@ LINK_FLOOR = 1e-6                 # smallest admissible |det| of a plaquette lin
 FLUX_CAP = np.pi - 0.1            # largest admissible |plaquette flux|
 CENSUS_EDGE_CAP = np.pi - 0.2     # pf M phase step that puts a zero on an edge
 PF_HARD_FLOOR = 1e-12             # |pf M| below which the zeros are not isolated
+CENSUS_EDGE_SPLITS = (2, 4, 8, 16)  # sub-intervals tried in turn on a census edge
 MAX_GRID_REFINEMENTS = 1          # each refinement doubles both grid directions
 MAX_LOOP_SAMPLES = 2 ** 14        # no refinement past this many boundary samples
 
@@ -151,9 +162,14 @@ class MField:
     skew_residual: float
 
 
+def _m_values(data: np.ndarray, t: AntiUnitary) -> np.ndarray:
+    """M = u^dagger T u for a (V, N_A, N_B) stack of frames."""
+    return np.einsum("vji,vjk->vik", data.conj(), t.apply(data))
+
+
 def m_field(frame: Frame, t: AntiUnitary) -> MField:
     """M(x) per domain vertex; skew-symmetry is exact for fermionic TR."""
-    m = np.einsum("vji,vjk->vik", frame.data.conj(), t.apply(frame.data))
+    m = _m_values(frame.data, t)
     skew = float(max_abs(m + m.transpose(0, 2, 1)))
     if skew > 1e-8:
         raise DomainError(f"M field is not skew-symmetric ({skew:.2e})")
@@ -188,7 +204,17 @@ class ZeroCensus:
     total: int
 
 
-def km_census(mf: MField, edge_cap: float = CENSUS_EDGE_CAP) -> ZeroCensus:
+def _side_steps(mf: MField):
+    """Corner vids (P, 4) of the domain plaquettes, and the principal pf M
+    phase step along each side, from corner i to corner i + 1."""
+    dom = mf.domain
+    corners = dom.grid.plaquettes[dom.plaq_ids]
+    vals = mf.pf[dom.local_index[corners]]
+    return corners, np.angle(np.roll(vals, -1, axis=1) / vals)
+
+
+def km_census(mf: MField, edge_cap: float = CENSUS_EDGE_CAP,
+              split: tuple | None = None) -> ZeroCensus:
     """Per-plaquette winding of pf M over the domain interior.
 
     The sum of principal-value phase steps telescopes, so the census total
@@ -196,20 +222,33 @@ def km_census(mf: MField, edge_cap: float = CENSUS_EDGE_CAP) -> ZeroCensus:
     a zero sits essentially on an edge and its plaquette attribution is
     ambiguous: refine and retry.  (A plaquette that simply contains a zero has
     steps around pi/2; that is fine and expected.)
+
+    split = (edges, steps), as split_census_edges gives it, re-measures those
+    edges: steps[e] is the phase change from edges[e, 0] to edges[e, 1], and a
+    side along the edge takes it, negated when it runs the other way, in
+    place of its principal step.  Every edge enters both its plaquettes with
+    opposite signs, so the total still telescopes.
     """
     if mf.pf is None:
         raise DomainError("zero census needs even band-group rank")
     dom = mf.domain
-    pf = mf.pf
-    tiny = np.abs(pf) < PF_HARD_FLOOR
+    tiny = np.abs(mf.pf) < PF_HARD_FLOOR
     if np.any(tiny):
         raise DegenerateConfigurationError(
             f"pf M vanishes at {int(tiny.sum())} domain vertices; zeros are not "
             "isolated points (symmetric stratum)"
         )
-    vals = pf[dom.local_index[dom.grid.plaquettes[dom.plaq_ids]]]  # (P, 4)
-    steps = np.angle(np.roll(vals, -1, axis=1) / vals)
-    on_edge = np.max(np.abs(steps), axis=1) >= edge_cap
+    corners, steps = _side_steps(mf)
+    on_edge = np.abs(steps) >= edge_cap
+    if split is not None:
+        ends = np.roll(corners, -1, axis=1)
+        for (a, b), step in zip(*split):
+            forward = (corners == a) & (ends == b)
+            backward = (corners == b) & (ends == a)
+            steps[forward] = step
+            steps[backward] = -step
+            on_edge &= ~(forward | backward)
+    on_edge = on_edge.any(axis=1)
     w = steps.sum(axis=1) / (2.0 * np.pi)
     wi = np.round(w)
     fractional = ~(np.abs(w - wi) <= 1e-6)  # a NaN winding is not integral either
@@ -226,6 +265,66 @@ def km_census(mf: MField, edge_cap: float = CENSUS_EDGE_CAP) -> ZeroCensus:
     nonzero = np.flatnonzero(wi)
     entries = [(int(dom.plaq_ids[p]), int(wi[p])) for p in nonzero]
     return ZeroCensus(entries=entries, total=int(wi.sum()))
+
+
+def split_census_edges(h_field: HamiltonianField, frame: Frame, mf: MField,
+                       gap_floor: float):
+    """Re-measure each domain edge whose pf M step reaches CENSUS_EDGE_CAP.
+
+    Each such undirected edge is cut into 2, then 4, 8 and 16 equal parts
+    (CENSUS_EDGE_SPLITS) until every sub-step is below the cap.  H is solved
+    at the interior points only; the frame is transported there from the
+    edge's first vertex, and the last sub-step ends on the vertex value of
+    pf M, so the summed sub-steps differ from the principal step by a whole
+    number of turns.  Returns (edges, steps) for km_census, or None when no
+    side is flagged, the zeros are not isolated, or some edge is not resolved:
+    |pf M| below PF_HARD_FLOOR, a group gap at or below gap_floor or a
+    singular transport at a sub-point, or a sub-step still at the cap after
+    the finest split.
+    """
+    if np.any(np.abs(mf.pf) < PF_HARD_FLOOR):
+        return None
+    corners, steps = _side_steps(mf)
+    hot = np.abs(steps) >= CENSUS_EDGE_CAP
+    if not np.any(hot):
+        return None
+    ends = np.roll(corners, -1, axis=1)
+    edges = np.unique(np.sort(np.stack([corners[hot], ends[hot]], axis=1), axis=1), axis=0)
+    dom, group = frame.domain, frame.group
+    grid = dom.grid
+    loc = dom.local_index[edges]
+    shape = frame.data.shape[1:]
+    summed = np.empty(len(edges))
+    todo = np.arange(len(edges))
+    for n in CENSUS_EDGE_SPLITS:
+        pts = edge_points(grid.manifold, grid.points[edges[todo, 0]],
+                          grid.points[edges[todo, 1]], n)
+        w, v = numkit.eigh_many(h_field(pts.reshape(-1, 2)))
+        sub_spec = Spectrum(grid=None, energies=w, vectors=v)  # off-grid points
+        if sub_spec.bounding_gap(group.first, group.last) <= gap_floor:
+            return None
+        slabs = sub_spec.band_vectors(group).reshape(todo.size, n - 1, *shape)
+        u = frame.data[loc[todo, 0]]
+        frames = []
+        try:
+            for k in range(n - 1):
+                u = _transport(slabs[:, k], u)
+                frames.append(u)
+        except SingularityError:
+            return None
+        inner = numkit.pfaffian(_m_values(np.stack(frames, axis=1).reshape(-1, *shape),
+                                          h_field.t))
+        if np.min(np.abs(inner)) < PF_HARD_FLOOR:
+            return None
+        pf = np.concatenate([mf.pf[loc[todo, :1]], inner.reshape(todo.size, n - 1),
+                             mf.pf[loc[todo, 1:]]], axis=1)
+        sub = np.angle(pf[:, 1:] / pf[:, :-1])
+        done = np.max(np.abs(sub), axis=1) < CENSUS_EDGE_CAP
+        summed[todo[done]] = sub[done].sum(axis=1)
+        todo = todo[~done]
+        if not todo.size:
+            return edges, summed
+    return None
 
 
 @dataclass
@@ -265,24 +364,28 @@ class InvariantReport:
 _ROTATION_ANGLES = (0.0, 0.37, 0.81, 1.33, 1.91, 2.47, 2.95, 0.59)
 
 
-def _km_with_rotations(h_field, group, grid, domain, mf, tol):
+def _km_with_rotations(h_field, group, frame, mf, tol):
     """Boundary winding and census, reseating the domain away from pf zeros.
 
     Returns (k, census, rotations_used, notes).  The boundary index k is kept
-    as soon as one rotated domain has an admissible boundary; the census gets
-    a few more rotations of its own when a zero hugs a plaquette edge, and is
-    reported as undefined (with a note) when none works.
+    as soon as one rotated domain has an admissible boundary, and is None
+    (with a note) when none has.  A census side near pi is re-measured by
+    splitting its edge (split_census_edges); the census gets a few more
+    rotations of its own only when no split resolves it, and is reported as
+    undefined (with a note) when none works.
     """
+    domain = frame.domain
     notes = []
     k = None
     census = None
     census_note = None
     for attempt, angle in enumerate(_ROTATION_ANGLES):
+        h_here = h_field
         if attempt > 0:
-            h_rot = rotated_field(h_field, angle)
-            spec = spectrum_on_grid(h_rot, grid)
+            h_here = rotated_field(h_field, angle)
+            spec = spectrum_on_grid(h_here, domain.grid)
             frame = smooth_frame(spec, group, domain)
-            mf = m_field(frame, h_rot.t)
+            mf = m_field(frame, h_here.t)
         try:
             k_here = km_boundary(mf, tol.zero_floor)
         except BoundaryZeroError:
@@ -296,9 +399,12 @@ def _km_with_rotations(h_field, group, grid, domain, mf, tol):
                 f"boundary Pfaffian winding changed under domain rotation "
                 f"({k} vs {k_here}); refine the grid"
             )
+        split = split_census_edges(h_here, frame, mf, tol.gap_floor)
         try:
-            census = km_census(mf)
+            census = km_census(mf, split=split)
             census_note = None
+            if split is not None:
+                census_note = f"census: {len(split[0])} edges split"
             break
         except DegenerateConfigurationError as exc:
             census_note = f"census undefined: {exc}"
@@ -307,9 +413,9 @@ def _km_with_rotations(h_field, group, grid, domain, mf, tol):
             census_note = f"census unresolved: {exc}"
             continue
     if k is None:
-        raise DegenerateConfigurationError(
-            "no admissible fundamental domain found: pf M not bounded away "
-            f"from zero on any of {len(_ROTATION_ANGLES)} rotated boundaries"
+        notes.append(
+            "KM index undefined: no admissible fundamental domain found: pf M not "
+            f"bounded away from zero on any of {len(_ROTATION_ANGLES)} rotated boundaries"
         )
     if census_note:
         notes.append(census_note)
@@ -382,24 +488,18 @@ def _verify_once(h_field: HamiltonianField, group: BandGroup, grid: Grid,
     if nb % 2 == 0:
         mf = m_field(frame, h_field.t)
         residuals["m_skew"] = mf.skew_residual
-        try:
-            k, census, rotations, notes = _km_with_rotations(
-                h_field, group, grid, domain, mf, tol
-            )
-            report.k = k
-            report.domain_rotations = rotations
-            report.notes.extend(notes)
+        k, census, rotations, notes = _km_with_rotations(h_field, group, frame, mf, tol)
+        report.k = k
+        report.domain_rotations = rotations
+        report.notes.extend(notes)
+        if k is not None:
             report.km_relation_ok = 2 * k == c_plq
-            if census is not None:
-                report.census_total = census.total
-                report.census_entries = census.entries
-                report.census_ok = census.total == k
-                signs = {np.sign(w) for _, w in census.entries}
-                report.census_same_sign = len(signs) <= 1
-        except DegenerateConfigurationError as exc:
-            report.k = None
-            report.km_relation_ok = None
-            report.notes.append(f"KM index undefined: {exc}")
+        if census is not None:
+            report.census_total = census.total
+            report.census_entries = census.entries
+            report.census_ok = census.total == k
+            signs = {np.sign(w) for _, w in census.entries}
+            report.census_same_sign = len(signs) <= 1
     else:
         report.notes.append("odd rank: Pfaffian and KM index undefined")
 

@@ -244,6 +244,24 @@ def transport_chains(domain: FundamentalDomain) -> np.ndarray:
     return grid.vid(np.arange(grid.n_lat // 2 + 1), np.arange(grid.n_lon)[:, None])
 
 
+def edge_points(manifold: Manifold, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The (E, n - 1, 2) interior points that cut each edge a[e] -> b[e] into n
+    equal parts: on the torus a straight segment in (q, p), the short way
+    round each periodic direction; on the sphere the great-circle arc."""
+    t = np.arange(1, n) / n
+    if manifold == Manifold.SPHERE:
+        na, nb = directions(a), directions(b)
+        angle = np.arccos(np.clip(np.sum(na * nb, axis=1), -1.0, 1.0))[:, None]
+        wa = np.sin((1.0 - t) * angle) / np.sin(angle)
+        wb = np.sin(t * angle) / np.sin(angle)
+        n_pts = wa[..., None] * na[:, None] + wb[..., None] * nb[:, None]
+        th = np.arccos(np.clip(n_pts[..., 2], -1.0, 1.0))
+        ph = np.mod(np.arctan2(n_pts[..., 1], n_pts[..., 0]), TWO_PI)
+        return np.stack([th, ph], axis=-1)
+    d = np.mod(b - a + np.pi, TWO_PI) - np.pi
+    return np.mod(a[:, None] + t[:, None] * d[:, None], TWO_PI)
+
+
 def plaquette_solid_angles(grid: Grid) -> np.ndarray:
     """Spherical area of each plaquette (sphere grids only)."""
     if grid.manifold != Manifold.SPHERE:

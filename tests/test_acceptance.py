@@ -158,6 +158,7 @@ def test_criterion_5_randomized_theorem_suite(tmp_path):
         assert t["evenness_ok"] == t["groups"]
         assert t["consistent"] == t["groups"]
         assert t["km_ok"] == t["km_defined"]
+        assert t["census_defined"] == t["km_defined"]  # every census resolves
         assert rep["max_symmetry_residual"] <= 1e-8
     assert sphere["tally"]["models"] == 50
     assert torus["tally"]["models"] == 50

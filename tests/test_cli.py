@@ -289,6 +289,7 @@ def test_random_suite_tally_matches_analyze_model(tmp_path):
     assert tally["groups"] == len(reports)
     assert tally["consistent"] == sum(r.consistent for r in reports)
     assert tally["km_defined"] == sum(r.k is not None for r in reports)
+    assert tally["census_defined"] == sum(r.census_total is not None for r in reports)
 
 
 @pytest.mark.parametrize("command", ["deform", "gauge-demo"])

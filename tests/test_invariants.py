@@ -1,11 +1,12 @@
 import dataclasses
 import gc
+import re
 import weakref
 
 import numpy as np
 import pytest
 
-from phasetop import bands, gauge, invariants, models, numkit
+from phasetop import bands, gauge, invariants, models, numkit, phasespace
 from phasetop.errors import (
     DegenerateConfigurationError,
     DomainError,
@@ -459,21 +460,185 @@ def test_memo_spectrum_matches_a_fresh_solve():
         assert np.array_equal(spec.vectors, solved.vectors)
 
 
-def test_field_is_freed_at_once_after_domain_rotation():
+def _count_rotations(monkeypatch):
+    """The log of rotated_field angles; it keeps no field alive."""
+    angles = []
+    rotated_field = invariants.rotated_field
+
+    def counted(h_field, angle):
+        angles.append(angle)
+        return rotated_field(h_field, angle)
+
+    monkeypatch.setattr(invariants, "rotated_field", counted)
+    return angles
+
+
+def test_field_is_freed_at_once_after_domain_rotation(monkeypatch):
     # the rotated fields refer to h; h's memo must not refer to them, or the
-    # cycle would keep h alive until the cyclic collector runs
-    h = models.random_tri("sphere", 4, cutoff=3, seed=107)
+    # cycle would keep h alive until the cyclic collector runs.  At eps = 0
+    # pf M vanishes identically, so every rotated domain is tried.
+    angles = _count_rotations(monkeypatch)
+    h = models.kramers_pair_sphere(epsilon=0.0)
     group = bands.find_gapped_groups(bands.spectrum_on_grid(h, SPHERE_GRID),
-                                     TOL.gap_floor)[1]
+                                     TOL.gap_floor)[0]
     gc.disable()
     try:
-        rep = invariants.verify_group(h, group, SPHERE_GRID, TOL, group_id=1)
-        assert rep.domain_rotations > 0
+        invariants.verify_group(h, group, SPHERE_GRID, TOL, group_id=0)
+        assert len(angles) == len(invariants._ROTATION_ANGLES) - 1
         ref = weakref.ref(h)
         del h
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_undefined_k_reports_the_rotations_tried(monkeypatch):
+    angles = _count_rotations(monkeypatch)
+    h = models.kramers_pair_sphere(epsilon=0.0)
+    group = bands.find_gapped_groups(bands.spectrum_on_grid(h, SPHERE_GRID),
+                                     TOL.gap_floor)[0]
+    rep = invariants.verify_group(h, group, SPHERE_GRID, TOL)
+    assert rep.k is None and rep.km_relation_ok is None and rep.census_total is None
+    assert rep.domain_rotations == len(angles) == 7
+    assert rep.notes == [
+        "KM index undefined: no admissible fundamental domain found: pf M not "
+        "bounded away from zero on any of 8 rotated boundaries"
+    ]
+
+
+# ---------------------------------------------------------------------------
+# a census zero on an edge: torus seed 200 refines to 48x256, where pf M has
+# zeros within a small fraction of an edge length of long p edges
+
+SEED_200_GRID = build_grid(Manifold.TORUS, 24, 128)
+SEED_200_TOL = Tolerances(gap_floor=0.03)
+
+
+def test_census_edge_split_resolves_seed_200(monkeypatch):
+    angles = _count_rotations(monkeypatch)
+    h = models.random_tri("torus", 4, cutoff=3, seed=200)
+    _, _, results = invariants.analyze_model(h, SEED_200_GRID, SEED_200_TOL)
+    reports = [rep for rep, _ in results]
+    assert [rep.k for rep in reports] == [1, -1]
+    for rep in reports:
+        assert rep.refinements == 1
+        assert rep.census_total == rep.k and rep.census_ok
+        assert rep.domain_rotations == 0
+        assert len(rep.notes) == 1 and re.fullmatch(r"census: \d+ edges split",
+                                                    rep.notes[0])
+    assert angles == []
+
+
+def _seed_200_refined_census():
+    h = models.random_tri("torus", 4, cutoff=3, seed=200)
+    grid = build_grid(Manifold.TORUS, 48, 256)
+    spec = bands.spectrum_on_grid(h, grid)
+    group = bands.group_for_range(spec, 0, 1, SEED_200_TOL.gap_floor)
+    frame = bands.smooth_frame(spec, group, fundamental_domain(grid))
+    return h, group, frame, invariants.m_field(frame, h.t)
+
+
+def _torus_walk(grid, a, b, n):
+    pa, pb = grid.points[a], grid.points[b]
+    d = np.mod(pb - pa + np.pi, 2 * np.pi) - np.pi
+    return [np.mod(pa + t * d, 2 * np.pi) for t in np.arange(1, n) / n]
+
+
+def _walk_step(h, group, frame, mf, a, b, walk):
+    """Summed pf M phase step along edge a -> b through the points of walk,
+    one point at a time: eigh, transport from a, Pfaffian."""
+    dom = frame.domain
+    u = frame.at(a)
+    vals = [mf.pf[dom.local_index[a]]]
+    for x in walk:
+        _, v = np.linalg.eigh(h(x)[0])
+        slab = v[:, group.first:group.last + 1]
+        u = slab @ numkit.polar_unitary(slab.conj().T @ u)
+        vals.append(numkit.pfaffian(u.conj().T @ h.t.apply(u)))
+    vals.append(mf.pf[dom.local_index[b]])
+    steps = np.angle(np.array(vals[1:]) / np.array(vals[:-1]))
+    assert np.max(np.abs(steps)) < invariants.CENSUS_EDGE_CAP
+    return float(steps.sum())
+
+
+def test_split_step_matches_a_fine_walk_and_enters_both_plaquettes():
+    h, group, frame, mf = _seed_200_refined_census()
+    with pytest.raises(ResolutionError):
+        invariants.km_census(mf)
+    edges, steps = invariants.split_census_edges(h, frame, mf, SEED_200_TOL.gap_floor)
+    for (a, b), step in zip(edges.tolist(), steps):
+        walk = _torus_walk(frame.domain.grid, a, b, 64)
+        assert abs(step - _walk_step(h, group, frame, mf, a, b, walk)) <= 1e-9
+    # every split step ends on the vertex values: the principal step plus
+    # whole turns, and on one edge the principal step misses a full turn
+    dom = frame.domain
+    pf_a, pf_b = (mf.pf[dom.local_index[edges[:, i]]] for i in (0, 1))
+    turns = (steps - np.angle(pf_b / pf_a)) / (2 * np.pi)
+    assert np.max(np.abs(turns - np.round(turns))) <= 1e-9
+    assert np.sum(np.round(np.abs(turns))) == 1
+    a, b = edges[np.argmax(np.abs(turns))].tolist()
+
+    # per-plaquette oracle: principal steps, with the split edges' steps
+    # substituted, negated on a side that runs b -> a
+    split = {}
+    for (ea, eb), step in zip(edges.tolist(), steps):
+        split[ea, eb], split[eb, ea] = step, -step
+    windings, shared = {}, []
+    for pid in dom.plaq_ids:
+        corners = dom.grid.plaquettes[pid].tolist()
+        total = 0.0
+        for va, vb in zip(corners, corners[1:] + corners[:1]):
+            step = split.get((va, vb))
+            if step is None:
+                step = np.angle(mf.pf[dom.local_index[vb]] / mf.pf[dom.local_index[va]])
+            if {va, vb} == {a, b}:
+                shared.append(step)
+            total += step
+        w = total / (2 * np.pi)
+        assert abs(w - round(w)) <= 1e-6
+        if round(w):
+            windings[int(pid)] = int(round(w))
+    assert len(shared) == 2 and shared[0] == -shared[1]
+    census = invariants.km_census(mf, split=(edges, steps))
+    assert dict(census.entries) == windings
+    assert census.total == invariants.km_boundary(mf) == 1
+
+
+def test_census_edge_split_on_the_sphere(monkeypatch):
+    # sphere seed 107 group 1 refines to 32x64, where one edge carries a zero
+    angles = _count_rotations(monkeypatch)
+    h = models.random_tri("sphere", 4, cutoff=3, seed=107)
+    group = bands.find_gapped_groups(bands.spectrum_on_grid(h, SPHERE_GRID),
+                                     TOL.gap_floor)[1]
+    rep = invariants.verify_group(h, group, SPHERE_GRID, TOL, group_id=1)
+    assert (rep.refinements, rep.k, rep.census_total) == (1, 0, 0)
+    assert rep.domain_rotations == 0 and angles == []
+    assert rep.notes == ["census: 1 edges split"]
+
+    grid = build_grid(Manifold.SPHERE, 32, 64)
+    frame = bands.smooth_frame(bands.spectrum_on_grid(h, grid), group,
+                               fundamental_domain(grid))
+    mf = invariants.m_field(frame, h.t)
+    edges, steps = invariants.split_census_edges(h, frame, mf, TOL.gap_floor)
+    assert len(edges) == 1
+    (a, b), step = edges[0].tolist(), steps[0]
+    walk = phasespace.edge_points(Manifold.SPHERE, grid.points[[a]], grid.points[[b]],
+                                  64)[0]
+    assert abs(step - _walk_step(h, group, frame, mf, a, b, walk)) <= 1e-9
+
+
+def test_census_falls_back_to_rotation_when_no_split_resolves(monkeypatch):
+    monkeypatch.setattr(invariants, "CENSUS_EDGE_SPLITS", (2,))
+    angles = _count_rotations(monkeypatch)
+    h = models.random_tri("torus", 4, cutoff=3, seed=200)
+    _, _, results = invariants.analyze_model(h, SEED_200_GRID, SEED_200_TOL)
+    reports = [rep for rep, _ in results]
+    assert [rep.k for rep in reports] == [1, -1]
+    for rep in reports:
+        assert rep.census_total is None and rep.domain_rotations == 7
+        assert rep.notes == ["census unresolved: pf M phase step near pi on plaquette "
+                             "1111; a zero lies on an edge, refine the grid"]
+    assert len(angles) == 14
 
 
 def test_parity_theorem_on_random_sample():

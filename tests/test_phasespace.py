@@ -133,6 +133,34 @@ def test_transport_chains_sphere():
         assert grid.vertex_lat[chain[-1]] == 4
 
 
+def test_edge_points_torus_segment_wraps_the_short_way():
+    grid = build_grid(Manifold.TORUS, 8, 16)
+    a = grid.points[[grid.vid(2, 15), grid.vid(3, 4)]]   # q edge across the seam,
+    b = grid.points[[grid.vid(2, 0), grid.vid(4, 4)]]    # p edge inside
+    pts = phasespace.edge_points(Manifold.TORUS, a, b, 4)
+    assert pts.shape == (2, 3, 2)
+    h_q, h_p = 2 * np.pi / 16, 2 * np.pi / 8
+    want = np.array([[[(15 + t) * h_q, 2 * h_p] for t in (0.25, 0.5, 0.75)],
+                     [[4 * h_q, (3 + t) * h_p] for t in (0.25, 0.5, 0.75)]])
+    assert np.max(np.abs(pts - want)) <= 1e-12
+
+
+def test_edge_points_sphere_arc_from_the_pole_and_along_a_row():
+    grid = build_grid(Manifold.SPHERE, 8, 16)
+    ends = [(grid.vid(0, 0), grid.vid(1, 5)), (grid.vid(3, 15), grid.vid(3, 0))]
+    a, b = (grid.points[[e[i] for e in ends]] for i in (0, 1))
+    pts = phasespace.edge_points(Manifold.SPHERE, a, b, 8)
+    # a meridian from the pole, at the column's longitude
+    assert np.max(np.abs(pts[0, :, 0] - np.arange(1, 8) / 8 * np.pi / 8)) <= 1e-12
+    assert np.max(np.abs(pts[0, :, 1] - 2 * np.pi * 5 / 16)) <= 1e-12
+    # equal steps on the great circle through both ends
+    walk = phasespace.directions(np.concatenate([a[1:], pts[1], b[1:]]))
+    gaps = np.arccos(np.clip(np.sum(walk[1:] * walk[:-1], axis=1), -1, 1))
+    assert np.max(np.abs(gaps - gaps[0])) <= 1e-12
+    normal = np.cross(walk[0], walk[-1])
+    assert np.max(np.abs(walk @ normal)) <= 1e-12
+
+
 def test_plaquette_solid_angles_sum_to_sphere_area():
     grid = build_grid(Manifold.SPHERE, 16, 32)
     omega = phasespace.plaquette_solid_angles(grid)
