@@ -291,8 +291,7 @@ def frame_residuals(frame: Frame, slabs: np.ndarray):
 
 
 def _continuity(domain: FundamentalDomain, data: np.ndarray):
-    a = domain.local_index[domain.edges[:, 0]]
-    b = domain.local_index[domain.edges[:, 1]]
+    a, b = domain.local_index[domain.edges].T
     diffs = data[a] - data[b]
     max_step = float(np.max(np.sqrt(np.sum(np.abs(diffs) ** 2, axis=(1, 2)))))
     grid = domain.grid

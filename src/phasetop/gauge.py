@@ -220,8 +220,7 @@ def extend_to_disk(gauge: GaugeLoop, domain: FundamentalDomain) -> DiskExtension
     boundary_mask[equator] = True
     interior = np.where(~boundary_mask)[0]
 
-    ea = loc[domain.edges[:, 0]]
-    eb = loc[domain.edges[:, 1]]
+    ea, eb = loc[domain.edges].T
     inner = ~(boundary_mask[ea] & boundary_mask[eb])
     iea, ieb = ea[inner], eb[inner]
 

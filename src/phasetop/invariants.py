@@ -56,6 +56,7 @@ from .phasespace import (
     Manifold,
     edge_points,
     fundamental_domain,
+    plaquette_sums,
     refine_grid,
 )
 
@@ -89,36 +90,31 @@ class CurvatureField:
     flux: np.ndarray
     total: float
 
-    @property
-    def chern(self) -> int:
-        return int(round(self.total / (2.0 * np.pi)))
-
 
 def chern_plaquette(vectors: np.ndarray, grid: Grid):
     """Gauge-invariant lattice Chern number from per-vertex spanning frames.
 
     vectors is a (V, N_A, N_B) stack of orthonormal columns spanning the band
-    group at each vertex; no smoothness is required.  The link on an oriented
-    edge is det(u(x)^dagger u(y)) normalized to unit modulus; the flux F_P is
-    the principal-value arg of the link product around the plaquette in the
-    declared flux orientation; c = (1/2pi) sum F_P is an exact integer.
+    group at each vertex; no smoothness is required.  The link on a grid
+    edge, from its lower vid x to its higher y, is det(u(x)^dagger u(y)), one
+    per edge; a side that runs against the edge reads its conjugate.  The
+    flux F_P is the principal value of the summed link phases around the
+    plaquette in the declared flux orientation; c = (1/2pi) sum F_P is an
+    exact integer.
     """
-    plq = grid.plaquettes
-    link_prod = np.ones(plq.shape[0], dtype=complex)
-    for a in range(4):
-        va = plq[:, a]
-        vb = plq[:, (a + 1) % 4]
-        ov = np.einsum("vji,vjk->vik", vectors[va].conj(), vectors[vb])
-        dets = np.linalg.det(ov)
-        mags = np.abs(dets)
-        # self-links at a repeated pole corner are exactly 1 and harmless
-        if np.any(mags <= LINK_FLOOR):
-            raise ResolutionError(
-                "vanishing link modulus: band group aliased between adjacent "
-                "vertices; refine the grid or re-check the gap"
-            )
-        link_prod *= dets / mags
-    flux = -np.angle(link_prod)  # declared flux orientation (see module docstring)
+    # one link per grid edge, gathering the frames of at most P edges at a time
+    step = grid.n_plaquettes
+    links = np.concatenate([
+        np.linalg.det(np.einsum("vji,vjk->vik", vectors[a].conj(), vectors[b]))
+        for a, b in (grid.edges[s:s + step].T for s in range(0, len(grid.edges), step))])
+    # self-links at a repeated pole corner are exactly 1 and harmless
+    if np.any(np.abs(links) <= LINK_FLOOR):
+        raise ResolutionError(
+            "vanishing link modulus: band group aliased between adjacent "
+            "vertices; refine the grid or re-check the gap"
+        )
+    # declared flux orientation (see module docstring)
+    flux = -np.angle(np.exp(1j * plaquette_sums(grid, np.angle(links))))
     worst = float(np.max(np.abs(flux)))
     if worst >= FLUX_CAP:
         raise ResolutionError(
@@ -204,13 +200,13 @@ class ZeroCensus:
     total: int
 
 
-def _side_steps(mf: MField):
-    """Corner vids (P, 4) of the domain plaquettes, and the principal pf M
-    phase step along each side, from corner i to corner i + 1."""
+def _edge_steps(mf: MField) -> np.ndarray:
+    """Principal pf M step along each grid edge, lower vid to higher; 0 off the domain."""
     dom = mf.domain
-    corners = dom.grid.plaquettes[dom.plaq_ids]
-    vals = mf.pf[dom.local_index[corners]]
-    return corners, np.angle(np.roll(vals, -1, axis=1) / vals)
+    a, b = dom.local_index[dom.edges].T
+    steps = np.zeros(len(dom.grid.edges))
+    steps[dom.edge_ids] = np.angle(mf.pf[b] / mf.pf[a])
+    return steps
 
 
 def km_census(mf: MField, edge_cap: float = CENSUS_EDGE_CAP,
@@ -223,11 +219,11 @@ def km_census(mf: MField, edge_cap: float = CENSUS_EDGE_CAP,
     ambiguous: refine and retry.  (A plaquette that simply contains a zero has
     steps around pi/2; that is fine and expected.)
 
-    split = (edges, steps), as split_census_edges gives it, re-measures those
-    edges: steps[e] is the phase change from edges[e, 0] to edges[e, 1], and a
-    side along the edge takes it, negated when it runs the other way, in
-    place of its principal step.  Every edge enters both its plaquettes with
-    opposite signs, so the total still telescopes.
+    split = (edge_ids, steps), as split_census_edges gives it, re-measures
+    those grid edges: steps[e] is the phase change from the lower vid of edge
+    edge_ids[e] to its higher, and takes the place of the principal step.
+    Every edge enters both its plaquettes with opposite signs, so the total
+    still telescopes.
     """
     if mf.pf is None:
         raise DomainError("zero census needs even band-group rank")
@@ -238,18 +234,13 @@ def km_census(mf: MField, edge_cap: float = CENSUS_EDGE_CAP,
             f"pf M vanishes at {int(tiny.sum())} domain vertices; zeros are not "
             "isolated points (symmetric stratum)"
         )
-    corners, steps = _side_steps(mf)
+    steps = _edge_steps(mf)
     on_edge = np.abs(steps) >= edge_cap
     if split is not None:
-        ends = np.roll(corners, -1, axis=1)
-        for (a, b), step in zip(*split):
-            forward = (corners == a) & (ends == b)
-            backward = (corners == b) & (ends == a)
-            steps[forward] = step
-            steps[backward] = -step
-            on_edge &= ~(forward | backward)
-    on_edge = on_edge.any(axis=1)
-    w = steps.sum(axis=1) / (2.0 * np.pi)
+        steps[split[0]] = split[1]
+        on_edge[split[0]] = False
+    on_edge = on_edge[dom.grid.side_edge[dom.plaq_ids]].any(axis=1)
+    w = plaquette_sums(dom.grid, steps, dom.plaq_ids) / (2.0 * np.pi)
     wi = np.round(w)
     fractional = ~(np.abs(w - wi) <= 1e-6)  # a NaN winding is not integral either
     failed = np.flatnonzero(on_edge | fractional)
@@ -276,22 +267,20 @@ def split_census_edges(h_field: HamiltonianField, frame: Frame, mf: MField,
     at the interior points only; the frame is transported there from the
     edge's first vertex, and the last sub-step ends on the vertex value of
     pf M, so the summed sub-steps differ from the principal step by a whole
-    number of turns.  Returns (edges, steps) for km_census, or None when no
-    side is flagged, the zeros are not isolated, or some edge is not resolved:
-    |pf M| below PF_HARD_FLOOR, a group gap at or below gap_floor or a
-    singular transport at a sub-point, or a sub-step still at the cap after
+    number of turns.  Returns (edge_ids, steps) for km_census, or None when
+    no edge is flagged, the zeros are not isolated, or some edge is not
+    resolved: |pf M| below PF_HARD_FLOOR, a group gap at or below gap_floor or
+    a singular transport at a sub-point, or a sub-step still at the cap after
     the finest split.
     """
     if np.any(np.abs(mf.pf) < PF_HARD_FLOOR):
         return None
-    corners, steps = _side_steps(mf)
-    hot = np.abs(steps) >= CENSUS_EDGE_CAP
-    if not np.any(hot):
+    edge_ids = np.flatnonzero(np.abs(_edge_steps(mf)) >= CENSUS_EDGE_CAP)
+    if not edge_ids.size:
         return None
-    ends = np.roll(corners, -1, axis=1)
-    edges = np.unique(np.sort(np.stack([corners[hot], ends[hot]], axis=1), axis=1), axis=0)
     dom, group = frame.domain, frame.group
     grid = dom.grid
+    edges = grid.edges[edge_ids]
     loc = dom.local_index[edges]
     shape = frame.data.shape[1:]
     summed = np.empty(len(edges))
@@ -323,7 +312,7 @@ def split_census_edges(h_field: HamiltonianField, frame: Frame, mf: MField,
         summed[todo[done]] = sub[done].sum(axis=1)
         todo = todo[~done]
         if not todo.size:
-            return edges, summed
+            return edge_ids, summed
     return None
 
 
@@ -369,11 +358,16 @@ def _km_with_rotations(h_field, group, frame, mf, tol):
 
     Returns (k, census, rotations_used, notes).  The boundary index k is kept
     as soon as one rotated domain has an admissible boundary, and is None
-    (with a note) when none has.  A census side near pi is re-measured by
-    splitting its edge (split_census_edges); the census gets a few more
-    rotations of its own only when no split resolves it, and is reported as
-    undefined (with a note) when none works.
+    (with a note) when none has, at once on the symmetric stratum: there
+    |pf M| < PF_HARD_FLOOR at every domain vertex, and as |pf M| is
+    frame-independent and tau-even it vanishes on the whole grid.  A census
+    side near pi is re-measured by splitting its edge (split_census_edges);
+    the census gets a few more rotations of its own only when no split
+    resolves it, and is reported as undefined (with a note) when none works.
     """
+    if np.all(np.abs(mf.pf) < PF_HARD_FLOOR):
+        return None, None, 0, ["KM index undefined: pf M vanishes at every domain "
+                               "vertex (symmetric stratum); no rotated domain can help"]
     domain = frame.domain
     notes = []
     k = None

@@ -286,6 +286,8 @@ def random_tri(manifold, n_a: int = 4, cutoff: int = 3, seed: int = 0,
         raise ConfigError(f"N_A must be even and >= 2, got {n_a!r}")
     if not isinstance(cutoff, (int, np.integer)) or cutoff < 0:
         raise ConfigError(f"cutoff must be an integer >= 0, got {cutoff!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed!r}")
     if manifold == Manifold.SPHERE:
         t = spin_time_reversal(0.5) if n_a == 2 else AntiUnitary(
             np.kron(1j * SIGMA["y"], np.eye(n_a // 2))
@@ -365,6 +367,8 @@ def build(spec: dict) -> HamiltonianField:
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ConfigError(f"{variant} parameter {key!r} must be "
                               f"{type(default).__name__}, got {value!r}")
+        if key == "seed" and value < 0:
+            raise ConfigError(f"{variant} parameter 'seed' must be >= 0, got {value}")
         kwargs[key] = value
     extra = set(spec) - {"variant"} - set(required) - set(defaults)
     if extra:

@@ -68,6 +68,8 @@ class Grid:
 
     plaquettes holds 4 corner vertex ids per cell in coordinate orientation;
     pole-adjacent sphere cells are triangles stored with the pole id repeated.
+    Side a of plaquette P, corner a to corner a + 1, reads edge side_edge[P, a]
+    along (side_sign +1) or against (-1) it, or is a repeated pole corner (0).
     """
 
     manifold: Manifold
@@ -81,6 +83,16 @@ class Grid:
     plaq_lon: np.ndarray      # (P,) column index
     tau_vertex: np.ndarray    # (V,)
     tau_plaq: np.ndarray      # (P,)
+    edges: np.ndarray = field(init=False, repr=False)      # (E, 2) vids, lower first
+    side_edge: np.ndarray = field(init=False, repr=False)  # (P, 4) edge ids
+    side_sign: np.ndarray = field(init=False, repr=False)  # (P, 4) +1, -1 or 0
+
+    def __post_init__(self):
+        a, b, n = self.plaquettes, np.roll(self.plaquettes, -1, axis=1), len(self.points)
+        keys, side = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
+        object.__setattr__(self, "edges", np.stack(np.divmod(keys, n), axis=1))
+        object.__setattr__(self, "side_edge", side.reshape(a.shape))
+        object.__setattr__(self, "side_sign", np.sign(b - a))
 
     @property
     def n_vertices(self) -> int:
@@ -191,7 +203,8 @@ class FundamentalDomain:
     plaq_ids: np.ndarray              # plaquettes contained in the domain
     boundary_loops: tuple             # loops of vids, along increasing column
     tau_shift: int                    # tau on a boundary loop, in samples
-    edges: np.ndarray = field(repr=False)  # (E, 2) vids of adjacent domain vertices
+    edge_ids: np.ndarray              # grid edges joining two domain vertices
+    edges: np.ndarray = field(repr=False)  # (E, 2) their vids, grid.edges[edge_ids]
 
     @property
     def n_vertices(self) -> int:
@@ -201,18 +214,11 @@ class FundamentalDomain:
 def fundamental_domain(grid: Grid) -> FundamentalDomain:
     half = grid.n_lat // 2
     sphere = grid.manifold == Manifold.SPHERE
-    cols = np.arange(grid.n_lon)
     # rows up to the boundary row; the sphere's pole row is added apart
-    rows = grid.vid(np.arange(1 if sphere else 0, half + 1)[:, None], cols)
-    along = np.stack([rows, np.roll(rows, -1, axis=1)], axis=-1)
-    up = np.stack([rows[:-1], rows[1:]], axis=-1)
-    # row by row, each vertex's edge along the row, then the one to the next row
-    edges = np.concatenate([np.stack([along[:-1], up], axis=2).reshape(-1, 2), along[-1]])
-    vertex_ids = rows.ravel()
+    vertex_ids = grid.vid(np.arange(1 if sphere else 0, half + 1)[:, None],
+                          np.arange(grid.n_lon)).ravel()
     if sphere:
-        pole = grid.vid(0, 0)
-        vertex_ids = np.concatenate([[pole], vertex_ids])
-        edges = np.concatenate([np.stack([np.full_like(cols, pole), rows[0]], axis=1), edges])
+        vertex_ids = np.concatenate([[grid.vid(0, 0)], vertex_ids])
         boundary = (grid.row_vids(half),)
         tau_shift = grid.n_lon // 2
     else:
@@ -221,17 +227,18 @@ def fundamental_domain(grid: Grid) -> FundamentalDomain:
 
     local = np.full(grid.n_vertices, -1, dtype=int)
     local[vertex_ids] = np.arange(vertex_ids.size)
-
-    plaq_ids = np.where(grid.plaq_lat < half)[0]
+    ends = grid.edges
+    edge_ids = np.flatnonzero((local[ends] >= 0).all(axis=1) & (ends[:, 0] != ends[:, 1]))
 
     return FundamentalDomain(
         grid=grid,
         vertex_ids=vertex_ids,
         local_index=local,
-        plaq_ids=plaq_ids,
+        plaq_ids=np.where(grid.plaq_lat < half)[0],
         boundary_loops=boundary,
         tau_shift=tau_shift,
-        edges=edges,
+        edge_ids=edge_ids,
+        edges=ends[edge_ids],
     )
 
 
@@ -242,6 +249,12 @@ def transport_chains(domain: FundamentalDomain) -> np.ndarray:
     chains[0, 0] is the transport seed."""
     grid = domain.grid
     return grid.vid(np.arange(grid.n_lat // 2 + 1), np.arange(grid.n_lon)[:, None])
+
+
+def plaquette_sums(grid: Grid, edge_values: np.ndarray, plaq_ids=slice(None)) -> np.ndarray:
+    """Per plaquette, the sum over its sides of the side's sign times the
+    value of the edge it reads: an edge quantity taken around the plaquette."""
+    return np.sum(grid.side_sign[plaq_ids] * edge_values[grid.side_edge[plaq_ids]], axis=1)
 
 
 def edge_points(manifold: Manifold, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:

@@ -326,10 +326,17 @@ def test_deform_too_few_steps_exits_2(tmp_path, capsys, steps):
     {"variant": "TRIBrokenControl", "base": {"variant": "RotorSpin", "j": 0.5},
      "seed": "x"},
     {"variant": "KramersPairSphere", "epsilon": True},
+    # a negative seed, in a model spec, on analyze and on random-suite
+    {"variant": "RandomTRI", "manifold": "torus", "seed": -1},
+    {"variant": "TRIBrokenControl", "base": {"variant": "RotorSpin", "j": 0.5,
+                                             "seed": -1}},
+    ["analyze", "--config", "ROTOR", "--seed", "-2"],
+    ["random-suite", "--count", "1", "--manifold", "sphere", "--seed", "-3"],
 ])
 def test_malformed_model_parameters_exit_2(tmp_path, capsys, case):
     # analyze builds the model of a config; random-suite builds RandomTRI itself
-    argv = case if isinstance(case, list) else [
+    argv = [write_config(tmp_path, "r.json", ROTOR) if arg == "ROTOR" else arg
+            for arg in case] if isinstance(case, list) else [
         "analyze", "--config", write_config(tmp_path, "m.json", {"model": case})]
     assert run(argv) == 2
     err = capsys.readouterr().err

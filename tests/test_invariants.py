@@ -8,6 +8,7 @@ import pytest
 
 from phasetop import bands, gauge, invariants, models, numkit, phasespace
 from phasetop.errors import (
+    BoundaryZeroError,
     DegenerateConfigurationError,
     DomainError,
     GapError,
@@ -460,6 +461,10 @@ def test_memo_spectrum_matches_a_fresh_solve():
         assert np.array_equal(spec.vectors, solved.vectors)
 
 
+SEED_200_GRID = build_grid(Manifold.TORUS, 24, 128)
+SEED_200_TOL = Tolerances(gap_floor=0.03)
+
+
 def _count_rotations(monkeypatch):
     """The log of rotated_field angles; it keeps no field alive."""
     angles = []
@@ -475,15 +480,16 @@ def _count_rotations(monkeypatch):
 
 def test_field_is_freed_at_once_after_domain_rotation(monkeypatch):
     # the rotated fields refer to h; h's memo must not refer to them, or the
-    # cycle would keep h alive until the cyclic collector runs.  At eps = 0
-    # pf M vanishes identically, so every rotated domain is tried.
+    # cycle would keep h alive until the cyclic collector runs.  With the
+    # census split cut to halves, torus seed 200 group 0 rotates its domain.
+    monkeypatch.setattr(invariants, "CENSUS_EDGE_SPLITS", (2,))
     angles = _count_rotations(monkeypatch)
-    h = models.kramers_pair_sphere(epsilon=0.0)
-    group = bands.find_gapped_groups(bands.spectrum_on_grid(h, SPHERE_GRID),
-                                     TOL.gap_floor)[0]
+    h = models.random_tri("torus", 4, cutoff=3, seed=200)
+    group = bands.find_gapped_groups(bands.spectrum_on_grid(h, SEED_200_GRID),
+                                     SEED_200_TOL.gap_floor)[0]
     gc.disable()
     try:
-        invariants.verify_group(h, group, SPHERE_GRID, TOL, group_id=0)
+        invariants.verify_group(h, group, SEED_200_GRID, SEED_200_TOL, group_id=0)
         assert len(angles) == len(invariants._ROTATION_ANGLES) - 1
         ref = weakref.ref(h)
         del h
@@ -492,12 +498,20 @@ def test_field_is_freed_at_once_after_domain_rotation(monkeypatch):
         gc.enable()
 
 
+def _kramers_group(h):
+    return bands.find_gapped_groups(bands.spectrum_on_grid(h, SPHERE_GRID),
+                                    TOL.gap_floor)[0]
+
+
 def test_undefined_k_reports_the_rotations_tried(monkeypatch):
+    # a generic group whose every boundary carries a pf M zero
+    def boundary_zero(mf, zero_floor):
+        raise BoundaryZeroError("pf M zero on a boundary loop")
+
+    monkeypatch.setattr(invariants, "km_boundary", boundary_zero)
     angles = _count_rotations(monkeypatch)
-    h = models.kramers_pair_sphere(epsilon=0.0)
-    group = bands.find_gapped_groups(bands.spectrum_on_grid(h, SPHERE_GRID),
-                                     TOL.gap_floor)[0]
-    rep = invariants.verify_group(h, group, SPHERE_GRID, TOL)
+    h = models.kramers_pair_sphere(epsilon=0.1)
+    rep = invariants.verify_group(h, _kramers_group(h), SPHERE_GRID, TOL)
     assert rep.k is None and rep.km_relation_ok is None and rep.census_total is None
     assert rep.domain_rotations == len(angles) == 7
     assert rep.notes == [
@@ -506,13 +520,20 @@ def test_undefined_k_reports_the_rotations_tried(monkeypatch):
     ]
 
 
+def test_symmetric_stratum_is_undefined_without_rotations(monkeypatch):
+    # at eps = 0 pf M vanishes at every vertex, and no rotation can help
+    angles = _count_rotations(monkeypatch)
+    h = models.kramers_pair_sphere(epsilon=0.0)
+    rep = invariants.verify_group(h, _kramers_group(h), SPHERE_GRID, TOL)
+    assert rep.k is None and rep.census_total is None and rep.census_ok is None
+    assert rep.domain_rotations == 0 and angles == []
+    assert rep.notes == ["KM index undefined: pf M vanishes at every domain vertex "
+                         "(symmetric stratum); no rotated domain can help"]
+
+
 # ---------------------------------------------------------------------------
 # a census zero on an edge: torus seed 200 refines to 48x256, where pf M has
 # zeros within a small fraction of an edge length of long p edges
-
-SEED_200_GRID = build_grid(Manifold.TORUS, 24, 128)
-SEED_200_TOL = Tolerances(gap_floor=0.03)
-
 
 def test_census_edge_split_resolves_seed_200(monkeypatch):
     angles = _count_rotations(monkeypatch)
@@ -565,7 +586,8 @@ def test_split_step_matches_a_fine_walk_and_enters_both_plaquettes():
     h, group, frame, mf = _seed_200_refined_census()
     with pytest.raises(ResolutionError):
         invariants.km_census(mf)
-    edges, steps = invariants.split_census_edges(h, frame, mf, SEED_200_TOL.gap_floor)
+    ids, steps = invariants.split_census_edges(h, frame, mf, SEED_200_TOL.gap_floor)
+    edges = frame.domain.grid.edges[ids]
     for (a, b), step in zip(edges.tolist(), steps):
         walk = _torus_walk(frame.domain.grid, a, b, 64)
         assert abs(step - _walk_step(h, group, frame, mf, a, b, walk)) <= 1e-9
@@ -599,7 +621,7 @@ def test_split_step_matches_a_fine_walk_and_enters_both_plaquettes():
         if round(w):
             windings[int(pid)] = int(round(w))
     assert len(shared) == 2 and shared[0] == -shared[1]
-    census = invariants.km_census(mf, split=(edges, steps))
+    census = invariants.km_census(mf, split=(ids, steps))
     assert dict(census.entries) == windings
     assert census.total == invariants.km_boundary(mf) == 1
 
@@ -619,9 +641,9 @@ def test_census_edge_split_on_the_sphere(monkeypatch):
     frame = bands.smooth_frame(bands.spectrum_on_grid(h, grid), group,
                                fundamental_domain(grid))
     mf = invariants.m_field(frame, h.t)
-    edges, steps = invariants.split_census_edges(h, frame, mf, TOL.gap_floor)
-    assert len(edges) == 1
-    (a, b), step = edges[0].tolist(), steps[0]
+    ids, steps = invariants.split_census_edges(h, frame, mf, TOL.gap_floor)
+    assert len(ids) == 1
+    (a, b), step = grid.edges[ids[0]].tolist(), steps[0]
     walk = phasespace.edge_points(Manifold.SPHERE, grid.points[[a]], grid.points[[b]],
                                   64)[0]
     assert abs(step - _walk_step(h, group, frame, mf, a, b, walk)) <= 1e-9

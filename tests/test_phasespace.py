@@ -231,6 +231,8 @@ def _grid_by_loops(manifold, n_lat, n_lon):
             edges.append((vid(i, j), vid(i, j + 1)))
             if i < half:
                 edges.append((vid(i, j), vid(i + 1, j)))
+    # the grid's canonical edge order: lower vid first, pairs sorted
+    edges = sorted((min(e), max(e)) for e in edges)
     return {"points": points, "plaquettes": plaquettes, "tau_vertex": tau_vertex,
             "tau_plaq": tau_plaq, "edges": edges, "loops": loops}
 
@@ -247,3 +249,37 @@ def test_grid_arrays_match_loop_construction(manifold, n_lat, n_lon):
     assert len(dom.boundary_loops) == len(ref["loops"])
     for got, want in zip(dom.boundary_loops, ref["loops"]):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("manifold", [Manifold.SPHERE, Manifold.TORUS])
+def test_side_table_reads_each_edge_from_both_plaquettes(manifold):
+    grid = build_grid(manifold, 8, 16)
+    corners = grid.plaquettes
+    ends = np.roll(corners, -1, axis=1)
+    sign, ids = grid.side_sign, grid.side_edge
+    assert np.all(grid.edges[:, 0] <= grid.edges[:, 1])
+    # side a reads corner a -> corner a + 1: along the edge, against it, or
+    # (sign 0) a repeated pole corner
+    oriented = np.where((sign >= 0)[..., None], grid.edges[ids], grid.edges[ids][..., ::-1])
+    assert np.array_equal(oriented, np.stack([corners, ends], axis=-1))
+    poles = {0, grid.n_vertices - 1} if manifold == Manifold.SPHERE else set()
+    assert np.array_equal(sign == 0, corners == ends)
+    assert set(corners[sign == 0].tolist()) == poles
+    # every other edge is read by two sides with opposite signs, so an edge
+    # quantity summed over all plaquettes cancels
+    reads = np.zeros(len(grid.edges), dtype=int)
+    signed = np.zeros(len(grid.edges), dtype=int)
+    np.add.at(reads, ids[sign != 0], 1)
+    np.add.at(signed, ids, sign)
+    proper = grid.edges[:, 0] != grid.edges[:, 1]
+    assert np.all(reads[proper] == 2) and np.all(reads[~proper] == 0)
+    assert not np.any(signed)
+    values = np.random.default_rng(0).standard_normal(len(grid.edges))
+    assert abs(phasespace.plaquette_sums(grid, values).sum()) <= 1e-12
+    # the domain's edges: every proper edge with both ends in the domain
+    dom = fundamental_domain(grid)
+    inside = set(dom.vertex_ids.tolist())
+    want = [e for e, (a, b) in enumerate(grid.edges.tolist())
+            if a != b and a in inside and b in inside]
+    assert dom.edge_ids.tolist() == want
+    assert np.array_equal(dom.edges, grid.edges[dom.edge_ids])

@@ -165,6 +165,39 @@ def test_chern_plaquette_gauge_invariant(seed, case):
     assert numkit.max_abs(curv_g.flux - curv.flux) <= 1e-9
 
 
+def chern_by_corners(vectors, grid):
+    """The lattice fluxes one plaquette side at a time: four links per
+    plaquette, corner a to corner a + 1, so each edge is met twice."""
+    corners = grid.plaquettes
+    link_prod = np.ones(len(corners), dtype=complex)
+    for a in range(4):
+        dets = np.linalg.det(np.einsum("vji,vjk->vik", vectors[corners[:, a]].conj(),
+                                       vectors[corners[:, (a + 1) % 4]]))
+        link_prod *= dets / np.abs(dets)
+    return -np.angle(link_prod)
+
+
+EDGE_LINK_CASES = [
+    (lambda seed: models.kramers_pair_sphere(0.1, seed), build_grid(Manifold.SPHERE, 8, 16)),
+    (lambda seed: models.rotor_spin(1.5, 0.1, seed), build_grid(Manifold.SPHERE, 16, 32)),
+    (lambda seed: models.torus_doubled_chern(1.0, 0.1, seed), build_grid(Manifold.TORUS, 8, 16)),
+]
+
+
+@settings(max_examples=12)
+@given(seed=st.integers(0, 10**6), case=st.integers(0, len(EDGE_LINK_CASES) - 1))
+def test_chern_plaquette_edge_links_match_corner_loop(seed, case):
+    build, grid = EDGE_LINK_CASES[case]
+    spec = bands.spectrum_on_grid(build(seed), grid)
+    vectors = spec.band_vectors(bands.group_for_range(spec, 0, 1, 1e-3))
+    rng = np.random.default_rng(seed)
+    vectors = vectors @ np.linalg.qr(complex_normal(rng, (grid.n_vertices, 2, 2)))[0]
+    curv, c = invariants.chern_plaquette(vectors, grid)
+    want = chern_by_corners(vectors, grid)
+    assert numkit.max_abs(curv.flux - want) <= 1e-12
+    assert c == round(want.sum() / (2 * np.pi))
+
+
 # ---------------------------------------------------------------------------
 # the declared orientation
 
