@@ -24,7 +24,6 @@ from .phasespace import (
     FundamentalDomain,
     Grid,
     Manifold,
-    directions,
     transport_chains,
     tr_image_batch,
 )
@@ -123,40 +122,6 @@ def symmetrize_tri(
     return HamiltonianField(
         n_a=t.dim, manifold=manifold, t=t, evaluate=tri_eval,
         label=label or "tri-symmetrized",
-    )
-
-
-def rotated_field(h_field: HamiltonianField, angle: float) -> HamiltonianField:
-    """Precompose with a rotation of the domain (sphere: about the y axis;
-    torus: shift of the q origin).  Both commute with time reversal, so the
-    result is TRI with the same operator; used to reseat the fundamental
-    domain away from Pfaffian zeros."""
-    if h_field.manifold == Manifold.SPHERE:
-        c, s = np.cos(angle), np.sin(angle)
-
-        def rotated(pts: np.ndarray) -> np.ndarray:
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            n = directions(pts)
-            rn = n.copy()
-            rn[:, 0] = c * n[:, 0] + s * n[:, 2]
-            rn[:, 2] = -s * n[:, 0] + c * n[:, 2]
-            th2 = np.arccos(np.clip(rn[:, 2], -1.0, 1.0))
-            ph2 = np.mod(np.arctan2(rn[:, 1], rn[:, 0]), 2.0 * np.pi)
-            return h_field.evaluate(np.stack([th2, ph2], axis=1))
-
-        new_eval = rotated
-    else:
-
-        def shifted(pts: np.ndarray) -> np.ndarray:
-            pts = np.atleast_2d(np.asarray(pts, dtype=float)).copy()
-            pts[:, 0] = np.mod(pts[:, 0] + angle, 2.0 * np.pi)
-            return h_field.evaluate(pts)
-
-        new_eval = shifted
-
-    return HamiltonianField(
-        n_a=h_field.n_a, manifold=h_field.manifold, t=h_field.t,
-        evaluate=new_eval, label=h_field.label,
     )
 
 

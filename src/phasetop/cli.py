@@ -34,60 +34,6 @@ from .phasespace import Manifold, build_grid, fundamental_domain
 
 SCHEMA_VERSION = 1
 
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["schema_version", "artifact", "config", "groups", "global"],
-    "properties": {
-        "schema_version": {"type": "integer"},
-        "artifact": {
-            "type": "object",
-            "required": ["name", "version"],
-            "properties": {
-                "name": {"type": "string"},
-                "version": {"type": "string"},
-            },
-        },
-        "config": {"type": "object"},
-        "groups": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": [
-                    "group_id", "first_band", "last_band", "rank", "min_gap",
-                    "c_plaquette", "c_winding", "consistent", "parity_ok",
-                    "residuals", "grid_n_lat", "grid_n_lon",
-                ],
-                "properties": {
-                    "group_id": {"type": "integer"},
-                    "first_band": {"type": "integer"},
-                    "last_band": {"type": "integer"},
-                    "rank": {"type": "integer"},
-                    "min_gap": {"type": "number"},
-                    "c_plaquette": {"type": "integer"},
-                    "c_winding": {"type": "integer"},
-                    "consistent": {"type": "boolean"},
-                    "parity_ok": {"type": "boolean"},
-                    "k": {"type": ["integer", "null"]},
-                    "km_relation_ok": {"type": ["boolean", "null"]},
-                    "census_total": {"type": ["integer", "null"]},
-                    "census_ok": {"type": ["boolean", "null"]},
-                    "census_same_sign": {"type": ["boolean", "null"]},
-                    "kramers_residual": {"type": ["number", "null"]},
-                    "curvature_evenness": {"type": ["number", "null"]},
-                    "evenness_ok": {"type": ["boolean", "null"]},
-                    "residuals": {"type": "object"},
-                    "notes": {"type": "array"},
-                },
-            },
-        },
-        "global": {
-            "type": "object",
-            "required": ["status", "tri_residual", "chern_sum", "sum_rule_ok"],
-        },
-        "timing": {"type": "object"},
-    },
-}
-
 _DEFAULT_GRIDS = {Manifold.SPHERE: (32, 64), Manifold.TORUS: (16, 128)}
 
 

@@ -27,7 +27,6 @@ from .bands import (
     BandGroup,
     Frame,
     HamiltonianField,
-    Spectrum,
     TransitionLoop,
     _transport,
     check_tri,
@@ -35,7 +34,6 @@ from .bands import (
     frame_residuals,
     group_for_range,
     kramers_check,
-    rotated_field,
     smooth_frame,
     spectrum_on_grid,
     transition_loops,
@@ -175,11 +173,12 @@ def m_field(frame: Frame, t: AntiUnitary) -> MField:
 
 def _pf_on_loop(mf: MField, loop: np.ndarray, zero_floor: float) -> np.ndarray:
     pf = mf.pf[mf.domain.local_index[loop]]
-    lo = float(np.min(np.abs(pf)))
-    if lo <= zero_floor:
+    at = int(np.argmin(np.abs(pf)))
+    if abs(pf[at]) <= zero_floor:
+        x, y = mf.domain.grid.points[loop[at]]
         raise BoundaryZeroError(
-            f"|pf M| = {lo:.3e} <= zero floor {zero_floor:g} on a boundary loop; "
-            "rotate the fundamental domain and retry"
+            f"|pf M| = {abs(pf[at]):.3e} <= zero floor {zero_floor:g} at boundary "
+            f"vertex {int(loop[at])}, ({x:.4f}, {y:.4f})"
         )
     return pf
 
@@ -209,6 +208,15 @@ def _edge_steps(mf: MField) -> np.ndarray:
     return steps
 
 
+def _require_isolated_zeros(mf: MField) -> None:
+    tiny = np.abs(mf.pf) < PF_HARD_FLOOR
+    if np.any(tiny):
+        raise DegenerateConfigurationError(
+            f"pf M vanishes at {int(tiny.sum())} domain vertices; zeros are not "
+            "isolated points (symmetric stratum)"
+        )
+
+
 def km_census(mf: MField, edge_cap: float = CENSUS_EDGE_CAP,
               split: tuple | None = None) -> ZeroCensus:
     """Per-plaquette winding of pf M over the domain interior.
@@ -216,7 +224,7 @@ def km_census(mf: MField, edge_cap: float = CENSUS_EDGE_CAP,
     The sum of principal-value phase steps telescopes, so the census total
     equals the boundary winding exactly.  A step within `edge_cap` of pi means
     a zero sits essentially on an edge and its plaquette attribution is
-    ambiguous: refine and retry.  (A plaquette that simply contains a zero has
+    ambiguous: split the edge.  (A plaquette that simply contains a zero has
     steps around pi/2; that is fine and expected.)
 
     split = (edge_ids, steps), as split_census_edges gives it, re-measures
@@ -228,12 +236,7 @@ def km_census(mf: MField, edge_cap: float = CENSUS_EDGE_CAP,
     if mf.pf is None:
         raise DomainError("zero census needs even band-group rank")
     dom = mf.domain
-    tiny = np.abs(mf.pf) < PF_HARD_FLOOR
-    if np.any(tiny):
-        raise DegenerateConfigurationError(
-            f"pf M vanishes at {int(tiny.sum())} domain vertices; zeros are not "
-            "isolated points (symmetric stratum)"
-        )
+    _require_isolated_zeros(mf)
     steps = _edge_steps(mf)
     on_edge = np.abs(steps) >= edge_cap
     if split is not None:
@@ -258,6 +261,10 @@ def km_census(mf: MField, edge_cap: float = CENSUS_EDGE_CAP,
     return ZeroCensus(entries=entries, total=int(wi.sum()))
 
 
+def _split_failure(edge: int, cause: str) -> ResolutionError:
+    return ResolutionError(f"split of grid edge {int(edge)} failed: {cause}")
+
+
 def split_census_edges(h_field: HamiltonianField, frame: Frame, mf: MField,
                        gap_floor: float):
     """Re-measure each domain edge whose pf M step reaches CENSUS_EDGE_CAP.
@@ -267,14 +274,16 @@ def split_census_edges(h_field: HamiltonianField, frame: Frame, mf: MField,
     at the interior points only; the frame is transported there from the
     edge's first vertex, and the last sub-step ends on the vertex value of
     pf M, so the summed sub-steps differ from the principal step by a whole
-    number of turns.  Returns (edge_ids, steps) for km_census, or None when
-    no edge is flagged, the zeros are not isolated, or some edge is not
-    resolved: |pf M| below PF_HARD_FLOOR, a group gap at or below gap_floor or
-    a singular transport at a sub-point, or a sub-step still at the cap after
-    the finest split.
+    number of turns.  An edge still at the cap after the last split is
+    settled when its sum equals the previous split's within 1e-6: along a
+    sub-segment that misses a simple zero, the phase of pf M changes by less
+    than pi.  Returns (edge_ids, steps) for km_census, or None when no edge
+    is flagged.  Raises DegenerateConfigurationError when the zeros are not
+    isolated, and ResolutionError naming the edge and the cause when a split
+    fails: a group gap at or below gap_floor, a singular transport or |pf M|
+    below PF_HARD_FLOOR at a sub-point, or a last split that has not converged.
     """
-    if np.any(np.abs(mf.pf) < PF_HARD_FLOOR):
-        return None
+    _require_isolated_zeros(mf)
     edge_ids = np.flatnonzero(np.abs(_edge_steps(mf)) >= CENSUS_EDGE_CAP)
     if not edge_ids.size:
         return None
@@ -283,37 +292,57 @@ def split_census_edges(h_field: HamiltonianField, frame: Frame, mf: MField,
     edges = grid.edges[edge_ids]
     loc = dom.local_index[edges]
     shape = frame.data.shape[1:]
-    summed = np.empty(len(edges))
+    bounding = [i for i in (group.first - 1, group.last) if 0 <= i < h_field.n_a - 1]
+    summed = np.full(len(edges), np.nan)   # each edge's sum at its latest split
     todo = np.arange(len(edges))
     for n in CENSUS_EDGE_SPLITS:
+        earlier = summed[todo]
         pts = edge_points(grid.manifold, grid.points[edges[todo, 0]],
                           grid.points[edges[todo, 1]], n)
-        w, v = numkit.eigh_many(h_field(pts.reshape(-1, 2)))
-        sub_spec = Spectrum(grid=None, energies=w, vectors=v)  # off-grid points
-        if sub_spec.bounding_gap(group.first, group.last) <= gap_floor:
-            return None
-        slabs = sub_spec.band_vectors(group).reshape(todo.size, n - 1, *shape)
+        w, v = numkit.eigh_many(h_field(pts.reshape(-1, 2)))  # off-grid points
+        gaps = np.diff(w, axis=1)[:, bounding].min(axis=1, initial=np.inf)
+        worst = np.argmin(gaps)
+        if gaps[worst] <= gap_floor:
+            raise _split_failure(edge_ids[todo[worst // (n - 1)]],
+                                 f"group gap {gaps[worst]:.3e} <= gap floor "
+                                 f"{gap_floor:g} at a sub-point")
+        slabs = v[:, :, group.first:group.last + 1].reshape(todo.size, n - 1, *shape)
         u = frame.data[loc[todo, 0]]
         frames = []
-        try:
-            for k in range(n - 1):
+        for k in range(n - 1):
+            try:
                 u = _transport(slabs[:, k], u)
-                frames.append(u)
-        except SingularityError:
-            return None
+            except SingularityError:
+                overlap = np.swapaxes(slabs[:, k].conj(), -1, -2) @ u
+                worst = np.argmin(np.linalg.svd(overlap, compute_uv=False)[:, -1])
+                raise _split_failure(edge_ids[todo[worst]],
+                                     "singular transport at a sub-point") from None
+            frames.append(u)
         inner = numkit.pfaffian(_m_values(np.stack(frames, axis=1).reshape(-1, *shape),
                                           h_field.t))
-        if np.min(np.abs(inner)) < PF_HARD_FLOOR:
-            return None
+        worst = np.argmin(np.abs(inner))
+        if abs(inner[worst]) < PF_HARD_FLOOR:
+            raise _split_failure(edge_ids[todo[worst // (n - 1)]],
+                                 f"|pf M| = {abs(inner[worst]):.3e} < "
+                                 f"{PF_HARD_FLOOR:g} at a sub-point")
         pf = np.concatenate([mf.pf[loc[todo, :1]], inner.reshape(todo.size, n - 1),
                              mf.pf[loc[todo, 1:]]], axis=1)
         sub = np.angle(pf[:, 1:] / pf[:, :-1])
-        done = np.max(np.abs(sub), axis=1) < CENSUS_EDGE_CAP
-        summed[todo[done]] = sub[done].sum(axis=1)
-        todo = todo[~done]
+        summed[todo] = sub.sum(axis=1)
+        stuck = np.max(np.abs(sub), axis=1) >= CENSUS_EDGE_CAP
+        todo, earlier = todo[stuck], earlier[stuck]
         if not todo.size:
             return edge_ids, summed
-    return None
+    # still at the cap after the last split: settled when the sum has converged
+    off = np.flatnonzero(~(np.abs(summed[todo] - earlier) <= 1e-6))  # NaN: no earlier split
+    if off.size:
+        e, before = todo[off[0]], earlier[off[0]]
+        cause = f"a sub-step is at the cap after {CENSUS_EDGE_SPLITS[-1]} parts"
+        raise _split_failure(edge_ids[e], cause + (
+            ", with no earlier split to compare" if np.isnan(before) else
+            f", and the summed step {summed[e]:.6f} differs from the previous "
+            f"split's {before:.6f}"))
+    return edge_ids, summed
 
 
 @dataclass
@@ -342,7 +371,6 @@ class InvariantReport:
     grid_n_lat: int = 0
     grid_n_lon: int = 0
     refinements: int = 0
-    domain_rotations: int = 0
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -350,70 +378,30 @@ class InvariantReport:
         return asdict(self)
 
 
-_ROTATION_ANGLES = (0.0, 0.37, 0.81, 1.33, 1.91, 2.47, 2.95, 0.59)
+def _km_and_census(h_field, frame, mf, tol):
+    """Boundary winding and zero census of pf M on the one fundamental domain.
 
-
-def _km_with_rotations(h_field, group, frame, mf, tol):
-    """Boundary winding and census, reseating the domain away from pf zeros.
-
-    Returns (k, census, rotations_used, notes).  The boundary index k is kept
-    as soon as one rotated domain has an admissible boundary, and is None
-    (with a note) when none has, at once on the symmetric stratum: there
-    |pf M| < PF_HARD_FLOOR at every domain vertex, and as |pf M| is
-    frame-independent and tau-even it vanishes on the whole grid.  A census
-    side near pi is re-measured by splitting its edge (split_census_edges);
-    the census gets a few more rotations of its own only when no split
-    resolves it, and is reported as undefined (with a note) when none works.
+    Returns (k, census, notes).  k and the census are None, with a note, on
+    the symmetric stratum (|pf M| < PF_HARD_FLOOR at every domain vertex; it
+    is frame-independent and tau-even, so it vanishes on the whole grid) and
+    when pf M has a zero on a boundary loop; the census alone is None, with a
+    note naming the cause, when it is undefined or unresolved.
     """
     if np.all(np.abs(mf.pf) < PF_HARD_FLOOR):
-        return None, None, 0, ["KM index undefined: pf M vanishes at every domain "
-                               "vertex (symmetric stratum); no rotated domain can help"]
-    domain = frame.domain
-    notes = []
-    k = None
-    census = None
-    census_note = None
-    for attempt, angle in enumerate(_ROTATION_ANGLES):
-        h_here = h_field
-        if attempt > 0:
-            h_here = rotated_field(h_field, angle)
-            spec = spectrum_on_grid(h_here, domain.grid)
-            frame = smooth_frame(spec, group, domain)
-            mf = m_field(frame, h_here.t)
-        try:
-            k_here = km_boundary(mf, tol.zero_floor)
-        except BoundaryZeroError:
-            continue
-        if k is None:
-            k = k_here
-        elif k_here != k:
-            # winding is domain-rotation invariant; a mismatch means the
-            # boundary loop was under-resolved somewhere
-            raise ResolutionError(
-                f"boundary Pfaffian winding changed under domain rotation "
-                f"({k} vs {k_here}); refine the grid"
-            )
-        split = split_census_edges(h_here, frame, mf, tol.gap_floor)
-        try:
-            census = km_census(mf, split=split)
-            census_note = None
-            if split is not None:
-                census_note = f"census: {len(split[0])} edges split"
-            break
-        except DegenerateConfigurationError as exc:
-            census_note = f"census undefined: {exc}"
-            break
-        except ResolutionError as exc:
-            census_note = f"census unresolved: {exc}"
-            continue
-    if k is None:
-        notes.append(
-            "KM index undefined: no admissible fundamental domain found: pf M not "
-            f"bounded away from zero on any of {len(_ROTATION_ANGLES)} rotated boundaries"
-        )
-    if census_note:
-        notes.append(census_note)
-    return k, census, attempt, notes
+        return None, None, ["KM index undefined: pf M vanishes at every domain "
+                            "vertex (symmetric stratum); no rotated domain can help"]
+    try:
+        k = km_boundary(mf, tol.zero_floor)
+    except BoundaryZeroError as exc:
+        return None, None, [f"KM index undefined: {exc}"]
+    try:
+        split = split_census_edges(h_field, frame, mf, tol.gap_floor)
+        census = km_census(mf, split=split)
+    except DegenerateConfigurationError as exc:
+        return k, None, [f"census undefined: {exc}"]
+    except ResolutionError as exc:
+        return k, None, [f"census unresolved: {exc}"]
+    return k, census, [] if split is None else [f"census: {len(split[0])} edges split"]
 
 
 @dataclass(frozen=True)
@@ -421,7 +409,7 @@ class GroupFields:
     """The fields behind one group's report, on the grid the report names."""
 
     curvature: CurvatureField
-    m_field: MField | None     # unrotated domain; even rank only
+    m_field: MField | None     # even rank only
 
 
 def _verify_once(h_field: HamiltonianField, group: BandGroup, grid: Grid,
@@ -482,9 +470,8 @@ def _verify_once(h_field: HamiltonianField, group: BandGroup, grid: Grid,
     if nb % 2 == 0:
         mf = m_field(frame, h_field.t)
         residuals["m_skew"] = mf.skew_residual
-        k, census, rotations, notes = _km_with_rotations(h_field, group, frame, mf, tol)
+        k, census, notes = _km_and_census(h_field, frame, mf, tol)
         report.k = k
-        report.domain_rotations = rotations
         report.notes.extend(notes)
         if k is not None:
             report.km_relation_ok = 2 * k == c_plq

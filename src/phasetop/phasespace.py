@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 
 TWO_PI = 2.0 * np.pi
 
@@ -93,6 +94,9 @@ class Grid:
         object.__setattr__(self, "edges", np.stack(np.divmod(keys, n), axis=1))
         object.__setattr__(self, "side_edge", side.reshape(a.shape))
         object.__setattr__(self, "side_sign", np.sign(b - a))
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False  # grids are shared, see build_grid
 
     @property
     def n_vertices(self) -> int:
@@ -128,12 +132,17 @@ def _vids(manifold: Manifold, n_lat: int, n_lon: int, i, j) -> np.ndarray:
 
 
 def build_grid(manifold: Manifold, n_lat: int, n_lon: int) -> Grid:
-    """Construct a tau-closed grid; subdivisions must be even and >= 8."""
+    """The tau-closed grid of a shape; subdivisions must be even and >= 8.
+    The two latest shapes are kept and shared, so a grid's arrays are read-only."""
     manifold = Manifold(manifold)
     for name, n in (("n_lat", n_lat), ("n_lon", n_lon)):
         if n < 8 or n % 2 != 0:
             raise ConfigError(f"{name} must be even and >= 8, got {n}")
+    return _shared_grid(manifold, n_lat, n_lon)
 
+
+@lru_cache(maxsize=2)  # a model's grid and its refinement; more would only hold memory
+def _shared_grid(manifold: Manifold, n_lat: int, n_lon: int) -> Grid:
     L = n_lon
     # plaquette (i, j) spans rows i, i+1 and columns j, j+1, row-major
     i, j = np.meshgrid(np.arange(n_lat), np.arange(L), indexing="ij")
@@ -273,13 +282,3 @@ def edge_points(manifold: Manifold, a: np.ndarray, b: np.ndarray, n: int) -> np.
         return np.stack([th, ph], axis=-1)
     d = np.mod(b - a + np.pi, TWO_PI) - np.pi
     return np.mod(a[:, None] + t[:, None] * d[:, None], TWO_PI)
-
-
-def plaquette_solid_angles(grid: Grid) -> np.ndarray:
-    """Spherical area of each plaquette (sphere grids only)."""
-    if grid.manifold != Manifold.SPHERE:
-        raise DomainError("solid angles are defined for sphere grids")
-    i = grid.plaq_lat
-    th0 = np.pi * i / grid.n_lat
-    th1 = np.pi * (i + 1) / grid.n_lat
-    return (np.cos(th0) - np.cos(th1)) * (TWO_PI / grid.n_lon)

@@ -14,6 +14,62 @@ from phasetop.errors import GapError, ResolutionError
 from phasetop.invariants import Tolerances
 from phasetop.phasespace import Manifold, build_grid
 
+# the report layout that analyze writes
+REPORT_SCHEMA = {
+    "type": "object",
+    "required": ["schema_version", "artifact", "config", "groups", "global"],
+    "properties": {
+        "schema_version": {"type": "integer"},
+        "artifact": {
+            "type": "object",
+            "required": ["name", "version"],
+            "properties": {
+                "name": {"type": "string"},
+                "version": {"type": "string"},
+            },
+        },
+        "config": {"type": "object"},
+        "groups": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": [
+                    "group_id", "first_band", "last_band", "rank", "min_gap",
+                    "c_plaquette", "c_winding", "consistent", "parity_ok",
+                    "residuals", "grid_n_lat", "grid_n_lon",
+                ],
+                "properties": {
+                    "group_id": {"type": "integer"},
+                    "first_band": {"type": "integer"},
+                    "last_band": {"type": "integer"},
+                    "rank": {"type": "integer"},
+                    "min_gap": {"type": "number"},
+                    "c_plaquette": {"type": "integer"},
+                    "c_winding": {"type": "integer"},
+                    "consistent": {"type": "boolean"},
+                    "parity_ok": {"type": "boolean"},
+                    "k": {"type": ["integer", "null"]},
+                    "km_relation_ok": {"type": ["boolean", "null"]},
+                    "census_total": {"type": ["integer", "null"]},
+                    "census_ok": {"type": ["boolean", "null"]},
+                    "census_same_sign": {"type": ["boolean", "null"]},
+                    "kramers_residual": {"type": ["number", "null"]},
+                    "curvature_evenness": {"type": ["number", "null"]},
+                    "evenness_ok": {"type": ["boolean", "null"]},
+                    "residuals": {"type": "object"},
+                    "notes": {"type": "array"},
+                },
+            },
+        },
+        "global": {
+            "type": "object",
+            "required": ["status", "tri_residual", "chern_sum", "sum_rule_ok"],
+        },
+        "timing": {"type": "object"},
+    },
+}
+
+
 
 def write_config(tmp_path, name, payload):
     path = tmp_path / name
@@ -39,7 +95,7 @@ def test_analyze_rotor_report(tmp_path):
     out = tmp_path / "report.json"
     assert run(["analyze", "--config", cfg, "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    jsonschema.validate(rep, cli.REPORT_SCHEMA)
+    jsonschema.validate(rep, REPORT_SCHEMA)
     assert rep["schema_version"] == 1
     assert rep["global"]["status"] == "ok"
     assert rep["global"]["sum_rule_ok"] is True

@@ -1,14 +1,11 @@
 import dataclasses
-import gc
 import re
-import weakref
 
 import numpy as np
 import pytest
 
 from phasetop import bands, gauge, invariants, models, numkit, phasespace
 from phasetop.errors import (
-    BoundaryZeroError,
     DegenerateConfigurationError,
     DomainError,
     GapError,
@@ -17,12 +14,8 @@ from phasetop.errors import (
     TRIViolationError,
 )
 from phasetop.invariants import Tolerances
-from phasetop.phasespace import (
-    Manifold,
-    build_grid,
-    fundamental_domain,
-    plaquette_solid_angles,
-)
+from phasetop.phasespace import Manifold, build_grid, fundamental_domain
+from test_phasespace import plaquette_solid_angles
 
 SPHERE_GRID = build_grid(Manifold.SPHERE, 16, 32)
 TORUS_GRID = build_grid(Manifold.TORUS, 16, 128)
@@ -364,9 +357,9 @@ def test_analyze_model_rejects_control():
 
 
 def test_analyze_model_solves_one_spectrum(monkeypatch):
-    # four rank-1 groups with no refinement and no domain rotation: every
-    # group is verified against the discovery spectrum, and one evaluation of
-    # H serves the TRI check and that spectrum
+    # four rank-1 groups with no refinement: every group is verified against
+    # the discovery spectrum, and one evaluation of H serves the TRI check and
+    # that spectrum
     rotor = models.rotor_spin(1.5)
     evaluated = []
 
@@ -389,7 +382,7 @@ def test_analyze_model_solves_one_spectrum(monkeypatch):
     monkeypatch.undo()
     assert len(groups) == 4
     for group, (rep, _) in zip(groups, results):
-        assert rep.refinements == 0 and rep.domain_rotations == 0
+        assert rep.refinements == 0
         # a new field has an empty memo, so this solves its spectrum afresh
         fresh = invariants.verify_group(models.rotor_spin(1.5), group, SPHERE_GRID,
                                         TOL, group_id=rep.group_id)
@@ -429,12 +422,12 @@ def _verify_each_group(h, grid, tol):
 
 
 def test_groups_share_the_discovery_spectrum(monkeypatch):
-    # four rank-1 groups, none refines or rotates: one evaluation of H serves
-    # check_tri and the spectrum, and one eigh serves every verify_group
+    # four rank-1 groups, none refines: one evaluation of H serves check_tri
+    # and the spectrum, and one eigh serves every verify_group
     h, evaluated, solved = _counted(monkeypatch, models.rotor_spin(1.5))
     reports = _verify_each_group(h, SPHERE_GRID, TOL)
     assert len(reports) == 4
-    assert all(rep.refinements == 0 and rep.domain_rotations == 0 for rep in reports)
+    assert all(rep.refinements == 0 for rep in reports)
     assert evaluated == [SPHERE_GRID.n_vertices]
     assert solved == [SPHERE_GRID.n_vertices]
 
@@ -465,37 +458,15 @@ SEED_200_GRID = build_grid(Manifold.TORUS, 24, 128)
 SEED_200_TOL = Tolerances(gap_floor=0.03)
 
 
-def _count_rotations(monkeypatch):
-    """The log of rotated_field angles; it keeps no field alive."""
-    angles = []
-    rotated_field = invariants.rotated_field
-
-    def counted(h_field, angle):
-        angles.append(angle)
-        return rotated_field(h_field, angle)
-
-    monkeypatch.setattr(invariants, "rotated_field", counted)
-    return angles
-
-
-def test_field_is_freed_at_once_after_domain_rotation(monkeypatch):
-    # the rotated fields refer to h; h's memo must not refer to them, or the
-    # cycle would keep h alive until the cyclic collector runs.  With the
-    # census split cut to halves, torus seed 200 group 0 rotates its domain.
-    monkeypatch.setattr(invariants, "CENSUS_EDGE_SPLITS", (2,))
-    angles = _count_rotations(monkeypatch)
+def test_groups_that_refine_share_one_refined_grid():
     h = models.random_tri("torus", 4, cutoff=3, seed=200)
-    group = bands.find_gapped_groups(bands.spectrum_on_grid(h, SEED_200_GRID),
-                                     SEED_200_TOL.gap_floor)[0]
-    gc.disable()
-    try:
-        invariants.verify_group(h, group, SEED_200_GRID, SEED_200_TOL, group_id=0)
-        assert len(angles) == len(invariants._ROTATION_ANGLES) - 1
-        ref = weakref.ref(h)
-        del h
-        assert ref() is None
-    finally:
-        gc.enable()
+    _, _, results = invariants.analyze_model(h, SEED_200_GRID, SEED_200_TOL)
+    (rep0, fields0), (rep1, fields1) = results
+    assert rep0.refinements == rep1.refinements == 1
+    grid = fields0.curvature.grid
+    assert (grid.n_lat, grid.n_lon) == (48, 256)
+    assert fields1.curvature.grid is grid
+    assert fields0.m_field.domain.grid is fields1.m_field.domain.grid is grid
 
 
 def _kramers_group(h):
@@ -503,30 +474,30 @@ def _kramers_group(h):
                                     TOL.gap_floor)[0]
 
 
-def test_undefined_k_reports_the_rotations_tried(monkeypatch):
-    # a generic group whose every boundary carries a pf M zero
-    def boundary_zero(mf, zero_floor):
-        raise BoundaryZeroError("pf M zero on a boundary loop")
+def test_boundary_zero_leaves_k_undefined(monkeypatch):
+    # a zero floor above every |pf M| puts a zero on the boundary: k and the
+    # census are undefined, the note names the zero, and nothing is re-solved
+    h, _, solved = _counted(monkeypatch, models.kramers_pair_sphere(epsilon=0.1))
+    tol = Tolerances(gap_floor=TOL.gap_floor, zero_floor=2.0)
+    rep, fields = invariants.verify_group_fields(h, _kramers_group(h), SPHERE_GRID, tol)
+    assert rep.k is None and rep.km_relation_ok is None
+    assert rep.census_total is None and rep.census_entries == []
+    mf = fields.m_field
+    (equator,) = mf.domain.boundary_loops
+    vid = int(equator[np.argmin(np.abs(mf.pf[mf.domain.local_index[equator]]))])
+    theta, phi = SPHERE_GRID.points[vid]
+    assert len(rep.notes) == 1
+    assert re.fullmatch(rf"KM index undefined: \|pf M\| = \S+ <= zero floor 2 at "
+                        rf"boundary vertex {vid}, \({theta:.4f}, {phi:.4f}\)",
+                        rep.notes[0])
+    assert solved == [SPHERE_GRID.n_vertices]
 
-    monkeypatch.setattr(invariants, "km_boundary", boundary_zero)
-    angles = _count_rotations(monkeypatch)
-    h = models.kramers_pair_sphere(epsilon=0.1)
-    rep = invariants.verify_group(h, _kramers_group(h), SPHERE_GRID, TOL)
-    assert rep.k is None and rep.km_relation_ok is None and rep.census_total is None
-    assert rep.domain_rotations == len(angles) == 7
-    assert rep.notes == [
-        "KM index undefined: no admissible fundamental domain found: pf M not "
-        "bounded away from zero on any of 8 rotated boundaries"
-    ]
 
-
-def test_symmetric_stratum_is_undefined_without_rotations(monkeypatch):
-    # at eps = 0 pf M vanishes at every vertex, and no rotation can help
-    angles = _count_rotations(monkeypatch)
+def test_symmetric_stratum_is_undefined_without_rotations():
+    # at eps = 0 pf M vanishes at every vertex
     h = models.kramers_pair_sphere(epsilon=0.0)
     rep = invariants.verify_group(h, _kramers_group(h), SPHERE_GRID, TOL)
     assert rep.k is None and rep.census_total is None and rep.census_ok is None
-    assert rep.domain_rotations == 0 and angles == []
     assert rep.notes == ["KM index undefined: pf M vanishes at every domain vertex "
                          "(symmetric stratum); no rotated domain can help"]
 
@@ -535,8 +506,7 @@ def test_symmetric_stratum_is_undefined_without_rotations(monkeypatch):
 # a census zero on an edge: torus seed 200 refines to 48x256, where pf M has
 # zeros within a small fraction of an edge length of long p edges
 
-def test_census_edge_split_resolves_seed_200(monkeypatch):
-    angles = _count_rotations(monkeypatch)
+def test_census_edge_split_resolves_seed_200():
     h = models.random_tri("torus", 4, cutoff=3, seed=200)
     _, _, results = invariants.analyze_model(h, SEED_200_GRID, SEED_200_TOL)
     reports = [rep for rep, _ in results]
@@ -544,10 +514,8 @@ def test_census_edge_split_resolves_seed_200(monkeypatch):
     for rep in reports:
         assert rep.refinements == 1
         assert rep.census_total == rep.k and rep.census_ok
-        assert rep.domain_rotations == 0
         assert len(rep.notes) == 1 and re.fullmatch(r"census: \d+ edges split",
                                                     rep.notes[0])
-    assert angles == []
 
 
 def _seed_200_refined_census():
@@ -559,27 +527,23 @@ def _seed_200_refined_census():
     return h, group, frame, invariants.m_field(frame, h.t)
 
 
-def _torus_walk(grid, a, b, n):
-    pa, pb = grid.points[a], grid.points[b]
-    d = np.mod(pb - pa + np.pi, 2 * np.pi) - np.pi
-    return [np.mod(pa + t * d, 2 * np.pi) for t in np.arange(1, n) / n]
-
-
-def _walk_step(h, group, frame, mf, a, b, walk):
-    """Summed pf M phase step along edge a -> b through the points of walk,
-    one point at a time: eigh, transport from a, Pfaffian."""
-    dom = frame.domain
-    u = frame.at(a)
-    vals = [mf.pf[dom.local_index[a]]]
-    for x in walk:
-        _, v = np.linalg.eigh(h(x)[0])
-        slab = v[:, group.first:group.last + 1]
-        u = slab @ numkit.polar_unitary(slab.conj().T @ u)
-        vals.append(numkit.pfaffian(u.conj().T @ h.t.apply(u)))
-    vals.append(mf.pf[dom.local_index[b]])
-    steps = np.angle(np.array(vals[1:]) / np.array(vals[:-1]))
-    assert np.max(np.abs(steps)) < invariants.CENSUS_EDGE_CAP
-    return float(steps.sum())
+def _fine_walks(h, group, frame, mf, edges, n):
+    """The (E, n) pf M sub-steps along grid edges a -> b, each cut into n
+    parts: one eigh stack, the frames transported from a one point at a time
+    (all edges at once), Pfaffians."""
+    grid, loc = frame.domain.grid, frame.domain.local_index
+    a, b = edges.T
+    pts = phasespace.edge_points(grid.manifold, grid.points[a], grid.points[b], n)
+    _, v = np.linalg.eigh(h(pts.reshape(-1, 2)))
+    slabs = v[:, :, group.first:group.last + 1].reshape(len(edges), n - 1,
+                                                        *frame.data.shape[1:])
+    u, pf = frame.data[loc[a]], [mf.pf[loc[a]]]
+    for k in range(n - 1):
+        slab = slabs[:, k]
+        u = slab @ numkit.polar_unitary(np.swapaxes(slab.conj(), 1, 2) @ u)
+        pf.append(numkit.pfaffian(np.swapaxes(u.conj(), 1, 2) @ h.t.apply(u)))
+    pf = np.array(pf + [mf.pf[loc[b]]]).T
+    return np.angle(pf[:, 1:] / pf[:, :-1])
 
 
 def test_split_step_matches_a_fine_walk_and_enters_both_plaquettes():
@@ -588,9 +552,9 @@ def test_split_step_matches_a_fine_walk_and_enters_both_plaquettes():
         invariants.km_census(mf)
     ids, steps = invariants.split_census_edges(h, frame, mf, SEED_200_TOL.gap_floor)
     edges = frame.domain.grid.edges[ids]
-    for (a, b), step in zip(edges.tolist(), steps):
-        walk = _torus_walk(frame.domain.grid, a, b, 64)
-        assert abs(step - _walk_step(h, group, frame, mf, a, b, walk)) <= 1e-9
+    fine = _fine_walks(h, group, frame, mf, edges, 64)
+    assert np.max(np.abs(fine)) < invariants.CENSUS_EDGE_CAP
+    assert np.max(np.abs(steps - fine.sum(axis=1))) <= 1e-9
     # every split step ends on the vertex values: the principal step plus
     # whole turns, and on one edge the principal step misses a full turn
     dom = frame.domain
@@ -626,15 +590,13 @@ def test_split_step_matches_a_fine_walk_and_enters_both_plaquettes():
     assert census.total == invariants.km_boundary(mf) == 1
 
 
-def test_census_edge_split_on_the_sphere(monkeypatch):
+def test_census_edge_split_on_the_sphere():
     # sphere seed 107 group 1 refines to 32x64, where one edge carries a zero
-    angles = _count_rotations(monkeypatch)
     h = models.random_tri("sphere", 4, cutoff=3, seed=107)
     group = bands.find_gapped_groups(bands.spectrum_on_grid(h, SPHERE_GRID),
                                      TOL.gap_floor)[1]
     rep = invariants.verify_group(h, group, SPHERE_GRID, TOL, group_id=1)
     assert (rep.refinements, rep.k, rep.census_total) == (1, 0, 0)
-    assert rep.domain_rotations == 0 and angles == []
     assert rep.notes == ["census: 1 edges split"]
 
     grid = build_grid(Manifold.SPHERE, 32, 64)
@@ -643,24 +605,90 @@ def test_census_edge_split_on_the_sphere(monkeypatch):
     mf = invariants.m_field(frame, h.t)
     ids, steps = invariants.split_census_edges(h, frame, mf, TOL.gap_floor)
     assert len(ids) == 1
-    (a, b), step = grid.edges[ids[0]].tolist(), steps[0]
-    walk = phasespace.edge_points(Manifold.SPHERE, grid.points[[a]], grid.points[[b]],
-                                  64)[0]
-    assert abs(step - _walk_step(h, group, frame, mf, a, b, walk)) <= 1e-9
+    fine = _fine_walks(h, group, frame, mf, grid.edges[ids], 64)
+    assert np.max(np.abs(fine)) < invariants.CENSUS_EDGE_CAP
+    assert abs(steps[0] - fine.sum()) <= 1e-9
 
 
-def test_census_falls_back_to_rotation_when_no_split_resolves(monkeypatch):
+def test_unconverged_last_split_names_its_cause(monkeypatch):
+    # cut only in halves, a seed-200 edge keeps a sub-step at the cap and has
+    # no earlier split to compare with: the census is unresolved, the note
+    # says why, and only the flagged edges' midpoints are solved after the
+    # discovery and refined spectra
     monkeypatch.setattr(invariants, "CENSUS_EDGE_SPLITS", (2,))
-    angles = _count_rotations(monkeypatch)
-    h = models.random_tri("torus", 4, cutoff=3, seed=200)
+    h, _, solved = _counted(monkeypatch, models.random_tri("torus", 4, cutoff=3, seed=200))
     _, _, results = invariants.analyze_model(h, SEED_200_GRID, SEED_200_TOL)
     reports = [rep for rep, _ in results]
     assert [rep.k for rep in reports] == [1, -1]
     for rep in reports:
-        assert rep.census_total is None and rep.domain_rotations == 7
-        assert rep.notes == ["census unresolved: pf M phase step near pi on plaquette "
-                             "1111; a zero lies on an edge, refine the grid"]
-    assert len(angles) == 14
+        assert rep.census_total is None and rep.refinements == 1
+        assert rep.notes == ["census unresolved: split of grid edge 5386 failed: a "
+                             "sub-step is at the cap after 2 parts, with no earlier "
+                             "split to compare"]
+    assert solved[:2] == [3072, 12288] and len(solved) == 4 and max(solved[2:]) < 10
+
+
+def test_split_names_a_gap_at_a_sub_point():
+    h, _, frame, mf = _seed_200_refined_census()
+    flagged = np.flatnonzero(np.abs(invariants._edge_steps(mf)) >= invariants.CENSUS_EDGE_CAP)
+    with pytest.raises(ResolutionError) as err:
+        invariants.split_census_edges(h, frame, mf, gap_floor=10.0)
+    match = re.fullmatch(r"split of grid edge (\d+) failed: group gap \S+ <= gap floor "
+                         r"10 at a sub-point", str(err.value))
+    assert match and int(match[1]) in flagged
+
+
+@pytest.mark.parametrize("cause", ["transport", "pfaffian"])
+def test_split_names_a_singular_sub_point(monkeypatch, cause):
+    # the two causes no model of the suites reaches, forced at one flagged edge
+    h, _, frame, mf = _seed_200_refined_census()
+    flagged = np.flatnonzero(np.abs(invariants._edge_steps(mf)) >= invariants.CENSUS_EDGE_CAP)
+    if cause == "transport":
+        eigh_many = numkit.eigh_many
+
+        def eigh(hs):  # no eigenvectors at the second edge's midpoint
+            w, v = eigh_many(hs)
+            v = v.copy()
+            v[1] = 0.0
+            return w, v
+
+        monkeypatch.setattr(numkit, "eigh_many", eigh)
+        expected = "singular transport at a sub-point"
+    else:
+        pfaffian = numkit.pfaffian
+        monkeypatch.setattr(numkit, "pfaffian", lambda m: pfaffian(m) * (
+            np.arange(len(m)) != 1))
+        expected = r"\|pf M\| = 0.000e\+00 < 1e-12 at a sub-point"
+    with pytest.raises(ResolutionError,
+                       match=rf"^split of grid edge {flagged[1]} failed: {expected}$"):
+        invariants.split_census_edges(h, frame, mf, SEED_200_TOL.gap_floor)
+
+
+@pytest.mark.parametrize("manifold, seed, shape, gap_floor", [
+    ("sphere", 1081, (32, 64), 0.05),
+    ("torus", 2063, (24, 128), 0.03),
+])
+def test_settled_edges_match_a_4096_part_walk(manifold, seed, shape, gap_floor):
+    # each group 0 has an edge still at the cap after 16 parts, settled by
+    # the agreement of the 8- and 16-part sums; a 4096-part walk, with every
+    # sub-step below the cap, gives each split edge's step
+    h = models.random_tri(manifold, 4, seed=seed)
+    grid, tol = build_grid(Manifold(manifold), *shape), Tolerances(gap_floor=gap_floor)
+    group = bands.find_gapped_groups(bands.spectrum_on_grid(h, grid), gap_floor)[0]
+    rep, fields = invariants.verify_group_fields(h, group, grid, tol)
+    assert rep.k is not None and rep.census_total == rep.k
+    mf = fields.m_field
+    frame = bands.smooth_frame(bands.spectrum_on_grid(h, mf.domain.grid), group,
+                               mf.domain)
+    ids, steps = invariants.split_census_edges(h, frame, mf, gap_floor)
+    assert rep.notes == [f"census: {len(ids)} edges split"]
+    edges = mf.domain.grid.edges[ids]
+    fine = _fine_walks(h, group, frame, mf, edges, 4096)
+    assert np.max(np.abs(fine)) < invariants.CENSUS_EDGE_CAP
+    assert np.max(np.abs(steps - fine.sum(axis=1))) <= 1e-6
+    coarse = _fine_walks(h, group, frame, mf, edges, invariants.CENSUS_EDGE_SPLITS[-1])
+    settled = np.sum(np.max(np.abs(coarse), axis=1) >= invariants.CENSUS_EDGE_CAP)
+    assert settled >= 1
 
 
 def test_parity_theorem_on_random_sample():

@@ -23,6 +23,17 @@ def test_tr_image_sphere_no_fixed_points():
     assert np.all(grid.tau_vertex != np.arange(grid.n_vertices))
 
 
+def test_build_grid_shares_the_shapes_it_built_last():
+    grid = build_grid(Manifold.TORUS, 8, 16)
+    assert build_grid("torus", 8, 16) is grid
+    assert phasespace.refine_grid(grid) is build_grid(Manifold.TORUS, 16, 32)
+    assert build_grid(Manifold.SPHERE, 8, 16) is not grid
+    # a shared grid cannot be changed in place
+    for name in ("points", "plaquettes", "tau_vertex", "edges", "side_edge"):
+        with pytest.raises(ValueError):
+            getattr(grid, name)[0] = 0
+
+
 def test_build_grid_rejects_odd_or_small():
     with pytest.raises(ConfigError):
         build_grid(Manifold.SPHERE, 7, 16)
@@ -161,9 +172,16 @@ def test_edge_points_sphere_arc_from_the_pole_and_along_a_row():
     assert np.max(np.abs(walk @ normal)) <= 1e-12
 
 
+def plaquette_solid_angles(grid):
+    """Spherical area of each plaquette of a sphere grid: a test oracle."""
+    th0 = np.pi * grid.plaq_lat / grid.n_lat
+    th1 = np.pi * (grid.plaq_lat + 1) / grid.n_lat
+    return (np.cos(th0) - np.cos(th1)) * (2 * np.pi / grid.n_lon)
+
+
 def test_plaquette_solid_angles_sum_to_sphere_area():
     grid = build_grid(Manifold.SPHERE, 16, 32)
-    omega = phasespace.plaquette_solid_angles(grid)
+    omega = plaquette_solid_angles(grid)
     assert omega.sum() == pytest.approx(4 * np.pi)
     assert np.all(omega > 0)
 
