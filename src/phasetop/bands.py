@@ -220,12 +220,9 @@ class Frame:
 
     domain: FundamentalDomain
     group: BandGroup
-    data: np.ndarray         # (n_domain_vertices, N_A, N_B)
+    data: np.ndarray         # (n_domain_vertices, N_A, N_B), by grid vid
     max_step: float          # largest adjacent-vertex frame distance
     continuity_const: float  # max_step / grid spacing
-
-    def at(self, vid: int) -> np.ndarray:
-        return self.data[self.domain.local_index[vid]]
 
 
 def _transport(slab: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -256,11 +253,13 @@ def frame_residuals(frame: Frame, slabs: np.ndarray):
 
 
 def _continuity(domain: FundamentalDomain, data: np.ndarray):
-    a, b = domain.local_index[domain.edges].T
+    a, b = domain.edges.T
     diffs = data[a] - data[b]
     max_step = float(np.max(np.sqrt(np.sum(np.abs(diffs) ** 2, axis=(1, 2)))))
     grid = domain.grid
-    h = max(np.pi / grid.n_lat, 2.0 * np.pi / grid.n_lon)
+    # sphere rows are pi / n_lat apart in theta, torus rows 2 pi / n_lat in p
+    row = (np.pi if grid.manifold == Manifold.SPHERE else 2.0 * np.pi) / grid.n_lat
+    h = max(row, 2.0 * np.pi / grid.n_lon)
     return max_step, max_step / h
 
 
@@ -277,14 +276,12 @@ def smooth_frame(spectrum: Spectrum, group: BandGroup, domain: FundamentalDomain
     """
     grid = domain.grid
     slabs = spectrum.band_vectors(group)
-    n_dom = domain.n_vertices
-    data = np.zeros((n_dom, spectrum.n_a, group.rank), dtype=complex)
-    loc = domain.local_index
+    data = np.zeros((domain.n_vertices, spectrum.n_a, group.rank), dtype=complex)
 
     chains = transport_chains(domain)
     seed_vid = chains[0, 0]
     if grid.manifold == Manifold.SPHERE:
-        data[loc[seed_vid]] = slabs[seed_vid]
+        data[seed_vid] = slabs[seed_vid]
         u = np.broadcast_to(slabs[seed_vid], (chains.shape[0],) + slabs.shape[1:])
     else:
         base = chains[:, 0]
@@ -295,12 +292,12 @@ def smooth_frame(spectrum: Spectrum, group: BandGroup, domain: FundamentalDomain
         back = _transport(slabs[seed_vid], raw[-1])
         holonomy = raw[0].conj().T @ back
         u = np.stack(raw) @ numkit.unitary_powers(holonomy, -np.arange(L) / L)
-        data[loc[base]] = u
+        data[base] = u
     # every meridian (sphere) or column (torus) steps in lock-step, one row
     # of the domain at a time
     for row in chains.T[1:]:
         u = _transport(slabs[row], u)
-        data[loc[row]] = u
+        data[row] = u
 
     max_step, const = _continuity(domain, data)
     return Frame(domain=domain, group=group, data=data,
@@ -334,7 +331,7 @@ def transition_loops(frame: Frame, t: AntiUnitary) -> tuple[TransitionLoop, ...]
     shift = dom.tau_shift
     loops = []
     for loop in dom.boundary_loops:
-        u_b = frame.data[dom.local_index[loop]]
+        u_b = frame.data[loop]
         mirrored = t.apply(np.roll(u_b, -shift, axis=0))
         u = np.einsum("vji,vjk->vik", u_b.conj(), mirrored).transpose(0, 2, 1)
         unit = _unitarity(u)

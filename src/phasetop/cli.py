@@ -168,7 +168,7 @@ def _write_dumps(dump_dir: str, verified) -> None:
         mf = fld.m_field
         if mf is None:
             continue
-        vids = mf.domain.vertex_ids
+        vids = slice(mf.domain.n_vertices)
         # hypot is the scalar complex modulus; np.abs of a complex array can
         # differ from it in the last bit
         _write_table(out / f"pf_abs_group{gid}.csv", "lat_index,lon_index,abs_pf",

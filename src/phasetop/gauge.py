@@ -208,21 +208,15 @@ def extend_to_disk(gauge: GaugeLoop, domain: FundamentalDomain) -> DiskExtension
     L = w_b.shape[0]
     if L != grid.n_lon:
         raise DomainError("gauge loop sampling does not match the grid equator")
-    half = grid.n_lat // 2
     rng = np.random.default_rng(_EXTENSION_SEED)
-    loc = domain.local_index
+    n = domain.n_vertices
+    radii = grid.vertex_lat[:n] / (grid.n_lat // 2)
+    cols = grid.vertex_lon[:n]
+    # the equator is the domain's last row: vids n - L .. n - 1
+    interior = slice(n - L)
 
-    radii = grid.vertex_lat[domain.vertex_ids] / half
-    cols = grid.vertex_lon[domain.vertex_ids]
-
-    equator = loc[domain.boundary_loops[0]]
-    boundary_mask = np.zeros(domain.n_vertices, dtype=bool)
-    boundary_mask[equator] = True
-    interior = np.where(~boundary_mask)[0]
-
-    ea, eb = loc[domain.edges].T
-    inner = ~(boundary_mask[ea] & boundary_mask[eb])
-    iea, ieb = ea[inner], eb[inner]
+    ea, eb = domain.edges.T
+    iea, ieb = domain.edges[ea < n - L].T  # lower end off the equator: not along it
 
     def interior_step(vals: np.ndarray) -> float:
         rel = np.einsum("eji,ejk->eik", vals[iea].conj(), vals[ieb])
@@ -251,7 +245,7 @@ def extend_to_disk(gauge: GaugeLoop, domain: FundamentalDomain) -> DiskExtension
     tried = []
     for start, profile in (("harmonic", _harmonic_profile), ("blend", _blend_profile)):
         values = profile(w_b, radii, cols, rng)
-        values[equator] = w_b
+        values[n - L:] = w_b
         step, used = smooth(values, EXTENSION_MAX_SWEEPS - sweeps)
         sweeps += used
         if step <= EXTENSION_STEP_TARGET:

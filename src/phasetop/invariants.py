@@ -172,7 +172,7 @@ def m_field(frame: Frame, t: AntiUnitary) -> MField:
 
 
 def _pf_on_loop(mf: MField, loop: np.ndarray, zero_floor: float) -> np.ndarray:
-    pf = mf.pf[mf.domain.local_index[loop]]
+    pf = mf.pf[loop]
     at = int(np.argmin(np.abs(pf)))
     if abs(pf[at]) <= zero_floor:
         x, y = mf.domain.grid.points[loop[at]]
@@ -202,7 +202,7 @@ class ZeroCensus:
 def _edge_steps(mf: MField) -> np.ndarray:
     """Principal pf M step along each grid edge, lower vid to higher; 0 off the domain."""
     dom = mf.domain
-    a, b = dom.local_index[dom.edges].T
+    a, b = dom.edges.T
     steps = np.zeros(len(dom.grid.edges))
     steps[dom.edge_ids] = np.angle(mf.pf[b] / mf.pf[a])
     return steps
@@ -242,8 +242,8 @@ def km_census(mf: MField, edge_cap: float = CENSUS_EDGE_CAP,
     if split is not None:
         steps[split[0]] = split[1]
         on_edge[split[0]] = False
-    on_edge = on_edge[dom.grid.side_edge[dom.plaq_ids]].any(axis=1)
-    w = plaquette_sums(dom.grid, steps, dom.plaq_ids) / (2.0 * np.pi)
+    on_edge = on_edge[dom.grid.side_edge[:dom.n_plaquettes]].any(axis=1)
+    w = plaquette_sums(dom.grid, steps, slice(dom.n_plaquettes)) / (2.0 * np.pi)
     wi = np.round(w)
     fractional = ~(np.abs(w - wi) <= 1e-6)  # a NaN winding is not integral either
     failed = np.flatnonzero(on_edge | fractional)
@@ -251,13 +251,13 @@ def km_census(mf: MField, edge_cap: float = CENSUS_EDGE_CAP,
         first = failed[0]  # report the first failure in plaquette order
         if on_edge[first]:
             raise ResolutionError(
-                f"pf M phase step near pi on plaquette {int(dom.plaq_ids[first])}; "
+                f"pf M phase step near pi on plaquette {int(first)}; "
                 "a zero lies on an edge, refine the grid"
             )
         raise ResolutionError("plaquette winding is not integral")
     wi = wi.astype(int)
     nonzero = np.flatnonzero(wi)
-    entries = [(int(dom.plaq_ids[p]), int(wi[p])) for p in nonzero]
+    entries = [(int(p), int(wi[p])) for p in nonzero]
     return ZeroCensus(entries=entries, total=int(wi.sum()))
 
 
@@ -287,10 +287,8 @@ def split_census_edges(h_field: HamiltonianField, frame: Frame, mf: MField,
     edge_ids = np.flatnonzero(np.abs(_edge_steps(mf)) >= CENSUS_EDGE_CAP)
     if not edge_ids.size:
         return None
-    dom, group = frame.domain, frame.group
-    grid = dom.grid
+    grid, group = frame.domain.grid, frame.group
     edges = grid.edges[edge_ids]
-    loc = dom.local_index[edges]
     shape = frame.data.shape[1:]
     bounding = [i for i in (group.first - 1, group.last) if 0 <= i < h_field.n_a - 1]
     summed = np.full(len(edges), np.nan)   # each edge's sum at its latest split
@@ -307,7 +305,7 @@ def split_census_edges(h_field: HamiltonianField, frame: Frame, mf: MField,
                                  f"group gap {gaps[worst]:.3e} <= gap floor "
                                  f"{gap_floor:g} at a sub-point")
         slabs = v[:, :, group.first:group.last + 1].reshape(todo.size, n - 1, *shape)
-        u = frame.data[loc[todo, 0]]
+        u = frame.data[edges[todo, 0]]
         frames = []
         for k in range(n - 1):
             try:
@@ -325,8 +323,8 @@ def split_census_edges(h_field: HamiltonianField, frame: Frame, mf: MField,
             raise _split_failure(edge_ids[todo[worst // (n - 1)]],
                                  f"|pf M| = {abs(inner[worst]):.3e} < "
                                  f"{PF_HARD_FLOOR:g} at a sub-point")
-        pf = np.concatenate([mf.pf[loc[todo, :1]], inner.reshape(todo.size, n - 1),
-                             mf.pf[loc[todo, 1:]]], axis=1)
+        pf = np.concatenate([mf.pf[edges[todo, :1]], inner.reshape(todo.size, n - 1),
+                             mf.pf[edges[todo, 1:]]], axis=1)
         sub = np.angle(pf[:, 1:] / pf[:, :-1])
         summed[todo] = sub.sum(axis=1)
         stuck = np.max(np.abs(sub), axis=1) >= CENSUS_EDGE_CAP
@@ -389,7 +387,7 @@ def _km_and_census(h_field, frame, mf, tol):
     """
     if np.all(np.abs(mf.pf) < PF_HARD_FLOOR):
         return None, None, ["KM index undefined: pf M vanishes at every domain "
-                            "vertex (symmetric stratum); no rotated domain can help"]
+                            "vertex (symmetric stratum)"]
     try:
         k = km_boundary(mf, tol.zero_floor)
     except BoundaryZeroError as exc:
@@ -425,7 +423,7 @@ def _verify_once(h_field: HamiltonianField, group: BandGroup, grid: Grid,
 
     domain = fundamental_domain(grid)
     frame = smooth_frame(spectrum, group, domain)
-    orth, span = frame_residuals(frame, slabs[domain.vertex_ids])
+    orth, span = frame_residuals(frame, slabs[:domain.n_vertices])
 
     residuals = {
         "frame_orthonormality": orth,

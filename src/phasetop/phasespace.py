@@ -196,6 +196,10 @@ class FundamentalDomain:
     equator.  Torus: the closed cylinder 0 <= p <= pi (rows 0 .. n_lat/2),
     boundaries the two TRI lines p = 0 and p = pi.
 
+    Rows 0 .. n_lat/2 come first in both numberings, so the domain is a prefix:
+    vids 0 .. n_vertices - 1 (the sphere equator last) and plaquettes
+    0 .. n_plaquettes - 1.  Frames, M fields and the census index by grid id.
+
     Each boundary loop runs along its row in increasing column order.  The
     orientation the domain induces on its boundary alternates in sign, loop 0
     first: the equator and the p = 0 line count with +1, the p = pi line with
@@ -207,43 +211,31 @@ class FundamentalDomain:
     """
 
     grid: Grid
-    vertex_ids: np.ndarray            # domain vertices, fixed order
-    local_index: np.ndarray           # grid vid -> local index (-1 outside)
-    plaq_ids: np.ndarray              # plaquettes contained in the domain
+    n_vertices: int                   # domain vertices are vids 0 .. n_vertices - 1
+    n_plaquettes: int                 # domain plaquettes are ids 0 .. n_plaquettes - 1
     boundary_loops: tuple             # loops of vids, along increasing column
     tau_shift: int                    # tau on a boundary loop, in samples
     edge_ids: np.ndarray              # grid edges joining two domain vertices
     edges: np.ndarray = field(repr=False)  # (E, 2) their vids, grid.edges[edge_ids]
 
-    @property
-    def n_vertices(self) -> int:
-        return self.vertex_ids.size
-
 
 def fundamental_domain(grid: Grid) -> FundamentalDomain:
     half = grid.n_lat // 2
-    sphere = grid.manifold == Manifold.SPHERE
-    # rows up to the boundary row; the sphere's pole row is added apart
-    vertex_ids = grid.vid(np.arange(1 if sphere else 0, half + 1)[:, None],
-                          np.arange(grid.n_lon)).ravel()
-    if sphere:
-        vertex_ids = np.concatenate([[grid.vid(0, 0)], vertex_ids])
+    if grid.manifold == Manifold.SPHERE:
         boundary = (grid.row_vids(half),)
         tau_shift = grid.n_lon // 2
     else:
         boundary = (grid.row_vids(0), grid.row_vids(half))
         tau_shift = 0
-
-    local = np.full(grid.n_vertices, -1, dtype=int)
-    local[vertex_ids] = np.arange(vertex_ids.size)
-    ends = grid.edges
-    edge_ids = np.flatnonzero((local[ends] >= 0).all(axis=1) & (ends[:, 0] != ends[:, 1]))
+    # rows 0 .. half come first in both numberings, so the domain is a prefix
+    n_vertices = grid.vid(half, grid.n_lon - 1) + 1
+    ends = grid.edges  # lower vid first: an edge is inside when its higher end is
+    edge_ids = np.flatnonzero((ends[:, 1] < n_vertices) & (ends[:, 0] != ends[:, 1]))
 
     return FundamentalDomain(
         grid=grid,
-        vertex_ids=vertex_ids,
-        local_index=local,
-        plaq_ids=np.where(grid.plaq_lat < half)[0],
+        n_vertices=n_vertices,
+        n_plaquettes=half * grid.n_lon,
         boundary_loops=boundary,
         tau_shift=tau_shift,
         edge_ids=edge_ids,
@@ -260,10 +252,10 @@ def transport_chains(domain: FundamentalDomain) -> np.ndarray:
     return grid.vid(np.arange(grid.n_lat // 2 + 1), np.arange(grid.n_lon)[:, None])
 
 
-def plaquette_sums(grid: Grid, edge_values: np.ndarray, plaq_ids=slice(None)) -> np.ndarray:
+def plaquette_sums(grid: Grid, edge_values: np.ndarray, plaqs=slice(None)) -> np.ndarray:
     """Per plaquette, the sum over its sides of the side's sign times the
     value of the edge it reads: an edge quantity taken around the plaquette."""
-    return np.sum(grid.side_sign[plaq_ids] * edge_values[grid.side_edge[plaq_ids]], axis=1)
+    return np.sum(grid.side_sign[plaqs] * edge_values[grid.side_edge[plaqs]], axis=1)
 
 
 def edge_points(manifold: Manifold, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:

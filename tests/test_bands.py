@@ -7,6 +7,7 @@ from phasetop import bands, models, numkit
 from phasetop.bands import AntiUnitary, HamiltonianField
 from phasetop.errors import DomainError
 from phasetop.phasespace import Manifold, build_grid, fundamental_domain
+from test_phasespace import domain_rows
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -157,10 +158,24 @@ def test_smooth_frame_rank1_covers_domain():
     group = bands.group_for_range(spec, 0, 0, 0.5)
     dom = fundamental_domain(grid)
     frame = bands.smooth_frame(spec, group, dom)
-    orth, span = bands.frame_residuals(frame, spec.band_vectors(group)[dom.vertex_ids])
+    vids, _ = domain_rows(grid)
+    orth, span = bands.frame_residuals(frame, spec.band_vectors(group)[vids])
     assert orth <= 1e-10
     assert span <= 1e-8
     assert frame.continuity_const < 5.0
+
+
+def test_torus_continuity_const_reads_the_torus_row_spacing():
+    # torus rows are 2 pi / n_lat apart in p (sphere rows pi / n_lat in theta);
+    # at 16x128 the row spacing is the larger grid step
+    h = models.torus_doubled_chern(m=1.0)
+    grid = build_grid(Manifold.TORUS, 16, 128)
+    spec = bands.spectrum_on_grid(h, grid)
+    group = bands.group_for_range(spec, 0, 1, 0.5)
+    frame = bands.smooth_frame(spec, group, fundamental_domain(grid))
+    h_step = max(2 * np.pi / grid.n_lat, 2 * np.pi / grid.n_lon)
+    assert frame.max_step > 0
+    assert frame.continuity_const * h_step == pytest.approx(frame.max_step, rel=1e-12)
 
 
 def test_smooth_frame_constant_hamiltonian_is_constant():
@@ -191,9 +206,9 @@ def test_torus_frame_seam_twist_closes():
         raw.append(bands._transport(slabs[vid], raw[-1]))
     back = bands._transport(slabs[base[0]], raw[-1])
     hol = raw[0].conj().T @ back
-    wrap = bands._transport(slabs[base[0]], frame.at(base[-1]))
+    wrap = bands._transport(slabs[base[0]], frame.data[base[-1]])
     twist_step = numkit.unitary_powers(hol, -1.0 / grid.n_lon)
-    assert numkit.max_abs(wrap @ twist_step - frame.at(base[0])) <= 1e-8
+    assert numkit.max_abs(wrap @ twist_step - frame.data[base[0]]) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +266,7 @@ def _sphere_loop_oracle(frame, t):
     """The explicit equator formula: T u(phi + pi) = u(phi) U(phi)^t, with the
     antisymmetry residual max |U(phi + pi)^t + U(phi)|."""
     dom = frame.domain
-    eq = frame.data[dom.local_index[dom.boundary_loops[0]]]
+    eq = frame.data[dom.boundary_loops[0]]
     L = eq.shape[0]
     shifted = t.apply(np.roll(eq, -L // 2, axis=0))
     u = np.einsum("vji,vjk->vik", eq.conj(), shifted).transpose(0, 2, 1)
@@ -265,7 +280,7 @@ def _torus_loops_oracle(frame, t):
     dom = frame.domain
     out = []
     for loop in dom.boundary_loops:
-        row = frame.data[dom.local_index[loop]]
+        row = frame.data[loop]
         u = np.einsum("vji,vjk->vik", row.conj(), t.apply(row)).transpose(0, 2, 1)
         out.append((u, float(numkit.max_abs(u + u.transpose(0, 2, 1)))))
     return out

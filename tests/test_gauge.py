@@ -6,6 +6,7 @@ import pytest
 from phasetop import bands, gauge, invariants, models, numkit
 from phasetop.errors import DomainError, ExtensionError
 from phasetop.phasespace import Manifold, build_grid, fundamental_domain
+from test_phasespace import domain_rows
 
 
 def rotor_equator_loop(n_lat=16, n_lon=32, band=(0, 0)):
@@ -171,10 +172,11 @@ def test_extend_contractible_scalar_loop_matches_explicit():
         residual_pi=0.0, residual_2pi=0.0,
     )
     ext = gauge.extend_to_disk(w, dom)
-    eq = dom.local_index[dom.boundary_loops[0]]
+    eq = dom.boundary_loops[0]
     assert numkit.max_abs(ext.values[eq] - w.samples) <= 1e-12
-    r = grid.vertex_lat[dom.vertex_ids] / (n_lat // 2)
-    explicit = np.exp(1j * r * np.sin(phi[grid.vertex_lon[dom.vertex_ids]]))
+    vids, _ = domain_rows(grid)
+    r = grid.vertex_lat[vids] / (n_lat // 2)
+    explicit = np.exp(1j * r * np.sin(phi[grid.vertex_lon[vids]]))
     mismatch = np.max(np.abs(np.angle(ext.values[:, 0, 0] / explicit)))
     assert mismatch <= 0.35  # graph-harmonic vs separable profile, loose bound
 
@@ -257,7 +259,7 @@ def test_extend_falls_back_to_blend(monkeypatch):
     ext = gauge.extend_to_disk(w, dom)
     assert ext.start == "blend"
     assert ext.max_interior_step <= gauge.EXTENSION_STEP_TARGET
-    eq = dom.local_index[dom.boundary_loops[0]]
+    eq = dom.boundary_loops[0]
     assert numkit.max_abs(ext.values[eq] - w.samples) == 0.0
 
     # the count covers both starts: the blend alone takes fewer sweeps, and

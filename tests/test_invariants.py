@@ -15,7 +15,7 @@ from phasetop.errors import (
 )
 from phasetop.invariants import Tolerances
 from phasetop.phasespace import Manifold, build_grid, fundamental_domain
-from test_phasespace import plaquette_solid_angles
+from test_phasespace import domain_rows, plaquette_solid_angles
 
 SPHERE_GRID = build_grid(Manifold.SPHERE, 16, 32)
 TORUS_GRID = build_grid(Manifold.TORUS, 16, 128)
@@ -199,7 +199,7 @@ def test_boundary_sums_match_explicit_torus_differences():
         c = invariants.chern_winding((u_plus, u_minus))
         assert c == wn_plus - wn_minus
         mf = invariants.m_field(frame, h.t)
-        w0, w1 = (numkit.winding_number(mf.pf[dom.local_index[loop]])
+        w0, w1 = (numkit.winding_number(mf.pf[loop])
                   for loop in dom.boundary_loops)
         k = invariants.km_boundary(mf)
         assert k == w0 - w1
@@ -217,13 +217,13 @@ def test_km_transform_identity_under_tr_shift():
     mf = invariants.m_field(frame, h.t)
     loop = bands.transition_loops(frame, h.t)[0]
     eq = dom.boundary_loops[0]
-    m_eq = mf.values[dom.local_index[eq]]
+    m_eq = mf.values[eq]
     L = eq.size
     u = loop.samples
     lhs = np.roll(m_eq, -L // 2, axis=0)
     rhs = np.einsum("vij,vjk,vlk->vil", u, m_eq.conj(), u)
     assert numkit.max_abs(lhs - rhs) <= 1e-10
-    pf_eq = mf.pf[dom.local_index[eq]]
+    pf_eq = mf.pf[eq]
     dets = np.linalg.det(u)
     assert np.max(np.abs(np.roll(pf_eq, -L // 2) - dets * pf_eq.conj())) <= 1e-10
 
@@ -484,7 +484,7 @@ def test_boundary_zero_leaves_k_undefined(monkeypatch):
     assert rep.census_total is None and rep.census_entries == []
     mf = fields.m_field
     (equator,) = mf.domain.boundary_loops
-    vid = int(equator[np.argmin(np.abs(mf.pf[mf.domain.local_index[equator]]))])
+    vid = int(equator[np.argmin(np.abs(mf.pf[equator]))])
     theta, phi = SPHERE_GRID.points[vid]
     assert len(rep.notes) == 1
     assert re.fullmatch(rf"KM index undefined: \|pf M\| = \S+ <= zero floor 2 at "
@@ -499,7 +499,7 @@ def test_symmetric_stratum_is_undefined_without_rotations():
     rep = invariants.verify_group(h, _kramers_group(h), SPHERE_GRID, TOL)
     assert rep.k is None and rep.census_total is None and rep.census_ok is None
     assert rep.notes == ["KM index undefined: pf M vanishes at every domain vertex "
-                         "(symmetric stratum); no rotated domain can help"]
+                         "(symmetric stratum)"]
 
 
 # ---------------------------------------------------------------------------
@@ -531,18 +531,18 @@ def _fine_walks(h, group, frame, mf, edges, n):
     """The (E, n) pf M sub-steps along grid edges a -> b, each cut into n
     parts: one eigh stack, the frames transported from a one point at a time
     (all edges at once), Pfaffians."""
-    grid, loc = frame.domain.grid, frame.domain.local_index
+    grid = frame.domain.grid
     a, b = edges.T
     pts = phasespace.edge_points(grid.manifold, grid.points[a], grid.points[b], n)
     _, v = np.linalg.eigh(h(pts.reshape(-1, 2)))
     slabs = v[:, :, group.first:group.last + 1].reshape(len(edges), n - 1,
                                                         *frame.data.shape[1:])
-    u, pf = frame.data[loc[a]], [mf.pf[loc[a]]]
+    u, pf = frame.data[a], [mf.pf[a]]
     for k in range(n - 1):
         slab = slabs[:, k]
         u = slab @ numkit.polar_unitary(np.swapaxes(slab.conj(), 1, 2) @ u)
         pf.append(numkit.pfaffian(np.swapaxes(u.conj(), 1, 2) @ h.t.apply(u)))
-    pf = np.array(pf + [mf.pf[loc[b]]]).T
+    pf = np.array(pf + [mf.pf[b]]).T
     return np.angle(pf[:, 1:] / pf[:, :-1])
 
 
@@ -558,7 +558,7 @@ def test_split_step_matches_a_fine_walk_and_enters_both_plaquettes():
     # every split step ends on the vertex values: the principal step plus
     # whole turns, and on one edge the principal step misses a full turn
     dom = frame.domain
-    pf_a, pf_b = (mf.pf[dom.local_index[edges[:, i]]] for i in (0, 1))
+    pf_a, pf_b = (mf.pf[edges[:, i]] for i in (0, 1))
     turns = (steps - np.angle(pf_b / pf_a)) / (2 * np.pi)
     assert np.max(np.abs(turns - np.round(turns))) <= 1e-9
     assert np.sum(np.round(np.abs(turns))) == 1
@@ -570,13 +570,13 @@ def test_split_step_matches_a_fine_walk_and_enters_both_plaquettes():
     for (ea, eb), step in zip(edges.tolist(), steps):
         split[ea, eb], split[eb, ea] = step, -step
     windings, shared = {}, []
-    for pid in dom.plaq_ids:
+    for pid in domain_rows(dom.grid)[1]:
         corners = dom.grid.plaquettes[pid].tolist()
         total = 0.0
         for va, vb in zip(corners, corners[1:] + corners[:1]):
             step = split.get((va, vb))
             if step is None:
-                step = np.angle(mf.pf[dom.local_index[vb]] / mf.pf[dom.local_index[va]])
+                step = np.angle(mf.pf[vb] / mf.pf[va])
             if {va, vb} == {a, b}:
                 shared.append(step)
             total += step
@@ -699,6 +699,26 @@ def test_parity_theorem_on_random_sample():
         for rep, _ in results:
             assert rep.parity_ok, (seed, rep.rank, rep.c_plaquette)
             assert rep.consistent
+
+
+def test_torus_theorems_on_proper_subbundles():
+    # the criterion-5 torus suite meets one proper group pair; cutoff-1
+    # fields split into rank-2 groups far more often, and every one of them
+    # must satisfy all the torus theorems through the census and the windings
+    grid, tol = build_grid(Manifold.TORUS, 24, 128), Tolerances(gap_floor=0.03)
+    proper = []
+    for seed in range(300, 350):
+        h = models.random_tri("torus", 4, cutoff=1, seed=seed)
+        _, _, results = invariants.analyze_model(h, grid, tol)
+        proper += [(seed, res[0]) for res in results
+                   if not isinstance(res, Exception) and res[0].rank < h.n_a]
+    for seed, rep in proper:
+        assert rep.parity_ok and rep.consistent and rep.evenness_ok, (seed, rep)
+        assert rep.rank % 2 == 0 and rep.c_plaquette % 2 == 0, (seed, rep)
+        assert rep.k is not None and 2 * rep.k == rep.c_plaquette, (seed, rep)
+        assert rep.census_total == rep.k and rep.census_ok, (seed, rep)
+    assert len(proper) >= 40
+    assert sum(rep.c_plaquette != 0 for _, rep in proper) >= 15
 
 
 def test_trivial_torus_bundle_zero_by_both_routes():

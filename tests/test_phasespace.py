@@ -1,9 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasetop import phasespace
 from phasetop.errors import ConfigError
 from phasetop.phasespace import Manifold, build_grid, fundamental_domain, tr_image
+
+
+def domain_rows(grid):
+    """The fundamental domain built through grid.vid, apart from
+    fundamental_domain: (vertex ids of rows 0 .. n_lat/2, the sphere's north
+    pole once, ascending; ids of the plaquettes between those rows)."""
+    half = grid.n_lat // 2
+    vids = np.unique(grid.vid(np.arange(half + 1)[:, None], np.arange(grid.n_lon)))
+    return vids, np.flatnonzero(grid.plaq_lat < half)
 
 
 def test_tr_image_sphere_equator():
@@ -114,9 +125,10 @@ def test_fundamental_domain_sphere():
     (eq,) = dom.boundary_loops
     assert np.array_equal(eq, grid.row_vids(4))
     # covering: domain plus its tau image is everything; overlap is the boundary
-    all_vids = set(dom.vertex_ids) | set(grid.tau_vertex[dom.vertex_ids])
+    vids, _ = domain_rows(grid)
+    all_vids = set(vids) | set(grid.tau_vertex[vids])
     assert all_vids == set(range(grid.n_vertices))
-    overlap = set(dom.vertex_ids) & set(grid.tau_vertex[dom.vertex_ids])
+    overlap = set(vids) & set(grid.tau_vertex[vids])
     assert overlap == set(eq.tolist())
 
 
@@ -127,9 +139,10 @@ def test_fundamental_domain_torus():
     lo, hi = dom.boundary_loops
     assert np.array_equal(lo, grid.row_vids(0))
     assert np.array_equal(hi, grid.row_vids(4))
-    all_vids = set(dom.vertex_ids) | set(grid.tau_vertex[dom.vertex_ids])
+    vids, _ = domain_rows(grid)
+    all_vids = set(vids) | set(grid.tau_vertex[vids])
     assert all_vids == set(range(grid.n_vertices))
-    overlap = set(dom.vertex_ids) & set(grid.tau_vertex[dom.vertex_ids])
+    overlap = set(vids) & set(grid.tau_vertex[vids])
     assert overlap == set(lo.tolist()) | set(hi.tolist())
 
 
@@ -296,8 +309,30 @@ def test_side_table_reads_each_edge_from_both_plaquettes(manifold):
     assert abs(phasespace.plaquette_sums(grid, values).sum()) <= 1e-12
     # the domain's edges: every proper edge with both ends in the domain
     dom = fundamental_domain(grid)
-    inside = set(dom.vertex_ids.tolist())
+    inside = set(domain_rows(grid)[0].tolist())
     want = [e for e, (a, b) in enumerate(grid.edges.tolist())
             if a != b and a in inside and b in inside]
     assert dom.edge_ids.tolist() == want
     assert np.array_equal(dom.edges, grid.edges[dom.edge_ids])
+
+
+EVEN_SIZES = st.integers(4, 32).map(lambda n: 2 * n)
+
+
+@settings(max_examples=8)
+@given(manifold=st.sampled_from(list(Manifold)), n_lat=EVEN_SIZES, n_lon=EVEN_SIZES)
+def test_fundamental_domain_is_a_prefix_of_the_grid(manifold, n_lat, n_lon):
+    # rows 0 .. n_lat/2 come first in the vid and plaquette numbering, so
+    # frames, M fields and the census index the domain by grid id
+    grid = build_grid(manifold, n_lat, n_lon)
+    dom = fundamental_domain(grid)
+    vids, plaqs = domain_rows(grid)
+    assert vids.tolist() == list(range(dom.n_vertices))
+    assert plaqs.tolist() == list(range(dom.n_plaquettes))
+    if manifold == Manifold.SPHERE:
+        assert grid.row_vids(n_lat // 2).tolist() == list(
+            range(dom.n_vertices - n_lon, dom.n_vertices))
+    inside = set(vids.tolist())
+    want = [e for e, (a, b) in enumerate(grid.edges.tolist())
+            if a != b and a in inside and b in inside]
+    assert dom.edge_ids.tolist() == want

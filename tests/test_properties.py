@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from phasetop import bands, invariants, models, numkit
 from phasetop.errors import PhasetopError, ResolutionError, SingularityError
 from phasetop.phasespace import Manifold, build_grid, fundamental_domain, tr_image_batch
+from test_phasespace import domain_rows
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -94,8 +95,9 @@ def census_by_loop(mf, edge_cap):
     ResolutionError in plaquette order."""
     dom = mf.domain
     entries, total = [], 0
-    for pid, corners in zip(dom.plaq_ids, dom.grid.plaquettes[dom.plaq_ids]):
-        vals = mf.pf[dom.local_index[corners]]
+    plaqs = domain_rows(dom.grid)[1]
+    for pid, corners in zip(plaqs, dom.grid.plaquettes[plaqs]):
+        vals = mf.pf[corners]
         steps = np.angle(np.roll(vals, -1) / vals)
         if np.max(np.abs(steps)) >= edge_cap:
             raise ResolutionError(
@@ -123,7 +125,7 @@ CENSUS_DOMAINS = {
 def test_km_census_matches_plaquette_loop(seed, manifold, noise, edge_cap):
     rng = np.random.default_rng(seed)
     dom = CENSUS_DOMAINS[manifold]
-    x = dom.grid.points[dom.vertex_ids]
+    x = dom.grid.points[domain_rows(dom.grid)[0]]
     modes = rng.integers(-2, 3, size=(4, 2))
     pf = np.exp(1j * x @ modes.T) @ complex_normal(rng, 4)
     pf += noise * complex_normal(rng, pf.shape)
