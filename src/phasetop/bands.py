@@ -263,6 +263,46 @@ def _continuity(domain: FundamentalDomain, data: np.ndarray):
     return max_step, max_step / h
 
 
+def _running_products(steps: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Running products of transport steps along axis -3, from start:
+    out[k] = steps[k - 1] @ ... @ steps[0] @ start, and out[0] = start."""
+    out = np.empty(steps.shape[:-3] + (steps.shape[-3] + 1,) + steps.shape[-2:], dtype=complex)
+    out[..., 0, :, :] = start
+    for k in range(steps.shape[-3]):
+        np.matmul(steps[..., k, :, :], out[..., k, :, :], out=out[..., k + 1, :, :])
+    return out
+
+
+def _frame_data(spectrum: Spectrum, group: BandGroup, domain: FundamentalDomain) -> np.ndarray:
+    """smooth_frame's frame values, by grid vid."""
+    chains = transport_chains(domain)
+    L, rows = chains.shape
+    nb = group.rank
+    path = spectrum.band_vectors(group)[chains]       # (L, rows, N_A, N_B)
+    # one overlap per step up every chain, then on the torus one per step
+    # along the base row, the last of them back to the seed
+    steps = (np.swapaxes(path[:, 1:].conj(), -1, -2) @ path[:, :-1]).reshape(-1, nb, nb)
+    torus = domain.grid.manifold == Manifold.TORUS
+    if torus:
+        base = path[:, 0]
+        ring = np.swapaxes(np.roll(base, -1, axis=0).conj(), -1, -2) @ base
+        steps = np.concatenate([steps, ring])
+    try:
+        polar = numkit.polar_unitary(steps)
+    except SingularityError as exc:
+        raise SingularityError(
+            "projector alignment is rank-deficient; refine the grid"
+        ) from exc
+    start = np.eye(nb)
+    if torus:  # the base row, twisted so that it closes: ring[L] is the holonomy
+        ring = _running_products(polar[L * (rows - 1):], start)
+        start = ring[:L] @ numkit.unitary_powers(ring[L], -np.arange(L) / L)
+    gauge = _running_products(polar[:L * (rows - 1)].reshape(L, rows - 1, nb, nb), start)
+    data = np.zeros((domain.n_vertices, spectrum.n_a, nb), dtype=complex)
+    data[chains] = path @ gauge
+    return data
+
+
 def smooth_frame(spectrum: Spectrum, group: BandGroup, domain: FundamentalDomain) -> Frame:
     """Continuous orthonormal frame for a gapped group over the domain,
     built from the spectrum on the domain's grid.
@@ -273,32 +313,17 @@ def smooth_frame(spectrum: Spectrum, group: BandGroup, domain: FundamentalDomain
     p = 0 line, the loop holonomy is spread out as a fractional twist
     exp(-(q/2pi) log V0) to make it periodic in q, then each column is
     transported upward in p.
+
+    A transport step from slab a to slab b (each vertex's eigenvector
+    columns) maps the frame a W to b polar(b^dagger a W) = b polar(b^dagger a) W
+    for unitary W, so every frame is its slab times a running product of
+    the steps' polar factors.  The overlaps b^dagger a of all steps (the
+    columns, then the base row with its closing step, or the meridians)
+    take one stacked numkit.polar_unitary call, and a running product along
+    each chain composes them.
     """
-    grid = domain.grid
-    slabs = spectrum.band_vectors(group)
-    data = np.zeros((domain.n_vertices, spectrum.n_a, group.rank), dtype=complex)
-
-    chains = transport_chains(domain)
-    seed_vid = chains[0, 0]
-    if grid.manifold == Manifold.SPHERE:
-        data[seed_vid] = slabs[seed_vid]
-        u = np.broadcast_to(slabs[seed_vid], (chains.shape[0],) + slabs.shape[1:])
-    else:
-        base = chains[:, 0]
-        L = grid.n_lon
-        raw = [slabs[seed_vid]]
-        for vid in base[1:]:
-            raw.append(_transport(slabs[vid], raw[-1]))
-        back = _transport(slabs[seed_vid], raw[-1])
-        holonomy = raw[0].conj().T @ back
-        u = np.stack(raw) @ numkit.unitary_powers(holonomy, -np.arange(L) / L)
-        data[base] = u
-    # every meridian (sphere) or column (torus) steps in lock-step, one row
-    # of the domain at a time
-    for row in chains.T[1:]:
-        u = _transport(slabs[row], u)
-        data[row] = u
-
+    # the transport's arrays are freed before _continuity gathers the edges
+    data = _frame_data(spectrum, group, domain)
     max_step, const = _continuity(domain, data)
     return Frame(domain=domain, group=group, data=data,
                  max_step=max_step, continuity_const=const)

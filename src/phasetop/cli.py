@@ -265,7 +265,9 @@ def cmd_random_suite(args) -> int:
         "census_defined": 0,
         "evenness_ok": 0,
         "consistent": 0,
+        "full_bundle_groups": 0,
         "skipped_marginal": 0,
+        "skipped_by_cause": {"GapError": 0, "ResolutionError": 0},
     }
     violations = []
     max_antisym = 0.0
@@ -285,6 +287,8 @@ def cmd_random_suite(args) -> int:
                 # gap indistinguishable from a closing at finer resolution:
                 # not a reliably gapped group, excluded from theorem tallies
                 tally["skipped_marginal"] += 1
+                cause = "GapError" if isinstance(res, GapError) else "ResolutionError"
+                tally["skipped_by_cause"][cause] += 1
                 continue
             if isinstance(res, PhasetopError):
                 raise res
@@ -293,6 +297,7 @@ def cmd_random_suite(args) -> int:
             tally["parity_ok"] += rep.parity_ok
             tally["consistent"] += rep.consistent
             tally["evenness_ok"] += bool(rep.evenness_ok)
+            tally["full_bundle_groups"] += rep.rank == args.n_a
             sym = rep.residuals.get("loop_antisymmetry",
                                     rep.residuals.get("loop_skewness", 0.0))
             max_antisym = max(max_antisym, sym)

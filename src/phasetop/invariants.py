@@ -98,13 +98,17 @@ def chern_plaquette(vectors: np.ndarray, grid: Grid):
     per edge; a side that runs against the edge reads its conjugate.  The
     flux F_P is the principal value of the summed link phases around the
     plaquette in the declared flux orientation; c = (1/2pi) sum F_P is an
-    exact integer.
+    exact integer.  A square frame (N_B = N_A, the whole bundle) is unitary,
+    so its link is conj(det u(x)) det u(y): one determinant per vertex.
     """
-    # one link per grid edge, gathering the frames of at most P edges at a time
-    step = grid.n_plaquettes
-    links = np.concatenate([
-        np.linalg.det(np.einsum("vji,vjk->vik", vectors[a].conj(), vectors[b]))
-        for a, b in (grid.edges[s:s + step].T for s in range(0, len(grid.edges), step))])
+    if vectors.shape[-1] == vectors.shape[-2]:
+        dets = np.linalg.det(vectors)
+        links = dets[grid.edges[:, 0]].conj() * dets[grid.edges[:, 1]]
+    else:  # one link per grid edge, gathering the frames of at most P edges at a time
+        step = grid.n_plaquettes
+        links = np.concatenate([
+            np.linalg.det(np.einsum("vji,vjk->vik", vectors[a].conj(), vectors[b]))
+            for a, b in (grid.edges[s:s + step].T for s in range(0, len(grid.edges), step))])
     # self-links at a repeated pole corner are exactly 1 and harmless
     if np.any(np.abs(links) <= LINK_FLOOR):
         raise ResolutionError(

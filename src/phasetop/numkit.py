@@ -18,6 +18,8 @@ MAGNITUDE_FLOOR = 1e-10
 MAX_LOOP_STEP = np.pi / 2
 LEAD_FLOOR = 1e-8        # smallest component that fixes an eigenvector's phase
 BRANCH_CUT_GAP = 1e-3    # narrowest eigenphase gap a log branch cut may use
+POLAR_SWEEPS = 16        # Newton-Schulz sweeps before polar_unitary takes the SVD
+POLAR_TOL = 1e-14        # largest |X^dagger X - I| of a converged polar iterate
 
 
 def max_abs(a) -> float:
@@ -66,20 +68,50 @@ def polar_unitary(a: np.ndarray) -> np.ndarray:
     stack of them (last two axes).
 
     For a tall matrix this is the closest matrix with orthonormal columns in
-    Frobenius distance.  Near-singular inputs are refused, anywhere in the
-    stack; the caller must jitter or refine instead of silently accepting a
-    garbage direction.
+    Frobenius distance.  The whole stack runs the Newton-Schulz iteration
+    X <- X (3 - X^dagger X) / 2 at once, which converges to U when every
+    singular value lies in (0, sqrt(3)).  A matrix leaves the iteration
+    when |X^dagger X - I| <= POLAR_TOL, so an input that is already unitary
+    leaves at sweep 0.  Before the first update, a matrix whose Gram matrix
+    A^dagger A has an absolute row sum of 3 or more is divided by the root
+    of the largest one, which bounds sigma_max^2; a positive scale does not
+    change U.  A matrix still iterating after POLAR_SWEEPS sweeps takes the
+    SVD instead.
+    Near-singular inputs (smallest singular value at or below 1e-10) grow
+    by at most 3/2 a sweep, never converge within the cap, and the SVD
+    refuses them, anywhere in the stack; the caller must jitter or refine
+    instead of silently accepting a garbage direction.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-2] < a.shape[-1]:
         raise DomainError("polar_unitary expects square or tall matrices")
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    smallest = float(np.min(s[..., -1])) if s.size else np.inf
-    if smallest <= 1e-10:
-        raise SingularityError(
-            f"smallest singular value {smallest:.3e} <= 1e-10; input is near-singular"
-        )
-    return u @ vh
+    stack = a.reshape((-1,) + a.shape[-2:])
+    eye = np.eye(a.shape[-1])
+    x = stack
+    gram = np.swapaxes(x.conj(), -1, -2) @ x
+    u = np.empty_like(stack)
+    todo = np.arange(len(stack))
+    for sweep in range(POLAR_SWEEPS + 1):
+        done = np.max(np.abs(gram - eye), axis=(-2, -1), initial=0.0) <= POLAR_TOL
+        u[todo[done]] = x[done]
+        todo, x, gram = todo[~done], x[~done], gram[~done]
+        if not todo.size or sweep == POLAR_SWEEPS:
+            break
+        if sweep == 0:  # sigma_max^2 is at most the Gram matrix's largest absolute row sum
+            bound = np.max(np.sum(np.abs(gram), axis=-1), axis=-1)
+            scale = np.where(bound >= 3.0, bound, 1.0)[:, None, None]
+            x, gram = x / np.sqrt(scale), gram / scale
+        x = x @ (1.5 * eye - 0.5 * gram)
+        gram = np.swapaxes(x.conj(), -1, -2) @ x
+    if todo.size:
+        w, s, vh = np.linalg.svd(stack[todo], full_matrices=False)
+        smallest = float(np.min(s[..., -1])) if s.size else np.inf
+        if smallest <= 1e-10:
+            raise SingularityError(
+                f"smallest singular value {smallest:.3e} <= 1e-10; input is near-singular"
+            )
+        u[todo] = w @ vh
+    return u.reshape(a.shape)
 
 
 def pfaffian(s: np.ndarray):

@@ -159,6 +159,8 @@ def test_criterion_5_randomized_theorem_suite(tmp_path):
         assert t["consistent"] == t["groups"]
         assert t["km_ok"] == t["km_defined"]
         assert t["census_defined"] == t["km_defined"]  # every census resolves
+        assert t["full_bundle_groups"] <= t["groups"]
+        assert sum(t["skipped_by_cause"].values()) == t["skipped_marginal"]
         assert rep["max_symmetry_residual"] <= 1e-8
     assert sphere["tally"]["models"] == 50
     assert torus["tally"]["models"] == 50
@@ -167,7 +169,9 @@ def test_criterion_5_randomized_theorem_suite(tmp_path):
     elapsed = time.perf_counter() - started
     assert elapsed < 600.0
     _ok(5, f"random suite: {sphere['tally']['groups']} sphere + "
-           f"{torus['tally']['groups']} torus gapped groups, all theorems hold, "
+           f"{torus['tally']['groups']} torus gapped groups "
+           f"({sphere['tally']['full_bundle_groups']} + "
+           f"{torus['tally']['full_bundle_groups']} full bundles), all theorems hold, "
            f"{elapsed:.1f}s < 600s")
 
 

@@ -346,6 +346,11 @@ def test_random_suite_tally_matches_analyze_model(tmp_path):
     assert tally["consistent"] == sum(r.consistent for r in reports)
     assert tally["km_defined"] == sum(r.k is not None for r in reports)
     assert tally["census_defined"] == sum(r.census_total is not None for r in reports)
+    assert tally["full_bundle_groups"] == sum(r.rank == 4 for r in reports)
+    assert tally["skipped_by_cause"] == {
+        "GapError": sum(isinstance(r, GapError) for r in skipped),
+        "ResolutionError": sum(isinstance(r, ResolutionError) for r in skipped),
+    }
 
 
 @pytest.mark.parametrize("command", ["deform", "gauge-demo"])

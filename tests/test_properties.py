@@ -3,6 +3,7 @@ references, gauge invariance of the lattice Chern number, the declared
 orientation, TRI random fields, and deformation brackets."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,14 @@ from hypothesis import strategies as st
 
 from phasetop import bands, invariants, models, numkit
 from phasetop.errors import PhasetopError, ResolutionError, SingularityError
-from phasetop.phasespace import Manifold, build_grid, fundamental_domain, tr_image_batch
+from phasetop.phasespace import (
+    Manifold,
+    build_grid,
+    fundamental_domain,
+    plaquette_sums,
+    tr_image_batch,
+    transport_chains,
+)
 from test_phasespace import domain_rows
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -46,6 +54,47 @@ def test_polar_stack_refuses_one_singular_matrix(seed, m, n, data):
         numkit.polar_unitary(a)
 
 
+def svd_polar(a):
+    w, _, vh = np.linalg.svd(a, full_matrices=False)
+    return w @ vh
+
+
+def with_singular_values(rng, m, rows, sigma):
+    """(m, rows, n) stack W diag(sigma) V^dagger with Haar-random W and V."""
+    n = sigma.shape[-1]
+    w = np.linalg.qr(complex_normal(rng, (m, rows, n)))[0]
+    v = np.linalg.qr(complex_normal(rng, (m, n, n)))[0]
+    return (w * sigma[:, None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
+@pytest.mark.parametrize("low, high", [(0.5, 1.5), (2.0, 20.0), (1.0, 1.0)],
+                         ids=["moderate", "above_sqrt3", "unitary"])
+@settings(max_examples=15)
+@given(seed=SEEDS, m=st.integers(1, 6), n=st.integers(1, 4), extra=st.integers(0, 2))
+def test_polar_matches_an_svd_polar(low, high, seed, m, n, extra):
+    rng = np.random.default_rng(seed)
+    a = with_singular_values(rng, m, n + extra, rng.uniform(low, high, (m, n)))
+    want = svd_polar(a)
+    # singular values within a factor 10 of each other converge within the
+    # sweep cap, the ones above sqrt(3) after the Gram scale: no SVD is taken
+    with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("took the SVD")):
+        u = numkit.polar_unitary(a)
+    assert numkit.max_abs(u - want) <= 1e-12
+    if low == high == 1.0:  # already unitary: it leaves at sweep 0, untouched
+        assert np.array_equal(u, a)
+
+
+@settings(max_examples=15)
+@given(seed=SEEDS, m=st.integers(1, 6), n=st.integers(1, 4), extra=st.integers(0, 2),
+       data=st.data())
+def test_polar_refuses_one_singular_value_below_the_floor(seed, m, n, extra, data):
+    rng = np.random.default_rng(seed)
+    sigma = rng.uniform(0.5, 5.0, (m, n))
+    sigma[data.draw(st.integers(0, m - 1)), -1] = 1e-11
+    with pytest.raises(SingularityError):
+        numkit.polar_unitary(with_singular_values(rng, m, n + extra, sigma))
+
+
 def test_transport_stack_reraises_rank_deficiency():
     rng = np.random.default_rng(4)
     q = np.linalg.qr(complex_normal(rng, (5, 4, 4)))[0]
@@ -55,6 +104,67 @@ def test_transport_stack_reraises_rank_deficiency():
     assert numkit.max_abs(bands._transport(slab[:3], u[:3]) - slab[:3]) <= 1e-12
     with pytest.raises(SingularityError, match="projector alignment is rank-deficient"):
         bands._transport(slab, u)
+
+
+# ---------------------------------------------------------------------------
+# smooth_frame
+
+
+def sequential_frame(spectrum, group, domain):
+    """The frame one transport step at a time, each step with its own SVD
+    polar factor: the loop smooth_frame ran before its steps were stacked."""
+    def transport(slab, u):
+        return slab @ svd_polar(np.swapaxes(slab.conj(), -1, -2) @ u)
+
+    slabs = spectrum.band_vectors(group)
+    data = np.zeros((domain.n_vertices, spectrum.n_a, group.rank), dtype=complex)
+    chains = transport_chains(domain)
+    seed_vid = chains[0, 0]
+    if domain.grid.manifold == Manifold.SPHERE:
+        data[seed_vid] = slabs[seed_vid]
+        u = np.broadcast_to(slabs[seed_vid], (chains.shape[0],) + slabs.shape[1:])
+    else:
+        base = chains[:, 0]
+        n_lon = domain.grid.n_lon
+        raw = [slabs[seed_vid]]
+        for vid in base[1:]:
+            raw.append(transport(slabs[vid], raw[-1]))
+        holonomy = raw[0].conj().T @ transport(slabs[seed_vid], raw[-1])
+        u = np.stack(raw) @ numkit.unitary_powers(holonomy, -np.arange(n_lon) / n_lon)
+        data[base] = u
+    for row in chains.T[1:]:
+        u = transport(slabs[row], u)
+        data[row] = u
+    return data
+
+
+def four_band_spectrum(seed, manifold, n_lat, n_lon):
+    """Spectrum of H(x) = diag(0, 2, 4, 6) + sum_k f_k(x) A_k, smooth f_k and
+    random Hermitian A_k of total norm below 1: every band range is gapped."""
+    grid = build_grid(manifold, n_lat, n_lon)
+    pts = grid.points
+    if manifold == Manifold.SPHERE:
+        f = models.directions(pts)
+    else:
+        f = np.stack([np.cos(pts[:, 0]), np.sin(pts[:, 0]),
+                      np.cos(pts[:, 1]), np.sin(pts[:, 1])], axis=1)
+    g = complex_normal(np.random.default_rng(seed), (f.shape[1], 4, 4))
+    a = g + np.swapaxes(g.conj(), -1, -2)
+    a *= 0.9 / np.sum(np.linalg.norm(a, ord=2, axis=(1, 2)))
+    hs = np.diag([0.0, 2.0, 4.0, 6.0]) + np.einsum("vk,kij->vij", f, a)
+    return bands.Spectrum.from_stack(hs, grid)
+
+
+@settings(max_examples=24)
+@given(seed=SEEDS, manifold=st.sampled_from([Manifold.SPHERE, Manifold.TORUS]),
+       rank=st.integers(1, 4), data=st.data())
+def test_smooth_frame_matches_sequential_transport(seed, manifold, rank, data):
+    first = data.draw(st.integers(0, 4 - rank))
+    spec = four_band_spectrum(seed, manifold, 8, 16)
+    group = bands.group_for_range(spec, first, first + rank - 1, 0.1)
+    domain = fundamental_domain(spec.grid)
+    frame = bands.smooth_frame(spec, group, domain)
+    assert numkit.max_abs(frame.data - sequential_frame(spec, group, domain)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +287,28 @@ def chern_by_corners(vectors, grid):
                                        vectors[corners[:, (a + 1) % 4]]))
         link_prod *= dets / np.abs(dets)
     return -np.angle(link_prod)
+
+
+def chern_by_edges(vectors, grid):
+    """The fluxes from one det(u(x)^dagger u(y)) per grid edge, the link of
+    every frame before square frames read theirs from vertex determinants."""
+    a, b = grid.edges.T
+    links = np.linalg.det(np.einsum("vji,vjk->vik", vectors[a].conj(), vectors[b]))
+    return -np.angle(np.exp(1j * plaquette_sums(grid, np.angle(links))))
+
+
+@settings(max_examples=12)
+@given(seed=SEEDS, manifold=st.sampled_from([Manifold.SPHERE, Manifold.TORUS]),
+       rank=st.integers(1, 4))
+def test_chern_plaquette_square_frames_match_edge_links(seed, manifold, rank):
+    spec = four_band_spectrum(seed, manifold, 8, 16)
+    rng = np.random.default_rng(seed)
+    gauge = np.linalg.qr(complex_normal(rng, (spec.grid.n_vertices, rank, rank)))[0]
+    vectors = spec.vectors[:, :, :rank] @ gauge  # rank 4: a square frame
+    curv, c = invariants.chern_plaquette(vectors, spec.grid)
+    want = chern_by_edges(vectors, spec.grid)
+    assert numkit.max_abs(curv.flux - want) <= 1e-12
+    assert c == round(want.sum() / (2 * np.pi))
 
 
 EDGE_LINK_CASES = [
