@@ -225,16 +225,11 @@ class Frame:
     continuity_const: float  # max_step / grid spacing
 
 
-def _transport(slab: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Move frame u into the eigenspace spanned by slab's columns.
-
-    Projects onto the target eigenspace and re-orthonormalizes with the
-    polar factor of the small overlap, i.e. discrete parallel transport.
-    Works on one frame or on a stack of frames (last two axes) at once.
-    """
-    overlap = np.swapaxes(slab.conj(), -1, -2) @ u
+def _transport_polars(overlaps: np.ndarray) -> np.ndarray:
+    """Polar factors of a stack of transport-step overlaps b^dagger a, in one
+    numkit.polar_unitary call; a step between nearly orthogonal slabs refuses."""
     try:
-        return slab @ numkit.polar_unitary(overlap)
+        return numkit.polar_unitary(overlaps)
     except SingularityError as exc:
         raise SingularityError(
             "projector alignment is rank-deficient; refine the grid"
@@ -244,11 +239,8 @@ def _transport(slab: np.ndarray, u: np.ndarray) -> np.ndarray:
 def frame_residuals(frame: Frame, slabs: np.ndarray):
     """(orthonormality, span) residuals of a frame against eigenvector slabs."""
     data = frame.data
-    nb = data.shape[2]
-    eye = np.eye(nb)
-    orth = max_abs(np.einsum("vij,vik->vjk", data.conj(), data) - eye)
-    proj = np.einsum("vij,vkj->vik", slabs, slabs.conj())
-    span = max_abs(data - np.einsum("vij,vjk->vik", proj, data))
+    orth = max_abs(np.einsum("vij,vik->vjk", data.conj(), data) - np.eye(data.shape[2]))
+    span = max_abs(data - slabs @ (np.swapaxes(slabs.conj(), -1, -2) @ data))
     return float(orth), float(span)
 
 
@@ -287,12 +279,7 @@ def _frame_data(spectrum: Spectrum, group: BandGroup, domain: FundamentalDomain)
         base = path[:, 0]
         ring = np.swapaxes(np.roll(base, -1, axis=0).conj(), -1, -2) @ base
         steps = np.concatenate([steps, ring])
-    try:
-        polar = numkit.polar_unitary(steps)
-    except SingularityError as exc:
-        raise SingularityError(
-            "projector alignment is rank-deficient; refine the grid"
-        ) from exc
+    polar = _transport_polars(steps)
     start = np.eye(nb)
     if torus:  # the base row, twisted so that it closes: ring[L] is the holonomy
         ring = _running_products(polar[L * (rows - 1):], start)

@@ -28,7 +28,8 @@ from .bands import (
     Frame,
     HamiltonianField,
     TransitionLoop,
-    _transport,
+    _running_products,
+    _transport_polars,
     check_tri,
     find_gapped_groups,
     frame_residuals,
@@ -275,17 +276,20 @@ def split_census_edges(h_field: HamiltonianField, frame: Frame, mf: MField,
 
     Each such undirected edge is cut into 2, then 4, 8 and 16 equal parts
     (CENSUS_EDGE_SPLITS) until every sub-step is below the cap.  H is solved
-    at the interior points only; the frame is transported there from the
-    edge's first vertex, and the last sub-step ends on the vertex value of
-    pf M, so the summed sub-steps differ from the principal step by a whole
-    number of turns.  An edge still at the cap after the last split is
+    at the interior points only.  The frame is transported there from the
+    edge's first vertex as smooth_frame transports it: a pass takes the
+    overlaps of every step along every edge in one stacked polar call and
+    composes them by a running product.  The last sub-step ends on the vertex
+    value of pf M, so the summed sub-steps differ from the principal step by
+    a whole number of turns.  An edge still at the cap after the last split is
     settled when its sum equals the previous split's within 1e-6: along a
     sub-segment that misses a simple zero, the phase of pf M changes by less
     than pi.  Returns (edge_ids, steps) for km_census, or None when no edge
     is flagged.  Raises DegenerateConfigurationError when the zeros are not
     isolated, and ResolutionError naming the edge and the cause when a split
-    fails: a group gap at or below gap_floor, a singular transport or |pf M|
-    below PF_HARD_FLOOR at a sub-point, or a last split that has not converged.
+    fails: a group gap at or below gap_floor, a singular transport (named by
+    the edge whose overlaps have the smallest singular value) or |pf M| below
+    PF_HARD_FLOOR at a sub-point, or a last split that has not converged.
     """
     _require_isolated_zeros(mf)
     edge_ids = np.flatnonzero(np.abs(_edge_steps(mf)) >= CENSUS_EDGE_CAP)
@@ -309,19 +313,18 @@ def split_census_edges(h_field: HamiltonianField, frame: Frame, mf: MField,
                                  f"group gap {gaps[worst]:.3e} <= gap floor "
                                  f"{gap_floor:g} at a sub-point")
         slabs = v[:, :, group.first:group.last + 1].reshape(todo.size, n - 1, *shape)
-        u = frame.data[edges[todo, 0]]
-        frames = []
-        for k in range(n - 1):
-            try:
-                u = _transport(slabs[:, k], u)
-            except SingularityError:
-                overlap = np.swapaxes(slabs[:, k].conj(), -1, -2) @ u
-                worst = np.argmin(np.linalg.svd(overlap, compute_uv=False)[:, -1])
-                raise _split_failure(edge_ids[todo[worst]],
-                                     "singular transport at a sub-point") from None
-            frames.append(u)
-        inner = numkit.pfaffian(_m_values(np.stack(frames, axis=1).reshape(-1, *shape),
-                                          h_field.t))
+        # the chain from the edge's first vertex through the sub-points: every
+        # step's overlap in one polar call, composed by a running product
+        chain = np.concatenate([frame.data[edges[todo, :1]], slabs], axis=1)
+        overlaps = np.swapaxes(chain[:, 1:].conj(), -1, -2) @ chain[:, :-1]
+        try:
+            polar = _transport_polars(overlaps)
+        except SingularityError:
+            smallest = np.linalg.svd(overlaps, compute_uv=False)[..., -1].min(axis=1)
+            raise _split_failure(edge_ids[todo[np.argmin(smallest)]],
+                                 "singular transport at a sub-point") from None
+        frames = slabs @ _running_products(polar, np.eye(shape[1]))[:, 1:]
+        inner = numkit.pfaffian(_m_values(frames.reshape(-1, *shape), h_field.t))
         worst = np.argmin(np.abs(inner))
         if abs(inner[worst]) < PF_HARD_FLOOR:
             raise _split_failure(edge_ids[todo[worst // (n - 1)]],

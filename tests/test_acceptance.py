@@ -104,10 +104,10 @@ def test_criterion_3_kramers_pair_bands_and_km():
 @pytest.mark.xfail(
     strict=True,
     reason="spec defect: KramersPairSphere at eps=0 has T E(x) orthogonal to "
-           "E(x) at every point, so pf M vanishes identically and no rotated "
-           "fundamental domain admits the boundary definition; this is the "
+           "E(x) at every point, so pf M vanishes identically; this is the "
            "non-generic symmetric stratum the theory excludes (see decisions "
-           "ledger).  The pipeline reports it as a degenerate configuration.",
+           "ledger).  The pipeline reports k: null with the note 'KM index "
+           "undefined: pf M vanishes at every domain vertex (symmetric stratum)'.",
 )
 def test_criterion_3_kramers_pair_km_at_eps_zero():
     grid = build_grid(Manifold.SPHERE, 32, 64)

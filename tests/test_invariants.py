@@ -590,6 +590,31 @@ def test_split_step_matches_a_fine_walk_and_enters_both_plaquettes():
     assert census.total == invariants.km_boundary(mf) == 1
 
 
+def test_split_takes_one_polar_call_per_pass(monkeypatch):
+    # each pass solves the sub-points of the edges still at the cap, then
+    # moves the frame to all of them with one polar call: a step per sub-point
+    h, group, frame, mf = _seed_200_refined_census()
+    solved, stepped = [], []
+    eigh_many, polar_unitary = numkit.eigh_many, numkit.polar_unitary
+
+    def eigh(hs):
+        solved.append(len(hs))
+        return eigh_many(hs)
+
+    def polar(a):
+        stepped.append(int(np.prod(a.shape[:-2])))
+        return polar_unitary(a)
+
+    monkeypatch.setattr(numkit, "eigh_many", eigh)
+    monkeypatch.setattr(numkit, "polar_unitary", polar)
+    ids, steps = invariants.split_census_edges(h, frame, mf, SEED_200_TOL.gap_floor)
+    monkeypatch.undo()
+    assert len(solved) == len(invariants.CENSUS_EDGE_SPLITS)
+    assert stepped == solved
+    fine = _fine_walks(h, group, frame, mf, frame.domain.grid.edges[ids], 64)
+    assert np.max(np.abs(steps - fine.sum(axis=1))) <= 1e-9
+
+
 def test_census_edge_split_on_the_sphere():
     # sphere seed 107 group 1 refines to 32x64, where one edge carries a zero
     h = models.random_tri("sphere", 4, cutoff=3, seed=107)

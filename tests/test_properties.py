@@ -101,9 +101,10 @@ def test_transport_stack_reraises_rank_deficiency():
     slab = q[:, :, :2]
     u = slab.copy()
     u[3] = q[3, :, 2:]  # orthogonal to its target eigenspace
-    assert numkit.max_abs(bands._transport(slab[:3], u[:3]) - slab[:3]) <= 1e-12
+    overlaps = np.swapaxes(slab.conj(), -1, -2) @ u
+    assert numkit.max_abs(bands._transport_polars(overlaps[:3]) - np.eye(2)) <= 1e-12
     with pytest.raises(SingularityError, match="projector alignment is rank-deficient"):
-        bands._transport(slab, u)
+        bands._transport_polars(overlaps)
 
 
 # ---------------------------------------------------------------------------
