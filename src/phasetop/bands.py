@@ -85,8 +85,8 @@ class HamiltonianField:
     t: AntiUnitary
     evaluate: Callable[[np.ndarray], np.ndarray]
     label: str = ""
-    # arrays only, keyed by grid: H(grid.points) until spectrum_on_grid takes
-    # it, then (energies, vectors) for the field's life; replace() starts anew
+    # keyed by grid: H(grid.points) until spectrum_on_grid takes it, then its
+    # read-only Spectrum (no grid inside) for the field's life; replace() starts anew
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
@@ -127,9 +127,9 @@ def symmetrize_tri(
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Per-vertex eigendecomposition over a grid, deterministic gauge."""
+    """Per-point eigendecomposition, deterministic gauge; point v is row v of
+    the stack it was solved from (a grid's vids, or census sub-points)."""
 
-    grid: Grid
     energies: np.ndarray   # (V, N_A) ascending
     vectors: np.ndarray    # (V, N_A, N_A) unitary columns
 
@@ -138,28 +138,27 @@ class Spectrum:
         return self.energies.shape[1]
 
     @classmethod
-    def from_stack(cls, hs: np.ndarray, grid: Grid) -> "Spectrum":
-        """Eigendecomposition of the evaluated stack hs = H(grid.points)."""
-        w, v = numkit.eigh_many(hs)
-        return cls(grid=grid, energies=w, vectors=v)
+    def from_stack(cls, hs: np.ndarray) -> "Spectrum":
+        """Eigendecomposition of the evaluated stack hs, one matrix per point."""
+        return cls(*numkit.eigh_many(hs))
 
     def band_vectors(self, group: "BandGroup") -> np.ndarray:
         return self.vectors[:, :, group.first : group.last + 1]
 
     def boundary_gaps(self) -> np.ndarray:
-        """Min over vertices of the gap above each band (length N_A - 1)."""
+        """Min over points of the gap above each band (length N_A - 1)."""
         return np.min(np.diff(self.energies, axis=1), axis=0)
 
+    def gaps_around(self, first: int, last: int) -> np.ndarray:
+        """Each point's gap between bands [first, last] and their neighbours,
+        the smaller of the gaps below and above; inf when the range holds
+        every band."""
+        bounding = [i for i in (first - 1, last) if 0 <= i < self.n_a - 1]
+        return np.diff(self.energies, axis=1)[:, bounding].min(axis=1, initial=np.inf)
+
     def bounding_gap(self, first: int, last: int) -> float:
-        """Min gap between bands [first, last] and their neighbours; inf when
-        the range holds every band."""
-        gaps = self.boundary_gaps()
-        bounding = []
-        if first > 0:
-            bounding.append(gaps[first - 1])
-        if last < self.n_a - 1:
-            bounding.append(gaps[last])
-        return float(min(bounding)) if bounding else np.inf
+        """Min over points of gaps_around(first, last)."""
+        return float(np.min(self.gaps_around(first, last)))
 
 
 def spectrum_on_grid(h_field: HamiltonianField, grid: Grid) -> Spectrum:
@@ -170,11 +169,11 @@ def spectrum_on_grid(h_field: HamiltonianField, grid: Grid) -> Spectrum:
     memo = h_field._memo
     hs = memo.pop(("stack",) + key, None)
     if key not in memo:
-        w, v = numkit.eigh_many(h_field(grid.points) if hs is None else hs)
-        w.flags.writeable = v.flags.writeable = False  # shared by every caller
-        memo[key] = w, v
-    w, v = memo[key]
-    return Spectrum(grid=grid, energies=w, vectors=v)
+        spec = Spectrum.from_stack(h_field(grid.points) if hs is None else hs)
+        # shared by every caller
+        spec.energies.flags.writeable = spec.vectors.flags.writeable = False
+        memo[key] = spec
+    return memo[key]
 
 
 @dataclass(frozen=True)
@@ -221,8 +220,6 @@ class Frame:
     domain: FundamentalDomain
     group: BandGroup
     data: np.ndarray         # (n_domain_vertices, N_A, N_B), by grid vid
-    max_step: float          # largest adjacent-vertex frame distance
-    continuity_const: float  # max_step / grid spacing
 
 
 def _transport_polars(overlaps: np.ndarray) -> np.ndarray:
@@ -236,23 +233,21 @@ def _transport_polars(overlaps: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def frame_residuals(frame: Frame, slabs: np.ndarray):
-    """(orthonormality, span) residuals of a frame against eigenvector slabs."""
+def frame_residuals(frame: Frame, slabs: np.ndarray) -> dict:
+    """The frame_* report residuals: orthonormality and span against the
+    eigenvector slabs, the largest frame distance across a domain edge
+    (max_step), and that step over the grid spacing (continuity_const)."""
     data = frame.data
     orth = max_abs(np.einsum("vij,vik->vjk", data.conj(), data) - np.eye(data.shape[2]))
     span = max_abs(data - slabs @ (np.swapaxes(slabs.conj(), -1, -2) @ data))
-    return float(orth), float(span)
-
-
-def _continuity(domain: FundamentalDomain, data: np.ndarray):
-    a, b = domain.edges.T
-    diffs = data[a] - data[b]
-    max_step = float(np.max(np.sqrt(np.sum(np.abs(diffs) ** 2, axis=(1, 2)))))
-    grid = domain.grid
+    a, b = frame.domain.edges.T
+    max_step = float(np.max(np.sqrt(np.sum(np.abs(data[a] - data[b]) ** 2, axis=(1, 2)))))
+    grid = frame.domain.grid
     # sphere rows are pi / n_lat apart in theta, torus rows 2 pi / n_lat in p
     row = (np.pi if grid.manifold == Manifold.SPHERE else 2.0 * np.pi) / grid.n_lat
     h = max(row, 2.0 * np.pi / grid.n_lon)
-    return max_step, max_step / h
+    return {"frame_orthonormality": float(orth), "frame_span": float(span),
+            "frame_max_step": max_step, "frame_continuity_const": max_step / h}
 
 
 def _running_products(steps: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -265,8 +260,26 @@ def _running_products(steps: np.ndarray, start: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frame_data(spectrum: Spectrum, group: BandGroup, domain: FundamentalDomain) -> np.ndarray:
-    """smooth_frame's frame values, by grid vid."""
+def smooth_frame(spectrum: Spectrum, group: BandGroup, domain: FundamentalDomain) -> Frame:
+    """Continuous orthonormal frame for a gapped group over the domain,
+    built from the spectrum on the domain's grid.
+
+    Sphere: the eigenframe at the north pole is parallel-transported down
+    every meridian; all meridians share the pole value, so the field is
+    continuous across the domain.  Torus: the frame is transported along the
+    p = 0 line, the loop holonomy is spread out as a fractional twist
+    exp(-(q/2pi) log V0) to make it periodic in q, then each column is
+    transported upward in p.
+
+    A transport step from slab a to slab b (each vertex's eigenvector
+    columns) maps the frame a W to b polar(b^dagger a W) = b polar(b^dagger a) W
+    for unitary W, so every frame is its slab times a running product of
+    the steps' polar factors.  The overlaps b^dagger a of all steps (the
+    columns, then the base row with its closing step, or the meridians)
+    take one stacked numkit.polar_unitary call, and a running product along
+    each chain composes them.  The frame holds its values alone; its
+    continuity is measured by frame_residuals.
+    """
     chains = transport_chains(domain)
     L, rows = chains.shape
     nb = group.rank
@@ -287,33 +300,7 @@ def _frame_data(spectrum: Spectrum, group: BandGroup, domain: FundamentalDomain)
     gauge = _running_products(polar[:L * (rows - 1)].reshape(L, rows - 1, nb, nb), start)
     data = np.zeros((domain.n_vertices, spectrum.n_a, nb), dtype=complex)
     data[chains] = path @ gauge
-    return data
-
-
-def smooth_frame(spectrum: Spectrum, group: BandGroup, domain: FundamentalDomain) -> Frame:
-    """Continuous orthonormal frame for a gapped group over the domain,
-    built from the spectrum on the domain's grid.
-
-    Sphere: the eigenframe at the north pole is parallel-transported down
-    every meridian; all meridians share the pole value, so the field is
-    continuous across the domain.  Torus: the frame is transported along the
-    p = 0 line, the loop holonomy is spread out as a fractional twist
-    exp(-(q/2pi) log V0) to make it periodic in q, then each column is
-    transported upward in p.
-
-    A transport step from slab a to slab b (each vertex's eigenvector
-    columns) maps the frame a W to b polar(b^dagger a W) = b polar(b^dagger a) W
-    for unitary W, so every frame is its slab times a running product of
-    the steps' polar factors.  The overlaps b^dagger a of all steps (the
-    columns, then the base row with its closing step, or the meridians)
-    take one stacked numkit.polar_unitary call, and a running product along
-    each chain composes them.
-    """
-    # the transport's arrays are freed before _continuity gathers the edges
-    data = _frame_data(spectrum, group, domain)
-    max_step, const = _continuity(domain, data)
-    return Frame(domain=domain, group=group, data=data,
-                 max_step=max_step, continuity_const=const)
+    return Frame(domain=domain, group=group, data=data)
 
 
 @dataclass(frozen=True)

@@ -354,9 +354,9 @@ def cmd_deform(args) -> int:
         "verdict": path.verdict,
         "chern": path.chern,
         "closing_bracket": list(path.closing_bracket) if path.closing_bracket else None,
-        "samples": [
-            {"s": s, "min_gap": g, "c": c} for (s, g, c) in path.samples
-        ],
+        # a range that holds every band has no bounding gap: null, not Infinity
+        "samples": [{"s": s, "min_gap": None if g == np.inf else g, "c": c}
+                    for (s, g, c) in path.samples],
     }
     _json_dump(report, args.out)
     return 0

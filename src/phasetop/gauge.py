@@ -263,8 +263,7 @@ def regauge_frame(frame: Frame, extension: DiskExtension) -> Frame:
     if extension.domain is not frame.domain:
         raise DomainError("frame and extension live on different domains")
     data = np.einsum("vij,vjk->vik", frame.data, extension.values.conj())
-    return Frame(domain=frame.domain, group=frame.group, data=data,
-                 max_step=frame.max_step, continuity_const=frame.continuity_const)
+    return Frame(domain=frame.domain, group=frame.group, data=data)
 
 
 # ---------------------------------------------------------------------------

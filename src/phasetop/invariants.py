@@ -27,6 +27,7 @@ from .bands import (
     BandGroup,
     Frame,
     HamiltonianField,
+    Spectrum,
     TransitionLoop,
     _running_products,
     _transport_polars,
@@ -87,7 +88,6 @@ class CurvatureField:
 
     grid: Grid
     flux: np.ndarray
-    total: float
 
 
 def chern_plaquette(vectors: np.ndarray, grid: Grid):
@@ -123,12 +123,11 @@ def chern_plaquette(vectors: np.ndarray, grid: Grid):
         raise ResolutionError(
             f"plaquette flux {worst:.3f} too close to pi; refine the grid"
         )
-    total = float(flux.sum())
-    c = total / (2.0 * np.pi)
+    c = float(flux.sum()) / (2.0 * np.pi)
     c_int = int(round(c))
     if abs(c - c_int) > 1e-6:
         raise ResolutionError(f"total flux/2pi = {c!r} is not an integer")
-    return CurvatureField(grid=grid, flux=flux, total=total), c_int
+    return CurvatureField(grid=grid, flux=flux), c_int
 
 
 def curvature_tr_evenness(curv: CurvatureField, grid: Grid) -> float:
@@ -298,21 +297,20 @@ def split_census_edges(h_field: HamiltonianField, frame: Frame, mf: MField,
     grid, group = frame.domain.grid, frame.group
     edges = grid.edges[edge_ids]
     shape = frame.data.shape[1:]
-    bounding = [i for i in (group.first - 1, group.last) if 0 <= i < h_field.n_a - 1]
     summed = np.full(len(edges), np.nan)   # each edge's sum at its latest split
     todo = np.arange(len(edges))
     for n in CENSUS_EDGE_SPLITS:
         earlier = summed[todo]
         pts = edge_points(grid.manifold, grid.points[edges[todo, 0]],
                           grid.points[edges[todo, 1]], n)
-        w, v = numkit.eigh_many(h_field(pts.reshape(-1, 2)))  # off-grid points
-        gaps = np.diff(w, axis=1)[:, bounding].min(axis=1, initial=np.inf)
+        spec = Spectrum.from_stack(h_field(pts.reshape(-1, 2)))  # off-grid points
+        gaps = spec.gaps_around(group.first, group.last)
         worst = np.argmin(gaps)
         if gaps[worst] <= gap_floor:
             raise _split_failure(edge_ids[todo[worst // (n - 1)]],
                                  f"group gap {gaps[worst]:.3e} <= gap floor "
                                  f"{gap_floor:g} at a sub-point")
-        slabs = v[:, :, group.first:group.last + 1].reshape(todo.size, n - 1, *shape)
+        slabs = spec.band_vectors(group).reshape(todo.size, n - 1, *shape)
         # the chain from the edge's first vertex through the sub-points: every
         # step's overlap in one polar call, composed by a running product
         chain = np.concatenate([frame.data[edges[todo, :1]], slabs], axis=1)
@@ -379,8 +377,9 @@ class InvariantReport:
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        """The report as a JSON-ready dict; every value is a Python scalar."""
-        return asdict(self)
+        """The report as a strict-JSON-ready dict of Python scalars; a group
+        that holds every band has no bounding gap, so its min_gap is None."""
+        return {**asdict(self), "min_gap": None if self.min_gap == np.inf else self.min_gap}
 
 
 def _km_and_census(h_field, frame, mf, tol):
@@ -430,14 +429,7 @@ def _verify_once(h_field: HamiltonianField, group: BandGroup, grid: Grid,
 
     domain = fundamental_domain(grid)
     frame = smooth_frame(spectrum, group, domain)
-    orth, span = frame_residuals(frame, slabs[:domain.n_vertices])
-
-    residuals = {
-        "frame_orthonormality": orth,
-        "frame_span": span,
-        "frame_max_step": frame.max_step,
-        "frame_continuity_const": frame.continuity_const,
-    }
+    residuals = frame_residuals(frame, slabs[:domain.n_vertices])
 
     loops = transition_loops(frame, h_field.t)
     c_wind = chern_winding(loops)

@@ -420,13 +420,13 @@ def tri_path(
     for h in (h0, h1):
         hs = h(grid.points)
         # GapError when an endpoint is not gapped
-        group_for_range(Spectrum.from_stack(hs, grid), first, last, gap_floor)
+        group_for_range(Spectrum.from_stack(hs), first, last, gap_floor)
         ends.append(hs)
     hs0, hs1 = ends
 
     def probe(s: float):
         """(min_gap, c or None) of the tracked range at parameter s."""
-        spec = Spectrum.from_stack((1.0 - s) * hs0 + s * hs1, grid)
+        spec = Spectrum.from_stack((1.0 - s) * hs0 + s * hs1)
         min_gap = spec.bounding_gap(first, last)
         if min_gap <= gap_floor:
             return min_gap, None

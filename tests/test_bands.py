@@ -159,10 +159,10 @@ def test_smooth_frame_rank1_covers_domain():
     dom = fundamental_domain(grid)
     frame = bands.smooth_frame(spec, group, dom)
     vids, _ = domain_rows(grid)
-    orth, span = bands.frame_residuals(frame, spec.band_vectors(group)[vids])
-    assert orth <= 1e-10
-    assert span <= 1e-8
-    assert frame.continuity_const < 5.0
+    res = bands.frame_residuals(frame, spec.band_vectors(group)[vids])
+    assert res["frame_orthonormality"] <= 1e-10
+    assert res["frame_span"] <= 1e-8
+    assert res["frame_continuity_const"] < 5.0
 
 
 def test_torus_continuity_const_reads_the_torus_row_spacing():
@@ -173,9 +173,11 @@ def test_torus_continuity_const_reads_the_torus_row_spacing():
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, 0.5)
     frame = bands.smooth_frame(spec, group, fundamental_domain(grid))
+    res = bands.frame_residuals(frame, spec.band_vectors(group)[domain_rows(grid)[0]])
     h_step = max(2 * np.pi / grid.n_lat, 2 * np.pi / grid.n_lon)
-    assert frame.max_step > 0
-    assert frame.continuity_const * h_step == pytest.approx(frame.max_step, rel=1e-12)
+    assert res["frame_max_step"] > 0
+    assert res["frame_continuity_const"] * h_step == pytest.approx(res["frame_max_step"],
+                                                                   rel=1e-12)
 
 
 def test_smooth_frame_constant_hamiltonian_is_constant():
@@ -187,7 +189,8 @@ def test_smooth_frame_constant_hamiltonian_is_constant():
     dom = fundamental_domain(grid)
     frame = bands.smooth_frame(spec, group, dom)
     assert numkit.max_abs(frame.data - frame.data[0][None]) <= 1e-12
-    assert frame.max_step <= 1e-12
+    slabs = spec.band_vectors(group)[domain_rows(grid)[0]]
+    assert bands.frame_residuals(frame, slabs)["frame_max_step"] <= 1e-12
 
 
 def test_torus_frame_seam_twist_closes():
@@ -249,8 +252,7 @@ def test_transition_loop_rejects_non_spanning_frame():
     group = bands.group_for_range(spec, 0, 0, 0.5)
     dom = fundamental_domain(grid)
     frame = bands.smooth_frame(spec, group, dom)
-    broken = bands.Frame(dom, group, np.roll(frame.data, 3, axis=0),
-                         frame.max_step, frame.continuity_const)
+    broken = bands.Frame(dom, group, np.roll(frame.data, 3, axis=0))
     with pytest.raises(DomainError):
         bands.transition_loops(broken, h.t)[0]
 

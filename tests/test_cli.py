@@ -43,7 +43,7 @@ REPORT_SCHEMA = {
                     "first_band": {"type": "integer"},
                     "last_band": {"type": "integer"},
                     "rank": {"type": "integer"},
-                    "min_gap": {"type": "number"},
+                    "min_gap": {"type": ["number", "null"]},
                     "c_plaquette": {"type": "integer"},
                     "c_winding": {"type": "integer"},
                     "consistent": {"type": "boolean"},
@@ -260,6 +260,42 @@ def test_deform_constant_class(tmp_path):
     assert rep["chern"] == 1
     assert all(s["c"] == 1 for s in rep["samples"])
 
+
+
+def strict_json(text):
+    """json.loads that refuses the non-standard constants NaN and Infinity."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_reports_are_strict_json(tmp_path):
+    # a band range that holds every band has no bounding gap: its min_gap is
+    # null, and every other range's is a number
+    seed_201 = write_config(tmp_path, "s201.json", {
+        "model": {"variant": "RandomTRI", "manifold": "torus", "seed": 201},
+        "grid": {"n_lat": 24, "n_lon": 128}, "tolerances": {"gap_floor": 0.03}})
+    rotor = write_config(tmp_path, "rotor.json", ROTOR)
+    perturbed = write_config(tmp_path, "perturbed.json", {
+        **ROTOR, "model": {**ROTOR["model"], "perturbation_strength": 0.2, "seed": 5}})
+    whole = []
+    for name, cfg, n_a in (("s201", seed_201, 4), ("rotor", rotor, 2)):
+        out = tmp_path / f"{name}-report.json"
+        assert run(["analyze", "--config", cfg, "--out", str(out)]) == 0
+        rep = strict_json(out.read_text())
+        jsonschema.validate(rep, REPORT_SCHEMA)
+        for g in rep["groups"]:
+            whole.append(g["first_band"] == 1 and g["last_band"] == n_a)
+            assert (g["min_gap"] is None) == whole[-1], (name, g)
+    for group in ("0:1", "0:0"):
+        out = tmp_path / f"deform-{group[-1]}.json"
+        assert run(["deform", "--config-a", rotor, "--config-b", perturbed, "--steps", "3",
+                    "--group", group, "--out", str(out)]) == 0
+        samples = strict_json(out.read_text())["samples"]
+        whole.append(group == "0:1")
+        assert len(samples) == 3
+        assert all((s["min_gap"] is None) == whole[-1] for s in samples), (group, samples)
+    assert whole.count(True) == 2 and whole.count(False) == 3
 
 def test_gauge_demo_success_and_expected_failure(tmp_path):
     cfg = write_config(tmp_path, "rotor.json", ROTOR)

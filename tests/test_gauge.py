@@ -203,6 +203,27 @@ def test_extension_regauges_to_normal_form():
     assert numkit.max_abs(vloop.samples - v.samples) <= 1e-6
 
 
+def test_regauged_frame_residuals_read_the_regauged_data():
+    # the Kramers pair's extension W varies over the disk, so v = u conj(W)
+    # steps across the domain edges unlike u: frame_residuals measures v itself
+    h = models.kramers_pair_sphere(0.1, seed=0)
+    grid = build_grid(Manifold.SPHERE, 24, 96)
+    spec = bands.spectrum_on_grid(h, grid)
+    dom = fundamental_domain(grid)
+    frame = bands.smooth_frame(spec, bands.group_for_range(spec, 0, 1, 0.05), dom)
+    u = bands.transition_loops(frame, h.t)[0]
+    v = gauge.normal_form_loop(invariants.chern_winding((u,)), 2, grid.n_lon)
+    ext = gauge.extend_to_disk(gauge.solve_equator_gauge(u, v), dom)
+    assert numkit.max_abs(ext.values - ext.values[0]) > 0.5  # not a constant gauge
+    regauged = gauge.regauge_frame(frame, ext)
+    slabs = spec.band_vectors(frame.group)[:dom.n_vertices]
+    for f in (frame, regauged):
+        want = max(np.linalg.norm(f.data[a] - f.data[b]) for a, b in dom.edges)
+        got = bands.frame_residuals(f, slabs)["frame_max_step"]
+        assert got == pytest.approx(want, rel=1e-12)
+    source, moved = (bands.frame_residuals(f, slabs)["frame_max_step"] for f in (frame, regauged))
+    assert abs(moved - source) > 1e-3
+
 @pytest.mark.parametrize("n_lat,n_lon", [(24, 96), (32, 128)])
 def test_extend_kramers_loop_from_harmonic_start(n_lat, n_lon):
     # criterion 7's rank-2 loop: the radial blend seeds a defect pair and

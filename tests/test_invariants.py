@@ -42,7 +42,7 @@ def test_chern_plaquette_monopole_flux():
     group = bands.group_for_range(spec, 0, 0, 0.5)
     curv, c = invariants.chern_plaquette(spec.band_vectors(group), SPHERE_GRID)
     assert c == 1
-    assert abs(curv.total) == pytest.approx(2 * np.pi, abs=1e-9)
+    assert abs(curv.flux.sum()) == pytest.approx(2 * np.pi, abs=1e-9)
     omega = plaquette_solid_angles(SPHERE_GRID)
     assert np.max(np.abs(curv.flux - 0.5 * omega)) <= 2e-3
 
@@ -448,7 +448,7 @@ def test_memo_spectrum_matches_a_fresh_solve():
     assert bands.check_tri(h, SPHERE_GRID)[1]
     served = [bands.spectrum_on_grid(h, SPHERE_GRID) for _ in range(2)]
     fresh = dataclasses.replace(h)
-    solved = bands.Spectrum.from_stack(fresh(SPHERE_GRID.points), SPHERE_GRID)
+    solved = bands.Spectrum.from_stack(fresh(SPHERE_GRID.points))
     for spec in served:
         assert np.array_equal(spec.energies, solved.energies)
         assert np.array_equal(spec.vectors, solved.vectors)
@@ -745,6 +745,32 @@ def test_torus_theorems_on_proper_subbundles():
     assert len(proper) >= 40
     assert sum(rep.c_plaquette != 0 for _, rep in proper) >= 15
 
+
+
+def test_six_band_theorems_on_rank_3_4_and_5_groups():
+    # six-band cutoff-1 fields on the criterion-5 grids and floors give torus
+    # groups of rank 4 with k != 0 and sphere groups of rank 3 and 5, which
+    # the four-band suites never reach; every criterion-5 theorem must hold
+    proper = {}
+    for manifold, shape, floor in (("torus", (24, 128), 0.03), ("sphere", (32, 64), 0.05)):
+        grid, tol = build_grid(Manifold(manifold), *shape), Tolerances(gap_floor=floor)
+        proper[manifold] = []
+        for seed in range(500, 550):
+            h = models.random_tri(manifold, 6, cutoff=1, seed=seed)
+            _, _, results = invariants.analyze_model(h, grid, tol)
+            proper[manifold] += [(seed, res[0]) for res in results
+                                 if not isinstance(res, Exception) and res[0].rank < h.n_a]
+    torus, sphere = proper["torus"], proper["sphere"]
+    assert len(torus) >= 25
+    assert sum(rep.rank == 4 and rep.k not in (None, 0) for _, rep in torus) >= 8
+    assert sum(rep.rank in (3, 5) for _, rep in sphere) >= 20
+    for seed, rep in torus + sphere:
+        assert rep.parity_ok and rep.consistent and rep.evenness_ok, (seed, rep)
+        if rep.rank % 2 == 0:
+            assert rep.k is not None and 2 * rep.k == rep.c_plaquette, (seed, rep)
+            assert rep.census_total == rep.k and rep.census_ok, (seed, rep)
+    for seed, rep in torus:
+        assert rep.rank % 2 == 0 and rep.c_plaquette % 2 == 0, (seed, rep)
 
 def test_trivial_torus_bundle_zero_by_both_routes():
     t = bands.AntiUnitary(

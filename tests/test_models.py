@@ -314,7 +314,7 @@ def interleaved_tri_path(h0, h1, grid, band_range, steps, gap_floor):
     hs0, hs1 = h0(grid.points), h1(grid.points)
 
     def probe(s):
-        spec = bands.Spectrum.from_stack((1.0 - s) * hs0 + s * hs1, grid)
+        spec = bands.Spectrum.from_stack((1.0 - s) * hs0 + s * hs1)
         min_gap = spec.bounding_gap(first, last)
         if min_gap <= gap_floor:
             return min_gap, None

@@ -153,17 +153,50 @@ def four_band_spectrum(seed, manifold, n_lat, n_lon):
     a = g + np.swapaxes(g.conj(), -1, -2)
     a *= 0.9 / np.sum(np.linalg.norm(a, ord=2, axis=(1, 2)))
     hs = np.diag([0.0, 2.0, 4.0, 6.0]) + np.einsum("vk,kij->vij", f, a)
-    return bands.Spectrum.from_stack(hs, grid)
+    return bands.Spectrum.from_stack(hs), grid
 
+
+
+def gaps_by_point(energies, first, last):
+    """Each point's gap between bands [first, last] and their neighbours, one
+    point at a time; inf when the range holds every band."""
+    out = []
+    for e in energies:
+        gaps = ([e[first] - e[first - 1]] if first > 0 else []) + (
+            [e[last + 1] - e[last]] if last < len(e) - 1 else [])
+        out.append(min(gaps, default=np.inf))
+    return np.array(out)
+
+
+@settings(max_examples=30)
+@given(seed=SEEDS, n_a=st.integers(3, 6), points=st.integers(1, 12),
+       kind=st.sampled_from(["interior", "edge", "full"]), data=st.data())
+def test_gaps_around_matches_a_per_point_loop(seed, n_a, points, kind, data):
+    g = complex_normal(np.random.default_rng(seed), (points, n_a, n_a))
+    spec = bands.Spectrum.from_stack(g + np.swapaxes(g.conj(), -1, -2))
+    if kind == "full":
+        first, last = 0, n_a - 1
+    elif kind == "interior":
+        first = data.draw(st.integers(1, n_a - 2))
+        last = data.draw(st.integers(first, n_a - 2))
+    else:  # touches the lowest or the highest band, not both
+        first, last = data.draw(st.sampled_from(
+            [(0, b) for b in range(n_a - 1)] + [(a, n_a - 1) for a in range(1, n_a)]))
+    want = gaps_by_point(spec.energies, first, last)
+    got = spec.gaps_around(first, last)
+    assert got.shape == (points,)
+    assert np.array_equal(got, want)
+    assert np.all(np.isinf(want)) == (kind == "full")
+    assert spec.bounding_gap(first, last) == want.min()
 
 @settings(max_examples=24)
 @given(seed=SEEDS, manifold=st.sampled_from([Manifold.SPHERE, Manifold.TORUS]),
        rank=st.integers(1, 4), data=st.data())
 def test_smooth_frame_matches_sequential_transport(seed, manifold, rank, data):
     first = data.draw(st.integers(0, 4 - rank))
-    spec = four_band_spectrum(seed, manifold, 8, 16)
+    spec, grid = four_band_spectrum(seed, manifold, 8, 16)
     group = bands.group_for_range(spec, first, first + rank - 1, 0.1)
-    domain = fundamental_domain(spec.grid)
+    domain = fundamental_domain(grid)
     frame = bands.smooth_frame(spec, group, domain)
     assert numkit.max_abs(frame.data - sequential_frame(spec, group, domain)) <= 1e-12
 
@@ -302,12 +335,12 @@ def chern_by_edges(vectors, grid):
 @given(seed=SEEDS, manifold=st.sampled_from([Manifold.SPHERE, Manifold.TORUS]),
        rank=st.integers(1, 4))
 def test_chern_plaquette_square_frames_match_edge_links(seed, manifold, rank):
-    spec = four_band_spectrum(seed, manifold, 8, 16)
+    spec, grid = four_band_spectrum(seed, manifold, 8, 16)
     rng = np.random.default_rng(seed)
-    gauge = np.linalg.qr(complex_normal(rng, (spec.grid.n_vertices, rank, rank)))[0]
+    gauge = np.linalg.qr(complex_normal(rng, (grid.n_vertices, rank, rank)))[0]
     vectors = spec.vectors[:, :, :rank] @ gauge  # rank 4: a square frame
-    curv, c = invariants.chern_plaquette(vectors, spec.grid)
-    want = chern_by_edges(vectors, spec.grid)
+    curv, c = invariants.chern_plaquette(vectors, grid)
+    want = chern_by_edges(vectors, grid)
     assert numkit.max_abs(curv.flux - want) <= 1e-12
     assert c == round(want.sum() / (2 * np.pi))
 
@@ -371,7 +404,7 @@ def test_orientation_flip_negates_c_and_k(seed, case):
     h = build(seed)
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, 0.05)
-    domain = fundamental_domain(spec.grid)
+    domain = fundamental_domain(grid)
     mf = invariants.m_field(bands.smooth_frame(spec, group, domain), h.t)
     flipped = reversed_orientation(domain)
     vectors = spec.band_vectors(group)
