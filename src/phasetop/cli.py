@@ -24,6 +24,7 @@ from . import __version__, gauge, models
 from .bands import group_for_range, smooth_frame, spectrum_on_grid, transition_loops
 from .errors import (
     ConfigError,
+    ExtensionError,
     GapError,
     PhasetopError,
     ResolutionError,
@@ -405,7 +406,13 @@ def cmd_gauge_demo(args) -> int:
             "obstruction_winding": obstruction,
         })
         if obstruction == 0:
-            ext = gauge.extend_to_disk(w, dom)
+            try:
+                ext = gauge.extend_to_disk(w, dom)
+            except ExtensionError as exc:
+                report.update({"extension_success": False, "expected_failure": False,
+                               "reason": str(exc)})
+                _json_dump(report, args.out)
+                return _fail(str(exc), exc.exit_code)
             (regauged,) = transition_loops(gauge.regauge_frame(frame, ext), h_field.t)
             mismatch = float(np.max(np.abs(regauged.samples - nf.samples)))
             report.update({

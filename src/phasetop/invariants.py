@@ -201,6 +201,7 @@ class ZeroCensus:
 
     entries: list          # (plaquette id, index) with nonzero index
     total: int
+    split_edges: np.ndarray  # grid edge ids whose step _split_steps re-measured
 
 
 def _edge_steps(mf: MField) -> np.ndarray:
@@ -212,88 +213,69 @@ def _edge_steps(mf: MField) -> np.ndarray:
     return steps
 
 
-def _require_isolated_zeros(mf: MField) -> None:
+def km_census(h_field: HamiltonianField, frame: Frame, mf: MField,
+              gap_floor: float) -> ZeroCensus:
+    """Per-plaquette winding of pf M over the domain interior.
+
+    The sum of principal-value phase steps telescopes, so the census total
+    equals the boundary winding exactly.  A step that reaches CENSUS_EDGE_CAP
+    means a zero sits essentially on an edge and its plaquette attribution is
+    ambiguous, so _split_steps re-measures each such edge from h_field and
+    frame, and its step takes the place of the principal one; every edge
+    enters both its plaquettes with opposite signs, so the total still
+    telescopes.  (A plaquette that simply contains a zero has steps around
+    pi/2; that is fine and expected.)  Raises DegenerateConfigurationError
+    when the zeros are not isolated (|pf M| < PF_HARD_FLOOR at a domain
+    vertex), and ResolutionError when a split fails or a plaquette winding is
+    not integral.
+    """
+    if mf.pf is None:
+        raise DomainError("zero census needs even band-group rank")
+    dom = mf.domain
     tiny = np.abs(mf.pf) < PF_HARD_FLOOR
     if np.any(tiny):
         raise DegenerateConfigurationError(
             f"pf M vanishes at {int(tiny.sum())} domain vertices; zeros are not "
             "isolated points (symmetric stratum)"
         )
-
-
-def km_census(mf: MField, edge_cap: float = CENSUS_EDGE_CAP,
-              split: tuple | None = None) -> ZeroCensus:
-    """Per-plaquette winding of pf M over the domain interior.
-
-    The sum of principal-value phase steps telescopes, so the census total
-    equals the boundary winding exactly.  A step within `edge_cap` of pi means
-    a zero sits essentially on an edge and its plaquette attribution is
-    ambiguous: split the edge.  (A plaquette that simply contains a zero has
-    steps around pi/2; that is fine and expected.)
-
-    split = (edge_ids, steps), as split_census_edges gives it, re-measures
-    those grid edges: steps[e] is the phase change from the lower vid of edge
-    edge_ids[e] to its higher, and takes the place of the principal step.
-    Every edge enters both its plaquettes with opposite signs, so the total
-    still telescopes.
-    """
-    if mf.pf is None:
-        raise DomainError("zero census needs even band-group rank")
-    dom = mf.domain
-    _require_isolated_zeros(mf)
     steps = _edge_steps(mf)
-    on_edge = np.abs(steps) >= edge_cap
-    if split is not None:
-        steps[split[0]] = split[1]
-        on_edge[split[0]] = False
-    on_edge = on_edge[dom.grid.side_edge[:dom.n_plaquettes]].any(axis=1)
+    split_edges = np.flatnonzero(np.abs(steps) >= CENSUS_EDGE_CAP)
+    if split_edges.size:
+        steps[split_edges] = _split_steps(h_field, frame, mf, split_edges, gap_floor)
     w = plaquette_sums(dom.grid, steps, slice(dom.n_plaquettes)) / (2.0 * np.pi)
     wi = np.round(w)
-    fractional = ~(np.abs(w - wi) <= 1e-6)  # a NaN winding is not integral either
-    failed = np.flatnonzero(on_edge | fractional)
-    if failed.size:
-        first = failed[0]  # report the first failure in plaquette order
-        if on_edge[first]:
-            raise ResolutionError(
-                f"pf M phase step near pi on plaquette {int(first)}; "
-                "a zero lies on an edge, refine the grid"
-            )
+    if not np.all(np.abs(w - wi) <= 1e-6):  # a NaN winding is not integral either
         raise ResolutionError("plaquette winding is not integral")
     wi = wi.astype(int)
-    nonzero = np.flatnonzero(wi)
-    entries = [(int(p), int(wi[p])) for p in nonzero]
-    return ZeroCensus(entries=entries, total=int(wi.sum()))
+    entries = [(int(p), int(wi[p])) for p in np.flatnonzero(wi)]
+    return ZeroCensus(entries=entries, total=int(wi.sum()), split_edges=split_edges)
 
 
 def _split_failure(edge: int, cause: str) -> ResolutionError:
     return ResolutionError(f"split of grid edge {int(edge)} failed: {cause}")
 
 
-def split_census_edges(h_field: HamiltonianField, frame: Frame, mf: MField,
-                       gap_floor: float):
-    """Re-measure each domain edge whose pf M step reaches CENSUS_EDGE_CAP.
+def _split_steps(h_field: HamiltonianField, frame: Frame, mf: MField,
+                 edge_ids: np.ndarray, gap_floor: float) -> np.ndarray:
+    """The pf M step along each grid edge of edge_ids, lower vid to higher,
+    re-measured on sub-points of the edge.
 
-    Each such undirected edge is cut into 2, then 4, 8 and 16 equal parts
-    (CENSUS_EDGE_SPLITS) until every sub-step is below the cap.  H is solved
-    at the interior points only.  The frame is transported there from the
-    edge's first vertex as smooth_frame transports it: a pass takes the
+    Each edge is cut into 2, then 4, 8 and 16 equal parts
+    (CENSUS_EDGE_SPLITS) until every sub-step is below CENSUS_EDGE_CAP.  H is
+    solved at the interior points only.  The frame is transported there from
+    the edge's first vertex as smooth_frame transports it: a pass takes the
     overlaps of every step along every edge in one stacked polar call and
     composes them by a running product.  The last sub-step ends on the vertex
     value of pf M, so the summed sub-steps differ from the principal step by
     a whole number of turns.  An edge still at the cap after the last split is
     settled when its sum equals the previous split's within 1e-6: along a
     sub-segment that misses a simple zero, the phase of pf M changes by less
-    than pi.  Returns (edge_ids, steps) for km_census, or None when no edge
-    is flagged.  Raises DegenerateConfigurationError when the zeros are not
-    isolated, and ResolutionError naming the edge and the cause when a split
-    fails: a group gap at or below gap_floor, a singular transport (named by
-    the edge whose overlaps have the smallest singular value) or |pf M| below
-    PF_HARD_FLOOR at a sub-point, or a last split that has not converged.
+    than pi.  Raises ResolutionError naming the edge and the cause when a
+    split fails: a group gap at or below gap_floor, a singular transport
+    (named by the edge whose overlaps have the smallest singular value) or
+    |pf M| below PF_HARD_FLOOR at a sub-point, or a last split that has not
+    converged.
     """
-    _require_isolated_zeros(mf)
-    edge_ids = np.flatnonzero(np.abs(_edge_steps(mf)) >= CENSUS_EDGE_CAP)
-    if not edge_ids.size:
-        return None
     grid, group = frame.domain.grid, frame.group
     edges = grid.edges[edge_ids]
     shape = frame.data.shape[1:]
@@ -335,7 +317,7 @@ def split_census_edges(h_field: HamiltonianField, frame: Frame, mf: MField,
         stuck = np.max(np.abs(sub), axis=1) >= CENSUS_EDGE_CAP
         todo, earlier = todo[stuck], earlier[stuck]
         if not todo.size:
-            return edge_ids, summed
+            return summed
     # still at the cap after the last split: settled when the sum has converged
     off = np.flatnonzero(~(np.abs(summed[todo] - earlier) <= 1e-6))  # NaN: no earlier split
     if off.size:
@@ -345,7 +327,7 @@ def split_census_edges(h_field: HamiltonianField, frame: Frame, mf: MField,
             ", with no earlier split to compare" if np.isnan(before) else
             f", and the summed step {summed[e]:.6f} differs from the previous "
             f"split's {before:.6f}"))
-    return edge_ids, summed
+    return summed
 
 
 @dataclass
@@ -399,13 +381,13 @@ def _km_and_census(h_field, frame, mf, tol):
     except BoundaryZeroError as exc:
         return None, None, [f"KM index undefined: {exc}"]
     try:
-        split = split_census_edges(h_field, frame, mf, tol.gap_floor)
-        census = km_census(mf, split=split)
+        census = km_census(h_field, frame, mf, tol.gap_floor)
     except DegenerateConfigurationError as exc:
         return k, None, [f"census undefined: {exc}"]
     except ResolutionError as exc:
         return k, None, [f"census unresolved: {exc}"]
-    return k, census, [] if split is None else [f"census: {len(split[0])} edges split"]
+    split = census.split_edges.size
+    return k, census, [f"census: {split} edges split"] if split else []
 
 
 @dataclass(frozen=True)

@@ -356,6 +356,40 @@ def test_gauge_demo_torus_skew(tmp_path):
     assert rep["extendability_winding"] == 0
 
 
+@pytest.mark.parametrize("manifold, seed, group, grid, gap_floor, code", [
+    ("sphere", 502, "0:2", "32x64", "0.05", 0),   # rank 3, c = 1
+    ("torus", 501, "2:5", "24x128", "0.03", 0),   # rank 4, c = -4
+    ("sphere", 505, "3:5", "32x64", "0.05", 3),   # rank 3, c = 1, no extension
+])
+def test_gauge_demo_on_six_band_groups(tmp_path, capsys, manifold, seed, group, grid,
+                                       gap_floor, code):
+    # odd-rank sphere and rank-4 torus groups of six-band RandomTRI models,
+    # held to criterion 7's bounds; the seed-505 group's boundary gauge keeps
+    # a kink of about 2 rad that no start smooths, and the failed extension
+    # still writes its report
+    cfg = write_config(tmp_path, "r.json", {"model": {
+        "variant": "RandomTRI", "manifold": manifold, "n_a": 6, "cutoff": 1,
+        "seed": seed}})
+    out = tmp_path / "g.json"
+    assert run(["gauge-demo", "--config", cfg, "--group", group, "--grid", grid,
+                "--gap-floor", gap_floor, "--out", str(out)]) == code
+    rep = json.loads(out.read_text())
+    if manifold == "torus":
+        assert rep["measured_c"] == -4 and rep["extendability_winding"] == 0
+        assert rep["congruence_residual"] <= 1e-8
+        return
+    assert rep["measured_c"] == 1 and rep["obstruction_winding"] == 0
+    assert rep["continuity_residual_pi"] <= 1e-8
+    assert rep["continuity_residual_2pi"] <= 1e-8
+    if code == 0:
+        assert rep["extension_success"] is True
+        assert rep["regauged_normal_form_mismatch"] <= 1e-6
+    else:
+        assert rep["extension_success"] is False and rep["expected_failure"] is False
+        assert rep["reason"].startswith("smoothing did not reach step target")
+        assert capsys.readouterr().err == f"phasetop: error: {rep['reason']}\n"
+
+
 def test_map_chunks_is_an_ordered_map():
     from phasetop import runtime
 

@@ -159,7 +159,7 @@ def test_m_field_trivial_bundle_unit_pf():
     mf = invariants.m_field(frame, h.t)
     assert np.max(np.abs(np.abs(mf.pf) - 1.0)) <= 1e-12
     assert invariants.km_boundary(mf) == 0
-    census = invariants.km_census(mf)
+    census = invariants.km_census(h, frame, mf, 0.5)
     assert census.entries == [] and census.total == 0
 
 
@@ -177,7 +177,7 @@ def test_km_census_matches_boundary_exactly():
     spec, group, dom, frame = sphere_setup(h, 0, 1)
     mf = invariants.m_field(frame, h.t)
     k = invariants.km_boundary(mf)
-    census = invariants.km_census(mf)
+    census = invariants.km_census(h, frame, mf, TOL.gap_floor)
     assert census.total == k
     signs = {np.sign(w) for _, w in census.entries}
     assert len(signs) == 1
@@ -238,7 +238,7 @@ def test_km_torus_boundary_and_rank1_rejection():
     k = invariants.km_boundary(mf)
     _, c = invariants.chern_plaquette(spec.band_vectors(group), TORUS_GRID)
     assert 2 * k == c
-    census = invariants.km_census(mf)
+    census = invariants.km_census(h, frame, mf, TOL.gap_floor)
     assert census.total == k
 
     h1 = models.rotor_spin(0.5)
@@ -257,7 +257,7 @@ def test_km_census_degenerate_stratum_raises():
     mf = invariants.m_field(frame, h.t)
     assert invariants.km_boundary(mf) in (-1, 1)  # TRI lines stay unitary
     with pytest.raises(DegenerateConfigurationError):
-        invariants.km_census(mf)
+        invariants.km_census(h, frame, mf, TOL.gap_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +527,11 @@ def _seed_200_refined_census():
     return h, group, frame, invariants.m_field(frame, h.t)
 
 
+def _flagged_edges(mf):
+    """The grid edges whose principal pf M step reaches the cap."""
+    return np.flatnonzero(np.abs(invariants._edge_steps(mf)) >= invariants.CENSUS_EDGE_CAP)
+
+
 def _fine_walks(h, group, frame, mf, edges, n):
     """The (E, n) pf M sub-steps along grid edges a -> b, each cut into n
     parts: one eigh stack, the frames transported from a one point at a time
@@ -548,9 +553,10 @@ def _fine_walks(h, group, frame, mf, edges, n):
 
 def test_split_step_matches_a_fine_walk_and_enters_both_plaquettes():
     h, group, frame, mf = _seed_200_refined_census()
-    with pytest.raises(ResolutionError):
-        invariants.km_census(mf)
-    ids, steps = invariants.split_census_edges(h, frame, mf, SEED_200_TOL.gap_floor)
+    census = invariants.km_census(h, frame, mf, SEED_200_TOL.gap_floor)
+    ids = _flagged_edges(mf)
+    assert ids.size and np.array_equal(census.split_edges, ids)
+    steps = invariants._split_steps(h, frame, mf, ids, SEED_200_TOL.gap_floor)
     edges = frame.domain.grid.edges[ids]
     fine = _fine_walks(h, group, frame, mf, edges, 64)
     assert np.max(np.abs(fine)) < invariants.CENSUS_EDGE_CAP
@@ -585,7 +591,6 @@ def test_split_step_matches_a_fine_walk_and_enters_both_plaquettes():
         if round(w):
             windings[int(pid)] = int(round(w))
     assert len(shared) == 2 and shared[0] == -shared[1]
-    census = invariants.km_census(mf, split=(ids, steps))
     assert dict(census.entries) == windings
     assert census.total == invariants.km_boundary(mf) == 1
 
@@ -607,7 +612,8 @@ def test_split_takes_one_polar_call_per_pass(monkeypatch):
 
     monkeypatch.setattr(numkit, "eigh_many", eigh)
     monkeypatch.setattr(numkit, "polar_unitary", polar)
-    ids, steps = invariants.split_census_edges(h, frame, mf, SEED_200_TOL.gap_floor)
+    ids = _flagged_edges(mf)
+    steps = invariants._split_steps(h, frame, mf, ids, SEED_200_TOL.gap_floor)
     monkeypatch.undo()
     assert len(solved) == len(invariants.CENSUS_EDGE_SPLITS)
     assert stepped == solved
@@ -628,8 +634,9 @@ def test_census_edge_split_on_the_sphere():
     frame = bands.smooth_frame(bands.spectrum_on_grid(h, grid), group,
                                fundamental_domain(grid))
     mf = invariants.m_field(frame, h.t)
-    ids, steps = invariants.split_census_edges(h, frame, mf, TOL.gap_floor)
+    ids = invariants.km_census(h, frame, mf, TOL.gap_floor).split_edges
     assert len(ids) == 1
+    steps = invariants._split_steps(h, frame, mf, ids, TOL.gap_floor)
     fine = _fine_walks(h, group, frame, mf, grid.edges[ids], 64)
     assert np.max(np.abs(fine)) < invariants.CENSUS_EDGE_CAP
     assert abs(steps[0] - fine.sum()) <= 1e-9
@@ -653,21 +660,32 @@ def test_unconverged_last_split_names_its_cause(monkeypatch):
     assert solved[:2] == [3072, 12288] and len(solved) == 4 and max(solved[2:]) < 10
 
 
+GAP_FAILURE = r"split of grid edge (\d+) failed: group gap \S+ <= gap floor 10 at a sub-point"
+
+
 def test_split_names_a_gap_at_a_sub_point():
     h, _, frame, mf = _seed_200_refined_census()
-    flagged = np.flatnonzero(np.abs(invariants._edge_steps(mf)) >= invariants.CENSUS_EDGE_CAP)
+    flagged = _flagged_edges(mf)
     with pytest.raises(ResolutionError) as err:
-        invariants.split_census_edges(h, frame, mf, gap_floor=10.0)
-    match = re.fullmatch(r"split of grid edge (\d+) failed: group gap \S+ <= gap floor "
-                         r"10 at a sub-point", str(err.value))
+        invariants._split_steps(h, frame, mf, flagged, gap_floor=10.0)
+    match = re.fullmatch(GAP_FAILURE, str(err.value))
     assert match and int(match[1]) in flagged
+
+
+def test_km_census_raises_a_failed_split():
+    # the census splits the flagged edges itself, so their failure is its own
+    h, _, frame, mf = _seed_200_refined_census()
+    with pytest.raises(ResolutionError) as err:
+        invariants.km_census(h, frame, mf, gap_floor=10.0)
+    match = re.fullmatch(GAP_FAILURE, str(err.value))
+    assert match and int(match[1]) in _flagged_edges(mf)
 
 
 @pytest.mark.parametrize("cause", ["transport", "pfaffian"])
 def test_split_names_a_singular_sub_point(monkeypatch, cause):
     # the two causes no model of the suites reaches, forced at one flagged edge
     h, _, frame, mf = _seed_200_refined_census()
-    flagged = np.flatnonzero(np.abs(invariants._edge_steps(mf)) >= invariants.CENSUS_EDGE_CAP)
+    flagged = _flagged_edges(mf)
     if cause == "transport":
         eigh_many = numkit.eigh_many
 
@@ -686,7 +704,7 @@ def test_split_names_a_singular_sub_point(monkeypatch, cause):
         expected = r"\|pf M\| = 0.000e\+00 < 1e-12 at a sub-point"
     with pytest.raises(ResolutionError,
                        match=rf"^split of grid edge {flagged[1]} failed: {expected}$"):
-        invariants.split_census_edges(h, frame, mf, SEED_200_TOL.gap_floor)
+        invariants._split_steps(h, frame, mf, flagged, SEED_200_TOL.gap_floor)
 
 
 @pytest.mark.parametrize("manifold, seed, shape, gap_floor", [
@@ -705,7 +723,8 @@ def test_settled_edges_match_a_4096_part_walk(manifold, seed, shape, gap_floor):
     mf = fields.m_field
     frame = bands.smooth_frame(bands.spectrum_on_grid(h, mf.domain.grid), group,
                                mf.domain)
-    ids, steps = invariants.split_census_edges(h, frame, mf, gap_floor)
+    ids = _flagged_edges(mf)
+    steps = invariants._split_steps(h, frame, mf, ids, gap_floor)
     assert rep.notes == [f"census: {len(ids)} edges split"]
     edges = mf.domain.grid.edges[ids]
     fine = _fine_walks(h, group, frame, mf, edges, 4096)

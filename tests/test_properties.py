@@ -234,28 +234,37 @@ def test_pfaffian_stack(seed, n, m, pivot, data):
 # zero census
 
 
-def census_by_loop(mf, edge_cap):
-    """The census one plaquette at a time: (entries, total), or the first
-    ResolutionError in plaquette order."""
+def whole_turns(edge_ids):
+    """The whole turns the stub split adds to each flagged edge's step."""
+    return edge_ids % 3 - 1
+
+
+def census_by_loop(mf):
+    """The census one plaquette at a time, an edge whose principal step
+    reaches the cap taking its whole_turns: (entries, total, flagged grid edge
+    ids), or the first ResolutionError in plaquette order."""
     dom = mf.domain
-    entries, total = [], 0
+    edge_id = {tuple(e): i for i, e in enumerate(dom.grid.edges.tolist())}
+    entries, total, flagged = [], 0, set()
     plaqs = domain_rows(dom.grid)[1]
-    for pid, corners in zip(plaqs, dom.grid.plaquettes[plaqs]):
-        vals = mf.pf[corners]
-        steps = np.angle(np.roll(vals, -1) / vals)
-        if np.max(np.abs(steps)) >= edge_cap:
-            raise ResolutionError(
-                f"pf M phase step near pi on plaquette {int(pid)}; a zero lies "
-                "on an edge, refine the grid"
-            )
-        w = float(steps.sum()) / (2.0 * np.pi)
+    for pid, corners in zip(plaqs, dom.grid.plaquettes[plaqs].tolist()):
+        w = 0.0
+        for a, b in zip(corners, corners[1:] + corners[:1]):
+            if a == b:  # a repeated pole corner
+                continue
+            lo, hi = min(a, b), max(a, b)
+            step = np.angle(mf.pf[hi] / mf.pf[lo])
+            if abs(step) >= invariants.CENSUS_EDGE_CAP:
+                flagged.add(edge_id[lo, hi])
+                step += 2 * np.pi * whole_turns(edge_id[lo, hi])
+            w += (step if a < b else -step) / (2.0 * np.pi)
         wi = int(round(w))
         if abs(w - wi) > 1e-6:
             raise ResolutionError("plaquette winding is not integral")
         if wi != 0:
             entries.append((int(pid), wi))
             total += wi
-    return entries, total
+    return entries, total, sorted(flagged)
 
 
 CENSUS_DOMAINS = {
@@ -264,26 +273,38 @@ CENSUS_DOMAINS = {
 
 
 @given(seed=SEEDS, manifold=st.sampled_from(list(CENSUS_DOMAINS)),
-       noise=st.sampled_from([0.0, 0.3, 3.0]),
-       edge_cap=st.sampled_from([np.pi - 0.2, 2.0, 1.2]))
-def test_km_census_matches_plaquette_loop(seed, manifold, noise, edge_cap):
+       noise=st.sampled_from([0.0, 0.3, 3.0]), tie=st.none() | st.integers(0, 10**6))
+def test_km_census_matches_plaquette_loop(seed, manifold, noise, tie):
     rng = np.random.default_rng(seed)
     dom = CENSUS_DOMAINS[manifold]
     x = dom.grid.points[domain_rows(dom.grid)[0]]
     modes = rng.integers(-2, 3, size=(4, 2))
     pf = np.exp(1j * x @ modes.T) @ complex_normal(rng, 4)
     pf += noise * complex_normal(rng, pf.shape)
+    if tie is not None:  # one edge's principal step exactly at the cap
+        lo, hi = dom.edges[tie % len(dom.edges)]
+        pf[lo], pf[hi] = 1.0, np.exp(1j * invariants.CENSUS_EDGE_CAP)
     mf = invariants.MField(domain=dom, values=np.zeros((pf.size, 2, 2)), pf=pf,
                            skew_residual=0.0)
-    try:
-        want = census_by_loop(mf, edge_cap)
-    except ResolutionError as exc:
-        with pytest.raises(ResolutionError) as got:
-            invariants.km_census(mf, edge_cap)
-        assert str(got.value) == str(exc)
-        return
-    census = invariants.km_census(mf, edge_cap)
-    assert (census.entries, census.total) == want
+    split = []
+
+    def stub(h_field, frame, mf, edge_ids, gap_floor):
+        # a split that ends on the vertex values: the principal step plus whole turns
+        split.append(edge_ids.tolist())
+        return invariants._edge_steps(mf)[edge_ids] + 2 * np.pi * whole_turns(edge_ids)
+
+    with mock.patch.object(invariants, "_split_steps", stub):
+        try:
+            entries, total, flagged = census_by_loop(mf)
+        except ResolutionError as exc:
+            with pytest.raises(ResolutionError) as got:
+                invariants.km_census(None, None, mf, 0.05)
+            assert str(got.value) == str(exc)
+            return
+        census = invariants.km_census(None, None, mf, 0.05)
+    assert (census.entries, census.total) == (entries, total)
+    assert census.split_edges.tolist() == flagged
+    assert split == ([flagged] if flagged else [])
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +426,17 @@ def test_orientation_flip_negates_c_and_k(seed, case):
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, 0.05)
     domain = fundamental_domain(grid)
-    mf = invariants.m_field(bands.smooth_frame(spec, group, domain), h.t)
+    frame = bands.smooth_frame(spec, group, domain)
+    mf = invariants.m_field(frame, h.t)
     flipped = reversed_orientation(domain)
     vectors = spec.band_vectors(group)
     assert_negated(lambda g: invariants.chern_plaquette(vectors, g)[1],
                    domain.grid, flipped.grid)
     flipped_mf = dataclasses.replace(mf, domain=flipped)
     assert_negated(invariants.km_boundary, mf, flipped_mf)
-    assert_negated(lambda m: invariants.km_census(m).total, mf, flipped_mf)
+    flipped_frame = dataclasses.replace(frame, domain=flipped)
+    assert_negated(lambda fields: invariants.km_census(h, *fields, 0.05).total,
+                   (frame, mf), (flipped_frame, flipped_mf))
 
 
 # ---------------------------------------------------------------------------
