@@ -20,13 +20,7 @@ import numpy as np
 from . import numkit
 from .errors import DomainError, GapError, SingularityError
 from .numkit import max_abs
-from .phasespace import (
-    FundamentalDomain,
-    Grid,
-    Manifold,
-    transport_chains,
-    tr_image_batch,
-)
+from .phasespace import FundamentalDomain, Grid, Manifold, transport_chains
 
 
 @dataclass(frozen=True)
@@ -103,28 +97,6 @@ def check_tri(h_field: HamiltonianField, grid: Grid, tol: float = 1e-9):
     return residual, residual <= tol
 
 
-def symmetrize_tri(
-    evaluate: Callable[[np.ndarray], np.ndarray],
-    t: AntiUnitary,
-    manifold: Manifold,
-    label: str = "",
-) -> HamiltonianField:
-    """TRI field from an arbitrary Hermitian field by group averaging:
-    H(x) = (B(x) + J conj(B(tau x)) J^dagger) / 2."""
-    manifold = Manifold(manifold)
-
-    def tri_eval(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        direct = evaluate(pts)
-        mirrored = evaluate(tr_image_batch(manifold, pts))
-        return 0.5 * (direct + t.conjugate_field(mirrored))
-
-    return HamiltonianField(
-        n_a=t.dim, manifold=manifold, t=t, evaluate=tri_eval,
-        label=label or "tri-symmetrized",
-    )
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Per-point eigendecomposition, deterministic gauge; point v is row v of
@@ -144,10 +116,6 @@ class Spectrum:
 
     def band_vectors(self, group: "BandGroup") -> np.ndarray:
         return self.vectors[:, :, group.first : group.last + 1]
-
-    def boundary_gaps(self) -> np.ndarray:
-        """Min over points of the gap above each band (length N_A - 1)."""
-        return np.min(np.diff(self.energies, axis=1), axis=0)
 
     def gaps_around(self, first: int, last: int) -> np.ndarray:
         """Each point's gap between bands [first, last] and their neighbours,
@@ -195,7 +163,7 @@ def find_gapped_groups(spectrum: Spectrum, gap_floor: float = 1e-6):
     The returned groups partition all bands; with no internal gap above the
     floor the single full-range group (min_gap = inf) is returned.
     """
-    gaps = spectrum.boundary_gaps()
+    gaps = np.min(np.diff(spectrum.energies, axis=1), axis=0)  # above each band
     cuts = [i for i, g in enumerate(gaps) if g > gap_floor]
     firsts = [0] + [c + 1 for c in cuts]
     lasts = cuts + [spectrum.n_a - 1]

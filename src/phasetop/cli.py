@@ -30,7 +30,7 @@ from .errors import (
     ResolutionError,
     TRIViolationError,
 )
-from .invariants import Tolerances, analyze_model, chern_winding
+from .invariants import Tolerances, analyze_model, chern_winding, tri_path
 from .phasespace import Manifold, build_grid, fundamental_domain
 
 SCHEMA_VERSION = 1
@@ -179,22 +179,6 @@ def _write_dumps(dump_dir: str, verified) -> None:
                      *zip(*rep.census_entries))
 
 
-def _theorem_violations(rep) -> list:
-    """One record per theorem check that a verified group's report fails."""
-    checks = (
-        (rep.parity_ok, {"kind": "parity", "c": rep.c_plaquette, "rank": rep.rank}),
-        (rep.consistent, {"kind": "cross-method", "c_plaquette": rep.c_plaquette,
-                          "c_winding": rep.c_winding}),
-        (rep.evenness_ok, {"kind": "curvature-evenness",
-                           "residual": rep.curvature_evenness}),
-        (rep.km_relation_ok is not False, {"kind": "km-relation", "k": rep.k,
-                                           "c": rep.c_plaquette}),
-        (rep.census_ok is not False, {"kind": "census", "k": rep.k,
-                                      "census_total": rep.census_total}),
-    )
-    return [record for ok, record in checks if not ok]
-
-
 def cmd_analyze(args) -> int:
     cfg = _validate_config(_load_config(args.config))
     if args.seed is not None:
@@ -229,7 +213,7 @@ def cmd_analyze(args) -> int:
 
     reports = [rep for rep, _ in results]
     chern_sum = int(sum(r.c_plaquette for r in reports))
-    all_ok = not any(_theorem_violations(r) for r in reports)
+    all_ok = not any(r.violations() for r in reports)
     report["groups"] = [r.to_dict() for r in reports]
     report["global"] = {
         "status": "ok" if all_ok and chern_sum == 0 else "theorem-violation",
@@ -303,7 +287,7 @@ def cmd_random_suite(args) -> int:
                                     rep.residuals.get("loop_skewness", 0.0))
             max_antisym = max(max_antisym, sym)
             violations.extend({"seed": seed, "group": rep.group_id, **record}
-                              for record in _theorem_violations(rep))
+                              for record in rep.violations())
             if rep.rank % 2 == 0:
                 tally["even_rank_groups"] += 1
                 if rep.k is not None:
@@ -341,8 +325,8 @@ def cmd_deform(args) -> int:
     h1 = models.build(cfg_b["model"])
     grid = _grid_for(cfg_a, h0, args.grid)
     first, last = _band_range(args.group, h0.n_a)
-    path = models.tri_path(h0, h1, grid, (first, last), steps=args.steps,
-                           gap_floor=args.gap_floor)
+    path = tri_path(h0, h1, grid, (first, last), steps=args.steps,
+                    gap_floor=args.gap_floor)
     report = {
         **_report_header({
             "model_a": cfg_a["model"],

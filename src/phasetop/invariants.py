@@ -1,6 +1,7 @@
 """Topological invariants: Chern numbers by two independent routes, the
 Kane-Mele integer by boundary winding and by zero census, Berry curvature
-fields, and the per-group verification pipeline.
+fields, the per-group verification pipeline, and the scan of a linear TRI
+deformation path.
 
 Orientation convention.  Plaquette corner lists are stored in coordinate
 orientation; Berry fluxes are accumulated traversing each plaquette in the
@@ -42,11 +43,13 @@ from .bands import (
 )
 from .errors import (
     BoundaryZeroError,
+    ConfigError,
     DegenerateConfigurationError,
     DomainError,
     PhasetopError,
     ResolutionError,
     SingularityError,
+    TrackingError,
     TRIViolationError,
 )
 from .numkit import max_abs
@@ -363,6 +366,25 @@ class InvariantReport:
         that holds every band has no bounding gap, so its min_gap is None."""
         return {**asdict(self), "min_gap": None if self.min_gap == np.inf else self.min_gap}
 
+    def violations(self) -> list:
+        """One record per theorem check that this verified group fails: the
+        parity rule, the cross-method Chern match, curvature TR evenness,
+        2k = c and census total = k.  On the torus parity_ok holds only when
+        c and the rank are both even.  An undefined k or census fails
+        nothing."""
+        checks = (
+            (self.parity_ok, {"kind": "parity", "c": self.c_plaquette, "rank": self.rank}),
+            (self.consistent, {"kind": "cross-method", "c_plaquette": self.c_plaquette,
+                               "c_winding": self.c_winding}),
+            (self.evenness_ok, {"kind": "curvature-evenness",
+                                "residual": self.curvature_evenness}),
+            (self.km_relation_ok is not False, {"kind": "km-relation", "k": self.k,
+                                                "c": self.c_plaquette}),
+            (self.census_ok is not False, {"kind": "census", "k": self.k,
+                                           "census_total": self.census_total}),
+        )
+        return [record for ok, record in checks if not ok]
+
 
 def _km_and_census(h_field, frame, mf, tol):
     """Boundary winding and zero census of pf M on the one fundamental domain.
@@ -525,3 +547,98 @@ def analyze_model(h_field: HamiltonianField, grid: Grid,
         except PhasetopError as exc:
             results.append(exc)
     return tri_residual, groups, results
+
+
+@dataclass(frozen=True)
+class TriPath:
+    """Gap and Chern record along a linear TRI interpolation."""
+
+    samples: list                  # (s, min_gap, c or None) per sample
+    verdict: str                   # "GAPPED-CONSTANT-C" or "GAP-CLOSES"
+    closing_bracket: tuple | None  # (s_lo, s_hi) around a detected closing
+    chern: int | None = None
+
+
+def tri_path(
+    h0: HamiltonianField,
+    h1: HamiltonianField,
+    grid: Grid,
+    band_range: tuple,
+    steps: int = 11,
+    gap_floor: float = 1e-3,
+) -> TriPath:
+    """Scan H_s = (1-s) H0 + s H1 for gap closings and Chern constancy.
+
+    Convex combinations of TRI fields with the same operator are TRI, so the
+    tracked group's Chern number must be constant on gapped stretches.  When
+    the Chern number differs between two gapped samples, a closing is certain
+    in between.  A sample's c comes from chern_plaquette alone; it is None
+    when the gap is at or below the floor, and also when chern_plaquette
+    refuses the sample with a ResolutionError (flux cap or link floor), which
+    the record does not tell apart.  All `steps` samples are probed first;
+    then only the first event is bracketed: the first sample without c, or
+    the first gapped change of c.  A change of c is bisected until the
+    bracket is 1e-6 wide or a bisection sample has no c; that sample ends
+    the bisection with the bracket as it stands, so a refused sample whose
+    gap is well above the floor can leave it wide (see the deform item of
+    ROADMAP.md).  The verdict is GAP-CLOSES either way.
+    """
+    if not isinstance(steps, (int, np.integer)) or steps < 2:
+        raise ConfigError(f"steps must be an integer >= 2, got {steps!r}")
+    if h0.n_a != h1.n_a or h0.manifold != h1.manifold:
+        raise TrackingError("endpoints live on different spaces")
+    if np.max(np.abs(h0.t.j - h1.t.j)) > 1e-12:
+        raise TrackingError("endpoints carry different time-reversal operators")
+    first, last = band_range
+    # each endpoint field is evaluated once; every probe mixes the two stacks
+    ends = []
+    for h in (h0, h1):
+        hs = h(grid.points)
+        # GapError when an endpoint is not gapped
+        group_for_range(Spectrum.from_stack(hs), first, last, gap_floor)
+        ends.append(hs)
+    hs0, hs1 = ends
+
+    def probe(s: float):
+        """(min_gap, c or None) of the tracked range at parameter s."""
+        spec = Spectrum.from_stack((1.0 - s) * hs0 + s * hs1)
+        min_gap = spec.bounding_gap(first, last)
+        if min_gap <= gap_floor:
+            return min_gap, None
+        group = BandGroup(first, last, min_gap)
+        try:
+            _, c = chern_plaquette(spec.band_vectors(group), grid)
+        except ResolutionError:
+            # flux concentration the grid cannot resolve: the group is
+            # effectively degenerate at this scale, same as a closing
+            return min_gap, None
+        return min_gap, c
+
+    records = [(float(s), *probe(float(s))) for s in np.linspace(0.0, 1.0, steps)]
+    bracket = None
+    for i, (s, _, c) in enumerate(records[:steps]):
+        lo, _, c_lo = records[max(i - 1, 0)]
+        if c is None:
+            bracket = (lo, min(s + 1.0 / (steps - 1), 1.0))
+            break
+        if c != c_lo:
+            # invariant forbids a gapped change of c: localize the closing
+            hi = s
+            while hi - lo > 1e-6:
+                mid = 0.5 * (lo + hi)
+                g_mid, c_mid = probe(mid)
+                records.append((mid, g_mid, c_mid))
+                if c_mid is None:
+                    break
+                if c_mid == c_lo:
+                    lo = mid
+                else:
+                    hi = mid
+            bracket = (lo, hi)
+            break
+
+    records.sort(key=lambda r: r[0])
+    if bracket is not None:
+        return TriPath(records, "GAP-CLOSES", bracket)
+    # every sample is gapped and no two neighbours differ: c is constant
+    return TriPath(records, "GAPPED-CONSTANT-C", None, chern=records[0][2])

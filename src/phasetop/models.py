@@ -1,5 +1,5 @@
 """Model zoo: TRI band Hamiltonians with known invariants, random TRI
-ensembles, TRI-breaking controls, and linear TRI deformation paths.
+ensembles, and TRI-breaking controls.
 
 All evaluators are batched: (m, 2) coordinate arrays in, (m, N, N) Hermitian
 stacks out, and deterministic under a fixed seed.  A random field is a table
@@ -11,14 +11,12 @@ part (TRIBrokenControl) are two projections of that table.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import AntiUnitary, BandGroup, HamiltonianField, Spectrum, group_for_range
-from .errors import ConfigError, ResolutionError, TrackingError
-from .invariants import chern_plaquette
-from .phasespace import Grid, Manifold, directions
+from .bands import AntiUnitary, HamiltonianField
+from .errors import ConfigError
+from .phasespace import Manifold, directions
 
 SIGMA = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -187,8 +185,9 @@ def _random_tri_field(t: AntiUnitary, manifold: Manifold, cutoff: int, seed: int
     The condition J conj(H(tau x)) J^dagger = H(x) is linear in H, so each
     part is one projection of the coefficient table: row r becomes
     (C_r + parity sign_r J conj(C_partner(r)) J^dagger) / 2.  The norm is that
-    of the raw field, so the even part equals symmetrize_tri of it up to
-    rounding.
+    of the raw field B, so the even part equals the sample average
+    (B(x) + J conj(B(tau x)) J^dagger) / 2 up to rounding, which the
+    symmetrize_tri oracle in tests/test_bands.py computes.
     """
     basis, table, partner, sign = _normalized_table(manifold, t.dim, cutoff, seed)
     part = 0.5 * (table + parity * sign[:, None, None] * t.conjugate_field(table[partner]))
@@ -374,96 +373,3 @@ def build(spec: dict) -> HamiltonianField:
     if extra:
         raise ConfigError(f"unknown keys {sorted(extra)} for variant {variant}")
     return fn(**kwargs)
-
-
-# ---------------------------------------------------------------------------
-# TRI deformation paths
-
-
-@dataclass(frozen=True)
-class TriPath:
-    """Gap and Chern record along a linear TRI interpolation."""
-
-    samples: list                  # (s, min_gap, c or None) per sample
-    verdict: str                   # "GAPPED-CONSTANT-C" or "GAP-CLOSES"
-    closing_bracket: tuple | None  # (s_lo, s_hi) around a detected closing
-    chern: int | None = None
-
-
-def tri_path(
-    h0: HamiltonianField,
-    h1: HamiltonianField,
-    grid: Grid,
-    band_range: tuple,
-    steps: int = 11,
-    gap_floor: float = 1e-3,
-) -> TriPath:
-    """Scan H_s = (1-s) H0 + s H1 for gap closings and Chern constancy.
-
-    Convex combinations of TRI fields with the same operator are TRI, so the
-    tracked group's Chern number must be constant on gapped stretches.  When
-    the Chern number differs between two gapped samples, a closing is certain
-    in between.  All `steps` samples are probed first; then only the first
-    event is bracketed: the first ungapped sample, or the first gapped change
-    of c, whose interval is bisected until the gap dips below the floor or
-    the bracket is tight.  The verdict is GAP-CLOSES either way.
-    """
-    if not isinstance(steps, (int, np.integer)) or steps < 2:
-        raise ConfigError(f"steps must be an integer >= 2, got {steps!r}")
-    if h0.n_a != h1.n_a or h0.manifold != h1.manifold:
-        raise TrackingError("endpoints live on different spaces")
-    if np.max(np.abs(h0.t.j - h1.t.j)) > 1e-12:
-        raise TrackingError("endpoints carry different time-reversal operators")
-    first, last = band_range
-    # each endpoint field is evaluated once; every probe mixes the two stacks
-    ends = []
-    for h in (h0, h1):
-        hs = h(grid.points)
-        # GapError when an endpoint is not gapped
-        group_for_range(Spectrum.from_stack(hs), first, last, gap_floor)
-        ends.append(hs)
-    hs0, hs1 = ends
-
-    def probe(s: float):
-        """(min_gap, c or None) of the tracked range at parameter s."""
-        spec = Spectrum.from_stack((1.0 - s) * hs0 + s * hs1)
-        min_gap = spec.bounding_gap(first, last)
-        if min_gap <= gap_floor:
-            return min_gap, None
-        group = BandGroup(first, last, min_gap)
-        try:
-            _, c = chern_plaquette(spec.band_vectors(group), grid)
-        except ResolutionError:
-            # flux concentration the grid cannot resolve: the group is
-            # effectively degenerate at this scale, same as a closing
-            return min_gap, None
-        return min_gap, c
-
-    records = [(float(s), *probe(float(s))) for s in np.linspace(0.0, 1.0, steps)]
-    bracket = None
-    for i, (s, _, c) in enumerate(records[:steps]):
-        lo, _, c_lo = records[max(i - 1, 0)]
-        if c is None:
-            bracket = (lo, min(s + 1.0 / (steps - 1), 1.0))
-            break
-        if c != c_lo:
-            # invariant forbids a gapped change of c: localize the closing
-            hi = s
-            while hi - lo > 1e-6:
-                mid = 0.5 * (lo + hi)
-                g_mid, c_mid = probe(mid)
-                records.append((mid, g_mid, c_mid))
-                if c_mid is None:
-                    break
-                if c_mid == c_lo:
-                    lo = mid
-                else:
-                    hi = mid
-            bracket = (lo, hi)
-            break
-
-    records.sort(key=lambda r: r[0])
-    if bracket is not None:
-        return TriPath(records, "GAP-CLOSES", bracket)
-    # every sample is gapped and no two neighbours differ: c is constant
-    return TriPath(records, "GAPPED-CONSTANT-C", None, chern=records[0][2])

@@ -40,16 +40,6 @@ def fix_phases(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def eigh(h: np.ndarray):
-    """eigh_many of a single Hermitian matrix: ascending eigenvalues, and
-    eigenvectors in the deterministic gauge of fix_phases."""
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DomainError("eigh expects a square matrix")
-    w, v = eigh_many(h[None])
-    return w[0], v[0]
-
-
 def eigh_many(hs: np.ndarray):
     """Eigendecomposition of a stack of Hermitian matrices (m, n, n).
 
@@ -169,7 +159,8 @@ def winding_number(samples) -> int:
     Raises DomainError for fewer than 4 samples or a magnitude at or below
     MAGNITUDE_FLOOR, and ResolutionError when any step reaches pi/2: the loop
     is declared under-resolved and the caller should double its sampling
-    (capped at 2**14 samples by the refinement contract).
+    (capped at 2**14 samples by the refinement contract).  The error names
+    the largest step, the two samples it joins and the loop length.
     """
     z = np.asarray(samples, dtype=complex).ravel()
     if z.size < 4:
@@ -180,11 +171,13 @@ def winding_number(samples) -> int:
             f"{int(small.sum())} loop samples at or below magnitude floor "
             f"{MAGNITUDE_FLOOR:g}"
         )
-    steps = np.angle(np.roll(z, -1) / z)
-    worst = float(np.max(np.abs(steps)))
+    steps = np.angle(np.roll(z, -1) / z)  # steps[i] runs from sample i to i + 1
+    at = int(np.argmax(np.abs(steps)))
+    worst = float(abs(steps[at]))
     if worst >= MAX_LOOP_STEP:
         raise ResolutionError(
-            f"phase step {worst:.4f} rad >= pi/2; loop under-resolved, refine sampling"
+            f"phase step {worst:.4f} rad >= pi/2 between samples {at} and "
+            f"{(at + 1) % z.size} of {z.size}; loop under-resolved, refine sampling"
         )
     total = float(steps.sum()) / (2.0 * np.pi)
     w = round(total)

@@ -36,18 +36,12 @@ def directions(pts: np.ndarray) -> np.ndarray:
     )
 
 
-def tr_image(manifold: Manifold, point):
-    """Time-reversal image of a phase-space point.
+def tr_image_batch(manifold: Manifold, pts: np.ndarray) -> np.ndarray:
+    """Time-reversal image of each row of an (m, 2) point array.
 
     The sphere involution is fixed-point free; on the torus the fixed-point
     set is exactly the two lines p = 0 and p = pi.
     """
-    a, b = tr_image_batch(manifold, np.array([point], dtype=float))[0]
-    return (float(a), float(b))
-
-
-def tr_image_batch(manifold: Manifold, pts: np.ndarray) -> np.ndarray:
-    """tr_image of each row of an (m, 2) point array."""
     pts = np.asarray(pts, dtype=float)
     out = np.empty_like(pts)
     if manifold == Manifold.SPHERE:

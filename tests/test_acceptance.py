@@ -227,7 +227,7 @@ def test_criterion_7_gauge_pipeline(tmp_path):
 
 def test_criterion_8_deformation_classification():
     grid = build_grid(Manifold.SPHERE, 16, 32)
-    same = models.tri_path(
+    same = invariants.tri_path(
         models.rotor_spin(0.5),
         models.rotor_spin(0.5, perturbation_strength=0.2, seed=5),
         grid, (0, 0), steps=11, gap_floor=1e-3,
@@ -235,7 +235,7 @@ def test_criterion_8_deformation_classification():
     assert same.verdict == "GAPPED-CONSTANT-C"
     assert same.chern == 1
 
-    opposite = models.tri_path(
+    opposite = invariants.tri_path(
         models.random_tri("sphere", 2, cutoff=2, seed=0),   # c = +1
         models.random_tri("sphere", 2, cutoff=2, seed=6),   # c = -1
         grid, (0, 0), steps=21, gap_floor=1e-3,

@@ -13,6 +13,7 @@ from phasetop import bands, cli, invariants, models
 from phasetop.errors import GapError, ResolutionError
 from phasetop.invariants import Tolerances
 from phasetop.phasespace import Manifold, build_grid
+from test_invariants import THEOREM_CHECKS, theorem_report
 
 # the report layout that analyze writes
 REPORT_SCHEMA = {
@@ -560,21 +561,10 @@ def test_gauge_demo_target_c_on_torus_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("failed, kind", [
-    (None, None), ("parity_ok", "parity"), ("consistent", "cross-method"),
-    ("evenness_ok", "curvature-evenness"), ("km_relation_ok", "km-relation"),
-    ("census_ok", "census"),
-])
+@pytest.mark.parametrize("failed, kind", THEOREM_CHECKS)
 def test_analyze_and_random_suite_check_the_same_theorems(tmp_path, monkeypatch,
                                                           failed, kind):
-    # a rank-2 group that holds every theorem, but for the one named failed
-    rep = invariants.InvariantReport(
-        group_id=0, first_band=1, last_band=2, rank=2, min_gap=0.5, c_plaquette=0,
-        c_winding=0, consistent=True, parity_ok=True, k=0, km_relation_ok=True,
-        census_total=0, census_ok=True, evenness_ok=True,
-    )
-    if failed:
-        setattr(rep, failed, False)
+    rep = theorem_report(failed)
     group = bands.BandGroup(0, 1, 0.5)
     monkeypatch.setattr(cli, "analyze_model",
                         lambda h, grid, tol: (0.0, [group], [(rep, None)]))

@@ -735,14 +735,71 @@ def test_settled_edges_match_a_4096_part_walk(manifold, seed, shape, gap_floor):
     assert settled >= 1
 
 
+# each report flag that a theorem check reads, and the kind of record it fails with
+THEOREM_CHECKS = [
+    (None, None), ("parity_ok", "parity"), ("consistent", "cross-method"),
+    ("evenness_ok", "curvature-evenness"), ("km_relation_ok", "km-relation"),
+    ("census_ok", "census"),
+]
+
+
+def theorem_report(failed=None):
+    """A rank-2 group that holds every theorem, but for the one named failed."""
+    rep = invariants.InvariantReport(
+        group_id=0, first_band=1, last_band=2, rank=2, min_gap=0.5, c_plaquette=0,
+        c_winding=0, consistent=True, parity_ok=True, k=0, km_relation_ok=True,
+        census_total=0, census_ok=True, evenness_ok=True,
+    )
+    if failed:
+        setattr(rep, failed, False)
+    return rep
+
+
+@pytest.mark.parametrize("failed, kind", THEOREM_CHECKS)
+def test_violations_name_each_failed_check(failed, kind):
+    assert [v["kind"] for v in theorem_report(failed).violations()] == (
+        [kind] if kind else [])
+
+
+def test_violations_records_in_check_order():
+    # every check fails, and every number differs, so each record must read
+    # its own fields
+    rep = invariants.InvariantReport(
+        group_id=0, first_band=1, last_band=3, rank=3, min_gap=0.5, c_plaquette=2,
+        c_winding=4, consistent=False, parity_ok=False, k=5, km_relation_ok=False,
+        census_total=7, census_ok=False, curvature_evenness=0.25, evenness_ok=False,
+    )
+    assert rep.violations() == [
+        {"kind": "parity", "c": 2, "rank": 3},
+        {"kind": "cross-method", "c_plaquette": 2, "c_winding": 4},
+        {"kind": "curvature-evenness", "residual": 0.25},
+        {"kind": "km-relation", "k": 5, "c": 2},
+        {"kind": "census", "k": 5, "census_total": 7},
+    ]
+
+
+def test_violations_pass_an_undefined_km_index_and_census():
+    # an odd-rank group, or an even one whose k or census is undefined,
+    # leaves km_relation_ok and census_ok at None: no theorem fails
+    rep = invariants.InvariantReport(
+        group_id=0, first_band=1, last_band=1, rank=1, min_gap=0.5, c_plaquette=1,
+        c_winding=1, consistent=True, parity_ok=True, evenness_ok=True,
+    )
+    assert rep.violations() == []
+    rep = theorem_report()
+    rep.census_total = rep.census_ok = None
+    assert rep.violations() == []
+    rep.k = rep.km_relation_ok = None
+    assert rep.violations() == []
+
+
 def test_parity_theorem_on_random_sample():
     grid = build_grid(Manifold.SPHERE, 32, 64)
     for seed in range(110, 118):
         h = models.random_tri("sphere", 4, seed=seed)
         _, groups, results = invariants.analyze_model(h, grid, TOL)
         for rep, _ in results:
-            assert rep.parity_ok, (seed, rep.rank, rep.c_plaquette)
-            assert rep.consistent
+            assert rep.violations() == [], (seed, rep)
 
 
 def test_torus_theorems_on_proper_subbundles():
@@ -757,7 +814,7 @@ def test_torus_theorems_on_proper_subbundles():
         proper += [(seed, res[0]) for res in results
                    if not isinstance(res, Exception) and res[0].rank < h.n_a]
     for seed, rep in proper:
-        assert rep.parity_ok and rep.consistent and rep.evenness_ok, (seed, rep)
+        assert rep.violations() == [], (seed, rep)
         assert rep.rank % 2 == 0 and rep.c_plaquette % 2 == 0, (seed, rep)
         assert rep.k is not None and 2 * rep.k == rep.c_plaquette, (seed, rep)
         assert rep.census_total == rep.k and rep.census_ok, (seed, rep)
@@ -784,7 +841,7 @@ def test_six_band_theorems_on_rank_3_4_and_5_groups():
     assert sum(rep.rank == 4 and rep.k not in (None, 0) for _, rep in torus) >= 8
     assert sum(rep.rank in (3, 5) for _, rep in sphere) >= 20
     for seed, rep in torus + sphere:
-        assert rep.parity_ok and rep.consistent and rep.evenness_ok, (seed, rep)
+        assert rep.violations() == [], (seed, rep)
         if rep.rank % 2 == 0:
             assert rep.k is not None and 2 * rep.k == rep.c_plaquette, (seed, rep)
             assert rep.census_total == rep.k and rep.census_ok, (seed, rep)

@@ -1,0 +1,46 @@
+"""The package's modules import one another strictly down one layer order."""
+
+import ast
+from pathlib import Path
+
+import phasetop
+
+# lowest layer first: a module may import from a lower layer only
+LAYERS = [
+    {"errors", "runtime"},
+    {"phasespace", "numkit"},
+    {"bands"},
+    {"models", "invariants"},
+    {"gauge"},
+    {"cli"},
+]
+LEVEL = {name: i for i, layer in enumerate(LAYERS) for name in layer}
+PACKAGE = Path(phasetop.__file__).resolve().parent
+
+
+def relative_imports(path: Path) -> set:
+    """The package modules that the module at path imports relatively.  A
+    name that `from . import` takes from the package root and that is no
+    module (such as __version__) comes from __init__, which is exempt."""
+    targets = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(node, ast.ImportFrom) and node.level):
+            continue
+        if node.module:
+            targets.add(node.module.split(".")[0])
+        else:
+            targets.update(alias.name for alias in node.names
+                           if (PACKAGE / f"{alias.name}.py").exists())
+    return targets
+
+
+def test_every_module_has_a_layer():
+    assert {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"} == set(LEVEL)
+
+
+def test_relative_imports_go_down_the_layers():
+    upward = [(name, target)
+              for name in sorted(LEVEL)
+              for target in sorted(relative_imports(PACKAGE / f"{name}.py"))
+              if LEVEL[target] >= LEVEL[name]]
+    assert upward == []

@@ -244,7 +244,7 @@ def test_random_seeds_have_frozen_chern():
 def test_tri_path_same_class_constant():
     h0 = models.rotor_spin(0.5)
     h1 = models.rotor_spin(0.5, perturbation_strength=0.2, seed=5)
-    path = models.tri_path(h0, h1, SPHERE_GRID, (0, 0), steps=9, gap_floor=1e-3)
+    path = invariants.tri_path(h0, h1, SPHERE_GRID, (0, 0), steps=9, gap_floor=1e-3)
     assert path.verdict == "GAPPED-CONSTANT-C"
     assert path.chern == 1
     assert all(c == 1 for (_, _, c) in path.samples)
@@ -265,7 +265,7 @@ def test_tri_path_intermediate_fields_remain_tri():
 def test_tri_path_distinct_chern_detects_closing():
     h0 = models.random_tri("sphere", 2, cutoff=2, seed=SEED_C_PLUS_ONE)
     h1 = models.random_tri("sphere", 2, cutoff=2, seed=SEED_C_MINUS_ONE)
-    path = models.tri_path(h0, h1, SPHERE_GRID, (0, 0), steps=21, gap_floor=1e-3)
+    path = invariants.tri_path(h0, h1, SPHERE_GRID, (0, 0), steps=21, gap_floor=1e-3)
     assert path.verdict == "GAP-CLOSES"
     lo, hi = path.closing_bracket
     assert 0.0 < lo < hi <= 1.0
@@ -283,7 +283,7 @@ def test_tri_path_kramers_to_trivial_closes():
     h1 = bands.HamiltonianField(4, Manifold.SPHERE, t, const)
     residual, ok = bands.check_tri(h1, SPHERE_GRID, 1e-9)
     assert ok
-    path = models.tri_path(h0, h1, SPHERE_GRID, (0, 1), steps=13, gap_floor=1e-3)
+    path = invariants.tri_path(h0, h1, SPHERE_GRID, (0, 1), steps=13, gap_floor=1e-3)
     assert path.verdict == "GAP-CLOSES"
 
 
@@ -301,7 +301,7 @@ def test_tri_path_evaluates_each_endpoint_once():
 
     h0 = counted(models.random_tri("sphere", 2, cutoff=2, seed=SEED_C_PLUS_ONE), "h0")
     h1 = counted(models.random_tri("sphere", 2, cutoff=2, seed=SEED_C_MINUS_ONE), "h1")
-    path = models.tri_path(h0, h1, SPHERE_GRID, (0, 0), steps=21, gap_floor=1e-3)
+    path = invariants.tri_path(h0, h1, SPHERE_GRID, (0, 0), steps=21, gap_floor=1e-3)
     assert path.verdict == "GAP-CLOSES" and len(path.samples) >= 21
     n = SPHERE_GRID.n_vertices
     assert evaluated == [("h0", n), ("h1", n)]
@@ -352,9 +352,9 @@ def interleaved_tri_path(h0, h1, grid, band_range, steps, gap_floor):
         prev = (float(s), c)
     records.sort(key=lambda r: r[0])
     if bracket is not None:
-        return models.TriPath(records, "GAP-CLOSES", bracket)
+        return invariants.TriPath(records, "GAP-CLOSES", bracket)
     (chern,) = {c for (_, _, c) in records}
-    return models.TriPath(records, "GAPPED-CONSTANT-C", None, chern=chern)
+    return invariants.TriPath(records, "GAPPED-CONSTANT-C", None, chern=chern)
 
 
 @pytest.mark.parametrize("m1,steps,event", [(3.0, 11, "ungapped sample"),
@@ -364,7 +364,7 @@ def test_tri_path_matches_interleaved_scan(m1, steps, event):
     # its gap at m = 2: with m1 = 3 the sample s = 1/2 sits on the closing;
     # with m1 = 3.3 it falls between two gapped samples of different c
     h0, h1 = models.torus_doubled_chern(1.0), models.torus_doubled_chern(m1)
-    path = models.tri_path(h0, h1, TORUS_GRID, (0, 1), steps=steps, gap_floor=1e-3)
+    path = invariants.tri_path(h0, h1, TORUS_GRID, (0, 1), steps=steps, gap_floor=1e-3)
     assert path == interleaved_tri_path(h0, h1, TORUS_GRID, (0, 1), steps, 1e-3)
     assert path.verdict == "GAP-CLOSES"
     assert (len(path.samples) > steps) == (event == "gapped change of c")
@@ -374,18 +374,18 @@ def test_tri_path_rejects_mismatched_operators():
     h0 = models.rotor_spin(0.5)
     h1 = models.random_tri("torus", 2, seed=1)
     with pytest.raises(TrackingError):
-        models.tri_path(h0, h1, SPHERE_GRID, (0, 0))
+        invariants.tri_path(h0, h1, SPHERE_GRID, (0, 0))
 
 
 def test_tri_path_rejects_ungapped_endpoint():
     h0 = models.rotor_spin(0.5)
     h1 = models.torus_doubled_chern(m=2.0)  # wrong manifold anyway
     with pytest.raises(TrackingError):
-        models.tri_path(h0, h1, SPHERE_GRID, (0, 0))
+        invariants.tri_path(h0, h1, SPHERE_GRID, (0, 0))
     ungapped = models.torus_doubled_chern(m=2.0)
     gapped = models.torus_doubled_chern(m=1.0)
     with pytest.raises(GapError):
-        models.tri_path(gapped, ungapped, TORUS_GRID, (0, 1), gap_floor=1e-3)
+        invariants.tri_path(gapped, ungapped, TORUS_GRID, (0, 1), gap_floor=1e-3)
 
 
 def test_rotor_spin_five_halves_full_ladder():

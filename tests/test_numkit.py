@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,11 +22,11 @@ def random_unitary(rng, n):
 
 
 # ---------------------------------------------------------------------------
-# eigh
+# eigh_many of one matrix
 
 
 def test_eigh_diagonal():
-    w, v = numkit.eigh(np.diag([2.0, 1.0]))
+    (w,), (v,) = numkit.eigh_many(np.diag([2.0, 1.0])[None])
     assert np.allclose(w, [1.0, 2.0])
     # permutation of the identity with positive leading entries
     assert np.allclose(np.abs(v), [[0, 1], [1, 0]])
@@ -33,7 +35,7 @@ def test_eigh_diagonal():
 
 def test_eigh_sigma_x():
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    w, v = numkit.eigh(sx)
+    (w,), (v,) = numkit.eigh_many(sx[None])
     assert np.allclose(w, [-1.0, 1.0])
     assert np.allclose(np.abs(v), np.full((2, 2), 1 / np.sqrt(2)))
 
@@ -41,7 +43,7 @@ def test_eigh_sigma_x():
 def test_eigh_random_residuals():
     rng = np.random.default_rng(7)
     h = random_hermitian(rng, 8)
-    w, v = numkit.eigh(h)
+    (w,), (v,) = numkit.eigh_many(h[None])
     scale = np.linalg.norm(h, 2)
     assert numkit.max_abs(h @ v - v * w[None, :]) <= 1e-10 * scale
     assert numkit.max_abs(v.conj().T @ v - np.eye(8)) <= 1e-12
@@ -50,14 +52,14 @@ def test_eigh_random_residuals():
 
 def test_eigh_rejects_non_hermitian():
     with pytest.raises(DomainError):
-        numkit.eigh(np.array([[0, 1], [0, 0]], dtype=complex))
+        numkit.eigh_many(np.array([[[0, 1], [0, 0]]], dtype=complex))
 
 
 def test_eigh_deterministic_gauge():
     rng = np.random.default_rng(3)
     h = random_hermitian(rng, 6)
-    _, v1 = numkit.eigh(h)
-    _, v2 = numkit.eigh(h.copy())
+    _, (v1,) = numkit.eigh_many(h[None])
+    _, (v2,) = numkit.eigh_many(h.copy()[None])
     assert np.array_equal(v1, v2)
 
 
@@ -180,6 +182,18 @@ def test_winding_under_resolved():
     phi = 2 * np.pi * np.arange(4) / 4
     with pytest.raises(ResolutionError):
         numkit.winding_number(np.exp(1j * phi))
+
+
+@pytest.mark.parametrize("at", [17, 63])
+def test_winding_under_resolved_names_the_step(at):
+    # one step of 1.9013 rad from sample at to the next, the others equal
+    # and small, so the loop closes after one turn
+    steps = np.full(64, (2 * np.pi - 1.9013) / 63)
+    steps[at] = 1.9013
+    z = np.exp(1j * np.concatenate([[0.0], np.cumsum(steps[:-1])]))
+    message = f"phase step 1.9013 rad >= pi/2 between samples {at} and {(at + 1) % 64} of 64"
+    with pytest.raises(ResolutionError, match=re.escape(message)):
+        numkit.winding_number(z)
 
 
 def test_winding_rejects_too_few_samples():

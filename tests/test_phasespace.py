@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from phasetop import phasespace
 from phasetop.errors import ConfigError
-from phasetop.phasespace import Manifold, build_grid, fundamental_domain, tr_image
+from phasetop.phasespace import Manifold, build_grid, fundamental_domain, tr_image_batch
 
 
 def domain_rows(grid):
@@ -18,14 +18,14 @@ def domain_rows(grid):
 
 
 def test_tr_image_sphere_equator():
-    th, ph = tr_image(Manifold.SPHERE, (np.pi / 2, 0.0))
+    ((th, ph),) = tr_image_batch(Manifold.SPHERE, np.array([[np.pi / 2, 0.0]]))
     assert th == pytest.approx(np.pi / 2)
     assert ph == pytest.approx(np.pi)
 
 
 def test_tr_image_torus_fixed_lines():
-    assert tr_image(Manifold.TORUS, (1.0, 0.0)) == (1.0, 0.0)
-    q, p = tr_image(Manifold.TORUS, (0.7, 1.3))
+    assert tr_image_batch(Manifold.TORUS, np.array([[1.0, 0.0]])).tolist() == [[1.0, 0.0]]
+    ((q, p),) = tr_image_batch(Manifold.TORUS, np.array([[0.7, 1.3]]))
     assert (q, p) == (0.7, pytest.approx(2 * np.pi - 1.3))
 
 

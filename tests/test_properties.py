@@ -488,8 +488,9 @@ TRI_PATH_GRID = build_grid(Manifold.TORUS, 16, 32)
 def test_tri_path_brackets_doubled_chern_closing(m0, m1, steps):
     # H_s is TorusDoubledChern at m = (1 - s) m0 + s m1, whose lower pair
     # closes its gap at m = 2 only
-    path = models.tri_path(models.torus_doubled_chern(m0), models.torus_doubled_chern(m1),
-                           TRI_PATH_GRID, (0, 1), steps=steps, gap_floor=1e-3)
+    path = invariants.tri_path(models.torus_doubled_chern(m0),
+                               models.torus_doubled_chern(m1),
+                               TRI_PATH_GRID, (0, 1), steps=steps, gap_floor=1e-3)
     assert path.verdict == "GAP-CLOSES"
     lo, hi = path.closing_bracket
     assert lo <= (2.0 - m0) / (m1 - m0) <= hi
