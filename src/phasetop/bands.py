@@ -190,17 +190,6 @@ class Frame:
     data: np.ndarray         # (n_domain_vertices, N_A, N_B), by grid vid
 
 
-def _transport_polars(overlaps: np.ndarray) -> np.ndarray:
-    """Polar factors of a stack of transport-step overlaps b^dagger a, in one
-    numkit.polar_unitary call; a step between nearly orthogonal slabs refuses."""
-    try:
-        return numkit.polar_unitary(overlaps)
-    except SingularityError as exc:
-        raise SingularityError(
-            "projector alignment is rank-deficient; refine the grid"
-        ) from exc
-
-
 def frame_residuals(frame: Frame, slabs: np.ndarray) -> dict:
     """The frame_* report residuals: orthonormality and span against the
     eigenvector slabs, the largest frame distance across a domain edge
@@ -245,7 +234,9 @@ def smooth_frame(spectrum: Spectrum, group: BandGroup, domain: FundamentalDomain
     the steps' polar factors.  The overlaps b^dagger a of all steps (the
     columns, then the base row with its closing step, or the meridians)
     take one stacked numkit.polar_unitary call, and a running product along
-    each chain composes them.  The frame holds its values alone; its
+    each chain composes them; a step between nearly orthogonal slabs raises
+    SingularityError.  smooth_frame is the one code that moves a frame.
+    The frame holds its values alone; its
     continuity is measured by frame_residuals.
     """
     chains = transport_chains(domain)
@@ -260,7 +251,11 @@ def smooth_frame(spectrum: Spectrum, group: BandGroup, domain: FundamentalDomain
         base = path[:, 0]
         ring = np.swapaxes(np.roll(base, -1, axis=0).conj(), -1, -2) @ base
         steps = np.concatenate([steps, ring])
-    polar = _transport_polars(steps)
+    try:
+        polar = numkit.polar_unitary(steps)
+    except SingularityError as exc:
+        raise SingularityError(
+            "projector alignment is rank-deficient; refine the grid") from exc
     start = np.eye(nb)
     if torus:  # the base row, twisted so that it closes: ring[L] is the holonomy
         ring = _running_products(polar[L * (rows - 1):], start)

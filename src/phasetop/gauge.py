@@ -272,12 +272,9 @@ def regauge_frame(frame: Frame, extension: DiskExtension) -> Frame:
 
 @dataclass(frozen=True)
 class SkewNormalForm:
-    """Block-diagonal targets and congruence loops for the torus TRI lines."""
+    """How well the congruence loops W take the torus TRI-line loops to their
+    block-diagonal targets, and the det windings of U, V and W per line."""
 
-    target_plus: np.ndarray    # (L, N_B, N_B)
-    target_minus: np.ndarray
-    w_plus: np.ndarray
-    w_minus: np.ndarray
     residual: float            # max |V - W^t U W| over lines and samples
     windings: dict             # det-winding bookkeeping
 
@@ -356,7 +353,7 @@ def skew_normal_form(u_plus: TransitionLoop, u_minus: TransitionLoop,
         raise DomainError("skew normal form needs matching even ranks")
     q = 2.0 * np.pi * np.arange(L) / L
 
-    results = {}
+    windings = {}
     residual = 0.0
     for tag, loop, alphas in (
         ("plus", u_plus, 0.5 * c * q),
@@ -369,19 +366,7 @@ def skew_normal_form(u_plus: TransitionLoop, u_minus: TransitionLoop,
         target = _block_target(alphas, nb)
         rebuilt = np.einsum("vji,vjk,vkl->vil", w, loop.samples, w)
         residual = max(residual, float(max_abs(rebuilt - target)))
-        results[tag] = (target, w)
-
-    target_p, w_p = results["plus"]
-    target_m, w_m = results["minus"]
-    windings = {
-        "det_v_plus": numkit.det_winding(target_p),
-        "det_v_minus": numkit.det_winding(target_m),
-        "det_u_plus": numkit.det_winding(u_plus.samples),
-        "det_u_minus": numkit.det_winding(u_minus.samples),
-        "det_w_plus": numkit.det_winding(w_p),
-        "det_w_minus": numkit.det_winding(w_m),
-    }
-    return SkewNormalForm(
-        target_plus=target_p, target_minus=target_m,
-        w_plus=w_p, w_minus=w_m, residual=residual, windings=windings,
-    )
+        windings[f"det_v_{tag}"] = numkit.det_winding(target)
+        windings[f"det_u_{tag}"] = numkit.det_winding(loop.samples)
+        windings[f"det_w_{tag}"] = numkit.det_winding(w)
+    return SkewNormalForm(residual=residual, windings=windings)

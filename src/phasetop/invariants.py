@@ -30,8 +30,6 @@ from .bands import (
     HamiltonianField,
     Spectrum,
     TransitionLoop,
-    _running_products,
-    _transport_polars,
     check_tri,
     find_gapped_groups,
     frame_residuals,
@@ -48,7 +46,6 @@ from .errors import (
     DomainError,
     PhasetopError,
     ResolutionError,
-    SingularityError,
     TrackingError,
     TRIViolationError,
 )
@@ -223,8 +220,9 @@ def km_census(h_field: HamiltonianField, frame: Frame, mf: MField,
     The sum of principal-value phase steps telescopes, so the census total
     equals the boundary winding exactly.  A step that reaches CENSUS_EDGE_CAP
     means a zero sits essentially on an edge and its plaquette attribution is
-    ambiguous, so _split_steps re-measures each such edge from h_field and
-    frame, and its step takes the place of the principal one; every edge
+    ambiguous, so _split_steps re-measures each such edge from h_field, the
+    frame at its first vertex and link determinants along it, and its step
+    takes the place of the principal one; every edge
     enters both its plaquettes with opposite signs, so the total still
     telescopes.  (A plaquette that simply contains a zero has steps around
     pi/2; that is fine and expected.)  Raises DegenerateConfigurationError
@@ -265,19 +263,20 @@ def _split_steps(h_field: HamiltonianField, frame: Frame, mf: MField,
 
     Each edge is cut into 2, then 4, 8 and 16 equal parts
     (CENSUS_EDGE_SPLITS) until every sub-step is below CENSUS_EDGE_CAP.  H is
-    solved at the interior points only.  The frame is transported there from
-    the edge's first vertex as smooth_frame transports it: a pass takes the
-    overlaps of every step along every edge in one stacked polar call and
-    composes them by a running product.  The last sub-step ends on the vertex
+    solved at the interior points only.  No frame is moved there: the frame
+    that parallel transport from the edge's first vertex would give is the
+    sub-point's slab times a unitary G, and pf M(u G) = conj(det G) pf M(u),
+    where det G is the running product of the phases of the links
+    det(chain[k+1]^dagger chain[k]) along the chain from that vertex through
+    the sub-points.  The last sub-step ends on the vertex
     value of pf M, so the summed sub-steps differ from the principal step by
     a whole number of turns.  An edge still at the cap after the last split is
     settled when its sum equals the previous split's within 1e-6: along a
     sub-segment that misses a simple zero, the phase of pf M changes by less
     than pi.  Raises ResolutionError naming the edge and the cause when a
-    split fails: a group gap at or below gap_floor, a singular transport
-    (named by the edge whose overlaps have the smallest singular value) or
-    |pf M| below PF_HARD_FLOOR at a sub-point, or a last split that has not
-    converged.
+    split fails: a group gap at or below gap_floor, a link modulus at or
+    below LINK_FLOOR or |pf M| below PF_HARD_FLOOR at a sub-point, or a last
+    split that has not converged.
     """
     grid, group = frame.domain.grid, frame.group
     edges = grid.edges[edge_ids]
@@ -296,18 +295,17 @@ def _split_steps(h_field: HamiltonianField, frame: Frame, mf: MField,
                                  f"group gap {gaps[worst]:.3e} <= gap floor "
                                  f"{gap_floor:g} at a sub-point")
         slabs = spec.band_vectors(group).reshape(todo.size, n - 1, *shape)
-        # the chain from the edge's first vertex through the sub-points: every
-        # step's overlap in one polar call, composed by a running product
+        # the links along the chain from the edge's first vertex through the sub-points
         chain = np.concatenate([frame.data[edges[todo, :1]], slabs], axis=1)
-        overlaps = np.swapaxes(chain[:, 1:].conj(), -1, -2) @ chain[:, :-1]
-        try:
-            polar = _transport_polars(overlaps)
-        except SingularityError:
-            smallest = np.linalg.svd(overlaps, compute_uv=False)[..., -1].min(axis=1)
-            raise _split_failure(edge_ids[todo[np.argmin(smallest)]],
-                                 "singular transport at a sub-point") from None
-        frames = slabs @ _running_products(polar, np.eye(shape[1]))[:, 1:]
-        inner = numkit.pfaffian(_m_values(frames.reshape(-1, *shape), h_field.t))
+        links = np.linalg.det(np.swapaxes(chain[:, 1:].conj(), -1, -2) @ chain[:, :-1])
+        worst = np.argmin(np.abs(links))
+        if abs(links.flat[worst]) <= LINK_FLOOR:
+            raise _split_failure(edge_ids[todo[worst // (n - 1)]],
+                                 f"|link| = {abs(links.flat[worst]):.3e} <= link "
+                                 f"floor {LINK_FLOOR:g} at a sub-point")
+        # pf M(u G) = conj(det G) pf M(u), det G the running product of link phases
+        inner = (numkit.pfaffian(_m_values(slabs.reshape(-1, *shape), h_field.t))
+                 * np.cumprod(links / np.abs(links), axis=1).conj().ravel())
         worst = np.argmin(np.abs(inner))
         if abs(inner[worst]) < PF_HARD_FLOOR:
             raise _split_failure(edge_ids[todo[worst // (n - 1)]],

@@ -595,11 +595,12 @@ def test_split_step_matches_a_fine_walk_and_enters_both_plaquettes():
     assert census.total == invariants.km_boundary(mf) == 1
 
 
-def test_split_takes_one_polar_call_per_pass(monkeypatch):
-    # each pass solves the sub-points of the edges still at the cap, then
-    # moves the frame to all of them with one polar call: a step per sub-point
+def test_split_takes_one_eigh_call_per_pass_and_no_polar_call(monkeypatch):
+    # each pass solves the sub-points of the edges still at the cap in one
+    # eigh call and reads their pf M phases through link determinants, so no
+    # frame is moved: 6 edges cut in 2, then 2, 2 and 1 of them in 4, 8 and 16
     h, group, frame, mf = _seed_200_refined_census()
-    solved, stepped = [], []
+    solved, polars = [], []
     eigh_many, polar_unitary = numkit.eigh_many, numkit.polar_unitary
 
     def eigh(hs):
@@ -607,7 +608,7 @@ def test_split_takes_one_polar_call_per_pass(monkeypatch):
         return eigh_many(hs)
 
     def polar(a):
-        stepped.append(int(np.prod(a.shape[:-2])))
+        polars.append(a.shape)
         return polar_unitary(a)
 
     monkeypatch.setattr(numkit, "eigh_many", eigh)
@@ -615,10 +616,31 @@ def test_split_takes_one_polar_call_per_pass(monkeypatch):
     ids = _flagged_edges(mf)
     steps = invariants._split_steps(h, frame, mf, ids, SEED_200_TOL.gap_floor)
     monkeypatch.undo()
-    assert len(solved) == len(invariants.CENSUS_EDGE_SPLITS)
-    assert stepped == solved
+    assert len(ids) == 6 and solved == [6, 6, 14, 15]
+    assert polars == []
     fine = _fine_walks(h, group, frame, mf, frame.domain.grid.edges[ids], 64)
     assert np.max(np.abs(steps - fine.sum(axis=1))) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [210, 211, 225, 226, 249])
+def test_split_link_phases_match_the_polar_transport(seed):
+    # the split takes each sub-point's pf M phase from link determinants; the
+    # oracle moves the frame there one polar step at a time.  Seeds 211 and
+    # 225 meet a sub-point gap below 0.03, so the split runs at a floor of
+    # 1e-3 here: this test is about the phases, not the gap guard
+    h = models.random_tri("torus", 4, cutoff=3, seed=seed)
+    spec = bands.spectrum_on_grid(h, SEED_200_GRID)
+    domain = fundamental_domain(SEED_200_GRID)
+    groups = bands.find_gapped_groups(spec, SEED_200_TOL.gap_floor)
+    assert [group.rank for group in groups] == [2, 2]
+    for group in groups:
+        frame = bands.smooth_frame(spec, group, domain)
+        mf = invariants.m_field(frame, h.t)
+        ids = _flagged_edges(mf)
+        assert ids.size
+        steps = invariants._split_steps(h, frame, mf, ids, 1e-3)
+        fine = _fine_walks(h, group, frame, mf, SEED_200_GRID.edges[ids], 64)
+        assert np.max(np.abs(steps - fine.sum(axis=1))) <= 1e-9
 
 
 def test_census_edge_split_on_the_sphere():
@@ -696,7 +718,7 @@ def test_split_names_a_singular_sub_point(monkeypatch, cause):
             return w, v
 
         monkeypatch.setattr(numkit, "eigh_many", eigh)
-        expected = "singular transport at a sub-point"
+        expected = r"\|link\| = 0.000e\+00 <= link floor 1e-06 at a sub-point"
     else:
         pfaffian = numkit.pfaffian
         monkeypatch.setattr(numkit, "pfaffian", lambda m: pfaffian(m) * (

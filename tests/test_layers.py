@@ -1,4 +1,5 @@
-"""The package's modules import one another strictly down one layer order."""
+"""The package's modules import one another strictly down one layer order,
+and none of them reaches for another module's private (underscore) names."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,30 @@ def test_relative_imports_go_down_the_layers():
               for target in sorted(relative_imports(PACKAGE / f"{name}.py"))
               if LEVEL[target] >= LEVEL[name]]
     assert upward == []
+
+
+def private_imports(path: Path) -> set:
+    """The (module, name) pairs of underscore names that the module at path
+    takes from another package module: by `from .module import _name`, or as
+    `module._name` after `from . import module`.  Dunder names are exempt."""
+    tree = ast.parse(path.read_text())
+    modules, taken = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                taken.update((node.module, alias.name) for alias in node.names)
+            else:
+                modules.update(alias.asname or alias.name for alias in node.names
+                               if (PACKAGE / f"{alias.name}.py").exists())
+    taken.update((node.value.id, node.attr) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id in modules)
+    return {(module, name) for module, name in taken
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def test_no_module_imports_another_modules_private_names():
+    reached = [(path.stem, *pair)
+               for path in sorted(PACKAGE.glob("*.py"))
+               for pair in sorted(private_imports(path))]
+    assert reached == []

@@ -96,15 +96,19 @@ def test_polar_refuses_one_singular_value_below_the_floor(seed, m, n, extra, dat
 
 
 def test_transport_stack_reraises_rank_deficiency():
-    rng = np.random.default_rng(4)
-    q = np.linalg.qr(complex_normal(rng, (5, 4, 4)))[0]
-    slab = q[:, :, :2]
-    u = slab.copy()
-    u[3] = q[3, :, 2:]  # orthogonal to its target eigenspace
-    overlaps = np.swapaxes(slab.conj(), -1, -2) @ u
-    assert numkit.max_abs(bands._transport_polars(overlaps[:3]) - np.eye(2)) <= 1e-12
+    # one eigenbasis at every vertex makes every transport step the identity,
+    # until one vertex's group columns turn orthogonal to its chain neighbour's
+    grid = build_grid(Manifold.TORUS, 8, 8)
+    domain = fundamental_domain(grid)
+    q = np.linalg.qr(complex_normal(np.random.default_rng(4), (4, 4)))[0]
+    energies = np.broadcast_to(np.arange(4.0), (grid.n_vertices, 4))
+    vectors = np.broadcast_to(q, (grid.n_vertices, 4, 4)).copy()
+    group = bands.BandGroup(0, 1, 1.0)
+    frame = bands.smooth_frame(bands.Spectrum(energies, vectors), group, domain)
+    assert numkit.max_abs(frame.data - q[:, :2]) <= 1e-12
+    vectors[transport_chains(domain)[1, 2]] = np.roll(q, 2, axis=1)
     with pytest.raises(SingularityError, match="projector alignment is rank-deficient"):
-        bands._transport_polars(overlaps)
+        bands.smooth_frame(bands.Spectrum(energies, vectors), group, domain)
 
 
 # ---------------------------------------------------------------------------
