@@ -54,8 +54,14 @@ class AntiUnitary:
         return np.einsum("ij,vjk->vik", self.j, x.conj())
 
     def conjugate_field(self, h_stack: np.ndarray) -> np.ndarray:
-        """J conj(H) J^dagger applied to a stack of matrices."""
-        return self.j @ np.conj(h_stack) @ self.j.conj().T
+        """J conj(H) J^dagger applied to a stack of matrices, as one row-blocked
+        product: vec(J X J^dagger) = kron(J, conj J) vec(X) in row-major order,
+        taken as conj(vec(H)^t kron(conj J, J)^t) so that no conjugated copy
+        of the stack is made."""
+        h_stack = np.asarray(h_stack, dtype=complex)
+        out = numkit.blocked_matmul(h_stack.reshape(-1, self.dim ** 2),
+                                    np.kron(self.j.conj(), self.j).T)
+        return np.conj(out, out=out).reshape(h_stack.shape)
 
     def tri_residual(self, hs: np.ndarray, grid: Grid) -> float:
         """Max vertex residual of J conj(H(tau x)) J^dagger - H(x) for the
@@ -132,16 +138,45 @@ class Spectrum:
 def spectrum_on_grid(h_field: HamiltonianField, grid: Grid) -> Spectrum:
     """h_field's spectrum on grid, solved once per field and grid: the memo
     keys it by (manifold, n_lat, n_lon), which names a grid because grids come
-    only from build_grid and refine_grid.  It takes check_tri's stack, if any."""
+    only from build_grid and refine_grid.  It takes check_tri's stack, if any.
+
+    When the memo holds a spectrum on a grid whose rows and columns are every
+    r-th row and s-th column of this one, its energies and vectors are copied
+    to those vertices and H is evaluated and solved at the others alone; the
+    solve is per point, so the result is the full solve's, bit for bit.
+    """
     key = (grid.manifold, grid.n_lat, grid.n_lon)
     memo = h_field._memo
     hs = memo.pop(("stack",) + key, None)
     if key not in memo:
-        spec = Spectrum.from_stack(h_field(grid.points) if hs is None else hs)
+        coarse = max((k for k in memo if len(k) == 3 and k[0] == grid.manifold
+                      and grid.n_lat % k[1] == 0 and grid.n_lon % k[2] == 0),
+                     key=lambda k: k[1] * k[2], default=None)
+        if coarse is None:
+            spec = Spectrum.from_stack(h_field(grid.points) if hs is None else hs)
+        else:
+            spec = _extend_spectrum(h_field, grid, hs, memo[coarse],
+                                    grid.n_lat // coarse[1], grid.n_lon // coarse[2])
         # shared by every caller
         spec.energies.flags.writeable = spec.vectors.flags.writeable = False
         memo[key] = spec
     return memo[key]
+
+
+def _extend_spectrum(h_field: HamiltonianField, grid: Grid, hs, coarse: Spectrum,
+                     r: int, s: int) -> Spectrum:
+    """The spectrum on grid from the spectrum on its sub-grid of every r-th row
+    and s-th column, solving the other vertices; hs is H on grid, or None."""
+    # both grids number their vertices row-major, poles first and last, so the
+    # sub-grid's vertices come in its own vid order
+    kept = (grid.vertex_lat % r == 0) & (grid.vertex_lon % s == 0)
+    new = np.flatnonzero(~kept)
+    solved = Spectrum.from_stack(h_field(grid.points[new]) if hs is None else hs[new])
+    energies = np.empty((grid.n_vertices, coarse.n_a))
+    vectors = np.empty((grid.n_vertices, coarse.n_a, coarse.n_a), dtype=complex)
+    energies[kept], vectors[kept] = coarse.energies, coarse.vectors
+    energies[new], vectors[new] = solved.energies, solved.vectors
+    return Spectrum(energies, vectors)
 
 
 @dataclass(frozen=True)

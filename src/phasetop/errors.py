@@ -40,6 +40,11 @@ class ResolutionError(PhasetopError):
     """Sampling too coarse; the caller may refine and retry."""
 
 
+class LoopStepError(ResolutionError):
+    """A phase step of pi/2 or more along a closed loop: the loop needs more
+    samples along itself."""
+
+
 class BranchError(PhasetopError):
     """No admissible branch cut for a matrix logarithm."""
 

@@ -44,6 +44,7 @@ from .errors import (
     ConfigError,
     DegenerateConfigurationError,
     DomainError,
+    LoopStepError,
     PhasetopError,
     ResolutionError,
     TrackingError,
@@ -78,7 +79,7 @@ FLUX_CAP = np.pi - 0.1            # largest admissible |plaquette flux|
 CENSUS_EDGE_CAP = np.pi - 0.2     # pf M phase step that puts a zero on an edge
 PF_HARD_FLOOR = 1e-12             # |pf M| below which the zeros are not isolated
 CENSUS_EDGE_SPLITS = (2, 4, 8, 16)  # sub-intervals tried in turn on a census edge
-MAX_GRID_REFINEMENTS = 1          # each refinement doubles both grid directions
+MAX_GRID_REFINEMENTS = 1          # doublings of each grid direction a retry may take
 MAX_LOOP_SAMPLES = 2 ** 14        # no refinement past this many boundary samples
 
 
@@ -100,7 +101,9 @@ def chern_plaquette(vectors: np.ndarray, grid: Grid):
     flux F_P is the principal value of the summed link phases around the
     plaquette in the declared flux orientation; c = (1/2pi) sum F_P is an
     exact integer.  A square frame (N_B = N_A, the whole bundle) is unitary,
-    so its link is conj(det u(x)) det u(y): one determinant per vertex.
+    so its link is conj(det u(x)) det u(y): one determinant per vertex.  A
+    frame of rank 1 to 3 takes its N_B^2 column inner products and their
+    Leibniz determinant; a wider one, einsum overlaps and np.linalg.det.
     """
     if vectors.shape[-1] == vectors.shape[-2]:
         dets = np.linalg.det(vectors)
@@ -108,7 +111,7 @@ def chern_plaquette(vectors: np.ndarray, grid: Grid):
     else:  # one link per grid edge, gathering the frames of at most P edges at a time
         step = grid.n_plaquettes
         links = np.concatenate([
-            np.linalg.det(np.einsum("vji,vjk->vik", vectors[a].conj(), vectors[b]))
+            _links(vectors, a, b)
             for a, b in (grid.edges[s:s + step].T for s in range(0, len(grid.edges), step))])
     # self-links at a repeated pole corner are exactly 1 and harmless
     if np.any(np.abs(links) <= LINK_FLOOR):
@@ -128,6 +131,18 @@ def chern_plaquette(vectors: np.ndarray, grid: Grid):
     if abs(c - c_int) > 1e-6:
         raise ResolutionError(f"total flux/2pi = {c!r} is not an integer")
     return CurvatureField(grid=grid, flux=flux), c_int
+
+
+def _links(vectors: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """det(u(a)^dagger u(b)) for each pair of vertex ids a, b of a
+    (V, N_A, N_B) stack of frames."""
+    ua, ub = vectors[a].conj(), vectors[b]
+    nb = vectors.shape[-1]
+    if nb > 3:
+        return np.linalg.det(np.einsum("vji,vjk->vik", ua, ub))
+    overlaps = [[np.einsum("vj,vj->v", ua[:, :, i], ub[:, :, k]) for k in range(nb)]
+                for i in range(nb)]
+    return numkit.leibniz_det(np.moveaxis(np.array(overlaps), (0, 1), (-2, -1)))
 
 
 def curvature_tr_evenness(curv: CurvatureField, grid: Grid) -> float:
@@ -488,11 +503,21 @@ def _verify_once(h_field: HamiltonianField, group: BandGroup, grid: Grid,
 
 def verify_group(h_field: HamiltonianField, group: BandGroup, grid: Grid,
                  tol: Tolerances = Tolerances(), group_id: int = 0) -> InvariantReport:
-    """Run every invariant check for one gapped group, refining the grid once
+    """Run every invariant check for one gapped group, retrying on finer grids
     on resolution failures or cross-method disagreement before giving up.
 
-    Each attempt reads h_field's spectrum through spectrum_on_grid, so the
-    groups of one field share its spectrum on each grid.  A persisting
+    The retry goes after the direction that failed.  A boundary-loop phase
+    step (LoopStepError) first doubles n_lon alone; any other trigger, or a
+    failure on that grid, doubles n_lat as well, so no grid is finer than
+    the first with both directions doubled MAX_GRID_REFINEMENTS times, and
+    none has loops longer than MAX_LOOP_SAMPLES.  The report counts its
+    retries in refinements and names each rung and its trigger in its notes
+    ("refined to 24x256: phase step ...").  A resolution failure on the last
+    rung is raised as a plain ResolutionError whatever its trigger, so
+    LoopStepError stays inside the ladder; a GapError is raised as it is, on
+    any rung.  Each attempt reads h_field's spectrum through
+    spectrum_on_grid, so the groups of one field share its spectrum on each
+    grid, and a finer grid solves only its new vertices.  A persisting
     c_plaquette != c_winding is returned with consistent=False rather than
     raised, so callers can surface it in reports.
     """
@@ -504,24 +529,45 @@ def verify_group_fields(h_field: HamiltonianField, group: BandGroup, grid: Grid,
                         ) -> tuple[InvariantReport, GroupFields]:
     """verify_group, also returning the report's GroupFields, taken from the
     final (possibly refined) grid."""
-    for refinements in range(MAX_GRID_REFINEMENTS + 1):
-        # both triggers, a ResolutionError and a cross-method disagreement,
-        # refine only within the refinement count and the loop-sample cap
-        may_refine = (refinements < MAX_GRID_REFINEMENTS
-                      and grid.n_lon * 2 <= MAX_LOOP_SAMPLES)
+    start, rungs = grid, []
+    while True:
         try:
-            report, fields = _verify_once(h_field, group, grid, tol, group_id,
-                                          refinements)
-        except ResolutionError:
-            if not may_refine:
-                raise
+            report, fields = _verify_once(h_field, group, grid, tol, group_id, len(rungs))
+        except ResolutionError as exc:
+            # only the message is kept: holding exc would tie its traceback
+            # to this frame in a reference cycle
+            retry = _retry_grid(start, grid, isinstance(exc, LoopStepError))
+            if retry is None:
+                if type(exc) is ResolutionError:
+                    raise
+                raise ResolutionError(str(exc)) from exc
+            trigger = str(exc)
         else:
-            if report.consistent or not may_refine:
+            retry = None if report.consistent else _retry_grid(start, grid, False)
+            if retry is None:
+                report.notes[:0] = rungs
                 if not report.consistent:
                     report.notes.append("cross-method Chern disagreement persisted"
-                                        + (" after refinement" if refinements else ""))
+                                        + (" after refinement" if rungs else ""))
                 return report, fields
-        grid = refine_grid(grid)
+            trigger = (f"cross-method Chern disagreement, c_plaquette "
+                       f"{report.c_plaquette} != c_winding {report.c_winding}")
+        rungs.append(f"refined to {retry.n_lat}x{retry.n_lon}: {trigger}")
+        grid = retry
+
+
+def _retry_grid(start: Grid, grid: Grid, loop_step: bool) -> Grid | None:
+    """The next rung of the retry ladder after a failure on grid, or None
+    past its top: each direction doubles at most MAX_GRID_REFINEMENTS times
+    from start, a loop-step failure doubles n_lon alone while n_lon may
+    still double, and no rung is taken when the doubled loops of start
+    would pass MAX_LOOP_SAMPLES."""
+    limit = 1 << MAX_GRID_REFINEMENTS
+    if start.n_lon * limit > MAX_LOOP_SAMPLES:
+        return None
+    lon = grid.n_lon < start.n_lon * limit
+    lat = grid.n_lat < start.n_lat * limit and not (loop_step and lon)
+    return refine_grid(grid, lat, lon) if lat or lon else None
 
 
 def analyze_model(h_field: HamiltonianField, grid: Grid,

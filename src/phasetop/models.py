@@ -14,6 +14,7 @@ import numbers
 
 import numpy as np
 
+from . import numkit
 from .bands import AntiUnitary, HamiltonianField
 from .errors import ConfigError
 from .phasespace import Manifold, directions
@@ -69,11 +70,6 @@ def _probe_points(manifold: Manifold) -> np.ndarray:
         ph = np.linspace(0.0, 2 * np.pi, 27, endpoint=False)
     a, b = np.meshgrid(th, ph, indexing="ij")
     return np.stack([a.ravel(), b.ravel()], axis=1)
-
-
-# multiply-adds per field product: small enough that BLAS runs it on the
-# calling thread and its operands stay in cache
-_FIELD_PRODUCT = 1 << 17
 
 
 def _coefficient_table(manifold: Manifold, n: int, cutoff: int, seed: int):
@@ -139,18 +135,13 @@ def _table_field(basis, table: np.ndarray):
     """The field x -> basis(x) @ table as an (m, n, n) stack.
 
     The complex table entries are read as (re, im) float pairs, so this is
-    one real product, split into blocks of _FIELD_PRODUCT multiply-adds.
+    one real product, numkit.blocked_matmul.
     """
     n = table.shape[1]
     flat = table.reshape(len(table), n * n).view(float)
-    block_points = max(1, _FIELD_PRODUCT // flat.size)
 
     def evaluate(pts: np.ndarray) -> np.ndarray:
-        b = basis(np.atleast_2d(pts))
-        out = np.empty((b.shape[0], flat.shape[1]))
-        for start in range(0, b.shape[0], block_points):
-            np.matmul(b[start:start + block_points], flat,
-                      out=out[start:start + block_points])
+        out = numkit.blocked_matmul(basis(np.atleast_2d(pts)), flat)
         return out.view(complex).reshape(-1, n, n)
 
     return evaluate

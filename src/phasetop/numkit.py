@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BranchError, DomainError, ResolutionError, SingularityError
+from .errors import BranchError, DomainError, LoopStepError, ResolutionError, SingularityError
 
 HERMITICITY_TOL = 1e-10
 SKEW_TOL = 1e-9
@@ -20,11 +20,24 @@ LEAD_FLOOR = 1e-8        # smallest component that fixes an eigenvector's phase
 BRANCH_CUT_GAP = 1e-3    # narrowest eigenphase gap a log branch cut may use
 POLAR_SWEEPS = 16        # Newton-Schulz sweeps before polar_unitary takes the SVD
 POLAR_TOL = 1e-14        # largest |X^dagger X - I| of a converged polar iterate
+# multiply-adds per block of a row-blocked product: small enough that BLAS
+# runs it on the calling thread and its operands stay in cache
+PRODUCT_BLOCK = 1 << 17
 
 
 def max_abs(a) -> float:
     a = np.asarray(a)
     return float(np.max(np.abs(a))) if a.size else 0.0
+
+
+def blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-D a and b, taken in blocks of rows of a of at most
+    PRODUCT_BLOCK real multiply-adds (a complex one counts four)."""
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    rows = max(1, PRODUCT_BLOCK // (b.size * (4 if np.iscomplexobj(out) else 1)))
+    for start in range(0, a.shape[0], rows):
+        np.matmul(a[start:start + rows], b, out=out[start:start + rows])
+    return out
 
 
 def fix_phases(v: np.ndarray) -> np.ndarray:
@@ -58,18 +71,23 @@ def polar_unitary(a: np.ndarray) -> np.ndarray:
     stack of them (last two axes).
 
     For a tall matrix this is the closest matrix with orthonormal columns in
-    Frobenius distance.  The whole stack runs the Newton-Schulz iteration
-    X <- X (3 - X^dagger X) / 2 at once, which converges to U when every
-    singular value lies in (0, sqrt(3)).  A matrix leaves the iteration
-    when |X^dagger X - I| <= POLAR_TOL, so an input that is already unitary
-    leaves at sweep 0.  Before the first update, a matrix whose Gram matrix
-    A^dagger A has an absolute row sum of 3 or more is divided by the root
-    of the largest one, which bounds sigma_max^2; a positive scale does not
-    change U.  A matrix still iterating after POLAR_SWEEPS sweeps takes the
-    SVD instead.
+    Frobenius distance.  A matrix whose |A^dagger A - I| is at most
+    POLAR_TOL is unitary already and comes back untouched.  The others of a
+    1x1 or 2x2 stack take closed forms: z / |z|, and
+    U = (M + e^{i arg det M} adj(M)^dagger) / sqrt(|M|_F^2 + 2 |det M|),
+    since adj(M)^dagger = conj(det M) U P^-1 and P + |det M| P^-1 =
+    (sigma_1 + sigma_2) I.  Every other stack runs the Newton-Schulz
+    iteration X <- X (3 - X^dagger X) / 2 at once, which converges to U
+    when every singular value lies in (0, sqrt(3)); a matrix leaves it when
+    |X^dagger X - I| <= POLAR_TOL.  Before the first update, a matrix whose
+    Gram matrix A^dagger A has an absolute row sum of 3 or more is divided
+    by the root of the largest one, which bounds sigma_max^2; a positive
+    scale does not change U.  A matrix still iterating after POLAR_SWEEPS
+    sweeps takes the SVD instead.
     Near-singular inputs (smallest singular value at or below 1e-10) grow
     by at most 3/2 a sweep, never converge within the cap, and the SVD
-    refuses them, anywhere in the stack; the caller must jitter or refine
+    refuses them, anywhere in the stack; the closed forms refuse them alike,
+    with sigma_min = |det M| / sigma_max.  The caller must jitter or refine
     instead of silently accepting a garbage direction.
     """
     a = np.asarray(a, dtype=complex)
@@ -77,6 +95,7 @@ def polar_unitary(a: np.ndarray) -> np.ndarray:
         raise DomainError("polar_unitary expects square or tall matrices")
     stack = a.reshape((-1,) + a.shape[-2:])
     eye = np.eye(a.shape[-1])
+    closed = a.shape[-2] == a.shape[-1] <= 2   # after sweep 0, 1x1 and 2x2 take closed forms
     x = stack
     gram = np.swapaxes(x.conj(), -1, -2) @ x
     u = np.empty_like(stack)
@@ -85,7 +104,7 @@ def polar_unitary(a: np.ndarray) -> np.ndarray:
         done = np.max(np.abs(gram - eye), axis=(-2, -1), initial=0.0) <= POLAR_TOL
         u[todo[done]] = x[done]
         todo, x, gram = todo[~done], x[~done], gram[~done]
-        if not todo.size or sweep == POLAR_SWEEPS:
+        if not todo.size or sweep == POLAR_SWEEPS or closed:
             break
         if sweep == 0:  # sigma_max^2 is at most the Gram matrix's largest absolute row sum
             bound = np.max(np.sum(np.abs(gram), axis=-1), axis=-1)
@@ -94,14 +113,53 @@ def polar_unitary(a: np.ndarray) -> np.ndarray:
         x = x @ (1.5 * eye - 0.5 * gram)
         gram = np.swapaxes(x.conj(), -1, -2) @ x
     if todo.size:
-        w, s, vh = np.linalg.svd(stack[todo], full_matrices=False)
-        smallest = float(np.min(s[..., -1])) if s.size else np.inf
-        if smallest <= 1e-10:
-            raise SingularityError(
-                f"smallest singular value {smallest:.3e} <= 1e-10; input is near-singular"
-            )
-        u[todo] = w @ vh
+        u[todo] = _closed_polar(stack[todo]) if closed else _svd_polar(stack[todo])
     return u.reshape(a.shape)
+
+
+def _refuse_near_singular(smallest: float) -> None:
+    if not smallest > 1e-10:  # a NaN is refused as well
+        raise SingularityError(
+            f"smallest singular value {smallest:.3e} <= 1e-10; input is near-singular"
+        )
+
+
+def _svd_polar(m: np.ndarray) -> np.ndarray:
+    w, s, vh = np.linalg.svd(m, full_matrices=False)
+    _refuse_near_singular(float(np.min(s[..., -1])))
+    return w @ vh
+
+
+def _closed_polar(m: np.ndarray) -> np.ndarray:
+    """Polar factors of a stack of 1x1 or 2x2 matrices (see polar_unitary)."""
+    if m.shape[-1] == 1:
+        modulus = np.abs(m)
+        _refuse_near_singular(float(np.min(modulus)))
+        return m / modulus
+    det = leibniz_det(m)
+    mod = np.abs(det)
+    frob = np.sum(np.abs(m) ** 2, axis=(-2, -1))
+    # sigma_1 + sigma_2 and sigma_1 - sigma_2 from |M|_F^2 and |det M| = sigma_1 sigma_2
+    total = np.sqrt(frob + 2.0 * mod)
+    largest = 0.5 * (total + np.sqrt(np.maximum(frob - 2.0 * mod, 0.0)))
+    _refuse_near_singular(float(np.min(mod / np.where(largest > 0.0, largest, 1.0))))
+    adj_dagger = m[:, ::-1, ::-1].conj() * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return (m + (det / mod)[:, None, None] * adj_dagger) / total[:, None, None]
+
+
+def leibniz_det(m: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of 1x1, 2x2 or 3x3 matrices (last two axes),
+    summed over permutations by the Leibniz formula."""
+    n = m.shape[-1]
+    if n == 1:
+        return m[..., 0, 0]
+    if n == 2:
+        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    if n != 3:
+        raise DomainError("leibniz_det takes 1x1, 2x2 or 3x3 matrices")
+    return (m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
+            + m[..., 0, 1] * (m[..., 1, 2] * m[..., 2, 0] - m[..., 1, 0] * m[..., 2, 2])
+            + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]))
 
 
 def pfaffian(s: np.ndarray):
@@ -157,10 +215,11 @@ def winding_number(samples) -> int:
     loop wraps.
 
     Raises DomainError for fewer than 4 samples or a magnitude at or below
-    MAGNITUDE_FLOOR, and ResolutionError when any step reaches pi/2: the loop
-    is declared under-resolved and the caller should double its sampling
-    (capped at 2**14 samples by the refinement contract).  The error names
-    the largest step, the two samples it joins and the loop length.
+    MAGNITUDE_FLOOR, and LoopStepError (a ResolutionError) when any step
+    reaches pi/2: the loop is declared under-resolved and the caller should
+    double its sampling (capped at 2**14 samples by the refinement
+    contract).  The error names the largest step, the two samples it joins
+    and the loop length.
     """
     z = np.asarray(samples, dtype=complex).ravel()
     if z.size < 4:
@@ -175,7 +234,7 @@ def winding_number(samples) -> int:
     at = int(np.argmax(np.abs(steps)))
     worst = float(abs(steps[at]))
     if worst >= MAX_LOOP_STEP:
-        raise ResolutionError(
+        raise LoopStepError(
             f"phase step {worst:.4f} rad >= pi/2 between samples {at} and "
             f"{(at + 1) % z.size} of {z.size}; loop under-resolved, refine sampling"
         )

@@ -135,7 +135,7 @@ def build_grid(manifold: Manifold, n_lat: int, n_lon: int) -> Grid:
     return _shared_grid(manifold, n_lat, n_lon)
 
 
-@lru_cache(maxsize=2)  # a model's grid and its refinement; more would only hold memory
+@lru_cache(maxsize=2)  # a model's grid and its latest retry grid; more only holds memory
 def _shared_grid(manifold: Manifold, n_lat: int, n_lon: int) -> Grid:
     L = n_lon
     # plaquette (i, j) spans rows i, i+1 and columns j, j+1, row-major
@@ -177,9 +177,11 @@ def _shared_grid(manifold: Manifold, n_lat: int, n_lon: int) -> Grid:
     )
 
 
-def refine_grid(grid: Grid) -> Grid:
-    """The grid with both directions doubled."""
-    return build_grid(grid.manifold, grid.n_lat * 2, grid.n_lon * 2)
+def refine_grid(grid: Grid, lat: bool = True, lon: bool = True) -> Grid:
+    """The grid with n_lat doubled when lat is true and n_lon doubled when
+    lon is true; by default both.  The old grid's rows and columns are every
+    other row or column of the new one."""
+    return build_grid(grid.manifold, grid.n_lat * (1 + lat), grid.n_lon * (1 + lon))
 
 
 @dataclass(frozen=True)

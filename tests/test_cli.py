@@ -141,7 +141,7 @@ def test_analyze_dumps_tables(tmp_path):
 
 def test_analyze_dump_covers_refined_grid(tmp_path):
     # this model's equator winding is under-resolved at 32x64, so its groups
-    # are verified on the refined 64x128 grid; the dumps must cover that grid
+    # are verified on the refined 32x128 grid; the dumps must cover that grid
     cfg = write_config(
         tmp_path, "s140.json",
         {

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import re
 
 import numpy as np
@@ -345,7 +346,9 @@ def test_inconsistent_result_does_not_refine_past_loop_sample_cap(monkeypatch):
     rep = invariants.verify_group(models.rotor_spin(0.5), bands.BandGroup(0, 0, 1.0),
                                   grid, TOL)
     assert calls == [(16, 32, 0), (32, 64, 1)]
-    assert rep.notes == ["cross-method Chern disagreement persisted after refinement"]
+    assert rep.notes == ["refined to 32x64: cross-method Chern disagreement, "
+                         "c_plaquette 1 != c_winding -1",
+                         "cross-method Chern disagreement persisted after refinement"]
 
 
 def test_analyze_model_rejects_control():
@@ -433,14 +436,102 @@ def test_groups_share_the_discovery_spectrum(monkeypatch):
 
 
 def test_groups_that_refine_share_one_refined_spectrum(monkeypatch):
-    # both groups of torus seed 210 refine and then fail the gap floor on the
-    # refined grid; the two refined attempts share one 48x256 spectrum
+    # both groups of torus seed 210 fail a boundary-loop step, refine n_lon
+    # and then fail the gap floor on 24x256; the two refined attempts share
+    # one 24x256 spectrum, which solves only the 3072 vertices that 24x128
+    # lacks
     grid = build_grid(Manifold.TORUS, 24, 128)
     h, evaluated, solved = _counted(monkeypatch,
                                     models.random_tri("torus", 4, cutoff=3, seed=210))
     outcomes = _verify_each_group(h, grid, Tolerances(gap_floor=0.03))
     assert [type(o) for o in outcomes] == [GapError, GapError]
-    assert solved == evaluated == [3072, 12288]
+    assert all("not gapped" in str(o) for o in outcomes)
+    assert solved == evaluated == [3072, 3072]
+
+
+# the criterion-5 models whose groups refine: sphere at 32x64 (floor 0.05),
+# torus at 24x128 (floor 0.03)
+REFINING_MODELS = ([("sphere", seed, (32, 64), 0.05) for seed in (129, 130, 139, 140)]
+                   + [("torus", seed, (24, 128), 0.03)
+                      for seed in (200, 210, 211, 225, 226, 249)])
+
+
+@pytest.mark.parametrize("manifold, seed, shape, gap_floor", REFINING_MODELS,
+                         ids=[f"{m}-{seed}" for m, seed, _, _ in REFINING_MODELS])
+def test_retry_spectra_reuse_coarse_solves_bit_for_bit(manifold, seed, shape, gap_floor):
+    # both retry grids, reached through the n_lon rung or directly, take the
+    # coarse solves and solve only their new vertices: every energy and
+    # vector equals a fresh solve of the whole grid
+    start = build_grid(Manifold(manifold), *shape)
+    ladders = [[phasespace.refine_grid(start, lat=False), phasespace.refine_grid(start)],
+               [phasespace.refine_grid(start)]]
+    fresh = {}
+    for ladder in ladders:
+        h = models.random_tri(manifold, 4, cutoff=3, seed=seed)
+        assert bands.check_tri(h, start)[1]
+        bands.spectrum_on_grid(h, start)
+        for grid in ladder:
+            spec = bands.spectrum_on_grid(h, grid)
+            if grid.n_vertices not in fresh:
+                fresh[grid.n_vertices] = bands.Spectrum.from_stack(h(grid.points))
+            want = fresh[grid.n_vertices]
+            assert np.array_equal(spec.energies, want.energies)
+            assert np.array_equal(spec.vectors, want.vectors)
+
+
+def test_retries_leave_no_reference_cycles():
+    # a retry keeps the failure's message, never the exception: a caught
+    # exception held in a local ties its traceback to the frame in a cycle
+    cases = [("torus", 225, (24, 128), 0.03), ("torus", 211, (24, 128), 0.03),
+             ("sphere", 129, (32, 64), 0.05)]
+    fields = [(models.random_tri(m, 4, cutoff=3, seed=seed), build_grid(Manifold(m), *shape),
+               Tolerances(gap_floor=floor)) for m, seed, shape, floor in cases]
+    outcomes = []
+    gc.collect()
+    gc.disable()
+    try:
+        for h, grid, tol in fields:
+            assert bands.check_tri(h, grid, tol.tri_tol)[1]
+            groups = bands.find_gapped_groups(bands.spectrum_on_grid(h, grid), tol.gap_floor)
+            for gid, group in enumerate(groups):
+                try:
+                    rep = invariants.verify_group(h, group, grid, tol, gid)
+                    outcomes.append(rep.refinements)
+                except PhasetopError as exc:
+                    outcomes.append(type(exc).__name__)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert outcomes == ["ResolutionError"] * 2 + ["GapError"] * 2 + [0, "ResolutionError", 0]
+    assert unreachable == 0
+
+
+# the criterion-5 groups that settle on the n_lon rung, (manifold, seed,
+# start shape, gap floor, group ids)
+N_LON_RUNG_GROUPS = [("sphere", 130, (32, 64), 0.05, [1]),
+                     ("sphere", 139, (32, 64), 0.05, [2]),
+                     ("sphere", 140, (32, 64), 0.05, [0, 1]),
+                     ("torus", 200, (24, 128), 0.03, [0, 1])]
+
+
+@pytest.mark.parametrize("manifold, seed, shape, gap_floor, ids", N_LON_RUNG_GROUPS,
+                         ids=[f"{m}-{seed}" for m, seed, *_ in N_LON_RUNG_GROUPS])
+def test_n_lon_rung_integers_hold_on_the_doubled_grid(manifold, seed, shape, gap_floor, ids):
+    # the two Chern routes and the KM index read one spectrum on one grid,
+    # so an aliased grid can fool them alike; each group that verifies on
+    # the n_lon rung keeps its integers on the grid doubled in both directions
+    h = models.random_tri(manifold, 4, cutoff=3, seed=seed)
+    start, tol = build_grid(Manifold(manifold), *shape), Tolerances(gap_floor=gap_floor)
+    groups = bands.find_gapped_groups(bands.spectrum_on_grid(h, start), gap_floor)
+    doubled = phasespace.refine_grid(start)
+    for gid in ids:
+        rep = invariants.verify_group(h, groups[gid], start, tol, gid)
+        assert rep.refinements == 1 and rep.violations() == []
+        assert (rep.grid_n_lat, rep.grid_n_lon) == (start.n_lat, 2 * start.n_lon)
+        fine = invariants.verify_group(h, groups[gid], doubled, tol, gid)
+        assert fine.refinements == 0 and fine.violations() == []
+        assert ((rep.c_plaquette, rep.c_winding, rep.k)
+                == (fine.c_plaquette, fine.c_winding, fine.k))
 
 
 def test_memo_spectrum_matches_a_fresh_solve():
@@ -464,7 +555,7 @@ def test_groups_that_refine_share_one_refined_grid():
     (rep0, fields0), (rep1, fields1) = results
     assert rep0.refinements == rep1.refinements == 1
     grid = fields0.curvature.grid
-    assert (grid.n_lat, grid.n_lon) == (48, 256)
+    assert (grid.n_lat, grid.n_lon) == (24, 256)
     assert fields1.curvature.grid is grid
     assert fields0.m_field.domain.grid is fields1.m_field.domain.grid is grid
 
@@ -503,8 +594,12 @@ def test_symmetric_stratum_is_undefined_without_rotations():
 
 
 # ---------------------------------------------------------------------------
-# a census zero on an edge: torus seed 200 refines to 48x256, where pf M has
-# zeros within a small fraction of an edge length of long p edges
+# a census zero on an edge: torus seed 200 refines to 24x256, and at 48x256
+# pf M has zeros within a small fraction of an edge length of long p edges
+
+LOOP_STEP_RUNG = (r"refined to {}: phase step \S+ rad >= pi/2 between samples \d+ "
+                  r"and \d+ of \d+; loop under-resolved, refine sampling")
+
 
 def test_census_edge_split_resolves_seed_200():
     h = models.random_tri("torus", 4, cutoff=3, seed=200)
@@ -514,8 +609,9 @@ def test_census_edge_split_resolves_seed_200():
     for rep in reports:
         assert rep.refinements == 1
         assert rep.census_total == rep.k and rep.census_ok
-        assert len(rep.notes) == 1 and re.fullmatch(r"census: \d+ edges split",
-                                                    rep.notes[0])
+        assert len(rep.notes) == 2
+        assert re.fullmatch(LOOP_STEP_RUNG.format("24x256"), rep.notes[0])
+        assert re.fullmatch(r"census: \d+ edges split", rep.notes[1])
 
 
 def _seed_200_refined_census():
@@ -644,15 +740,18 @@ def test_split_link_phases_match_the_polar_transport(seed):
 
 
 def test_census_edge_split_on_the_sphere():
-    # sphere seed 107 group 1 refines to 32x64, where one edge carries a zero
+    # sphere seed 107 group 1 fails a loop step and refines to 16x64, where
+    # one edge carries a zero
     h = models.random_tri("sphere", 4, cutoff=3, seed=107)
     group = bands.find_gapped_groups(bands.spectrum_on_grid(h, SPHERE_GRID),
                                      TOL.gap_floor)[1]
     rep = invariants.verify_group(h, group, SPHERE_GRID, TOL, group_id=1)
     assert (rep.refinements, rep.k, rep.census_total) == (1, 0, 0)
-    assert rep.notes == ["census: 1 edges split"]
+    assert (rep.grid_n_lat, rep.grid_n_lon) == (16, 64)
+    assert len(rep.notes) == 2 and rep.notes[1] == "census: 1 edges split"
+    assert re.fullmatch(LOOP_STEP_RUNG.format("16x64"), rep.notes[0])
 
-    grid = build_grid(Manifold.SPHERE, 32, 64)
+    grid = build_grid(Manifold.SPHERE, 16, 64)
     frame = bands.smooth_frame(bands.spectrum_on_grid(h, grid), group,
                                fundamental_domain(grid))
     mf = invariants.m_field(frame, h.t)
@@ -668,7 +767,7 @@ def test_unconverged_last_split_names_its_cause(monkeypatch):
     # cut only in halves, a seed-200 edge keeps a sub-step at the cap and has
     # no earlier split to compare with: the census is unresolved, the note
     # says why, and only the flagged edges' midpoints are solved after the
-    # discovery and refined spectra
+    # discovery spectrum and the new vertices of the 24x256 spectrum
     monkeypatch.setattr(invariants, "CENSUS_EDGE_SPLITS", (2,))
     h, _, solved = _counted(monkeypatch, models.random_tri("torus", 4, cutoff=3, seed=200))
     _, _, results = invariants.analyze_model(h, SEED_200_GRID, SEED_200_TOL)
@@ -676,10 +775,13 @@ def test_unconverged_last_split_names_its_cause(monkeypatch):
     assert [rep.k for rep in reports] == [1, -1]
     for rep in reports:
         assert rep.census_total is None and rep.refinements == 1
-        assert rep.notes == ["census unresolved: split of grid edge 5386 failed: a "
-                             "sub-step is at the cap after 2 parts, with no earlier "
-                             "split to compare"]
-    assert solved[:2] == [3072, 12288] and len(solved) == 4 and max(solved[2:]) < 10
+        assert len(rep.notes) == 2
+        assert re.fullmatch(LOOP_STEP_RUNG.format("24x256"), rep.notes[0])
+        assert rep.notes[1] == ("census unresolved: split of grid edge 2482 failed: a "
+                                "sub-step is at the cap after 2 parts, with no earlier "
+                                "split to compare")
+    # then one midpoint per flagged edge, 10 edges in each group
+    assert solved == [3072, 3072, 10, 10]
 
 
 GAP_FAILURE = r"split of grid edge (\d+) failed: group gap \S+ <= gap floor 10 at a sub-point"
@@ -747,7 +849,12 @@ def test_settled_edges_match_a_4096_part_walk(manifold, seed, shape, gap_floor):
                                mf.domain)
     ids = _flagged_edges(mf)
     steps = invariants._split_steps(h, frame, mf, ids, gap_floor)
-    assert rep.notes == [f"census: {len(ids)} edges split"]
+    # the torus group fails a loop step first and verifies on 24x256
+    grid = mf.domain.grid
+    assert len(rep.notes) == rep.refinements + 1 == (1 if manifold == "sphere" else 2)
+    assert all(re.fullmatch(LOOP_STEP_RUNG.format(f"{grid.n_lat}x{grid.n_lon}"), note)
+               for note in rep.notes[:-1])
+    assert rep.notes[-1] == f"census: {len(ids)} edges split"
     edges = mf.domain.grid.edges[ids]
     fine = _fine_walks(h, group, frame, mf, edges, 4096)
     assert np.max(np.abs(fine)) < invariants.CENSUS_EDGE_CAP

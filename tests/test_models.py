@@ -153,28 +153,35 @@ def test_sphere_field_matches_monomial_sum():
 def test_field_products_run_on_calling_thread():
     # BLAS worker threads would charge the process more CPU time than wall
     # time; the measurement runs in a fresh interpreter, so threads that other
-    # tests left spinning do not count
+    # tests left spinning do not count.  Both row-blocked products are timed:
+    # the field evaluation and the TRI check's J conj(H) J^dagger
     script = textwrap.dedent("""
         import os, time
         from phasetop import models, phasespace
         fields = [(models.random_tri(m, 4, seed=1), phasespace.build_grid(m, 128, 256))
                   for m in ("sphere", "torus")]
-        for h, grid in fields:
-            h(grid.points)
-        cpu0, wall0 = os.times(), time.perf_counter()
-        for _ in range(5):
-            for h, grid in fields:
-                h(grid.points)
-        cpu1, wall1 = os.times(), time.perf_counter()
-        print(cpu1.user - cpu0.user + cpu1.system - cpu0.system, wall1 - wall0)
+        stacks = [(h.t, h(grid.points)) for h, grid in fields]
+        products = [lambda: [h(grid.points) for h, grid in fields],
+                    lambda: [t.conjugate_field(hs) for t, hs in stacks]]
+        for product in products:
+            product()
+            cpu0, wall0 = os.times(), time.perf_counter()
+            for _ in range(5):
+                product()
+            cpu1, wall1 = os.times(), time.perf_counter()
+            print(cpu1.user - cpu0.user + cpu1.system - cpu0.system, wall1 - wall0)
     """)
     src = str(Path(phasetop.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, check=True)
-    cpu, wall = map(float, run.stdout.split())
-    # 0.05 s covers the 10 ms clock ticks of user and system time
-    assert cpu <= 1.2 * wall + 0.05, f"CPU {cpu:.2f} s in {wall:.2f} s of wall time"
+    lines = run.stdout.splitlines()
+    assert len(lines) == 2
+    for name, line in zip(["field evaluation", "conjugate_field"], lines):
+        cpu, wall = map(float, line.split())
+        # 0.05 s covers the 10 ms clock ticks of user and system time
+        assert cpu <= 1.2 * wall + 0.05, (
+            f"{name}: CPU {cpu:.2f} s in {wall:.2f} s of wall time")
 
 
 def test_build_dispatch_and_validation():

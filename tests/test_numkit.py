@@ -117,6 +117,19 @@ def test_polar_rejects_singular():
 # pfaffian
 
 
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), m=st.integers(1, 6))
+def test_leibniz_det_matches_lapack(seed, n, m):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+    assert numkit.max_abs(numkit.leibniz_det(a) - np.linalg.det(a)) <= 1e-13
+
+
+def test_leibniz_det_refuses_four_by_four():
+    with pytest.raises(DomainError):
+        numkit.leibniz_det(np.eye(4)[None])
+
+
 def test_pfaffian_2x2():
     a = 2.0 + 3.0j
     s = np.array([[0, a], [-a, 0]])

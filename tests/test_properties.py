@@ -95,6 +95,72 @@ def test_polar_refuses_one_singular_value_below_the_floor(seed, m, n, extra, dat
         numkit.polar_unitary(with_singular_values(rng, m, n + extra, sigma))
 
 
+# 1x1 and 2x2 stacks take closed forms after sweep 0; singular values from
+# just above the 1e-10 refusal up to 10, with a condition number up to 1e11
+SMALL_SIGMA = st.floats(np.log10(1.01e-10), 1.0)
+
+
+@settings(max_examples=40)
+@given(seed=SEEDS, m=st.integers(1, 6), n=st.integers(1, 2), low=SMALL_SIGMA,
+       spread=st.floats(0.0, 3.0))
+def test_small_polar_matches_an_svd_polar(seed, m, n, low, spread):
+    rng = np.random.default_rng(seed)
+    sigma = 10.0 ** np.minimum(low + spread * rng.uniform(0.0, 1.0, (m, n)), 1.0)
+    sigma[:, -1] = 10.0 ** low
+    a = with_singular_values(rng, m, n, sigma)
+    with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("took the SVD")):
+        u = numkit.polar_unitary(a)
+    eye = np.eye(n)
+    assert numkit.max_abs(np.swapaxes(u.conj(), -1, -2) @ u - eye) <= 1e-14
+    # the polar factor's condition number is sigma_max / sigma_min
+    kappa = sigma.max(axis=1) / sigma.min(axis=1)
+    err = np.max(np.abs(u - svd_polar(a)), axis=(1, 2))
+    assert np.all(err <= 1e-14 * kappa)
+
+
+@pytest.mark.parametrize("smallest, refused", [(0.99e-10, True), (1.01e-10, False)],
+                         ids=["below_floor", "above_floor"])
+@settings(max_examples=15)
+@given(seed=SEEDS, m=st.integers(1, 6), n=st.integers(1, 2), data=st.data())
+def test_small_polar_refuses_below_the_floor_only(smallest, refused, seed, m, n, data):
+    rng = np.random.default_rng(seed)
+    sigma = rng.uniform(0.5, 5.0, (m, n))
+    sigma[data.draw(st.integers(0, m - 1)), -1] = smallest
+    a = with_singular_values(rng, m, n, sigma)
+    if refused:
+        with pytest.raises(SingularityError, match=r"^smallest singular value 9\.9\d\de-11 "
+                                                   r"<= 1e-10; input is near-singular$"):
+            numkit.polar_unitary(a)
+    else:
+        u = numkit.polar_unitary(a)
+        assert numkit.max_abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(n)) <= 1e-14
+
+
+@settings(max_examples=30)
+@given(seed=SEEDS, m=st.integers(1, 6), n=st.integers(1, 2), data=st.data())
+def test_small_polar_returns_unitary_inputs_untouched(seed, m, n, data):
+    # unitary matrices leave at sweep 0, the others of the stack take the
+    # closed form
+    rng = np.random.default_rng(seed)
+    a = np.linalg.qr(complex_normal(rng, (m, n, n)))[0]
+    scaled = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    a[scaled] *= 2.0
+    u = numkit.polar_unitary(a)
+    assert np.array_equal(u[~scaled], a[~scaled])
+    assert numkit.max_abs(u[scaled] - a[scaled] / 2.0) <= 1e-15
+
+
+@settings(max_examples=40)
+@given(seed=SEEDS, v=st.integers(2, 8), rank=st.integers(1, 3), extra=st.integers(1, 3))
+def test_small_rank_links_match_einsum_determinants(seed, v, rank, extra):
+    # rank 1 to 3 links from column inner products and the Leibniz formula
+    rng = np.random.default_rng(seed)
+    frames = np.linalg.qr(complex_normal(rng, (v, rank + extra, rank + extra)))[0][..., :rank]
+    a, b = rng.integers(0, v, (2, 3 * v))
+    want = np.linalg.det(np.einsum("vji,vjk->vik", frames[a].conj(), frames[b]))
+    assert numkit.max_abs(invariants._links(frames, a, b) - want) <= 1e-14
+
+
 def test_transport_stack_reraises_rank_deficiency():
     # one eigenbasis at every vertex makes every transport step the identity,
     # until one vertex's group columns turn orthogonal to its chain neighbour's
