@@ -25,9 +25,13 @@ from .phasespace import FundamentalDomain, Grid, Manifold, transport_chains
 
 @dataclass(frozen=True)
 class AntiUnitary:
-    """Fermionic time reversal x -> J conj(x)."""
+    """Fermionic time reversal x -> J conj(x), with J a phased permutation:
+    phase[a] = J[a, perm[a]] is the one nonzero entry of row a and of its
+    column, so (J conj x)[a] = phase[a] conj(x[perm[a]]) and T acts by a gather."""
 
     j: np.ndarray
+    perm: np.ndarray = field(init=False, repr=False, compare=False)   # derived from j
+    phase: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         j = np.asarray(self.j, dtype=complex)
@@ -40,27 +44,32 @@ class AntiUnitary:
             raise DomainError("J is not unitary within 1e-12")
         if max_abs(j @ j.conj() + np.eye(n)) > 1e-12:
             raise DomainError("J conj(J) != -I; operator does not square to -1")
-        object.__setattr__(self, "j", j)
+        nonzero = j != 0
+        if np.any(nonzero.sum(axis=0) != 1) or np.any(nonzero.sum(axis=1) != 1):
+            raise DomainError("J is not a phased permutation (one nonzero entry in each "
+                              "row and column), so T cannot act by index")
+        perm = np.argmax(nonzero, axis=1)
+        for name, value in (("j", j), ("perm", perm), ("phase", j[np.arange(n), perm])):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return self.j.shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Apply T to a vector, matrix of columns, or a stack of them."""
-        x = np.asarray(x, dtype=complex)
-        if x.ndim <= 2:
-            return self.j @ x.conj()
-        return np.einsum("ij,vjk->vik", self.j, x.conj())
+        """J conj(x) for the columns of x, an (N_A, k) block or a stack of them
+        (last two axes); a single vector is an (N_A, 1) column."""
+        return self.phase[:, None] * np.conj(np.take(x, self.perm, axis=-2))
 
     def conjugate_field(self, h_stack: np.ndarray) -> np.ndarray:
-        """J conj(H) J^dagger applied to a stack of matrices, as one row-blocked
-        product: vec(J X J^dagger) = kron(J, conj J) vec(X) in row-major order,
-        taken as conj(vec(H)^t kron(conj J, J)^t) so that no conjugated copy
-        of the stack is made."""
+        """J conj(H) J^dagger for a stack of matrices H (last two axes): entry
+        (a, b) is phase[a] conj(phase[b] H[perm[a], perm[b]]), one flat gather
+        of the n^2 entries times a phase product, conjugated in place."""
+        n = self.dim
         h_stack = np.asarray(h_stack, dtype=complex)
-        out = numkit.blocked_matmul(h_stack.reshape(-1, self.dim ** 2),
-                                    np.kron(self.j.conj(), self.j).T)
+        entries = (n * self.perm[:, None] + self.perm).ravel()
+        out = np.take(h_stack.reshape(-1, n * n), entries, axis=1)
+        out *= np.outer(self.phase.conj(), self.phase).ravel()
         return np.conj(out, out=out).reshape(h_stack.shape)
 
     def tri_residual(self, hs: np.ndarray, grid: Grid) -> float:
@@ -310,12 +319,6 @@ class TransitionLoop:
     symmetry_residual: float   # max |U(tau x)^t + U(x)| over the loop
 
 
-def _unitarity(samples: np.ndarray) -> float:
-    nb = samples.shape[1]
-    prods = np.einsum("vji,vjk->vik", samples.conj(), samples)
-    return float(max_abs(prods - np.eye(nb)))
-
-
 def transition_loops(frame: Frame, t: AntiUnitary) -> tuple[TransitionLoop, ...]:
     """Transition matrices U with T u(tau x) = u(x) U(x)^t, one TransitionLoop
     per boundary loop of the frame's domain.
@@ -331,7 +334,7 @@ def transition_loops(frame: Frame, t: AntiUnitary) -> tuple[TransitionLoop, ...]
         u_b = frame.data[loop]
         mirrored = t.apply(np.roll(u_b, -shift, axis=0))
         u = np.einsum("vji,vjk->vik", u_b.conj(), mirrored).transpose(0, 2, 1)
-        unit = _unitarity(u)
+        unit = max_abs(np.einsum("vji,vjk->vik", u.conj(), u) - np.eye(u.shape[1]))
         if unit > 1e-9:
             raise DomainError(
                 f"transition matrices not unitary ({unit:.2e}); frame does not span "

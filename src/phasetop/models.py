@@ -34,30 +34,18 @@ def angular_momentum(j: float):
     dim = int(round(2 * j)) + 1
     m = j - np.arange(dim)
     jz = np.diag(m).astype(complex)
-    jp = np.zeros((dim, dim), dtype=complex)
-    for a in range(1, dim):
-        ma = m[a]
-        jp[a - 1, a] = np.sqrt(j * (j + 1) - ma * (ma + 1))
+    jp = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1).astype(complex)
     jx = 0.5 * (jp + jp.conj().T)
     jy = -0.5j * (jp - jp.conj().T)
     return jx, jy, jz
 
 
 def spin_time_reversal(j: float) -> AntiUnitary:
-    """Standard spin TR: J-matrix = exp(-i pi Jy); squares to -1 iff j is half-integer."""
-    _, jy, _ = angular_momentum(j)
-    w, v = np.linalg.eigh(jy)
-    jmat = (v * np.exp(-1j * np.pi * w)[None, :]) @ v.conj().T
-    return AntiUnitary(jmat)
-
-
-def _random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
-def _random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = _random_complex(rng, n)
-    return 0.5 * (g + g.conj().T)
+    """Standard spin TR, J = exp(-i pi Jy) with m descending, in closed form:
+    it sends |j, m> to (-1)^(j - m) |j, -m>, so J[a, d - 1 - a] = -(-1)^a for
+    d = 2j + 1 even.  An integer j gives an odd d, which AntiUnitary refuses."""
+    d = len(angular_momentum(j)[2])   # refuses a j that is not a half-integer or integer
+    return AntiUnitary(np.fliplr(np.diag(-(-1.0) ** np.arange(d))))
 
 
 def _probe_points(manifold: Manifold) -> np.ndarray:
@@ -82,6 +70,11 @@ def _coefficient_table(manifold: Manifold, n: int, cutoff: int, seed: int):
     and basis(tau x)[:, r] = sign[r] * basis(x)[:, partner[r]].
     """
     rng = np.random.default_rng(seed)
+
+    def complex_draws(count: int) -> np.ndarray:  # one call, each real part before its imaginary
+        draws = rng.standard_normal((count, 2, n, n))
+        return draws[:, 0] + 1j * draws[:, 1]
+
     if manifold == Manifold.SPHERE:
         monos = np.array([
             (a, b, c)
@@ -89,7 +82,8 @@ def _coefficient_table(manifold: Manifold, n: int, cutoff: int, seed: int):
             for b in range(cutoff + 1 - a)
             for c in range(cutoff + 1 - a - b)
         ])
-        table = np.stack([_random_hermitian(rng, n) for _ in monos])
+        g = complex_draws(len(monos))
+        table = 0.5 * (g + g.conj().transpose(0, 2, 1))
 
         def basis(pts: np.ndarray) -> np.ndarray:
             nvec = directions(pts)
@@ -108,7 +102,8 @@ def _coefficient_table(manifold: Manifold, n: int, cutoff: int, seed: int):
             if a == 0 and b <= 0:
                 continue
             modes.append((a, b))
-    c = np.stack([_random_hermitian(rng, n)] + [_random_complex(rng, n) for _ in modes[1:]])
+    c = complex_draws(len(modes))
+    c[0] = 0.5 * (c[0] + c[0].conj().T)   # the (0, 0) coefficient is Hermitian
     # e^{i theta} C + e^{-i theta} C^dagger = cos(theta) (C + C^dagger)
     # + sin(theta) i (C - C^dagger), so the basis is [cos | sin] of the mode
     # phases; the (0, 0) mode contributes C_00 alone
@@ -147,13 +142,16 @@ def _table_field(basis, table: np.ndarray):
     return evaluate
 
 
+def _probe_norm(evaluate, manifold: Manifold) -> float:
+    """Largest spectral norm, as max |eigenvalue|, of a Hermitian field on the probe set."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(evaluate(_probe_points(manifold))))))
+
+
 def _normalized_table(manifold: Manifold, n: int, cutoff: int, seed: int):
     """_coefficient_table divided by the field's largest spectral norm over
     the fixed probe set, so spectra spread over an O(1) range for every seed."""
     basis, table, partner, sign = _coefficient_table(manifold, n, cutoff, seed)
-    probe = _table_field(basis, table)(_probe_points(manifold))
-    norm = float(np.max(np.linalg.norm(probe, 2, axis=(1, 2))))
-    return basis, table / norm, partner, sign
+    return basis, table / _probe_norm(_table_field(basis, table), manifold), partner, sign
 
 
 def random_hermitian_field(manifold: Manifold, n: int, cutoff: int, seed: int):
@@ -278,14 +276,10 @@ def random_tri(manifold, n_a: int = 4, cutoff: int = 3, seed: int = 0,
         raise ConfigError(f"cutoff must be an integer >= 0, got {cutoff!r}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed!r}")
-    if manifold == Manifold.SPHERE:
-        t = spin_time_reversal(0.5) if n_a == 2 else AntiUnitary(
-            np.kron(1j * SIGMA["y"], np.eye(n_a // 2))
-        )
-    else:
-        t = AntiUnitary(
-            np.kron(np.array([[0, -1], [1, 0]], dtype=complex), np.eye(n_a // 2))
-        )
+    # J = i sigma_y (x) I on the sphere, save that two bands take the spin-1/2
+    # J = -i sigma_y (x) I, as every torus field does
+    sign = 1 if manifold == Manifold.SPHERE and n_a > 2 else -1
+    t = AntiUnitary(np.kron(sign * np.array([[0, 1], [-1, 0]]), np.eye(n_a // 2)))
     return HamiltonianField(
         n_a=n_a, manifold=manifold, t=t,
         evaluate=_random_tri_field(t, manifold, cutoff, seed, scale),
@@ -302,8 +296,7 @@ def tri_broken(base: HamiltonianField, breaking_strength: float, seed: int = 1) 
     control is ~ 2 * strength, always above the strength/2 detection bar.
     """
     odd = _random_tri_field(base.t, base.manifold, 2, seed, 1.0, parity=-1)
-    norm = float(np.max(np.linalg.norm(odd(_probe_points(base.manifold)),
-                                       2, axis=(1, 2))))
+    norm = _probe_norm(odd, base.manifold)
 
     def evaluate(pts: np.ndarray) -> np.ndarray:
         return base.evaluate(pts) + (breaking_strength / norm) * odd(pts)

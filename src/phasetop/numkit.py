@@ -20,8 +20,8 @@ LEAD_FLOOR = 1e-8        # smallest component that fixes an eigenvector's phase
 BRANCH_CUT_GAP = 1e-3    # narrowest eigenphase gap a log branch cut may use
 POLAR_SWEEPS = 16        # Newton-Schulz sweeps before polar_unitary takes the SVD
 POLAR_TOL = 1e-14        # largest |X^dagger X - I| of a converged polar iterate
-# multiply-adds per block of a row-blocked product: small enough that BLAS
-# runs it on the calling thread and its operands stay in cache
+# real multiply-adds per block of a row-blocked product: small enough that
+# BLAS runs it on the calling thread and its operands stay in cache
 PRODUCT_BLOCK = 1 << 17
 
 
@@ -31,10 +31,10 @@ def max_abs(a) -> float:
 
 
 def blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for 2-D a and b, taken in blocks of rows of a of at most
-    PRODUCT_BLOCK real multiply-adds (a complex one counts four)."""
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
-    rows = max(1, PRODUCT_BLOCK // (b.size * (4 if np.iscomplexobj(out) else 1)))
+    """a @ b for real 2-D a and b, taken in blocks of rows of a of at most
+    PRODUCT_BLOCK multiply-adds."""
+    out = np.empty((a.shape[0], b.shape[1]))
+    rows = max(1, PRODUCT_BLOCK // b.size)
     for start in range(0, a.shape[0], rows):
         np.matmul(a[start:start + rows], b, out=out[start:start + rows])
     return out
@@ -218,8 +218,9 @@ def winding_number(samples) -> int:
     MAGNITUDE_FLOOR, and LoopStepError (a ResolutionError) when any step
     reaches pi/2: the loop is declared under-resolved and the caller should
     double its sampling (capped at 2**14 samples by the refinement
-    contract).  The error names the largest step, the two samples it joins
-    and the loop length.
+    contract).  The error quotes the largest step, the loop length and the
+    samples joined by the lowest step within 1e-9 rad of it, so rounding
+    cannot pick one of two tied steps (tau pairs those of a sphere equator).
     """
     z = np.asarray(samples, dtype=complex).ravel()
     if z.size < 4:
@@ -231,9 +232,9 @@ def winding_number(samples) -> int:
             f"{MAGNITUDE_FLOOR:g}"
         )
     steps = np.angle(np.roll(z, -1) / z)  # steps[i] runs from sample i to i + 1
-    at = int(np.argmax(np.abs(steps)))
-    worst = float(abs(steps[at]))
+    worst = float(np.max(np.abs(steps)))
     if worst >= MAX_LOOP_STEP:
+        at = int(np.argmax(np.abs(steps) >= worst - 1e-9))
         raise LoopStepError(
             f"phase step {worst:.4f} rad >= pi/2 between samples {at} and "
             f"{(at + 1) % z.size} of {z.size}; loop under-resolved, refine sampling"

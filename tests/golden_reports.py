@@ -11,9 +11,12 @@ move by at most FLOAT_TOL * max(1, |golden value|).  The comparer prints the
 largest move of every float key that moved, with list indices folded.
 
     PYTHONPATH=src python tests/golden_reports.py           # compare; exit 1 on a mismatch
-    PYTHONPATH=src python tests/golden_reports.py --record  # re-record every golden file
+    PYTHONPATH=src python tests/golden_reports.py --record NAME ...
+        # re-record the named files (NAME is a file stem, e.g. analyze-torus-m1)
 
-A PR that moves a golden value re-records it and quotes the comparer's output.
+A change that moves a golden value by design re-records only the files it
+moves and quotes the comparer's output; re-recording the rest would absorb
+their rounding moves unseen.  A bare --record, or an unknown name, exits 2.
 The golden files are test data: never re-record them to hide a defect.
 """
 
@@ -100,20 +103,26 @@ def check_all(work: Path, out=sys.stdout) -> list:
     return errors
 
 
-def record_all(work: Path) -> None:
-    for file in sorted(GOLDEN_DIR.glob("*.json")):
-        fresh = run_command(json.loads(file.read_text()), work / file.stem)
+def record(names, work: Path) -> None:
+    for name in names:
+        file = GOLDEN_DIR / f"{name}.json"
+        fresh = run_command(json.loads(file.read_text()), work / name)
         file.write_text(json.dumps(fresh, sort_keys=True, indent=1) + "\n")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--record", action="store_true",
-                        help="re-record the golden files from the current tree")
+    parser.add_argument("--record", nargs="+", metavar="NAME",
+                        help="re-record the named golden files from the current tree")
     args = parser.parse_args(argv)
+    known = {file.stem for file in GOLDEN_DIR.glob("*.json")}
+    unknown = sorted(set(args.record or ()) - known)
+    if unknown:
+        parser.error(f"no golden file named {', '.join(unknown)}; "
+                     f"expected one of {', '.join(sorted(known))}")
     with tempfile.TemporaryDirectory() as tmp:
         if args.record:
-            record_all(Path(tmp))
+            record(args.record, Path(tmp))
             return 0
         return 1 if check_all(Path(tmp)) else 0
 

@@ -70,6 +70,25 @@ def test_antiunitary_rejects_odd_dimension():
         AntiUnitary(np.eye(3))
 
 
+def test_antiunitary_holds_j_as_a_permutation_and_phases():
+    t = AntiUnitary(np.kron(1j * SY, np.eye(2)))
+    assert t.perm.tolist() == [2, 3, 0, 1]
+    assert t.phase.tolist() == [1, 1, -1, -1]
+
+
+def test_antiunitary_refuses_a_j_that_is_not_a_phased_permutation():
+    # U J U^t is a valid fermionic J for every unitary U (it is unitary and
+    # squares to -1), but it has no index form
+    rng = np.random.default_rng(5)
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    j = u @ np.kron(1j * SY, np.eye(2)) @ u.T
+    assert numkit.max_abs(j.conj().T @ j - np.eye(4)) <= 1e-13
+    assert numkit.max_abs(j @ j.conj() + np.eye(4)) <= 1e-13
+    with pytest.raises(DomainError, match=r"not a phased permutation \(one nonzero entry "
+                                          r"in each row and column\)"):
+        AntiUnitary(j)
+
+
 def test_fermionic_j_is_skew():
     for t in (spin_half_tr(), models.spin_time_reversal(1.5)):
         assert numkit.max_abs(t.j + t.j.T) <= 1e-12

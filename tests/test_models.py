@@ -43,6 +43,17 @@ def test_spin_time_reversal_squares_to_minus_one():
         assert numkit.max_abs(t.j @ t.j.conj() + np.eye(t.dim)) <= 1e-12
 
 
+@pytest.mark.parametrize("j", [0.5, 1.5, 2.5, 3.5, 4.5])
+def test_spin_time_reversal_is_the_exponential(j):
+    # the closed form against exp(-i pi Jy) taken through the eigenbasis of Jy
+    _, jy, _ = models.angular_momentum(j)
+    w, v = np.linalg.eigh(jy)
+    expected = (v * np.exp(-1j * np.pi * w)) @ v.conj().T
+    t = models.spin_time_reversal(j)
+    assert numkit.max_abs(t.j - expected) <= 1e-14
+    assert np.count_nonzero(t.j) == t.dim
+
+
 def test_rotor_spin_bands_and_gaps():
     h = models.rotor_spin(1.5)
     spec = bands.spectrum_on_grid(h, SPHERE_GRID)
@@ -96,6 +107,17 @@ def test_models_deterministic_under_seed():
     assert not np.array_equal(a, models.random_tri("sphere", 4, seed=43)(pts))
 
 
+def random_complex(rng, n):
+    # the per-matrix draw that models._coefficient_table makes for a whole
+    # table in one call
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def random_hermitian(rng, n):
+    g = random_complex(rng, n)
+    return 0.5 * (g + g.conj().T)
+
+
 def test_torus_field_matches_mode_sum():
     # the blocked real product against the mode sum it stands for, on more
     # points than one product block holds
@@ -103,9 +125,7 @@ def test_torus_field_matches_mode_sum():
     rng = np.random.default_rng(seed)
     modes = [(0, 0)] + [(a, b) for a in range(cutoff + 1)
                         for b in range(-cutoff, cutoff + 1) if a > 0 or b > 0]
-    coefs = [models._random_hermitian(rng, n)] + [
-        models._random_complex(rng, n) for _ in modes[1:]
-    ]
+    coefs = [random_hermitian(rng, n)] + [random_complex(rng, n) for _ in modes[1:]]
 
     def mode_sum(pts):
         out = np.zeros((pts.shape[0], n, n), dtype=complex)
@@ -130,7 +150,7 @@ def test_sphere_field_matches_monomial_sum():
     rng = np.random.default_rng(seed)
     monos = [(a, b, c) for a in range(cutoff + 1) for b in range(cutoff + 1 - a)
              for c in range(cutoff + 1 - a - b)]
-    coefs = [models._random_hermitian(rng, n) for _ in monos]
+    coefs = [random_hermitian(rng, n) for _ in monos]
 
     def monomial_sum(pts):
         nvec = models.directions(pts)

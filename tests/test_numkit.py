@@ -209,6 +209,19 @@ def test_winding_under_resolved_names_the_step(at):
         numkit.winding_number(z)
 
 
+@pytest.mark.parametrize("larger", [23, 55])
+def test_winding_names_the_lowest_of_two_tied_steps(larger):
+    # steps 23 and 55 agree to 1e-12 rad, as tau-paired steps of a sphere
+    # equator loop agree to rounding; either order names samples 23 and 24
+    steps = np.full(64, (2 * np.pi - 2 * 1.7) / 62)
+    steps[[23, 55]] = 1.7
+    steps[larger] += 1e-12
+    z = np.exp(1j * np.concatenate([[0.0], np.cumsum(steps[:-1])]))
+    message = "phase step 1.7000 rad >= pi/2 between samples 23 and 24 of 64"
+    with pytest.raises(ResolutionError, match=re.escape(message)):
+        numkit.winding_number(z)
+
+
 def test_winding_rejects_too_few_samples():
     # a constant loop winds 0 times, but 3 samples are too few to say so
     with pytest.raises(DomainError, match="at least 4 samples"):

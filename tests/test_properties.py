@@ -510,6 +510,41 @@ def test_orientation_flip_negates_c_and_k(seed, case):
 
 
 # ---------------------------------------------------------------------------
+# time reversal as index data against the dense products it stands for
+
+
+def phased_involution(rng, n):
+    """A random fermionic J with one nonzero entry per row and column: a
+    fixed-point-free involution pairs the indices, and each pair (a, b) takes
+    J[a, b] = p and J[b, a] = -p for a random phase p."""
+    j = np.zeros((n, n), dtype=complex)
+    for a, b in rng.permutation(n).reshape(-1, 2):
+        p = np.exp(2j * np.pi * rng.uniform())
+        j[a, b], j[b, a] = p, -p
+    return j
+
+
+@settings(max_examples=25)
+@given(seed=SEEDS, half=st.integers(1, 4))
+def test_time_reversal_gathers_match_dense_products(seed, half):
+    n = 2 * half
+    rng = np.random.default_rng(seed)
+    j = phased_involution(rng, n)
+    t = bands.AntiUnitary(j)
+    assert np.array_equal(j[np.arange(n), t.perm], t.phase)
+    # a vector (one column), a column block, and stacks of blocks
+    for shape in [(n, 1), (n, 3), (7, n, 2), (2, 5, n, n)]:
+        x = complex_normal(rng, shape)
+        assert numkit.max_abs(t.apply(x) - j @ x.conj()) <= 1e-15
+    # fields: a Hermitian stack and a general one
+    g = complex_normal(rng, (9, n, n))
+    for h in (g + np.swapaxes(g.conj(), 1, 2), g):
+        dense = j @ h.conj() @ j.conj().T
+        assert numkit.max_abs(t.conjugate_field(h) - dense) <= 1e-14
+        assert numkit.max_abs(t.conjugate_field(h[0]) - dense[0]) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
 # TRI random fields: projecting the coefficients equals projecting the samples
 
 
