@@ -24,6 +24,18 @@ from .phasespace import FundamentalDomain, Grid, Manifold, transport_chains
 
 
 @dataclass(frozen=True)
+class Tolerances:
+    """The numerical thresholds a config can set; the underlying identities
+    are exact integers, floating-point pipelines need these cutoffs.  Every
+    function that takes one of them defaults to the value here."""
+
+    tri_tol: float = 1e-9
+    gap_floor: float = 1e-6
+    zero_floor: float = 1e-4
+    evenness_rel: float = 1e-6
+
+
+@dataclass(frozen=True)
 class AntiUnitary:
     """Fermionic time reversal x -> J conj(x), with J a phased permutation:
     phase[a] = J[a, perm[a]] is the one nonzero entry of row a and of its
@@ -102,7 +114,7 @@ class HamiltonianField:
         return self.evaluate(np.atleast_2d(np.asarray(pts, dtype=float)))
 
 
-def check_tri(h_field: HamiltonianField, grid: Grid, tol: float = 1e-9):
+def check_tri(h_field: HamiltonianField, grid: Grid, tol: float = Tolerances.tri_tol):
     """Max vertex residual of J conj(H(tau x)) J^dagger - H(x), and pass flag;
     the evaluated stack waits in the field's memo for spectrum_on_grid."""
     key = ("stack", grid.manifold, grid.n_lat, grid.n_lon)
@@ -201,7 +213,7 @@ class BandGroup:
         return self.last - self.first + 1
 
 
-def find_gapped_groups(spectrum: Spectrum, gap_floor: float = 1e-6):
+def find_gapped_groups(spectrum: Spectrum, gap_floor: float = Tolerances.gap_floor):
     """Maximal contiguous index ranges separated by gaps above the floor.
 
     The returned groups partition all bands; with no internal gap above the

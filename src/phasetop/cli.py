@@ -31,6 +31,7 @@ from .errors import (
     TRIViolationError,
 )
 from .invariants import Tolerances, analyze_model, chern_winding, tri_path
+from .numkit import det_winding
 from .phasespace import Manifold, build_grid, fundamental_domain
 
 SCHEMA_VERSION = 1
@@ -157,7 +158,8 @@ def _write_table(path: Path, header: str, *columns) -> None:
 
 
 def _write_dumps(dump_dir: str, verified) -> None:
-    """Per-group tables, each on the grid its report names."""
+    """Per-group tables, each on the grid its report names; a group whose
+    census is undefined (census_total null) gets no census table."""
     out = Path(dump_dir)
     out.mkdir(parents=True, exist_ok=True)
     for rep, fld in verified:
@@ -175,8 +177,9 @@ def _write_dumps(dump_dir: str, verified) -> None:
         _write_table(out / f"pf_abs_group{gid}.csv", "lat_index,lon_index,abs_pf",
                      grid.vertex_lat[vids], grid.vertex_lon[vids],
                      np.hypot(mf.pf.real, mf.pf.imag))
-        _write_table(out / f"census_group{gid}.csv", "plaquette,index",
-                     *zip(*rep.census_entries))
+        if rep.census_total is not None:
+            _write_table(out / f"census_group{gid}.csv", "plaquette,index",
+                         *zip(*rep.census_entries))
 
 
 def cmd_analyze(args) -> int:
@@ -379,7 +382,7 @@ def cmd_gauge_demo(args) -> int:
             )
         nf = gauge.normal_form_loop(target_c, group.rank, grid.n_lon)
         w = gauge.solve_equator_gauge(loop, nf)
-        obstruction = gauge.winding_obstruction(w)
+        obstruction = det_winding(w.samples)   # wn det W: extends iff 0
         report.update({
             "measured_c": measured_c,
             "target_c": target_c,

@@ -66,4 +66,6 @@ class BoundaryZeroError(PhasetopError):
 
 
 class DegenerateConfigurationError(PhasetopError):
-    """Pfaffian zeros are not isolated; no admissible fundamental domain."""
+    """pf M vanishes at a domain vertex, so the zero census cannot place that
+    zero in a plaquette: a zero that sits on a grid vertex, or the symmetric
+    stratum, where pf M vanishes at every vertex."""

@@ -53,11 +53,6 @@ class GaugeLoop:
     residual_2pi: float
 
 
-def _geodesic(start: np.ndarray, end: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Samples of the unitary-group geodesic from start to end at fractions ts."""
-    return start @ numkit.unitary_powers(start.conj().T @ end, ts)
-
-
 def solve_equator_gauge(u_loop: TransitionLoop, v_loop: TransitionLoop) -> GaugeLoop:
     """Boundary gauge W turning transition loop U into V (same rank, even L)."""
     u = u_loop.samples
@@ -71,8 +66,8 @@ def solve_equator_gauge(u_loop: TransitionLoop, v_loop: TransitionLoop) -> Gauge
 
     w = np.empty_like(u)
     w0 = u[0].conj().T @ v[0]
-    ts = np.arange(half + 1) / half
-    w[: half + 1] = _geodesic(w0, np.eye(u.shape[1]), ts)
+    # the unitary-group geodesic from w0 to the identity
+    w[: half + 1] = w0 @ numkit.unitary_powers(w0.conj().T, np.arange(half + 1) / half)
     # w[half + psi] reads only w[psi], 0 < psi < half, all set above
     w_h = w[1:half].conj().transpose(0, 2, 1)
     u_h = u[1:half].conj().transpose(0, 2, 1)
@@ -85,11 +80,6 @@ def solve_equator_gauge(u_loop: TransitionLoop, v_loop: TransitionLoop) -> Gauge
         residual_pi=float(max_abs(rel_pi - w[half])),
         residual_2pi=float(max_abs(rel_2pi - w[0])),
     )
-
-
-def winding_obstruction(gauge: GaugeLoop) -> int:
-    """wn det W; the boundary gauge extends to the disk iff this vanishes."""
-    return numkit.det_winding(gauge.samples)
 
 
 def gauge_relation_residual(u_loop, v_loop, gauge: GaugeLoop) -> float:
@@ -199,7 +189,7 @@ def extend_to_disk(gauge: GaugeLoop, domain: FundamentalDomain) -> DiskExtension
     grid = domain.grid
     if grid.manifold != Manifold.SPHERE:
         raise DomainError("disk extension is defined over the sphere hemisphere")
-    wn = winding_obstruction(gauge)
+    wn = numkit.det_winding(gauge.samples)   # the obstruction: extends iff 0
     if wn != 0:
         raise DomainError(
             f"boundary gauge has winding {wn}; only zero-winding loops extend"

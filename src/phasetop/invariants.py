@@ -29,6 +29,7 @@ from .bands import (
     Frame,
     HamiltonianField,
     Spectrum,
+    Tolerances,
     TransitionLoop,
     check_tri,
     find_gapped_groups,
@@ -62,22 +63,11 @@ from .phasespace import (
 )
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """The numerical thresholds a config can set; the underlying identities
-    are exact integers, floating-point pipelines need these cutoffs."""
-
-    tri_tol: float = 1e-9
-    gap_floor: float = 1e-6
-    zero_floor: float = 1e-4
-    evenness_rel: float = 1e-6
-
-
 # fixed cutoffs; a config cannot set these
 LINK_FLOOR = 1e-6                 # smallest admissible |det| of a plaquette link
 FLUX_CAP = np.pi - 0.1            # largest admissible |plaquette flux|
 CENSUS_EDGE_CAP = np.pi - 0.2     # pf M phase step that puts a zero on an edge
-PF_HARD_FLOOR = 1e-12             # |pf M| below which the zeros are not isolated
+PF_HARD_FLOOR = 1e-12             # |pf M| below which pf M vanishes at a point
 CENSUS_EDGE_SPLITS = (2, 4, 8, 16)  # sub-intervals tried in turn on a census edge
 MAX_GRID_REFINEMENTS = 1          # doublings of each grid direction a retry may take
 MAX_LOOP_SAMPLES = 2 ** 14        # no refinement past this many boundary samples
@@ -101,9 +91,9 @@ def chern_plaquette(vectors: np.ndarray, grid: Grid):
     flux F_P is the principal value of the summed link phases around the
     plaquette in the declared flux orientation; c = (1/2pi) sum F_P is an
     exact integer.  A square frame (N_B = N_A, the whole bundle) is unitary,
-    so its link is conj(det u(x)) det u(y): one determinant per vertex.  A
-    frame of rank 1 to 3 takes its N_B^2 column inner products and their
-    Leibniz determinant; a wider one, einsum overlaps and np.linalg.det.
+    so its link is conj(det u(x)) det u(y): one determinant per vertex.  Any
+    other frame takes its links from _links, the link kernel that the census
+    split shares, on the frames of at most n_plaquettes edges at a time.
     """
     if vectors.shape[-1] == vectors.shape[-2]:
         dets = np.linalg.det(vectors)
@@ -111,7 +101,7 @@ def chern_plaquette(vectors: np.ndarray, grid: Grid):
     else:  # one link per grid edge, gathering the frames of at most P edges at a time
         step = grid.n_plaquettes
         links = np.concatenate([
-            _links(vectors, a, b)
+            _links(vectors[a], vectors[b])
             for a, b in (grid.edges[s:s + step].T for s in range(0, len(grid.edges), step))])
     # self-links at a repeated pole corner are exactly 1 and harmless
     if np.any(np.abs(links) <= LINK_FLOOR):
@@ -133,14 +123,15 @@ def chern_plaquette(vectors: np.ndarray, grid: Grid):
     return CurvatureField(grid=grid, flux=flux), c_int
 
 
-def _links(vectors: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """det(u(a)^dagger u(b)) for each pair of vertex ids a, b of a
-    (V, N_A, N_B) stack of frames."""
-    ua, ub = vectors[a].conj(), vectors[b]
-    nb = vectors.shape[-1]
+def _links(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """det(ua^dagger ub) for two aligned stacks of (N_A, N_B) frames, of any
+    leading shape: rank 1 to 3 by Leibniz over the column inner products,
+    wider frames by einsum overlaps and np.linalg.det."""
+    ua = ua.conj()
+    nb = ua.shape[-1]
     if nb > 3:
-        return np.linalg.det(np.einsum("vji,vjk->vik", ua, ub))
-    overlaps = [[np.einsum("vj,vj->v", ua[:, :, i], ub[:, :, k]) for k in range(nb)]
+        return np.linalg.det(np.einsum("...ji,...jk->...ik", ua, ub))
+    overlaps = [[np.einsum("...j,...j->...", ua[..., i], ub[..., k]) for k in range(nb)]
                 for i in range(nb)]
     return numkit.leibniz_det(np.moveaxis(np.array(overlaps), (0, 1), (-2, -1)))
 
@@ -150,7 +141,7 @@ def curvature_tr_evenness(curv: CurvatureField, grid: Grid) -> float:
     return float(np.max(np.abs(curv.flux - curv.flux[grid.tau_plaq])))
 
 
-def evenness_tolerance(curv: CurvatureField, rel: float = 1e-6) -> float:
+def evenness_tolerance(curv: CurvatureField, rel: float = Tolerances.evenness_rel) -> float:
     return rel * float(np.max(np.abs(curv.flux))) + 1e-9
 
 
@@ -181,10 +172,11 @@ def _m_values(data: np.ndarray, t: AntiUnitary) -> np.ndarray:
 
 
 def m_field(frame: Frame, t: AntiUnitary) -> MField:
-    """M(x) per domain vertex; skew-symmetry is exact for fermionic TR."""
+    """M(x) per domain vertex; skew-symmetry is exact for fermionic TR and
+    is held to numkit.SKEW_TOL, the bound numkit.pfaffian enforces."""
     m = _m_values(frame.data, t)
     skew = float(max_abs(m + m.transpose(0, 2, 1)))
-    if skew > 1e-8:
+    if skew > numkit.SKEW_TOL:
         raise DomainError(f"M field is not skew-symmetric ({skew:.2e})")
     pf = numkit.pfaffian(m) if m.shape[1] % 2 == 0 else None
     return MField(domain=frame.domain, values=m, pf=pf, skew_residual=skew)
@@ -202,7 +194,7 @@ def _pf_on_loop(mf: MField, loop: np.ndarray, zero_floor: float) -> np.ndarray:
     return pf
 
 
-def km_boundary(mf: MField, zero_floor: float = 1e-4) -> int:
+def km_boundary(mf: MField, zero_floor: float = Tolerances.zero_floor) -> int:
     """Kane-Mele integer: the oriented boundary sum of pf M windings."""
     if mf.pf is None:
         raise DomainError("Kane-Mele index needs even band-group rank")
@@ -240,19 +232,21 @@ def km_census(h_field: HamiltonianField, frame: Frame, mf: MField,
     takes the place of the principal one; every edge
     enters both its plaquettes with opposite signs, so the total still
     telescopes.  (A plaquette that simply contains a zero has steps around
-    pi/2; that is fine and expected.)  Raises DegenerateConfigurationError
-    when the zeros are not isolated (|pf M| < PF_HARD_FLOOR at a domain
-    vertex), and ResolutionError when a split fails or a plaquette winding is
-    not integral.
+    pi/2; that is fine and expected.)  Raises DegenerateConfigurationError,
+    naming the count and the first vertex, when |pf M| < PF_HARD_FLOOR at a
+    domain vertex: a zero on a vertex lies in no one plaquette.  Raises
+    ResolutionError when a split fails or a plaquette winding is not integral.
     """
     if mf.pf is None:
         raise DomainError("zero census needs even band-group rank")
     dom = mf.domain
-    tiny = np.abs(mf.pf) < PF_HARD_FLOOR
-    if np.any(tiny):
+    tiny = np.flatnonzero(np.abs(mf.pf) < PF_HARD_FLOOR)
+    if tiny.size:
+        x, y = dom.grid.points[tiny[0]]
         raise DegenerateConfigurationError(
-            f"pf M vanishes at {int(tiny.sum())} domain vertices; zeros are not "
-            "isolated points (symmetric stratum)"
+            f"|pf M| < {PF_HARD_FLOOR:g} at {tiny.size} of {dom.n_vertices} domain "
+            f"vertices, the first vertex {int(tiny[0])} at ({x:.4f}, {y:.4f}); the "
+            "census cannot place a zero that sits on a vertex"
         )
     steps = _edge_steps(mf)
     split_edges = np.flatnonzero(np.abs(steps) >= CENSUS_EDGE_CAP)
@@ -282,8 +276,8 @@ def _split_steps(h_field: HamiltonianField, frame: Frame, mf: MField,
     that parallel transport from the edge's first vertex would give is the
     sub-point's slab times a unitary G, and pf M(u G) = conj(det G) pf M(u),
     where det G is the running product of the phases of the links
-    det(chain[k+1]^dagger chain[k]) along the chain from that vertex through
-    the sub-points.  The last sub-step ends on the vertex
+    det(chain[k+1]^dagger chain[k]) (_links) along the chain from that
+    vertex through the sub-points.  The last sub-step ends on the vertex
     value of pf M, so the summed sub-steps differ from the principal step by
     a whole number of turns.  An edge still at the cap after the last split is
     settled when its sum equals the previous split's within 1e-6: along a
@@ -312,7 +306,7 @@ def _split_steps(h_field: HamiltonianField, frame: Frame, mf: MField,
         slabs = spec.band_vectors(group).reshape(todo.size, n - 1, *shape)
         # the links along the chain from the edge's first vertex through the sub-points
         chain = np.concatenate([frame.data[edges[todo, :1]], slabs], axis=1)
-        links = np.linalg.det(np.swapaxes(chain[:, 1:].conj(), -1, -2) @ chain[:, :-1])
+        links = _links(chain[:, 1:], chain[:, :-1])
         worst = np.argmin(np.abs(links))
         if abs(links.flat[worst]) <= LINK_FLOOR:
             raise _split_failure(edge_ids[todo[worst // (n - 1)]],

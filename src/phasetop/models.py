@@ -10,6 +10,7 @@ part (TRIBrokenControl) are two projections of that table.
 
 from __future__ import annotations
 
+import inspect
 import numbers
 
 import numpy as np
@@ -154,22 +155,10 @@ def _normalized_table(manifold: Manifold, n: int, cutoff: int, seed: int):
     return basis, table / _probe_norm(_table_field(basis, table), manifold), partner, sign
 
 
-def random_hermitian_field(manifold: Manifold, n: int, cutoff: int, seed: int):
-    """Random low-frequency Hermitian field with sup operator norm ~ 1.
-
-    Sphere: polynomial in the direction vector up to total degree `cutoff`.
-    Torus: trigonometric polynomial with mode indices |a|, |b| <= cutoff.
-    The field is normalized by its largest spectral norm over a fixed probe
-    set, so spectra spread over an O(1) range for every seed.
-    """
-    basis, table, _, _ = _normalized_table(manifold, n, cutoff, seed)
-    return _table_field(basis, table)
-
-
 def _random_tri_field(t: AntiUnitary, manifold: Manifold, cutoff: int, seed: int,
                       scale: float, parity: int = 1):
-    """scale times the TR-even (parity 1) or TR-odd (parity -1) part of
-    random_hermitian_field.
+    """scale times the TR-even (parity 1) or TR-odd (parity -1) part of the
+    random field of _normalized_table.
 
     The condition J conj(H(tau x)) J^dagger = H(x) is linear in H, so each
     part is one projection of the coefficient table: row r becomes
@@ -314,22 +303,25 @@ def _broken_control(base: dict, breaking_strength: float = 0.5,
     return tri_broken(build(base), breaking_strength, seed)
 
 
+# each variant's builder; its signature names the required keys and the defaults
 _VARIANTS = {
-    "RotorSpin": (rotor_spin, ("j",), {"perturbation_strength": 0.0, "seed": 0}),
-    "KramersPairSphere": (kramers_pair_sphere, (), {"epsilon": 0.1, "seed": 0}),
-    "TorusDoubledChern": (torus_doubled_chern, (), {"m": 1.0, "epsilon": 0.0, "seed": 0}),
-    "RandomTRI": (random_tri, ("manifold",), {"n_a": 4, "cutoff": 3, "seed": 0, "scale": 1.0}),
-    "TRIBrokenControl": (_broken_control, ("base",), {"breaking_strength": 0.5, "seed": 1}),
+    "RotorSpin": rotor_spin,
+    "KramersPairSphere": kramers_pair_sphere,
+    "TorusDoubledChern": torus_doubled_chern,
+    "RandomTRI": random_tri,
+    "TRIBrokenControl": _broken_control,
 }
 
 
 def build(spec: dict) -> HamiltonianField:
     """Build a zoo model from a specification mapping.
 
-    The mapping carries a "variant" key plus the variant's parameters, e.g.
-    {"variant": "RotorSpin", "j": 0.5, "perturbation_strength": 0.1, "seed": 3}.
-    Each optional parameter must have its default's type, where an integer
-    may stand for a float and a bool stands for neither.
+    The mapping carries a "variant" key plus the parameters of the variant's
+    builder, e.g. {"variant": "RotorSpin", "j": 0.5, "perturbation_strength":
+    0.1, "seed": 3}.  The builder's signature is the one record of them: a
+    parameter without a default is required, and one left out takes the
+    builder's default.  Each optional parameter must have its default's type,
+    where an integer may stand for a float and a bool stands for neither.
     """
     if not isinstance(spec, dict) or "variant" not in spec:
         raise ConfigError("model spec must be a mapping with a 'variant' key")
@@ -338,13 +330,15 @@ def build(spec: dict) -> HamiltonianField:
         raise ConfigError(
             f"unknown model variant {variant!r}; expected one of {sorted(_VARIANTS)}"
         )
-    fn, required, defaults = _VARIANTS[variant]
+    fn = _VARIANTS[variant]
     kwargs = {}
-    for key in required:
-        if key not in spec:
-            raise ConfigError(f"{variant} spec is missing required key {key!r}")
-        kwargs[key] = spec[key]
-    for key, default in defaults.items():
+    for param in inspect.signature(fn).parameters.values():
+        key, default = param.name, param.default
+        if default is param.empty:
+            if key not in spec:
+                raise ConfigError(f"{variant} spec is missing required key {key!r}")
+            kwargs[key] = spec[key]
+            continue
         value = spec.get(key, default)
         kind = numbers.Real if isinstance(default, float) else numbers.Integral
         if isinstance(value, bool) or not isinstance(value, kind):
@@ -353,7 +347,7 @@ def build(spec: dict) -> HamiltonianField:
         if key == "seed" and value < 0:
             raise ConfigError(f"{variant} parameter 'seed' must be >= 0, got {value}")
         kwargs[key] = value
-    extra = set(spec) - {"variant"} - set(required) - set(defaults)
+    extra = set(spec) - {"variant"} - set(kwargs)
     if extra:
         raise ConfigError(f"unknown keys {sorted(extra)} for variant {variant}")
     return fn(**kwargs)

@@ -36,23 +36,6 @@ def directions(pts: np.ndarray) -> np.ndarray:
     )
 
 
-def tr_image_batch(manifold: Manifold, pts: np.ndarray) -> np.ndarray:
-    """Time-reversal image of each row of an (m, 2) point array.
-
-    The sphere involution is fixed-point free; on the torus the fixed-point
-    set is exactly the two lines p = 0 and p = pi.
-    """
-    pts = np.asarray(pts, dtype=float)
-    out = np.empty_like(pts)
-    if manifold == Manifold.SPHERE:
-        out[:, 0] = np.pi - pts[:, 0]
-        out[:, 1] = np.mod(pts[:, 1] + np.pi, TWO_PI)
-    else:
-        out[:, 0] = pts[:, 0]
-        out[:, 1] = np.mod(-pts[:, 1], TWO_PI)
-    return out
-
-
 @dataclass(frozen=True)
 class Grid:
     """tau-closed grid on a phase-space manifold.

@@ -212,14 +212,14 @@ def test_criterion_7_gauge_pipeline(tmp_path):
         w = gauge.solve_equator_gauge(u, v)
         assert w.residual_pi <= 1e-8, h.label
         assert w.residual_2pi <= 1e-8, h.label
-        assert gauge.winding_obstruction(w) == 0
+        assert numkit.det_winding(w.samples) == 0
         ext = gauge.extend_to_disk(w, dom)
         regauged = bands.transition_loops(gauge.regauge_frame(frame, ext), h.t)[0]
         assert numkit.max_abs(regauged.samples - v.samples) <= 1e-6, h.label
         # mismatched class: obstruction +-1 and no extension
         v2 = gauge.normal_form_loop(c + 2, group.rank, grid.n_lon)
         w2 = gauge.solve_equator_gauge(u, v2)
-        assert abs(gauge.winding_obstruction(w2)) == 1
+        assert abs(numkit.det_winding(w2.samples)) == 1
     _ok(7, "gauge pipeline: seam residuals <= 1e-8, obstruction 0, disk "
            "extension regauges onto the normal form <= 1e-6; mismatched "
            "class obstructed by 1")

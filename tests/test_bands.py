@@ -6,7 +6,8 @@ import pytest
 from phasetop import bands, models, numkit
 from phasetop.bands import AntiUnitary, HamiltonianField
 from phasetop.errors import DomainError
-from phasetop.phasespace import Manifold, build_grid, fundamental_domain, tr_image_batch
+from phasetop.phasespace import Manifold, build_grid, fundamental_domain
+from oracles import random_hermitian_field, tr_image_batch
 from test_phasespace import domain_rows
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -131,7 +132,7 @@ def test_symmetrize_kills_odd_part():
 
 def test_symmetrize_random_field_is_tri():
     t = AntiUnitary(np.kron(1j * SY, np.eye(2)))
-    raw = models.random_hermitian_field(Manifold.SPHERE, 4, 2, seed=5)
+    raw = random_hermitian_field(Manifold.SPHERE, 4, 2, seed=5)
     h = symmetrize_tri(raw, t, Manifold.SPHERE)
     grid = build_grid(Manifold.SPHERE, 8, 16)
     residual, ok = bands.check_tri(h, grid, tol=1e-12)

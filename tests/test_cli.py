@@ -139,6 +139,32 @@ def test_analyze_dumps_tables(tmp_path):
     assert len(census) == 2  # a single indexed zero for this model
 
 
+def test_analyze_dump_writes_no_table_for_an_undefined_census(tmp_path):
+    # TorusDoubledChern m=1 has a zero of pf M on vertex 512, so both groups
+    # report k = -1 and 1 with census_total null: a header-only census table
+    # would read as "resolved, no zeros"
+    cfg = write_config(
+        tmp_path, "torus-m1.json",
+        {
+            "model": {"variant": "TorusDoubledChern", "m": 1.0},
+            "grid": {"n_lat": 16, "n_lon": 128},
+            "tolerances": {"gap_floor": 0.05},
+        },
+    )
+    out, dump = tmp_path / "o.json", tmp_path / "dumps"
+    assert run(["analyze", "--config", cfg, "--out", str(out),
+                "--dump", str(dump)]) == 0
+    groups = json.loads(out.read_text())["groups"]
+    assert sorted(g["k"] for g in groups) == [-1, 1]
+    note = ("census undefined: |pf M| < 1e-12 at 1 of 1152 domain vertices, the first "
+            "vertex 512 at (0.0000, 1.5708); the census cannot place a zero that sits "
+            "on a vertex")
+    for g in groups:
+        assert g["census_total"] is None and g["notes"] == [note]
+        assert (dump / f"pf_abs_group{g['group_id']}.csv").exists()
+    assert list(dump.glob("census_group*.csv")) == []
+
+
 def test_analyze_dump_covers_refined_grid(tmp_path):
     # this model's equator winding is under-resolved at 32x64, so its groups
     # are verified on the refined 32x128 grid; the dumps must cover that grid

@@ -61,7 +61,7 @@ def test_solve_gauge_identity_case():
     assert numkit.max_abs(w.samples[0] - np.eye(1)) <= 1e-12
     assert w.residual_pi <= 1e-12 and w.residual_2pi <= 1e-12
     assert gauge.gauge_relation_residual(u, u, w) <= 1e-10
-    assert gauge.winding_obstruction(w) == 0
+    assert numkit.det_winding(w.samples) == 0
 
 
 def test_solve_gauge_against_normal_form():
@@ -72,7 +72,7 @@ def test_solve_gauge_against_normal_form():
     assert w.residual_pi <= 1e-8
     assert w.residual_2pi <= 1e-8
     assert gauge.gauge_relation_residual(u, v, w) <= 1e-8
-    assert gauge.winding_obstruction(w) == 0
+    assert numkit.det_winding(w.samples) == 0
 
 
 @pytest.mark.parametrize("c_u,c_v,n_b", [(1, 1, 1), (1, 3, 1), (1, -3, 1),
@@ -82,7 +82,7 @@ def test_obstruction_is_half_winding_difference(c_u, c_v, n_b):
     v = gauge.normal_form_loop(c_v, n_b, 128)
     w = gauge.solve_equator_gauge(u, v)
     assert w.residual_pi <= 1e-10 and w.residual_2pi <= 1e-10
-    assert gauge.winding_obstruction(w) == (c_v - c_u) // 2
+    assert numkit.det_winding(w.samples) == (c_v - c_u) // 2
 
 
 def test_solve_gauge_rank2_model_loop():
@@ -92,18 +92,23 @@ def test_solve_gauge_rank2_model_loop():
     w = gauge.solve_equator_gauge(u, v)
     assert w.residual_pi <= 1e-8 and w.residual_2pi <= 1e-8
     assert gauge.gauge_relation_residual(u, v, w) <= 1e-8
-    assert gauge.winding_obstruction(w) == 0
+    assert numkit.det_winding(w.samples) == 0
 
 
 @pytest.mark.parametrize("n_b,c_v", [(1, 1), (1, 3), (2, 2), (2, 4)])
 def test_solve_gauge_second_half_matches_recurrence(n_b, c_v):
-    # the per-sample recurrence W(phi) = (V(psi) W(psi)^-1 U(psi)^-1)^t,
-    # psi = phi - pi, is the reference; the stacked solve must equal it bitwise
+    # the per-sample geodesic from W(0) = U(0)^-1 V(0) to W(pi) = I on the
+    # first half and the recurrence W(phi) = (V(psi) W(psi)^-1 U(psi)^-1)^t,
+    # psi = phi - pi, on the second are the reference; the stacked solve must
+    # equal them bitwise
     u = rotor_equator_loop()[4] if n_b == 1 else kramers_equator_loop(16, 32)
     v = gauge.normal_form_loop(c_v, n_b, u.samples.shape[0])
     w = gauge.solve_equator_gauge(u, v).samples
     L = w.shape[0]
-    ref = w.copy()
+    ref = np.empty_like(w)
+    w0 = u.samples[0].conj().T @ v.samples[0]
+    for j in range(L // 2 + 1):
+        ref[j] = w0 @ numkit.unitary_powers(w0.conj().T, j / (L // 2))
     for j in range(L // 2 + 1, L):
         psi = j - L // 2
         ref[j] = (v.samples[psi] @ ref[psi].conj().T @ u.samples[psi].conj().T).T
@@ -112,8 +117,9 @@ def test_solve_gauge_second_half_matches_recurrence(n_b, c_v):
 
 @pytest.mark.parametrize("n_b", [1, 2, 4])
 def test_stacked_unitary_powers_match_per_sample_loops(n_b):
-    # the per-sample loops are the reference for the geodesic samples and for
-    # the holonomy spreading of _pair_congruence; the stacks equal them bitwise
+    # the per-sample loops are the reference for the geodesic samples of
+    # solve_equator_gauge and for the holonomy spreading of _pair_congruence;
+    # the stacks equal them bitwise
     rng = np.random.default_rng(n_b)
     start, end = (np.linalg.qr(rng.standard_normal((n_b, n_b))
                                 + 1j * rng.standard_normal((n_b, n_b)))[0]
@@ -121,7 +127,7 @@ def test_stacked_unitary_powers_match_per_sample_loops(n_b):
     step = start.conj().T @ end
     ts = np.arange(33) / 32
     ref = np.stack([start @ numkit.unitary_powers(step, t) for t in ts])
-    assert ref.tobytes() == gauge._geodesic(start, end, ts).tobytes()
+    assert ref.tobytes() == (start @ numkit.unitary_powers(step, ts)).tobytes()
     L = 64
     spread = numkit.unitary_powers(step, -np.arange(L) / L)
     ref = np.stack([numkit.unitary_powers(step, -j / L) for j in range(L)])

@@ -16,6 +16,7 @@ from phasetop.errors import (
 )
 from phasetop.invariants import Tolerances
 from phasetop.phasespace import Manifold, build_grid, fundamental_domain
+from finer_grid import doubled_grid_moves
 from test_phasespace import domain_rows, plaquette_solid_angles
 
 SPHERE_GRID = build_grid(Manifold.SPHERE, 16, 32)
@@ -249,7 +250,8 @@ def test_km_torus_boundary_and_rank1_rejection():
 
 
 def test_km_census_degenerate_stratum_raises():
-    # unperturbed doubled torus model: pf M vanishes on interior symmetry points
+    # unperturbed doubled torus model: pf M has an isolated zero exactly on
+    # the vertex (q, p) = (0, pi/2), which lies in no one plaquette
     h = models.torus_doubled_chern(m=1.0, epsilon=0.0)
     spec = bands.spectrum_on_grid(h, TORUS_GRID)
     group = bands.group_for_range(spec, 0, 1, 0.05)
@@ -257,7 +259,8 @@ def test_km_census_degenerate_stratum_raises():
     frame = bands.smooth_frame(spec, group, dom)
     mf = invariants.m_field(frame, h.t)
     assert invariants.km_boundary(mf) in (-1, 1)  # TRI lines stay unitary
-    with pytest.raises(DegenerateConfigurationError):
+    with pytest.raises(DegenerateConfigurationError,
+                       match=r"at \(0\.0000, 1\.5708\); the census cannot place a zero"):
         invariants.km_census(h, frame, mf, TOL.gap_floor)
 
 
@@ -532,6 +535,22 @@ def test_n_lon_rung_integers_hold_on_the_doubled_grid(manifold, seed, shape, gap
         assert fine.refinements == 0 and fine.violations() == []
         assert ((rep.c_plaquette, rep.c_winding, rep.k)
                 == (fine.c_plaquette, fine.c_winding, fine.k))
+
+
+# (manifold, seed block, floor on the groups checked): 21 sphere and 9 torus
+# groups verify on the start grid without a refinement
+SEED_BLOCKS = [(Manifold.SPHERE, range(100, 110), 18), (Manifold.TORUS, range(200, 210), 7)]
+
+
+@pytest.mark.parametrize("manifold, seeds, floor", SEED_BLOCKS,
+                         ids=[m.value for m, _, _ in SEED_BLOCKS])
+def test_seed_block_integers_hold_on_the_doubled_grid(manifold, seeds, floor):
+    # every group of the block that verifies without a refinement keeps
+    # (c_plaquette, c_winding, k) on the grid doubled in both directions;
+    # tests/finer_grid.py runs the same comparison over all 100 models
+    checked, moved = doubled_grid_moves(manifold, seeds)
+    assert len(checked) >= floor
+    assert moved == [], [f"seed {s} group {g}: {a} -> {b}" for s, g, a, b in moved]
 
 
 def test_memo_spectrum_matches_a_fresh_solve():

@@ -12,6 +12,7 @@ import phasetop
 from phasetop import bands, invariants, models, numkit
 from phasetop.errors import ConfigError, GapError, ResolutionError, TrackingError
 from phasetop.phasespace import Manifold, build_grid
+from oracles import random_hermitian_field
 
 SPHERE_GRID = build_grid(Manifold.SPHERE, 16, 32)
 TORUS_GRID = build_grid(Manifold.TORUS, 16, 64)
@@ -139,7 +140,7 @@ def test_torus_field_matches_mode_sum():
     probe = mode_sum(models._probe_points(Manifold.TORUS))
     norm = np.max(np.linalg.norm(probe, 2, axis=(1, 2)))
     pts = np.random.default_rng(0).uniform(0.0, 2 * np.pi, (1000, 2))
-    field = models.random_hermitian_field(Manifold.TORUS, n, cutoff, seed)
+    field = random_hermitian_field(Manifold.TORUS, n, cutoff, seed)
     assert numkit.max_abs(field(pts) - mode_sum(pts) / norm) <= 1e-12
 
 
@@ -166,7 +167,7 @@ def test_sphere_field_matches_monomial_sum():
     pts = np.stack([np.arccos(rng.uniform(-1.0, 1.0, 1000)),
                     rng.uniform(0.0, 2 * np.pi, 1000)], axis=1)
     pts[:2] = [[0.0, 0.0], [np.pi, 1.0]]
-    field = models.random_hermitian_field(Manifold.SPHERE, n, cutoff, seed)
+    field = random_hermitian_field(Manifold.SPHERE, n, cutoff, seed)
     assert numkit.max_abs(field(pts) - monomial_sum(pts) / norm) <= 1e-12
 
 
@@ -219,6 +220,30 @@ def test_build_dispatch_and_validation():
         "breaking_strength": 0.5,
     })
     assert broken.label == "TRIBrokenControl"
+
+
+def test_variants_map_to_their_builders():
+    assert models._VARIANTS == {
+        "RotorSpin": models.rotor_spin, "KramersPairSphere": models.kramers_pair_sphere,
+        "TorusDoubledChern": models.torus_doubled_chern, "RandomTRI": models.random_tri,
+        "TRIBrokenControl": models._broken_control}
+
+
+# each variant with its required keys alone; the builder's signature gives the rest
+REQUIRED_ONLY = [{"variant": "RotorSpin", "j": 1.5},
+                 {"variant": "KramersPairSphere"},
+                 {"variant": "TorusDoubledChern"},
+                 {"variant": "RandomTRI", "manifold": "torus"},
+                 {"variant": "TRIBrokenControl", "base": {"variant": "KramersPairSphere"}}]
+
+
+@pytest.mark.parametrize("spec", REQUIRED_ONLY, ids=[s["variant"] for s in REQUIRED_ONLY])
+def test_build_takes_the_builders_defaults(spec):
+    required = {key: value for key, value in spec.items() if key != "variant"}
+    built, direct = models.build(spec), models._VARIANTS[spec["variant"]](**required)
+    pts = models._probe_points(built.manifold)
+    assert np.array_equal(built(pts), direct(pts))
+    assert np.array_equal(built.t.j, direct.t.j) and built.label == direct.label
 
 
 def test_build_checks_parameter_types():

@@ -17,9 +17,9 @@ from phasetop.phasespace import (
     build_grid,
     fundamental_domain,
     plaquette_sums,
-    tr_image_batch,
     transport_chains,
 )
+from oracles import random_hermitian_field, tr_image_batch
 from test_phasespace import domain_rows
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -158,7 +158,20 @@ def test_small_rank_links_match_einsum_determinants(seed, v, rank, extra):
     frames = np.linalg.qr(complex_normal(rng, (v, rank + extra, rank + extra)))[0][..., :rank]
     a, b = rng.integers(0, v, (2, 3 * v))
     want = np.linalg.det(np.einsum("vji,vjk->vik", frames[a].conj(), frames[b]))
-    assert numkit.max_abs(invariants._links(frames, a, b) - want) <= 1e-14
+    assert numkit.max_abs(invariants._links(frames[a], frames[b]) - want) <= 1e-14
+
+
+@given(seed=SEEDS, m=st.integers(1, 4), n=st.integers(2, 5), rank=st.integers(1, 5),
+       extra=st.integers(0, 2))
+def test_links_take_chains_of_any_leading_shape(seed, m, n, rank, extra):
+    # the census split passes (m, n, N_A, N_B) chains: link k of chain i is
+    # det(chain[i, k+1]^dagger chain[i, k]), by Leibniz up to rank 3
+    rng = np.random.default_rng(seed)
+    chain = np.linalg.qr(complex_normal(rng, (m, n, rank + extra, rank + extra)))[0][..., :rank]
+    want = np.linalg.det(np.swapaxes(chain[:, 1:].conj(), -1, -2) @ chain[:, :-1])
+    links = invariants._links(chain[:, 1:], chain[:, :-1])
+    assert links.shape == (m, n - 1)
+    assert numkit.max_abs(links - want) <= 1e-14
 
 
 def test_transport_stack_reraises_rank_deficiency():
@@ -569,12 +582,12 @@ def test_random_tri_averages_coefficients_like_samples(seed, manifold, n_a, cuto
         pts[50:100, 1] = np.pi
     if parity == 1:
         # RandomTRI is the TR-even part of its raw field
-        raw = models.random_hermitian_field(manifold, n_a, cutoff, seed)
+        raw = random_hermitian_field(manifold, n_a, cutoff, seed)
         got, scale = h(pts), 1.0
     else:
         # TRIBrokenControl adds the TR-odd part of a cutoff-2 raw field, at
         # the breaking strength over its sup norm on the probe set
-        raw = models.random_hermitian_field(manifold, n_a, 2, seed)
+        raw = random_hermitian_field(manifold, n_a, 2, seed)
         got = models.tri_broken(h, 0.5, seed)(pts) - h(pts)
         probe = tr_part(raw, h.t, manifold, -1, models._probe_points(manifold))
         scale = 0.5 / np.max(np.linalg.norm(probe, 2, axis=(1, 2)))
