@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, gauge, models
-from .bands import group_for_range, smooth_frame, spectrum_on_grid, transition_loops
+from .bands import transition_loops
 from .errors import (
     ConfigError,
     ExtensionError,
@@ -30,9 +30,9 @@ from .errors import (
     ResolutionError,
     TRIViolationError,
 )
-from .invariants import Tolerances, analyze_model, chern_winding, tri_path
+from .invariants import Tolerances, analyze_model, tri_path, verify_group_fields
 from .numkit import det_winding
-from .phasespace import Manifold, build_grid, fundamental_domain
+from .phasespace import Manifold, build_grid
 
 SCHEMA_VERSION = 1
 
@@ -353,40 +353,35 @@ def cmd_deform(args) -> int:
 def cmd_gauge_demo(args) -> int:
     _positive("--gap-floor", args.gap_floor)
     cfg = _validate_config(_load_config(args.config))
+    tol = dataclasses.replace(_tolerances(cfg), gap_floor=args.gap_floor)
     h_field = models.build(cfg["model"])
     sphere = h_field.manifold == Manifold.SPHERE
     if args.target_c is not None and not sphere:
         raise ConfigError("--target-c applies to sphere models only")
     grid = _grid_for(cfg, h_field, args.grid)
     first, last = _band_range(args.group, h_field.n_a)
-    spectrum = spectrum_on_grid(h_field, grid)
-    group = group_for_range(spectrum, first, last, args.gap_floor)
-    dom = fundamental_domain(grid)
-    frame = smooth_frame(spectrum, group, dom)
+    rep, fields = verify_group_fields(h_field, (first, last), grid, tol)
+    frame, loops, measured_c = fields.frame, fields.loops, rep.c_winding
 
-    report = _report_header({
+    report = {**_report_header({
         "model": cfg["model"],
         "group": [first, last],
         "target_c": args.target_c,
         "grid": {"n_lat": grid.n_lat, "n_lon": grid.n_lon},
-    })
-
-    loops = transition_loops(frame, h_field.t)
-    measured_c = chern_winding(loops)
+    }), "group": rep.to_dict(), "violations": rep.violations()}
     if sphere:
         (loop,) = loops
         target_c = measured_c if args.target_c is None else args.target_c
-        if (target_c - group.rank) % 2 != 0:
+        if (target_c - rep.rank) % 2 != 0:
             raise ConfigError(
-                f"target Chern {target_c} has wrong parity for rank {group.rank}"
+                f"target Chern {target_c} has wrong parity for rank {rep.rank}"
             )
-        nf = gauge.normal_form_loop(target_c, group.rank, grid.n_lon)
+        nf = gauge.normal_form_loop(target_c, rep.rank, rep.grid_n_lon)
         w = gauge.solve_equator_gauge(loop, nf)
         obstruction = det_winding(w.samples)   # wn det W: extends iff 0
         report.update({
             "measured_c": measured_c,
             "target_c": target_c,
-            "loop_antisymmetry": loop.symmetry_residual,
             "continuity_residual_pi": w.residual_pi,
             "continuity_residual_2pi": w.residual_2pi,
             "gauge_relation_residual": gauge.gauge_relation_residual(loop, nf, w),
@@ -394,7 +389,7 @@ def cmd_gauge_demo(args) -> int:
         })
         if obstruction == 0:
             try:
-                ext = gauge.extend_to_disk(w, dom)
+                ext = gauge.extend_to_disk(w, frame.domain)
             except ExtensionError as exc:
                 report.update({"extension_success": False, "expected_failure": False,
                                "reason": str(exc)})
@@ -426,7 +421,7 @@ def cmd_gauge_demo(args) -> int:
             "extendability_winding": wd["det_w_plus"] - wd["det_w_minus"],
         })
     _json_dump(report, args.out)
-    return 0
+    return 3 if report["violations"] else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -424,14 +424,16 @@ class GroupFields:
     """The fields behind one group's report, on the grid the report names."""
 
     curvature: CurvatureField
+    frame: Frame
+    loops: tuple[TransitionLoop, ...]   # the boundary loops of frame
     m_field: MField | None     # even rank only
 
 
-def _verify_once(h_field: HamiltonianField, group: BandGroup, grid: Grid,
+def _verify_once(h_field: HamiltonianField, band_range: tuple, grid: Grid,
                  tol: Tolerances, group_id: int,
                  refinements: int) -> tuple[InvariantReport, GroupFields]:
     spectrum = spectrum_on_grid(h_field, grid)
-    min_gap = group_for_range(spectrum, group.first, group.last, tol.gap_floor).min_gap
+    group = group_for_range(spectrum, *band_range, tol.gap_floor)
 
     slabs = spectrum.band_vectors(group)
     curv, c_plq = chern_plaquette(slabs, grid)
@@ -460,7 +462,7 @@ def _verify_once(h_field: HamiltonianField, group: BandGroup, grid: Grid,
         first_band=group.first + 1,
         last_band=group.last + 1,
         rank=nb,
-        min_gap=min_gap,
+        min_gap=group.min_gap,
         c_plaquette=c_plq,
         c_winding=c_wind,
         consistent=consistent,
@@ -492,7 +494,7 @@ def _verify_once(h_field: HamiltonianField, group: BandGroup, grid: Grid,
     else:
         report.notes.append("odd rank: Pfaffian and KM index undefined")
 
-    return report, GroupFields(curvature=curv, m_field=mf)
+    return report, GroupFields(curvature=curv, frame=frame, loops=loops, m_field=mf)
 
 
 def verify_group(h_field: HamiltonianField, group: BandGroup, grid: Grid,
@@ -515,18 +517,19 @@ def verify_group(h_field: HamiltonianField, group: BandGroup, grid: Grid,
     c_plaquette != c_winding is returned with consistent=False rather than
     raised, so callers can surface it in reports.
     """
-    return verify_group_fields(h_field, group, grid, tol, group_id)[0]
+    return verify_group_fields(h_field, (group.first, group.last), grid, tol, group_id)[0]
 
 
-def verify_group_fields(h_field: HamiltonianField, group: BandGroup, grid: Grid,
+def verify_group_fields(h_field: HamiltonianField, band_range: tuple, grid: Grid,
                         tol: Tolerances = Tolerances(), group_id: int = 0,
                         ) -> tuple[InvariantReport, GroupFields]:
-    """verify_group, also returning the report's GroupFields, taken from the
-    final (possibly refined) grid."""
+    """verify_group for the band range (first, last), also returning the
+    report's GroupFields, from the final (possibly refined) grid; each rung
+    takes its BandGroup, and so its GapError, from its own spectrum."""
     start, rungs = grid, []
     while True:
         try:
-            report, fields = _verify_once(h_field, group, grid, tol, group_id, len(rungs))
+            report, fields = _verify_once(h_field, band_range, grid, tol, group_id, len(rungs))
         except ResolutionError as exc:
             # only the message is kept: holding exc would tie its traceback
             # to this frame in a reference cycle
@@ -579,9 +582,9 @@ def analyze_model(h_field: HamiltonianField, grid: Grid,
         raise TRIViolationError(tri_residual, tol.tri_tol)
     groups = find_gapped_groups(spectrum_on_grid(h_field, grid), tol.gap_floor)
     results = []
-    for gid, group in enumerate(groups):
+    for gid, g in enumerate(groups):
         try:
-            results.append(verify_group_fields(h_field, group, grid, tol, gid))
+            results.append(verify_group_fields(h_field, (g.first, g.last), grid, tol, gid))
         except PhasetopError as exc:
             results.append(exc)
     return tri_residual, groups, results

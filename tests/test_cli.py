@@ -417,6 +417,78 @@ def test_gauge_demo_on_six_band_groups(tmp_path, capsys, manifold, seed, group, 
         assert capsys.readouterr().err == f"phasetop: error: {rep['reason']}\n"
 
 
+def test_gauge_demo_reads_the_config_tolerances(tmp_path, monkeypatch):
+    # the config's tolerances reach the group's verification, --gap-floor
+    # sets gap_floor over the config's, and a zero floor above every |pf M|
+    # leaves k undefined with the note analyze writes
+    model = {"variant": "KramersPairSphere", "epsilon": 0.1, "seed": 0}
+    grid = {"n_lat": 32, "n_lon": 128}
+    out = tmp_path / "g.json"
+    groups = []
+    for tolerances in ({}, {"zero_floor": 10}):
+        cfg = write_config(tmp_path, "kp.json", {"model": model, "grid": grid,
+                                                 "tolerances": tolerances})
+        assert run(["gauge-demo", "--config", cfg, "--group", "0:1", "--out", str(out)]) == 0
+        groups.append(json.loads(out.read_text())["group"])
+    assert groups[0]["k"] == 1
+    assert groups[1]["k"] is None and groups[1]["km_relation_ok"] is None
+    assert groups[1]["notes"][0].startswith("KM index undefined: ")
+    assert "zero floor 10 at boundary vertex" in groups[1]["notes"][0]
+
+    seen = []
+    real = cli.verify_group_fields
+
+    def spy(h_field, band_range, grid, tol):
+        seen.append(tol)
+        return real(h_field, band_range, grid, tol)
+
+    monkeypatch.setattr(cli, "verify_group_fields", spy)
+    cfg = write_config(tmp_path, "rotor.json",
+                       {**ROTOR, "tolerances": {"gap_floor": 0.3, "zero_floor": 2e-3}})
+    assert run(["gauge-demo", "--config", cfg, "--group", "0:0", "--gap-floor", "0.07",
+                "--out", str(out)]) == 0
+    assert seen == [Tolerances(gap_floor=0.07, zero_floor=2e-3)]
+
+
+def test_gauge_demo_takes_the_n_lon_rung(tmp_path):
+    # sphere seed 140's group 0:2 has a boundary-loop phase step of 1.69 rad
+    # on 32x64, so its group settles on 32x128 and the gauge is built there;
+    # the report keeps the requested grid in config and names the rung
+    cfg = write_config(tmp_path, "s140.json", {
+        "model": {"variant": "RandomTRI", "manifold": "sphere", "seed": 140},
+        "grid": {"n_lat": 32, "n_lon": 64}})
+    out = tmp_path / "g.json"
+    run(["gauge-demo", "--config", cfg, "--group", "0:2", "--out", str(out)])
+    rep = json.loads(out.read_text())
+    group = rep["group"]
+    assert (group["grid_n_lat"], group["grid_n_lon"], group["refinements"]) == (32, 128, 1)
+    assert group["notes"][0].startswith("refined to 32x128: phase step")
+    assert rep["measured_c"] == group["c_plaquette"] == group["c_winding"] == -3
+    assert rep["obstruction_winding"] == 0 and rep["violations"] == []
+    assert rep["config"]["grid"] == {"n_lat": 32, "n_lon": 64}
+
+
+@pytest.mark.parametrize("model, grid", [
+    ({"variant": "KramersPairSphere", "epsilon": 0.1, "seed": 0}, {"n_lat": 32, "n_lon": 128}),
+    ({"variant": "TorusDoubledChern", "m": 1.0}, {"n_lat": 16, "n_lon": 128}),
+])
+def test_gauge_demo_group_matches_analyze_model(tmp_path, model, grid):
+    # gauge-demo and analyze verify a group through one pipeline, so the
+    # group block agrees with analyze_model's report of that range
+    cfg = write_config(tmp_path, "c.json", {"model": model, "grid": grid,
+                                            "tolerances": {"gap_floor": 0.05}})
+    out = tmp_path / "g.json"
+    assert run(["gauge-demo", "--config", cfg, "--group", "0:1", "--out", str(out)]) == 0
+    block = json.loads(out.read_text())["group"]
+    h = models.build(model)
+    _, _, results = invariants.analyze_model(h, build_grid(h.manifold, **grid),
+                                             Tolerances(gap_floor=0.05))
+    (oracle,) = [json.loads(json.dumps(rep.to_dict())) for rep, _ in results
+                 if (rep.first_band, rep.last_band) == (1, 2)]
+    del block["group_id"], oracle["group_id"]
+    assert block == oracle
+
+
 def test_map_chunks_is_an_ordered_map():
     from phasetop import runtime
 
@@ -604,6 +676,23 @@ def test_analyze_and_random_suite_check_the_same_theorems(tmp_path, monkeypatch,
                 "--grid", "8x8", "--out", str(out)]) == code
     violations = json.loads(out.read_text())["violations"]
     assert [v["kind"] for v in violations] == ([kind] if kind else [])
+
+    # gauge-demo reads the same list off the group it verified; the real
+    # fields still carry the gauge step
+    real = cli.verify_group_fields
+
+    def failing(*args):
+        rep, fields = real(*args)
+        if failed:
+            setattr(rep, failed, False)
+        return rep, fields
+
+    monkeypatch.setattr(cli, "verify_group_fields", failing)
+    assert run(["gauge-demo", "--config", write_config(tmp_path, "rotor.json", ROTOR),
+                "--group", "0:0", "--out", str(out)]) == code
+    report = json.loads(out.read_text())
+    assert [v["kind"] for v in report["violations"]] == ([kind] if kind else [])
+    assert report["extension_success"] is True
 
 
 def test_deform_incompatible_endpoints_exit_3(tmp_path):

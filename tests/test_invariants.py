@@ -589,7 +589,8 @@ def test_boundary_zero_leaves_k_undefined(monkeypatch):
     # census are undefined, the note names the zero, and nothing is re-solved
     h, _, solved = _counted(monkeypatch, models.kramers_pair_sphere(epsilon=0.1))
     tol = Tolerances(gap_floor=TOL.gap_floor, zero_floor=2.0)
-    rep, fields = invariants.verify_group_fields(h, _kramers_group(h), SPHERE_GRID, tol)
+    g = _kramers_group(h)
+    rep, fields = invariants.verify_group_fields(h, (g.first, g.last), SPHERE_GRID, tol)
     assert rep.k is None and rep.km_relation_ok is None
     assert rep.census_total is None and rep.census_entries == []
     mf = fields.m_field
@@ -861,11 +862,14 @@ def test_settled_edges_match_a_4096_part_walk(manifold, seed, shape, gap_floor):
     h = models.random_tri(manifold, 4, seed=seed)
     grid, tol = build_grid(Manifold(manifold), *shape), Tolerances(gap_floor=gap_floor)
     group = bands.find_gapped_groups(bands.spectrum_on_grid(h, grid), gap_floor)[0]
-    rep, fields = invariants.verify_group_fields(h, group, grid, tol)
+    rep, fields = invariants.verify_group_fields(h, (group.first, group.last), grid, tol)
     assert rep.k is not None and rep.census_total == rep.k
     mf = fields.m_field
     frame = bands.smooth_frame(bands.spectrum_on_grid(h, mf.domain.grid), group,
                                mf.domain)
+    # the returned frame is the one on the refined grid, bit for bit
+    assert fields.frame.domain is mf.domain
+    assert np.array_equal(fields.frame.data, frame.data)
     ids = _flagged_edges(mf)
     steps = invariants._split_steps(h, frame, mf, ids, gap_floor)
     # the torus group fails a loop step first and verifies on 24x256

@@ -72,3 +72,17 @@ def test_no_module_imports_another_modules_private_names():
                for path in sorted(PACKAGE.glob("*.py"))
                for pair in sorted(private_imports(path))]
     assert reached == []
+
+
+# the per-group pipeline; gauge-demo reads its group, frame and loops from
+# invariants.verify_group_fields instead
+PIPELINE = {"spectrum_on_grid", "group_for_range", "smooth_frame", "fundamental_domain",
+            "chern_winding"}
+
+
+def test_cli_builds_no_pipeline_of_its_own():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    named = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert PIPELINE & named == set()
