@@ -98,6 +98,13 @@ def _tolerances(cfg: dict) -> Tolerances:
     return Tolerances(**cfg.get("tolerances", {}))
 
 
+def _gap_floor(flag, cfg: dict, default: float) -> float:
+    """A given --gap-floor, else the config's tolerances.gap_floor, else default."""
+    if flag is not None:
+        return _positive("--gap-floor", flag)
+    return cfg.get("tolerances", {}).get("gap_floor", default)
+
+
 def _parse_grid(text: str) -> tuple[int, int]:
     """The (n_lat, n_lon) of a --grid value LATxLON."""
     try:
@@ -321,15 +328,14 @@ def cmd_random_suite(args) -> int:
 
 
 def cmd_deform(args) -> int:
-    _positive("--gap-floor", args.gap_floor)
     cfg_a = _validate_config(_load_config(args.config_a))
     cfg_b = _validate_config(_load_config(args.config_b))
+    gap_floor = _gap_floor(args.gap_floor, cfg_a, 1e-3)
     h0 = models.build(cfg_a["model"])
     h1 = models.build(cfg_b["model"])
     grid = _grid_for(cfg_a, h0, args.grid)
     first, last = _band_range(args.group, h0.n_a)
-    path = tri_path(h0, h1, grid, (first, last), steps=args.steps,
-                    gap_floor=args.gap_floor)
+    path = tri_path(h0, h1, grid, (first, last), steps=args.steps, gap_floor=gap_floor)
     report = {
         **_report_header({
             "model_a": cfg_a["model"],
@@ -337,7 +343,7 @@ def cmd_deform(args) -> int:
             "steps": args.steps,
             "group": [first, last],
             "grid": {"n_lat": grid.n_lat, "n_lon": grid.n_lon},
-            "gap_floor": args.gap_floor,
+            "gap_floor": gap_floor,
         }),
         "verdict": path.verdict,
         "chern": path.chern,
@@ -351,9 +357,8 @@ def cmd_deform(args) -> int:
 
 
 def cmd_gauge_demo(args) -> int:
-    _positive("--gap-floor", args.gap_floor)
     cfg = _validate_config(_load_config(args.config))
-    tol = dataclasses.replace(_tolerances(cfg), gap_floor=args.gap_floor)
+    tol = dataclasses.replace(_tolerances(cfg), gap_floor=_gap_floor(args.gap_floor, cfg, 0.05))
     h_field = models.build(cfg["model"])
     sphere = h_field.manifold == Manifold.SPHERE
     if args.target_c is not None and not sphere:
@@ -460,7 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=11)
     p.add_argument("--group", default="0:0", help="band index range first:last")
     p.add_argument("--grid", default=None)
-    p.add_argument("--gap-floor", type=float, default=1e-3, dest="gap_floor")
+    p.add_argument("--gap-floor", type=float, default=None, dest="gap_floor",
+                   help="default: config_a's tolerances.gap_floor, else 1e-3")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_deform)
 
@@ -469,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", default="0:0", help="band index range first:last")
     p.add_argument("--target-c", type=int, default=None, dest="target_c")
     p.add_argument("--grid", default=None)
-    p.add_argument("--gap-floor", type=float, default=0.05, dest="gap_floor")
+    p.add_argument("--gap-floor", type=float, default=None, dest="gap_floor",
+                   help="default: the config's tolerances.gap_floor, else 0.05")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_gauge_demo)
 

@@ -68,7 +68,7 @@ LINK_FLOOR = 1e-6                 # smallest admissible |det| of a plaquette lin
 FLUX_CAP = np.pi - 0.1            # largest admissible |plaquette flux|
 CENSUS_EDGE_CAP = np.pi - 0.2     # pf M phase step that puts a zero on an edge
 PF_HARD_FLOOR = 1e-12             # |pf M| below which pf M vanishes at a point
-CENSUS_EDGE_SPLITS = (2, 4, 8, 16)  # sub-intervals tried in turn on a census edge
+CENSUS_EDGE_PARTS = 16            # equal parts a census edge is cut into
 MAX_GRID_REFINEMENTS = 1          # doublings of each grid direction a retry may take
 MAX_LOOP_SAMPLES = 2 ** 14        # no refinement past this many boundary samples
 
@@ -270,8 +270,7 @@ def _split_steps(h_field: HamiltonianField, frame: Frame, mf: MField,
     """The pf M step along each grid edge of edge_ids, lower vid to higher,
     re-measured on sub-points of the edge.
 
-    Each edge is cut into 2, then 4, 8 and 16 equal parts
-    (CENSUS_EDGE_SPLITS) until every sub-step is below CENSUS_EDGE_CAP.  H is
+    Each edge is cut once into CENSUS_EDGE_PARTS equal parts, and H is
     solved at the interior points only.  No frame is moved there: the frame
     that parallel transport from the edge's first vertex would give is the
     sub-point's slab times a unitary G, and pf M(u G) = conj(det G) pf M(u),
@@ -279,64 +278,54 @@ def _split_steps(h_field: HamiltonianField, frame: Frame, mf: MField,
     det(chain[k+1]^dagger chain[k]) (_links) along the chain from that
     vertex through the sub-points.  The last sub-step ends on the vertex
     value of pf M, so the summed sub-steps differ from the principal step by
-    a whole number of turns.  An edge still at the cap after the last split is
-    settled when its sum equals the previous split's within 1e-6: along a
-    sub-segment that misses a simple zero, the phase of pf M changes by less
-    than pi.  Raises ResolutionError naming the edge and the cause when a
-    split fails: a group gap at or below gap_floor, a link modulus at or
-    below LINK_FLOOR or |pf M| below PF_HARD_FLOOR at a sub-point, or a last
-    split that has not converged.
+    a whole number of turns.  An edge whose sub-steps all stay below
+    CENSUS_EDGE_CAP takes their sum; an edge still at the cap is settled
+    when that sum equals, within 1e-6, the sum over every other point of the
+    same walk (half as many parts): along a sub-segment that misses a simple
+    zero, the phase of pf M changes by less than pi.  Raises ResolutionError
+    naming the edge and the cause when a split fails: a group gap at or
+    below gap_floor, a link modulus at or below LINK_FLOOR or |pf M| below
+    PF_HARD_FLOOR at a sub-point, or an edge at the cap whose two sums
+    differ.
     """
     grid, group = frame.domain.grid, frame.group
     edges = grid.edges[edge_ids]
     shape = frame.data.shape[1:]
-    summed = np.full(len(edges), np.nan)   # each edge's sum at its latest split
-    todo = np.arange(len(edges))
-    for n in CENSUS_EDGE_SPLITS:
-        earlier = summed[todo]
-        pts = edge_points(grid.manifold, grid.points[edges[todo, 0]],
-                          grid.points[edges[todo, 1]], n)
-        spec = Spectrum.from_stack(h_field(pts.reshape(-1, 2)))  # off-grid points
-        gaps = spec.gaps_around(group.first, group.last)
-        worst = np.argmin(gaps)
-        if gaps[worst] <= gap_floor:
-            raise _split_failure(edge_ids[todo[worst // (n - 1)]],
-                                 f"group gap {gaps[worst]:.3e} <= gap floor "
-                                 f"{gap_floor:g} at a sub-point")
-        slabs = spec.band_vectors(group).reshape(todo.size, n - 1, *shape)
-        # the links along the chain from the edge's first vertex through the sub-points
-        chain = np.concatenate([frame.data[edges[todo, :1]], slabs], axis=1)
-        links = _links(chain[:, 1:], chain[:, :-1])
-        worst = np.argmin(np.abs(links))
-        if abs(links.flat[worst]) <= LINK_FLOOR:
-            raise _split_failure(edge_ids[todo[worst // (n - 1)]],
-                                 f"|link| = {abs(links.flat[worst]):.3e} <= link "
-                                 f"floor {LINK_FLOOR:g} at a sub-point")
-        # pf M(u G) = conj(det G) pf M(u), det G the running product of link phases
-        inner = (numkit.pfaffian(_m_values(slabs.reshape(-1, *shape), h_field.t))
-                 * np.cumprod(links / np.abs(links), axis=1).conj().ravel())
-        worst = np.argmin(np.abs(inner))
-        if abs(inner[worst]) < PF_HARD_FLOOR:
-            raise _split_failure(edge_ids[todo[worst // (n - 1)]],
-                                 f"|pf M| = {abs(inner[worst]):.3e} < "
-                                 f"{PF_HARD_FLOOR:g} at a sub-point")
-        pf = np.concatenate([mf.pf[edges[todo, :1]], inner.reshape(todo.size, n - 1),
-                             mf.pf[edges[todo, 1:]]], axis=1)
-        sub = np.angle(pf[:, 1:] / pf[:, :-1])
-        summed[todo] = sub.sum(axis=1)
-        stuck = np.max(np.abs(sub), axis=1) >= CENSUS_EDGE_CAP
-        todo, earlier = todo[stuck], earlier[stuck]
-        if not todo.size:
-            return summed
-    # still at the cap after the last split: settled when the sum has converged
-    off = np.flatnonzero(~(np.abs(summed[todo] - earlier) <= 1e-6))  # NaN: no earlier split
+    n = CENSUS_EDGE_PARTS
+    pts = edge_points(grid.manifold, grid.points[edges[:, 0]], grid.points[edges[:, 1]], n)
+    spec = Spectrum.from_stack(h_field(pts.reshape(-1, 2)))  # off-grid points
+    gaps = spec.gaps_around(group.first, group.last)
+    worst = np.argmin(gaps)
+    if gaps[worst] <= gap_floor:
+        raise _split_failure(edge_ids[worst // (n - 1)], f"group gap {gaps[worst]:.3e} <= "
+                             f"gap floor {gap_floor:g} at a sub-point")
+    slabs = spec.band_vectors(group).reshape(len(edges), n - 1, *shape)
+    # the links along the chain from the edge's first vertex through the sub-points
+    chain = np.concatenate([frame.data[edges[:, :1]], slabs], axis=1)
+    links = _links(chain[:, 1:], chain[:, :-1])
+    worst = np.argmin(np.abs(links))
+    if abs(links.flat[worst]) <= LINK_FLOOR:
+        raise _split_failure(edge_ids[worst // (n - 1)], f"|link| = "
+                             f"{abs(links.flat[worst]):.3e} <= link floor {LINK_FLOOR:g} "
+                             "at a sub-point")
+    # pf M(u G) = conj(det G) pf M(u), det G the running product of link phases
+    inner = (numkit.pfaffian(_m_values(slabs.reshape(-1, *shape), h_field.t))
+             * np.cumprod(links / np.abs(links), axis=1).conj().ravel())
+    worst = np.argmin(np.abs(inner))
+    if abs(inner[worst]) < PF_HARD_FLOOR:
+        raise _split_failure(edge_ids[worst // (n - 1)], f"|pf M| = {abs(inner[worst]):.3e} "
+                             f"< {PF_HARD_FLOOR:g} at a sub-point")
+    pf = np.concatenate([mf.pf[edges[:, :1]], inner.reshape(len(edges), n - 1),
+                         mf.pf[edges[:, 1:]]], axis=1)
+    sub = np.angle(pf[:, 1:] / pf[:, :-1])
+    summed, half = sub.sum(axis=1), np.angle(pf[:, 2::2] / pf[:, :-2:2]).sum(axis=1)
+    stuck = np.max(np.abs(sub), axis=1) >= CENSUS_EDGE_CAP
+    off = np.flatnonzero(stuck & (np.abs(summed - half) > 1e-6))
     if off.size:
-        e, before = todo[off[0]], earlier[off[0]]
-        cause = f"a sub-step is at the cap after {CENSUS_EDGE_SPLITS[-1]} parts"
-        raise _split_failure(edge_ids[e], cause + (
-            ", with no earlier split to compare" if np.isnan(before) else
-            f", and the summed step {summed[e]:.6f} differs from the previous "
-            f"split's {before:.6f}"))
+        e = off[0]
+        raise _split_failure(edge_ids[e], f"a sub-step is at the cap after {n} parts, and "
+                             f"the summed step {summed[e]:.6f} differs from the {n // 2}-part "
+                             f"sum {half[e]:.6f}")
     return summed
 
 
@@ -393,21 +382,26 @@ class InvariantReport:
         return [record for ok, record in checks if not ok]
 
 
-def _km_and_census(h_field, frame, mf, tol):
+def _km_and_census(h_field, frame, mf, tol, last_rung):
     """Boundary winding and zero census of pf M on the one fundamental domain.
 
     Returns (k, census, notes).  k and the census are None, with a note, on
     the symmetric stratum (|pf M| < PF_HARD_FLOOR at every domain vertex; it
-    is frame-independent and tau-even, so it vanishes on the whole grid) and
-    when pf M has a zero on a boundary loop; the census alone is None, with a
-    note naming the cause, when it is undefined or unresolved.
+    is frame-independent and tau-even, so it vanishes on the whole grid),
+    when pf M has a zero on a boundary loop, and when a pf M loop is
+    under-resolved (LoopStepError) on the last rung of the retry ladder; on
+    an earlier rung that error is raised, so the ladder refines.  The census
+    alone is None, with a note naming the cause, when it is undefined or
+    unresolved.
     """
     if np.all(np.abs(mf.pf) < PF_HARD_FLOOR):
         return None, None, ["KM index undefined: pf M vanishes at every domain "
                             "vertex (symmetric stratum)"]
     try:
         k = km_boundary(mf, tol.zero_floor)
-    except BoundaryZeroError as exc:
+    except (BoundaryZeroError, LoopStepError) as exc:
+        if isinstance(exc, LoopStepError) and not last_rung:
+            raise
         return None, None, [f"KM index undefined: {exc}"]
     try:
         census = km_census(h_field, frame, mf, tol.gap_floor)
@@ -430,8 +424,8 @@ class GroupFields:
 
 
 def _verify_once(h_field: HamiltonianField, band_range: tuple, grid: Grid,
-                 tol: Tolerances, group_id: int,
-                 refinements: int) -> tuple[InvariantReport, GroupFields]:
+                 tol: Tolerances, group_id: int, refinements: int,
+                 last_rung: bool) -> tuple[InvariantReport, GroupFields]:
     spectrum = spectrum_on_grid(h_field, grid)
     group = group_for_range(spectrum, *band_range, tol.gap_floor)
 
@@ -480,7 +474,7 @@ def _verify_once(h_field: HamiltonianField, band_range: tuple, grid: Grid,
     if nb % 2 == 0:
         mf = m_field(frame, h_field.t)
         residuals["m_skew"] = mf.skew_residual
-        k, census, notes = _km_and_census(h_field, frame, mf, tol)
+        k, census, notes = _km_and_census(h_field, frame, mf, tol, last_rung)
         report.k = k
         report.notes.extend(notes)
         if k is not None:
@@ -510,8 +504,10 @@ def verify_group(h_field: HamiltonianField, group: BandGroup, grid: Grid,
     retries in refinements and names each rung and its trigger in its notes
     ("refined to 24x256: phase step ...").  A resolution failure on the last
     rung is raised as a plain ResolutionError whatever its trigger, so
-    LoopStepError stays inside the ladder; a GapError is raised as it is, on
-    any rung.  Each attempt reads h_field's spectrum through
+    LoopStepError stays inside the ladder, but for a phase step of the pf M
+    boundary loop there: the group keeps its report, with k and the census
+    undefined and a note quoting the step.  A GapError is raised as it is,
+    on any rung.  Each attempt reads h_field's spectrum through
     spectrum_on_grid, so the groups of one field share its spectrum on each
     grid, and a finer grid solves only its new vertices.  A persisting
     c_plaquette != c_winding is returned with consistent=False rather than
@@ -528,20 +524,23 @@ def verify_group_fields(h_field: HamiltonianField, band_range: tuple, grid: Grid
     takes its BandGroup, and so its GapError, from its own spectrum."""
     start, rungs = grid, []
     while True:
+        lat, lon = _doublings(start, grid)
+        last_rung = not (lat or lon)
         try:
-            report, fields = _verify_once(h_field, band_range, grid, tol, group_id, len(rungs))
+            report, fields = _verify_once(h_field, band_range, grid, tol, group_id,
+                                          len(rungs), last_rung)
         except ResolutionError as exc:
             # only the message is kept: holding exc would tie its traceback
             # to this frame in a reference cycle
-            retry = _retry_grid(start, grid, isinstance(exc, LoopStepError))
-            if retry is None:
+            if last_rung:
                 if type(exc) is ResolutionError:
                     raise
                 raise ResolutionError(str(exc)) from exc
+            # a loop step doubles n_lon alone while n_lon may still double
+            lat = lat and not (lon and isinstance(exc, LoopStepError))
             trigger = str(exc)
         else:
-            retry = None if report.consistent else _retry_grid(start, grid, False)
-            if retry is None:
+            if report.consistent or last_rung:
                 report.notes[:0] = rungs
                 if not report.consistent:
                     report.notes.append("cross-method Chern disagreement persisted"
@@ -549,22 +548,19 @@ def verify_group_fields(h_field: HamiltonianField, band_range: tuple, grid: Grid
                 return report, fields
             trigger = (f"cross-method Chern disagreement, c_plaquette "
                        f"{report.c_plaquette} != c_winding {report.c_winding}")
-        rungs.append(f"refined to {retry.n_lat}x{retry.n_lon}: {trigger}")
-        grid = retry
+        grid = refine_grid(grid, lat, lon)
+        rungs.append(f"refined to {grid.n_lat}x{grid.n_lon}: {trigger}")
 
 
-def _retry_grid(start: Grid, grid: Grid, loop_step: bool) -> Grid | None:
-    """The next rung of the retry ladder after a failure on grid, or None
-    past its top: each direction doubles at most MAX_GRID_REFINEMENTS times
-    from start, a loop-step failure doubles n_lon alone while n_lon may
-    still double, and no rung is taken when the doubled loops of start
-    would pass MAX_LOOP_SAMPLES."""
+def _doublings(start: Grid, grid: Grid) -> tuple[bool, bool]:
+    """Whether the retry ladder may still double n_lat and n_lon of grid:
+    each direction at most MAX_GRID_REFINEMENTS times from start, and
+    neither when the doubled loops of start would pass MAX_LOOP_SAMPLES.
+    The rung where neither may double is the last."""
     limit = 1 << MAX_GRID_REFINEMENTS
     if start.n_lon * limit > MAX_LOOP_SAMPLES:
-        return None
-    lon = grid.n_lon < start.n_lon * limit
-    lat = grid.n_lat < start.n_lat * limit and not (loop_step and lon)
-    return refine_grid(grid, lat, lon) if lat or lon else None
+        return False, False
+    return grid.n_lat < start.n_lat * limit, grid.n_lon < start.n_lon * limit
 
 
 def analyze_model(h_field: HamiltonianField, grid: Grid,

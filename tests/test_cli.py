@@ -288,6 +288,32 @@ def test_deform_constant_class(tmp_path):
     assert all(s["c"] == 1 for s in rep["samples"])
 
 
+@pytest.mark.parametrize("config_floor, flag, used", [
+    (0.2, None, 0.2), (0.2, "0.01", 0.01), (None, None, 1e-3),
+])
+def test_deform_takes_the_gap_floor_from_config_a(tmp_path, monkeypatch, config_floor,
+                                                  flag, used):
+    # a given --gap-floor wins, then config_a's tolerances.gap_floor (config_b's
+    # is validated and not read), then 1e-3; the report names the floor used
+    seen = []
+    real = cli.tri_path
+
+    def spy(*args, gap_floor, **kwargs):
+        seen.append(gap_floor)
+        return real(*args, gap_floor=gap_floor, **kwargs)
+
+    monkeypatch.setattr(cli, "tri_path", spy)
+    tolerances = {} if config_floor is None else {"gap_floor": config_floor}
+    cfg_a = write_config(tmp_path, "a.json", {**ROTOR, "tolerances": tolerances})
+    cfg_b = write_config(tmp_path, "b.json", {**ROTOR, "tolerances": {"gap_floor": 0.4}})
+    out = tmp_path / "path.json"
+    argv = ["deform", "--config-a", cfg_a, "--config-b", cfg_b, "--steps", "3",
+            "--out", str(out)] + (["--gap-floor", flag] if flag else [])
+    assert run(argv) == 0
+    assert seen == [used]
+    assert json.loads(out.read_text())["config"]["gap_floor"] == used
+
+
 
 def strict_json(text):
     """json.loads that refuses the non-standard constants NaN and Infinity."""
@@ -447,7 +473,12 @@ def test_gauge_demo_reads_the_config_tolerances(tmp_path, monkeypatch):
                        {**ROTOR, "tolerances": {"gap_floor": 0.3, "zero_floor": 2e-3}})
     assert run(["gauge-demo", "--config", cfg, "--group", "0:0", "--gap-floor", "0.07",
                 "--out", str(out)]) == 0
-    assert seen == [Tolerances(gap_floor=0.07, zero_floor=2e-3)]
+    # without --gap-floor the config's gap_floor holds, and 0.05 when it has none
+    assert run(["gauge-demo", "--config", cfg, "--group", "0:0", "--out", str(out)]) == 0
+    cfg = write_config(tmp_path, "rotor.json", {**ROTOR, "tolerances": {}})
+    assert run(["gauge-demo", "--config", cfg, "--group", "0:0", "--out", str(out)]) == 0
+    assert seen == [Tolerances(gap_floor=0.07, zero_floor=2e-3),
+                    Tolerances(gap_floor=0.3, zero_floor=2e-3), Tolerances(gap_floor=0.05)]
 
 
 def test_gauge_demo_takes_the_n_lon_rung(tmp_path):

@@ -415,3 +415,42 @@ def test_skew_normal_form_rank4_random_model():
     assert 2 * wd["det_w_plus"] == wd["det_v_plus"] - wd["det_u_plus"]
     assert 2 * wd["det_w_minus"] == wd["det_v_minus"] - wd["det_u_minus"]
     assert wd["det_w_plus"] - wd["det_w_minus"] == 0
+
+
+def _blend_of_minus_identity():
+    """_blend_profile of the constant loop -I at 16x32, seeded as extend_to_disk
+    seeds it, with the domain's row index of each vertex."""
+    grid = build_grid(Manifold.SPHERE, 16, 32)
+    n = fundamental_domain(grid).n_vertices
+    radii = grid.vertex_lat[:n] / (grid.n_lat // 2)
+    w_b = np.broadcast_to(-np.eye(2, dtype=complex), (grid.n_lon, 2, 2))
+    rng = np.random.default_rng(gauge._EXTENSION_SEED)
+    return gauge._blend_profile(w_b, radii, grid.vertex_lon[:n], rng), grid.vertex_lat[:n]
+
+
+def test_blend_retraction_jitters_its_singular_entries():
+    # the blend (1 - r) I + r (-I) = (1 - 2r) I is exactly zero on row 4,
+    # at radius 1/2: each of those entries is jittered to its own unitary,
+    # the same ones on a second call, and the other rows retract to +-I
+    values, rows = _blend_of_minus_identity()
+    again, _ = _blend_of_minus_identity()
+    assert np.array_equal(values, again)
+    eye = np.eye(2)
+    assert np.max(np.abs(values @ np.swapaxes(values.conj(), 1, 2) - eye)) <= 1e-12
+    jittered = values[rows == 4]
+    assert len(jittered) == 32 and len({v.tobytes() for v in jittered}) == 32
+    assert np.min(np.max(np.abs(jittered - eye), axis=(1, 2))) > 1e-3
+    sign = np.where(rows < 4, 1.0, -1.0)[:, None, None]
+    assert np.max(np.abs(values[rows != 4] - sign[rows != 4] * eye)) <= 1e-12
+
+
+def test_retraction_that_stays_singular_raises(monkeypatch):
+    svd = np.linalg.svd
+
+    def singular(a):
+        u, s, vh = svd(a)
+        return u, np.zeros_like(s), vh
+
+    monkeypatch.setattr(np.linalg, "svd", singular)
+    with pytest.raises(ExtensionError, match="^polar retraction stayed singular after jitter$"):
+        _blend_of_minus_identity()

@@ -328,8 +328,8 @@ def test_inconsistent_result_does_not_refine_past_loop_sample_cap(monkeypatch):
     grid = build_grid(Manifold.SPHERE, 16, 32)
     calls = []
 
-    def inconsistent(h_field, group, grid, tol, group_id, refinements):
-        calls.append((grid.n_lat, grid.n_lon, refinements))
+    def inconsistent(h_field, group, grid, tol, group_id, refinements, last_rung):
+        calls.append((grid.n_lat, grid.n_lon, refinements, last_rung))
         rep = invariants.InvariantReport(
             group_id=group_id, first_band=1, last_band=1, rank=1, min_gap=1.0,
             c_plaquette=1, c_winding=-1, consistent=False, parity_ok=True,
@@ -340,7 +340,7 @@ def test_inconsistent_result_does_not_refine_past_loop_sample_cap(monkeypatch):
     monkeypatch.setattr(invariants, "MAX_LOOP_SAMPLES", 2 * grid.n_lon - 1)
     rep = invariants.verify_group(models.rotor_spin(0.5), bands.BandGroup(0, 0, 1.0),
                                   grid, TOL)
-    assert calls == [(16, 32, 0)]
+    assert calls == [(16, 32, 0, True)]
     assert not rep.consistent and rep.refinements == 0
     assert rep.notes == ["cross-method Chern disagreement persisted"]
     # under the cap the same result is refined once before it is returned
@@ -348,7 +348,7 @@ def test_inconsistent_result_does_not_refine_past_loop_sample_cap(monkeypatch):
     monkeypatch.setattr(invariants, "MAX_LOOP_SAMPLES", 2 * grid.n_lon)
     rep = invariants.verify_group(models.rotor_spin(0.5), bands.BandGroup(0, 0, 1.0),
                                   grid, TOL)
-    assert calls == [(16, 32, 0), (32, 64, 1)]
+    assert calls == [(16, 32, 0, False), (32, 64, 1, True)]
     assert rep.notes == ["refined to 32x64: cross-method Chern disagreement, "
                          "c_plaquette 1 != c_winding -1",
                          "cross-method Chern disagreement persisted after refinement"]
@@ -505,8 +505,45 @@ def test_retries_leave_no_reference_cycles():
         unreachable = gc.collect()
     finally:
         gc.enable()
-    assert outcomes == ["ResolutionError"] * 2 + ["GapError"] * 2 + [0, "ResolutionError", 0]
+    # sphere seed 129's group 1 takes both rungs and keeps its report
+    assert outcomes == ["ResolutionError"] * 2 + ["GapError"] * 2 + [0, 2, 0]
     assert unreachable == 0
+
+
+PF_LOOP_STEP = (r"phase step (\S+) rad >= pi/2 between samples \d+ and \d+ of \d+; "
+                r"loop under-resolved, refine sampling")
+
+
+def test_last_rung_pf_loop_step_leaves_k_undefined(monkeypatch):
+    # sphere seed 129's group 1 has an under-resolved pf M boundary loop on
+    # 32x64, 32x128 and 64x128, the last rung: the group keeps its report,
+    # with both Chern routes, and k and the census undefined with a note
+    # quoting the step
+    grid, tol = build_grid(Manifold.SPHERE, 32, 64), Tolerances(gap_floor=0.05)
+    h = models.random_tri("sphere", 4, cutoff=3, seed=129)
+    _, _, results = invariants.analyze_model(h, grid, tol)
+    rep, fields = results[1]
+    assert (rep.grid_n_lat, rep.grid_n_lon, rep.refinements) == (64, 128, 2)
+    assert rep.c_plaquette == rep.c_winding == 0 and rep.violations() == []
+    assert rep.k is None and rep.km_relation_ok is None
+    assert rep.census_total is None and rep.census_ok is None
+    assert fields.m_field is not None and len(rep.notes) == 3
+    assert re.fullmatch(LOOP_STEP_RUNG.format("32x128"), rep.notes[0])
+    match = re.fullmatch("KM index undefined: " + PF_LOOP_STEP, rep.notes[2])
+    assert match and float(match[1]) == 2.3933
+    assert rep.notes[1] == "refined to 64x128: " + rep.notes[2].split(": ", 1)[1]
+    # a pf M loop step below the last rung still refines: seeds 130 and 139
+    # get k on the n_lon rung, and with no rung to take they keep k undefined
+    for seed, gid in ((130, 1), (139, 2)):
+        h = models.random_tri("sphere", 4, cutoff=3, seed=seed)
+        group = bands.find_gapped_groups(bands.spectrum_on_grid(h, grid), tol.gap_floor)[gid]
+        rep = invariants.verify_group(h, group, grid, tol, gid)
+        assert rep.refinements == 1 and rep.k is not None and rep.k * 2 == rep.c_plaquette
+        with monkeypatch.context() as m:
+            m.setattr(invariants, "MAX_GRID_REFINEMENTS", 0)
+            rep = invariants.verify_group(h, group, grid, tol, gid)
+        assert rep.refinements == 0 and rep.k is None and rep.census_total is None
+        assert re.fullmatch("KM index undefined: " + PF_LOOP_STEP, rep.notes[-1])
 
 
 # the criterion-5 groups that settle on the n_lon rung, (manifold, seed,
@@ -712,9 +749,9 @@ def test_split_step_matches_a_fine_walk_and_enters_both_plaquettes():
 
 
 def test_split_takes_one_eigh_call_per_pass_and_no_polar_call(monkeypatch):
-    # each pass solves the sub-points of the edges still at the cap in one
-    # eigh call and reads their pf M phases through link determinants, so no
-    # frame is moved: 6 edges cut in 2, then 2, 2 and 1 of them in 4, 8 and 16
+    # the one pass solves the 15 sub-points of each of the 6 flagged edges in
+    # one eigh call and reads their pf M phases through link determinants, so
+    # no frame is moved
     h, group, frame, mf = _seed_200_refined_census()
     solved, polars = [], []
     eigh_many, polar_unitary = numkit.eigh_many, numkit.polar_unitary
@@ -732,7 +769,7 @@ def test_split_takes_one_eigh_call_per_pass_and_no_polar_call(monkeypatch):
     ids = _flagged_edges(mf)
     steps = invariants._split_steps(h, frame, mf, ids, SEED_200_TOL.gap_floor)
     monkeypatch.undo()
-    assert len(ids) == 6 and solved == [6, 6, 14, 15]
+    assert len(ids) == 6 and solved == [6 * (invariants.CENSUS_EDGE_PARTS - 1)] == [90]
     assert polars == []
     fine = _fine_walks(h, group, frame, mf, frame.domain.grid.edges[ids], 64)
     assert np.max(np.abs(steps - fine.sum(axis=1))) <= 1e-9
@@ -784,11 +821,12 @@ def test_census_edge_split_on_the_sphere():
 
 
 def test_unconverged_last_split_names_its_cause(monkeypatch):
-    # cut only in halves, a seed-200 edge keeps a sub-step at the cap and has
-    # no earlier split to compare with: the census is unresolved, the note
-    # says why, and only the flagged edges' midpoints are solved after the
-    # discovery spectrum and the new vertices of the 24x256 spectrum
-    monkeypatch.setattr(invariants, "CENSUS_EDGE_SPLITS", (2,))
+    # cut only in halves, a seed-200 edge keeps a sub-step at the cap, and its
+    # summed step differs by a whole turn from the 1-part sum (the principal
+    # step): the census is unresolved, the note says why, and only the
+    # flagged edges' midpoints are solved after the discovery spectrum and
+    # the new vertices of the 24x256 spectrum
+    monkeypatch.setattr(invariants, "CENSUS_EDGE_PARTS", 2)
     h, _, solved = _counted(monkeypatch, models.random_tri("torus", 4, cutoff=3, seed=200))
     _, _, results = invariants.analyze_model(h, SEED_200_GRID, SEED_200_TOL)
     reports = [rep for rep, _ in results]
@@ -797,9 +835,12 @@ def test_unconverged_last_split_names_its_cause(monkeypatch):
         assert rep.census_total is None and rep.refinements == 1
         assert len(rep.notes) == 2
         assert re.fullmatch(LOOP_STEP_RUNG.format("24x256"), rep.notes[0])
-        assert rep.notes[1] == ("census unresolved: split of grid edge 2482 failed: a "
-                                "sub-step is at the cap after 2 parts, with no earlier "
-                                "split to compare")
+        match = re.fullmatch(r"census unresolved: split of grid edge 2482 failed: a sub-step "
+                             r"is at the cap after 2 parts, and the summed step (\S+) "
+                             r"differs from the 1-part sum (\S+)", rep.notes[1])
+        assert match
+        summed, half = float(match[1]), float(match[2])
+        assert abs(half) < np.pi and abs(abs(summed - half) - 2 * np.pi) <= 1e-5
     # then one midpoint per flagged edge, 10 edges in each group
     assert solved == [3072, 3072, 10, 10]
 
@@ -830,13 +871,14 @@ def test_split_names_a_singular_sub_point(monkeypatch, cause):
     # the two causes no model of the suites reaches, forced at one flagged edge
     h, _, frame, mf = _seed_200_refined_census()
     flagged = _flagged_edges(mf)
+    at = invariants.CENSUS_EDGE_PARTS   # the sub-points of one edge, then one more
     if cause == "transport":
         eigh_many = numkit.eigh_many
 
-        def eigh(hs):  # no eigenvectors at the second edge's midpoint
+        def eigh(hs):  # no eigenvectors at the second edge's second sub-point
             w, v = eigh_many(hs)
             v = v.copy()
-            v[1] = 0.0
+            v[at] = 0.0
             return w, v
 
         monkeypatch.setattr(numkit, "eigh_many", eigh)
@@ -844,7 +886,7 @@ def test_split_names_a_singular_sub_point(monkeypatch, cause):
     else:
         pfaffian = numkit.pfaffian
         monkeypatch.setattr(numkit, "pfaffian", lambda m: pfaffian(m) * (
-            np.arange(len(m)) != 1))
+            np.arange(len(m)) != at))
         expected = r"\|pf M\| = 0.000e\+00 < 1e-12 at a sub-point"
     with pytest.raises(ResolutionError,
                        match=rf"^split of grid edge {flagged[1]} failed: {expected}$"):
@@ -857,8 +899,9 @@ def test_split_names_a_singular_sub_point(monkeypatch, cause):
 ])
 def test_settled_edges_match_a_4096_part_walk(manifold, seed, shape, gap_floor):
     # each group 0 has an edge still at the cap after 16 parts, settled by
-    # the agreement of the 8- and 16-part sums; a 4096-part walk, with every
-    # sub-step below the cap, gives each split edge's step
+    # the agreement of the 16-part sum and the 8-part sum over every other
+    # point of the same walk; a 4096-part walk, with every sub-step below the
+    # cap, gives each split edge's step
     h = models.random_tri(manifold, 4, seed=seed)
     grid, tol = build_grid(Manifold(manifold), *shape), Tolerances(gap_floor=gap_floor)
     group = bands.find_gapped_groups(bands.spectrum_on_grid(h, grid), gap_floor)[0]
@@ -882,7 +925,7 @@ def test_settled_edges_match_a_4096_part_walk(manifold, seed, shape, gap_floor):
     fine = _fine_walks(h, group, frame, mf, edges, 4096)
     assert np.max(np.abs(fine)) < invariants.CENSUS_EDGE_CAP
     assert np.max(np.abs(steps - fine.sum(axis=1))) <= 1e-6
-    coarse = _fine_walks(h, group, frame, mf, edges, invariants.CENSUS_EDGE_SPLITS[-1])
+    coarse = _fine_walks(h, group, frame, mf, edges, invariants.CENSUS_EDGE_PARTS)
     settled = np.sum(np.max(np.abs(coarse), axis=1) >= invariants.CENSUS_EDGE_CAP)
     assert settled >= 1
 
@@ -992,11 +1035,17 @@ def test_six_band_theorems_on_rank_3_4_and_5_groups():
     assert len(torus) >= 25
     assert sum(rep.rank == 4 and rep.k not in (None, 0) for _, rep in torus) >= 8
     assert sum(rep.rank in (3, 5) for _, rep in sphere) >= 20
+    undefined = []
     for seed, rep in torus + sphere:
         assert rep.violations() == [], (seed, rep)
-        if rep.rank % 2 == 0:
-            assert rep.k is not None and 2 * rep.k == rep.c_plaquette, (seed, rep)
+        if rep.rank % 2 == 0 and rep.k is None:
+            # an under-resolved pf M loop on the last rung leaves k undefined
+            assert rep.notes[-1].startswith("KM index undefined: phase step"), (seed, rep)
+            undefined.append((rep.grid_n_lat, rep.grid_n_lon, seed, rep.group_id))
+        elif rep.rank % 2 == 0:
+            assert 2 * rep.k == rep.c_plaquette, (seed, rep)
             assert rep.census_total == rep.k and rep.census_ok, (seed, rep)
+    assert undefined == [(64, 128, 504, 2), (64, 128, 548, 1)]
     for seed, rep in torus:
         assert rep.rank % 2 == 0 and rep.c_plaquette % 2 == 0, (seed, rep)
 
