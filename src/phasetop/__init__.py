@@ -18,9 +18,7 @@ from .bands import (
     transition_loops,
 )
 from .invariants import (
-    CurvatureField,
     InvariantReport,
-    MField,
     ZeroCensus,
     analyze_model,
     chern_plaquette,
@@ -46,13 +44,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AntiUnitary",
     "BandGroup",
-    "CurvatureField",
     "Frame",
     "FundamentalDomain",
     "Grid",
     "HamiltonianField",
     "InvariantReport",
-    "MField",
     "Manifold",
     "Spectrum",
     "Tolerances",

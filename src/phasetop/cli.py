@@ -170,20 +170,18 @@ def _write_dumps(dump_dir: str, verified) -> None:
     out = Path(dump_dir)
     out.mkdir(parents=True, exist_ok=True)
     for rep, fld in verified:
-        curv = fld.curvature
-        grid = curv.grid
+        grid = fld.frame.domain.grid
         gid = rep.group_id
         _write_table(out / f"curvature_group{gid}.csv", "lat_index,lon_index,flux",
-                     grid.plaq_lat, grid.plaq_lon, curv.flux)
-        mf = fld.m_field
-        if mf is None:
+                     grid.plaq_lat, grid.plaq_lon, fld.flux)
+        pf = fld.pf
+        if pf is None:
             continue
-        vids = slice(mf.domain.n_vertices)
+        vids = slice(len(pf))
         # hypot is the scalar complex modulus; np.abs of a complex array can
         # differ from it in the last bit
         _write_table(out / f"pf_abs_group{gid}.csv", "lat_index,lon_index,abs_pf",
-                     grid.vertex_lat[vids], grid.vertex_lon[vids],
-                     np.hypot(mf.pf.real, mf.pf.imag))
+                     grid.vertex_lat[vids], grid.vertex_lon[vids], np.hypot(pf.real, pf.imag))
         if rep.census_total is not None:
             _write_table(out / f"census_group{gid}.csv", "plaquette,index",
                          *zip(*rep.census_entries))

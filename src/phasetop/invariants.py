@@ -73,16 +73,9 @@ MAX_GRID_REFINEMENTS = 1          # doublings of each grid direction a retry may
 MAX_LOOP_SAMPLES = 2 ** 14        # no refinement past this many boundary samples
 
 
-@dataclass(frozen=True)
-class CurvatureField:
-    """Per-plaquette Berry flux (radians) over the closed manifold."""
-
-    grid: Grid
-    flux: np.ndarray
-
-
-def chern_plaquette(vectors: np.ndarray, grid: Grid):
-    """Gauge-invariant lattice Chern number from per-vertex spanning frames.
+def chern_plaquette(vectors: np.ndarray, grid: Grid) -> tuple[np.ndarray, int]:
+    """(flux, c): per-plaquette Berry flux (radians) and the gauge-invariant
+    lattice Chern number, from per-vertex spanning frames.
 
     vectors is a (V, N_A, N_B) stack of orthonormal columns spanning the band
     group at each vertex; no smoothness is required.  The link on a grid
@@ -120,7 +113,7 @@ def chern_plaquette(vectors: np.ndarray, grid: Grid):
     c_int = int(round(c))
     if abs(c - c_int) > 1e-6:
         raise ResolutionError(f"total flux/2pi = {c!r} is not an integer")
-    return CurvatureField(grid=grid, flux=flux), c_int
+    return flux, c_int
 
 
 def _links(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
@@ -136,13 +129,13 @@ def _links(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
     return numkit.leibniz_det(np.moveaxis(np.array(overlaps), (0, 1), (-2, -1)))
 
 
-def curvature_tr_evenness(curv: CurvatureField, grid: Grid) -> float:
+def curvature_tr_evenness(flux: np.ndarray, grid: Grid) -> float:
     """Max |F_P - F_{tau(P)}|; zero for exactly TRI fields."""
-    return float(np.max(np.abs(curv.flux - curv.flux[grid.tau_plaq])))
+    return float(np.max(np.abs(flux - flux[grid.tau_plaq])))
 
 
-def evenness_tolerance(curv: CurvatureField, rel: float = Tolerances.evenness_rel) -> float:
-    return rel * float(np.max(np.abs(curv.flux))) + 1e-9
+def evenness_tolerance(flux: np.ndarray, rel: float = Tolerances.evenness_rel) -> float:
+    return rel * float(np.max(np.abs(flux))) + 1e-9
 
 
 def _oriented_sum(windings) -> int:
@@ -156,37 +149,29 @@ def chern_winding(loops: tuple[TransitionLoop, ...]) -> int:
     return _oriented_sum(numkit.det_winding(loop.samples) for loop in loops)
 
 
-@dataclass(frozen=True)
-class MField:
-    """Overlap matrix field M(x) = <u_n(x), T u_n'(x)> over a domain."""
-
-    domain: FundamentalDomain
-    values: np.ndarray           # (n_dom, N_B, N_B), skew-symmetric
-    pf: np.ndarray | None        # (n_dom,) Pfaffians (even rank only)
-    skew_residual: float
-
-
 def _m_values(data: np.ndarray, t: AntiUnitary) -> np.ndarray:
     """M = u^dagger T u for a (V, N_A, N_B) stack of frames."""
     return np.einsum("vji,vjk->vik", data.conj(), t.apply(data))
 
 
-def m_field(frame: Frame, t: AntiUnitary) -> MField:
-    """M(x) per domain vertex; skew-symmetry is exact for fermionic TR and
-    is held to numkit.SKEW_TOL, the bound numkit.pfaffian enforces."""
+def m_field(frame: Frame, t: AntiUnitary) -> tuple[np.ndarray, float]:
+    """(pf M per domain vertex, max |M + M^t|) for M(x) = <u_n(x), T u_n'(x)>.
+    Skew-symmetry is exact for fermionic TR and is held to numkit.SKEW_TOL,
+    the bound numkit.pfaffian enforces; an odd rank raises DomainError."""
+    if frame.group.rank % 2:
+        raise DomainError("Kane-Mele index needs even band-group rank")
     m = _m_values(frame.data, t)
     skew = float(max_abs(m + m.transpose(0, 2, 1)))
     if skew > numkit.SKEW_TOL:
         raise DomainError(f"M field is not skew-symmetric ({skew:.2e})")
-    pf = numkit.pfaffian(m) if m.shape[1] % 2 == 0 else None
-    return MField(domain=frame.domain, values=m, pf=pf, skew_residual=skew)
+    return numkit.pfaffian(m), skew
 
 
-def _pf_on_loop(mf: MField, loop: np.ndarray, zero_floor: float) -> np.ndarray:
-    pf = mf.pf[loop]
+def _pf_on_loop(dom: FundamentalDomain, pf: np.ndarray, loop: np.ndarray, zero_floor: float):
+    pf = pf[loop]
     at = int(np.argmin(np.abs(pf)))
     if abs(pf[at]) <= zero_floor:
-        x, y = mf.domain.grid.points[loop[at]]
+        x, y = dom.grid.points[loop[at]]
         raise BoundaryZeroError(
             f"|pf M| = {abs(pf[at]):.3e} <= zero floor {zero_floor:g} at boundary "
             f"vertex {int(loop[at])}, ({x:.4f}, {y:.4f})"
@@ -194,12 +179,11 @@ def _pf_on_loop(mf: MField, loop: np.ndarray, zero_floor: float) -> np.ndarray:
     return pf
 
 
-def km_boundary(mf: MField, zero_floor: float = Tolerances.zero_floor) -> int:
-    """Kane-Mele integer: the oriented boundary sum of pf M windings."""
-    if mf.pf is None:
-        raise DomainError("Kane-Mele index needs even band-group rank")
-    return _oriented_sum(numkit.winding_number(_pf_on_loop(mf, loop, zero_floor))
-                         for loop in mf.domain.boundary_loops)
+def km_boundary(domain: FundamentalDomain, pf: np.ndarray,
+                zero_floor: float = Tolerances.zero_floor) -> int:
+    """Kane-Mele integer: the oriented boundary sum of pf M windings on domain."""
+    return _oriented_sum(numkit.winding_number(_pf_on_loop(domain, pf, loop, zero_floor))
+                         for loop in domain.boundary_loops)
 
 
 @dataclass(frozen=True)
@@ -211,18 +195,17 @@ class ZeroCensus:
     split_edges: np.ndarray  # grid edge ids whose step _split_steps re-measured
 
 
-def _edge_steps(mf: MField) -> np.ndarray:
+def _edge_steps(dom: FundamentalDomain, pf: np.ndarray) -> np.ndarray:
     """Principal pf M step along each grid edge, lower vid to higher; 0 off the domain."""
-    dom = mf.domain
     a, b = dom.edges.T
     steps = np.zeros(len(dom.grid.edges))
-    steps[dom.edge_ids] = np.angle(mf.pf[b] / mf.pf[a])
+    steps[dom.edge_ids] = np.angle(pf[b] / pf[a])
     return steps
 
 
-def km_census(h_field: HamiltonianField, frame: Frame, mf: MField,
+def km_census(h_field: HamiltonianField, frame: Frame, pf: np.ndarray,
               gap_floor: float) -> ZeroCensus:
-    """Per-plaquette winding of pf M over the domain interior.
+    """Per-plaquette winding of pf M over the interior of frame.domain.
 
     The sum of principal-value phase steps telescopes, so the census total
     equals the boundary winding exactly.  A step that reaches CENSUS_EDGE_CAP
@@ -237,10 +220,8 @@ def km_census(h_field: HamiltonianField, frame: Frame, mf: MField,
     domain vertex: a zero on a vertex lies in no one plaquette.  Raises
     ResolutionError when a split fails or a plaquette winding is not integral.
     """
-    if mf.pf is None:
-        raise DomainError("zero census needs even band-group rank")
-    dom = mf.domain
-    tiny = np.flatnonzero(np.abs(mf.pf) < PF_HARD_FLOOR)
+    dom = frame.domain
+    tiny = np.flatnonzero(np.abs(pf) < PF_HARD_FLOOR)
     if tiny.size:
         x, y = dom.grid.points[tiny[0]]
         raise DegenerateConfigurationError(
@@ -248,10 +229,10 @@ def km_census(h_field: HamiltonianField, frame: Frame, mf: MField,
             f"vertices, the first vertex {int(tiny[0])} at ({x:.4f}, {y:.4f}); the "
             "census cannot place a zero that sits on a vertex"
         )
-    steps = _edge_steps(mf)
+    steps = _edge_steps(dom, pf)
     split_edges = np.flatnonzero(np.abs(steps) >= CENSUS_EDGE_CAP)
     if split_edges.size:
-        steps[split_edges] = _split_steps(h_field, frame, mf, split_edges, gap_floor)
+        steps[split_edges] = _split_steps(h_field, frame, pf, split_edges, gap_floor)
     w = plaquette_sums(dom.grid, steps, slice(dom.n_plaquettes)) / (2.0 * np.pi)
     wi = np.round(w)
     if not np.all(np.abs(w - wi) <= 1e-6):  # a NaN winding is not integral either
@@ -265,7 +246,7 @@ def _split_failure(edge: int, cause: str) -> ResolutionError:
     return ResolutionError(f"split of grid edge {int(edge)} failed: {cause}")
 
 
-def _split_steps(h_field: HamiltonianField, frame: Frame, mf: MField,
+def _split_steps(h_field: HamiltonianField, frame: Frame, pf: np.ndarray,
                  edge_ids: np.ndarray, gap_floor: float) -> np.ndarray:
     """The pf M step along each grid edge of edge_ids, lower vid to higher,
     re-measured on sub-points of the edge.
@@ -315,10 +296,10 @@ def _split_steps(h_field: HamiltonianField, frame: Frame, mf: MField,
     if abs(inner[worst]) < PF_HARD_FLOOR:
         raise _split_failure(edge_ids[worst // (n - 1)], f"|pf M| = {abs(inner[worst]):.3e} "
                              f"< {PF_HARD_FLOOR:g} at a sub-point")
-    pf = np.concatenate([mf.pf[edges[:, :1]], inner.reshape(len(edges), n - 1),
-                         mf.pf[edges[:, 1:]]], axis=1)
-    sub = np.angle(pf[:, 1:] / pf[:, :-1])
-    summed, half = sub.sum(axis=1), np.angle(pf[:, 2::2] / pf[:, :-2:2]).sum(axis=1)
+    walk = np.concatenate([pf[edges[:, :1]], inner.reshape(len(edges), n - 1),
+                           pf[edges[:, 1:]]], axis=1)
+    sub = np.angle(walk[:, 1:] / walk[:, :-1])
+    summed, half = sub.sum(axis=1), np.angle(walk[:, 2::2] / walk[:, :-2:2]).sum(axis=1)
     stuck = np.max(np.abs(sub), axis=1) >= CENSUS_EDGE_CAP
     off = np.flatnonzero(stuck & (np.abs(summed - half) > 1e-6))
     if off.size:
@@ -382,7 +363,7 @@ class InvariantReport:
         return [record for ok, record in checks if not ok]
 
 
-def _km_and_census(h_field, frame, mf, tol, last_rung):
+def _km_and_census(h_field, frame, pf, tol, last_rung):
     """Boundary winding and zero census of pf M on the one fundamental domain.
 
     Returns (k, census, notes).  k and the census are None, with a note, on
@@ -394,17 +375,17 @@ def _km_and_census(h_field, frame, mf, tol, last_rung):
     alone is None, with a note naming the cause, when it is undefined or
     unresolved.
     """
-    if np.all(np.abs(mf.pf) < PF_HARD_FLOOR):
+    if np.all(np.abs(pf) < PF_HARD_FLOOR):
         return None, None, ["KM index undefined: pf M vanishes at every domain "
                             "vertex (symmetric stratum)"]
     try:
-        k = km_boundary(mf, tol.zero_floor)
+        k = km_boundary(frame.domain, pf, tol.zero_floor)
     except (BoundaryZeroError, LoopStepError) as exc:
         if isinstance(exc, LoopStepError) and not last_rung:
             raise
         return None, None, [f"KM index undefined: {exc}"]
     try:
-        census = km_census(h_field, frame, mf, tol.gap_floor)
+        census = km_census(h_field, frame, pf, tol.gap_floor)
     except DegenerateConfigurationError as exc:
         return k, None, [f"census undefined: {exc}"]
     except ResolutionError as exc:
@@ -417,10 +398,10 @@ def _km_and_census(h_field, frame, mf, tol, last_rung):
 class GroupFields:
     """The fields behind one group's report, on the grid the report names."""
 
-    curvature: CurvatureField
+    flux: np.ndarray                    # per-plaquette Berry flux (chern_plaquette)
     frame: Frame
     loops: tuple[TransitionLoop, ...]   # the boundary loops of frame
-    m_field: MField | None     # even rank only
+    pf: np.ndarray | None               # pf M per domain vertex; None for odd rank
 
 
 def _verify_once(h_field: HamiltonianField, band_range: tuple, grid: Grid,
@@ -430,9 +411,9 @@ def _verify_once(h_field: HamiltonianField, band_range: tuple, grid: Grid,
     group = group_for_range(spectrum, *band_range, tol.gap_floor)
 
     slabs = spectrum.band_vectors(group)
-    curv, c_plq = chern_plaquette(slabs, grid)
-    evenness = curvature_tr_evenness(curv, grid)
-    evenness_ok = evenness <= evenness_tolerance(curv, tol.evenness_rel)
+    flux, c_plq = chern_plaquette(slabs, grid)
+    evenness = curvature_tr_evenness(flux, grid)
+    evenness_ok = evenness <= evenness_tolerance(flux, tol.evenness_rel)
 
     domain = fundamental_domain(grid)
     frame = smooth_frame(spectrum, group, domain)
@@ -470,11 +451,10 @@ def _verify_once(h_field: HamiltonianField, band_range: tuple, grid: Grid,
         refinements=refinements,
     )
 
-    mf = None
+    pf = None
     if nb % 2 == 0:
-        mf = m_field(frame, h_field.t)
-        residuals["m_skew"] = mf.skew_residual
-        k, census, notes = _km_and_census(h_field, frame, mf, tol, last_rung)
+        pf, residuals["m_skew"] = m_field(frame, h_field.t)
+        k, census, notes = _km_and_census(h_field, frame, pf, tol, last_rung)
         report.k = k
         report.notes.extend(notes)
         if k is not None:
@@ -488,7 +468,7 @@ def _verify_once(h_field: HamiltonianField, band_range: tuple, grid: Grid,
     else:
         report.notes.append("odd rank: Pfaffian and KM index undefined")
 
-    return report, GroupFields(curvature=curv, frame=frame, loops=loops, m_field=mf)
+    return report, GroupFields(flux=flux, frame=frame, loops=loops, pf=pf)
 
 
 def verify_group(h_field: HamiltonianField, group: BandGroup, grid: Grid,

@@ -3,7 +3,8 @@
 tr_image_batch writes tau as coordinates, where the package holds it as
 index data on the grid (Grid.tau_vertex and Grid.tau_plaq).
 random_hermitian_field is the raw random field that RandomTRI and
-TRIBrokenControl project onto its TR-even and TR-odd parts.
+TRIBrokenControl project onto its TR-even and TR-odd parts.  m_matrices is
+the overlap matrix field M whose Pfaffian invariants.m_field returns.
 """
 
 import numpy as np
@@ -41,3 +42,9 @@ def random_hermitian_field(manifold: Manifold, n: int, cutoff: int, seed: int):
     """
     basis, table, _, _ = models._normalized_table(manifold, n, cutoff, seed)
     return models._table_field(basis, table)
+
+
+def m_matrices(frames: np.ndarray, t) -> np.ndarray:
+    """M = u^dagger (J conj u) for a (V, N_A, N_B) stack of frames, with the
+    dense matrix J of the antiunitary t."""
+    return np.einsum("vji,jk,vkl->vil", frames.conj(), t.j, frames.conj())

@@ -255,9 +255,9 @@ def test_criterion_9_negative_controls():
     assert not ok and residual >= 0.25
     spec = bands.spectrum_on_grid(control, grid)
     group = bands.find_gapped_groups(spec, 0.05)[0]
-    curv, _ = invariants.chern_plaquette(spec.band_vectors(group), grid)
-    evenness = invariants.curvature_tr_evenness(curv, grid)
-    assert evenness > 100 * invariants.evenness_tolerance(curv)
+    flux, _ = invariants.chern_plaquette(spec.band_vectors(group), grid)
+    evenness = invariants.curvature_tr_evenness(flux, grid)
+    assert evenness > 100 * invariants.evenness_tolerance(flux)
     with pytest.raises(Exception):
         invariants.analyze_model(control, grid, TOL)  # reported, not silently run
     _ok(9, f"TRI-broken control: check_tri residual {residual:.2f} and "

@@ -6,6 +6,7 @@ import textwrap
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import phasetop
@@ -114,15 +115,15 @@ def test_analyze_is_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+KRAMERS_16X32 = {
+    "model": {"variant": "KramersPairSphere", "epsilon": 0.1, "seed": 0},
+    "grid": {"n_lat": 16, "n_lon": 32},
+    "tolerances": {"gap_floor": 0.05},
+}
+
+
 def test_analyze_dumps_tables(tmp_path):
-    cfg = write_config(
-        tmp_path, "kp.json",
-        {
-            "model": {"variant": "KramersPairSphere", "epsilon": 0.1, "seed": 0},
-            "grid": {"n_lat": 16, "n_lon": 32},
-            "tolerances": {"gap_floor": 0.05},
-        },
-    )
+    cfg = write_config(tmp_path, "kp.json", KRAMERS_16X32)
     dump = tmp_path / "dumps"
     assert run(["analyze", "--config", cfg, "--out", str(tmp_path / "o.json"),
                 "--dump", str(dump)]) == 0
@@ -134,6 +135,15 @@ def test_analyze_dumps_tables(tmp_path):
     pf = (dump / "pf_abs_group0.csv").read_text().splitlines()
     assert pf[0] == "lat_index,lon_index,abs_pf"
     assert 0.0 < float(pf[1].split(",")[2]) <= 1.0
+    # one row per fundamental-domain vertex, 1 + 8 * 32 of them, each the
+    # modulus of the pf M that analyze_model returns
+    assert len(pf) == 1 + 257
+    _, _, results = invariants.analyze_model(models.build(KRAMERS_16X32["model"]),
+                                             build_grid(Manifold.SPHERE, 16, 32),
+                                             Tolerances(gap_floor=0.05))
+    want = results[0][1].pf
+    pf_abs = np.hypot(want.real, want.imag).tolist()
+    assert [row.split(",")[2] for row in pf[1:]] == [repr(x) for x in pf_abs]
     census = (dump / "census_group0.csv").read_text().splitlines()
     assert census[0] == "plaquette,index"
     assert len(census) == 2  # a single indexed zero for this model

@@ -17,6 +17,7 @@ from phasetop.errors import (
 from phasetop.invariants import Tolerances
 from phasetop.phasespace import Manifold, build_grid, fundamental_domain
 from finer_grid import doubled_grid_moves
+from oracles import m_matrices
 from test_phasespace import domain_rows, plaquette_solid_angles
 
 SPHERE_GRID = build_grid(Manifold.SPHERE, 16, 32)
@@ -42,11 +43,11 @@ def test_chern_plaquette_monopole_flux():
     h = models.rotor_spin(0.5)
     spec = bands.spectrum_on_grid(h, SPHERE_GRID)
     group = bands.group_for_range(spec, 0, 0, 0.5)
-    curv, c = invariants.chern_plaquette(spec.band_vectors(group), SPHERE_GRID)
+    flux, c = invariants.chern_plaquette(spec.band_vectors(group), SPHERE_GRID)
     assert c == 1
-    assert abs(curv.flux.sum()) == pytest.approx(2 * np.pi, abs=1e-9)
+    assert abs(flux.sum()) == pytest.approx(2 * np.pi, abs=1e-9)
     omega = plaquette_solid_angles(SPHERE_GRID)
-    assert np.max(np.abs(curv.flux - 0.5 * omega)) <= 2e-3
+    assert np.max(np.abs(flux - 0.5 * omega)) <= 2e-3
 
 
 def test_chern_plaquette_constant_band_is_zero():
@@ -60,9 +61,9 @@ def test_chern_plaquette_constant_band_is_zero():
     h = bands.HamiltonianField(4, Manifold.SPHERE, t, const)
     spec = bands.spectrum_on_grid(h, SPHERE_GRID)
     group = bands.group_for_range(spec, 0, 1, 0.5)
-    curv, c = invariants.chern_plaquette(spec.band_vectors(group), SPHERE_GRID)
+    flux, c = invariants.chern_plaquette(spec.band_vectors(group), SPHERE_GRID)
     assert c == 0
-    assert numkit.max_abs(curv.flux) <= 1e-12
+    assert numkit.max_abs(flux) <= 1e-12
 
 
 def test_chern_plaquette_stable_across_resolutions():
@@ -82,16 +83,16 @@ def test_curvature_evenness_tri_vs_broken():
     h = models.random_tri("sphere", 4, seed=12)
     spec = bands.spectrum_on_grid(h, SPHERE_GRID)
     group = bands.find_gapped_groups(spec, 0.05)[0]
-    curv, _ = invariants.chern_plaquette(spec.band_vectors(group), SPHERE_GRID)
-    res = invariants.curvature_tr_evenness(curv, SPHERE_GRID)
-    assert res <= invariants.evenness_tolerance(curv)
+    flux, _ = invariants.chern_plaquette(spec.band_vectors(group), SPHERE_GRID)
+    res = invariants.curvature_tr_evenness(flux, SPHERE_GRID)
+    assert res <= invariants.evenness_tolerance(flux)
 
     broken = models.tri_broken(h, breaking_strength=0.5, seed=2)
     bspec = bands.spectrum_on_grid(broken, SPHERE_GRID)
     bgroup = bands.find_gapped_groups(bspec, 0.05)[0]
-    bcurv, _ = invariants.chern_plaquette(bspec.band_vectors(bgroup), SPHERE_GRID)
-    bres = invariants.curvature_tr_evenness(bcurv, SPHERE_GRID)
-    assert bres > 100 * invariants.evenness_tolerance(bcurv)
+    bflux, _ = invariants.chern_plaquette(bspec.band_vectors(bgroup), SPHERE_GRID)
+    bres = invariants.curvature_tr_evenness(bflux, SPHERE_GRID)
+    assert bres > 100 * invariants.evenness_tolerance(bflux)
 
 
 # ---------------------------------------------------------------------------
@@ -129,23 +130,26 @@ def test_chern_winding_torus_even_and_cross_method():
 # ---------------------------------------------------------------------------
 # M field, Kane-Mele boundary and census
 
+RANK_REFUSAL = r"^Kane-Mele index needs even band-group rank$"
+
 
 def test_m_field_skew_and_pf_det_consistency():
     h = models.kramers_pair_sphere(epsilon=0.1, seed=0)
     spec, group, dom, frame = sphere_setup(h, 0, 1)
-    mf = invariants.m_field(frame, h.t)
-    assert mf.skew_residual <= 1e-12
-    dets = np.linalg.det(mf.values)
-    assert np.max(np.abs(np.abs(mf.pf) ** 2 - np.abs(dets))) <= 1e-6
+    pf, skew = invariants.m_field(frame, h.t)
+    assert skew <= 1e-12
+    dets = np.linalg.det(m_matrices(frame.data, h.t))
+    assert np.max(np.abs(np.abs(pf) ** 2 - np.abs(dets))) <= 1e-6
 
 
 def test_m_field_rank1_vanishes_identically():
-    # Kramers orthogonality: <u, T u> = 0 pointwise for a single band
+    # Kramers orthogonality: <u, T u> = 0 pointwise for a single band, and
+    # m_field refuses the odd rank
     h = models.rotor_spin(0.5)
     spec, group, dom, frame = sphere_setup(h, 0, 0)
-    mf = invariants.m_field(frame, h.t)
-    assert mf.pf is None
-    assert numkit.max_abs(mf.values) <= 1e-12
+    assert numkit.max_abs(m_matrices(frame.data, h.t)) <= 1e-12
+    with pytest.raises(DomainError, match=RANK_REFUSAL):
+        invariants.m_field(frame, h.t)
 
 
 def test_m_field_trivial_bundle_unit_pf():
@@ -158,10 +162,10 @@ def test_m_field_trivial_bundle_unit_pf():
 
     h = bands.HamiltonianField(4, Manifold.SPHERE, t, const)
     spec, group, dom, frame = sphere_setup(h, 0, 1, gap_floor=0.5)
-    mf = invariants.m_field(frame, h.t)
-    assert np.max(np.abs(np.abs(mf.pf) - 1.0)) <= 1e-12
-    assert invariants.km_boundary(mf) == 0
-    census = invariants.km_census(h, frame, mf, 0.5)
+    pf, _ = invariants.m_field(frame, h.t)
+    assert np.max(np.abs(np.abs(pf) - 1.0)) <= 1e-12
+    assert invariants.km_boundary(dom, pf) == 0
+    census = invariants.km_census(h, frame, pf, 0.5)
     assert census.entries == [] and census.total == 0
 
 
@@ -169,17 +173,17 @@ def test_km_boundary_equals_half_chern():
     h = models.kramers_pair_sphere(epsilon=0.1, seed=0)
     spec, group, dom, frame = sphere_setup(h, 0, 1)
     _, c = invariants.chern_plaquette(spec.band_vectors(group), SPHERE_GRID)
-    mf = invariants.m_field(frame, h.t)
-    k = invariants.km_boundary(mf)
+    pf, _ = invariants.m_field(frame, h.t)
+    k = invariants.km_boundary(dom, pf)
     assert 2 * k == c
 
 
 def test_km_census_matches_boundary_exactly():
     h = models.kramers_pair_sphere(epsilon=0.1, seed=0)
     spec, group, dom, frame = sphere_setup(h, 0, 1)
-    mf = invariants.m_field(frame, h.t)
-    k = invariants.km_boundary(mf)
-    census = invariants.km_census(h, frame, mf, TOL.gap_floor)
+    pf, _ = invariants.m_field(frame, h.t)
+    k = invariants.km_boundary(dom, pf)
+    census = invariants.km_census(h, frame, pf, TOL.gap_floor)
     assert census.total == k
     signs = {np.sign(w) for _, w in census.entries}
     assert len(signs) == 1
@@ -200,10 +204,10 @@ def test_boundary_sums_match_explicit_torus_differences():
         wn_minus = numkit.det_winding(u_minus.samples)
         c = invariants.chern_winding((u_plus, u_minus))
         assert c == wn_plus - wn_minus
-        mf = invariants.m_field(frame, h.t)
-        w0, w1 = (numkit.winding_number(mf.pf[loop])
+        pf, _ = invariants.m_field(frame, h.t)
+        w0, w1 = (numkit.winding_number(pf[loop])
                   for loop in dom.boundary_loops)
-        k = invariants.km_boundary(mf)
+        k = invariants.km_boundary(dom, pf)
         assert k == w0 - w1
         assert abs(c) == 2 and 2 * k == c
         minus_windings.append((wn_minus, w1))
@@ -216,16 +220,16 @@ def test_km_transform_identity_under_tr_shift():
     # out of every winding, so no integer output depends on it
     h = models.kramers_pair_sphere(epsilon=0.1, seed=0)
     spec, group, dom, frame = sphere_setup(h, 0, 1)
-    mf = invariants.m_field(frame, h.t)
+    pf, _ = invariants.m_field(frame, h.t)
     loop = bands.transition_loops(frame, h.t)[0]
     eq = dom.boundary_loops[0]
-    m_eq = mf.values[eq]
+    m_eq = m_matrices(frame.data, h.t)[eq]
     L = eq.size
     u = loop.samples
     lhs = np.roll(m_eq, -L // 2, axis=0)
     rhs = np.einsum("vij,vjk,vlk->vil", u, m_eq.conj(), u)
     assert numkit.max_abs(lhs - rhs) <= 1e-10
-    pf_eq = mf.pf[eq]
+    pf_eq = pf[eq]
     dets = np.linalg.det(u)
     assert np.max(np.abs(np.roll(pf_eq, -L // 2) - dets * pf_eq.conj())) <= 1e-10
 
@@ -236,17 +240,17 @@ def test_km_torus_boundary_and_rank1_rejection():
     group = bands.group_for_range(spec, 0, 1, 0.05)
     dom = fundamental_domain(TORUS_GRID)
     frame = bands.smooth_frame(spec, group, dom)
-    mf = invariants.m_field(frame, h.t)
-    k = invariants.km_boundary(mf)
+    pf, _ = invariants.m_field(frame, h.t)
+    k = invariants.km_boundary(dom, pf)
     _, c = invariants.chern_plaquette(spec.band_vectors(group), TORUS_GRID)
     assert 2 * k == c
-    census = invariants.km_census(h, frame, mf, TOL.gap_floor)
+    census = invariants.km_census(h, frame, pf, TOL.gap_floor)
     assert census.total == k
 
     h1 = models.rotor_spin(0.5)
     spec1, group1, dom1, frame1 = sphere_setup(h1, 0, 0)
-    with pytest.raises(DomainError):
-        invariants.km_boundary(invariants.m_field(frame1, h1.t))
+    with pytest.raises(DomainError, match=RANK_REFUSAL):
+        invariants.m_field(frame1, h1.t)
 
 
 def test_km_census_degenerate_stratum_raises():
@@ -257,11 +261,11 @@ def test_km_census_degenerate_stratum_raises():
     group = bands.group_for_range(spec, 0, 1, 0.05)
     dom = fundamental_domain(TORUS_GRID)
     frame = bands.smooth_frame(spec, group, dom)
-    mf = invariants.m_field(frame, h.t)
-    assert invariants.km_boundary(mf) in (-1, 1)  # TRI lines stay unitary
+    pf, _ = invariants.m_field(frame, h.t)
+    assert invariants.km_boundary(dom, pf) in (-1, 1)  # TRI lines stay unitary
     with pytest.raises(DegenerateConfigurationError,
                        match=r"at \(0\.0000, 1\.5708\); the census cannot place a zero"):
-        invariants.km_census(h, frame, mf, TOL.gap_floor)
+        invariants.km_census(h, frame, pf, TOL.gap_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +531,7 @@ def test_last_rung_pf_loop_step_leaves_k_undefined(monkeypatch):
     assert rep.c_plaquette == rep.c_winding == 0 and rep.violations() == []
     assert rep.k is None and rep.km_relation_ok is None
     assert rep.census_total is None and rep.census_ok is None
-    assert fields.m_field is not None and len(rep.notes) == 3
+    assert fields.pf is not None and len(rep.notes) == 3
     assert re.fullmatch(LOOP_STEP_RUNG.format("32x128"), rep.notes[0])
     match = re.fullmatch("KM index undefined: " + PF_LOOP_STEP, rep.notes[2])
     assert match and float(match[1]) == 2.3933
@@ -610,10 +614,40 @@ def test_groups_that_refine_share_one_refined_grid():
     _, _, results = invariants.analyze_model(h, SEED_200_GRID, SEED_200_TOL)
     (rep0, fields0), (rep1, fields1) = results
     assert rep0.refinements == rep1.refinements == 1
-    grid = fields0.curvature.grid
+    grid = fields0.frame.domain.grid
     assert (grid.n_lat, grid.n_lon) == (24, 256)
-    assert fields1.curvature.grid is grid
-    assert fields0.m_field.domain.grid is fields1.m_field.domain.grid is grid
+    assert fields1.frame.domain.grid is grid
+    assert len(fields0.flux) == len(fields1.flux) == grid.n_plaquettes
+    assert len(fields0.pf) == len(fields1.pf) == fields0.frame.domain.n_vertices
+
+
+# (model, start grid, the grid every group settles on)
+FIELD_CASES = [
+    (models.kramers_pair_sphere(epsilon=0.1), (Manifold.SPHERE, 32, 64), (32, 64)),
+    (models.torus_doubled_chern(m=1.0, epsilon=0.1, seed=3), (Manifold.TORUS, 16, 128),
+     (16, 128)),
+    (models.random_tri("sphere", 4, cutoff=3, seed=140), (Manifold.SPHERE, 32, 64), (32, 128)),
+]
+
+
+@pytest.mark.parametrize("h, start, settled", FIELD_CASES,
+                         ids=["kramers-sphere", "torus-m1", "random-sphere-140"])
+def test_group_fields_are_on_the_reported_grid(h, start, settled):
+    # the flux covers the report's grid and sums to its c_plaquette, the
+    # frame lives on that grid, and pf M is given at every domain vertex for
+    # even rank and not at all for odd rank
+    _, _, results = invariants.analyze_model(h, build_grid(*start), TOL)
+    assert results and all(not isinstance(res, PhasetopError) for res in results)
+    for rep, fields in results:
+        assert (rep.grid_n_lat, rep.grid_n_lon) == settled
+        assert fields.flux.shape == (rep.grid_n_lat * rep.grid_n_lon,)
+        assert round(fields.flux.sum() / (2 * np.pi)) == rep.c_plaquette
+        grid = fields.frame.domain.grid
+        assert (grid.n_lat, grid.n_lon) == (rep.grid_n_lat, rep.grid_n_lon)
+        if rep.rank % 2:
+            assert fields.pf is None
+        else:
+            assert fields.pf.shape == (fields.frame.domain.n_vertices,)
 
 
 def _kramers_group(h):
@@ -630,9 +664,8 @@ def test_boundary_zero_leaves_k_undefined(monkeypatch):
     rep, fields = invariants.verify_group_fields(h, (g.first, g.last), SPHERE_GRID, tol)
     assert rep.k is None and rep.km_relation_ok is None
     assert rep.census_total is None and rep.census_entries == []
-    mf = fields.m_field
-    (equator,) = mf.domain.boundary_loops
-    vid = int(equator[np.argmin(np.abs(mf.pf[equator]))])
+    (equator,) = fields.frame.domain.boundary_loops
+    vid = int(equator[np.argmin(np.abs(fields.pf[equator]))])
     theta, phi = SPHERE_GRID.points[vid]
     assert len(rep.notes) == 1
     assert re.fullmatch(rf"KM index undefined: \|pf M\| = \S+ <= zero floor 2 at "
@@ -677,15 +710,16 @@ def _seed_200_refined_census():
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, SEED_200_TOL.gap_floor)
     frame = bands.smooth_frame(spec, group, fundamental_domain(grid))
-    return h, group, frame, invariants.m_field(frame, h.t)
+    return h, group, frame, invariants.m_field(frame, h.t)[0]
 
 
-def _flagged_edges(mf):
+def _flagged_edges(frame, pf):
     """The grid edges whose principal pf M step reaches the cap."""
-    return np.flatnonzero(np.abs(invariants._edge_steps(mf)) >= invariants.CENSUS_EDGE_CAP)
+    steps = invariants._edge_steps(frame.domain, pf)
+    return np.flatnonzero(np.abs(steps) >= invariants.CENSUS_EDGE_CAP)
 
 
-def _fine_walks(h, group, frame, mf, edges, n):
+def _fine_walks(h, group, frame, pf, edges, n):
     """The (E, n) pf M sub-steps along grid edges a -> b, each cut into n
     parts: one eigh stack, the frames transported from a one point at a time
     (all edges at once), Pfaffians."""
@@ -695,29 +729,29 @@ def _fine_walks(h, group, frame, mf, edges, n):
     _, v = np.linalg.eigh(h(pts.reshape(-1, 2)))
     slabs = v[:, :, group.first:group.last + 1].reshape(len(edges), n - 1,
                                                         *frame.data.shape[1:])
-    u, pf = frame.data[a], [mf.pf[a]]
+    u, walk = frame.data[a], [pf[a]]
     for k in range(n - 1):
         slab = slabs[:, k]
         u = slab @ numkit.polar_unitary(np.swapaxes(slab.conj(), 1, 2) @ u)
-        pf.append(numkit.pfaffian(np.swapaxes(u.conj(), 1, 2) @ h.t.apply(u)))
-    pf = np.array(pf + [mf.pf[b]]).T
-    return np.angle(pf[:, 1:] / pf[:, :-1])
+        walk.append(numkit.pfaffian(np.swapaxes(u.conj(), 1, 2) @ h.t.apply(u)))
+    walk = np.array(walk + [pf[b]]).T
+    return np.angle(walk[:, 1:] / walk[:, :-1])
 
 
 def test_split_step_matches_a_fine_walk_and_enters_both_plaquettes():
-    h, group, frame, mf = _seed_200_refined_census()
-    census = invariants.km_census(h, frame, mf, SEED_200_TOL.gap_floor)
-    ids = _flagged_edges(mf)
+    h, group, frame, pf = _seed_200_refined_census()
+    census = invariants.km_census(h, frame, pf, SEED_200_TOL.gap_floor)
+    ids = _flagged_edges(frame, pf)
     assert ids.size and np.array_equal(census.split_edges, ids)
-    steps = invariants._split_steps(h, frame, mf, ids, SEED_200_TOL.gap_floor)
+    steps = invariants._split_steps(h, frame, pf, ids, SEED_200_TOL.gap_floor)
     edges = frame.domain.grid.edges[ids]
-    fine = _fine_walks(h, group, frame, mf, edges, 64)
+    fine = _fine_walks(h, group, frame, pf, edges, 64)
     assert np.max(np.abs(fine)) < invariants.CENSUS_EDGE_CAP
     assert np.max(np.abs(steps - fine.sum(axis=1))) <= 1e-9
     # every split step ends on the vertex values: the principal step plus
     # whole turns, and on one edge the principal step misses a full turn
     dom = frame.domain
-    pf_a, pf_b = (mf.pf[edges[:, i]] for i in (0, 1))
+    pf_a, pf_b = (pf[edges[:, i]] for i in (0, 1))
     turns = (steps - np.angle(pf_b / pf_a)) / (2 * np.pi)
     assert np.max(np.abs(turns - np.round(turns))) <= 1e-9
     assert np.sum(np.round(np.abs(turns))) == 1
@@ -735,7 +769,7 @@ def test_split_step_matches_a_fine_walk_and_enters_both_plaquettes():
         for va, vb in zip(corners, corners[1:] + corners[:1]):
             step = split.get((va, vb))
             if step is None:
-                step = np.angle(mf.pf[vb] / mf.pf[va])
+                step = np.angle(pf[vb] / pf[va])
             if {va, vb} == {a, b}:
                 shared.append(step)
             total += step
@@ -745,14 +779,14 @@ def test_split_step_matches_a_fine_walk_and_enters_both_plaquettes():
             windings[int(pid)] = int(round(w))
     assert len(shared) == 2 and shared[0] == -shared[1]
     assert dict(census.entries) == windings
-    assert census.total == invariants.km_boundary(mf) == 1
+    assert census.total == invariants.km_boundary(dom, pf) == 1
 
 
 def test_split_takes_one_eigh_call_per_pass_and_no_polar_call(monkeypatch):
     # the one pass solves the 15 sub-points of each of the 6 flagged edges in
     # one eigh call and reads their pf M phases through link determinants, so
     # no frame is moved
-    h, group, frame, mf = _seed_200_refined_census()
+    h, group, frame, pf = _seed_200_refined_census()
     solved, polars = [], []
     eigh_many, polar_unitary = numkit.eigh_many, numkit.polar_unitary
 
@@ -766,12 +800,12 @@ def test_split_takes_one_eigh_call_per_pass_and_no_polar_call(monkeypatch):
 
     monkeypatch.setattr(numkit, "eigh_many", eigh)
     monkeypatch.setattr(numkit, "polar_unitary", polar)
-    ids = _flagged_edges(mf)
-    steps = invariants._split_steps(h, frame, mf, ids, SEED_200_TOL.gap_floor)
+    ids = _flagged_edges(frame, pf)
+    steps = invariants._split_steps(h, frame, pf, ids, SEED_200_TOL.gap_floor)
     monkeypatch.undo()
     assert len(ids) == 6 and solved == [6 * (invariants.CENSUS_EDGE_PARTS - 1)] == [90]
     assert polars == []
-    fine = _fine_walks(h, group, frame, mf, frame.domain.grid.edges[ids], 64)
+    fine = _fine_walks(h, group, frame, pf, frame.domain.grid.edges[ids], 64)
     assert np.max(np.abs(steps - fine.sum(axis=1))) <= 1e-9
 
 
@@ -788,11 +822,11 @@ def test_split_link_phases_match_the_polar_transport(seed):
     assert [group.rank for group in groups] == [2, 2]
     for group in groups:
         frame = bands.smooth_frame(spec, group, domain)
-        mf = invariants.m_field(frame, h.t)
-        ids = _flagged_edges(mf)
+        pf, _ = invariants.m_field(frame, h.t)
+        ids = _flagged_edges(frame, pf)
         assert ids.size
-        steps = invariants._split_steps(h, frame, mf, ids, 1e-3)
-        fine = _fine_walks(h, group, frame, mf, SEED_200_GRID.edges[ids], 64)
+        steps = invariants._split_steps(h, frame, pf, ids, 1e-3)
+        fine = _fine_walks(h, group, frame, pf, SEED_200_GRID.edges[ids], 64)
         assert np.max(np.abs(steps - fine.sum(axis=1))) <= 1e-9
 
 
@@ -811,11 +845,11 @@ def test_census_edge_split_on_the_sphere():
     grid = build_grid(Manifold.SPHERE, 16, 64)
     frame = bands.smooth_frame(bands.spectrum_on_grid(h, grid), group,
                                fundamental_domain(grid))
-    mf = invariants.m_field(frame, h.t)
-    ids = invariants.km_census(h, frame, mf, TOL.gap_floor).split_edges
+    pf, _ = invariants.m_field(frame, h.t)
+    ids = invariants.km_census(h, frame, pf, TOL.gap_floor).split_edges
     assert len(ids) == 1
-    steps = invariants._split_steps(h, frame, mf, ids, TOL.gap_floor)
-    fine = _fine_walks(h, group, frame, mf, grid.edges[ids], 64)
+    steps = invariants._split_steps(h, frame, pf, ids, TOL.gap_floor)
+    fine = _fine_walks(h, group, frame, pf, grid.edges[ids], 64)
     assert np.max(np.abs(fine)) < invariants.CENSUS_EDGE_CAP
     assert abs(steps[0] - fine.sum()) <= 1e-9
 
@@ -849,28 +883,28 @@ GAP_FAILURE = r"split of grid edge (\d+) failed: group gap \S+ <= gap floor 10 a
 
 
 def test_split_names_a_gap_at_a_sub_point():
-    h, _, frame, mf = _seed_200_refined_census()
-    flagged = _flagged_edges(mf)
+    h, _, frame, pf = _seed_200_refined_census()
+    flagged = _flagged_edges(frame, pf)
     with pytest.raises(ResolutionError) as err:
-        invariants._split_steps(h, frame, mf, flagged, gap_floor=10.0)
+        invariants._split_steps(h, frame, pf, flagged, gap_floor=10.0)
     match = re.fullmatch(GAP_FAILURE, str(err.value))
     assert match and int(match[1]) in flagged
 
 
 def test_km_census_raises_a_failed_split():
     # the census splits the flagged edges itself, so their failure is its own
-    h, _, frame, mf = _seed_200_refined_census()
+    h, _, frame, pf = _seed_200_refined_census()
     with pytest.raises(ResolutionError) as err:
-        invariants.km_census(h, frame, mf, gap_floor=10.0)
+        invariants.km_census(h, frame, pf, gap_floor=10.0)
     match = re.fullmatch(GAP_FAILURE, str(err.value))
-    assert match and int(match[1]) in _flagged_edges(mf)
+    assert match and int(match[1]) in _flagged_edges(frame, pf)
 
 
 @pytest.mark.parametrize("cause", ["transport", "pfaffian"])
 def test_split_names_a_singular_sub_point(monkeypatch, cause):
     # the two causes no model of the suites reaches, forced at one flagged edge
-    h, _, frame, mf = _seed_200_refined_census()
-    flagged = _flagged_edges(mf)
+    h, _, frame, pf = _seed_200_refined_census()
+    flagged = _flagged_edges(frame, pf)
     at = invariants.CENSUS_EDGE_PARTS   # the sub-points of one edge, then one more
     if cause == "transport":
         eigh_many = numkit.eigh_many
@@ -890,7 +924,7 @@ def test_split_names_a_singular_sub_point(monkeypatch, cause):
         expected = r"\|pf M\| = 0.000e\+00 < 1e-12 at a sub-point"
     with pytest.raises(ResolutionError,
                        match=rf"^split of grid edge {flagged[1]} failed: {expected}$"):
-        invariants._split_steps(h, frame, mf, flagged, SEED_200_TOL.gap_floor)
+        invariants._split_steps(h, frame, pf, flagged, SEED_200_TOL.gap_floor)
 
 
 @pytest.mark.parametrize("manifold, seed, shape, gap_floor", [
@@ -907,25 +941,24 @@ def test_settled_edges_match_a_4096_part_walk(manifold, seed, shape, gap_floor):
     group = bands.find_gapped_groups(bands.spectrum_on_grid(h, grid), gap_floor)[0]
     rep, fields = invariants.verify_group_fields(h, (group.first, group.last), grid, tol)
     assert rep.k is not None and rep.census_total == rep.k
-    mf = fields.m_field
-    frame = bands.smooth_frame(bands.spectrum_on_grid(h, mf.domain.grid), group,
-                               mf.domain)
-    # the returned frame is the one on the refined grid, bit for bit
-    assert fields.frame.domain is mf.domain
+    domain, pf = fields.frame.domain, fields.pf
+    frame = bands.smooth_frame(bands.spectrum_on_grid(h, domain.grid), group, domain)
+    # the returned frame and pf M are the ones on the refined grid, bit for bit
     assert np.array_equal(fields.frame.data, frame.data)
-    ids = _flagged_edges(mf)
-    steps = invariants._split_steps(h, frame, mf, ids, gap_floor)
+    assert np.array_equal(pf, invariants.m_field(frame, h.t)[0])
+    ids = _flagged_edges(frame, pf)
+    steps = invariants._split_steps(h, frame, pf, ids, gap_floor)
     # the torus group fails a loop step first and verifies on 24x256
-    grid = mf.domain.grid
+    grid = domain.grid
     assert len(rep.notes) == rep.refinements + 1 == (1 if manifold == "sphere" else 2)
     assert all(re.fullmatch(LOOP_STEP_RUNG.format(f"{grid.n_lat}x{grid.n_lon}"), note)
                for note in rep.notes[:-1])
     assert rep.notes[-1] == f"census: {len(ids)} edges split"
-    edges = mf.domain.grid.edges[ids]
-    fine = _fine_walks(h, group, frame, mf, edges, 4096)
+    edges = grid.edges[ids]
+    fine = _fine_walks(h, group, frame, pf, edges, 4096)
     assert np.max(np.abs(fine)) < invariants.CENSUS_EDGE_CAP
     assert np.max(np.abs(steps - fine.sum(axis=1))) <= 1e-6
-    coarse = _fine_walks(h, group, frame, mf, edges, invariants.CENSUS_EDGE_PARTS)
+    coarse = _fine_walks(h, group, frame, pf, edges, invariants.CENSUS_EDGE_PARTS)
     settled = np.sum(np.max(np.abs(coarse), axis=1) >= invariants.CENSUS_EDGE_CAP)
     assert settled >= 1
 

@@ -1,5 +1,6 @@
 """The package's modules import one another strictly down one layer order,
-and none of them reaches for another module's private (underscore) names."""
+none of them reaches for another module's private (underscore) names, and
+none imports a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -86,3 +87,30 @@ def test_cli_builds_no_pipeline_of_its_own():
              for alias in node.names}
     named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert PIPELINE & named == set()
+
+
+def unused_imports(path: Path) -> list:
+    """The names that the module at path imports and never reads.  A read is
+    a load of the name in code or in an (unquoted) annotation; a name that
+    __all__ lists is read by the package's users, and __future__ imports are
+    exempt."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unused = [(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
+              for name in unused_imports(path)]
+    assert unused == []

@@ -322,11 +322,10 @@ def whole_turns(edge_ids):
     return edge_ids % 3 - 1
 
 
-def census_by_loop(mf):
+def census_by_loop(dom, pf):
     """The census one plaquette at a time, an edge whose principal step
     reaches the cap taking its whole_turns: (entries, total, flagged grid edge
     ids), or the first ResolutionError in plaquette order."""
-    dom = mf.domain
     edge_id = {tuple(e): i for i, e in enumerate(dom.grid.edges.tolist())}
     entries, total, flagged = [], 0, set()
     plaqs = domain_rows(dom.grid)[1]
@@ -336,7 +335,7 @@ def census_by_loop(mf):
             if a == b:  # a repeated pole corner
                 continue
             lo, hi = min(a, b), max(a, b)
-            step = np.angle(mf.pf[hi] / mf.pf[lo])
+            step = np.angle(pf[hi] / pf[lo])
             if abs(step) >= invariants.CENSUS_EDGE_CAP:
                 flagged.add(edge_id[lo, hi])
                 step += 2 * np.pi * whole_turns(edge_id[lo, hi])
@@ -367,24 +366,25 @@ def test_km_census_matches_plaquette_loop(seed, manifold, noise, tie):
     if tie is not None:  # one edge's principal step exactly at the cap
         lo, hi = dom.edges[tie % len(dom.edges)]
         pf[lo], pf[hi] = 1.0, np.exp(1j * invariants.CENSUS_EDGE_CAP)
-    mf = invariants.MField(domain=dom, values=np.zeros((pf.size, 2, 2)), pf=pf,
-                           skew_residual=0.0)
+    # the stub split reads no frame data
+    frame = bands.Frame(dom, bands.BandGroup(0, 1, 1.0), np.zeros((pf.size, 2, 2)))
     split = []
 
-    def stub(h_field, frame, mf, edge_ids, gap_floor):
+    def stub(h_field, frame, pf, edge_ids, gap_floor):
         # a split that ends on the vertex values: the principal step plus whole turns
         split.append(edge_ids.tolist())
-        return invariants._edge_steps(mf)[edge_ids] + 2 * np.pi * whole_turns(edge_ids)
+        principal = invariants._edge_steps(frame.domain, pf)[edge_ids]
+        return principal + 2 * np.pi * whole_turns(edge_ids)
 
     with mock.patch.object(invariants, "_split_steps", stub):
         try:
-            entries, total, flagged = census_by_loop(mf)
+            entries, total, flagged = census_by_loop(dom, pf)
         except ResolutionError as exc:
             with pytest.raises(ResolutionError) as got:
-                invariants.km_census(None, None, mf, 0.05)
+                invariants.km_census(None, frame, pf, 0.05)
             assert str(got.value) == str(exc)
             return
-        census = invariants.km_census(None, None, mf, 0.05)
+        census = invariants.km_census(None, frame, pf, 0.05)
     assert (census.entries, census.total) == (entries, total)
     assert census.split_edges.tolist() == flagged
     assert split == ([flagged] if flagged else [])
@@ -406,13 +406,13 @@ def test_chern_plaquette_gauge_invariant(seed, case):
     h, grid, (first, last) = GAUGE_CASES[case]
     spec = bands.spectrum_on_grid(h, grid)
     slabs = spec.band_vectors(bands.group_for_range(spec, first, last, 0.05))
-    curv, c = invariants.chern_plaquette(slabs, grid)
+    flux, c = invariants.chern_plaquette(slabs, grid)
     rng = np.random.default_rng(seed)
     nb = slabs.shape[2]
     gauge = np.linalg.qr(complex_normal(rng, (grid.n_vertices, nb, nb)))[0]
-    curv_g, c_g = invariants.chern_plaquette(slabs @ gauge, grid)
+    flux_g, c_g = invariants.chern_plaquette(slabs @ gauge, grid)
     assert c_g == c
-    assert numkit.max_abs(curv_g.flux - curv.flux) <= 1e-9
+    assert numkit.max_abs(flux_g - flux) <= 1e-9
 
 
 def chern_by_corners(vectors, grid):
@@ -443,9 +443,9 @@ def test_chern_plaquette_square_frames_match_edge_links(seed, manifold, rank):
     rng = np.random.default_rng(seed)
     gauge = np.linalg.qr(complex_normal(rng, (grid.n_vertices, rank, rank)))[0]
     vectors = spec.vectors[:, :, :rank] @ gauge  # rank 4: a square frame
-    curv, c = invariants.chern_plaquette(vectors, grid)
+    flux, c = invariants.chern_plaquette(vectors, grid)
     want = chern_by_edges(vectors, grid)
-    assert numkit.max_abs(curv.flux - want) <= 1e-12
+    assert numkit.max_abs(flux - want) <= 1e-12
     assert c == round(want.sum() / (2 * np.pi))
 
 
@@ -464,9 +464,9 @@ def test_chern_plaquette_edge_links_match_corner_loop(seed, case):
     vectors = spec.band_vectors(bands.group_for_range(spec, 0, 1, 1e-3))
     rng = np.random.default_rng(seed)
     vectors = vectors @ np.linalg.qr(complex_normal(rng, (grid.n_vertices, 2, 2)))[0]
-    curv, c = invariants.chern_plaquette(vectors, grid)
+    flux, c = invariants.chern_plaquette(vectors, grid)
     want = chern_by_corners(vectors, grid)
-    assert numkit.max_abs(curv.flux - want) <= 1e-12
+    assert numkit.max_abs(flux - want) <= 1e-12
     assert c == round(want.sum() / (2 * np.pi))
 
 
@@ -510,16 +510,14 @@ def test_orientation_flip_negates_c_and_k(seed, case):
     group = bands.group_for_range(spec, 0, 1, 0.05)
     domain = fundamental_domain(grid)
     frame = bands.smooth_frame(spec, group, domain)
-    mf = invariants.m_field(frame, h.t)
+    pf, _ = invariants.m_field(frame, h.t)
     flipped = reversed_orientation(domain)
     vectors = spec.band_vectors(group)
     assert_negated(lambda g: invariants.chern_plaquette(vectors, g)[1],
                    domain.grid, flipped.grid)
-    flipped_mf = dataclasses.replace(mf, domain=flipped)
-    assert_negated(invariants.km_boundary, mf, flipped_mf)
+    assert_negated(lambda d: invariants.km_boundary(d, pf), domain, flipped)
     flipped_frame = dataclasses.replace(frame, domain=flipped)
-    assert_negated(lambda fields: invariants.km_census(h, *fields, 0.05).total,
-                   (frame, mf), (flipped_frame, flipped_mf))
+    assert_negated(lambda f: invariants.km_census(h, f, pf, 0.05).total, frame, flipped_frame)
 
 
 # ---------------------------------------------------------------------------
