@@ -30,14 +30,7 @@ from .invariants import (
     verify_group,
 )
 from .numkit import det_winding, pfaffian, polar_unitary, winding_number
-from .phasespace import (
-    FundamentalDomain,
-    Grid,
-    Manifold,
-    build_grid,
-    fundamental_domain,
-    refine_grid,
-)
+from .phasespace import Grid, Manifold, build_grid, refine_grid
 
 __version__ = "0.1.0"
 
@@ -45,7 +38,6 @@ __all__ = [
     "AntiUnitary",
     "BandGroup",
     "Frame",
-    "FundamentalDomain",
     "Grid",
     "HamiltonianField",
     "InvariantReport",
@@ -62,7 +54,6 @@ __all__ = [
     "curvature_tr_evenness",
     "det_winding",
     "find_gapped_groups",
-    "fundamental_domain",
     "group_for_range",
     "km_boundary",
     "km_census",

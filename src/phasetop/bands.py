@@ -20,7 +20,7 @@ import numpy as np
 from . import numkit
 from .errors import DomainError, GapError, SingularityError
 from .numkit import max_abs
-from .phasespace import FundamentalDomain, Grid, Manifold, transport_chains
+from .phasespace import Grid, Manifold
 
 
 @dataclass(frozen=True)
@@ -239,11 +239,12 @@ def group_for_range(spectrum: Spectrum, first: int, last: int, gap_floor: float)
 
 @dataclass(frozen=True)
 class Frame:
-    """Orthonormal frame field spanning a band group over a fundamental domain."""
+    """Orthonormal frame field spanning a band group over the fundamental
+    domain of its grid."""
 
-    domain: FundamentalDomain
+    grid: Grid
     group: BandGroup
-    data: np.ndarray         # (n_domain_vertices, N_A, N_B), by grid vid
+    data: np.ndarray         # (grid.n_domain_vertices, N_A, N_B), by grid vid
 
 
 def frame_residuals(frame: Frame, slabs: np.ndarray) -> dict:
@@ -253,9 +254,9 @@ def frame_residuals(frame: Frame, slabs: np.ndarray) -> dict:
     data = frame.data
     orth = max_abs(np.einsum("vij,vik->vjk", data.conj(), data) - np.eye(data.shape[2]))
     span = max_abs(data - slabs @ (np.swapaxes(slabs.conj(), -1, -2) @ data))
-    a, b = frame.domain.edges.T
+    grid = frame.grid
+    a, b = grid.edges[grid.domain_edge_ids].T
     max_step = float(np.max(np.sqrt(np.sum(np.abs(data[a] - data[b]) ** 2, axis=(1, 2)))))
-    grid = frame.domain.grid
     # sphere rows are pi / n_lat apart in theta, torus rows 2 pi / n_lat in p
     row = (np.pi if grid.manifold == Manifold.SPHERE else 2.0 * np.pi) / grid.n_lat
     h = max(row, 2.0 * np.pi / grid.n_lon)
@@ -273,9 +274,9 @@ def _running_products(steps: np.ndarray, start: np.ndarray) -> np.ndarray:
     return out
 
 
-def smooth_frame(spectrum: Spectrum, group: BandGroup, domain: FundamentalDomain) -> Frame:
-    """Continuous orthonormal frame for a gapped group over the domain,
-    built from the spectrum on the domain's grid.
+def smooth_frame(spectrum: Spectrum, group: BandGroup, grid: Grid) -> Frame:
+    """Continuous orthonormal frame for a gapped group over the fundamental
+    domain of grid, built from the spectrum on grid.
 
     Sphere: the eigenframe at the north pole is parallel-transported down
     every meridian; all meridians share the pole value, so the field is
@@ -295,14 +296,14 @@ def smooth_frame(spectrum: Spectrum, group: BandGroup, domain: FundamentalDomain
     The frame holds its values alone; its
     continuity is measured by frame_residuals.
     """
-    chains = transport_chains(domain)
+    chains = grid.transport_chains
     L, rows = chains.shape
     nb = group.rank
     path = spectrum.band_vectors(group)[chains]       # (L, rows, N_A, N_B)
     # one overlap per step up every chain, then on the torus one per step
     # along the base row, the last of them back to the seed
     steps = (np.swapaxes(path[:, 1:].conj(), -1, -2) @ path[:, :-1]).reshape(-1, nb, nb)
-    torus = domain.grid.manifold == Manifold.TORUS
+    torus = grid.manifold == Manifold.TORUS
     if torus:
         base = path[:, 0]
         ring = np.swapaxes(np.roll(base, -1, axis=0).conj(), -1, -2) @ base
@@ -317,9 +318,9 @@ def smooth_frame(spectrum: Spectrum, group: BandGroup, domain: FundamentalDomain
         ring = _running_products(polar[L * (rows - 1):], start)
         start = ring[:L] @ numkit.unitary_powers(ring[L], -np.arange(L) / L)
     gauge = _running_products(polar[:L * (rows - 1)].reshape(L, rows - 1, nb, nb), start)
-    data = np.zeros((domain.n_vertices, spectrum.n_a, nb), dtype=complex)
+    data = np.zeros((grid.n_domain_vertices, spectrum.n_a, nb), dtype=complex)
     data[chains] = path @ gauge
-    return Frame(domain=domain, group=group, data=data)
+    return Frame(grid=grid, group=group, data=data)
 
 
 @dataclass(frozen=True)
@@ -333,16 +334,15 @@ class TransitionLoop:
 
 def transition_loops(frame: Frame, t: AntiUnitary) -> tuple[TransitionLoop, ...]:
     """Transition matrices U with T u(tau x) = u(x) U(x)^t, one TransitionLoop
-    per boundary loop of the frame's domain.
+    per boundary loop of the frame's grid.
 
-    tau moves each loop's samples by the domain's tau_shift (a half turn of
+    tau moves each loop's samples by the grid's tau_shift (a half turn of
     the sphere equator, none on the torus TRI lines), and fermionic TR forces
     U(tau x)^t = -U(x) exactly at sample level.
     """
-    dom = frame.domain
-    shift = dom.tau_shift
+    shift = frame.grid.tau_shift
     loops = []
-    for loop in dom.boundary_loops:
+    for loop in frame.grid.boundary_loops:
         u_b = frame.data[loop]
         mirrored = t.apply(np.roll(u_b, -shift, axis=0))
         u = np.einsum("vji,vjk->vik", u_b.conj(), mirrored).transpose(0, 2, 1)

@@ -66,7 +66,7 @@ def _positive(name: str, val) -> float:
 
 
 def _validate_config(cfg: dict) -> dict:
-    known = {"model", "grid", "tolerances", "seed"}
+    known = {"model", "grid", "tolerances"}
     extra = set(cfg) - known
     if extra:
         raise ConfigError(f"unknown config keys: {sorted(extra)}")
@@ -88,9 +88,6 @@ def _validate_config(cfg: dict) -> dict:
         raise ConfigError(f"unknown tolerance keys: {sorted(bad)}")
     for key, val in tol.items():
         _positive(f"tolerance {key}", val)
-    seed = cfg.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("'seed' must be an integer")
     return cfg
 
 
@@ -170,7 +167,7 @@ def _write_dumps(dump_dir: str, verified) -> None:
     out = Path(dump_dir)
     out.mkdir(parents=True, exist_ok=True)
     for rep, fld in verified:
-        grid = fld.frame.domain.grid
+        grid = fld.frame.grid
         gid = rep.group_id
         _write_table(out / f"curvature_group{gid}.csv", "lat_index,lon_index,flux",
                      grid.plaq_lat, grid.plaq_lon, fld.flux)
@@ -190,8 +187,7 @@ def _write_dumps(dump_dir: str, verified) -> None:
 def cmd_analyze(args) -> int:
     cfg = _validate_config(_load_config(args.config))
     if args.seed is not None:
-        cfg = {**cfg, "seed": args.seed}
-        cfg["model"] = {**cfg["model"], "seed": args.seed}
+        cfg = {**cfg, "model": {**cfg["model"], "seed": args.seed}}
     h_field = models.build(cfg["model"])
     grid = _grid_for(cfg, h_field, args.grid)
     tol = _tolerances(cfg)
@@ -392,7 +388,7 @@ def cmd_gauge_demo(args) -> int:
         })
         if obstruction == 0:
             try:
-                ext = gauge.extend_to_disk(w, frame.domain)
+                ext = gauge.extend_to_disk(w, frame.grid)
             except ExtensionError as exc:
                 report.update({"extension_success": False, "expected_failure": False,
                                "reason": str(exc)})

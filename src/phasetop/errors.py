@@ -53,10 +53,6 @@ class ExtensionError(PhasetopError):
     """Relaxation failed to extend a boundary gauge into the domain."""
 
 
-class TrackingError(PhasetopError):
-    """Band-group tracking along a deformation path became ambiguous."""
-
-
 class GapError(PhasetopError):
     """A band group is not gapped at the requested floor."""
 

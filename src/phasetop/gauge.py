@@ -20,7 +20,7 @@ from . import numkit
 from .bands import Frame, TransitionLoop
 from .errors import BranchError, DomainError, ExtensionError
 from .numkit import max_abs
-from .phasespace import FundamentalDomain, Manifold
+from .phasespace import Grid, Manifold
 
 
 def normal_form_loop(c: int, n_b: int, samples: int) -> TransitionLoop:
@@ -95,8 +95,8 @@ def gauge_relation_residual(u_loop, v_loop, gauge: GaugeLoop) -> float:
 class DiskExtension:
     """Unitary field over the hemisphere matching a boundary gauge loop."""
 
-    domain: FundamentalDomain
-    values: np.ndarray      # (n_dom, N_B, N_B)
+    grid: Grid
+    values: np.ndarray      # (grid.n_domain_vertices, N_B, N_B)
     sweeps: int             # smoothing sweeps over all starts tried
     max_interior_step: float
     start: str              # the start profile that met the target
@@ -155,7 +155,7 @@ EXTENSION_MAX_SWEEPS = 2000   # shared by all starts
 _EXTENSION_SEED = 0           # seeds the retraction jitter
 
 
-def extend_to_disk(gauge: GaugeLoop, domain: FundamentalDomain) -> DiskExtension:
+def extend_to_disk(gauge: GaugeLoop, grid: Grid) -> DiskExtension:
     """Extend a zero-winding boundary gauge over the northern hemisphere.
 
     Tries two start profiles in turn, each with the equator rows pinned to the
@@ -186,7 +186,6 @@ def extend_to_disk(gauge: GaugeLoop, domain: FundamentalDomain) -> DiskExtension
     A stalled start's max step then alternates up and down, and every other
     sweep would look like a gain against its predecessor.
     """
-    grid = domain.grid
     if grid.manifold != Manifold.SPHERE:
         raise DomainError("disk extension is defined over the sphere hemisphere")
     wn = numkit.det_winding(gauge.samples)   # the obstruction: extends iff 0
@@ -199,14 +198,15 @@ def extend_to_disk(gauge: GaugeLoop, domain: FundamentalDomain) -> DiskExtension
     if L != grid.n_lon:
         raise DomainError("gauge loop sampling does not match the grid equator")
     rng = np.random.default_rng(_EXTENSION_SEED)
-    n = domain.n_vertices
+    n = grid.n_domain_vertices
     radii = grid.vertex_lat[:n] / (grid.n_lat // 2)
     cols = grid.vertex_lon[:n]
     # the equator is the domain's last row: vids n - L .. n - 1
     interior = slice(n - L)
 
-    ea, eb = domain.edges.T
-    iea, ieb = domain.edges[ea < n - L].T  # lower end off the equator: not along it
+    edges = grid.edges[grid.domain_edge_ids]
+    ea, eb = edges.T
+    iea, ieb = edges[ea < n - L].T  # lower end off the equator: not along it
 
     def interior_step(vals: np.ndarray) -> float:
         rel = np.einsum("eji,ejk->eik", vals[iea].conj(), vals[ieb])
@@ -239,7 +239,7 @@ def extend_to_disk(gauge: GaugeLoop, domain: FundamentalDomain) -> DiskExtension
         step, used = smooth(values, EXTENSION_MAX_SWEEPS - sweeps)
         sweeps += used
         if step <= EXTENSION_STEP_TARGET:
-            return DiskExtension(domain=domain, values=values, sweeps=sweeps,
+            return DiskExtension(grid=grid, values=values, sweeps=sweeps,
                                  max_interior_step=step, start=start)
         tried.append(f"{start}: max step {step:.3f} after {used} sweeps")
     raise ExtensionError(
@@ -249,11 +249,11 @@ def extend_to_disk(gauge: GaugeLoop, domain: FundamentalDomain) -> DiskExtension
 
 
 def regauge_frame(frame: Frame, extension: DiskExtension) -> Frame:
-    """New frame v(x) = u(x) conj(W(x)) over the same domain."""
-    if extension.domain is not frame.domain:
-        raise DomainError("frame and extension live on different domains")
+    """New frame v(x) = u(x) conj(W(x)) on the same grid."""
+    if extension.grid is not frame.grid:
+        raise DomainError("frame and extension live on different grids")
     data = np.einsum("vij,vjk->vik", frame.data, extension.values.conj())
-    return Frame(domain=frame.domain, group=frame.group, data=data)
+    return Frame(grid=frame.grid, group=frame.group, data=data)
 
 
 # ---------------------------------------------------------------------------

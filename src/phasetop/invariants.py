@@ -48,16 +48,13 @@ from .errors import (
     LoopStepError,
     PhasetopError,
     ResolutionError,
-    TrackingError,
     TRIViolationError,
 )
 from .numkit import max_abs
 from .phasespace import (
-    FundamentalDomain,
     Grid,
     Manifold,
     edge_points,
-    fundamental_domain,
     plaquette_sums,
     refine_grid,
 )
@@ -167,11 +164,11 @@ def m_field(frame: Frame, t: AntiUnitary) -> tuple[np.ndarray, float]:
     return numkit.pfaffian(m), skew
 
 
-def _pf_on_loop(dom: FundamentalDomain, pf: np.ndarray, loop: np.ndarray, zero_floor: float):
+def _pf_on_loop(grid: Grid, pf: np.ndarray, loop: np.ndarray, zero_floor: float):
     pf = pf[loop]
     at = int(np.argmin(np.abs(pf)))
     if abs(pf[at]) <= zero_floor:
-        x, y = dom.grid.points[loop[at]]
+        x, y = grid.points[loop[at]]
         raise BoundaryZeroError(
             f"|pf M| = {abs(pf[at]):.3e} <= zero floor {zero_floor:g} at boundary "
             f"vertex {int(loop[at])}, ({x:.4f}, {y:.4f})"
@@ -179,11 +176,12 @@ def _pf_on_loop(dom: FundamentalDomain, pf: np.ndarray, loop: np.ndarray, zero_f
     return pf
 
 
-def km_boundary(domain: FundamentalDomain, pf: np.ndarray,
+def km_boundary(grid: Grid, pf: np.ndarray,
                 zero_floor: float = Tolerances.zero_floor) -> int:
-    """Kane-Mele integer: the oriented boundary sum of pf M windings on domain."""
-    return _oriented_sum(numkit.winding_number(_pf_on_loop(domain, pf, loop, zero_floor))
-                         for loop in domain.boundary_loops)
+    """Kane-Mele integer: the oriented sum of pf M windings over the grid's
+    boundary loops."""
+    return _oriented_sum(numkit.winding_number(_pf_on_loop(grid, pf, loop, zero_floor))
+                         for loop in grid.boundary_loops)
 
 
 @dataclass(frozen=True)
@@ -195,17 +193,17 @@ class ZeroCensus:
     split_edges: np.ndarray  # grid edge ids whose step _split_steps re-measured
 
 
-def _edge_steps(dom: FundamentalDomain, pf: np.ndarray) -> np.ndarray:
+def _edge_steps(grid: Grid, pf: np.ndarray) -> np.ndarray:
     """Principal pf M step along each grid edge, lower vid to higher; 0 off the domain."""
-    a, b = dom.edges.T
-    steps = np.zeros(len(dom.grid.edges))
-    steps[dom.edge_ids] = np.angle(pf[b] / pf[a])
+    a, b = grid.edges[grid.domain_edge_ids].T
+    steps = np.zeros(len(grid.edges))
+    steps[grid.domain_edge_ids] = np.angle(pf[b] / pf[a])
     return steps
 
 
 def km_census(h_field: HamiltonianField, frame: Frame, pf: np.ndarray,
               gap_floor: float) -> ZeroCensus:
-    """Per-plaquette winding of pf M over the interior of frame.domain.
+    """Per-plaquette winding of pf M over the fundamental domain of frame.grid.
 
     The sum of principal-value phase steps telescopes, so the census total
     equals the boundary winding exactly.  A step that reaches CENSUS_EDGE_CAP
@@ -220,20 +218,20 @@ def km_census(h_field: HamiltonianField, frame: Frame, pf: np.ndarray,
     domain vertex: a zero on a vertex lies in no one plaquette.  Raises
     ResolutionError when a split fails or a plaquette winding is not integral.
     """
-    dom = frame.domain
+    grid = frame.grid
     tiny = np.flatnonzero(np.abs(pf) < PF_HARD_FLOOR)
     if tiny.size:
-        x, y = dom.grid.points[tiny[0]]
+        x, y = grid.points[tiny[0]]
         raise DegenerateConfigurationError(
-            f"|pf M| < {PF_HARD_FLOOR:g} at {tiny.size} of {dom.n_vertices} domain "
+            f"|pf M| < {PF_HARD_FLOOR:g} at {tiny.size} of {grid.n_domain_vertices} domain "
             f"vertices, the first vertex {int(tiny[0])} at ({x:.4f}, {y:.4f}); the "
             "census cannot place a zero that sits on a vertex"
         )
-    steps = _edge_steps(dom, pf)
+    steps = _edge_steps(grid, pf)
     split_edges = np.flatnonzero(np.abs(steps) >= CENSUS_EDGE_CAP)
     if split_edges.size:
         steps[split_edges] = _split_steps(h_field, frame, pf, split_edges, gap_floor)
-    w = plaquette_sums(dom.grid, steps, slice(dom.n_plaquettes)) / (2.0 * np.pi)
+    w = plaquette_sums(grid, steps, slice(grid.n_domain_plaquettes)) / (2.0 * np.pi)
     wi = np.round(w)
     if not np.all(np.abs(w - wi) <= 1e-6):  # a NaN winding is not integral either
         raise ResolutionError("plaquette winding is not integral")
@@ -269,7 +267,7 @@ def _split_steps(h_field: HamiltonianField, frame: Frame, pf: np.ndarray,
     PF_HARD_FLOOR at a sub-point, or an edge at the cap whose two sums
     differ.
     """
-    grid, group = frame.domain.grid, frame.group
+    grid, group = frame.grid, frame.group
     edges = grid.edges[edge_ids]
     shape = frame.data.shape[1:]
     n = CENSUS_EDGE_PARTS
@@ -379,7 +377,7 @@ def _km_and_census(h_field, frame, pf, tol, last_rung):
         return None, None, ["KM index undefined: pf M vanishes at every domain "
                             "vertex (symmetric stratum)"]
     try:
-        k = km_boundary(frame.domain, pf, tol.zero_floor)
+        k = km_boundary(frame.grid, pf, tol.zero_floor)
     except (BoundaryZeroError, LoopStepError) as exc:
         if isinstance(exc, LoopStepError) and not last_rung:
             raise
@@ -415,9 +413,8 @@ def _verify_once(h_field: HamiltonianField, band_range: tuple, grid: Grid,
     evenness = curvature_tr_evenness(flux, grid)
     evenness_ok = evenness <= evenness_tolerance(flux, tol.evenness_rel)
 
-    domain = fundamental_domain(grid)
-    frame = smooth_frame(spectrum, group, domain)
-    residuals = frame_residuals(frame, slabs[:domain.n_vertices])
+    frame = smooth_frame(spectrum, group, grid)
+    residuals = frame_residuals(frame, slabs[:grid.n_domain_vertices])
 
     loops = transition_loops(frame, h_field.t)
     c_wind = chern_winding(loops)
@@ -603,9 +600,9 @@ def tri_path(
     if not isinstance(steps, (int, np.integer)) or steps < 2:
         raise ConfigError(f"steps must be an integer >= 2, got {steps!r}")
     if h0.n_a != h1.n_a or h0.manifold != h1.manifold:
-        raise TrackingError("endpoints live on different spaces")
+        raise ConfigError("endpoints live on different spaces")
     if np.max(np.abs(h0.t.j - h1.t.j)) > 1e-12:
-        raise TrackingError("endpoints carry different time-reversal operators")
+        raise ConfigError("endpoints carry different time-reversal operators")
     first, last = band_range
     # each endpoint field is evaluated once; every probe mixes the two stacks
     ends = []

@@ -48,6 +48,27 @@ class Grid:
     pole-adjacent sphere cells are triangles stored with the pole id repeated.
     Side a of plaquette P, corner a to corner a + 1, reads edge side_edge[P, a]
     along (side_sign +1) or against (-1) it, or is a repeated pole corner (0).
+
+    The grid carries the closed fundamental domain of tau, rows 0 .. n_lat/2:
+    on the sphere the northern hemisphere, boundary the equator; on the torus
+    the cylinder 0 <= p <= pi, boundaries the TRI lines p = 0 and p = pi.
+    Those rows come first in both numberings, so the domain is a prefix: vids
+    0 .. n_domain_vertices - 1 (the sphere equator last) and plaquettes
+    0 .. n_domain_plaquettes - 1.  Frames, M fields and the census index by
+    grid id.
+
+    Each boundary loop runs along its row in increasing column order.  The
+    orientation the domain induces on its boundary alternates in sign, loop 0
+    first: the equator and the p = 0 line count with +1, the p = pi line with
+    -1, so a boundary integral is sum_i (-1)^i over the stored loops.  tau
+    maps every boundary loop to itself, sample i to sample i + tau_shift
+    (mod n_lon): a half turn of the equator (n_lon/2) on the sphere, the
+    identity on the torus lines, which tau fixes point by point.
+
+    transport_chains[j] is column j from row 0 up to the boundary row: on the
+    sphere each chain starts at the north pole, on the torus
+    transport_chains[:, 0] is the base row p = 0.  Either way
+    transport_chains[0, 0] is the transport seed.
     """
 
     manifold: Manifold
@@ -64,13 +85,35 @@ class Grid:
     edges: np.ndarray = field(init=False, repr=False)      # (E, 2) vids, lower first
     side_edge: np.ndarray = field(init=False, repr=False)  # (P, 4) edge ids
     side_sign: np.ndarray = field(init=False, repr=False)  # (P, 4) +1, -1 or 0
+    n_domain_vertices: int = field(init=False, repr=False)
+    n_domain_plaquettes: int = field(init=False, repr=False)
+    domain_edge_ids: np.ndarray = field(init=False, repr=False)   # joining two domain vertices
+    boundary_loops: np.ndarray = field(init=False, repr=False)    # (loops, n_lon) vids
+    tau_shift: int = field(init=False, repr=False)                # tau on a loop, in samples
+    transport_chains: np.ndarray = field(init=False, repr=False)  # (n_lon, n_lat/2 + 1) vids
 
     def __post_init__(self):
         a, b, n = self.plaquettes, np.roll(self.plaquettes, -1, axis=1), len(self.points)
         keys, side = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
-        object.__setattr__(self, "edges", np.stack(np.divmod(keys, n), axis=1))
-        object.__setattr__(self, "side_edge", side.reshape(a.shape))
-        object.__setattr__(self, "side_sign", np.sign(b - a))
+        edges = np.stack(np.divmod(keys, n), axis=1)
+        half, cols = self.n_lat // 2, np.arange(self.n_lon)
+        sphere = self.manifold == Manifold.SPHERE
+        n_domain = self.vid(half, self.n_lon - 1) + 1
+        derived = {
+            "edges": edges,
+            "side_edge": side.reshape(a.shape),
+            "side_sign": np.sign(b - a),
+            "n_domain_vertices": n_domain,
+            "n_domain_plaquettes": half * self.n_lon,
+            # lower vid first: an edge is inside when its higher end is
+            "domain_edge_ids": np.flatnonzero((edges[:, 1] < n_domain)
+                                              & (edges[:, 0] != edges[:, 1])),
+            "boundary_loops": self.vid(np.array([[half]] if sphere else [[0], [half]]), cols),
+            "tau_shift": self.n_lon // 2 if sphere else 0,
+            "transport_chains": self.vid(np.arange(half + 1), cols[:, None]),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False  # grids are shared, see build_grid
@@ -165,70 +208,6 @@ def refine_grid(grid: Grid, lat: bool = True, lon: bool = True) -> Grid:
     lon is true; by default both.  The old grid's rows and columns are every
     other row or column of the new one."""
     return build_grid(grid.manifold, grid.n_lat * (1 + lat), grid.n_lon * (1 + lon))
-
-
-@dataclass(frozen=True)
-class FundamentalDomain:
-    """Closed fundamental domain of the involution, with its boundary loops.
-
-    Sphere: the closed northern hemisphere (rows 0 .. n_lat/2), boundary the
-    equator.  Torus: the closed cylinder 0 <= p <= pi (rows 0 .. n_lat/2),
-    boundaries the two TRI lines p = 0 and p = pi.
-
-    Rows 0 .. n_lat/2 come first in both numberings, so the domain is a prefix:
-    vids 0 .. n_vertices - 1 (the sphere equator last) and plaquettes
-    0 .. n_plaquettes - 1.  Frames, M fields and the census index by grid id.
-
-    Each boundary loop runs along its row in increasing column order.  The
-    orientation the domain induces on its boundary alternates in sign, loop 0
-    first: the equator and the p = 0 line count with +1, the p = pi line with
-    -1, so a boundary integral is sum_i (-1)^i over the stored loops.
-
-    tau maps every boundary loop to itself, sample i to sample
-    i + tau_shift (mod n_lon): a half turn of the equator (n_lon/2) on the
-    sphere, the identity on the torus lines, which tau fixes point by point.
-    """
-
-    grid: Grid
-    n_vertices: int                   # domain vertices are vids 0 .. n_vertices - 1
-    n_plaquettes: int                 # domain plaquettes are ids 0 .. n_plaquettes - 1
-    boundary_loops: tuple             # loops of vids, along increasing column
-    tau_shift: int                    # tau on a boundary loop, in samples
-    edge_ids: np.ndarray              # grid edges joining two domain vertices
-    edges: np.ndarray = field(repr=False)  # (E, 2) their vids, grid.edges[edge_ids]
-
-
-def fundamental_domain(grid: Grid) -> FundamentalDomain:
-    half = grid.n_lat // 2
-    if grid.manifold == Manifold.SPHERE:
-        boundary = (grid.row_vids(half),)
-        tau_shift = grid.n_lon // 2
-    else:
-        boundary = (grid.row_vids(0), grid.row_vids(half))
-        tau_shift = 0
-    # rows 0 .. half come first in both numberings, so the domain is a prefix
-    n_vertices = grid.vid(half, grid.n_lon - 1) + 1
-    ends = grid.edges  # lower vid first: an edge is inside when its higher end is
-    edge_ids = np.flatnonzero((ends[:, 1] < n_vertices) & (ends[:, 0] != ends[:, 1]))
-
-    return FundamentalDomain(
-        grid=grid,
-        n_vertices=n_vertices,
-        n_plaquettes=half * grid.n_lon,
-        boundary_loops=boundary,
-        tau_shift=tau_shift,
-        edge_ids=edge_ids,
-        edges=ends[edge_ids],
-    )
-
-
-def transport_chains(domain: FundamentalDomain) -> np.ndarray:
-    """The (n_lon, n_lat/2 + 1) vertex chains of frame transport, column j
-    from row 0 up to the boundary row: on the sphere each starts at the north
-    pole, on the torus chains[:, 0] is the base row p = 0.  Either way
-    chains[0, 0] is the transport seed."""
-    grid = domain.grid
-    return grid.vid(np.arange(grid.n_lat // 2 + 1), np.arange(grid.n_lon)[:, None])
 
 
 def plaquette_sums(grid: Grid, edge_values: np.ndarray, plaqs=slice(None)) -> np.ndarray:

@@ -16,7 +16,7 @@ import pytest
 from phasetop import bands, cli, gauge, invariants, models, numkit
 from phasetop.errors import DegenerateConfigurationError
 from phasetop.invariants import Tolerances
-from phasetop.phasespace import Manifold, build_grid, fundamental_domain
+from phasetop.phasespace import Manifold, build_grid
 
 TOL = Tolerances(gap_floor=0.05)
 
@@ -204,8 +204,7 @@ def test_criterion_7_gauge_pipeline(tmp_path):
         grid = build_grid(Manifold.SPHERE, n_lat, n_lon)
         spec = bands.spectrum_on_grid(h, grid)
         group = bands.group_for_range(spec, first, last, 0.05)
-        dom = fundamental_domain(grid)
-        frame = bands.smooth_frame(spec, group, dom)
+        frame = bands.smooth_frame(spec, group, grid)
         u = bands.transition_loops(frame, h.t)[0]
         c = invariants.chern_winding((u,))
         v = gauge.normal_form_loop(c, group.rank, grid.n_lon)
@@ -213,7 +212,7 @@ def test_criterion_7_gauge_pipeline(tmp_path):
         assert w.residual_pi <= 1e-8, h.label
         assert w.residual_2pi <= 1e-8, h.label
         assert numkit.det_winding(w.samples) == 0
-        ext = gauge.extend_to_disk(w, dom)
+        ext = gauge.extend_to_disk(w, grid)
         regauged = bands.transition_loops(gauge.regauge_frame(frame, ext), h.t)[0]
         assert numkit.max_abs(regauged.samples - v.samples) <= 1e-6, h.label
         # mismatched class: obstruction +-1 and no extension
@@ -271,7 +270,6 @@ def test_criterion_10_determinism(tmp_path):
                   "perturbation_strength": 0.1, "seed": 11},
         "grid": {"n_lat": 16, "n_lon": 32},
         "tolerances": {"gap_floor": 0.05},
-        "seed": 11,
     }))
     outs = []
     for name in ("a.json", "b.json"):

@@ -6,7 +6,7 @@ import pytest
 from phasetop import bands, models, numkit
 from phasetop.bands import AntiUnitary, HamiltonianField
 from phasetop.errors import DomainError
-from phasetop.phasespace import Manifold, build_grid, fundamental_domain
+from phasetop.phasespace import Manifold, build_grid
 from oracles import random_hermitian_field, tr_image_batch
 from test_phasespace import domain_rows
 
@@ -188,8 +188,7 @@ def test_smooth_frame_rank1_covers_domain():
     grid = build_grid(Manifold.SPHERE, 16, 32)
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 0, 0.5)
-    dom = fundamental_domain(grid)
-    frame = bands.smooth_frame(spec, group, dom)
+    frame = bands.smooth_frame(spec, group, grid)
     vids, _ = domain_rows(grid)
     res = bands.frame_residuals(frame, spec.band_vectors(group)[vids])
     assert res["frame_orthonormality"] <= 1e-10
@@ -204,7 +203,7 @@ def test_torus_continuity_const_reads_the_torus_row_spacing():
     grid = build_grid(Manifold.TORUS, 16, 128)
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, 0.5)
-    frame = bands.smooth_frame(spec, group, fundamental_domain(grid))
+    frame = bands.smooth_frame(spec, group, grid)
     res = bands.frame_residuals(frame, spec.band_vectors(group)[domain_rows(grid)[0]])
     h_step = max(2 * np.pi / grid.n_lat, 2 * np.pi / grid.n_lon)
     assert res["frame_max_step"] > 0
@@ -218,8 +217,7 @@ def test_smooth_frame_constant_hamiltonian_is_constant():
     grid = build_grid(Manifold.SPHERE, 8, 16)
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, 0.5)
-    dom = fundamental_domain(grid)
-    frame = bands.smooth_frame(spec, group, dom)
+    frame = bands.smooth_frame(spec, group, grid)
     assert numkit.max_abs(frame.data - frame.data[0][None]) <= 1e-12
     slabs = spec.band_vectors(group)[domain_rows(grid)[0]]
     assert bands.frame_residuals(frame, slabs)["frame_max_step"] <= 1e-12
@@ -230,8 +228,7 @@ def test_torus_frame_seam_twist_closes():
     grid = build_grid(Manifold.TORUS, 16, 64)
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, 0.5)
-    dom = fundamental_domain(grid)
-    frame = bands.smooth_frame(spec, group, dom)
+    frame = bands.smooth_frame(spec, group, grid)
 
     def transport(slab, u):  # one step, with an SVD polar factor
         w, _, vh = np.linalg.svd(slab.conj().T @ u)
@@ -260,7 +257,7 @@ def test_transition_loop_sphere_antisymmetry_exact():
     grid = build_grid(Manifold.SPHERE, 16, 32)
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 0, 0.5)
-    frame = bands.smooth_frame(spec, group, fundamental_domain(grid))
+    frame = bands.smooth_frame(spec, group, grid)
     loop = bands.transition_loops(frame, h.t)[0]
     assert loop.unitarity <= 1e-9
     assert loop.symmetry_residual <= 1e-12
@@ -271,7 +268,7 @@ def test_transition_loop_trivial_bundle_even_winding():
     grid = build_grid(Manifold.SPHERE, 8, 16)
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, 0.5)
-    frame = bands.smooth_frame(spec, group, fundamental_domain(grid))
+    frame = bands.smooth_frame(spec, group, grid)
     loop = bands.transition_loops(frame, h.t)[0]
     w = numkit.det_winding(loop.samples)
     assert w % 2 == 0 and w == 0
@@ -282,9 +279,8 @@ def test_transition_loop_rejects_non_spanning_frame():
     grid = build_grid(Manifold.SPHERE, 8, 16)
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 0, 0.5)
-    dom = fundamental_domain(grid)
-    frame = bands.smooth_frame(spec, group, dom)
-    broken = bands.Frame(dom, group, np.roll(frame.data, 3, axis=0))
+    frame = bands.smooth_frame(spec, group, grid)
+    broken = bands.Frame(grid, group, np.roll(frame.data, 3, axis=0))
     with pytest.raises(DomainError):
         bands.transition_loops(broken, h.t)[0]
 
@@ -294,7 +290,7 @@ def test_transition_loops_torus_skew():
     grid = build_grid(Manifold.TORUS, 16, 64)
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, 0.5)
-    frame = bands.smooth_frame(spec, group, fundamental_domain(grid))
+    frame = bands.smooth_frame(spec, group, grid)
     u_plus, u_minus = bands.transition_loops(frame, h.t)
     for loop in (u_plus, u_minus):
         assert loop.unitarity <= 1e-9
@@ -304,8 +300,7 @@ def test_transition_loops_torus_skew():
 def _sphere_loop_oracle(frame, t):
     """The explicit equator formula: T u(phi + pi) = u(phi) U(phi)^t, with the
     antisymmetry residual max |U(phi + pi)^t + U(phi)|."""
-    dom = frame.domain
-    eq = frame.data[dom.boundary_loops[0]]
+    eq = frame.data[frame.grid.boundary_loops[0]]
     L = eq.shape[0]
     shifted = t.apply(np.roll(eq, -L // 2, axis=0))
     u = np.einsum("vji,vjk->vik", eq.conj(), shifted).transpose(0, 2, 1)
@@ -316,9 +311,8 @@ def _sphere_loop_oracle(frame, t):
 def _torus_loops_oracle(frame, t):
     """The explicit TRI-line formula: tau fixes p = 0 and p = pi pointwise, so
     U = (u^dagger T u)^t on each line, with the skewness residual max |U + U^t|."""
-    dom = frame.domain
     out = []
-    for loop in dom.boundary_loops:
+    for loop in frame.grid.boundary_loops:
         row = frame.data[loop]
         u = np.einsum("vji,vjk->vik", row.conj(), t.apply(row)).transpose(0, 2, 1)
         out.append((u, float(numkit.max_abs(u + u.transpose(0, 2, 1)))))
@@ -335,8 +329,8 @@ def test_transition_loops_match_explicit_formulas(manifold):
         grid, oracle, shift = build_grid(manifold, 16, 64), _torus_loops_oracle, 0
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, 0.05)
-    frame = bands.smooth_frame(spec, group, fundamental_domain(grid))
-    assert frame.domain.tau_shift == shift
+    frame = bands.smooth_frame(spec, group, grid)
+    assert frame.grid.tau_shift == shift
     loops = bands.transition_loops(frame, h.t)
     expected = oracle(frame, h.t)
     assert len(loops) == len(expected)

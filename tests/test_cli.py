@@ -84,7 +84,6 @@ ROTOR = {
               "seed": 11},
     "grid": {"n_lat": 16, "n_lon": 32},
     "tolerances": {"gap_floor": 0.05},
-    "seed": 11,
 }
 
 
@@ -230,6 +229,20 @@ def test_config_errors_exit_2(tmp_path):
 def test_unknown_outputs_key_exits_2(tmp_path):
     cfg = write_config(tmp_path, "outputs.json", {**ROTOR, "outputs": {}})
     assert run(["analyze", "--config", cfg]) == 2
+
+
+def test_top_level_seed_is_an_unknown_key(tmp_path, capsys):
+    # the model's own seed decides a run, so a top-level seed is refused, and
+    # analyze --seed sets model.seed alone
+    cfg = write_config(tmp_path, "seeded.json", {**ROTOR, "seed": 7})
+    assert run(["analyze", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "phasetop: error: unknown config keys: ['seed']\n"
+    out = tmp_path / "r.json"
+    assert run(["analyze", "--config", write_config(tmp_path, "r.json", ROTOR),
+                "--seed", "3", "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert sorted(config) == ["grid", "model", "tolerances"]
+    assert config["model"]["seed"] == 3
 
 
 @pytest.mark.parametrize("key,value", [
@@ -388,7 +401,6 @@ def test_gauge_demo_kramers_extends_from_harmonic_start(tmp_path):
         {
             "model": {"variant": "KramersPairSphere", "epsilon": 0.1, "seed": 0},
             "grid": {"n_lat": 32, "n_lon": 128},
-            "seed": 0,
         },
     )
     out = tmp_path / "g.json"
@@ -641,7 +653,7 @@ def test_rotor_spin_without_half_integer_j_exits_2(tmp_path, capsys, j):
 ])
 def test_tolerance_gap_floor_and_seed_validation_exits_2(tmp_path, capsys, case):
     # a tolerance or --gap-floor is a positive finite number, not a bool; a
-    # seed is an integer, not a bool
+    # top-level seed is an unknown key
     if isinstance(case, dict):
         argv = ["analyze", "--config", write_config(tmp_path, "c.json", {**ROTOR, **case})]
     else:
@@ -667,7 +679,7 @@ def test_runs_without_scipy(tmp_path):
 
     kramers = write_config(tmp_path, "kp.json", {
         "model": {"variant": "KramersPairSphere", "epsilon": 0.1, "seed": 0},
-        "grid": {"n_lat": 32, "n_lon": 128}, "seed": 0})
+        "grid": {"n_lat": 32, "n_lon": 128}})
     torus = write_config(tmp_path, "torus.json", {
         "model": {"variant": "TorusDoubledChern", "m": 1.0, "epsilon": 0.0, "seed": 2},
         "grid": {"n_lat": 16, "n_lon": 128}})
@@ -736,15 +748,25 @@ def test_analyze_and_random_suite_check_the_same_theorems(tmp_path, monkeypatch,
     assert report["extension_success"] is True
 
 
-def test_deform_incompatible_endpoints_exit_3(tmp_path):
-    cfg_a = write_config(tmp_path, "a.json", ROTOR)
-    cfg_b = write_config(
-        tmp_path, "b.json",
-        {"model": {"variant": "KramersPairSphere", "epsilon": 0.1, "seed": 0},
-         "grid": {"n_lat": 16, "n_lon": 32}},
-    )
-    assert run(["deform", "--config-a", cfg_a, "--config-b", cfg_b,
-                "--group", "0:0"]) == 3
+def test_deform_incompatible_endpoints_exit_2(tmp_path, capsys):
+    # endpoints with another band count or manifold, or with another
+    # time-reversal operator, are a configuration error
+    kramers = {"variant": "KramersPairSphere", "epsilon": 0.1, "seed": 0}
+    rotor_3half = {"variant": "RotorSpin", "j": 1.5}
+    cases = [
+        (ROTOR["model"], kramers, "endpoints live on different spaces"),
+        (ROTOR["model"], rotor_3half, "endpoints live on different spaces"),
+        (ROTOR["model"], {"variant": "TorusDoubledChern", "m": 1.0},
+         "endpoints live on different spaces"),
+        (rotor_3half, kramers, "endpoints carry different time-reversal operators"),
+    ]
+    for model_a, model_b, message in cases:
+        cfg_a, cfg_b = (write_config(tmp_path, name, {"model": model,
+                                                      "grid": {"n_lat": 16, "n_lon": 32}})
+                        for name, model in (("a.json", model_a), ("b.json", model_b)))
+        assert run(["deform", "--config-a", cfg_a, "--config-b", cfg_b,
+                    "--group", "0:0"]) == 2
+        assert capsys.readouterr().err == f"phasetop: error: {message}\n"
 
 
 def test_random_suite_records_torus_parity_failure_once(tmp_path, monkeypatch):

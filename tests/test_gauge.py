@@ -5,7 +5,7 @@ import pytest
 
 from phasetop import bands, gauge, invariants, models, numkit
 from phasetop.errors import DomainError, ExtensionError
-from phasetop.phasespace import Manifold, build_grid, fundamental_domain
+from phasetop.phasespace import Manifold, build_grid
 from test_phasespace import domain_rows
 
 
@@ -14,9 +14,8 @@ def rotor_equator_loop(n_lat=16, n_lon=32, band=(0, 0)):
     grid = build_grid(Manifold.SPHERE, n_lat, n_lon)
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, band[0], band[1], 0.5)
-    dom = fundamental_domain(grid)
-    frame = bands.smooth_frame(spec, group, dom)
-    return h, grid, dom, frame, bands.transition_loops(frame, h.t)[0]
+    frame = bands.smooth_frame(spec, group, grid)
+    return h, grid, frame, bands.transition_loops(frame, h.t)[0]
 
 
 def kramers_equator_loop(n_lat, n_lon):
@@ -24,7 +23,7 @@ def kramers_equator_loop(n_lat, n_lon):
     grid = build_grid(Manifold.SPHERE, n_lat, n_lon)
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, 0.05)
-    frame = bands.smooth_frame(spec, group, fundamental_domain(grid))
+    frame = bands.smooth_frame(spec, group, grid)
     return bands.transition_loops(frame, h.t)[0]
 
 
@@ -56,7 +55,7 @@ def test_normal_form_parity_violation():
 
 
 def test_solve_gauge_identity_case():
-    _, _, _, _, u = rotor_equator_loop()
+    _, _, _, u = rotor_equator_loop()
     w = gauge.solve_equator_gauge(u, u)
     assert numkit.max_abs(w.samples[0] - np.eye(1)) <= 1e-12
     assert w.residual_pi <= 1e-12 and w.residual_2pi <= 1e-12
@@ -65,7 +64,7 @@ def test_solve_gauge_identity_case():
 
 
 def test_solve_gauge_against_normal_form():
-    h, grid, dom, frame, u = rotor_equator_loop()
+    h, grid, frame, u = rotor_equator_loop()
     c = invariants.chern_winding((u,))
     v = gauge.normal_form_loop(c, 1, grid.n_lon)
     w = gauge.solve_equator_gauge(u, v)
@@ -101,7 +100,7 @@ def test_solve_gauge_second_half_matches_recurrence(n_b, c_v):
     # first half and the recurrence W(phi) = (V(psi) W(psi)^-1 U(psi)^-1)^t,
     # psi = phi - pi, on the second are the reference; the stacked solve must
     # equal them bitwise
-    u = rotor_equator_loop()[4] if n_b == 1 else kramers_equator_loop(16, 32)
+    u = rotor_equator_loop()[3] if n_b == 1 else kramers_equator_loop(16, 32)
     v = gauge.normal_form_loop(c_v, n_b, u.samples.shape[0])
     w = gauge.solve_equator_gauge(u, v).samples
     L = w.shape[0]
@@ -157,12 +156,12 @@ def test_normal_form_and_block_target_match_loops():
 
 
 def test_extend_identity_loop():
-    _, grid, dom, _, _ = rotor_equator_loop()
+    _, grid, _, _ = rotor_equator_loop()
     w = gauge.GaugeLoop(
         samples=np.broadcast_to(np.eye(1, dtype=complex), (grid.n_lon, 1, 1)).copy(),
         residual_pi=0.0, residual_2pi=0.0,
     )
-    ext = gauge.extend_to_disk(w, dom)
+    ext = gauge.extend_to_disk(w, grid)
     assert numkit.max_abs(ext.values - 1.0) <= 1e-12
 
 
@@ -171,14 +170,13 @@ def test_extend_contractible_scalar_loop_matches_explicit():
     # e^{i r sin(phi)} extends it; the relaxed extension stays near it
     n_lat, n_lon = 16, 64
     grid = build_grid(Manifold.SPHERE, n_lat, n_lon)
-    dom = fundamental_domain(grid)
     phi = 2 * np.pi * np.arange(n_lon) / n_lon
     w = gauge.GaugeLoop(
         samples=np.exp(1j * np.sin(phi))[:, None, None],
         residual_pi=0.0, residual_2pi=0.0,
     )
-    ext = gauge.extend_to_disk(w, dom)
-    eq = dom.boundary_loops[0]
+    ext = gauge.extend_to_disk(w, grid)
+    eq = grid.boundary_loops[0]
     assert numkit.max_abs(ext.values[eq] - w.samples) <= 1e-12
     vids, _ = domain_rows(grid)
     r = grid.vertex_lat[vids] / (n_lat // 2)
@@ -190,20 +188,32 @@ def test_extend_contractible_scalar_loop_matches_explicit():
 def test_extend_rejects_nonzero_winding():
     n_lon = 32
     grid = build_grid(Manifold.SPHERE, 16, n_lon)
-    dom = fundamental_domain(grid)
     phi = 2 * np.pi * np.arange(n_lon) / n_lon
     w = gauge.GaugeLoop(samples=np.exp(1j * phi)[:, None, None],
                         residual_pi=0.0, residual_2pi=0.0)
     with pytest.raises(DomainError):
-        gauge.extend_to_disk(w, dom)
+        gauge.extend_to_disk(w, grid)
+
+
+def test_regauge_refuses_an_extension_on_another_grid():
+    # an extension built on 16x32 does not regauge a frame on 32x64
+    _, grid, frame, _ = rotor_equator_loop(32, 64)
+    small = build_grid(Manifold.SPHERE, 16, 32)
+    phi = 2 * np.pi * np.arange(small.n_lon) / small.n_lon
+    w = gauge.GaugeLoop(samples=np.exp(1j * np.sin(phi))[:, None, None],
+                        residual_pi=0.0, residual_2pi=0.0)
+    ext = gauge.extend_to_disk(w, small)
+    assert ext.grid is small and frame.grid is grid
+    with pytest.raises(DomainError, match="^frame and extension live on different grids$"):
+        gauge.regauge_frame(frame, ext)
 
 
 def test_extension_regauges_to_normal_form():
-    h, grid, dom, frame, u = rotor_equator_loop()
+    h, grid, frame, u = rotor_equator_loop()
     c = invariants.chern_winding((u,))
     v = gauge.normal_form_loop(c, 1, grid.n_lon)
     w = gauge.solve_equator_gauge(u, v)
-    ext = gauge.extend_to_disk(w, dom)
+    ext = gauge.extend_to_disk(w, grid)
     regauged = gauge.regauge_frame(frame, ext)
     vloop = bands.transition_loops(regauged, h.t)[0]
     assert numkit.max_abs(vloop.samples - v.samples) <= 1e-6
@@ -215,16 +225,16 @@ def test_regauged_frame_residuals_read_the_regauged_data():
     h = models.kramers_pair_sphere(0.1, seed=0)
     grid = build_grid(Manifold.SPHERE, 24, 96)
     spec = bands.spectrum_on_grid(h, grid)
-    dom = fundamental_domain(grid)
-    frame = bands.smooth_frame(spec, bands.group_for_range(spec, 0, 1, 0.05), dom)
+    frame = bands.smooth_frame(spec, bands.group_for_range(spec, 0, 1, 0.05), grid)
     u = bands.transition_loops(frame, h.t)[0]
     v = gauge.normal_form_loop(invariants.chern_winding((u,)), 2, grid.n_lon)
-    ext = gauge.extend_to_disk(gauge.solve_equator_gauge(u, v), dom)
+    ext = gauge.extend_to_disk(gauge.solve_equator_gauge(u, v), grid)
     assert numkit.max_abs(ext.values - ext.values[0]) > 0.5  # not a constant gauge
     regauged = gauge.regauge_frame(frame, ext)
-    slabs = spec.band_vectors(frame.group)[:dom.n_vertices]
+    slabs = spec.band_vectors(frame.group)[:grid.n_domain_vertices]
     for f in (frame, regauged):
-        want = max(np.linalg.norm(f.data[a] - f.data[b]) for a, b in dom.edges)
+        want = max(np.linalg.norm(f.data[a] - f.data[b])
+                   for a, b in grid.edges[grid.domain_edge_ids])
         got = bands.frame_residuals(f, slabs)["frame_max_step"]
         assert got == pytest.approx(want, rel=1e-12)
     source, moved = (bands.frame_residuals(f, slabs)["frame_max_step"] for f in (frame, regauged))
@@ -239,11 +249,10 @@ def test_extend_kramers_loop_from_harmonic_start(n_lat, n_lon):
     grid = build_grid(Manifold.SPHERE, n_lat, n_lon)
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, 0.05)
-    dom = fundamental_domain(grid)
-    frame = bands.smooth_frame(spec, group, dom)
+    frame = bands.smooth_frame(spec, group, grid)
     u = bands.transition_loops(frame, h.t)[0]
     v = gauge.normal_form_loop(invariants.chern_winding((u,)), 2, grid.n_lon)
-    ext = gauge.extend_to_disk(gauge.solve_equator_gauge(u, v), dom)
+    ext = gauge.extend_to_disk(gauge.solve_equator_gauge(u, v), grid)
     assert ext.start == "harmonic"
     assert ext.sweeps == 0
     assert ext.max_interior_step <= gauge.EXTENSION_STEP_TARGET
@@ -264,11 +273,10 @@ def test_extend_stops_stalled_two_cycle():
     grid = build_grid(Manifold.SPHERE, 32, 64)
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 2, 3, 0.05)
-    dom = fundamental_domain(grid)
-    u = bands.transition_loops(bands.smooth_frame(spec, group, dom), h.t)[0]
+    u = bands.transition_loops(bands.smooth_frame(spec, group, grid), h.t)[0]
     v = gauge.normal_form_loop(invariants.chern_winding((u,)), 2, grid.n_lon)
     with pytest.raises(ExtensionError) as err:
-        gauge.extend_to_disk(gauge.solve_equator_gauge(u, v), dom)
+        gauge.extend_to_disk(gauge.solve_equator_gauge(u, v), grid)
     assert "harmonic: max step" in str(err.value)
     assert "blend: max step" in str(err.value)
     assert all(25 <= n < 50 for n in _start_sweeps(err))
@@ -279,28 +287,27 @@ def test_extend_falls_back_to_blend(monkeypatch):
     # the pole (its pole value is the loop mean J0(2.5) < 0), so at 32x96 that
     # start stalls and only the radial blend extends the loop
     grid = build_grid(Manifold.SPHERE, 32, 96)
-    dom = fundamental_domain(grid)
     phi = 2 * np.pi * np.arange(grid.n_lon) / grid.n_lon
     w = gauge.GaugeLoop(samples=np.exp(2.5j * np.sin(phi))[:, None, None],
                         residual_pi=0.0, residual_2pi=0.0)
-    ext = gauge.extend_to_disk(w, dom)
+    ext = gauge.extend_to_disk(w, grid)
     assert ext.start == "blend"
     assert ext.max_interior_step <= gauge.EXTENSION_STEP_TARGET
-    eq = dom.boundary_loops[0]
+    eq = grid.boundary_loops[0]
     assert numkit.max_abs(ext.values[eq] - w.samples) == 0.0
 
     # the count covers both starts: the blend alone takes fewer sweeps, and
     # the harmonic start ran until the stall rule stopped it
     with monkeypatch.context() as m:
         m.setattr(gauge, "_harmonic_profile", gauge._blend_profile)
-        blend_sweeps = gauge.extend_to_disk(w, dom).sweeps
+        blend_sweeps = gauge.extend_to_disk(w, grid).sweeps
     harmonic_sweeps = ext.sweeps - blend_sweeps
     assert blend_sweeps > 0 and harmonic_sweeps >= 25
 
     # one sweep short of the total: the blend gets what the first start left
     monkeypatch.setattr(gauge, "EXTENSION_MAX_SWEEPS", ext.sweeps - 1)
     with pytest.raises(ExtensionError) as err:
-        gauge.extend_to_disk(w, dom)
+        gauge.extend_to_disk(w, grid)
     assert _start_sweeps(err) == [harmonic_sweeps, blend_sweeps - 1]
 
 
@@ -313,8 +320,7 @@ def torus_line_loops(epsilon=0.0, seed=2, n_lat=16, n_lon=128):
     grid = build_grid(Manifold.TORUS, n_lat, n_lon)
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, 0.05)
-    dom = fundamental_domain(grid)
-    frame = bands.smooth_frame(spec, group, dom)
+    frame = bands.smooth_frame(spec, group, grid)
     u_plus, u_minus = bands.transition_loops(frame, h.t)
     return u_plus, u_minus, invariants.chern_winding((u_plus, u_minus))
 
@@ -405,8 +411,7 @@ def test_skew_normal_form_rank4_random_model():
     grid = build_grid(Manifold.TORUS, 16, 128)
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.BandGroup(0, 3, np.inf)
-    dom = fundamental_domain(grid)
-    frame = bands.smooth_frame(spec, group, dom)
+    frame = bands.smooth_frame(spec, group, grid)
     u_plus, u_minus = bands.transition_loops(frame, h.t)
     c = invariants.chern_winding((u_plus, u_minus))
     nf = gauge.skew_normal_form(u_plus, u_minus, c)
@@ -421,7 +426,7 @@ def _blend_of_minus_identity():
     """_blend_profile of the constant loop -I at 16x32, seeded as extend_to_disk
     seeds it, with the domain's row index of each vertex."""
     grid = build_grid(Manifold.SPHERE, 16, 32)
-    n = fundamental_domain(grid).n_vertices
+    n = grid.n_domain_vertices
     radii = grid.vertex_lat[:n] / (grid.n_lat // 2)
     w_b = np.broadcast_to(-np.eye(2, dtype=complex), (grid.n_lon, 2, 2))
     rng = np.random.default_rng(gauge._EXTENSION_SEED)

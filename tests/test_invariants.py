@@ -15,7 +15,7 @@ from phasetop.errors import (
     TRIViolationError,
 )
 from phasetop.invariants import Tolerances
-from phasetop.phasespace import Manifold, build_grid, fundamental_domain
+from phasetop.phasespace import Manifold, build_grid
 from finer_grid import doubled_grid_moves
 from oracles import m_matrices
 from test_phasespace import domain_rows, plaquette_solid_angles
@@ -28,9 +28,8 @@ TOL = Tolerances(gap_floor=0.05)
 def sphere_setup(h, first, last, grid=SPHERE_GRID, gap_floor=0.05):
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, first, last, gap_floor)
-    dom = fundamental_domain(grid)
-    frame = bands.smooth_frame(spec, group, dom)
-    return spec, group, dom, frame
+    frame = bands.smooth_frame(spec, group, grid)
+    return spec, group, grid, frame
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +107,7 @@ def test_chern_winding_normal_form_loops():
 
 def test_cross_method_equality_rotor():
     h = models.rotor_spin(0.5)
-    spec, group, dom, frame = sphere_setup(h, 0, 0)
+    spec, group, grid, frame = sphere_setup(h, 0, 0)
     _, c_p = invariants.chern_plaquette(spec.band_vectors(group), SPHERE_GRID)
     loop = bands.transition_loops(frame, h.t)[0]
     assert invariants.chern_winding((loop,)) == c_p
@@ -118,8 +117,7 @@ def test_chern_winding_torus_even_and_cross_method():
     h = models.torus_doubled_chern(m=1.0, epsilon=0.1, seed=3)
     spec = bands.spectrum_on_grid(h, TORUS_GRID)
     group = bands.group_for_range(spec, 0, 1, 0.05)
-    dom = fundamental_domain(TORUS_GRID)
-    frame = bands.smooth_frame(spec, group, dom)
+    frame = bands.smooth_frame(spec, group, TORUS_GRID)
     u_plus, u_minus = bands.transition_loops(frame, h.t)
     c_w = invariants.chern_winding((u_plus, u_minus))
     _, c_p = invariants.chern_plaquette(spec.band_vectors(group), TORUS_GRID)
@@ -135,7 +133,7 @@ RANK_REFUSAL = r"^Kane-Mele index needs even band-group rank$"
 
 def test_m_field_skew_and_pf_det_consistency():
     h = models.kramers_pair_sphere(epsilon=0.1, seed=0)
-    spec, group, dom, frame = sphere_setup(h, 0, 1)
+    spec, group, grid, frame = sphere_setup(h, 0, 1)
     pf, skew = invariants.m_field(frame, h.t)
     assert skew <= 1e-12
     dets = np.linalg.det(m_matrices(frame.data, h.t))
@@ -146,7 +144,7 @@ def test_m_field_rank1_vanishes_identically():
     # Kramers orthogonality: <u, T u> = 0 pointwise for a single band, and
     # m_field refuses the odd rank
     h = models.rotor_spin(0.5)
-    spec, group, dom, frame = sphere_setup(h, 0, 0)
+    spec, group, grid, frame = sphere_setup(h, 0, 0)
     assert numkit.max_abs(m_matrices(frame.data, h.t)) <= 1e-12
     with pytest.raises(DomainError, match=RANK_REFUSAL):
         invariants.m_field(frame, h.t)
@@ -161,28 +159,28 @@ def test_m_field_trivial_bundle_unit_pf():
         return np.broadcast_to(flat, (pts.shape[0], 4, 4)).copy()
 
     h = bands.HamiltonianField(4, Manifold.SPHERE, t, const)
-    spec, group, dom, frame = sphere_setup(h, 0, 1, gap_floor=0.5)
+    spec, group, grid, frame = sphere_setup(h, 0, 1, gap_floor=0.5)
     pf, _ = invariants.m_field(frame, h.t)
     assert np.max(np.abs(np.abs(pf) - 1.0)) <= 1e-12
-    assert invariants.km_boundary(dom, pf) == 0
+    assert invariants.km_boundary(grid, pf) == 0
     census = invariants.km_census(h, frame, pf, 0.5)
     assert census.entries == [] and census.total == 0
 
 
 def test_km_boundary_equals_half_chern():
     h = models.kramers_pair_sphere(epsilon=0.1, seed=0)
-    spec, group, dom, frame = sphere_setup(h, 0, 1)
+    spec, group, grid, frame = sphere_setup(h, 0, 1)
     _, c = invariants.chern_plaquette(spec.band_vectors(group), SPHERE_GRID)
     pf, _ = invariants.m_field(frame, h.t)
-    k = invariants.km_boundary(dom, pf)
+    k = invariants.km_boundary(grid, pf)
     assert 2 * k == c
 
 
 def test_km_census_matches_boundary_exactly():
     h = models.kramers_pair_sphere(epsilon=0.1, seed=0)
-    spec, group, dom, frame = sphere_setup(h, 0, 1)
+    spec, group, grid, frame = sphere_setup(h, 0, 1)
     pf, _ = invariants.m_field(frame, h.t)
-    k = invariants.km_boundary(dom, pf)
+    k = invariants.km_boundary(grid, pf)
     census = invariants.km_census(h, frame, pf, TOL.gap_floor)
     assert census.total == k
     signs = {np.sign(w) for _, w in census.entries}
@@ -197,8 +195,7 @@ def test_boundary_sums_match_explicit_torus_differences():
         h = models.torus_doubled_chern(m=1.0, epsilon=epsilon, seed=seed)
         spec = bands.spectrum_on_grid(h, TORUS_GRID)
         group = bands.group_for_range(spec, 0, 1, 0.05)
-        dom = fundamental_domain(TORUS_GRID)
-        frame = bands.smooth_frame(spec, group, dom)
+        frame = bands.smooth_frame(spec, group, TORUS_GRID)
         u_plus, u_minus = bands.transition_loops(frame, h.t)
         wn_plus = numkit.det_winding(u_plus.samples)
         wn_minus = numkit.det_winding(u_minus.samples)
@@ -206,8 +203,8 @@ def test_boundary_sums_match_explicit_torus_differences():
         assert c == wn_plus - wn_minus
         pf, _ = invariants.m_field(frame, h.t)
         w0, w1 = (numkit.winding_number(pf[loop])
-                  for loop in dom.boundary_loops)
-        k = invariants.km_boundary(dom, pf)
+                  for loop in TORUS_GRID.boundary_loops)
+        k = invariants.km_boundary(TORUS_GRID, pf)
         assert k == w0 - w1
         assert abs(c) == 2 and 2 * k == c
         minus_windings.append((wn_minus, w1))
@@ -219,10 +216,10 @@ def test_km_transform_identity_under_tr_shift():
     # pf M(phi+pi) = det U(phi) conj(pf M(phi)); the constant prefactor drops
     # out of every winding, so no integer output depends on it
     h = models.kramers_pair_sphere(epsilon=0.1, seed=0)
-    spec, group, dom, frame = sphere_setup(h, 0, 1)
+    spec, group, grid, frame = sphere_setup(h, 0, 1)
     pf, _ = invariants.m_field(frame, h.t)
     loop = bands.transition_loops(frame, h.t)[0]
-    eq = dom.boundary_loops[0]
+    eq = grid.boundary_loops[0]
     m_eq = m_matrices(frame.data, h.t)[eq]
     L = eq.size
     u = loop.samples
@@ -238,17 +235,16 @@ def test_km_torus_boundary_and_rank1_rejection():
     h = models.torus_doubled_chern(m=1.0, epsilon=0.1, seed=3)
     spec = bands.spectrum_on_grid(h, TORUS_GRID)
     group = bands.group_for_range(spec, 0, 1, 0.05)
-    dom = fundamental_domain(TORUS_GRID)
-    frame = bands.smooth_frame(spec, group, dom)
+    frame = bands.smooth_frame(spec, group, TORUS_GRID)
     pf, _ = invariants.m_field(frame, h.t)
-    k = invariants.km_boundary(dom, pf)
+    k = invariants.km_boundary(TORUS_GRID, pf)
     _, c = invariants.chern_plaquette(spec.band_vectors(group), TORUS_GRID)
     assert 2 * k == c
     census = invariants.km_census(h, frame, pf, TOL.gap_floor)
     assert census.total == k
 
     h1 = models.rotor_spin(0.5)
-    spec1, group1, dom1, frame1 = sphere_setup(h1, 0, 0)
+    spec1, group1, grid1, frame1 = sphere_setup(h1, 0, 0)
     with pytest.raises(DomainError, match=RANK_REFUSAL):
         invariants.m_field(frame1, h1.t)
 
@@ -259,10 +255,9 @@ def test_km_census_degenerate_stratum_raises():
     h = models.torus_doubled_chern(m=1.0, epsilon=0.0)
     spec = bands.spectrum_on_grid(h, TORUS_GRID)
     group = bands.group_for_range(spec, 0, 1, 0.05)
-    dom = fundamental_domain(TORUS_GRID)
-    frame = bands.smooth_frame(spec, group, dom)
+    frame = bands.smooth_frame(spec, group, TORUS_GRID)
     pf, _ = invariants.m_field(frame, h.t)
-    assert invariants.km_boundary(dom, pf) in (-1, 1)  # TRI lines stay unitary
+    assert invariants.km_boundary(TORUS_GRID, pf) in (-1, 1)  # TRI lines stay unitary
     with pytest.raises(DegenerateConfigurationError,
                        match=r"at \(0\.0000, 1\.5708\); the census cannot place a zero"):
         invariants.km_census(h, frame, pf, TOL.gap_floor)
@@ -614,11 +609,11 @@ def test_groups_that_refine_share_one_refined_grid():
     _, _, results = invariants.analyze_model(h, SEED_200_GRID, SEED_200_TOL)
     (rep0, fields0), (rep1, fields1) = results
     assert rep0.refinements == rep1.refinements == 1
-    grid = fields0.frame.domain.grid
+    grid = fields0.frame.grid
     assert (grid.n_lat, grid.n_lon) == (24, 256)
-    assert fields1.frame.domain.grid is grid
+    assert fields1.frame.grid is grid
     assert len(fields0.flux) == len(fields1.flux) == grid.n_plaquettes
-    assert len(fields0.pf) == len(fields1.pf) == fields0.frame.domain.n_vertices
+    assert len(fields0.pf) == len(fields1.pf) == fields0.frame.grid.n_domain_vertices
 
 
 # (model, start grid, the grid every group settles on)
@@ -642,12 +637,12 @@ def test_group_fields_are_on_the_reported_grid(h, start, settled):
         assert (rep.grid_n_lat, rep.grid_n_lon) == settled
         assert fields.flux.shape == (rep.grid_n_lat * rep.grid_n_lon,)
         assert round(fields.flux.sum() / (2 * np.pi)) == rep.c_plaquette
-        grid = fields.frame.domain.grid
+        grid = fields.frame.grid
         assert (grid.n_lat, grid.n_lon) == (rep.grid_n_lat, rep.grid_n_lon)
         if rep.rank % 2:
             assert fields.pf is None
         else:
-            assert fields.pf.shape == (fields.frame.domain.n_vertices,)
+            assert fields.pf.shape == (fields.frame.grid.n_domain_vertices,)
 
 
 def _kramers_group(h):
@@ -664,7 +659,7 @@ def test_boundary_zero_leaves_k_undefined(monkeypatch):
     rep, fields = invariants.verify_group_fields(h, (g.first, g.last), SPHERE_GRID, tol)
     assert rep.k is None and rep.km_relation_ok is None
     assert rep.census_total is None and rep.census_entries == []
-    (equator,) = fields.frame.domain.boundary_loops
+    (equator,) = fields.frame.grid.boundary_loops
     vid = int(equator[np.argmin(np.abs(fields.pf[equator]))])
     theta, phi = SPHERE_GRID.points[vid]
     assert len(rep.notes) == 1
@@ -709,13 +704,13 @@ def _seed_200_refined_census():
     grid = build_grid(Manifold.TORUS, 48, 256)
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, SEED_200_TOL.gap_floor)
-    frame = bands.smooth_frame(spec, group, fundamental_domain(grid))
+    frame = bands.smooth_frame(spec, group, grid)
     return h, group, frame, invariants.m_field(frame, h.t)[0]
 
 
 def _flagged_edges(frame, pf):
     """The grid edges whose principal pf M step reaches the cap."""
-    steps = invariants._edge_steps(frame.domain, pf)
+    steps = invariants._edge_steps(frame.grid, pf)
     return np.flatnonzero(np.abs(steps) >= invariants.CENSUS_EDGE_CAP)
 
 
@@ -723,7 +718,7 @@ def _fine_walks(h, group, frame, pf, edges, n):
     """The (E, n) pf M sub-steps along grid edges a -> b, each cut into n
     parts: one eigh stack, the frames transported from a one point at a time
     (all edges at once), Pfaffians."""
-    grid = frame.domain.grid
+    grid = frame.grid
     a, b = edges.T
     pts = phasespace.edge_points(grid.manifold, grid.points[a], grid.points[b], n)
     _, v = np.linalg.eigh(h(pts.reshape(-1, 2)))
@@ -744,13 +739,13 @@ def test_split_step_matches_a_fine_walk_and_enters_both_plaquettes():
     ids = _flagged_edges(frame, pf)
     assert ids.size and np.array_equal(census.split_edges, ids)
     steps = invariants._split_steps(h, frame, pf, ids, SEED_200_TOL.gap_floor)
-    edges = frame.domain.grid.edges[ids]
+    edges = frame.grid.edges[ids]
     fine = _fine_walks(h, group, frame, pf, edges, 64)
     assert np.max(np.abs(fine)) < invariants.CENSUS_EDGE_CAP
     assert np.max(np.abs(steps - fine.sum(axis=1))) <= 1e-9
     # every split step ends on the vertex values: the principal step plus
     # whole turns, and on one edge the principal step misses a full turn
-    dom = frame.domain
+    grid = frame.grid
     pf_a, pf_b = (pf[edges[:, i]] for i in (0, 1))
     turns = (steps - np.angle(pf_b / pf_a)) / (2 * np.pi)
     assert np.max(np.abs(turns - np.round(turns))) <= 1e-9
@@ -763,8 +758,8 @@ def test_split_step_matches_a_fine_walk_and_enters_both_plaquettes():
     for (ea, eb), step in zip(edges.tolist(), steps):
         split[ea, eb], split[eb, ea] = step, -step
     windings, shared = {}, []
-    for pid in domain_rows(dom.grid)[1]:
-        corners = dom.grid.plaquettes[pid].tolist()
+    for pid in domain_rows(grid)[1]:
+        corners = grid.plaquettes[pid].tolist()
         total = 0.0
         for va, vb in zip(corners, corners[1:] + corners[:1]):
             step = split.get((va, vb))
@@ -779,7 +774,7 @@ def test_split_step_matches_a_fine_walk_and_enters_both_plaquettes():
             windings[int(pid)] = int(round(w))
     assert len(shared) == 2 and shared[0] == -shared[1]
     assert dict(census.entries) == windings
-    assert census.total == invariants.km_boundary(dom, pf) == 1
+    assert census.total == invariants.km_boundary(grid, pf) == 1
 
 
 def test_split_takes_one_eigh_call_per_pass_and_no_polar_call(monkeypatch):
@@ -805,7 +800,7 @@ def test_split_takes_one_eigh_call_per_pass_and_no_polar_call(monkeypatch):
     monkeypatch.undo()
     assert len(ids) == 6 and solved == [6 * (invariants.CENSUS_EDGE_PARTS - 1)] == [90]
     assert polars == []
-    fine = _fine_walks(h, group, frame, pf, frame.domain.grid.edges[ids], 64)
+    fine = _fine_walks(h, group, frame, pf, frame.grid.edges[ids], 64)
     assert np.max(np.abs(steps - fine.sum(axis=1))) <= 1e-9
 
 
@@ -817,11 +812,10 @@ def test_split_link_phases_match_the_polar_transport(seed):
     # 1e-3 here: this test is about the phases, not the gap guard
     h = models.random_tri("torus", 4, cutoff=3, seed=seed)
     spec = bands.spectrum_on_grid(h, SEED_200_GRID)
-    domain = fundamental_domain(SEED_200_GRID)
     groups = bands.find_gapped_groups(spec, SEED_200_TOL.gap_floor)
     assert [group.rank for group in groups] == [2, 2]
     for group in groups:
-        frame = bands.smooth_frame(spec, group, domain)
+        frame = bands.smooth_frame(spec, group, SEED_200_GRID)
         pf, _ = invariants.m_field(frame, h.t)
         ids = _flagged_edges(frame, pf)
         assert ids.size
@@ -844,7 +838,7 @@ def test_census_edge_split_on_the_sphere():
 
     grid = build_grid(Manifold.SPHERE, 16, 64)
     frame = bands.smooth_frame(bands.spectrum_on_grid(h, grid), group,
-                               fundamental_domain(grid))
+                               grid)
     pf, _ = invariants.m_field(frame, h.t)
     ids = invariants.km_census(h, frame, pf, TOL.gap_floor).split_edges
     assert len(ids) == 1
@@ -941,15 +935,14 @@ def test_settled_edges_match_a_4096_part_walk(manifold, seed, shape, gap_floor):
     group = bands.find_gapped_groups(bands.spectrum_on_grid(h, grid), gap_floor)[0]
     rep, fields = invariants.verify_group_fields(h, (group.first, group.last), grid, tol)
     assert rep.k is not None and rep.census_total == rep.k
-    domain, pf = fields.frame.domain, fields.pf
-    frame = bands.smooth_frame(bands.spectrum_on_grid(h, domain.grid), group, domain)
+    grid, pf = fields.frame.grid, fields.pf
+    frame = bands.smooth_frame(bands.spectrum_on_grid(h, grid), group, grid)
     # the returned frame and pf M are the ones on the refined grid, bit for bit
     assert np.array_equal(fields.frame.data, frame.data)
     assert np.array_equal(pf, invariants.m_field(frame, h.t)[0])
     ids = _flagged_edges(frame, pf)
     steps = invariants._split_steps(h, frame, pf, ids, gap_floor)
     # the torus group fails a loop step first and verifies on 24x256
-    grid = domain.grid
     assert len(rep.notes) == rep.refinements + 1 == (1 if manifold == "sphere" else 2)
     assert all(re.fullmatch(LOOP_STEP_RUNG.format(f"{grid.n_lat}x{grid.n_lon}"), note)
                for note in rep.notes[:-1])
@@ -1099,8 +1092,7 @@ def test_trivial_torus_bundle_zero_by_both_routes():
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, 0.5)
     _, c_p = invariants.chern_plaquette(spec.band_vectors(group), grid)
-    dom = fundamental_domain(grid)
-    frame = bands.smooth_frame(spec, group, dom)
+    frame = bands.smooth_frame(spec, group, grid)
     u_plus, u_minus = bands.transition_loops(frame, h.t)
     assert c_p == 0
     assert invariants.chern_winding((u_plus, u_minus)) == 0

@@ -10,7 +10,7 @@ import pytest
 
 import phasetop
 from phasetop import bands, invariants, models, numkit
-from phasetop.errors import ConfigError, GapError, ResolutionError, TrackingError
+from phasetop.errors import ConfigError, GapError, ResolutionError
 from phasetop.phasespace import Manifold, build_grid
 from oracles import random_hermitian_field
 
@@ -425,14 +425,19 @@ def test_tri_path_matches_interleaved_scan(m1, steps, event):
 def test_tri_path_rejects_mismatched_operators():
     h0 = models.rotor_spin(0.5)
     h1 = models.random_tri("torus", 2, seed=1)
-    with pytest.raises(TrackingError):
+    with pytest.raises(ConfigError, match="^endpoints live on different spaces$"):
         invariants.tri_path(h0, h1, SPHERE_GRID, (0, 0))
+    # same space, another time-reversal operator
+    h0, h1 = models.rotor_spin(1.5), models.kramers_pair_sphere(0.1)
+    with pytest.raises(ConfigError,
+                       match="^endpoints carry different time-reversal operators$"):
+        invariants.tri_path(h0, h1, SPHERE_GRID, (0, 1))
 
 
 def test_tri_path_rejects_ungapped_endpoint():
     h0 = models.rotor_spin(0.5)
     h1 = models.torus_doubled_chern(m=2.0)  # wrong manifold anyway
-    with pytest.raises(TrackingError):
+    with pytest.raises(ConfigError, match="^endpoints live on different spaces$"):
         invariants.tri_path(h0, h1, SPHERE_GRID, (0, 0))
     ungapped = models.torus_doubled_chern(m=2.0)
     gapped = models.torus_doubled_chern(m=1.0)

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from phasetop import phasespace
 from phasetop.errors import ConfigError
-from phasetop.phasespace import Manifold, build_grid, fundamental_domain
+from phasetop.phasespace import Manifold, build_grid
 from oracles import tr_image_batch
 
 
 def domain_rows(grid):
-    """The fundamental domain built through grid.vid, apart from
-    fundamental_domain: (vertex ids of rows 0 .. n_lat/2, the sphere's north
+    """The fundamental domain built through grid.vid, apart from the grid's
+    own domain fields: (vertex ids of rows 0 .. n_lat/2, the sphere's north
     pole once, ascending; ids of the plaquettes between those rows)."""
     half = grid.n_lat // 2
     vids = np.unique(grid.vid(np.arange(half + 1)[:, None], np.arange(grid.n_lon)))
@@ -121,9 +121,8 @@ def test_sphere_tau_maps_hemispheres():
 
 def test_fundamental_domain_sphere():
     grid = build_grid(Manifold.SPHERE, 8, 16)
-    dom = fundamental_domain(grid)
-    assert dom.n_vertices == 1 + 4 * 16
-    (eq,) = dom.boundary_loops
+    assert grid.n_domain_vertices == 1 + 4 * 16
+    (eq,) = grid.boundary_loops
     assert np.array_equal(eq, grid.row_vids(4))
     # covering: domain plus its tau image is everything; overlap is the boundary
     vids, _ = domain_rows(grid)
@@ -135,9 +134,8 @@ def test_fundamental_domain_sphere():
 
 def test_fundamental_domain_torus():
     grid = build_grid(Manifold.TORUS, 8, 8)
-    dom = fundamental_domain(grid)
-    assert dom.n_vertices == 5 * 8
-    lo, hi = dom.boundary_loops
+    assert grid.n_domain_vertices == 5 * 8
+    lo, hi = grid.boundary_loops
     assert np.array_equal(lo, grid.row_vids(0))
     assert np.array_equal(hi, grid.row_vids(4))
     vids, _ = domain_rows(grid)
@@ -149,8 +147,7 @@ def test_fundamental_domain_torus():
 
 def test_transport_chains_sphere():
     grid = build_grid(Manifold.SPHERE, 8, 16)
-    dom = fundamental_domain(grid)
-    chains = phasespace.transport_chains(dom)
+    chains = grid.transport_chains
     assert chains[0, 0] == 0
     assert len(chains) == 16
     for chain in chains:
@@ -201,22 +198,22 @@ def test_plaquette_solid_angles_sum_to_sphere_area():
 
 
 def test_domain_boundary_loops():
-    sphere = fundamental_domain(build_grid(Manifold.SPHERE, 8, 16))
+    sphere = build_grid(Manifold.SPHERE, 8, 16)
     (eq,) = sphere.boundary_loops
-    assert np.allclose(sphere.grid.points[eq, 0], np.pi / 2)
-    assert np.all(np.diff(sphere.grid.points[eq, 1]) > 0)  # increasing phi
-    torus = fundamental_domain(build_grid(Manifold.TORUS, 8, 8))
+    assert np.allclose(sphere.points[eq, 0], np.pi / 2)
+    assert np.all(np.diff(sphere.points[eq, 1]) > 0)  # increasing phi
+    torus = build_grid(Manifold.TORUS, 8, 8)
     lo, hi = torus.boundary_loops
-    assert np.allclose(torus.grid.points[lo, 1], 0.0)
-    assert np.allclose(torus.grid.points[hi, 1], np.pi)
+    assert np.allclose(torus.points[lo, 1], 0.0)
+    assert np.allclose(torus.points[hi, 1], np.pi)
     for loop in (lo, hi):
-        assert np.all(np.diff(torus.grid.points[loop, 0]) > 0)  # increasing q
+        assert np.all(np.diff(torus.points[loop, 0]) > 0)  # increasing q
     # tau maps sample i of each loop to sample i + tau_shift: a half turn of
     # the equator, the identity on the torus TRI lines
-    for dom, shift in ((sphere, 8), (torus, 0)):
-        assert dom.tau_shift == shift
-        for loop in dom.boundary_loops:
-            assert np.array_equal(dom.grid.tau_vertex[loop], np.roll(loop, -shift))
+    for grid, shift in ((sphere, 8), (torus, 0)):
+        assert grid.tau_shift == shift
+        for loop in grid.boundary_loops:
+            assert np.array_equal(grid.tau_vertex[loop], np.roll(loop, -shift))
 
 
 def _grid_by_loops(manifold, n_lat, n_lon):
@@ -273,13 +270,12 @@ def _grid_by_loops(manifold, n_lat, n_lon):
 @pytest.mark.parametrize("n_lat,n_lon", [(8, 8), (8, 16)])
 def test_grid_arrays_match_loop_construction(manifold, n_lat, n_lon):
     grid = build_grid(manifold, n_lat, n_lon)
-    dom = fundamental_domain(grid)
     ref = _grid_by_loops(manifold, n_lat, n_lon)
     for name in ("points", "plaquettes", "tau_vertex", "tau_plaq"):
         assert np.array_equal(getattr(grid, name), np.asarray(ref[name])), name
-    assert np.array_equal(dom.edges, np.asarray(ref["edges"]))
-    assert len(dom.boundary_loops) == len(ref["loops"])
-    for got, want in zip(dom.boundary_loops, ref["loops"]):
+    assert np.array_equal(grid.edges[grid.domain_edge_ids], np.asarray(ref["edges"]))
+    assert len(grid.boundary_loops) == len(ref["loops"])
+    for got, want in zip(grid.boundary_loops, ref["loops"]):
         assert np.array_equal(got, want)
 
 
@@ -309,12 +305,10 @@ def test_side_table_reads_each_edge_from_both_plaquettes(manifold):
     values = np.random.default_rng(0).standard_normal(len(grid.edges))
     assert abs(phasespace.plaquette_sums(grid, values).sum()) <= 1e-12
     # the domain's edges: every proper edge with both ends in the domain
-    dom = fundamental_domain(grid)
     inside = set(domain_rows(grid)[0].tolist())
     want = [e for e, (a, b) in enumerate(grid.edges.tolist())
             if a != b and a in inside and b in inside]
-    assert dom.edge_ids.tolist() == want
-    assert np.array_equal(dom.edges, grid.edges[dom.edge_ids])
+    assert grid.domain_edge_ids.tolist() == want
 
 
 EVEN_SIZES = st.integers(4, 32).map(lambda n: 2 * n)
@@ -326,14 +320,21 @@ def test_fundamental_domain_is_a_prefix_of_the_grid(manifold, n_lat, n_lon):
     # rows 0 .. n_lat/2 come first in the vid and plaquette numbering, so
     # frames, M fields and the census index the domain by grid id
     grid = build_grid(manifold, n_lat, n_lon)
-    dom = fundamental_domain(grid)
     vids, plaqs = domain_rows(grid)
-    assert vids.tolist() == list(range(dom.n_vertices))
-    assert plaqs.tolist() == list(range(dom.n_plaquettes))
+    assert vids.tolist() == list(range(grid.n_domain_vertices))
+    assert plaqs.tolist() == list(range(grid.n_domain_plaquettes))
     if manifold == Manifold.SPHERE:
         assert grid.row_vids(n_lat // 2).tolist() == list(
-            range(dom.n_vertices - n_lon, dom.n_vertices))
+            range(grid.n_domain_vertices - n_lon, grid.n_domain_vertices))
     inside = set(vids.tolist())
     want = [e for e, (a, b) in enumerate(grid.edges.tolist())
             if a != b and a in inside and b in inside]
-    assert dom.edge_ids.tolist() == want
+    assert grid.domain_edge_ids.tolist() == want
+    # the boundary rows, the equator or the lines p = 0 and p = pi in that order
+    half = n_lat // 2
+    rows = [half] if manifold == Manifold.SPHERE else [0, half]
+    assert grid.boundary_loops.tolist() == [
+        [grid.vid(i, j) for j in range(n_lon)] for i in rows]
+    # one chain per column, walked from row 0 up to the boundary row
+    assert grid.transport_chains.tolist() == [
+        [grid.vid(i, j) for i in range(half + 1)] for j in range(n_lon)]

@@ -12,13 +12,7 @@ from hypothesis import strategies as st
 
 from phasetop import bands, invariants, models, numkit
 from phasetop.errors import PhasetopError, ResolutionError, SingularityError
-from phasetop.phasespace import (
-    Manifold,
-    build_grid,
-    fundamental_domain,
-    plaquette_sums,
-    transport_chains,
-)
+from phasetop.phasespace import Manifold, build_grid, plaquette_sums
 from oracles import random_hermitian_field, tr_image_batch
 from test_phasespace import domain_rows
 
@@ -178,38 +172,37 @@ def test_transport_stack_reraises_rank_deficiency():
     # one eigenbasis at every vertex makes every transport step the identity,
     # until one vertex's group columns turn orthogonal to its chain neighbour's
     grid = build_grid(Manifold.TORUS, 8, 8)
-    domain = fundamental_domain(grid)
     q = np.linalg.qr(complex_normal(np.random.default_rng(4), (4, 4)))[0]
     energies = np.broadcast_to(np.arange(4.0), (grid.n_vertices, 4))
     vectors = np.broadcast_to(q, (grid.n_vertices, 4, 4)).copy()
     group = bands.BandGroup(0, 1, 1.0)
-    frame = bands.smooth_frame(bands.Spectrum(energies, vectors), group, domain)
+    frame = bands.smooth_frame(bands.Spectrum(energies, vectors), group, grid)
     assert numkit.max_abs(frame.data - q[:, :2]) <= 1e-12
-    vectors[transport_chains(domain)[1, 2]] = np.roll(q, 2, axis=1)
+    vectors[grid.transport_chains[1, 2]] = np.roll(q, 2, axis=1)
     with pytest.raises(SingularityError, match="projector alignment is rank-deficient"):
-        bands.smooth_frame(bands.Spectrum(energies, vectors), group, domain)
+        bands.smooth_frame(bands.Spectrum(energies, vectors), group, grid)
 
 
 # ---------------------------------------------------------------------------
 # smooth_frame
 
 
-def sequential_frame(spectrum, group, domain):
+def sequential_frame(spectrum, group, grid):
     """The frame one transport step at a time, each step with its own SVD
     polar factor: the loop smooth_frame ran before its steps were stacked."""
     def transport(slab, u):
         return slab @ svd_polar(np.swapaxes(slab.conj(), -1, -2) @ u)
 
     slabs = spectrum.band_vectors(group)
-    data = np.zeros((domain.n_vertices, spectrum.n_a, group.rank), dtype=complex)
-    chains = transport_chains(domain)
+    data = np.zeros((grid.n_domain_vertices, spectrum.n_a, group.rank), dtype=complex)
+    chains = grid.transport_chains
     seed_vid = chains[0, 0]
-    if domain.grid.manifold == Manifold.SPHERE:
+    if grid.manifold == Manifold.SPHERE:
         data[seed_vid] = slabs[seed_vid]
         u = np.broadcast_to(slabs[seed_vid], (chains.shape[0],) + slabs.shape[1:])
     else:
         base = chains[:, 0]
-        n_lon = domain.grid.n_lon
+        n_lon = grid.n_lon
         raw = [slabs[seed_vid]]
         for vid in base[1:]:
             raw.append(transport(slabs[vid], raw[-1]))
@@ -279,9 +272,8 @@ def test_smooth_frame_matches_sequential_transport(seed, manifold, rank, data):
     first = data.draw(st.integers(0, 4 - rank))
     spec, grid = four_band_spectrum(seed, manifold, 8, 16)
     group = bands.group_for_range(spec, first, first + rank - 1, 0.1)
-    domain = fundamental_domain(grid)
-    frame = bands.smooth_frame(spec, group, domain)
-    assert numkit.max_abs(frame.data - sequential_frame(spec, group, domain)) <= 1e-12
+    frame = bands.smooth_frame(spec, group, grid)
+    assert numkit.max_abs(frame.data - sequential_frame(spec, group, grid)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +314,14 @@ def whole_turns(edge_ids):
     return edge_ids % 3 - 1
 
 
-def census_by_loop(dom, pf):
+def census_by_loop(grid, pf):
     """The census one plaquette at a time, an edge whose principal step
     reaches the cap taking its whole_turns: (entries, total, flagged grid edge
     ids), or the first ResolutionError in plaquette order."""
-    edge_id = {tuple(e): i for i, e in enumerate(dom.grid.edges.tolist())}
+    edge_id = {tuple(e): i for i, e in enumerate(grid.edges.tolist())}
     entries, total, flagged = [], 0, set()
-    plaqs = domain_rows(dom.grid)[1]
-    for pid, corners in zip(plaqs, dom.grid.plaquettes[plaqs].tolist()):
+    plaqs = domain_rows(grid)[1]
+    for pid, corners in zip(plaqs, grid.plaquettes[plaqs].tolist()):
         w = 0.0
         for a, b in zip(corners, corners[1:] + corners[:1]):
             if a == b:  # a repeated pole corner
@@ -349,36 +341,35 @@ def census_by_loop(dom, pf):
     return entries, total, sorted(flagged)
 
 
-CENSUS_DOMAINS = {
-    m: fundamental_domain(build_grid(m, 8, 16)) for m in (Manifold.SPHERE, Manifold.TORUS)
-}
+CENSUS_GRIDS = {m: build_grid(m, 8, 16) for m in (Manifold.SPHERE, Manifold.TORUS)}
 
 
-@given(seed=SEEDS, manifold=st.sampled_from(list(CENSUS_DOMAINS)),
+@given(seed=SEEDS, manifold=st.sampled_from(list(CENSUS_GRIDS)),
        noise=st.sampled_from([0.0, 0.3, 3.0]), tie=st.none() | st.integers(0, 10**6))
 def test_km_census_matches_plaquette_loop(seed, manifold, noise, tie):
     rng = np.random.default_rng(seed)
-    dom = CENSUS_DOMAINS[manifold]
-    x = dom.grid.points[domain_rows(dom.grid)[0]]
+    grid = CENSUS_GRIDS[manifold]
+    x = grid.points[domain_rows(grid)[0]]
     modes = rng.integers(-2, 3, size=(4, 2))
     pf = np.exp(1j * x @ modes.T) @ complex_normal(rng, 4)
     pf += noise * complex_normal(rng, pf.shape)
     if tie is not None:  # one edge's principal step exactly at the cap
-        lo, hi = dom.edges[tie % len(dom.edges)]
+        edges = grid.edges[grid.domain_edge_ids]
+        lo, hi = edges[tie % len(edges)]
         pf[lo], pf[hi] = 1.0, np.exp(1j * invariants.CENSUS_EDGE_CAP)
     # the stub split reads no frame data
-    frame = bands.Frame(dom, bands.BandGroup(0, 1, 1.0), np.zeros((pf.size, 2, 2)))
+    frame = bands.Frame(grid, bands.BandGroup(0, 1, 1.0), np.zeros((pf.size, 2, 2)))
     split = []
 
     def stub(h_field, frame, pf, edge_ids, gap_floor):
         # a split that ends on the vertex values: the principal step plus whole turns
         split.append(edge_ids.tolist())
-        principal = invariants._edge_steps(frame.domain, pf)[edge_ids]
+        principal = invariants._edge_steps(frame.grid, pf)[edge_ids]
         return principal + 2 * np.pi * whole_turns(edge_ids)
 
     with mock.patch.object(invariants, "_split_steps", stub):
         try:
-            entries, total, flagged = census_by_loop(dom, pf)
+            entries, total, flagged = census_by_loop(grid, pf)
         except ResolutionError as exc:
             with pytest.raises(ResolutionError) as got:
                 invariants.km_census(None, frame, pf, 0.05)
@@ -482,12 +473,12 @@ ORIENTATION_CASES = [
 ]
 
 
-def reversed_orientation(domain):
-    """The domain with every plaquette and boundary loop traversed backwards."""
-    grid = dataclasses.replace(domain.grid, plaquettes=domain.grid.plaquettes[:, ::-1])
-    return dataclasses.replace(
-        domain, grid=grid, boundary_loops=tuple(loop[::-1] for loop in domain.boundary_loops)
-    )
+def reversed_orientation(grid):
+    """The grid with every plaquette and boundary loop traversed backwards."""
+    flipped = dataclasses.replace(grid, plaquettes=grid.plaquettes[:, ::-1])
+    # boundary_loops is derived from the shape; reverse it on this private copy
+    object.__setattr__(flipped, "boundary_loops", grid.boundary_loops[:, ::-1])
+    return flipped
 
 
 def assert_negated(run, original, flipped):
@@ -508,15 +499,13 @@ def test_orientation_flip_negates_c_and_k(seed, case):
     h = build(seed)
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, 0.05)
-    domain = fundamental_domain(grid)
-    frame = bands.smooth_frame(spec, group, domain)
+    frame = bands.smooth_frame(spec, group, grid)
     pf, _ = invariants.m_field(frame, h.t)
-    flipped = reversed_orientation(domain)
+    flipped = reversed_orientation(grid)
     vectors = spec.band_vectors(group)
-    assert_negated(lambda g: invariants.chern_plaquette(vectors, g)[1],
-                   domain.grid, flipped.grid)
-    assert_negated(lambda d: invariants.km_boundary(d, pf), domain, flipped)
-    flipped_frame = dataclasses.replace(frame, domain=flipped)
+    assert_negated(lambda g: invariants.chern_plaquette(vectors, g)[1], grid, flipped)
+    assert_negated(lambda g: invariants.km_boundary(g, pf), grid, flipped)
+    flipped_frame = dataclasses.replace(frame, grid=flipped)
     assert_negated(lambda f: invariants.km_census(h, f, pf, 0.05).total, frame, flipped_frame)
 
 
