@@ -8,7 +8,6 @@ from .bands import (
     HamiltonianField,
     Spectrum,
     Tolerances,
-    TransitionLoop,
     check_tri,
     find_gapped_groups,
     group_for_range,
@@ -44,7 +43,6 @@ __all__ = [
     "Manifold",
     "Spectrum",
     "Tolerances",
-    "TransitionLoop",
     "ZeroCensus",
     "analyze_model",
     "build_grid",

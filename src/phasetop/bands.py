@@ -323,38 +323,28 @@ def smooth_frame(spectrum: Spectrum, group: BandGroup, grid: Grid) -> Frame:
     return Frame(grid=grid, group=group, data=data)
 
 
-@dataclass(frozen=True)
-class TransitionLoop:
-    """Unitary transition matrices sampled along a boundary loop."""
-
-    samples: np.ndarray        # (L, N_B, N_B)
-    unitarity: float
-    symmetry_residual: float   # max |U(tau x)^t + U(x)| over the loop
-
-
-def transition_loops(frame: Frame, t: AntiUnitary) -> tuple[TransitionLoop, ...]:
-    """Transition matrices U with T u(tau x) = u(x) U(x)^t, one TransitionLoop
-    per boundary loop of the frame's grid.
+def transition_loops(frame: Frame, t: AntiUnitary) -> tuple[np.ndarray, float, float]:
+    """(u, unitarity, symmetry): the transition matrices U with
+    T u(tau x) = u(x) U(x)^t as one (loops, L, N_B, N_B) stack over the
+    boundary loops of the frame's grid, max |U^dagger U - I| and
+    max |U(tau x)^t + U(x)| over the stack.
 
     tau moves each loop's samples by the grid's tau_shift (a half turn of
     the sphere equator, none on the torus TRI lines), and fermionic TR forces
-    U(tau x)^t = -U(x) exactly at sample level.
+    U(tau x)^t = -U(x) exactly at sample level.  A unitarity residual above
+    1e-9 raises DomainError.
     """
     shift = frame.grid.tau_shift
-    loops = []
-    for loop in frame.grid.boundary_loops:
-        u_b = frame.data[loop]
-        mirrored = t.apply(np.roll(u_b, -shift, axis=0))
-        u = np.einsum("vji,vjk->vik", u_b.conj(), mirrored).transpose(0, 2, 1)
-        unit = max_abs(np.einsum("vji,vjk->vik", u.conj(), u) - np.eye(u.shape[1]))
-        if unit > 1e-9:
-            raise DomainError(
-                f"transition matrices not unitary ({unit:.2e}); frame does not span "
-                "the band group or the gap failed"
-            )
-        sym = float(max_abs(np.roll(u, -shift, axis=0).transpose(0, 2, 1) + u))
-        loops.append(TransitionLoop(u, unit, sym))
-    return tuple(loops)
+    u_b = frame.data[frame.grid.boundary_loops]
+    mirrored = t.apply(np.roll(u_b, -shift, axis=1))
+    u = np.einsum("lvji,lvjk->lvik", u_b.conj(), mirrored).swapaxes(-1, -2)
+    unit = max_abs(np.einsum("lvji,lvjk->lvik", u.conj(), u) - np.eye(u.shape[-1]))
+    if unit > 1e-9:
+        raise DomainError(
+            f"transition matrices not unitary ({unit:.2e}); frame does not span "
+            "the band group or the gap failed"
+        )
+    return u, unit, max_abs(np.roll(u, -shift, axis=1).swapaxes(-1, -2) + u)
 
 
 def kramers_check(spectrum: Spectrum, grid: Grid) -> float:
@@ -363,6 +353,5 @@ def kramers_check(spectrum: Spectrum, grid: Grid) -> float:
         raise DomainError("Kramers pairing is defined on torus TRI lines only")
     if spectrum.n_a % 2 != 0:
         raise DomainError("Kramers check needs an even number of bands")
-    rows = np.concatenate([grid.row_vids(0), grid.row_vids(grid.n_lat // 2)])
-    e = spectrum.energies[rows]
-    return float(np.max(np.abs(e[:, 0::2] - e[:, 1::2])))
+    e = spectrum.energies[grid.boundary_loops]   # the torus loops are the TRI lines
+    return float(np.max(np.abs(e[..., 0::2] - e[..., 1::2])))

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, gauge, models
-from .bands import transition_loops
+from .bands import check_tri, transition_loops
 from .errors import (
     ConfigError,
     ExtensionError,
@@ -329,7 +329,8 @@ def cmd_deform(args) -> int:
     h1 = models.build(cfg_b["model"])
     grid = _grid_for(cfg_a, h0, args.grid)
     first, last = _band_range(args.group, h0.n_a)
-    path = tri_path(h0, h1, grid, (first, last), steps=args.steps, gap_floor=gap_floor)
+    path = tri_path(h0, h1, grid, (first, last), steps=args.steps, gap_floor=gap_floor,
+                    tri_tol=_tolerances(cfg_a).tri_tol)
     report = {
         **_report_header({
             "model_a": cfg_a["model"],
@@ -359,6 +360,9 @@ def cmd_gauge_demo(args) -> int:
         raise ConfigError("--target-c applies to sphere models only")
     grid = _grid_for(cfg, h_field, args.grid)
     first, last = _band_range(args.group, h_field.n_a)
+    tri_residual, tri_ok = check_tri(h_field, grid, tol.tri_tol)
+    if not tri_ok:  # a NaN residual fails as well
+        raise TRIViolationError(tri_residual, tol.tri_tol)
     rep, fields = verify_group_fields(h_field, (first, last), grid, tol)
     frame, loops, measured_c = fields.frame, fields.loops, rep.c_winding
 
@@ -376,13 +380,13 @@ def cmd_gauge_demo(args) -> int:
                 f"target Chern {target_c} has wrong parity for rank {rep.rank}"
             )
         nf = gauge.normal_form_loop(target_c, rep.rank, rep.grid_n_lon)
-        w = gauge.solve_equator_gauge(loop, nf)
-        obstruction = det_winding(w.samples)   # wn det W: extends iff 0
+        w, residual_pi, residual_2pi = gauge.solve_equator_gauge(loop, nf)
+        obstruction = det_winding(w)   # wn det W: extends iff 0
         report.update({
             "measured_c": measured_c,
             "target_c": target_c,
-            "continuity_residual_pi": w.residual_pi,
-            "continuity_residual_2pi": w.residual_2pi,
+            "continuity_residual_pi": residual_pi,
+            "continuity_residual_2pi": residual_2pi,
             "gauge_relation_residual": gauge.gauge_relation_residual(loop, nf, w),
             "obstruction_winding": obstruction,
         })
@@ -394,8 +398,8 @@ def cmd_gauge_demo(args) -> int:
                                "reason": str(exc)})
                 _json_dump(report, args.out)
                 return _fail(str(exc), exc.exit_code)
-            (regauged,) = transition_loops(gauge.regauge_frame(frame, ext), h_field.t)
-            mismatch = float(np.max(np.abs(regauged.samples - nf.samples)))
+            (regauged,), _, _ = transition_loops(gauge.regauge_frame(frame, ext), h_field.t)
+            mismatch = float(np.max(np.abs(regauged - nf)))
             report.update({
                 "extension_success": True,
                 "extension_start": ext.start,

@@ -17,14 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .bands import Frame, TransitionLoop
+from .bands import Frame
 from .errors import BranchError, DomainError, ExtensionError
 from .numkit import max_abs
 from .phasespace import Grid, Manifold
 
 
-def normal_form_loop(c: int, n_b: int, samples: int) -> TransitionLoop:
-    """Canonical transition loop diag(e^{i(c-N_B+1) phi}, e^{i phi}, ...).
+def normal_form_loop(c: int, n_b: int, samples: int) -> np.ndarray:
+    """Canonical transition loop diag(e^{i(c-N_B+1) phi}, e^{i phi}, ...),
+    an (L, N_B, N_B) array.
 
     Exists only when c and N_B share parity; satisfies V(phi+pi)^t = -V(phi)
     identically and det winds c times.
@@ -40,23 +41,12 @@ def normal_form_loop(c: int, n_b: int, samples: int) -> TransitionLoop:
     diag = np.arange(n_b)
     v[:, diag, diag] = np.exp(1j * phi)[:, None]
     v[:, 0, 0] = np.exp(1j * (c - n_b + 1) * phi)
-    anti = float(max_abs(np.roll(v, -samples // 2, axis=0).transpose(0, 2, 1) + v))
-    return TransitionLoop(v, 0.0, anti)
+    return v
 
 
-@dataclass(frozen=True)
-class GaugeLoop:
-    """Unitary gauge samples W on a boundary loop, with seam residuals."""
-
-    samples: np.ndarray
-    residual_pi: float
-    residual_2pi: float
-
-
-def solve_equator_gauge(u_loop: TransitionLoop, v_loop: TransitionLoop) -> GaugeLoop:
-    """Boundary gauge W turning transition loop U into V (same rank, even L)."""
-    u = u_loop.samples
-    v = v_loop.samples
+def solve_equator_gauge(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(w, residual_pi, residual_2pi): the boundary gauge W turning transition
+    loop U into V (same rank, even L), and its two seam residuals."""
     if u.shape != v.shape:
         raise DomainError("transition loops must have equal rank and sampling")
     L = u.shape[0]
@@ -75,16 +65,11 @@ def solve_equator_gauge(u_loop: TransitionLoop, v_loop: TransitionLoop) -> Gauge
 
     rel_pi = (v[0] @ w[0].conj().T @ u[0].conj().T).T
     rel_2pi = (v[half] @ w[half].conj().T @ u[half].conj().T).T
-    return GaugeLoop(
-        samples=w,
-        residual_pi=float(max_abs(rel_pi - w[half])),
-        residual_2pi=float(max_abs(rel_2pi - w[0])),
-    )
+    return w, max_abs(rel_pi - w[half]), max_abs(rel_2pi - w[0])
 
 
-def gauge_relation_residual(u_loop, v_loop, gauge: GaugeLoop) -> float:
+def gauge_relation_residual(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
     """Max residual of V(phi) - W(phi+pi)^t U(phi) W(phi) over all samples."""
-    u, v, w = u_loop.samples, v_loop.samples, gauge.samples
     L = u.shape[0]
     wp = np.roll(w, -L // 2, axis=0)
     rebuilt = np.einsum("vji,vjk,vkl->vil", wp, u, w)
@@ -155,8 +140,9 @@ EXTENSION_MAX_SWEEPS = 2000   # shared by all starts
 _EXTENSION_SEED = 0           # seeds the retraction jitter
 
 
-def extend_to_disk(gauge: GaugeLoop, grid: Grid) -> DiskExtension:
-    """Extend a zero-winding boundary gauge over the northern hemisphere.
+def extend_to_disk(w_b: np.ndarray, grid: Grid) -> DiskExtension:
+    """Extend a zero-winding boundary gauge w_b, an (n_lon, N_B, N_B) loop on
+    the equator of grid, over the northern hemisphere.
 
     Tries two start profiles in turn, each with the equator rows pinned to the
     boundary loop: the entrywise harmonic extension of the loop, then the
@@ -188,12 +174,11 @@ def extend_to_disk(gauge: GaugeLoop, grid: Grid) -> DiskExtension:
     """
     if grid.manifold != Manifold.SPHERE:
         raise DomainError("disk extension is defined over the sphere hemisphere")
-    wn = numkit.det_winding(gauge.samples)   # the obstruction: extends iff 0
+    wn = numkit.det_winding(w_b)   # the obstruction: extends iff 0
     if wn != 0:
         raise DomainError(
             f"boundary gauge has winding {wn}; only zero-winding loops extend"
         )
-    w_b = gauge.samples
     L = w_b.shape[0]
     if L != grid.n_lon:
         raise DomainError("gauge loop sampling does not match the grid equator")
@@ -327,8 +312,7 @@ def _block_target(alphas: np.ndarray, nb: int) -> np.ndarray:
     return v
 
 
-def skew_normal_form(u_plus: TransitionLoop, u_minus: TransitionLoop,
-                     c: int) -> SkewNormalForm:
+def skew_normal_form(u_plus: np.ndarray, u_minus: np.ndarray, c: int) -> SkewNormalForm:
     """Congruence of the TRI-line loops to the canonical skew block form.
 
     The p = 0 target carries the whole twist through alpha_1(q) = (c/2) q; the
@@ -338,25 +322,25 @@ def skew_normal_form(u_plus: TransitionLoop, u_minus: TransitionLoop,
     """
     if c % 2 != 0:
         raise DomainError("torus Chern number must be even")
-    L, nb, _ = u_plus.samples.shape
-    if nb % 2 != 0 or u_minus.samples.shape[1] != nb:
+    L, nb, _ = u_plus.shape
+    if nb % 2 != 0 or u_minus.shape[1] != nb:
         raise DomainError("skew normal form needs matching even ranks")
     q = 2.0 * np.pi * np.arange(L) / L
 
     windings = {}
     residual = 0.0
-    for tag, loop, alphas in (
+    for tag, u, alphas in (
         ("plus", u_plus, 0.5 * c * q),
         ("minus", u_minus, np.zeros(L)),
     ):
-        x = _pair_congruence(loop.samples)
+        x = _pair_congruence(u)
         d = np.broadcast_to(np.eye(nb, dtype=complex), (L, nb, nb)).copy()
         d[:, 0, 0] = np.exp(1j * alphas)
         w = np.einsum("vij,vjk->vik", x, d)
         target = _block_target(alphas, nb)
-        rebuilt = np.einsum("vji,vjk,vkl->vil", w, loop.samples, w)
+        rebuilt = np.einsum("vji,vjk,vkl->vil", w, u, w)
         residual = max(residual, float(max_abs(rebuilt - target)))
         windings[f"det_v_{tag}"] = numkit.det_winding(target)
-        windings[f"det_u_{tag}"] = numkit.det_winding(loop.samples)
+        windings[f"det_u_{tag}"] = numkit.det_winding(u)
         windings[f"det_w_{tag}"] = numkit.det_winding(w)
     return SkewNormalForm(residual=residual, windings=windings)

@@ -30,7 +30,6 @@ from .bands import (
     HamiltonianField,
     Spectrum,
     Tolerances,
-    TransitionLoop,
     check_tri,
     find_gapped_groups,
     frame_residuals,
@@ -140,10 +139,10 @@ def _oriented_sum(windings) -> int:
     return sum((-1) ** i * w for i, w in enumerate(windings))
 
 
-def chern_winding(loops: tuple[TransitionLoop, ...]) -> int:
-    """Chern number as the oriented boundary sum of det U windings; always
-    even for TRI groups on the torus."""
-    return _oriented_sum(numkit.det_winding(loop.samples) for loop in loops)
+def chern_winding(loops: np.ndarray) -> int:
+    """Chern number as the oriented boundary sum of det U windings over a
+    stack of transition loops; always even for TRI groups on the torus."""
+    return _oriented_sum(numkit.det_winding(u) for u in loops)
 
 
 def _m_values(data: np.ndarray, t: AntiUnitary) -> np.ndarray:
@@ -398,7 +397,7 @@ class GroupFields:
 
     flux: np.ndarray                    # per-plaquette Berry flux (chern_plaquette)
     frame: Frame
-    loops: tuple[TransitionLoop, ...]   # the boundary loops of frame
+    loops: np.ndarray                   # (loops, L, N_B, N_B) transition_loops of frame
     pf: np.ndarray | None               # pf M per domain vertex; None for odd rank
 
 
@@ -416,13 +415,11 @@ def _verify_once(h_field: HamiltonianField, band_range: tuple, grid: Grid,
     frame = smooth_frame(spectrum, group, grid)
     residuals = frame_residuals(frame, slabs[:grid.n_domain_vertices])
 
-    loops = transition_loops(frame, h_field.t)
+    loops, unitarity, symmetry = transition_loops(frame, h_field.t)
     c_wind = chern_winding(loops)
     sphere = grid.manifold == Manifold.SPHERE
-    residuals["loop_unitarity"] = max(loop.unitarity for loop in loops)
-    residuals["loop_antisymmetry" if sphere else "loop_skewness"] = max(
-        loop.symmetry_residual for loop in loops
-    )
+    residuals["loop_unitarity"] = unitarity
+    residuals["loop_antisymmetry" if sphere else "loop_skewness"] = symmetry
     kram = None if sphere else kramers_check(spectrum, grid)
 
     consistent = c_plq == c_wind
@@ -470,8 +467,18 @@ def _verify_once(h_field: HamiltonianField, band_range: tuple, grid: Grid,
 
 def verify_group(h_field: HamiltonianField, group: BandGroup, grid: Grid,
                  tol: Tolerances = Tolerances(), group_id: int = 0) -> InvariantReport:
-    """Run every invariant check for one gapped group, retrying on finer grids
-    on resolution failures or cross-method disagreement before giving up.
+    """verify_group_fields for group's band range, the report alone."""
+    return verify_group_fields(h_field, (group.first, group.last), grid, tol, group_id)[0]
+
+
+def verify_group_fields(h_field: HamiltonianField, band_range: tuple, grid: Grid,
+                        tol: Tolerances = Tolerances(), group_id: int = 0,
+                        ) -> tuple[InvariantReport, GroupFields]:
+    """Run every invariant check for the band range (first, last), retrying on
+    finer grids on resolution failures or cross-method disagreement before
+    giving up; returns the report and its GroupFields, from the final
+    (possibly refined) grid.  Each rung takes its BandGroup, and so its
+    GapError, from its own spectrum.
 
     The retry goes after the direction that failed.  A boundary-loop phase
     step (LoopStepError) first doubles n_lon alone; any other trigger, or a
@@ -490,15 +497,6 @@ def verify_group(h_field: HamiltonianField, group: BandGroup, grid: Grid,
     c_plaquette != c_winding is returned with consistent=False rather than
     raised, so callers can surface it in reports.
     """
-    return verify_group_fields(h_field, (group.first, group.last), grid, tol, group_id)[0]
-
-
-def verify_group_fields(h_field: HamiltonianField, band_range: tuple, grid: Grid,
-                        tol: Tolerances = Tolerances(), group_id: int = 0,
-                        ) -> tuple[InvariantReport, GroupFields]:
-    """verify_group for the band range (first, last), also returning the
-    report's GroupFields, from the final (possibly refined) grid; each rung
-    takes its BandGroup, and so its GapError, from its own spectrum."""
     start, rungs = grid, []
     while True:
         lat, lon = _doublings(start, grid)
@@ -580,11 +578,14 @@ def tri_path(
     band_range: tuple,
     steps: int = 11,
     gap_floor: float = 1e-3,
+    tri_tol: float = Tolerances.tri_tol,
 ) -> TriPath:
     """Scan H_s = (1-s) H0 + s H1 for gap closings and Chern constancy.
 
     Convex combinations of TRI fields with the same operator are TRI, so the
-    tracked group's Chern number must be constant on gapped stretches.  When
+    tracked group's Chern number must be constant on gapped stretches; an
+    endpoint whose TRI residual on grid exceeds tri_tol raises
+    TRIViolationError, and one that is not gapped raises GapError.  When
     the Chern number differs between two gapped samples, a closing is certain
     in between.  A sample's c comes from chern_plaquette alone; it is None
     when the gap is at or below the floor, and also when chern_plaquette
@@ -608,7 +609,9 @@ def tri_path(
     ends = []
     for h in (h0, h1):
         hs = h(grid.points)
-        # GapError when an endpoint is not gapped
+        residual = h.t.tri_residual(hs, grid)
+        if not residual <= tri_tol:  # a NaN residual fails as well
+            raise TRIViolationError(residual, tri_tol)
         group_for_range(Spectrum.from_stack(hs), first, last, gap_floor)
         ends.append(hs)
     hs0, hs1 = ends

@@ -132,9 +132,6 @@ class Grid:
         ids = _vids(self.manifold, self.n_lat, self.n_lon, i, j)
         return int(ids) if ids.ndim == 0 else ids
 
-    def row_vids(self, i: int) -> np.ndarray:
-        return self.vid(i, np.arange(self.n_lon))
-
 
 def _vids(manifold: Manifold, n_lat: int, n_lon: int, i, j) -> np.ndarray:
     """Vertex ids for broadcastable row and column index arrays.

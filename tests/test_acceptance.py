@@ -205,20 +205,20 @@ def test_criterion_7_gauge_pipeline(tmp_path):
         spec = bands.spectrum_on_grid(h, grid)
         group = bands.group_for_range(spec, first, last, 0.05)
         frame = bands.smooth_frame(spec, group, grid)
-        u = bands.transition_loops(frame, h.t)[0]
+        (u,), _, _ = bands.transition_loops(frame, h.t)
         c = invariants.chern_winding((u,))
         v = gauge.normal_form_loop(c, group.rank, grid.n_lon)
-        w = gauge.solve_equator_gauge(u, v)
-        assert w.residual_pi <= 1e-8, h.label
-        assert w.residual_2pi <= 1e-8, h.label
-        assert numkit.det_winding(w.samples) == 0
+        w, residual_pi, residual_2pi = gauge.solve_equator_gauge(u, v)
+        assert residual_pi <= 1e-8, h.label
+        assert residual_2pi <= 1e-8, h.label
+        assert numkit.det_winding(w) == 0
         ext = gauge.extend_to_disk(w, grid)
-        regauged = bands.transition_loops(gauge.regauge_frame(frame, ext), h.t)[0]
-        assert numkit.max_abs(regauged.samples - v.samples) <= 1e-6, h.label
+        (regauged,), _, _ = bands.transition_loops(gauge.regauge_frame(frame, ext), h.t)
+        assert numkit.max_abs(regauged - v) <= 1e-6, h.label
         # mismatched class: obstruction +-1 and no extension
         v2 = gauge.normal_form_loop(c + 2, group.rank, grid.n_lon)
-        w2 = gauge.solve_equator_gauge(u, v2)
-        assert abs(numkit.det_winding(w2.samples)) == 1
+        w2, _, _ = gauge.solve_equator_gauge(u, v2)
+        assert abs(numkit.det_winding(w2)) == 1
     _ok(7, "gauge pipeline: seam residuals <= 1e-8, obstruction 0, disk "
            "extension regauges onto the normal form <= 1e-6; mismatched "
            "class obstructed by 1")

@@ -258,9 +258,9 @@ def test_transition_loop_sphere_antisymmetry_exact():
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 0, 0.5)
     frame = bands.smooth_frame(spec, group, grid)
-    loop = bands.transition_loops(frame, h.t)[0]
-    assert loop.unitarity <= 1e-9
-    assert loop.symmetry_residual <= 1e-12
+    _, unitarity, symmetry = bands.transition_loops(frame, h.t)
+    assert unitarity <= 1e-9
+    assert symmetry <= 1e-12
 
 
 def test_transition_loop_trivial_bundle_even_winding():
@@ -269,8 +269,8 @@ def test_transition_loop_trivial_bundle_even_winding():
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, 0.5)
     frame = bands.smooth_frame(spec, group, grid)
-    loop = bands.transition_loops(frame, h.t)[0]
-    w = numkit.det_winding(loop.samples)
+    (u,), _, _ = bands.transition_loops(frame, h.t)
+    w = numkit.det_winding(u)
     assert w % 2 == 0 and w == 0
 
 
@@ -282,7 +282,7 @@ def test_transition_loop_rejects_non_spanning_frame():
     frame = bands.smooth_frame(spec, group, grid)
     broken = bands.Frame(grid, group, np.roll(frame.data, 3, axis=0))
     with pytest.raises(DomainError):
-        bands.transition_loops(broken, h.t)[0]
+        bands.transition_loops(broken, h.t)
 
 
 def test_transition_loops_torus_skew():
@@ -291,53 +291,68 @@ def test_transition_loops_torus_skew():
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, 0.5)
     frame = bands.smooth_frame(spec, group, grid)
-    u_plus, u_minus = bands.transition_loops(frame, h.t)
-    for loop in (u_plus, u_minus):
-        assert loop.unitarity <= 1e-9
-        assert loop.symmetry_residual <= 1e-8
+    u, unitarity, symmetry = bands.transition_loops(frame, h.t)
+    assert u.shape == (2, grid.n_lon, 2, 2)
+    assert unitarity <= 1e-9
+    assert symmetry <= 1e-8
+
+
+def _unitarity(u):
+    """max |U^dagger U - I| over one loop."""
+    return numkit.max_abs(np.einsum("vji,vjk->vik", u.conj(), u) - np.eye(u.shape[1]))
 
 
 def _sphere_loop_oracle(frame, t):
     """The explicit equator formula: T u(phi + pi) = u(phi) U(phi)^t, with the
-    antisymmetry residual max |U(phi + pi)^t + U(phi)|."""
+    antisymmetry residual max |U(phi + pi)^t + U(phi)| and the unitarity
+    residual."""
     eq = frame.data[frame.grid.boundary_loops[0]]
     L = eq.shape[0]
     shifted = t.apply(np.roll(eq, -L // 2, axis=0))
     u = np.einsum("vji,vjk->vik", eq.conj(), shifted).transpose(0, 2, 1)
     anti = float(numkit.max_abs(np.roll(u, -L // 2, axis=0).transpose(0, 2, 1) + u))
-    return [(u, anti)]
+    return [(u, anti, _unitarity(u))]
 
 
 def _torus_loops_oracle(frame, t):
     """The explicit TRI-line formula: tau fixes p = 0 and p = pi pointwise, so
-    U = (u^dagger T u)^t on each line, with the skewness residual max |U + U^t|."""
+    U = (u^dagger T u)^t on each line, with the skewness residual max |U + U^t|
+    and the unitarity residual."""
     out = []
     for loop in frame.grid.boundary_loops:
         row = frame.data[loop]
         u = np.einsum("vji,vjk->vik", row.conj(), t.apply(row)).transpose(0, 2, 1)
-        out.append((u, float(numkit.max_abs(u + u.transpose(0, 2, 1)))))
+        out.append((u, float(numkit.max_abs(u + u.transpose(0, 2, 1))), _unitarity(u)))
     return out
 
 
-@pytest.mark.parametrize("manifold", [Manifold.SPHERE, Manifold.TORUS])
-def test_transition_loops_match_explicit_formulas(manifold):
-    if manifold == Manifold.SPHERE:
+@pytest.mark.parametrize("case", ["sphere", "torus", "torus-rank4"])
+def test_transition_loops_match_explicit_formulas(case):
+    # in the rank-4 torus case both residuals are largest on the p = pi line,
+    # so a maximum over the p = 0 line alone would not match
+    last = 1
+    if case == "sphere":
         h = models.kramers_pair_sphere(epsilon=0.1, seed=0)
-        grid, oracle, shift = build_grid(manifold, 16, 64), _sphere_loop_oracle, 32
+        grid, oracle, shift = build_grid(Manifold.SPHERE, 16, 64), _sphere_loop_oracle, 32
     else:
-        h = models.torus_doubled_chern(m=1.0, epsilon=0.1, seed=3)
-        grid, oracle, shift = build_grid(manifold, 16, 64), _torus_loops_oracle, 0
+        if case == "torus":
+            h = models.torus_doubled_chern(m=1.0, epsilon=0.1, seed=3)
+        else:
+            h, last = models.random_tri("torus", 4, seed=205), 3
+        grid, oracle, shift = build_grid(Manifold.TORUS, 16, 64), _torus_loops_oracle, 0
     spec = bands.spectrum_on_grid(h, grid)
-    group = bands.group_for_range(spec, 0, 1, 0.05)
+    group = bands.BandGroup(0, last, spec.bounding_gap(0, last))
     frame = bands.smooth_frame(spec, group, grid)
     assert frame.grid.tau_shift == shift
-    loops = bands.transition_loops(frame, h.t)
+    u, unitarity, symmetry = bands.transition_loops(frame, h.t)
     expected = oracle(frame, h.t)
-    assert len(loops) == len(expected)
-    for loop, (u, sym) in zip(loops, expected):
-        assert np.array_equal(loop.samples, u)
-        assert loop.symmetry_residual == sym
-        assert loop.unitarity <= 1e-9 and sym <= 1e-8
+    assert len(u) == len(expected)
+    for u_i, (ref, _, _) in zip(u, expected):
+        assert u_i.tobytes() == ref.tobytes()
+    # the residuals are maxima over every loop of the stack
+    assert symmetry == max(sym for _, sym, _ in expected)
+    assert unitarity == max(unit for _, _, unit in expected)
+    assert unitarity <= 1e-9 and symmetry <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +372,19 @@ def test_kramers_broken_control_splits():
     grid = build_grid(Manifold.TORUS, 16, 16)
     spec = bands.spectrum_on_grid(h, grid)
     assert bands.kramers_check(spec, grid) > 1e-3
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_kramers_check_reads_both_tri_lines(seed):
+    # the TRI lines are the vertices that tau fixes; the largest splitting
+    # sits on p = 0 for seed 7 and on p = pi for seed 8
+    h = models.tri_broken(models.torus_doubled_chern(m=1.0), breaking_strength=0.8, seed=seed)
+    grid = build_grid(Manifold.TORUS, 16, 16)
+    spec = bands.spectrum_on_grid(h, grid)
+    fixed = np.flatnonzero(grid.tau_vertex == np.arange(grid.n_vertices))
+    assert fixed.size == 2 * grid.n_lon
+    e = spec.energies[fixed]
+    assert bands.kramers_check(spec, grid) == np.max(np.abs(e[:, 0::2] - e[:, 1::2]))
 
 
 def test_kramers_rejects_sphere():

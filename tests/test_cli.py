@@ -769,6 +769,30 @@ def test_deform_incompatible_endpoints_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err == f"phasetop: error: {message}\n"
 
 
+def test_deform_and_gauge_demo_refuse_a_field_that_is_not_tri(tmp_path, capsys):
+    # analyze refuses this field; deform with it at either end, and
+    # gauge-demo on it, refuse it as well, at the tri_tol of config_a or of
+    # the one config
+    broken = {"model": {"variant": "TRIBrokenControl",
+                        "base": {"variant": "RotorSpin", "j": 0.5},
+                        "breaking_strength": 0.5},
+              "grid": {"n_lat": 16, "n_lon": 32}}
+    bad = write_config(tmp_path, "bad.json", broken)
+    good = write_config(tmp_path, "good.json",
+                        {**broken, "model": {"variant": "RotorSpin", "j": 0.5}})
+    message = ("phasetop: error: field is not time-reversal invariant: "
+               "residual 8.849e-01 > 1e-09\n")
+    for argv in (["deform", "--config-a", bad, "--config-b", good],
+                 ["deform", "--config-a", good, "--config-b", bad],
+                 ["gauge-demo", "--config", bad, "--group", "0:0"]):
+        assert run(argv + ["--out", str(tmp_path / "out.json")]) == 3
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out.json").exists()
+    loose = write_config(tmp_path, "loose.json", {**broken, "tolerances": {"tri_tol": 1.0}})
+    assert run(["deform", "--config-a", loose, "--config-b", good,
+                "--out", str(tmp_path / "out.json")]) == 0
+
+
 def test_random_suite_records_torus_parity_failure_once(tmp_path, monkeypatch):
     # on the torus parity_ok is exactly "c even and rank even", so a group
     # with odd c is one parity violation, recorded once

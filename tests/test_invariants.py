@@ -109,8 +109,8 @@ def test_cross_method_equality_rotor():
     h = models.rotor_spin(0.5)
     spec, group, grid, frame = sphere_setup(h, 0, 0)
     _, c_p = invariants.chern_plaquette(spec.band_vectors(group), SPHERE_GRID)
-    loop = bands.transition_loops(frame, h.t)[0]
-    assert invariants.chern_winding((loop,)) == c_p
+    loops, _, _ = bands.transition_loops(frame, h.t)
+    assert invariants.chern_winding(loops) == c_p
 
 
 def test_chern_winding_torus_even_and_cross_method():
@@ -118,8 +118,8 @@ def test_chern_winding_torus_even_and_cross_method():
     spec = bands.spectrum_on_grid(h, TORUS_GRID)
     group = bands.group_for_range(spec, 0, 1, 0.05)
     frame = bands.smooth_frame(spec, group, TORUS_GRID)
-    u_plus, u_minus = bands.transition_loops(frame, h.t)
-    c_w = invariants.chern_winding((u_plus, u_minus))
+    loops, _, _ = bands.transition_loops(frame, h.t)
+    c_w = invariants.chern_winding(loops)
     _, c_p = invariants.chern_plaquette(spec.band_vectors(group), TORUS_GRID)
     assert c_w == c_p
     assert c_w % 2 == 0 and abs(c_w) == 2
@@ -196,10 +196,9 @@ def test_boundary_sums_match_explicit_torus_differences():
         spec = bands.spectrum_on_grid(h, TORUS_GRID)
         group = bands.group_for_range(spec, 0, 1, 0.05)
         frame = bands.smooth_frame(spec, group, TORUS_GRID)
-        u_plus, u_minus = bands.transition_loops(frame, h.t)
-        wn_plus = numkit.det_winding(u_plus.samples)
-        wn_minus = numkit.det_winding(u_minus.samples)
-        c = invariants.chern_winding((u_plus, u_minus))
+        loops, _, _ = bands.transition_loops(frame, h.t)
+        wn_plus, wn_minus = (numkit.det_winding(u) for u in loops)
+        c = invariants.chern_winding(loops)
         assert c == wn_plus - wn_minus
         pf, _ = invariants.m_field(frame, h.t)
         w0, w1 = (numkit.winding_number(pf[loop])
@@ -218,11 +217,10 @@ def test_km_transform_identity_under_tr_shift():
     h = models.kramers_pair_sphere(epsilon=0.1, seed=0)
     spec, group, grid, frame = sphere_setup(h, 0, 1)
     pf, _ = invariants.m_field(frame, h.t)
-    loop = bands.transition_loops(frame, h.t)[0]
+    (u,), _, _ = bands.transition_loops(frame, h.t)
     eq = grid.boundary_loops[0]
     m_eq = m_matrices(frame.data, h.t)[eq]
     L = eq.size
-    u = loop.samples
     lhs = np.roll(m_eq, -L // 2, axis=0)
     rhs = np.einsum("vij,vjk,vlk->vil", u, m_eq.conj(), u)
     assert numkit.max_abs(lhs - rhs) <= 1e-10
@@ -1093,6 +1091,6 @@ def test_trivial_torus_bundle_zero_by_both_routes():
     group = bands.group_for_range(spec, 0, 1, 0.5)
     _, c_p = invariants.chern_plaquette(spec.band_vectors(group), grid)
     frame = bands.smooth_frame(spec, group, grid)
-    u_plus, u_minus = bands.transition_loops(frame, h.t)
+    loops, _, _ = bands.transition_loops(frame, h.t)
     assert c_p == 0
-    assert invariants.chern_winding((u_plus, u_minus)) == 0
+    assert invariants.chern_winding(loops) == 0

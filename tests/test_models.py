@@ -10,7 +10,7 @@ import pytest
 
 import phasetop
 from phasetop import bands, invariants, models, numkit
-from phasetop.errors import ConfigError, GapError, ResolutionError
+from phasetop.errors import ConfigError, GapError, ResolutionError, TRIViolationError
 from phasetop.phasespace import Manifold, build_grid
 from oracles import random_hermitian_field
 
@@ -443,6 +443,22 @@ def test_tri_path_rejects_ungapped_endpoint():
     gapped = models.torus_doubled_chern(m=1.0)
     with pytest.raises(GapError):
         invariants.tri_path(gapped, ungapped, TORUS_GRID, (0, 1), gap_floor=1e-3)
+
+
+def test_tri_path_refuses_an_endpoint_that_is_not_tri():
+    # the broken control shares the rotor's operator, so only the TRI check
+    # stands between it and a scan; either endpoint trips it
+    good = models.rotor_spin(0.5)
+    bad = models.tri_broken(good, 0.5)
+    residual = bad.t.tri_residual(bad(SPHERE_GRID.points), SPHERE_GRID)
+    assert residual > 0.5
+    for h0, h1 in ((bad, good), (good, bad)):
+        with pytest.raises(TRIViolationError) as err:
+            invariants.tri_path(h0, h1, SPHERE_GRID, (0, 0))
+        assert err.value.residual == residual
+    # the tolerance is the caller's
+    path = invariants.tri_path(bad, good, SPHERE_GRID, (0, 0), steps=3, tri_tol=1.0)
+    assert path.verdict in ("GAPPED-CONSTANT-C", "GAP-CLOSES")
 
 
 def test_rotor_spin_five_halves_full_ladder():

@@ -63,7 +63,7 @@ def test_sphere_grid_counts():
     last = grid.plaquettes[-1]
     assert last[1] == grid.n_vertices - 1 and last[2] == grid.n_vertices - 1
     # equator is a grid line at row n_lat/2
-    eq = grid.row_vids(4)
+    eq = grid.vid(4, np.arange(grid.n_lon))
     assert np.allclose(grid.points[eq, 0], np.pi / 2)
 
 
@@ -73,7 +73,7 @@ def test_torus_grid_counts():
     assert grid.n_plaquettes == 64
     # p = 0 and p = pi are grid rows fixed pointwise by tau
     for row in (0, 4):
-        vids = grid.row_vids(row)
+        vids = grid.vid(row, np.arange(grid.n_lon))
         assert np.array_equal(grid.tau_vertex[vids], vids)
 
 
@@ -115,7 +115,7 @@ def test_sphere_tau_maps_hemispheres():
     )
     assert set(grid.tau_vertex[north]) == south
     # equator maps to itself shifted by half a turn
-    eq = grid.row_vids(4)
+    eq = grid.vid(4, np.arange(grid.n_lon))
     assert np.array_equal(grid.tau_vertex[eq], np.roll(eq, -8))
 
 
@@ -123,7 +123,7 @@ def test_fundamental_domain_sphere():
     grid = build_grid(Manifold.SPHERE, 8, 16)
     assert grid.n_domain_vertices == 1 + 4 * 16
     (eq,) = grid.boundary_loops
-    assert np.array_equal(eq, grid.row_vids(4))
+    assert np.array_equal(eq, grid.vid(4, np.arange(grid.n_lon)))
     # covering: domain plus its tau image is everything; overlap is the boundary
     vids, _ = domain_rows(grid)
     all_vids = set(vids) | set(grid.tau_vertex[vids])
@@ -136,8 +136,8 @@ def test_fundamental_domain_torus():
     grid = build_grid(Manifold.TORUS, 8, 8)
     assert grid.n_domain_vertices == 5 * 8
     lo, hi = grid.boundary_loops
-    assert np.array_equal(lo, grid.row_vids(0))
-    assert np.array_equal(hi, grid.row_vids(4))
+    assert np.array_equal(lo, grid.vid(0, np.arange(grid.n_lon)))
+    assert np.array_equal(hi, grid.vid(4, np.arange(grid.n_lon)))
     vids, _ = domain_rows(grid)
     all_vids = set(vids) | set(grid.tau_vertex[vids])
     assert all_vids == set(range(grid.n_vertices))
@@ -324,7 +324,7 @@ def test_fundamental_domain_is_a_prefix_of_the_grid(manifold, n_lat, n_lon):
     assert vids.tolist() == list(range(grid.n_domain_vertices))
     assert plaqs.tolist() == list(range(grid.n_domain_plaquettes))
     if manifold == Manifold.SPHERE:
-        assert grid.row_vids(n_lat // 2).tolist() == list(
+        assert grid.vid(n_lat // 2, np.arange(grid.n_lon)).tolist() == list(
             range(grid.n_domain_vertices - n_lon, grid.n_domain_vertices))
     inside = set(vids.tolist())
     want = [e for e, (a, b) in enumerate(grid.edges.tolist())
