@@ -151,36 +151,41 @@ def _m_values(data: np.ndarray, t: AntiUnitary) -> np.ndarray:
 
 
 def m_field(frame: Frame, t: AntiUnitary) -> tuple[np.ndarray, float]:
-    """(pf M per domain vertex, max |M + M^t|) for M(x) = <u_n(x), T u_n'(x)>.
-    Skew-symmetry is exact for fermionic TR and is held to numkit.SKEW_TOL,
-    the bound numkit.pfaffian enforces; an odd rank raises DomainError."""
+    """(pf M per domain vertex, max |M + M^t|) for M(x) = <u_n(x), T u_n'(x)>, which
+    numkit.pfaffian holds to numkit.SKEW_TOL; an odd rank raises DomainError."""
     if frame.group.rank % 2:
         raise DomainError("Kane-Mele index needs even band-group rank")
     m = _m_values(frame.data, t)
-    skew = float(max_abs(m + m.transpose(0, 2, 1)))
-    if skew > numkit.SKEW_TOL:
-        raise DomainError(f"M field is not skew-symmetric ({skew:.2e})")
-    return numkit.pfaffian(m), skew
+    return numkit.pfaffian(m), float(max_abs(m + m.transpose(0, 2, 1)))
 
 
-def _pf_on_loop(grid: Grid, pf: np.ndarray, loop: np.ndarray, zero_floor: float):
-    pf = pf[loop]
-    at = int(np.argmin(np.abs(pf)))
-    if abs(pf[at]) <= zero_floor:
-        x, y = grid.points[loop[at]]
-        raise BoundaryZeroError(
-            f"|pf M| = {abs(pf[at]):.3e} <= zero floor {zero_floor:g} at boundary "
-            f"vertex {int(loop[at])}, ({x:.4f}, {y:.4f})"
-        )
-    return pf
-
-
-def km_boundary(grid: Grid, pf: np.ndarray,
-                zero_floor: float = Tolerances.zero_floor) -> int:
-    """Kane-Mele integer: the oriented sum of pf M windings over the grid's
-    boundary loops."""
-    return _oriented_sum(numkit.winding_number(_pf_on_loop(grid, pf, loop, zero_floor))
-                         for loop in grid.boundary_loops)
+def km_boundary(h_field: HamiltonianField, frame: Frame, pf: np.ndarray, gap_floor: float,
+                zero_floor: float = Tolerances.zero_floor) -> tuple[int, np.ndarray]:
+    """(k, split_edges): the Kane-Mele integer, the oriented sum of pf M
+    windings over frame.grid's boundary loops, and the grid edges whose step
+    reached numkit.MAX_LOOP_STEP, re-measured by _split_steps as in
+    km_census; a loop step that runs against its edge (the wrap from the
+    last sample to the first) takes the split step negated.  Raises
+    BoundaryZeroError when |pf M| <= zero_floor on a loop, and
+    ResolutionError when a split fails or a winding is not integral."""
+    grid, loops = frame.grid, frame.grid.boundary_loops
+    z = pf[loops]
+    at = np.unravel_index(np.argmin(np.abs(z)), z.shape)
+    if abs(z[at]) <= zero_floor:
+        x, y = grid.points[loops[at]]
+        raise BoundaryZeroError(f"|pf M| = {abs(z[at]):.3e} <= zero floor {zero_floor:g} at "
+                                f"boundary vertex {int(loops[at])}, ({x:.4f}, {y:.4f})")
+    steps = np.angle(np.roll(z, -1, axis=1) / z)  # steps[:, i] runs from sample i to i + 1
+    flagged = np.abs(steps) >= numkit.MAX_LOOP_STEP
+    a, b = loops[flagged], np.roll(loops, -1, axis=1)[flagged]
+    n = grid.n_vertices  # the edge table is sorted by (lower, higher) vid
+    split_edges = np.searchsorted(grid.edges @ [n, 1], np.minimum(a, b) * n + np.maximum(a, b))
+    if split_edges.size:
+        steps[flagged] = np.sign(b - a) * _split_steps(h_field, frame, pf, split_edges, gap_floor)
+    w = steps.sum(axis=1) / (2.0 * np.pi)
+    if not np.all(np.abs(w - np.round(w)) <= 1e-6):
+        raise ResolutionError(f"pf M boundary windings {w.tolist()} are not integral")
+    return _oriented_sum(np.round(w).astype(int).tolist()), split_edges
 
 
 @dataclass(frozen=True)
@@ -360,35 +365,35 @@ class InvariantReport:
         return [record for ok, record in checks if not ok]
 
 
-def _km_and_census(h_field, frame, pf, tol, last_rung):
+def _km_and_census(h_field, frame, pf, tol):
     """Boundary winding and zero census of pf M on the one fundamental domain.
 
     Returns (k, census, notes).  k and the census are None, with a note, on
     the symmetric stratum (|pf M| < PF_HARD_FLOOR at every domain vertex; it
     is frame-independent and tau-even, so it vanishes on the whole grid),
-    when pf M has a zero on a boundary loop, and when a pf M loop is
-    under-resolved (LoopStepError) on the last rung of the retry ladder; on
-    an earlier rung that error is raised, so the ladder refines.  The census
-    alone is None, with a note naming the cause, when it is undefined or
-    unresolved.
+    when pf M has a zero on a boundary loop, and when km_boundary cannot
+    split a step or sum a loop.  A refinement could not mend that: a split
+    samples its edge more finely than a doubled grid, and a sub-point that
+    fails a floor lies on the finer grid's edge too.  The census alone is
+    None, with a note naming the cause, when it is undefined or unresolved.
     """
     if np.all(np.abs(pf) < PF_HARD_FLOOR):
         return None, None, ["KM index undefined: pf M vanishes at every domain "
                             "vertex (symmetric stratum)"]
     try:
-        k = km_boundary(frame.grid, pf, tol.zero_floor)
-    except (BoundaryZeroError, LoopStepError) as exc:
-        if isinstance(exc, LoopStepError) and not last_rung:
-            raise
-        return None, None, [f"KM index undefined: {exc}"]
+        k, split_edges = km_boundary(h_field, frame, pf, tol.gap_floor, tol.zero_floor)
+    except (BoundaryZeroError, ResolutionError) as exc:
+        cause = "undefined" if isinstance(exc, BoundaryZeroError) else "unresolved"
+        return None, None, [f"KM index {cause}: {exc}"]
+    notes = [f"KM boundary: {split_edges.size} steps split"] if split_edges.size else []
     try:
         census = km_census(h_field, frame, pf, tol.gap_floor)
     except DegenerateConfigurationError as exc:
-        return k, None, [f"census undefined: {exc}"]
+        return k, None, notes + [f"census undefined: {exc}"]
     except ResolutionError as exc:
-        return k, None, [f"census unresolved: {exc}"]
+        return k, None, notes + [f"census unresolved: {exc}"]
     split = census.split_edges.size
-    return k, census, [f"census: {split} edges split"] if split else []
+    return k, census, notes + ([f"census: {split} edges split"] if split else [])
 
 
 @dataclass(frozen=True)
@@ -401,9 +406,8 @@ class GroupFields:
     pf: np.ndarray | None               # pf M per domain vertex; None for odd rank
 
 
-def _verify_once(h_field: HamiltonianField, band_range: tuple, grid: Grid,
-                 tol: Tolerances, group_id: int, refinements: int,
-                 last_rung: bool) -> tuple[InvariantReport, GroupFields]:
+def _verify_once(h_field: HamiltonianField, band_range: tuple, grid: Grid, tol: Tolerances,
+                 group_id: int, refinements: int) -> tuple[InvariantReport, GroupFields]:
     spectrum = spectrum_on_grid(h_field, grid)
     group = group_for_range(spectrum, *band_range, tol.gap_floor)
 
@@ -448,7 +452,7 @@ def _verify_once(h_field: HamiltonianField, band_range: tuple, grid: Grid,
     pf = None
     if nb % 2 == 0:
         pf, residuals["m_skew"] = m_field(frame, h_field.t)
-        k, census, notes = _km_and_census(h_field, frame, pf, tol, last_rung)
+        k, census, notes = _km_and_census(h_field, frame, pf, tol)
         report.k = k
         report.notes.extend(notes)
         if k is not None:
@@ -480,30 +484,27 @@ def verify_group_fields(h_field: HamiltonianField, band_range: tuple, grid: Grid
     (possibly refined) grid.  Each rung takes its BandGroup, and so its
     GapError, from its own spectrum.
 
-    The retry goes after the direction that failed.  A boundary-loop phase
-    step (LoopStepError) first doubles n_lon alone; any other trigger, or a
-    failure on that grid, doubles n_lat as well, so no grid is finer than
-    the first with both directions doubled MAX_GRID_REFINEMENTS times, and
-    none has loops longer than MAX_LOOP_SAMPLES.  The report counts its
-    retries in refinements and names each rung and its trigger in its notes
-    ("refined to 24x256: phase step ...").  A resolution failure on the last
-    rung is raised as a plain ResolutionError whatever its trigger, so
-    LoopStepError stays inside the ladder, but for a phase step of the pf M
-    boundary loop there: the group keeps its report, with k and the census
-    undefined and a note quoting the step.  A GapError is raised as it is,
-    on any rung.  Each attempt reads h_field's spectrum through
-    spectrum_on_grid, so the groups of one field share its spectrum on each
-    grid, and a finer grid solves only its new vertices.  A persisting
-    c_plaquette != c_winding is returned with consistent=False rather than
-    raised, so callers can surface it in reports.
+    The retry goes after the direction that failed.  A det U boundary-loop
+    phase step (LoopStepError; km_boundary splits a pf M step instead)
+    first doubles n_lon alone; any other trigger, or a failure on that grid,
+    doubles n_lat as well, so no grid is finer than the first with both
+    directions doubled MAX_GRID_REFINEMENTS times, and none has loops longer
+    than MAX_LOOP_SAMPLES.  The report counts its retries in refinements and
+    names each rung and its trigger in its notes ("refined to 24x256: phase
+    step ...").  A resolution failure on the last rung is raised as a plain
+    ResolutionError, so LoopStepError stays inside the ladder; a GapError is
+    raised as it is, on any rung.  Each attempt reads h_field's spectrum
+    through spectrum_on_grid, so the groups of one field share its spectrum
+    on each grid, and a finer grid solves only its new vertices.  A
+    persisting c_plaquette != c_winding is returned with consistent=False
+    rather than raised, so callers can surface it in reports.
     """
     start, rungs = grid, []
     while True:
         lat, lon = _doublings(start, grid)
         last_rung = not (lat or lon)
         try:
-            report, fields = _verify_once(h_field, band_range, grid, tol, group_id,
-                                          len(rungs), last_rung)
+            report, fields = _verify_once(h_field, band_range, grid, tol, group_id, len(rungs))
         except ResolutionError as exc:
             # only the message is kept: holding exc would tie its traceback
             # to this frame in a reference cycle

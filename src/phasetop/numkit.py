@@ -216,11 +216,10 @@ def winding_number(samples) -> int:
 
     Raises DomainError for fewer than 4 samples or a magnitude at or below
     MAGNITUDE_FLOOR, and LoopStepError (a ResolutionError) when any step
-    reaches pi/2: the loop is declared under-resolved and the caller should
-    double its sampling (capped at 2**14 samples by the refinement
-    contract).  The error quotes the largest step, the loop length and the
-    samples joined by the lowest step within 1e-9 rad of it, so rounding
-    cannot pick one of two tied steps (tau pairs those of a sphere equator).
+    reaches MAX_LOOP_STEP: the loop is under-resolved.  The error quotes the
+    largest step, the loop length and the samples joined by the lowest step
+    within 1e-9 rad of it, so rounding cannot pick one of two tied steps
+    (tau pairs those of a sphere equator).
     """
     z = np.asarray(samples, dtype=complex).ravel()
     if z.size < 4:

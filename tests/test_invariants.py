@@ -162,7 +162,7 @@ def test_m_field_trivial_bundle_unit_pf():
     spec, group, grid, frame = sphere_setup(h, 0, 1, gap_floor=0.5)
     pf, _ = invariants.m_field(frame, h.t)
     assert np.max(np.abs(np.abs(pf) - 1.0)) <= 1e-12
-    assert invariants.km_boundary(grid, pf) == 0
+    assert invariants.km_boundary(h, frame, pf, 0.5)[0] == 0
     census = invariants.km_census(h, frame, pf, 0.5)
     assert census.entries == [] and census.total == 0
 
@@ -172,7 +172,7 @@ def test_km_boundary_equals_half_chern():
     spec, group, grid, frame = sphere_setup(h, 0, 1)
     _, c = invariants.chern_plaquette(spec.band_vectors(group), SPHERE_GRID)
     pf, _ = invariants.m_field(frame, h.t)
-    k = invariants.km_boundary(grid, pf)
+    k, _ = invariants.km_boundary(h, frame, pf, TOL.gap_floor)
     assert 2 * k == c
 
 
@@ -180,7 +180,7 @@ def test_km_census_matches_boundary_exactly():
     h = models.kramers_pair_sphere(epsilon=0.1, seed=0)
     spec, group, grid, frame = sphere_setup(h, 0, 1)
     pf, _ = invariants.m_field(frame, h.t)
-    k = invariants.km_boundary(grid, pf)
+    k, _ = invariants.km_boundary(h, frame, pf, TOL.gap_floor)
     census = invariants.km_census(h, frame, pf, TOL.gap_floor)
     assert census.total == k
     signs = {np.sign(w) for _, w in census.entries}
@@ -203,7 +203,7 @@ def test_boundary_sums_match_explicit_torus_differences():
         pf, _ = invariants.m_field(frame, h.t)
         w0, w1 = (numkit.winding_number(pf[loop])
                   for loop in TORUS_GRID.boundary_loops)
-        k = invariants.km_boundary(TORUS_GRID, pf)
+        k, _ = invariants.km_boundary(h, frame, pf, TOL.gap_floor)
         assert k == w0 - w1
         assert abs(c) == 2 and 2 * k == c
         minus_windings.append((wn_minus, w1))
@@ -235,7 +235,7 @@ def test_km_torus_boundary_and_rank1_rejection():
     group = bands.group_for_range(spec, 0, 1, 0.05)
     frame = bands.smooth_frame(spec, group, TORUS_GRID)
     pf, _ = invariants.m_field(frame, h.t)
-    k = invariants.km_boundary(TORUS_GRID, pf)
+    k, _ = invariants.km_boundary(h, frame, pf, TOL.gap_floor)
     _, c = invariants.chern_plaquette(spec.band_vectors(group), TORUS_GRID)
     assert 2 * k == c
     census = invariants.km_census(h, frame, pf, TOL.gap_floor)
@@ -255,7 +255,8 @@ def test_km_census_degenerate_stratum_raises():
     group = bands.group_for_range(spec, 0, 1, 0.05)
     frame = bands.smooth_frame(spec, group, TORUS_GRID)
     pf, _ = invariants.m_field(frame, h.t)
-    assert invariants.km_boundary(TORUS_GRID, pf) in (-1, 1)  # TRI lines stay unitary
+    k, _ = invariants.km_boundary(h, frame, pf, TOL.gap_floor)
+    assert k in (-1, 1)  # TRI lines stay unitary
     with pytest.raises(DegenerateConfigurationError,
                        match=r"at \(0\.0000, 1\.5708\); the census cannot place a zero"):
         invariants.km_census(h, frame, pf, TOL.gap_floor)
@@ -325,8 +326,8 @@ def test_inconsistent_result_does_not_refine_past_loop_sample_cap(monkeypatch):
     grid = build_grid(Manifold.SPHERE, 16, 32)
     calls = []
 
-    def inconsistent(h_field, group, grid, tol, group_id, refinements, last_rung):
-        calls.append((grid.n_lat, grid.n_lon, refinements, last_rung))
+    def inconsistent(h_field, group, grid, tol, group_id, refinements):
+        calls.append((grid.n_lat, grid.n_lon, refinements))
         rep = invariants.InvariantReport(
             group_id=group_id, first_band=1, last_band=1, rank=1, min_gap=1.0,
             c_plaquette=1, c_winding=-1, consistent=False, parity_ok=True,
@@ -337,7 +338,7 @@ def test_inconsistent_result_does_not_refine_past_loop_sample_cap(monkeypatch):
     monkeypatch.setattr(invariants, "MAX_LOOP_SAMPLES", 2 * grid.n_lon - 1)
     rep = invariants.verify_group(models.rotor_spin(0.5), bands.BandGroup(0, 0, 1.0),
                                   grid, TOL)
-    assert calls == [(16, 32, 0, True)]
+    assert calls == [(16, 32, 0)]
     assert not rep.consistent and rep.refinements == 0
     assert rep.notes == ["cross-method Chern disagreement persisted"]
     # under the cap the same result is refined once before it is returned
@@ -345,7 +346,7 @@ def test_inconsistent_result_does_not_refine_past_loop_sample_cap(monkeypatch):
     monkeypatch.setattr(invariants, "MAX_LOOP_SAMPLES", 2 * grid.n_lon)
     rep = invariants.verify_group(models.rotor_spin(0.5), bands.BandGroup(0, 0, 1.0),
                                   grid, TOL)
-    assert calls == [(16, 32, 0, False), (32, 64, 1, True)]
+    assert calls == [(16, 32, 0), (32, 64, 1)]
     assert rep.notes == ["refined to 32x64: cross-method Chern disagreement, "
                          "c_plaquette 1 != c_winding -1",
                          "cross-method Chern disagreement persisted after refinement"]
@@ -502,52 +503,36 @@ def test_retries_leave_no_reference_cycles():
         unreachable = gc.collect()
     finally:
         gc.enable()
-    # sphere seed 129's group 1 takes both rungs and keeps its report
-    assert outcomes == ["ResolutionError"] * 2 + ["GapError"] * 2 + [0, 2, 0]
+    # sphere seed 129 splits its pf M boundary steps and takes no rung
+    assert outcomes == ["ResolutionError"] * 2 + ["GapError"] * 2 + [0, 0, 0]
     assert unreachable == 0
 
 
-PF_LOOP_STEP = (r"phase step (\S+) rad >= pi/2 between samples \d+ and \d+ of \d+; "
-                r"loop under-resolved, refine sampling")
-
-
-def test_last_rung_pf_loop_step_leaves_k_undefined(monkeypatch):
-    # sphere seed 129's group 1 has an under-resolved pf M boundary loop on
-    # 32x64, 32x128 and 64x128, the last rung: the group keeps its report,
-    # with both Chern routes, and k and the census undefined with a note
-    # quoting the step
+def test_pf_loop_steps_split_on_the_start_grid():
+    # sphere seeds 129, 130 and 139 have pf M boundary steps at or above pi/2
+    # on 32x64; km_boundary splits them as the census splits its edges, so
+    # each group verifies on its start grid, and keeps its integers on the
+    # grid doubled in n_lon and in both directions
     grid, tol = build_grid(Manifold.SPHERE, 32, 64), Tolerances(gap_floor=0.05)
-    h = models.random_tri("sphere", 4, cutoff=3, seed=129)
-    _, _, results = invariants.analyze_model(h, grid, tol)
-    rep, fields = results[1]
-    assert (rep.grid_n_lat, rep.grid_n_lon, rep.refinements) == (64, 128, 2)
-    assert rep.c_plaquette == rep.c_winding == 0 and rep.violations() == []
-    assert rep.k is None and rep.km_relation_ok is None
-    assert rep.census_total is None and rep.census_ok is None
-    assert fields.pf is not None and len(rep.notes) == 3
-    assert re.fullmatch(LOOP_STEP_RUNG.format("32x128"), rep.notes[0])
-    match = re.fullmatch("KM index undefined: " + PF_LOOP_STEP, rep.notes[2])
-    assert match and float(match[1]) == 2.3933
-    assert rep.notes[1] == "refined to 64x128: " + rep.notes[2].split(": ", 1)[1]
-    # a pf M loop step below the last rung still refines: seeds 130 and 139
-    # get k on the n_lon rung, and with no rung to take they keep k undefined
-    for seed, gid in ((130, 1), (139, 2)):
+    finer = [phasespace.refine_grid(grid, lat=False), phasespace.refine_grid(grid)]
+    for seed, gid, k, split in ((129, 1, 0, 2), (130, 1, 0, 2), (139, 2, 1, 1)):
         h = models.random_tri("sphere", 4, cutoff=3, seed=seed)
         group = bands.find_gapped_groups(bands.spectrum_on_grid(h, grid), tol.gap_floor)[gid]
         rep = invariants.verify_group(h, group, grid, tol, gid)
-        assert rep.refinements == 1 and rep.k is not None and rep.k * 2 == rep.c_plaquette
-        with monkeypatch.context() as m:
-            m.setattr(invariants, "MAX_GRID_REFINEMENTS", 0)
-            rep = invariants.verify_group(h, group, grid, tol, gid)
-        assert rep.refinements == 0 and rep.k is None and rep.census_total is None
-        assert re.fullmatch("KM index undefined: " + PF_LOOP_STEP, rep.notes[-1])
+        assert (rep.grid_n_lat, rep.grid_n_lon, rep.refinements) == (32, 64, 0)
+        assert rep.violations() == [] and rep.c_plaquette == rep.c_winding == 2 * k
+        assert rep.k == rep.census_total == k and rep.km_relation_ok and rep.census_ok
+        assert rep.notes[0] == f"KM boundary: {split} steps split"
+        for fine_grid in finer:
+            fine = invariants.verify_group(h, group, fine_grid, tol, gid)
+            assert fine.refinements == 0 and fine.violations() == []
+            assert ((rep.c_plaquette, rep.c_winding, rep.k, rep.census_total)
+                    == (fine.c_plaquette, fine.c_winding, fine.k, fine.census_total))
 
 
 # the criterion-5 groups that settle on the n_lon rung, (manifold, seed,
 # start shape, gap floor, group ids)
-N_LON_RUNG_GROUPS = [("sphere", 130, (32, 64), 0.05, [1]),
-                     ("sphere", 139, (32, 64), 0.05, [2]),
-                     ("sphere", 140, (32, 64), 0.05, [0, 1]),
+N_LON_RUNG_GROUPS = [("sphere", 140, (32, 64), 0.05, [0, 1]),
                      ("torus", 200, (24, 128), 0.03, [0, 1])]
 
 
@@ -772,7 +757,7 @@ def test_split_step_matches_a_fine_walk_and_enters_both_plaquettes():
             windings[int(pid)] = int(round(w))
     assert len(shared) == 2 and shared[0] == -shared[1]
     assert dict(census.entries) == windings
-    assert census.total == invariants.km_boundary(grid, pf) == 1
+    assert census.total == invariants.km_boundary(h, frame, pf, SEED_200_TOL.gap_floor)[0] == 1
 
 
 def test_split_takes_one_eigh_call_per_pass_and_no_polar_call(monkeypatch):
@@ -823,25 +808,22 @@ def test_split_link_phases_match_the_polar_transport(seed):
 
 
 def test_census_edge_split_on_the_sphere():
-    # sphere seed 107 group 1 fails a loop step and refines to 16x64, where
-    # one edge carries a zero
+    # sphere seed 107 group 1 splits two pf M boundary steps and one census
+    # edge, which carries a zero, and verifies on its start grid
     h = models.random_tri("sphere", 4, cutoff=3, seed=107)
     group = bands.find_gapped_groups(bands.spectrum_on_grid(h, SPHERE_GRID),
                                      TOL.gap_floor)[1]
-    rep = invariants.verify_group(h, group, SPHERE_GRID, TOL, group_id=1)
-    assert (rep.refinements, rep.k, rep.census_total) == (1, 0, 0)
-    assert (rep.grid_n_lat, rep.grid_n_lon) == (16, 64)
-    assert len(rep.notes) == 2 and rep.notes[1] == "census: 1 edges split"
-    assert re.fullmatch(LOOP_STEP_RUNG.format("16x64"), rep.notes[0])
+    rep, fields = invariants.verify_group_fields(h, (group.first, group.last), SPHERE_GRID,
+                                                 TOL, group_id=1)
+    assert (rep.refinements, rep.k, rep.census_total) == (0, 0, 0)
+    assert (rep.grid_n_lat, rep.grid_n_lon) == (16, 32)
+    assert rep.notes == ["KM boundary: 2 steps split", "census: 1 edges split"]
 
-    grid = build_grid(Manifold.SPHERE, 16, 64)
-    frame = bands.smooth_frame(bands.spectrum_on_grid(h, grid), group,
-                               grid)
-    pf, _ = invariants.m_field(frame, h.t)
+    frame, pf = fields.frame, fields.pf
     ids = invariants.km_census(h, frame, pf, TOL.gap_floor).split_edges
     assert len(ids) == 1
     steps = invariants._split_steps(h, frame, pf, ids, TOL.gap_floor)
-    fine = _fine_walks(h, group, frame, pf, grid.edges[ids], 64)
+    fine = _fine_walks(h, group, frame, pf, SPHERE_GRID.edges[ids], 64)
     assert np.max(np.abs(fine)) < invariants.CENSUS_EDGE_CAP
     assert abs(steps[0] - fine.sum()) <= 1e-9
 
@@ -954,6 +936,78 @@ def test_settled_edges_match_a_4096_part_walk(manifold, seed, shape, gap_floor):
     assert settled >= 1
 
 
+def _sphere_frame(h, gid, grid):
+    """The group gid of h at gap floor 0.05, its frame on grid and pf M."""
+    spec = bands.spectrum_on_grid(h, grid)
+    group = bands.find_gapped_groups(spec, 0.05)[gid]
+    frame = bands.smooth_frame(spec, group, grid)
+    return group, frame, invariants.m_field(frame, h.t)[0]
+
+
+@pytest.mark.parametrize("seed, gid, k", [(129, 1, 0), (139, 2, 1)])
+def test_boundary_split_steps_match_a_4096_part_walk(monkeypatch, seed, gid, k):
+    # km_boundary re-measures each boundary step at or above pi/2 through
+    # _split_steps; a 4096-part walk along each such edge gives the step it
+    # received, and the loop sum with those steps in place of the principal
+    # ones gives k
+    h = models.random_tri("sphere", 4, cutoff=3, seed=seed)
+    grid = build_grid(Manifold.SPHERE, 32, 64)
+    group, frame, pf = _sphere_frame(h, gid, grid)
+    calls, split_steps = [], invariants._split_steps
+
+    def recorded(*args):
+        calls.append((args[3], split_steps(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(invariants, "_split_steps", recorded)
+    assert invariants.km_boundary(h, frame, pf, 0.05)[0] == k
+    monkeypatch.undo()
+    (ids, steps), = calls
+    fine = _fine_walks(h, group, frame, pf, grid.edges[ids], 4096)
+    assert np.max(np.abs(fine)) < invariants.CENSUS_EDGE_CAP
+    assert np.max(np.abs(steps - fine.sum(axis=1))) <= 1e-6
+    # oracle: walk the loop sample by sample, looking each flagged step up by
+    # its two vids
+    fine_step = {tuple(e): w for e, w in zip(grid.edges[ids].tolist(), fine.sum(axis=1))}
+    (loop,) = grid.boundary_loops.tolist()
+    total, flagged = 0.0, set()
+    for va, vb in zip(loop, loop[1:] + loop[:1]):
+        step = np.angle(pf[vb] / pf[va])
+        if abs(step) >= numkit.MAX_LOOP_STEP:
+            flagged.add((min(va, vb), max(va, vb)))
+            step = fine_step[va, vb] if va < vb else -fine_step[vb, va]
+        total += step
+    assert flagged == set(fine_step)
+    assert abs(total / (2 * np.pi) - k) <= 1e-6
+
+
+def test_boundary_split_on_the_wrap_edge():
+    # sphere seed 139 group 2 turned by -pi/4 in phi is TRI and puts its one
+    # flagged boundary step on the wrap from sample 63 to sample 0, which
+    # runs against its grid edge: the split step enters the loop negated
+    h = models.random_tri("sphere", 4, cutoff=3, seed=139)
+    turned = dataclasses.replace(
+        h, evaluate=lambda pts: h.evaluate(pts - [0.0, 2 * np.pi * 8 / 64]))
+    grid = build_grid(Manifold.SPHERE, 32, 64)
+    assert bands.check_tri(turned, grid)[1]
+    _, frame, pf = _sphere_frame(turned, 2, grid)
+    k, ids = invariants.km_boundary(turned, frame, pf, 0.05)
+    (loop,) = grid.boundary_loops
+    assert k == 1 and grid.edges[ids].tolist() == [[loop[0], loop[63]]]
+    rep = invariants.verify_group(turned, frame.group, grid, TOL, group_id=2)
+    assert (rep.refinements, rep.c_plaquette, rep.k, rep.census_total) == (0, 2, 1, 1)
+
+
+def test_failed_boundary_split_leaves_k_unresolved():
+    # refining cannot mend a boundary split that fails, so the group keeps
+    # its report with k and the census undefined and a note naming the edge
+    h = models.random_tri("sphere", 4, cutoff=3, seed=129)
+    _, frame, pf = _sphere_frame(h, 1, build_grid(Manifold.SPHERE, 32, 64))
+    assert invariants._km_and_census(h, frame, pf, Tolerances(gap_floor=10.0)) == (
+        None, None, ["KM index unresolved: split of grid edge 2040 failed: group gap "
+                     "1.404e-01 <= gap floor 10 at a sub-point"])
+
+
 # each report flag that a theorem check reads, and the kind of record it fails with
 THEOREM_CHECKS = [
     (None, None), ("parity_ok", "parity"), ("consistent", "cross-method"),
@@ -1063,13 +1117,16 @@ def test_six_band_theorems_on_rank_3_4_and_5_groups():
     for seed, rep in torus + sphere:
         assert rep.violations() == [], (seed, rep)
         if rep.rank % 2 == 0 and rep.k is None:
-            # an under-resolved pf M loop on the last rung leaves k undefined
-            assert rep.notes[-1].startswith("KM index undefined: phase step"), (seed, rep)
-            undefined.append((rep.grid_n_lat, rep.grid_n_lon, seed, rep.group_id))
+            undefined.append((seed, rep.group_id))
         elif rep.rank % 2 == 0:
             assert 2 * rep.k == rep.c_plaquette, (seed, rep)
             assert rep.census_total == rep.k and rep.census_ok, (seed, rep)
-    assert undefined == [(64, 128, 504, 2), (64, 128, 548, 1)]
+    assert undefined == []
+    # two rank-2 groups with pf M boundary steps at or above pi/2 on 32x64
+    # split them there and take no rung
+    settled = {(seed, rep.group_id): (rep.grid_n_lat, rep.grid_n_lon, rep.rank, rep.k)
+               for seed, rep in sphere}
+    assert settled[504, 2] == (32, 64, 2, 0) and settled[548, 1] == (32, 64, 2, -1)
     for seed, rep in torus:
         assert rep.rank % 2 == 0 and rep.c_plaquette % 2 == 0, (seed, rep)
 

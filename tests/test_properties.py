@@ -504,8 +504,8 @@ def test_orientation_flip_negates_c_and_k(seed, case):
     flipped = reversed_orientation(grid)
     vectors = spec.band_vectors(group)
     assert_negated(lambda g: invariants.chern_plaquette(vectors, g)[1], grid, flipped)
-    assert_negated(lambda g: invariants.km_boundary(g, pf), grid, flipped)
     flipped_frame = dataclasses.replace(frame, grid=flipped)
+    assert_negated(lambda f: invariants.km_boundary(h, f, pf, 0.05)[0], frame, flipped_frame)
     assert_negated(lambda f: invariants.km_census(h, f, pf, 0.05).total, frame, flipped_frame)
 
 
