@@ -511,10 +511,8 @@ def test_retries_leave_no_reference_cycles():
 def test_pf_loop_steps_split_on_the_start_grid():
     # sphere seeds 129, 130 and 139 have pf M boundary steps at or above pi/2
     # on 32x64; km_boundary splits them as the census splits its edges, so
-    # each group verifies on its start grid, and keeps its integers on the
-    # grid doubled in n_lon and in both directions
+    # each group verifies on its start grid
     grid, tol = build_grid(Manifold.SPHERE, 32, 64), Tolerances(gap_floor=0.05)
-    finer = [phasespace.refine_grid(grid, lat=False), phasespace.refine_grid(grid)]
     for seed, gid, k, split in ((129, 1, 0, 2), (130, 1, 0, 2), (139, 2, 1, 1)):
         h = models.random_tri("sphere", 4, cutoff=3, seed=seed)
         group = bands.find_gapped_groups(bands.spectrum_on_grid(h, grid), tol.gap_floor)[gid]
@@ -523,37 +521,63 @@ def test_pf_loop_steps_split_on_the_start_grid():
         assert rep.violations() == [] and rep.c_plaquette == rep.c_winding == 2 * k
         assert rep.k == rep.census_total == k and rep.km_relation_ok and rep.census_ok
         assert rep.notes[0] == f"KM boundary: {split} steps split"
-        for fine_grid in finer:
-            fine = invariants.verify_group(h, group, fine_grid, tol, gid)
-            assert fine.refinements == 0 and fine.violations() == []
-            assert ((rep.c_plaquette, rep.c_winding, rep.k, rep.census_total)
-                    == (fine.c_plaquette, fine.c_winding, fine.k, fine.census_total))
 
 
-# the criterion-5 groups that settle on the n_lon rung, (manifold, seed,
-# start shape, gap floor, group ids)
-N_LON_RUNG_GROUPS = [("sphere", 140, (32, 64), 0.05, [0, 1]),
-                     ("torus", 200, (24, 128), 0.03, [0, 1])]
+def test_last_rung_pf_loop_step_leaves_k_undefined(monkeypatch):
+    # a pf M boundary step whose split fails leaves k and the census
+    # undefined on the last rung, as on every rung before it: refining
+    # cannot mend it, so the group keeps its start-grid report, with both
+    # Chern routes, and takes no rung.  A sub-point of sphere seed 129's
+    # group 1 boundary edge 2040 has |pf M| = 1.586e-02; a hard floor of
+    # 0.03 puts it under, while every grid vertex stays above
+    grid, tol = build_grid(Manifold.SPHERE, 32, 64), Tolerances(gap_floor=0.05)
+    h = models.random_tri("sphere", 4, cutoff=3, seed=129)
+    group = bands.find_gapped_groups(bands.spectrum_on_grid(h, grid), tol.gap_floor)[1]
+    monkeypatch.setattr(invariants, "PF_HARD_FLOOR", 0.03)
+    for rungs in (invariants.MAX_GRID_REFINEMENTS, 0):
+        monkeypatch.setattr(invariants, "MAX_GRID_REFINEMENTS", rungs)
+        rep = invariants.verify_group(h, group, grid, tol, 1)
+        assert (rep.grid_n_lat, rep.grid_n_lon, rep.refinements) == (32, 64, 0)
+        assert rep.c_plaquette == rep.c_winding == 0 and rep.violations() == []
+        assert rep.k is None and rep.km_relation_ok is None
+        assert rep.census_total is None and rep.census_ok is None
+        assert rep.notes == ["KM index unresolved: split of grid edge 2040 failed: "
+                             "|pf M| = 1.586e-02 < 0.03 at a sub-point"]
 
 
-@pytest.mark.parametrize("manifold, seed, shape, gap_floor, ids", N_LON_RUNG_GROUPS,
+# the criterion-5 groups checked against the n_lon rung, (manifold, seed,
+# start shape, gap floor, group ids, refinements): sphere seeds 129, 130 and
+# 139 split their pf M boundary steps and verify on the start grid, the
+# rest settle on the n_lon rung
+N_LON_RUNG_GROUPS = [("sphere", 129, (32, 64), 0.05, [1], 0),
+                     ("sphere", 130, (32, 64), 0.05, [1], 0),
+                     ("sphere", 139, (32, 64), 0.05, [2], 0),
+                     ("sphere", 140, (32, 64), 0.05, [0, 1], 1),
+                     ("torus", 200, (24, 128), 0.03, [0, 1], 1)]
+
+
+@pytest.mark.parametrize("manifold, seed, shape, gap_floor, ids, refinements",
+                         N_LON_RUNG_GROUPS,
                          ids=[f"{m}-{seed}" for m, seed, *_ in N_LON_RUNG_GROUPS])
-def test_n_lon_rung_integers_hold_on_the_doubled_grid(manifold, seed, shape, gap_floor, ids):
+def test_n_lon_rung_integers_hold_on_the_doubled_grid(manifold, seed, shape, gap_floor, ids,
+                                                      refinements):
     # the two Chern routes and the KM index read one spectrum on one grid,
-    # so an aliased grid can fool them alike; each group that verifies on
-    # the n_lon rung keeps its integers on the grid doubled in both directions
+    # so an aliased grid can fool them alike; each group keeps the integers
+    # it verifies with on the n_lon rung, the start grid with n_lon doubled,
+    # and on the grid doubled in both directions
     h = models.random_tri(manifold, 4, cutoff=3, seed=seed)
     start, tol = build_grid(Manifold(manifold), *shape), Tolerances(gap_floor=gap_floor)
     groups = bands.find_gapped_groups(bands.spectrum_on_grid(h, start), gap_floor)
-    doubled = phasespace.refine_grid(start)
+    finer = [phasespace.refine_grid(start, lat=False), phasespace.refine_grid(start)]
     for gid in ids:
         rep = invariants.verify_group(h, groups[gid], start, tol, gid)
-        assert rep.refinements == 1 and rep.violations() == []
-        assert (rep.grid_n_lat, rep.grid_n_lon) == (start.n_lat, 2 * start.n_lon)
-        fine = invariants.verify_group(h, groups[gid], doubled, tol, gid)
-        assert fine.refinements == 0 and fine.violations() == []
-        assert ((rep.c_plaquette, rep.c_winding, rep.k)
-                == (fine.c_plaquette, fine.c_winding, fine.k))
+        assert rep.refinements == refinements and rep.violations() == []
+        assert (rep.grid_n_lat, rep.grid_n_lon) == (start.n_lat, start.n_lon << refinements)
+        for grid in finer:
+            fine = invariants.verify_group(h, groups[gid], grid, tol, gid)
+            assert fine.refinements == 0 and fine.violations() == []
+            assert ((rep.c_plaquette, rep.c_winding, rep.k, rep.census_total)
+                    == (fine.c_plaquette, fine.c_winding, fine.k, fine.census_total))
 
 
 # (manifold, seed block, floor on the groups checked): 21 sphere and 9 torus
