@@ -55,13 +55,3 @@ class ExtensionError(PhasetopError):
 
 class GapError(PhasetopError):
     """A band group is not gapped at the requested floor."""
-
-
-class BoundaryZeroError(PhasetopError):
-    """Pfaffian magnitude fell below the zero floor on a boundary loop."""
-
-
-class DegenerateConfigurationError(PhasetopError):
-    """pf M vanishes at a domain vertex, so the zero census cannot place that
-    zero in a plaquette: a zero that sits on a grid vertex, or the symmetric
-    stratum, where pf M vanishes at every vertex."""

@@ -40,9 +40,7 @@ from .bands import (
     transition_loops,
 )
 from .errors import (
-    BoundaryZeroError,
     ConfigError,
-    DegenerateConfigurationError,
     DomainError,
     LoopStepError,
     PhasetopError,
@@ -159,33 +157,15 @@ def m_field(frame: Frame, t: AntiUnitary) -> tuple[np.ndarray, float]:
     return numkit.pfaffian(m), float(max_abs(m + m.transpose(0, 2, 1)))
 
 
-def km_boundary(h_field: HamiltonianField, frame: Frame, pf: np.ndarray, gap_floor: float,
-                zero_floor: float = Tolerances.zero_floor) -> tuple[int, np.ndarray]:
-    """(k, split_edges): the Kane-Mele integer, the oriented sum of pf M
-    windings over frame.grid's boundary loops, and the grid edges whose step
-    reached numkit.MAX_LOOP_STEP, re-measured by _split_steps as in
-    km_census; a loop step that runs against its edge (the wrap from the
-    last sample to the first) takes the split step negated.  Raises
-    BoundaryZeroError when |pf M| <= zero_floor on a loop, and
-    ResolutionError when a split fails or a winding is not integral."""
-    grid, loops = frame.grid, frame.grid.boundary_loops
-    z = pf[loops]
-    at = np.unravel_index(np.argmin(np.abs(z)), z.shape)
-    if abs(z[at]) <= zero_floor:
-        x, y = grid.points[loops[at]]
-        raise BoundaryZeroError(f"|pf M| = {abs(z[at]):.3e} <= zero floor {zero_floor:g} at "
-                                f"boundary vertex {int(loops[at])}, ({x:.4f}, {y:.4f})")
-    steps = np.angle(np.roll(z, -1, axis=1) / z)  # steps[:, i] runs from sample i to i + 1
-    flagged = np.abs(steps) >= numkit.MAX_LOOP_STEP
-    a, b = loops[flagged], np.roll(loops, -1, axis=1)[flagged]
-    n = grid.n_vertices  # the edge table is sorted by (lower, higher) vid
-    split_edges = np.searchsorted(grid.edges @ [n, 1], np.minimum(a, b) * n + np.maximum(a, b))
-    if split_edges.size:
-        steps[flagged] = np.sign(b - a) * _split_steps(h_field, frame, pf, split_edges, gap_floor)
-    w = steps.sum(axis=1) / (2.0 * np.pi)
+def km_boundary(grid: Grid, steps: np.ndarray) -> int:
+    """The Kane-Mele integer: the oriented sum of pf M windings over grid's
+    boundary loops, from steps, the pf M step along each grid edge, lower
+    vid to higher.  A loop step reads its edge's step signed by loop_sign.
+    Raises ResolutionError when a loop winding is not integral."""
+    w = np.sum(grid.loop_sign * steps[grid.loop_edge], axis=1) / (2.0 * np.pi)
     if not np.all(np.abs(w - np.round(w)) <= 1e-6):
         raise ResolutionError(f"pf M boundary windings {w.tolist()} are not integral")
-    return _oriented_sum(np.round(w).astype(int).tolist()), split_edges
+    return _oriented_sum(np.round(w).astype(int).tolist())
 
 
 @dataclass(frozen=True)
@@ -194,54 +174,21 @@ class ZeroCensus:
 
     entries: list          # (plaquette id, index) with nonzero index
     total: int
-    split_edges: np.ndarray  # grid edge ids whose step _split_steps re-measured
 
 
-def _edge_steps(grid: Grid, pf: np.ndarray) -> np.ndarray:
-    """Principal pf M step along each grid edge, lower vid to higher; 0 off the domain."""
-    a, b = grid.edges[grid.domain_edge_ids].T
-    steps = np.zeros(len(grid.edges))
-    steps[grid.domain_edge_ids] = np.angle(pf[b] / pf[a])
-    return steps
-
-
-def km_census(h_field: HamiltonianField, frame: Frame, pf: np.ndarray,
-              gap_floor: float) -> ZeroCensus:
-    """Per-plaquette winding of pf M over the fundamental domain of frame.grid.
-
-    The sum of principal-value phase steps telescopes, so the census total
-    equals the boundary winding exactly.  A step that reaches CENSUS_EDGE_CAP
-    means a zero sits essentially on an edge and its plaquette attribution is
-    ambiguous, so _split_steps re-measures each such edge from h_field, the
-    frame at its first vertex and link determinants along it, and its step
-    takes the place of the principal one; every edge
-    enters both its plaquettes with opposite signs, so the total still
-    telescopes.  (A plaquette that simply contains a zero has steps around
-    pi/2; that is fine and expected.)  Raises DegenerateConfigurationError,
-    naming the count and the first vertex, when |pf M| < PF_HARD_FLOOR at a
-    domain vertex: a zero on a vertex lies in no one plaquette.  Raises
-    ResolutionError when a split fails or a plaquette winding is not integral.
-    """
-    grid = frame.grid
-    tiny = np.flatnonzero(np.abs(pf) < PF_HARD_FLOOR)
-    if tiny.size:
-        x, y = grid.points[tiny[0]]
-        raise DegenerateConfigurationError(
-            f"|pf M| < {PF_HARD_FLOOR:g} at {tiny.size} of {grid.n_domain_vertices} domain "
-            f"vertices, the first vertex {int(tiny[0])} at ({x:.4f}, {y:.4f}); the "
-            "census cannot place a zero that sits on a vertex"
-        )
-    steps = _edge_steps(grid, pf)
-    split_edges = np.flatnonzero(np.abs(steps) >= CENSUS_EDGE_CAP)
-    if split_edges.size:
-        steps[split_edges] = _split_steps(h_field, frame, pf, split_edges, gap_floor)
+def km_census(grid: Grid, steps: np.ndarray) -> ZeroCensus:
+    """Per-plaquette winding of pf M over the fundamental domain of grid,
+    from the same steps as km_boundary.  Every interior edge enters its two
+    plaquettes with opposite signs, so the census total telescopes to the
+    boundary winding exactly.  Raises ResolutionError when a plaquette
+    winding is not integral."""
     w = plaquette_sums(grid, steps, slice(grid.n_domain_plaquettes)) / (2.0 * np.pi)
     wi = np.round(w)
     if not np.all(np.abs(w - wi) <= 1e-6):  # a NaN winding is not integral either
         raise ResolutionError("plaquette winding is not integral")
     wi = wi.astype(int)
     entries = [(int(p), int(wi[p])) for p in np.flatnonzero(wi)]
-    return ZeroCensus(entries=entries, total=int(wi.sum()), split_edges=split_edges)
+    return ZeroCensus(entries=entries, total=int(wi.sum()))
 
 
 def _split_failure(edge: int, cause: str) -> ResolutionError:
@@ -366,34 +313,70 @@ class InvariantReport:
 
 
 def _km_and_census(h_field, frame, pf, tol):
-    """Boundary winding and zero census of pf M on the one fundamental domain.
+    """The Kane-Mele integer k and the zero census of pf M on the one
+    fundamental domain, as two sums over one array of pf M steps, one per
+    domain edge, lower vid to higher.
+
+    The principal steps are taken once.  A step that is too large to trust
+    is re-measured by _split_steps, and each edge is split at most once:
+    first the boundary-loop edges whose step reaches numkit.MAX_LOOP_STEP,
+    then the edges at CENSUS_EDGE_CAP that the boundary did not settle (a
+    zero essentially on an edge, whose plaquette attribution is ambiguous;
+    a plaquette that simply contains a zero has steps around pi/2).
 
     Returns (k, census, notes).  k and the census are None, with a note, on
     the symmetric stratum (|pf M| < PF_HARD_FLOOR at every domain vertex; it
     is frame-independent and tau-even, so it vanishes on the whole grid),
-    when pf M has a zero on a boundary loop, and when km_boundary cannot
-    split a step or sum a loop.  A refinement could not mend that: a split
-    samples its edge more finely than a doubled grid, and a sub-point that
-    fails a floor lies on the finer grid's edge too.  The census alone is
-    None, with a note naming the cause, when it is undefined or unresolved.
+    when |pf M| <= tol.zero_floor on a boundary loop, and when a boundary
+    split fails or a loop winding is not integral.  A refinement could not
+    mend that: a split samples its edge more finely than a doubled grid, and
+    a sub-point that fails a floor lies on the finer grid's edge too.  The
+    census alone is None, with a note naming the cause, when |pf M| <
+    PF_HARD_FLOOR at a domain vertex (a zero on a vertex lies in no one
+    plaquette), when a census split fails, or when a plaquette winding is
+    not integral.
     """
-    if np.all(np.abs(pf) < PF_HARD_FLOOR):
+    grid = frame.grid
+    tiny = np.flatnonzero(np.abs(pf) < PF_HARD_FLOOR)
+    if tiny.size == pf.size:
         return None, None, ["KM index undefined: pf M vanishes at every domain "
                             "vertex (symmetric stratum)"]
+    v = int(grid.boundary_loops.flat[np.argmin(np.abs(pf[grid.boundary_loops]))])
+    if abs(pf[v]) <= tol.zero_floor:
+        x, y = grid.points[v]
+        return None, None, [f"KM index undefined: |pf M| = {abs(pf[v]):.3e} <= zero floor "
+                            f"{tol.zero_floor:g} at boundary vertex {v}, ({x:.4f}, {y:.4f})"]
+    a, b = grid.edges[grid.domain_edge_ids].T
+    steps = np.zeros(len(grid.edges))
+    # an edge at a vertex zero divides by zero; the census is then undefined
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps[grid.domain_edge_ids] = np.angle(pf[b] / pf[a])
+    capped = np.abs(steps) >= CENSUS_EDGE_CAP
+    # each loop step is its own edge, taken in loop order
+    edges = grid.loop_edge[np.abs(steps[grid.loop_edge]) >= numkit.MAX_LOOP_STEP]
     try:
-        k, split_edges = km_boundary(h_field, frame, pf, tol.gap_floor, tol.zero_floor)
-    except (BoundaryZeroError, ResolutionError) as exc:
-        cause = "undefined" if isinstance(exc, BoundaryZeroError) else "unresolved"
-        return None, None, [f"KM index {cause}: {exc}"]
-    notes = [f"KM boundary: {split_edges.size} steps split"] if split_edges.size else []
+        if edges.size:
+            steps[edges] = _split_steps(h_field, frame, pf, edges, tol.gap_floor)
+        k = km_boundary(grid, steps)
+    except ResolutionError as exc:
+        return None, None, [f"KM index unresolved: {exc}"]
+    notes = [f"KM boundary: {edges.size} steps split"] if edges.size else []
+    if tiny.size:
+        x, y = grid.points[tiny[0]]
+        return k, None, notes + [
+            f"census undefined: |pf M| < {PF_HARD_FLOOR:g} at {tiny.size} of "
+            f"{grid.n_domain_vertices} domain vertices, the first vertex {int(tiny[0])} at "
+            f"({x:.4f}, {y:.4f}); the census cannot place a zero that sits on a vertex"]
+    n_capped = np.count_nonzero(capped)  # the note counts the boundary's edges too
+    capped[edges] = False
+    rest = np.flatnonzero(capped)
     try:
-        census = km_census(h_field, frame, pf, tol.gap_floor)
-    except DegenerateConfigurationError as exc:
-        return k, None, notes + [f"census undefined: {exc}"]
+        if rest.size:
+            steps[rest] = _split_steps(h_field, frame, pf, rest, tol.gap_floor)
+        census = km_census(grid, steps)
     except ResolutionError as exc:
         return k, None, notes + [f"census unresolved: {exc}"]
-    split = census.split_edges.size
-    return k, census, notes + ([f"census: {split} edges split"] if split else [])
+    return k, census, notes + ([f"census: {n_capped} edges split"] if n_capped else [])
 
 
 @dataclass(frozen=True)
@@ -485,7 +468,7 @@ def verify_group_fields(h_field: HamiltonianField, band_range: tuple, grid: Grid
     GapError, from its own spectrum.
 
     The retry goes after the direction that failed.  A det U boundary-loop
-    phase step (LoopStepError; km_boundary splits a pf M step instead)
+    phase step (LoopStepError; a pf M step is split instead)
     first doubles n_lon alone; any other trigger, or a failure on that grid,
     doubles n_lat as well, so no grid is finer than the first with both
     directions doubled MAX_GRID_REFINEMENTS times, and none has loops longer

@@ -63,7 +63,10 @@ class Grid:
     -1, so a boundary integral is sum_i (-1)^i over the stored loops.  tau
     maps every boundary loop to itself, sample i to sample i + tau_shift
     (mod n_lon): a half turn of the equator (n_lon/2) on the sphere, the
-    identity on the torus lines, which tau fixes point by point.
+    identity on the torus lines, which tau fixes point by point.  The step
+    from sample i to i + 1 of a loop reads edge loop_edge[loop, i] along
+    (loop_sign +1) or against (-1) it; the wrap step n_lon - 1 -> 0 runs
+    against its edge.
 
     transport_chains[j] is column j from row 0 up to the boundary row: on the
     sphere each chain starts at the north pole, on the torus
@@ -89,6 +92,8 @@ class Grid:
     n_domain_plaquettes: int = field(init=False, repr=False)
     domain_edge_ids: np.ndarray = field(init=False, repr=False)   # joining two domain vertices
     boundary_loops: np.ndarray = field(init=False, repr=False)    # (loops, n_lon) vids
+    loop_edge: np.ndarray = field(init=False, repr=False)         # (loops, n_lon) edge ids
+    loop_sign: np.ndarray = field(init=False, repr=False)         # (loops, n_lon) +1 or -1
     tau_shift: int = field(init=False, repr=False)                # tau on a loop, in samples
     transport_chains: np.ndarray = field(init=False, repr=False)  # (n_lon, n_lat/2 + 1) vids
 
@@ -99,6 +104,8 @@ class Grid:
         half, cols = self.n_lat // 2, np.arange(self.n_lon)
         sphere = self.manifold == Manifold.SPHERE
         n_domain = self.vid(half, self.n_lon - 1) + 1
+        loops = self.vid(np.array([[half]] if sphere else [[0], [half]]), cols)
+        ahead = np.roll(loops, -1, axis=1)
         derived = {
             "edges": edges,
             "side_edge": side.reshape(a.shape),
@@ -108,7 +115,10 @@ class Grid:
             # lower vid first: an edge is inside when its higher end is
             "domain_edge_ids": np.flatnonzero((edges[:, 1] < n_domain)
                                               & (edges[:, 0] != edges[:, 1])),
-            "boundary_loops": self.vid(np.array([[half]] if sphere else [[0], [half]]), cols),
+            "boundary_loops": loops,
+            "loop_edge": np.searchsorted(keys, np.minimum(loops, ahead) * n
+                                         + np.maximum(loops, ahead)),
+            "loop_sign": np.sign(ahead - loops),
             "tau_shift": self.n_lon // 2 if sphere else 0,
             "transport_chains": self.vid(np.arange(half + 1), cols[:, None]),
         }

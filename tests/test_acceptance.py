@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from phasetop import bands, cli, gauge, invariants, models, numkit
-from phasetop.errors import DegenerateConfigurationError
 from phasetop.invariants import Tolerances
 from phasetop.phasespace import Manifold, build_grid
 

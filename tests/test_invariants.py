@@ -7,7 +7,6 @@ import pytest
 
 from phasetop import bands, gauge, invariants, models, numkit, phasespace
 from phasetop.errors import (
-    DegenerateConfigurationError,
     DomainError,
     GapError,
     PhasetopError,
@@ -162,9 +161,8 @@ def test_m_field_trivial_bundle_unit_pf():
     spec, group, grid, frame = sphere_setup(h, 0, 1, gap_floor=0.5)
     pf, _ = invariants.m_field(frame, h.t)
     assert np.max(np.abs(np.abs(pf) - 1.0)) <= 1e-12
-    assert invariants.km_boundary(h, frame, pf, 0.5)[0] == 0
-    census = invariants.km_census(h, frame, pf, 0.5)
-    assert census.entries == [] and census.total == 0
+    k, census, notes = invariants._km_and_census(h, frame, pf, Tolerances(gap_floor=0.5))
+    assert k == 0 and census.entries == [] and census.total == 0 and notes == []
 
 
 def test_km_boundary_equals_half_chern():
@@ -172,7 +170,7 @@ def test_km_boundary_equals_half_chern():
     spec, group, grid, frame = sphere_setup(h, 0, 1)
     _, c = invariants.chern_plaquette(spec.band_vectors(group), SPHERE_GRID)
     pf, _ = invariants.m_field(frame, h.t)
-    k, _ = invariants.km_boundary(h, frame, pf, TOL.gap_floor)
+    k, _, _ = invariants._km_and_census(h, frame, pf, TOL)
     assert 2 * k == c
 
 
@@ -180,8 +178,7 @@ def test_km_census_matches_boundary_exactly():
     h = models.kramers_pair_sphere(epsilon=0.1, seed=0)
     spec, group, grid, frame = sphere_setup(h, 0, 1)
     pf, _ = invariants.m_field(frame, h.t)
-    k, _ = invariants.km_boundary(h, frame, pf, TOL.gap_floor)
-    census = invariants.km_census(h, frame, pf, TOL.gap_floor)
+    k, census, _ = invariants._km_and_census(h, frame, pf, TOL)
     assert census.total == k
     signs = {np.sign(w) for _, w in census.entries}
     assert len(signs) == 1
@@ -203,7 +200,7 @@ def test_boundary_sums_match_explicit_torus_differences():
         pf, _ = invariants.m_field(frame, h.t)
         w0, w1 = (numkit.winding_number(pf[loop])
                   for loop in TORUS_GRID.boundary_loops)
-        k, _ = invariants.km_boundary(h, frame, pf, TOL.gap_floor)
+        k, _, _ = invariants._km_and_census(h, frame, pf, TOL)
         assert k == w0 - w1
         assert abs(c) == 2 and 2 * k == c
         minus_windings.append((wn_minus, w1))
@@ -235,10 +232,9 @@ def test_km_torus_boundary_and_rank1_rejection():
     group = bands.group_for_range(spec, 0, 1, 0.05)
     frame = bands.smooth_frame(spec, group, TORUS_GRID)
     pf, _ = invariants.m_field(frame, h.t)
-    k, _ = invariants.km_boundary(h, frame, pf, TOL.gap_floor)
+    k, census, _ = invariants._km_and_census(h, frame, pf, TOL)
     _, c = invariants.chern_plaquette(spec.band_vectors(group), TORUS_GRID)
     assert 2 * k == c
-    census = invariants.km_census(h, frame, pf, TOL.gap_floor)
     assert census.total == k
 
     h1 = models.rotor_spin(0.5)
@@ -249,17 +245,19 @@ def test_km_torus_boundary_and_rank1_rejection():
 
 def test_km_census_degenerate_stratum_raises():
     # unperturbed doubled torus model: pf M has an isolated zero exactly on
-    # the vertex (q, p) = (0, pi/2), which lies in no one plaquette
+    # the vertex (q, p) = (0, pi/2), which lies in no one plaquette, so the
+    # census is undefined while k is not; its steps there divide by zero
+    # without a RuntimeWarning
     h = models.torus_doubled_chern(m=1.0, epsilon=0.0)
     spec = bands.spectrum_on_grid(h, TORUS_GRID)
     group = bands.group_for_range(spec, 0, 1, 0.05)
     frame = bands.smooth_frame(spec, group, TORUS_GRID)
     pf, _ = invariants.m_field(frame, h.t)
-    k, _ = invariants.km_boundary(h, frame, pf, TOL.gap_floor)
+    k, census, notes = invariants._km_and_census(h, frame, pf, TOL)
     assert k in (-1, 1)  # TRI lines stay unitary
-    with pytest.raises(DegenerateConfigurationError,
-                       match=r"at \(0\.0000, 1\.5708\); the census cannot place a zero"):
-        invariants.km_census(h, frame, pf, TOL.gap_floor)
+    assert census is None and notes == [
+        "census undefined: |pf M| < 1e-12 at 1 of 1152 domain vertices, the first vertex "
+        "512 at (0.0000, 1.5708); the census cannot place a zero that sits on a vertex"]
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +508,8 @@ def test_retries_leave_no_reference_cycles():
 
 def test_pf_loop_steps_split_on_the_start_grid():
     # sphere seeds 129, 130 and 139 have pf M boundary steps at or above pi/2
-    # on 32x64; km_boundary splits them as the census splits its edges, so
-    # each group verifies on its start grid
+    # on 32x64; they are split as the census splits its edges, so each
+    # group verifies on its start grid
     grid, tol = build_grid(Manifold.SPHERE, 32, 64), Tolerances(gap_floor=0.05)
     for seed, gid, k, split in ((129, 1, 0, 2), (130, 1, 0, 2), (139, 2, 1, 1)):
         h = models.random_tri("sphere", 4, cutoff=3, seed=seed)
@@ -716,9 +714,25 @@ def _seed_200_refined_census():
 
 
 def _flagged_edges(frame, pf):
-    """The grid edges whose principal pf M step reaches the cap."""
-    steps = invariants._edge_steps(frame.grid, pf)
-    return np.flatnonzero(np.abs(steps) >= invariants.CENSUS_EDGE_CAP)
+    """The domain edges whose principal pf M step reaches the cap."""
+    grid = frame.grid
+    a, b = grid.edges[grid.domain_edge_ids].T
+    return grid.domain_edge_ids[np.abs(np.angle(pf[b] / pf[a])) >= invariants.CENSUS_EDGE_CAP]
+
+
+def _recorded_km(monkeypatch, h, frame, pf, tol):
+    """_km_and_census with every _split_steps call recorded: (k, census,
+    notes, [(edge ids, steps) per call])."""
+    calls, split_steps = [], invariants._split_steps
+
+    def recorded(*args):
+        calls.append((args[3], split_steps(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(invariants, "_split_steps", recorded)
+    k, census, notes = invariants._km_and_census(h, frame, pf, tol)
+    monkeypatch.undo()
+    return k, census, notes, calls
 
 
 def _fine_walks(h, group, frame, pf, edges, n):
@@ -740,12 +754,14 @@ def _fine_walks(h, group, frame, pf, edges, n):
     return np.angle(walk[:, 1:] / walk[:, :-1])
 
 
-def test_split_step_matches_a_fine_walk_and_enters_both_plaquettes():
+def test_split_step_matches_a_fine_walk_and_enters_both_plaquettes(monkeypatch):
     h, group, frame, pf = _seed_200_refined_census()
-    census = invariants.km_census(h, frame, pf, SEED_200_TOL.gap_floor)
+    k, census, notes, calls = _recorded_km(monkeypatch, h, frame, pf, SEED_200_TOL)
     ids = _flagged_edges(frame, pf)
-    assert ids.size and np.array_equal(census.split_edges, ids)
-    steps = invariants._split_steps(h, frame, pf, ids, SEED_200_TOL.gap_floor)
+    # no boundary step is split, so the one split is the census's, of the flagged edges
+    (split_ids, steps), = calls
+    assert ids.size and np.array_equal(split_ids, ids)
+    assert notes == [f"census: {ids.size} edges split"]
     edges = frame.grid.edges[ids]
     fine = _fine_walks(h, group, frame, pf, edges, 64)
     assert np.max(np.abs(fine)) < invariants.CENSUS_EDGE_CAP
@@ -781,7 +797,7 @@ def test_split_step_matches_a_fine_walk_and_enters_both_plaquettes():
             windings[int(pid)] = int(round(w))
     assert len(shared) == 2 and shared[0] == -shared[1]
     assert dict(census.entries) == windings
-    assert census.total == invariants.km_boundary(h, frame, pf, SEED_200_TOL.gap_floor)[0] == 1
+    assert census.total == k == 1
 
 
 def test_split_takes_one_eigh_call_per_pass_and_no_polar_call(monkeypatch):
@@ -844,7 +860,7 @@ def test_census_edge_split_on_the_sphere():
     assert rep.notes == ["KM boundary: 2 steps split", "census: 1 edges split"]
 
     frame, pf = fields.frame, fields.pf
-    ids = invariants.km_census(h, frame, pf, TOL.gap_floor).split_edges
+    ids = _flagged_edges(frame, pf)
     assert len(ids) == 1
     steps = invariants._split_steps(h, frame, pf, ids, TOL.gap_floor)
     fine = _fine_walks(h, group, frame, pf, SPHERE_GRID.edges[ids], 64)
@@ -890,11 +906,12 @@ def test_split_names_a_gap_at_a_sub_point():
 
 
 def test_km_census_raises_a_failed_split():
-    # the census splits the flagged edges itself, so their failure is its own
+    # no boundary step of this group is split, so the failed split of a
+    # flagged edge leaves the census alone unresolved, with k defined
     h, _, frame, pf = _seed_200_refined_census()
-    with pytest.raises(ResolutionError) as err:
-        invariants.km_census(h, frame, pf, gap_floor=10.0)
-    match = re.fullmatch(GAP_FAILURE, str(err.value))
+    k, census, notes = invariants._km_and_census(h, frame, pf, Tolerances(gap_floor=10.0))
+    assert k == 1 and census is None and len(notes) == 1
+    match = re.fullmatch("census unresolved: " + GAP_FAILURE, notes[0])
     assert match and int(match[1]) in _flagged_edges(frame, pf)
 
 
@@ -970,23 +987,16 @@ def _sphere_frame(h, gid, grid):
 
 @pytest.mark.parametrize("seed, gid, k", [(129, 1, 0), (139, 2, 1)])
 def test_boundary_split_steps_match_a_4096_part_walk(monkeypatch, seed, gid, k):
-    # km_boundary re-measures each boundary step at or above pi/2 through
-    # _split_steps; a 4096-part walk along each such edge gives the step it
-    # received, and the loop sum with those steps in place of the principal
-    # ones gives k
+    # each boundary step at or above pi/2 is re-measured through
+    # _split_steps, in the first call; a 4096-part walk along each such edge
+    # gives the step it received, and the loop sum with those steps in place
+    # of the principal ones gives k
     h = models.random_tri("sphere", 4, cutoff=3, seed=seed)
     grid = build_grid(Manifold.SPHERE, 32, 64)
     group, frame, pf = _sphere_frame(h, gid, grid)
-    calls, split_steps = [], invariants._split_steps
-
-    def recorded(*args):
-        calls.append((args[3], split_steps(*args)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(invariants, "_split_steps", recorded)
-    assert invariants.km_boundary(h, frame, pf, 0.05)[0] == k
-    monkeypatch.undo()
+    got, _, notes, calls = _recorded_km(monkeypatch, h, frame, pf, TOL)
     (ids, steps), = calls
+    assert got == k and notes == [f"KM boundary: {len(ids)} steps split"]
     fine = _fine_walks(h, group, frame, pf, grid.edges[ids], 4096)
     assert np.max(np.abs(fine)) < invariants.CENSUS_EDGE_CAP
     assert np.max(np.abs(steps - fine.sum(axis=1))) <= 1e-6
@@ -1005,7 +1015,7 @@ def test_boundary_split_steps_match_a_4096_part_walk(monkeypatch, seed, gid, k):
     assert abs(total / (2 * np.pi) - k) <= 1e-6
 
 
-def test_boundary_split_on_the_wrap_edge():
+def test_boundary_split_on_the_wrap_edge(monkeypatch):
     # sphere seed 139 group 2 turned by -pi/4 in phi is TRI and puts its one
     # flagged boundary step on the wrap from sample 63 to sample 0, which
     # runs against its grid edge: the split step enters the loop negated
@@ -1015,11 +1025,28 @@ def test_boundary_split_on_the_wrap_edge():
     grid = build_grid(Manifold.SPHERE, 32, 64)
     assert bands.check_tri(turned, grid)[1]
     _, frame, pf = _sphere_frame(turned, 2, grid)
-    k, ids = invariants.km_boundary(turned, frame, pf, 0.05)
+    k, census, _, calls = _recorded_km(monkeypatch, turned, frame, pf, TOL)
     (loop,) = grid.boundary_loops
-    assert k == 1 and grid.edges[ids].tolist() == [[loop[0], loop[63]]]
+    (ids, _), = calls
+    assert k == census.total == 1 and grid.edges[ids].tolist() == [[loop[0], loop[63]]]
+    assert grid.loop_sign[0, 63] == -1
     rep = invariants.verify_group(turned, frame.group, grid, TOL, group_id=2)
     assert (rep.refinements, rep.c_plaquette, rep.k, rep.census_total) == (0, 2, 1, 1)
+
+
+def test_no_edge_is_split_twice(monkeypatch):
+    # six-band sphere seed 504 group 2 has four boundary steps at or above
+    # pi/2, two of them at the cap: the boundary split settles those two, so
+    # the census splits no edge again and no second call is made
+    h = models.random_tri("sphere", 6, cutoff=1, seed=504)
+    grid = build_grid(Manifold.SPHERE, 32, 64)
+    _, frame, pf = _sphere_frame(h, 2, grid)
+    k, census, notes, calls = _recorded_km(monkeypatch, h, frame, pf, TOL)
+    ids = np.concatenate([ids for ids, _ in calls]).tolist()
+    assert len(calls) == 1 and len(set(ids)) == len(ids) == 4
+    assert set(_flagged_edges(frame, pf).tolist()) < set(ids)
+    assert notes == ["KM boundary: 4 steps split", "census: 2 edges split"]
+    assert k == census.total == 0 and census.entries == [(971, -1), (987, 1)]
 
 
 def test_failed_boundary_split_leaves_k_unresolved():

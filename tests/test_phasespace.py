@@ -338,3 +338,20 @@ def test_fundamental_domain_is_a_prefix_of_the_grid(manifold, n_lat, n_lon):
     # one chain per column, walked from row 0 up to the boundary row
     assert grid.transport_chains.tolist() == [
         [grid.vid(i, j) for i in range(half + 1)] for j in range(n_lon)]
+
+
+@pytest.mark.parametrize("manifold", list(Manifold))
+@settings(max_examples=4)
+@given(n_lat=EVEN_SIZES, n_lon=EVEN_SIZES)
+def test_loop_steps_read_their_grid_edges(manifold, n_lat, n_lon):
+    # step j -> j + 1 of each boundary row, the wrap n_lon - 1 -> 0 included,
+    # reads the grid edge between its two vids: along it (+1) when the step
+    # climbs in vid, against it (-1) otherwise
+    grid = build_grid(manifold, n_lat, n_lon)
+    edge_id = {tuple(e): i for i, e in enumerate(grid.edges.tolist())}
+    rows = [n_lat // 2] if manifold == Manifold.SPHERE else [0, n_lat // 2]
+    walks = [[(grid.vid(i, j), grid.vid(i, j + 1)) for j in range(n_lon)] for i in rows]
+    assert grid.loop_edge.tolist() == [[edge_id[min(a, b), max(a, b)] for a, b in walk]
+                                       for walk in walks]
+    assert grid.loop_sign.tolist() == [[1 if a < b else -1 for a, b in walk] for walk in walks]
+    assert grid.loop_sign[:, -1].tolist() == [-1] * len(rows)  # the wrap step

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from phasetop import bands, invariants, models, numkit
 from phasetop.errors import PhasetopError, ResolutionError, SingularityError
+from phasetop.invariants import Tolerances
 from phasetop.phasespace import Manifold, build_grid, plaquette_sums
 from oracles import random_hermitian_field, tr_image_batch
 from test_phasespace import domain_rows
 
 SEEDS = st.integers(0, 2**32 - 1)
+TOL = Tolerances(gap_floor=0.05)
 
 
 def complex_normal(rng, shape):
@@ -316,21 +318,31 @@ def whole_turns(edge_ids):
 
 def census_by_loop(grid, pf):
     """The census one plaquette at a time, an edge whose principal step
-    reaches the cap taking its whole_turns: (entries, total, flagged grid edge
-    ids), or the first ResolutionError in plaquette order."""
+    reaches the cap, or a boundary-loop edge whose step reaches
+    numkit.MAX_LOOP_STEP, taking its whole_turns: (entries, total, the
+    boundary edge ids so flagged in loop order, the edge ids at the cap), or
+    the first ResolutionError in plaquette order."""
     edge_id = {tuple(e): i for i, e in enumerate(grid.edges.tolist())}
-    entries, total, flagged = [], 0, set()
+
+    def principal(a, b):
+        lo, hi = min(a, b), max(a, b)
+        return edge_id[lo, hi], np.angle(pf[hi] / pf[lo])
+
+    boundary = [e for loop in grid.boundary_loops.tolist()
+                for e, step in (principal(a, b) for a, b in zip(loop, loop[1:] + loop[:1]))
+                if abs(step) >= numkit.MAX_LOOP_STEP]
+    entries, total, capped = [], 0, set()
     plaqs = domain_rows(grid)[1]
     for pid, corners in zip(plaqs, grid.plaquettes[plaqs].tolist()):
         w = 0.0
         for a, b in zip(corners, corners[1:] + corners[:1]):
             if a == b:  # a repeated pole corner
                 continue
-            lo, hi = min(a, b), max(a, b)
-            step = np.angle(pf[hi] / pf[lo])
+            e, step = principal(a, b)
             if abs(step) >= invariants.CENSUS_EDGE_CAP:
-                flagged.add(edge_id[lo, hi])
-                step += 2 * np.pi * whole_turns(edge_id[lo, hi])
+                capped.add(e)
+            if abs(step) >= invariants.CENSUS_EDGE_CAP or e in boundary:
+                step += 2 * np.pi * whole_turns(e)
             w += (step if a < b else -step) / (2.0 * np.pi)
         wi = int(round(w))
         if abs(w - wi) > 1e-6:
@@ -338,7 +350,7 @@ def census_by_loop(grid, pf):
         if wi != 0:
             entries.append((int(pid), wi))
             total += wi
-    return entries, total, sorted(flagged)
+    return entries, total, boundary, sorted(capped)
 
 
 CENSUS_GRIDS = {m: build_grid(m, 8, 16) for m in (Manifold.SPHERE, Manifold.TORUS)}
@@ -364,21 +376,40 @@ def test_km_census_matches_plaquette_loop(seed, manifold, noise, tie):
     def stub(h_field, frame, pf, edge_ids, gap_floor):
         # a split that ends on the vertex values: the principal step plus whole turns
         split.append(edge_ids.tolist())
-        principal = invariants._edge_steps(frame.grid, pf)[edge_ids]
-        return principal + 2 * np.pi * whole_turns(edge_ids)
+        a, b = frame.grid.edges[edge_ids].T
+        return np.angle(pf[b] / pf[a]) + 2 * np.pi * whole_turns(edge_ids)
 
     with mock.patch.object(invariants, "_split_steps", stub):
-        try:
-            entries, total, flagged = census_by_loop(grid, pf)
-        except ResolutionError as exc:
-            with pytest.raises(ResolutionError) as got:
-                invariants.km_census(None, frame, pf, 0.05)
-            assert str(got.value) == str(exc)
-            return
-        census = invariants.km_census(None, frame, pf, 0.05)
+        k, census, notes = invariants._km_and_census(None, frame, pf, TOL)
+    try:
+        entries, total, boundary, capped = census_by_loop(grid, pf)
+    except ResolutionError as exc:
+        assert census is None and notes[-1] == f"census unresolved: {exc}"
+        return
     assert (census.entries, census.total) == (entries, total)
-    assert census.split_edges.tolist() == flagged
-    assert split == ([flagged] if flagged else [])
+    assert census.total == k
+    # each flagged edge is split once: the boundary's first, then the rest at the cap
+    rest = sorted(set(capped) - set(boundary))
+    assert split == [ids for ids in (boundary, rest) if ids]
+    assert notes == ([f"KM boundary: {len(boundary)} steps split"] if boundary else []) + (
+        [f"census: {len(capped)} edges split"] if capped else [])
+
+
+@pytest.mark.parametrize("manifold", list(CENSUS_GRIDS))
+@settings(max_examples=5)
+@given(seed=SEEDS)
+def test_census_total_equals_k_for_any_steps(manifold, seed):
+    # k and the census are two sums over one array of steps, and the census
+    # telescopes to the boundary sum: whole turns added to any edges move
+    # windings, never the match
+    rng = np.random.default_rng(seed)
+    grid = CENSUS_GRIDS[manifold]
+    pf = complex_normal(rng, grid.n_domain_vertices)
+    a, b = grid.edges[grid.domain_edge_ids].T
+    turns = rng.integers(-2, 3, size=a.size) * (rng.random(a.size) < 0.3)
+    steps = np.zeros(len(grid.edges))
+    steps[grid.domain_edge_ids] = np.angle(pf[b] / pf[a]) + 2 * np.pi * turns
+    assert invariants.km_census(grid, steps).total == invariants.km_boundary(grid, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +507,11 @@ ORIENTATION_CASES = [
 def reversed_orientation(grid):
     """The grid with every plaquette and boundary loop traversed backwards."""
     flipped = dataclasses.replace(grid, plaquettes=grid.plaquettes[:, ::-1])
-    # boundary_loops is derived from the shape; reverse it on this private copy
+    # boundary_loops is derived from the shape; reverse it on this private copy.
+    # Step i of a reversed loop is step L - 2 - i of the original, run backwards
     object.__setattr__(flipped, "boundary_loops", grid.boundary_loops[:, ::-1])
+    for name, sign in (("loop_edge", 1), ("loop_sign", -1)):
+        object.__setattr__(flipped, name, sign * np.roll(getattr(grid, name)[:, ::-1], -1, axis=1))
     return flipped
 
 
@@ -504,9 +538,10 @@ def test_orientation_flip_negates_c_and_k(seed, case):
     flipped = reversed_orientation(grid)
     vectors = spec.band_vectors(group)
     assert_negated(lambda g: invariants.chern_plaquette(vectors, g)[1], grid, flipped)
-    flipped_frame = dataclasses.replace(frame, grid=flipped)
-    assert_negated(lambda f: invariants.km_boundary(h, f, pf, 0.05)[0], frame, flipped_frame)
-    assert_negated(lambda f: invariants.km_census(h, f, pf, 0.05).total, frame, flipped_frame)
+    (k, census, _), (k_flipped, census_flipped, _) = (
+        invariants._km_and_census(h, f, pf, TOL)
+        for f in (frame, dataclasses.replace(frame, grid=flipped)))
+    assert k_flipped == -k and census_flipped.total == -census.total
 
 
 # ---------------------------------------------------------------------------
