@@ -18,7 +18,6 @@ from .bands import (
 )
 from .invariants import (
     InvariantReport,
-    ZeroCensus,
     analyze_model,
     chern_plaquette,
     chern_winding,
@@ -43,7 +42,6 @@ __all__ = [
     "Manifold",
     "Spectrum",
     "Tolerances",
-    "ZeroCensus",
     "analyze_model",
     "build_grid",
     "check_tri",

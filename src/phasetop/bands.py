@@ -97,11 +97,10 @@ class HamiltonianField:
     """Hermitian matrix field over a phase space, with its TR metadata.
 
     evaluate maps an (m, 2) array of coordinate pairs to an (m, n_a, n_a)
-    stack of Hermitian matrices.  The field keeps no record of its
-    parameters; the model spec given to models.build is that record.
+    stack of Hermitian matrices, n_a = t.dim.  The field keeps no record of
+    its parameters; the model spec given to models.build is that record.
     """
 
-    n_a: int
     manifold: Manifold
     t: AntiUnitary
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -109,6 +108,10 @@ class HamiltonianField:
     # keyed by grid: H(grid.points) until spectrum_on_grid takes it, then its
     # read-only Spectrum (no grid inside) for the field's life; replace() starts anew
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    @property
+    def n_a(self) -> int:
+        return self.t.dim
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         return self.evaluate(np.atleast_2d(np.asarray(pts, dtype=float)))

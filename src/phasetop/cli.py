@@ -415,11 +415,10 @@ def cmd_gauge_demo(args) -> int:
                           "from the measured one",
             })
     else:
-        nf = gauge.skew_normal_form(*loops, measured_c)
-        wd = nf.windings
+        residual, wd = gauge.skew_normal_form(*loops, measured_c)
         report.update({
             "measured_c": measured_c,
-            "congruence_residual": nf.residual,
+            "congruence_residual": residual,
             "windings": wd,
             "extendability_winding": wd["det_w_plus"] - wd["det_w_minus"],
         })

@@ -245,15 +245,6 @@ def regauge_frame(frame: Frame, extension: DiskExtension) -> Frame:
 # torus skew congruence normal form
 
 
-@dataclass(frozen=True)
-class SkewNormalForm:
-    """How well the congruence loops W take the torus TRI-line loops to their
-    block-diagonal targets, and the det windings of U, V and W per line."""
-
-    residual: float            # max |V - W^t U W| over lines and samples
-    windings: dict             # det-winding bookkeeping
-
-
 def _pair_congruence(u_samples: np.ndarray) -> np.ndarray:
     """Closed loop X(q) with X^t U X = blockdiag([[0,-1],[1,0]], ...).
 
@@ -312,13 +303,16 @@ def _block_target(alphas: np.ndarray, nb: int) -> np.ndarray:
     return v
 
 
-def skew_normal_form(u_plus: np.ndarray, u_minus: np.ndarray, c: int) -> SkewNormalForm:
-    """Congruence of the TRI-line loops to the canonical skew block form.
+def skew_normal_form(u_plus: np.ndarray, u_minus: np.ndarray,
+                     c: int) -> tuple[float, dict]:
+    """(residual, windings): congruence of the TRI-line loops to the
+    canonical skew block form.
 
     The p = 0 target carries the whole twist through alpha_1(q) = (c/2) q; the
-    p = pi target has all alphas zero.  det-winding bookkeeping
-    (wn det W = (wn det V - wn det U)/2 per line, difference zero) is
-    returned for verification.
+    p = pi target has all alphas zero.  residual is max |V - W^t U W| over
+    both lines and all samples; windings holds the det windings of U, V and
+    W per line (wn det W = (wn det V - wn det U)/2 per line, difference
+    zero), for verification.
     """
     if c % 2 != 0:
         raise DomainError("torus Chern number must be even")
@@ -343,4 +337,4 @@ def skew_normal_form(u_plus: np.ndarray, u_minus: np.ndarray, c: int) -> SkewNor
         windings[f"det_v_{tag}"] = numkit.det_winding(target)
         windings[f"det_u_{tag}"] = numkit.det_winding(u)
         windings[f"det_w_{tag}"] = numkit.det_winding(w)
-    return SkewNormalForm(residual=residual, windings=windings)
+    return residual, windings

@@ -47,7 +47,6 @@ from .errors import (
     ResolutionError,
     TRIViolationError,
 )
-from .numkit import max_abs
 from .phasespace import (
     Grid,
     Manifold,
@@ -148,13 +147,13 @@ def _m_values(data: np.ndarray, t: AntiUnitary) -> np.ndarray:
     return np.einsum("vji,vjk->vik", data.conj(), t.apply(data))
 
 
-def m_field(frame: Frame, t: AntiUnitary) -> tuple[np.ndarray, float]:
-    """(pf M per domain vertex, max |M + M^t|) for M(x) = <u_n(x), T u_n'(x)>, which
-    numkit.pfaffian holds to numkit.SKEW_TOL; an odd rank raises DomainError."""
+def m_field(frame: Frame, t: AntiUnitary) -> np.ndarray:
+    """pf M per domain vertex for M(x) = <u_n(x), T u_n'(x)>; an odd rank
+    raises DomainError.  For fermionic T, M is skew for every frame, and
+    numkit.pfaffian refuses one that is not."""
     if frame.group.rank % 2:
         raise DomainError("Kane-Mele index needs even band-group rank")
-    m = _m_values(frame.data, t)
-    return numkit.pfaffian(m), float(max_abs(m + m.transpose(0, 2, 1)))
+    return numkit.pfaffian(_m_values(frame.data, t))
 
 
 def km_boundary(grid: Grid, steps: np.ndarray) -> int:
@@ -168,27 +167,18 @@ def km_boundary(grid: Grid, steps: np.ndarray) -> int:
     return _oriented_sum(np.round(w).astype(int).tolist())
 
 
-@dataclass(frozen=True)
-class ZeroCensus:
-    """Indexed zeros of pf M inside the fundamental domain."""
-
-    entries: list          # (plaquette id, index) with nonzero index
-    total: int
-
-
-def km_census(grid: Grid, steps: np.ndarray) -> ZeroCensus:
-    """Per-plaquette winding of pf M over the fundamental domain of grid,
-    from the same steps as km_boundary.  Every interior edge enters its two
-    plaquettes with opposite signs, so the census total telescopes to the
-    boundary winding exactly.  Raises ResolutionError when a plaquette
-    winding is not integral."""
+def km_census(grid: Grid, steps: np.ndarray) -> list:
+    """The indexed zeros of pf M inside the fundamental domain of grid: a
+    (plaquette id, index) entry per plaquette of nonzero winding, from the
+    same steps as km_boundary.  Every interior edge enters its two
+    plaquettes with opposite signs, so the indices sum to the boundary
+    winding exactly.  Raises ResolutionError when a plaquette winding is
+    not integral."""
     w = plaquette_sums(grid, steps, slice(grid.n_domain_plaquettes)) / (2.0 * np.pi)
     wi = np.round(w)
     if not np.all(np.abs(w - wi) <= 1e-6):  # a NaN winding is not integral either
         raise ResolutionError("plaquette winding is not integral")
-    wi = wi.astype(int)
-    entries = [(int(p), int(wi[p])) for p in np.flatnonzero(wi)]
-    return ZeroCensus(entries=entries, total=int(wi.sum()))
+    return [(int(p), int(wi[p])) for p in np.flatnonzero(wi)]
 
 
 def _split_failure(edge: int, cause: str) -> ResolutionError:
@@ -324,17 +314,17 @@ def _km_and_census(h_field, frame, pf, tol):
     zero essentially on an edge, whose plaquette attribution is ambiguous;
     a plaquette that simply contains a zero has steps around pi/2).
 
-    Returns (k, census, notes).  k and the census are None, with a note, on
-    the symmetric stratum (|pf M| < PF_HARD_FLOOR at every domain vertex; it
-    is frame-independent and tau-even, so it vanishes on the whole grid),
-    when |pf M| <= tol.zero_floor on a boundary loop, and when a boundary
-    split fails or a loop winding is not integral.  A refinement could not
-    mend that: a split samples its edge more finely than a doubled grid, and
-    a sub-point that fails a floor lies on the finer grid's edge too.  The
-    census alone is None, with a note naming the cause, when |pf M| <
-    PF_HARD_FLOOR at a domain vertex (a zero on a vertex lies in no one
-    plaquette), when a census split fails, or when a plaquette winding is
-    not integral.
+    Returns (k, census, notes), the census as km_census's entries.  k and
+    the census are None, with a note, on the symmetric stratum (|pf M| <
+    PF_HARD_FLOOR at every domain vertex; it is frame-independent and
+    tau-even, so it vanishes on the whole grid), when |pf M| <=
+    tol.zero_floor on a boundary loop, and when a boundary split fails or a
+    loop winding is not integral.  A refinement could not mend that: a
+    split samples its edge more finely than a doubled grid, and a sub-point
+    that fails a floor lies on the finer grid's edge too.  The census alone
+    is None, with a note naming the cause, when |pf M| < PF_HARD_FLOOR at a
+    domain vertex (a zero on a vertex lies in no one plaquette), when a
+    census split fails, or when a plaquette winding is not integral.
     """
     grid = frame.grid
     tiny = np.flatnonzero(np.abs(pf) < PF_HARD_FLOOR)
@@ -434,18 +424,17 @@ def _verify_once(h_field: HamiltonianField, band_range: tuple, grid: Grid, tol: 
 
     pf = None
     if nb % 2 == 0:
-        pf, residuals["m_skew"] = m_field(frame, h_field.t)
+        pf = m_field(frame, h_field.t)
         k, census, notes = _km_and_census(h_field, frame, pf, tol)
         report.k = k
         report.notes.extend(notes)
         if k is not None:
             report.km_relation_ok = 2 * k == c_plq
         if census is not None:
-            report.census_total = census.total
-            report.census_entries = census.entries
-            report.census_ok = census.total == k
-            signs = {np.sign(w) for _, w in census.entries}
-            report.census_same_sign = len(signs) <= 1
+            report.census_total = sum(w for _, w in census)
+            report.census_entries = census
+            report.census_ok = report.census_total == k
+            report.census_same_sign = len({np.sign(w) for _, w in census}) <= 1
     else:
         report.notes.append("odd rank: Pfaffian and KM index undefined")
 
@@ -589,20 +578,23 @@ def tri_path(
     if np.max(np.abs(h0.t.j - h1.t.j)) > 1e-12:
         raise ConfigError("endpoints carry different time-reversal operators")
     first, last = band_range
-    # each endpoint field is evaluated once; every probe mixes the two stacks
+    # each endpoint field is evaluated and solved once: every probe mixes the
+    # two stacks, and the s = 0 and s = 1 samples read the endpoint spectra
     ends = []
     for h in (h0, h1):
         hs = h(grid.points)
         residual = h.t.tri_residual(hs, grid)
         if not residual <= tri_tol:  # a NaN residual fails as well
             raise TRIViolationError(residual, tri_tol)
-        group_for_range(Spectrum.from_stack(hs), first, last, gap_floor)
-        ends.append(hs)
-    hs0, hs1 = ends
+        spec = Spectrum.from_stack(hs)
+        group_for_range(spec, first, last, gap_floor)
+        ends.append((hs, spec))
+    (hs0, spec0), (hs1, spec1) = ends
+    solved = {0.0: spec0, 1.0: spec1}
 
     def probe(s: float):
         """(min_gap, c or None) of the tracked range at parameter s."""
-        spec = Spectrum.from_stack((1.0 - s) * hs0 + s * hs1)
+        spec = solved[s] if s in solved else Spectrum.from_stack((1.0 - s) * hs0 + s * hs1)
         min_gap = spec.bounding_gap(first, last)
         if min_gap <= gap_floor:
             return min_gap, None

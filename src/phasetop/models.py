@@ -11,6 +11,7 @@ part (TRIBrokenControl) are two projections of that table.
 from __future__ import annotations
 
 import inspect
+import math
 import numbers
 
 import numpy as np
@@ -187,8 +188,7 @@ def _perturbed(evaluate, t: AntiUnitary, manifold: Manifold, label: str,
         def evaluate(pts: np.ndarray) -> np.ndarray:
             return unperturbed(pts) + pert(pts)
 
-    return HamiltonianField(n_a=t.dim, manifold=manifold, t=t, evaluate=evaluate,
-                            label=label)
+    return HamiltonianField(manifold=manifold, t=t, evaluate=evaluate, label=label)
 
 
 def _spin_texture(mats: np.ndarray):
@@ -269,11 +269,9 @@ def random_tri(manifold, n_a: int = 4, cutoff: int = 3, seed: int = 0,
     # J = -i sigma_y (x) I, as every torus field does
     sign = 1 if manifold == Manifold.SPHERE and n_a > 2 else -1
     t = AntiUnitary(np.kron(sign * np.array([[0, 1], [-1, 0]]), np.eye(n_a // 2)))
-    return HamiltonianField(
-        n_a=n_a, manifold=manifold, t=t,
-        evaluate=_random_tri_field(t, manifold, cutoff, seed, scale),
-        label="RandomTRI",
-    )
+    return HamiltonianField(manifold=manifold, t=t,
+                            evaluate=_random_tri_field(t, manifold, cutoff, seed, scale),
+                            label="RandomTRI")
 
 
 def tri_broken(base: HamiltonianField, breaking_strength: float, seed: int = 1) -> HamiltonianField:
@@ -290,10 +288,8 @@ def tri_broken(base: HamiltonianField, breaking_strength: float, seed: int = 1) 
     def evaluate(pts: np.ndarray) -> np.ndarray:
         return base.evaluate(pts) + (breaking_strength / norm) * odd(pts)
 
-    return HamiltonianField(
-        n_a=base.n_a, manifold=base.manifold, t=base.t, evaluate=evaluate,
-        label="TRIBrokenControl",
-    )
+    return HamiltonianField(manifold=base.manifold, t=base.t, evaluate=evaluate,
+                            label="TRIBrokenControl")
 
 
 def _broken_control(base: dict, breaking_strength: float = 0.5,
@@ -321,7 +317,8 @@ def build(spec: dict) -> HamiltonianField:
     0.1, "seed": 3}.  The builder's signature is the one record of them: a
     parameter without a default is required, and one left out takes the
     builder's default.  Each optional parameter must have its default's type,
-    where an integer may stand for a float and a bool stands for neither.
+    where an integer may stand for a float and a bool stands for neither, and
+    a float parameter must be finite.
     """
     if not isinstance(spec, dict) or "variant" not in spec:
         raise ConfigError("model spec must be a mapping with a 'variant' key")
@@ -344,6 +341,8 @@ def build(spec: dict) -> HamiltonianField:
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ConfigError(f"{variant} parameter {key!r} must be "
                               f"{type(default).__name__}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{variant} parameter {key!r} must be finite, got {value!r}")
         if key == "seed" and value < 0:
             raise ConfigError(f"{variant} parameter 'seed' must be >= 0, got {value}")
         kwargs[key] = value

@@ -31,7 +31,7 @@ def constant_field(mat, manifold, t):
         pts = np.atleast_2d(pts)
         return np.broadcast_to(mat, (pts.shape[0],) + mat.shape).copy()
 
-    return HamiltonianField(mat.shape[0], manifold, t, evaluate)
+    return HamiltonianField(manifold, t, evaluate)
 
 
 def symmetrize_tri(evaluate, t, manifold):
@@ -43,7 +43,7 @@ def symmetrize_tri(evaluate, t, manifold):
         mirrored = evaluate(tr_image_batch(manifold, pts))
         return 0.5 * (evaluate(pts) + t.conjugate_field(mirrored))
 
-    return HamiltonianField(t.dim, manifold, t, tri_eval)
+    return HamiltonianField(manifold, t, tri_eval)
 
 
 def trivial_rank2_bundle():
@@ -100,7 +100,7 @@ def test_fermionic_j_is_skew():
 
 
 def test_check_tri_pauli_model():
-    h = HamiltonianField(2, Manifold.SPHERE, spin_half_tr(), pauli_field)
+    h = HamiltonianField(Manifold.SPHERE, spin_half_tr(), pauli_field)
     grid = build_grid(Manifold.SPHERE, 8, 16)
     residual, ok = bands.check_tri(h, grid)
     assert ok and residual <= 1e-12
@@ -154,7 +154,7 @@ def test_spectrum_deterministic_and_tr_even():
 
 
 def test_find_gapped_groups_pauli():
-    h = HamiltonianField(2, Manifold.SPHERE, spin_half_tr(), pauli_field)
+    h = HamiltonianField(Manifold.SPHERE, spin_half_tr(), pauli_field)
     grid = build_grid(Manifold.SPHERE, 8, 16)
     spec = bands.spectrum_on_grid(h, grid)
     groups = bands.find_gapped_groups(spec, 1e-6)
@@ -184,7 +184,7 @@ def test_find_gapped_groups_closing_parameter():
 
 
 def test_smooth_frame_rank1_covers_domain():
-    h = HamiltonianField(2, Manifold.SPHERE, spin_half_tr(), pauli_field)
+    h = HamiltonianField(Manifold.SPHERE, spin_half_tr(), pauli_field)
     grid = build_grid(Manifold.SPHERE, 16, 32)
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 0, 0.5)

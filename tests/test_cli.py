@@ -215,6 +215,28 @@ def test_broken_control_exits_3_with_record(tmp_path):
     assert rep["groups"] == []
 
 
+def test_numerical_failure_exits_3_with_record(tmp_path, capsys):
+    # both of torus seed 211's groups fail a det U loop step on 24x128 and
+    # 24x256 and meet a gap below the floor on 48x256: analyze writes the
+    # first failure and no group
+    cfg = write_config(tmp_path, "s211.json", {
+        "model": {"variant": "RandomTRI", "manifold": "torus", "seed": 211},
+        "grid": {"n_lat": 24, "n_lon": 128},
+        "tolerances": {"gap_floor": 0.03},
+    })
+    out = tmp_path / "rep.json"
+    assert run(["analyze", "--config", cfg, "--out", str(out)]) == 3
+    rep = json.loads(out.read_text())
+    jsonschema.validate(rep, REPORT_SCHEMA)
+    error = "bands [0, 1] are not gapped: min boundary gap 5.775e-03 <= floor 0.03"
+    assert rep["global"]["status"] == "numerical-failure"
+    assert rep["global"]["error"] == error
+    assert rep["global"]["tri_residual"] <= 1e-9
+    assert rep["global"]["chern_sum"] is None and rep["global"]["sum_rule_ok"] is None
+    assert rep["groups"] == []
+    assert capsys.readouterr().err == f"phasetop: error: {error}\n"
+
+
 def test_config_errors_exit_2(tmp_path):
     bad = write_config(tmp_path, "bad.json", {"model": {"variant": "Nope"}})
     assert run(["analyze", "--config", bad]) == 2
@@ -624,6 +646,23 @@ def test_malformed_model_parameters_exit_2(tmp_path, capsys, case):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("phasetop: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("model", [
+    {"variant": "KramersPairSphere", "epsilon": float("nan")},
+    {"variant": "TorusDoubledChern", "m": float("nan")},
+    {"variant": "RandomTRI", "manifold": "torus", "scale": float("inf")},
+    {"variant": "RotorSpin", "j": 0.5, "perturbation_strength": float("inf")},
+])
+def test_non_finite_model_parameters_exit_2(tmp_path, capsys, model):
+    # a NaN epsilon would run unperturbed (NaN > 0 is false) and write a NaN
+    # into the report; the others would fail the TRI check with a NaN residual
+    cfg = write_config(tmp_path, "m.json", {"model": model, "grid": {"n_lat": 16, "n_lon": 32}})
+    out = tmp_path / "report.json"
+    assert run(["analyze", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("phasetop: error: ") and "must be finite" in err
 
 
 @pytest.mark.parametrize("j", [1, True, "x", 0.75])

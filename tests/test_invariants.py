@@ -56,7 +56,7 @@ def test_chern_plaquette_constant_band_is_zero():
         flat = np.kron(np.eye(2), np.diag([1.0, -1.0])).astype(complex)
         return np.broadcast_to(flat, (pts.shape[0], 4, 4)).copy()
 
-    h = bands.HamiltonianField(4, Manifold.SPHERE, t, const)
+    h = bands.HamiltonianField(Manifold.SPHERE, t, const)
     spec = bands.spectrum_on_grid(h, SPHERE_GRID)
     group = bands.group_for_range(spec, 0, 1, 0.5)
     flux, c = invariants.chern_plaquette(spec.band_vectors(group), SPHERE_GRID)
@@ -133,9 +133,10 @@ RANK_REFUSAL = r"^Kane-Mele index needs even band-group rank$"
 def test_m_field_skew_and_pf_det_consistency():
     h = models.kramers_pair_sphere(epsilon=0.1, seed=0)
     spec, group, grid, frame = sphere_setup(h, 0, 1)
-    pf, skew = invariants.m_field(frame, h.t)
-    assert skew <= 1e-12
-    dets = np.linalg.det(m_matrices(frame.data, h.t))
+    pf = invariants.m_field(frame, h.t)
+    m = m_matrices(frame.data, h.t)
+    assert numkit.max_abs(m + m.transpose(0, 2, 1)) <= 1e-12
+    dets = np.linalg.det(m)
     assert np.max(np.abs(np.abs(pf) ** 2 - np.abs(dets))) <= 1e-6
 
 
@@ -157,19 +158,19 @@ def test_m_field_trivial_bundle_unit_pf():
         flat = np.kron(np.eye(2), np.diag([1.0, -1.0])).astype(complex)
         return np.broadcast_to(flat, (pts.shape[0], 4, 4)).copy()
 
-    h = bands.HamiltonianField(4, Manifold.SPHERE, t, const)
+    h = bands.HamiltonianField(Manifold.SPHERE, t, const)
     spec, group, grid, frame = sphere_setup(h, 0, 1, gap_floor=0.5)
-    pf, _ = invariants.m_field(frame, h.t)
+    pf = invariants.m_field(frame, h.t)
     assert np.max(np.abs(np.abs(pf) - 1.0)) <= 1e-12
     k, census, notes = invariants._km_and_census(h, frame, pf, Tolerances(gap_floor=0.5))
-    assert k == 0 and census.entries == [] and census.total == 0 and notes == []
+    assert k == 0 and census == [] and sum(w for _, w in census) == 0 and notes == []
 
 
 def test_km_boundary_equals_half_chern():
     h = models.kramers_pair_sphere(epsilon=0.1, seed=0)
     spec, group, grid, frame = sphere_setup(h, 0, 1)
     _, c = invariants.chern_plaquette(spec.band_vectors(group), SPHERE_GRID)
-    pf, _ = invariants.m_field(frame, h.t)
+    pf = invariants.m_field(frame, h.t)
     k, _, _ = invariants._km_and_census(h, frame, pf, TOL)
     assert 2 * k == c
 
@@ -177,10 +178,10 @@ def test_km_boundary_equals_half_chern():
 def test_km_census_matches_boundary_exactly():
     h = models.kramers_pair_sphere(epsilon=0.1, seed=0)
     spec, group, grid, frame = sphere_setup(h, 0, 1)
-    pf, _ = invariants.m_field(frame, h.t)
+    pf = invariants.m_field(frame, h.t)
     k, census, _ = invariants._km_and_census(h, frame, pf, TOL)
-    assert census.total == k
-    signs = {np.sign(w) for _, w in census.entries}
+    assert sum(w for _, w in census) == k
+    signs = {np.sign(w) for _, w in census}
     assert len(signs) == 1
 
 
@@ -197,7 +198,7 @@ def test_boundary_sums_match_explicit_torus_differences():
         wn_plus, wn_minus = (numkit.det_winding(u) for u in loops)
         c = invariants.chern_winding(loops)
         assert c == wn_plus - wn_minus
-        pf, _ = invariants.m_field(frame, h.t)
+        pf = invariants.m_field(frame, h.t)
         w0, w1 = (numkit.winding_number(pf[loop])
                   for loop in TORUS_GRID.boundary_loops)
         k, _, _ = invariants._km_and_census(h, frame, pf, TOL)
@@ -213,7 +214,7 @@ def test_km_transform_identity_under_tr_shift():
     # out of every winding, so no integer output depends on it
     h = models.kramers_pair_sphere(epsilon=0.1, seed=0)
     spec, group, grid, frame = sphere_setup(h, 0, 1)
-    pf, _ = invariants.m_field(frame, h.t)
+    pf = invariants.m_field(frame, h.t)
     (u,), _, _ = bands.transition_loops(frame, h.t)
     eq = grid.boundary_loops[0]
     m_eq = m_matrices(frame.data, h.t)[eq]
@@ -231,11 +232,11 @@ def test_km_torus_boundary_and_rank1_rejection():
     spec = bands.spectrum_on_grid(h, TORUS_GRID)
     group = bands.group_for_range(spec, 0, 1, 0.05)
     frame = bands.smooth_frame(spec, group, TORUS_GRID)
-    pf, _ = invariants.m_field(frame, h.t)
+    pf = invariants.m_field(frame, h.t)
     k, census, _ = invariants._km_and_census(h, frame, pf, TOL)
     _, c = invariants.chern_plaquette(spec.band_vectors(group), TORUS_GRID)
     assert 2 * k == c
-    assert census.total == k
+    assert sum(w for _, w in census) == k
 
     h1 = models.rotor_spin(0.5)
     spec1, group1, grid1, frame1 = sphere_setup(h1, 0, 0)
@@ -252,7 +253,7 @@ def test_km_census_degenerate_stratum_raises():
     spec = bands.spectrum_on_grid(h, TORUS_GRID)
     group = bands.group_for_range(spec, 0, 1, 0.05)
     frame = bands.smooth_frame(spec, group, TORUS_GRID)
-    pf, _ = invariants.m_field(frame, h.t)
+    pf = invariants.m_field(frame, h.t)
     k, census, notes = invariants._km_and_census(h, frame, pf, TOL)
     assert k in (-1, 1)  # TRI lines stay unitary
     assert census is None and notes == [
@@ -543,6 +544,21 @@ def test_last_rung_pf_loop_step_leaves_k_undefined(monkeypatch):
                              "|pf M| = 1.586e-02 < 0.03 at a sub-point"]
 
 
+def test_last_rung_det_loop_step_is_a_plain_resolution_error(monkeypatch):
+    # with no rung to climb, sphere seed 140's det U loop step fails on the
+    # start grid, and the ladder raises it as a plain ResolutionError, the
+    # name that a caller records, so LoopStepError stays inside the ladder
+    monkeypatch.setattr(invariants, "MAX_GRID_REFINEMENTS", 0)
+    h = models.random_tri("sphere", 4, cutoff=3, seed=140)
+    _, groups, results = invariants.analyze_model(h, build_grid(Manifold.SPHERE, 32, 64),
+                                                  Tolerances(gap_floor=0.05))
+    assert len(groups) == len(results) == 2
+    for res in results:
+        assert type(res) is ResolutionError
+        assert str(res) == ("phase step 1.6896 rad >= pi/2 between samples 23 and 24 "
+                            "of 64; loop under-resolved, refine sampling")
+
+
 # the criterion-5 groups checked against the n_lon rung, (manifold, seed,
 # start shape, gap floor, group ids, refinements): sphere seeds 129, 130 and
 # 139 split their pf M boundary steps and verify on the start grid, the
@@ -710,7 +726,7 @@ def _seed_200_refined_census():
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.group_for_range(spec, 0, 1, SEED_200_TOL.gap_floor)
     frame = bands.smooth_frame(spec, group, grid)
-    return h, group, frame, invariants.m_field(frame, h.t)[0]
+    return h, group, frame, invariants.m_field(frame, h.t)
 
 
 def _flagged_edges(frame, pf):
@@ -796,8 +812,8 @@ def test_split_step_matches_a_fine_walk_and_enters_both_plaquettes(monkeypatch):
         if round(w):
             windings[int(pid)] = int(round(w))
     assert len(shared) == 2 and shared[0] == -shared[1]
-    assert dict(census.entries) == windings
-    assert census.total == k == 1
+    assert dict(census) == windings
+    assert sum(w for _, w in census) == k == 1
 
 
 def test_split_takes_one_eigh_call_per_pass_and_no_polar_call(monkeypatch):
@@ -839,7 +855,7 @@ def test_split_link_phases_match_the_polar_transport(seed):
     assert [group.rank for group in groups] == [2, 2]
     for group in groups:
         frame = bands.smooth_frame(spec, group, SEED_200_GRID)
-        pf, _ = invariants.m_field(frame, h.t)
+        pf = invariants.m_field(frame, h.t)
         ids = _flagged_edges(frame, pf)
         assert ids.size
         steps = invariants._split_steps(h, frame, pf, ids, 1e-3)
@@ -960,7 +976,7 @@ def test_settled_edges_match_a_4096_part_walk(manifold, seed, shape, gap_floor):
     frame = bands.smooth_frame(bands.spectrum_on_grid(h, grid), group, grid)
     # the returned frame and pf M are the ones on the refined grid, bit for bit
     assert np.array_equal(fields.frame.data, frame.data)
-    assert np.array_equal(pf, invariants.m_field(frame, h.t)[0])
+    assert np.array_equal(pf, invariants.m_field(frame, h.t))
     ids = _flagged_edges(frame, pf)
     steps = invariants._split_steps(h, frame, pf, ids, gap_floor)
     # the torus group fails a loop step first and verifies on 24x256
@@ -982,7 +998,7 @@ def _sphere_frame(h, gid, grid):
     spec = bands.spectrum_on_grid(h, grid)
     group = bands.find_gapped_groups(spec, 0.05)[gid]
     frame = bands.smooth_frame(spec, group, grid)
-    return group, frame, invariants.m_field(frame, h.t)[0]
+    return group, frame, invariants.m_field(frame, h.t)
 
 
 @pytest.mark.parametrize("seed, gid, k", [(129, 1, 0), (139, 2, 1)])
@@ -1028,7 +1044,7 @@ def test_boundary_split_on_the_wrap_edge(monkeypatch):
     k, census, _, calls = _recorded_km(monkeypatch, turned, frame, pf, TOL)
     (loop,) = grid.boundary_loops
     (ids, _), = calls
-    assert k == census.total == 1 and grid.edges[ids].tolist() == [[loop[0], loop[63]]]
+    assert k == sum(w for _, w in census) == 1 and grid.edges[ids].tolist() == [[loop[0], loop[63]]]
     assert grid.loop_sign[0, 63] == -1
     rep = invariants.verify_group(turned, frame.group, grid, TOL, group_id=2)
     assert (rep.refinements, rep.c_plaquette, rep.k, rep.census_total) == (0, 2, 1, 1)
@@ -1046,7 +1062,7 @@ def test_no_edge_is_split_twice(monkeypatch):
     assert len(calls) == 1 and len(set(ids)) == len(ids) == 4
     assert set(_flagged_edges(frame, pf).tolist()) < set(ids)
     assert notes == ["KM boundary: 4 steps split", "census: 2 edges split"]
-    assert k == census.total == 0 and census.entries == [(971, -1), (987, 1)]
+    assert k == sum(w for _, w in census) == 0 and census == [(971, -1), (987, 1)]
 
 
 def test_failed_boundary_split_leaves_k_unresolved():
@@ -1191,7 +1207,7 @@ def test_trivial_torus_bundle_zero_by_both_routes():
         flat = np.kron(np.eye(2), np.diag([1.0, -1.0])).astype(complex)
         return np.broadcast_to(flat, (pts.shape[0], 4, 4)).copy()
 
-    h = bands.HamiltonianField(4, Manifold.TORUS, t, const)
+    h = bands.HamiltonianField(Manifold.TORUS, t, const)
     grid = build_grid(Manifold.TORUS, 8, 16)
     residual, ok = bands.check_tri(h, grid, 1e-12)
     assert ok, residual

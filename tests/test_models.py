@@ -309,7 +309,7 @@ def test_tri_path_intermediate_fields_remain_tri():
     def halfway(pts):
         return 0.5 * h0.evaluate(pts) + 0.5 * h1.evaluate(pts)
 
-    h_mid = bands.HamiltonianField(2, Manifold.SPHERE, h0.t, halfway)
+    h_mid = bands.HamiltonianField(Manifold.SPHERE, h0.t, halfway)
     residual, ok = bands.check_tri(h_mid, SPHERE_GRID, 1e-9)
     assert ok, residual
 
@@ -332,7 +332,7 @@ def test_tri_path_kramers_to_trivial_closes():
         pts = np.atleast_2d(pts)
         return np.broadcast_to(flat.astype(complex), (pts.shape[0], 4, 4)).copy()
 
-    h1 = bands.HamiltonianField(4, Manifold.SPHERE, t, const)
+    h1 = bands.HamiltonianField(Manifold.SPHERE, t, const)
     residual, ok = bands.check_tri(h1, SPHERE_GRID, 1e-9)
     assert ok
     path = invariants.tri_path(h0, h1, SPHERE_GRID, (0, 1), steps=13, gap_floor=1e-3)
@@ -357,6 +357,28 @@ def test_tri_path_evaluates_each_endpoint_once():
     assert path.verdict == "GAP-CLOSES" and len(path.samples) >= 21
     n = SPHERE_GRID.n_vertices
     assert evaluated == [("h0", n), ("h1", n)]
+
+
+@pytest.mark.parametrize("h0, h1, steps, solves", [
+    (models.rotor_spin(0.5), models.rotor_spin(0.5, perturbation_strength=0.2, seed=5),
+     11, 11),
+    (models.random_tri("sphere", 2, cutoff=2, seed=SEED_C_PLUS_ONE),
+     models.random_tri("sphere", 2, cutoff=2, seed=SEED_C_MINUS_ONE), 21, 22),
+])
+def test_tri_path_solves_each_sample_once(monkeypatch, h0, h1, steps, solves):
+    # the endpoint spectra of the gap checks are the s = 0 and s = 1 samples,
+    # so each sample, the bisection's too, takes one eigh call; these are the
+    # two paths of the deform golden files
+    calls, eigh_many = [], numkit.eigh_many
+
+    def counted(hs):
+        calls.append(len(hs))
+        return eigh_many(hs)
+
+    monkeypatch.setattr(numkit, "eigh_many", counted)
+    path = invariants.tri_path(h0, h1, SPHERE_GRID, (0, 0), steps=steps, gap_floor=1e-3)
+    assert len(calls) == len(path.samples) == solves
+    assert calls == [SPHERE_GRID.n_vertices] * solves
 
 
 def interleaved_tri_path(h0, h1, grid, band_range, steps, gap_floor):

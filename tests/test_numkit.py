@@ -108,6 +108,19 @@ def test_polar_minimizes_frobenius_distance():
     assert np.linalg.norm(u - a) <= best.fun + 1e-6
 
 
+def test_polar_svd_fallback_returns_the_polar_factor():
+    # sigma_min = 1e-6 grows by at most 3/2 a sweep, so this entry is still
+    # iterating after POLAR_SWEEPS sweeps and takes the SVD; the unitary
+    # entry next to it converges before any sweep and comes back untouched
+    rng = np.random.default_rng(7)
+    q1, q2, unitary = (np.linalg.qr(rng.standard_normal((3, 3))
+                                    + 1j * rng.standard_normal((3, 3)))[0] for _ in range(3))
+    a = q1 @ np.diag([1.0, 0.5, 1e-6]) @ q2
+    u = numkit.polar_unitary(np.stack([a, unitary]))
+    assert numkit.max_abs(u[0] - q1 @ q2) <= 1e-10
+    assert np.array_equal(u[1], unitary)
+
+
 def test_polar_rejects_singular():
     with pytest.raises(SingularityError):
         numkit.polar_unitary(np.diag([1.0, 1e-14]))
