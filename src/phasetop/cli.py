@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -45,6 +44,9 @@ def _fail(msg: str, code: int) -> int:
 
 
 def _load_config(path: str) -> dict:
+    """The config at path, checked: its top-level keys, a 'model' object,
+    integer grid sizes, and tolerances that are Tolerances fields and
+    positive finite numbers."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -54,32 +56,18 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    return cfg
-
-
-def _positive(name: str, val) -> float:
-    """val, if it is a positive finite number and not a bool."""
-    if (isinstance(val, bool) or not isinstance(val, (int, float))
-            or not (math.isfinite(val) and val > 0)):
-        raise ConfigError(f"{name} must be a positive finite number, got {val!r}")
-    return val
-
-
-def _validate_config(cfg: dict) -> dict:
-    known = {"model", "grid", "tolerances"}
-    extra = set(cfg) - known
+    extra = set(cfg) - {"model", "grid", "tolerances"}
     if extra:
         raise ConfigError(f"unknown config keys: {sorted(extra)}")
-    if "model" not in cfg or not isinstance(cfg["model"], dict):
+    if not isinstance(cfg.get("model"), dict):
         raise ConfigError("config needs a 'model' object")
     grid = cfg.get("grid", {})
     if not isinstance(grid, dict):
         raise ConfigError("'grid' must be an object with n_lat/n_lon")
     for key in ("n_lat", "n_lon"):
-        if key in grid:
-            val = grid[key]
-            if not isinstance(val, int) or val < 8 or val % 2 != 0:
-                raise ConfigError(f"grid.{key} must be an even integer >= 8")
+        val = grid.get(key, 0)
+        if isinstance(val, bool) or not isinstance(val, int):
+            raise ConfigError(f"grid.{key} must be an integer, got {val!r}")
     tol = cfg.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("'tolerances' must be an object")
@@ -91,24 +79,34 @@ def _validate_config(cfg: dict) -> dict:
     return cfg
 
 
-def _tolerances(cfg: dict) -> Tolerances:
-    return Tolerances(**cfg.get("tolerances", {}))
+def _positive(name: str, val):
+    """val, as given, if it is a positive models.finite_real."""
+    if not models.finite_real(name, val) > 0:
+        raise ConfigError(f"{name} must be positive, got {val!r}")
+    return val
 
 
-def _gap_floor(flag, cfg: dict, default: float) -> float:
-    """A given --gap-floor, else the config's tolerances.gap_floor, else default."""
-    if flag is not None:
-        return _positive("--gap-floor", flag)
-    return cfg.get("tolerances", {}).get("gap_floor", default)
+def _tolerances(cfg: dict, flag=None, default: float = Tolerances.gap_floor) -> Tolerances:
+    """The config's tolerances, with the gap floor a given --gap-floor, else
+    the config's tolerances.gap_floor, else the command's default."""
+    tol = cfg.get("tolerances", {})
+    gap_floor = tol.get("gap_floor", default) if flag is None else _positive("--gap-floor", flag)
+    return Tolerances(**{**tol, "gap_floor": gap_floor})
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
-    """The (n_lat, n_lon) of a --grid value LATxLON."""
-    try:
-        lat, lon = text.lower().split("x")
-        return int(lat), int(lon)
-    except ValueError:
-        raise ConfigError(f"--grid expects LATxLON, got {text!r}")
+def _grid_for(manifold: Manifold, cfg: dict, override: str | None):
+    """The grid of a --grid LATxLON, else of the config's grid, else the
+    manifold's default; build_grid checks that each size is even and >= 8."""
+    if override:
+        try:
+            n_lat, n_lon = (int(n) for n in override.lower().split("x"))
+        except ValueError:
+            raise ConfigError(f"--grid expects LATxLON, got {override!r}")
+    else:
+        grid = cfg.get("grid", {})
+        n_lat, n_lon = (grid.get(key, n) for key, n in
+                        zip(("n_lat", "n_lon"), _DEFAULT_GRIDS[manifold]))
+    return build_grid(manifold, n_lat, n_lon)
 
 
 def _band_range(text: str, n_a: int) -> tuple[int, int]:
@@ -120,17 +118,6 @@ def _band_range(text: str, n_a: int) -> tuple[int, int]:
     if not 0 <= first <= last < n_a:
         raise ConfigError(f"--group {text} is not a band range within 0..{n_a - 1}")
     return first, last
-
-
-def _grid_for(cfg: dict, h_field, override: str | None):
-    if override:
-        n_lat, n_lon = _parse_grid(override)
-    else:
-        g = cfg.get("grid", {})
-        default = _DEFAULT_GRIDS[h_field.manifold]
-        n_lat = g.get("n_lat", default[0])
-        n_lon = g.get("n_lon", default[1])
-    return build_grid(h_field.manifold, n_lat, n_lon)
 
 
 def _json_dump(obj: dict, path: str | None) -> None:
@@ -185,11 +172,11 @@ def _write_dumps(dump_dir: str, verified) -> None:
 
 
 def cmd_analyze(args) -> int:
-    cfg = _validate_config(_load_config(args.config))
+    cfg = _load_config(args.config)
     if args.seed is not None:
         cfg = {**cfg, "model": {**cfg["model"], "seed": args.seed}}
     h_field = models.build(cfg["model"])
-    grid = _grid_for(cfg, h_field, args.grid)
+    grid = _grid_for(h_field.manifold, cfg, args.grid)
     tol = _tolerances(cfg)
     report = {**_report_header(cfg), "groups": [], "global": {}}
     report["config"]["grid"] = {"n_lat": grid.n_lat, "n_lon": grid.n_lon}
@@ -239,9 +226,8 @@ def cmd_random_suite(args) -> int:
     if args.count < 1:
         raise ConfigError("--count must be >= 1")
     manifold = Manifold(args.manifold)
-    n_lat, n_lon = _parse_grid(args.grid) if args.grid else _DEFAULT_GRIDS[manifold]
-    grid = build_grid(manifold, n_lat, n_lon)
-    tol = Tolerances(gap_floor=_positive("--gap-floor", args.gap_floor))
+    grid = _grid_for(manifold, {}, args.grid)
+    tol = _tolerances({}, args.gap_floor)
     started = time.perf_counter()
 
     tally = {
@@ -322,15 +308,15 @@ def cmd_random_suite(args) -> int:
 
 
 def cmd_deform(args) -> int:
-    cfg_a = _validate_config(_load_config(args.config_a))
-    cfg_b = _validate_config(_load_config(args.config_b))
-    gap_floor = _gap_floor(args.gap_floor, cfg_a, 1e-3)
+    cfg_a = _load_config(args.config_a)
+    cfg_b = _load_config(args.config_b)
+    tol = _tolerances(cfg_a, args.gap_floor, 1e-3)
     h0 = models.build(cfg_a["model"])
     h1 = models.build(cfg_b["model"])
-    grid = _grid_for(cfg_a, h0, args.grid)
+    grid = _grid_for(h0.manifold, cfg_a, args.grid)
     first, last = _band_range(args.group, h0.n_a)
-    path = tri_path(h0, h1, grid, (first, last), steps=args.steps, gap_floor=gap_floor,
-                    tri_tol=_tolerances(cfg_a).tri_tol)
+    path = tri_path(h0, h1, grid, (first, last), steps=args.steps, gap_floor=tol.gap_floor,
+                    tri_tol=tol.tri_tol)
     report = {
         **_report_header({
             "model_a": cfg_a["model"],
@@ -338,7 +324,7 @@ def cmd_deform(args) -> int:
             "steps": args.steps,
             "group": [first, last],
             "grid": {"n_lat": grid.n_lat, "n_lon": grid.n_lon},
-            "gap_floor": gap_floor,
+            "gap_floor": tol.gap_floor,
         }),
         "verdict": path.verdict,
         "chern": path.chern,
@@ -352,13 +338,13 @@ def cmd_deform(args) -> int:
 
 
 def cmd_gauge_demo(args) -> int:
-    cfg = _validate_config(_load_config(args.config))
-    tol = dataclasses.replace(_tolerances(cfg), gap_floor=_gap_floor(args.gap_floor, cfg, 0.05))
+    cfg = _load_config(args.config)
+    tol = _tolerances(cfg, args.gap_floor, 0.05)
     h_field = models.build(cfg["model"])
     sphere = h_field.manifold == Manifold.SPHERE
     if args.target_c is not None and not sphere:
         raise ConfigError("--target-c applies to sphere models only")
-    grid = _grid_for(cfg, h_field, args.grid)
+    grid = _grid_for(h_field.manifold, cfg, args.grid)
     first, last = _band_range(args.group, h_field.n_a)
     tri_residual, tri_ok = check_tri(h_field, grid, tol.tri_tol)
     if not tri_ok:  # a NaN residual fails as well

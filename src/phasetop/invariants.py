@@ -62,7 +62,6 @@ FLUX_CAP = np.pi - 0.1            # largest admissible |plaquette flux|
 CENSUS_EDGE_CAP = np.pi - 0.2     # pf M phase step that puts a zero on an edge
 PF_HARD_FLOOR = 1e-12             # |pf M| below which pf M vanishes at a point
 CENSUS_EDGE_PARTS = 16            # equal parts a census edge is cut into
-MAX_GRID_REFINEMENTS = 1          # doublings of each grid direction a retry may take
 MAX_LOOP_SAMPLES = 2 ** 14        # no refinement past this many boundary samples
 
 
@@ -460,8 +459,8 @@ def verify_group_fields(h_field: HamiltonianField, band_range: tuple, grid: Grid
     phase step (LoopStepError; a pf M step is split instead)
     first doubles n_lon alone; any other trigger, or a failure on that grid,
     doubles n_lat as well, so no grid is finer than the first with both
-    directions doubled MAX_GRID_REFINEMENTS times, and none has loops longer
-    than MAX_LOOP_SAMPLES.  The report counts its retries in refinements and
+    directions doubled once, and none has loops longer than
+    MAX_LOOP_SAMPLES.  The report counts its retries in refinements and
     names each rung and its trigger in its notes ("refined to 24x256: phase
     step ...").  A resolution failure on the last rung is raised as a plain
     ResolutionError, so LoopStepError stays inside the ladder; a GapError is
@@ -502,13 +501,12 @@ def verify_group_fields(h_field: HamiltonianField, band_range: tuple, grid: Grid
 
 def _doublings(start: Grid, grid: Grid) -> tuple[bool, bool]:
     """Whether the retry ladder may still double n_lat and n_lon of grid:
-    each direction at most MAX_GRID_REFINEMENTS times from start, and
-    neither when the doubled loops of start would pass MAX_LOOP_SAMPLES.
-    The rung where neither may double is the last."""
-    limit = 1 << MAX_GRID_REFINEMENTS
-    if start.n_lon * limit > MAX_LOOP_SAMPLES:
+    each direction at most once from start, and neither when the doubled
+    loops of start would pass MAX_LOOP_SAMPLES.  The rung where neither may
+    double is the last."""
+    if 2 * start.n_lon > MAX_LOOP_SAMPLES:
         return False, False
-    return grid.n_lat < start.n_lat * limit, grid.n_lon < start.n_lon * limit
+    return grid.n_lat == start.n_lat, grid.n_lon == start.n_lon
 
 
 def analyze_model(h_field: HamiltonianField, grid: Grid,

@@ -28,10 +28,22 @@ SIGMA = {
 }
 
 
+def finite_real(name: str, value):
+    """value, as given, if it is a real number other than a bool that a float
+    holds finitely; an integer stays an integer, so a config echoes its bytes."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    try:
+        if math.isfinite(value):
+            return value
+    except OverflowError:  # an integer too large for a float
+        pass
+    raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
 def angular_momentum(j: float):
     """Spin-j matrices (Jx, Jy, Jz) in the standard |j, m> basis, m descending."""
-    if not (isinstance(j, (int, float)) and 0 < j < np.inf
-            and abs(2 * j - round(2 * j)) <= 1e-12):
+    if not (finite_real("j", j) > 0 and abs(2 * j - round(2 * j)) <= 1e-12):
         raise ConfigError(f"j must be a positive half-integer or integer, got {j!r}")
     dim = int(round(2 * j)) + 1
     m = j - np.arange(dim)
@@ -318,7 +330,7 @@ def build(spec: dict) -> HamiltonianField:
     parameter without a default is required, and one left out takes the
     builder's default.  Each optional parameter must have its default's type,
     where an integer may stand for a float and a bool stands for neither, and
-    a float parameter must be finite.
+    a float parameter must pass finite_real.
     """
     if not isinstance(spec, dict) or "variant" not in spec:
         raise ConfigError("model spec must be a mapping with a 'variant' key")
@@ -337,12 +349,10 @@ def build(spec: dict) -> HamiltonianField:
             kwargs[key] = spec[key]
             continue
         value = spec.get(key, default)
-        kind = numbers.Real if isinstance(default, float) else numbers.Integral
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ConfigError(f"{variant} parameter {key!r} must be "
-                              f"{type(default).__name__}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{variant} parameter {key!r} must be finite, got {value!r}")
+        if isinstance(default, float):
+            finite_real(f"{variant} parameter {key!r}", value)
+        elif isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{variant} parameter {key!r} must be int, got {value!r}")
         if key == "seed" and value < 0:
             raise ConfigError(f"{variant} parameter 'seed' must be >= 0, got {value}")
         kwargs[key] = value

@@ -653,10 +653,16 @@ def test_malformed_model_parameters_exit_2(tmp_path, capsys, case):
     {"variant": "TorusDoubledChern", "m": float("nan")},
     {"variant": "RandomTRI", "manifold": "torus", "scale": float("inf")},
     {"variant": "RotorSpin", "j": 0.5, "perturbation_strength": float("inf")},
+    # integers that no float holds
+    {"variant": "KramersPairSphere", "epsilon": 10 ** 400},
+    {"variant": "RandomTRI", "manifold": "torus", "scale": 10 ** 400},
+    {"variant": "RotorSpin", "j": 10 ** 400},
 ])
 def test_non_finite_model_parameters_exit_2(tmp_path, capsys, model):
     # a NaN epsilon would run unperturbed (NaN > 0 is false) and write a NaN
-    # into the report; the others would fail the TRI check with a NaN residual
+    # into the report; the other non-finite floats would fail the TRI check
+    # with a NaN residual, and an integer too large for a float would crash
+    # the builder with an OverflowError
     cfg = write_config(tmp_path, "m.json", {"model": model, "grid": {"n_lat": 16, "n_lon": 32}})
     out = tmp_path / "report.json"
     assert run(["analyze", "--config", cfg, "--out", str(out)]) == 2
@@ -689,17 +695,21 @@ def test_rotor_spin_without_half_integer_j_exits_2(tmp_path, capsys, j):
     ["deform", "--config-a", "CFG", "--config-b", "CFG", "--gap-floor", "0"],
     ["gauge-demo", "--config", "CFG", "--gap-floor=-inf"],
     ["gauge-demo", "--config", "CFG", "--gap-floor=-0.05"],
+    # an integer that no float holds
+    {"tolerances": {"gap_floor": 10 ** 400}},
 ])
 def test_tolerance_gap_floor_and_seed_validation_exits_2(tmp_path, capsys, case):
-    # a tolerance or --gap-floor is a positive finite number, not a bool; a
-    # top-level seed is an unknown key
+    # a tolerance or --gap-floor is a positive number, not a bool, that a
+    # float holds finitely; a top-level seed is an unknown key.  No report
+    # is written
     if isinstance(case, dict):
         argv = ["analyze", "--config", write_config(tmp_path, "c.json", {**ROTOR, **case})]
     else:
         cfg = write_config(tmp_path, "c.json", ROTOR)
         argv = [cfg if arg == "CFG" else arg for arg in case]
     assert run(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("phasetop: error: ") and err.count("\n") == 1
 
 

@@ -533,8 +533,8 @@ def test_last_rung_pf_loop_step_leaves_k_undefined(monkeypatch):
     h = models.random_tri("sphere", 4, cutoff=3, seed=129)
     group = bands.find_gapped_groups(bands.spectrum_on_grid(h, grid), tol.gap_floor)[1]
     monkeypatch.setattr(invariants, "PF_HARD_FLOOR", 0.03)
-    for rungs in (invariants.MAX_GRID_REFINEMENTS, 0):
-        monkeypatch.setattr(invariants, "MAX_GRID_REFINEMENTS", rungs)
+    for cap in (invariants.MAX_LOOP_SAMPLES, grid.n_lon):
+        monkeypatch.setattr(invariants, "MAX_LOOP_SAMPLES", cap)
         rep = invariants.verify_group(h, group, grid, tol, 1)
         assert (rep.grid_n_lat, rep.grid_n_lon, rep.refinements) == (32, 64, 0)
         assert rep.c_plaquette == rep.c_winding == 0 and rep.violations() == []
@@ -548,10 +548,10 @@ def test_last_rung_det_loop_step_is_a_plain_resolution_error(monkeypatch):
     # with no rung to climb, sphere seed 140's det U loop step fails on the
     # start grid, and the ladder raises it as a plain ResolutionError, the
     # name that a caller records, so LoopStepError stays inside the ladder
-    monkeypatch.setattr(invariants, "MAX_GRID_REFINEMENTS", 0)
+    grid = build_grid(Manifold.SPHERE, 32, 64)
+    monkeypatch.setattr(invariants, "MAX_LOOP_SAMPLES", grid.n_lon)
     h = models.random_tri("sphere", 4, cutoff=3, seed=140)
-    _, groups, results = invariants.analyze_model(h, build_grid(Manifold.SPHERE, 32, 64),
-                                                  Tolerances(gap_floor=0.05))
+    _, groups, results = invariants.analyze_model(h, grid, Tolerances(gap_floor=0.05))
     assert len(groups) == len(results) == 2
     for res in results:
         assert type(res) is ResolutionError

@@ -77,8 +77,9 @@ def test_no_module_imports_another_modules_private_names():
 
 # the per-group pipeline; gauge-demo reads its group, frame and loops from
 # invariants.verify_group_fields instead
-PIPELINE = {"spectrum_on_grid", "group_for_range", "smooth_frame", "fundamental_domain",
-            "chern_winding"}
+PIPELINE = {"spectrum_on_grid", "find_gapped_groups", "group_for_range", "smooth_frame",
+            "frame_residuals", "chern_plaquette", "chern_winding", "m_field", "km_boundary",
+            "km_census", "kramers_check", "refine_grid"}
 
 
 def test_cli_builds_no_pipeline_of_its_own():
