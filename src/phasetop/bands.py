@@ -298,10 +298,18 @@ def smooth_frame(spectrum: Spectrum, group: BandGroup, grid: Grid) -> Frame:
     SingularityError.  smooth_frame is the one code that moves a frame.
     The frame holds its values alone; its
     continuity is measured by frame_residuals.
+
+    The whole bundle (rank N_A) is trivial and every slab is unitary, so a
+    step maps W to b b^dagger W = W: its frame is the seed slab at every
+    vertex, a read-only broadcast, with no step taken.
     """
     chains = grid.transport_chains
-    L, rows = chains.shape
     nb = group.rank
+    if nb == spectrum.n_a:
+        seed = spectrum.vectors[chains[0, 0]]
+        return Frame(grid=grid, group=group,
+                     data=np.broadcast_to(seed, (grid.n_domain_vertices,) + seed.shape))
+    L, rows = chains.shape
     path = spectrum.band_vectors(group)[chains]       # (L, rows, N_A, N_B)
     # one overlap per step up every chain, then on the torus one per step
     # along the base row, the last of them back to the seed

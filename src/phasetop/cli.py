@@ -52,8 +52,10 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
+    except OSError as exc:  # a directory, or a file that cannot be read
+        raise ConfigError(f"config cannot be read: {exc}")
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer past Python's digit limit
+        raise ConfigError(f"config cannot be decoded: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     extra = set(cfg) - {"model", "grid", "tolerances"}

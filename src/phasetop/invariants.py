@@ -48,6 +48,7 @@ from .errors import (
     TRIViolationError,
 )
 from .phasespace import (
+    MAX_LOOP_SAMPLES,
     Grid,
     Manifold,
     edge_points,
@@ -62,7 +63,6 @@ FLUX_CAP = np.pi - 0.1            # largest admissible |plaquette flux|
 CENSUS_EDGE_CAP = np.pi - 0.2     # pf M phase step that puts a zero on an edge
 PF_HARD_FLOOR = 1e-12             # |pf M| below which pf M vanishes at a point
 CENSUS_EDGE_PARTS = 16            # equal parts a census edge is cut into
-MAX_LOOP_SAMPLES = 2 ** 14        # no refinement past this many boundary samples
 
 
 def chern_plaquette(vectors: np.ndarray, grid: Grid) -> tuple[np.ndarray, int]:

@@ -16,7 +16,6 @@ import numbers
 
 import numpy as np
 
-from . import numkit
 from .bands import AntiUnitary, HamiltonianField
 from .errors import ConfigError
 from .phasespace import Manifold, directions
@@ -125,10 +124,16 @@ def _coefficient_table(manifold: Manifold, n: int, cutoff: int, seed: int):
     cos_part = np.concatenate([c[:1], c[1:] + c_h[1:]])
     sin_part = np.concatenate([np.zeros_like(c[:1]), 1j * (c[1:] - c_h[1:])])
     mode_a, mode_b = np.array(modes).T
+    multiples = np.arange(-cutoff, cutoff + 1)
 
     def basis(pts: np.ndarray) -> np.ndarray:
-        theta = np.multiply.outer(pts[:, 0], mode_a) + np.multiply.outer(pts[:, 1], mode_b)
-        return np.hstack([np.cos(theta), np.sin(theta)])
+        # the angle-sum formulas as one complex product: e^{i (a q + b p)} =
+        # e^{i a q} e^{i b p}, from the cutoff + 1 multiples a q and the
+        # 2 cutoff + 1 multiples b p
+        along_q = np.exp(1j * np.multiply.outer(pts[:, 0], multiples[cutoff:]))
+        along_p = np.exp(1j * np.multiply.outer(pts[:, 1], multiples))
+        phase = along_q[:, mode_a] * along_p[:, mode_b + cutoff]
+        return np.hstack([phase.real, phase.imag])
 
     # tau maps mode (a, b) to (a, -b); for a = 0 that is the mode itself with
     # its sine negated
@@ -140,17 +145,36 @@ def _coefficient_table(manifold: Manifold, n: int, cutoff: int, seed: int):
             np.concatenate([np.ones(len(modes)), flip]))
 
 
+# basis values per block of points: the basis and its temporaries stay in cache
+BASIS_BLOCK = 1 << 14
+# real multiply-adds per block of the product: small enough that BLAS runs it
+# on the calling thread
+PRODUCT_BLOCK = 1 << 17
+
+
 def _table_field(basis, table: np.ndarray):
     """The field x -> basis(x) @ table as an (m, n, n) stack.
 
     The complex table entries are read as (re, im) float pairs, so this is
-    one real product, numkit.blocked_matmul.
+    one real product.  It is taken on sub-blocks of `rows` points, at most
+    PRODUCT_BLOCK multiply-adds each, and the basis on blocks of a whole
+    number of sub-blocks, at most BASIS_BLOCK values where one sub-block
+    fits.  So the sub-blocks fall where one row-blocked product over all the
+    points puts them: BLAS may round a row differently in a short sub-block,
+    and only the last sub-block of a call is short.
     """
     n = table.shape[1]
     flat = table.reshape(len(table), n * n).view(float)
+    rows = max(1, PRODUCT_BLOCK // flat.size)
+    block = rows * max(1, BASIS_BLOCK // (len(flat) * rows))
 
     def evaluate(pts: np.ndarray) -> np.ndarray:
-        out = numkit.blocked_matmul(basis(np.atleast_2d(pts)), flat)
+        pts = np.atleast_2d(pts)
+        out = np.empty((len(pts), flat.shape[1]))
+        for start in range(0, len(pts), block):
+            values, part = basis(pts[start:start + block]), out[start:start + block]
+            for sub in range(0, len(values), rows):
+                np.matmul(values[sub:sub + rows], flat, out=part[sub:sub + rows])
         return out.view(complex).reshape(-1, n, n)
 
     return evaluate

@@ -20,24 +20,11 @@ LEAD_FLOOR = 1e-8        # smallest component that fixes an eigenvector's phase
 BRANCH_CUT_GAP = 1e-3    # narrowest eigenphase gap a log branch cut may use
 POLAR_SWEEPS = 16        # Newton-Schulz sweeps before polar_unitary takes the SVD
 POLAR_TOL = 1e-14        # largest |X^dagger X - I| of a converged polar iterate
-# real multiply-adds per block of a row-blocked product: small enough that
-# BLAS runs it on the calling thread and its operands stay in cache
-PRODUCT_BLOCK = 1 << 17
 
 
 def max_abs(a) -> float:
     a = np.asarray(a)
     return float(np.max(np.abs(a))) if a.size else 0.0
-
-
-def blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for real 2-D a and b, taken in blocks of rows of a of at most
-    PRODUCT_BLOCK multiply-adds."""
-    out = np.empty((a.shape[0], b.shape[1]))
-    rows = max(1, PRODUCT_BLOCK // b.size)
-    for start in range(0, a.shape[0], rows):
-        np.matmul(a[start:start + rows], b, out=out[start:start + rows])
-    return out
 
 
 def fix_phases(v: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ConfigError
 
 TWO_PI = 2.0 * np.pi
+MAX_LOOP_SAMPLES = 2 ** 14   # the largest grid size, so no loop is longer
 
 
 class Manifold(str, Enum):
@@ -159,12 +160,13 @@ def _vids(manifold: Manifold, n_lat: int, n_lon: int, i, j) -> np.ndarray:
 
 
 def build_grid(manifold: Manifold, n_lat: int, n_lon: int) -> Grid:
-    """The tau-closed grid of a shape; subdivisions must be even and >= 8.
-    The two latest shapes are kept and shared, so a grid's arrays are read-only."""
+    """The tau-closed grid of a shape; subdivisions must be even, >= 8 and at
+    most MAX_LOOP_SAMPLES.  The two latest shapes are kept and shared, so a
+    grid's arrays are read-only."""
     manifold = Manifold(manifold)
     for name, n in (("n_lat", n_lat), ("n_lon", n_lon)):
-        if n < 8 or n % 2 != 0:
-            raise ConfigError(f"{name} must be even and >= 8, got {n}")
+        if not (8 <= n <= MAX_LOOP_SAMPLES and n % 2 == 0):
+            raise ConfigError(f"{name} must be even and within 8..{MAX_LOOP_SAMPLES}, got {n}")
     return _shared_grid(manifold, n_lat, n_lon)
 
 

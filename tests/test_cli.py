@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import phasetop
-from phasetop import bands, cli, invariants, models
+from phasetop import bands, cli, invariants, models, phasespace
 from phasetop.errors import GapError, ResolutionError
 from phasetop.invariants import Tolerances
 from phasetop.phasespace import Manifold, build_grid
@@ -710,6 +710,35 @@ def test_tolerance_gap_floor_and_seed_validation_exits_2(tmp_path, capsys, case)
     assert run(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
+    assert err.startswith("phasetop: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["gap_floor_5001_digits", "utf16_bom", "directory",
+                                  "n_lat_401_digits", "n_lat_above_max"])
+def test_unreadable_or_oversized_config_exits_2(tmp_path, capsys, monkeypatch, case):
+    # a config that cannot be read or decoded, or a grid size past
+    # MAX_LOOP_SAMPLES, is a config error: one line, no report and no grid
+    # built.  Python refuses an integer literal of more than 4300 digits
+    rotor = '{"model": {"variant": "RotorSpin", "j": 0.5}'
+    contents = {
+        "gap_floor_5001_digits": f'{rotor}, "tolerances": {{"gap_floor": 1{"0" * 5000}}}}}',
+        "utf16_bom": b"\xff\xfe" + rotor.encode() + b"}",
+        "n_lat_401_digits": f'{rotor}, "grid": {{"n_lat": 1{"0" * 400}, "n_lon": 32}}}}',
+        "n_lat_above_max": f'{rotor}, "grid": {{"n_lat": {2 ** 14 + 2}, "n_lon": 32}}}}',
+    }
+    cfg = tmp_path / "c.json"
+    if case == "directory":
+        cfg.mkdir()
+    elif isinstance(contents[case], bytes):
+        cfg.write_bytes(contents[case])
+    else:
+        cfg.write_text(contents[case])
+    monkeypatch.setattr(phasespace, "_shared_grid", None)   # a grid built would raise
+    out = tmp_path / "report.json"
+    assert run(["analyze", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
     assert err.startswith("phasetop: error: ") and err.count("\n") == 1
 
 

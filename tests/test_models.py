@@ -144,6 +144,36 @@ def test_torus_field_matches_mode_sum():
     assert numkit.max_abs(field(pts) - mode_sum(pts) / norm) <= 1e-12
 
 
+@pytest.mark.parametrize("cutoff", [0, 1, 3, 5])
+def test_torus_basis_matches_cos_and_sin_of_the_mode_phase(cutoff):
+    # the angle-sum products against np.cos and np.sin of a q + b p itself,
+    # the modes in the table's order: (0, 0), then (a, b) row by row, b > 0 when a = 0
+    modes = np.array([(0, 0)] + [(a, b) for a in range(cutoff + 1)
+                                 for b in range(-cutoff, cutoff + 1) if a > 0 or b > 0])
+    basis = models._coefficient_table(Manifold.TORUS, 2, cutoff, 0)[0]
+    pts = np.random.default_rng(cutoff).uniform(0.0, 2 * np.pi, (2000, 2))
+    theta = pts @ modes.T
+    assert numkit.max_abs(basis(pts) - np.hstack([np.cos(theta), np.sin(theta)])) <= 1e-14
+
+
+@pytest.mark.parametrize("manifold", [Manifold.SPHERE, Manifold.TORUS])
+def test_field_blocks_do_not_change_its_values(manifold):
+    # evaluate takes the basis one block of whole product sub-blocks at a
+    # time; three and a half blocks give the values of each block evaluated
+    # alone, and of the unblocked product
+    basis, table, _, _ = models._coefficient_table(manifold, 4, 3, 5)
+    field = models._table_field(basis, table)
+    rows = models.PRODUCT_BLOCK // (2 * 16 * len(table))
+    block = rows * (models.BASIS_BLOCK // (len(table) * rows))
+    assert block > rows
+    pts = np.random.default_rng(1).uniform(0.0, np.pi, (7 * block // 2, 2))
+    whole = field(pts)
+    alone = np.concatenate([field(pts[i:i + block]) for i in range(0, len(pts), block)])
+    assert np.array_equal(whole, alone)
+    unblocked = np.einsum("mr,rij->mij", basis(pts), table)
+    assert numkit.max_abs(whole - unblocked) <= 1e-12
+
+
 def test_sphere_field_matches_monomial_sum():
     # the blocked real product against the monomial sum it stands for, on more
     # points than one product block holds, both poles included

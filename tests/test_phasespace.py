@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasetop import phasespace
+from phasetop import invariants, phasespace
 from phasetop.errors import ConfigError
 from phasetop.phasespace import Manifold, build_grid
 from oracles import tr_image_batch
@@ -51,6 +51,20 @@ def test_build_grid_rejects_odd_or_small():
         build_grid(Manifold.SPHERE, 7, 16)
     with pytest.raises(ConfigError):
         build_grid(Manifold.TORUS, 8, 6)
+
+
+@pytest.mark.parametrize("size", [2 ** 14 + 2, 10 ** 400], ids=["2**14+2", "401-digit"])
+def test_build_grid_refuses_a_size_above_max_loop_samples(monkeypatch, size):
+    # the size is refused before any grid array is built; 2**14 itself passes
+    built = []
+    monkeypatch.setattr(phasespace, "_shared_grid", lambda *shape: built.append(shape))
+    for shape in ((size, 32), (32, size)):
+        with pytest.raises(ConfigError, match="within 8..16384"):
+            build_grid(Manifold.TORUS, *shape)
+    assert built == []
+    build_grid(Manifold.SPHERE, 8, 2 ** 14)
+    assert built == [(Manifold.SPHERE, 8, 2 ** 14)]
+    assert invariants.MAX_LOOP_SAMPLES is phasespace.MAX_LOOP_SAMPLES == 2 ** 14
 
 
 def test_sphere_grid_counts():

@@ -278,6 +278,33 @@ def test_smooth_frame_matches_sequential_transport(seed, manifold, rank, data):
     assert numkit.max_abs(frame.data - sequential_frame(spec, group, grid)) <= 1e-12
 
 
+@pytest.mark.parametrize("manifold", [Manifold.SPHERE, Manifold.TORUS])
+def test_whole_bundle_frame_takes_no_transport_step(manifold):
+    # the whole bundle's frame is the seed slab at every domain vertex, with
+    # no polar factor or twist; a partial group still transports
+    spec, grid = four_band_spectrum(5, manifold, 8, 16)
+    calls = {"polar_unitary": 0, "unitary_powers": 0}
+
+    def counted(name):
+        kernel = getattr(numkit, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return wrapper
+
+    with mock.patch.multiple(numkit, **{name: counted(name) for name in calls}):
+        frame = bands.smooth_frame(spec, bands.group_for_range(spec, 0, 3, 0.1), grid)
+        assert calls == {"polar_unitary": 0, "unitary_powers": 0}
+        seed = spec.vectors[grid.transport_chains[0, 0]]
+        assert frame.data.shape == (grid.n_domain_vertices, 4, 4)
+        assert np.all(frame.data == seed)
+        bands.smooth_frame(spec, bands.group_for_range(spec, 0, 1, 0.1), grid)
+    torus = manifold == Manifold.TORUS
+    # the torus twist takes unitary_powers, which takes one polar factor itself
+    assert calls == {"polar_unitary": 1 + torus, "unitary_powers": int(torus)}
+
+
 # ---------------------------------------------------------------------------
 # pfaffian
 
